@@ -21,20 +21,21 @@
 //! access + resolve the pinned snapshot) on **every read**, so that call
 //! must not serialise on anything shared:
 //!
-//! * Each transaction slot (`TxSlot`) carries a one-entry *(state → snapshot)* cache guarded
-//!   by a tiny per-slot seqlock (`cache_seq`): once a transaction has pinned
-//!   a state, every further read of that state is ~5 atomic loads — no
-//!   mutex, no registry `RwLock`.  The cache is sound because a pinned
-//!   snapshot for a state never changes within a transaction (pins are
-//!   created once per group and only *created*, never updated), and because
-//!   transaction ids are never reused (the owner check
-//!   `slot.txn == tx.id` therefore proves the cache entry was written by
-//!   this very transaction — `begin` resets the cache before publishing the
-//!   new owner).
-//! * [`record_access`](StateContext::record_access) has the same shape with
-//!   a single-field cache (`last_access_state`), validated under the same
-//!   per-slot seqlock so a racer can never combine stale cache words with
-//!   the fresh resets `begin` performs when the slot is reused.
+//! * Each transaction slot (`TxSlot`) carries a small per-state snapshot
+//!   cache: one `SnapshotCacheEntry` per state id below
+//!   `SNAPSHOT_CACHE_STATES`, holding an *access tag*, a *pin tag* and the
+//!   pinned timestamp.  A tag is the id of the transaction that wrote it.
+//!   Once a transaction has touched a state, every further access of that
+//!   state is three loads — no mutex, no registry `RwLock` — however the
+//!   transaction interleaves its states, and even when several operator
+//!   threads share one `Tx`.  The cache is sound because a pinned snapshot
+//!   for a state never changes within a transaction (pins are created once
+//!   per group and never updated), and because transaction ids are never
+//!   reused: a tag equal to `tx.id` was written by this very transaction,
+//!   so `begin` needs no reset.  State ids past the array take the slow
+//!   path (owner and fate checks, group lookup, the slot's detail mutex).
+//! * [`record_access`](StateContext::record_access) hits on the access tag
+//!   alone; `access_snapshot` sets both tags.
 //! * Slot claiming ([`begin`](StateContext::begin)) starts scanning at a
 //!   rotor-advanced bit so concurrent claimants do not all CAS word 0.
 //! * [`oldest_active`](StateContext::oldest_active) is cached behind a
@@ -43,6 +44,30 @@
 //!   actually changed.  [`oldest_active_fresh`](StateContext::oldest_active_fresh)
 //!   always rescans — it is the `refresh` bound of the version-reclaim
 //!   protocol.
+//!
+//! ## Why a stale handle cannot read the next occupant's pin
+//!
+//! A hit loads, in order, `tag` (`Acquire`), `ts` (`Acquire`) and the slot's
+//! owner word `txn`, and accepts only if both `tag` and `txn` equal `tx.id`.
+//! The slow path stores `ts` and then the tag, both with `Release`, after
+//! the owner check.  Let transaction A (id `a`) hold a stale handle while
+//! the slot's next occupant B (id `b`) pins the same state:
+//!
+//! * If A's `ts` load returns B's store, that load synchronises with it.
+//!   B's `begin` stored `txn = b` before B could run any slow path (the
+//!   handle only exists once `begin` returned), so that store
+//!   happens-before A's later `txn` load, which therefore returns `b` or a
+//!   later value of the owner word — never `a`, because ids are never
+//!   reused.  A rejects the hit.
+//! * Otherwise `ts` is A's own store: A's tag load of `a` synchronised with
+//!   A's tag store, which follows A's `ts` store, so no earlier occupant's
+//!   value can be returned either.
+//!
+//! Once A has finished (or a reaper has finished it) the owner word no
+//! longer reads `a`, so every later call from A's handle misses and the
+//! slow path reports `UnknownTxn` or `LeaseExpired`.  A hit also implies the
+//! pin's snapshot floor was announced (the pin precedes the tag store), so
+//! the version-reclaim protocol below holds for cache hits.
 //!
 //! # Memory-ordering contract with the version layer
 //!
@@ -85,8 +110,9 @@ pub const MAX_ACTIVE_TXNS: usize = 64;
 /// otherwise go quadratic in `record_access`).
 const LINEAR_SCAN_MAX: usize = 8;
 
-/// Sentinel for the per-slot caches: no state cached.
-const NO_CACHED_STATE: u64 = u64::MAX;
+/// States with an id below this bound get a per-slot snapshot cache entry;
+/// higher ids always take the slow path.
+const SNAPSHOT_CACHE_STATES: usize = 8;
 
 /// Commit status of one state within one transaction (the paper's
 /// `List<StateID, Status>`).
@@ -191,6 +217,19 @@ impl TxDetail {
     }
 }
 
+/// Per-slot, per-state cache of a transaction's access record and pinned
+/// snapshot (see "Hot-path design" in the module docs).  Tags hold the id of
+/// the transaction that wrote them (0 = never written).
+#[derive(Default)]
+struct SnapshotCacheEntry {
+    /// Id of the transaction that recorded an access of this state.
+    access_tag: AtomicU64,
+    /// Id of the transaction whose pinned snapshot `pin_ts` holds.
+    pin_tag: AtomicU64,
+    /// The pinned snapshot of the `pin_tag` transaction for this state.
+    pin_ts: AtomicU64,
+}
+
 /// One active-transaction slot, padded to its own cache line(s) so
 /// concurrent transactions do not false-share floor updates.
 struct TxSlot {
@@ -200,16 +239,8 @@ struct TxSlot {
     /// OldestActiveVersion computation.  Stores are *announced* with a
     /// `SeqCst` fence (see module docs).
     snapshot_floor: AtomicU64,
-    /// Seqlock guarding the (`last_pin_state`, `last_pin_ts`) pair below
-    /// (odd while a slow path updates them).
-    cache_seq: AtomicU64,
-    /// Most recently accessed state ([`NO_CACHED_STATE`] = none) — the
-    /// `record_access` fast path.
-    last_access_state: AtomicU64,
-    /// State whose pinned snapshot is cached ([`NO_CACHED_STATE`] = none).
-    last_pin_state: AtomicU64,
-    /// The pinned snapshot for `last_pin_state`.
-    last_pin_ts: AtomicU64,
+    /// Per-state access and snapshot cache, indexed by state id.
+    snapshot_cache: [SnapshotCacheEntry; SNAPSHOT_CACHE_STATES],
     /// Slot generation ("epoch"), bumped once by every claim (`begin`) and
     /// once by every fate decision (owner commit/abort *or* reap).  A `Tx`
     /// captures the post-claim value; whoever CASes `epoch → epoch + 1`
@@ -244,10 +275,7 @@ impl TxSlot {
         TxSlot {
             txn: AtomicU64::new(0),
             snapshot_floor: AtomicU64::new(u64::MAX),
-            cache_seq: AtomicU64::new(0),
-            last_access_state: AtomicU64::new(NO_CACHED_STATE),
-            last_pin_state: AtomicU64::new(NO_CACHED_STATE),
-            last_pin_ts: AtomicU64::new(0),
+            snapshot_cache: Default::default(),
             epoch: AtomicU64::new(0),
             last_reaped_epoch: AtomicU64::new(u64::MAX),
             lease_deadline: AtomicU64::new(u64::MAX),
@@ -904,22 +932,8 @@ impl StateContext {
     pub fn begin(&self, read_only: bool) -> Result<Tx> {
         let slot = self.claim_slot_admitted()?;
         let s = &self.slots[slot];
-        // Reset the per-slot caches *before* publishing the new owner, and
-        // *inside* a `cache_seq` window: this transaction's handle only
-        // exists after `begin` returns, but a stale handle of a previous
-        // occupant may be racing its fast path right now, and without the
-        // window it could combine its old (matching) cache words with a
-        // freshly reset one (e.g. return the reset `last_pin_ts` of 0).
-        // Inside the window such a racer retries and lands on the slow
-        // path's owner check.
-        let c = s.cache_seq.load(Ordering::Relaxed);
-        s.cache_seq.store(c + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        s.last_access_state
-            .store(NO_CACHED_STATE, Ordering::Relaxed);
-        s.last_pin_state.store(NO_CACHED_STATE, Ordering::Relaxed);
-        s.last_pin_ts.store(0, Ordering::Relaxed);
-        s.cache_seq.store(c + 2, Ordering::Release);
+        // The snapshot cache needs no reset: its entries are tagged with
+        // the id of the transaction that wrote them (see module docs).
         s.detail.lock().clear();
         // Stamp the lease deadline (and refresh the coarse clock) before
         // publishing the new owner, so a reaper scan that sees this txn id
@@ -1453,26 +1467,29 @@ impl StateContext {
         age
     }
 
+    /// The snapshot cache entry of `state` in `tx`'s slot, if the state id
+    /// is small enough to have one.
+    #[inline]
+    fn cache_entry(&self, tx: &Tx, state: StateId) -> Option<&SnapshotCacheEntry> {
+        self.slots[tx.slot].snapshot_cache.get(state.index())
+    }
+
+    /// True while `tx` still occupies its slot.  The cache hits check this
+    /// *after* their tag loads (see "Hot-path design" in the module docs).
+    #[inline]
+    fn is_occupant(&self, tx: &Tx) -> bool {
+        self.slots[tx.slot].txn.load(Ordering::Acquire) == tx.id.as_u64()
+    }
+
     /// Records that `tx` accessed `state` (status `Active` if not yet seen).
     ///
-    /// Fast path: a single-entry cache of the most recently recorded state
-    /// — repeat accesses cost two atomic loads and no lock.
+    /// Fast path: the state's access tag in the slot's snapshot cache —
+    /// repeat accesses cost two atomic loads and no lock.
     pub fn record_access(&self, tx: &Tx, state: StateId) -> Result<()> {
-        let s = &self.slots[tx.slot];
-        // The owner check proves the cache entry was written by this very
-        // transaction (ids are never reused; `begin` resets the cache
-        // inside a `cache_seq` window before publishing the new owner), and
-        // the seqlock validation rejects views that mix pre- and post-reset
-        // words.
-        let c1 = s.cache_seq.load(Ordering::Acquire);
-        if c1 & 1 == 0 {
-            let owner = s.txn.load(Ordering::Acquire);
-            let seen = s.last_access_state.load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            if s.cache_seq.load(Ordering::Relaxed) == c1
-                && owner == tx.id.as_u64()
-                && seen == u64::from(state.0)
-            {
+        let id = tx.id.as_u64();
+        let entry = self.cache_entry(tx, state);
+        if let Some(e) = entry {
+            if e.access_tag.load(Ordering::Acquire) == id && self.is_occupant(tx) {
                 return Ok(());
             }
         }
@@ -1481,10 +1498,14 @@ impl StateContext {
         // (its slot's detail may already belong to the reap in progress).
         // Slow path only — the cache hit above stays latch- and fence-free.
         self.check_fate(tx)?;
-        let mut detail = s.detail.lock();
-        detail.record(state, StateStatus::Active);
-        s.last_access_state
-            .store(u64::from(state.0), Ordering::Relaxed);
+        crate::latch_probe::count_latch();
+        self.slots[tx.slot]
+            .detail
+            .lock()
+            .record(state, StateStatus::Active);
+        if let Some(e) = entry {
+            e.access_tag.store(id, Ordering::Release);
+        }
         Ok(())
     }
 
@@ -1498,24 +1519,22 @@ impl StateContext {
     /// use when reading `state` — the combined per-read entry point of the
     /// table layer.
     ///
-    /// Fast path: once a state has been pinned, the (state → snapshot) pair
-    /// is served from a seqlock-guarded per-slot cache — no mutex, no
-    /// registry lock.  This is sound because the snapshot for a given state
-    /// never changes within a transaction: the first access pins *all* of
-    /// the state's groups, and pins are only ever created, never updated.
+    /// Fast path: once `tx` has pinned `state`, the snapshot is served from
+    /// the state's entry in the slot's snapshot cache — three atomic loads,
+    /// no mutex, no registry lock — whichever states the transaction
+    /// touched in between.  This is sound because the snapshot for a given
+    /// state never changes within a transaction: the first access pins
+    /// *all* of the state's groups, and pins are only ever created, never
+    /// updated.
     pub fn access_snapshot(&self, tx: &Tx, state: StateId) -> Result<Timestamp> {
-        let s = &self.slots[tx.slot];
-        let c1 = s.cache_seq.load(Ordering::Acquire);
-        if c1 & 1 == 0 {
-            let owner = s.txn.load(Ordering::Acquire);
-            let pin_state = s.last_pin_state.load(Ordering::Relaxed);
-            let pin_ts = s.last_pin_ts.load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            if s.cache_seq.load(Ordering::Relaxed) == c1
-                && owner == tx.id.as_u64()
-                && pin_state == u64::from(state.0)
-            {
-                return Ok(pin_ts);
+        let id = tx.id.as_u64();
+        let entry = self.cache_entry(tx, state);
+        if let Some(e) = entry {
+            if e.pin_tag.load(Ordering::Acquire) == id {
+                let ts = e.pin_ts.load(Ordering::Acquire);
+                if self.is_occupant(tx) {
+                    return Ok(ts);
+                }
             }
         }
         // Slow path: record the access, pin the state's groups, cache.
@@ -1525,22 +1544,17 @@ impl StateContext {
         // concurrently *unpinning* them to release the snapshot floor.
         self.check_fate(tx)?;
         let groups = self.groups_of_state(state);
-        let mut detail = s.detail.lock();
+        crate::latch_probe::count_latch();
+        let mut detail = self.slots[tx.slot].detail.lock();
         detail.record(state, StateStatus::Active);
         let result = self.pin_groups_locked(&mut detail, tx, state, &groups)?;
-        // Publish the one-entry (state → snapshot) cache.  The seqlock
-        // window keeps the pair tear-free for concurrent fast-path readers
-        // of the same transaction; writers are serialised by the detail
-        // mutex held here.
-        let c = s.cache_seq.load(Ordering::Relaxed);
-        s.cache_seq.store(c + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        s.last_access_state
-            .store(u64::from(state.0), Ordering::Relaxed);
-        s.last_pin_ts.store(result, Ordering::Relaxed);
-        s.last_pin_state
-            .store(u64::from(state.0), Ordering::Relaxed);
-        s.cache_seq.store(c + 2, Ordering::Release);
+        // Publish the entry: timestamp first, then the tags (the hit loads
+        // them in the opposite order; see module docs).
+        if let Some(e) = entry {
+            e.pin_ts.store(result, Ordering::Release);
+            e.pin_tag.store(id, Ordering::Release);
+            e.access_tag.store(id, Ordering::Release);
+        }
         Ok(result)
     }
 
@@ -1965,12 +1979,121 @@ mod tests {
         // The access was recorded for the commit protocol.
         let states = ctx.accessed_states(&t).unwrap();
         assert_eq!(states, vec![(a, StateStatus::Active)]);
-        // Alternating states falls back to the slow path but stays correct:
-        // b shares the group, so it sees the same pinned snapshot.
+        // Alternating states hits each state's own cache entry: b shares
+        // the group, so it sees the same pinned snapshot.
         assert_eq!(ctx.access_snapshot(&t, b).unwrap(), 7);
         assert_eq!(ctx.access_snapshot(&t, a).unwrap(), 7);
         assert_eq!(ctx.accessed_states(&t).unwrap().len(), 2);
         ctx.finish(&t);
+    }
+
+    #[test]
+    fn stale_handle_after_slot_reuse_gets_unknown_txn() {
+        // One slot, so every transaction reuses the previous one's slot and
+        // snapshot-cache entries.
+        let ctx = StateContext::with_capacity(1);
+        let a = ctx.register_state("a");
+        let g = ctx.register_group(&[a]).unwrap();
+        let mut prev: Option<(Tx, Timestamp)> = None;
+        for round in 0..100u64 {
+            ctx.publish_group_commit(g, 10 + round).unwrap();
+            let t = ctx.begin(true).unwrap();
+            assert_eq!(ctx.access_snapshot(&t, a).unwrap(), 10 + round);
+            if let Some((old, old_pin)) = &prev {
+                assert_eq!(old.slot(), t.slot());
+                assert_ne!(*old_pin, 10 + round);
+                // The old handle's cache entry was overwritten by `t`; it
+                // must neither hit nor return `t`'s pin.
+                assert!(matches!(
+                    ctx.access_snapshot(old, a),
+                    Err(TspError::UnknownTxn { .. })
+                ));
+                assert!(matches!(
+                    ctx.record_access(old, a),
+                    Err(TspError::UnknownTxn { .. })
+                ));
+            }
+            // A repeat through the live handle is still a hit on its own pin.
+            assert_eq!(ctx.access_snapshot(&t, a).unwrap(), 10 + round);
+            ctx.finish(&t);
+            // Finished, not yet reused: its own warm entry must not hit.
+            assert!(matches!(
+                ctx.access_snapshot(&t, a),
+                Err(TspError::UnknownTxn { .. })
+            ));
+            prev = Some((t, 10 + round));
+        }
+    }
+
+    #[test]
+    fn reaped_transaction_misses_its_warm_cache_with_lease_expired() {
+        let (ctx, a, b, g) = ctx_with_two_states();
+        ctx.publish_group_commit(g, 7).unwrap();
+        ctx.set_transaction_lease(Some(Duration::from_millis(1)));
+        let zombie = ctx.begin(false).unwrap();
+        // Warm both the pin and the access entries.
+        assert_eq!(ctx.access_snapshot(&zombie, a).unwrap(), 7);
+        ctx.record_access(&zombie, b).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let (slot, txn, epoch) = ctx.expired_candidates()[0];
+        let reaped = ctx
+            .claim_reap(slot, txn, epoch)
+            .expect("zombie is reapable");
+        ctx.finish(&reaped);
+        assert!(matches!(
+            ctx.access_snapshot(&zombie, a),
+            Err(TspError::LeaseExpired { .. })
+        ));
+        assert!(matches!(
+            ctx.record_access(&zombie, b),
+            Err(TspError::LeaseExpired { .. })
+        ));
+    }
+
+    #[test]
+    fn threads_sharing_one_tx_both_read_the_pinned_snapshot() {
+        use std::sync::Barrier;
+        let (ctx, a, b, g) = ctx_with_two_states();
+        ctx.publish_group_commit(g, 7).unwrap();
+        let ctx = Arc::new(ctx);
+        let tx = ctx.begin(true).unwrap();
+        let stop = AtomicBool::new(false);
+        let start = Barrier::new(3);
+        let pins: Vec<Vec<Timestamp>> = std::thread::scope(|s| {
+            // Keeps advancing LastCTS, so a pin taken from a fresh group
+            // lookup instead of the transaction's pin would show up.
+            s.spawn(|| {
+                start.wait();
+                let mut cts = 8;
+                while !stop.load(Ordering::Relaxed) {
+                    ctx.publish_group_commit(g, cts).unwrap();
+                    cts += 1;
+                }
+            });
+            let readers: Vec<_> = [a, b]
+                .into_iter()
+                .map(|state| {
+                    let (ctx, tx, start) = (&ctx, &tx, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..20_000)
+                            .map(|_| ctx.access_snapshot(tx, state).unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let pins = readers.into_iter().map(|h| h.join().unwrap()).collect();
+            stop.store(true, Ordering::Relaxed);
+            pins
+        });
+        let pinned = ctx.pinned_snapshots(&tx).unwrap();
+        assert_eq!(pinned.len(), 1);
+        let expected = pinned[0].1;
+        for per_state in &pins {
+            assert!(per_state.iter().all(|ts| *ts == expected));
+        }
+        assert_eq!(ctx.accessed_states(&tx).unwrap().len(), 2);
+        ctx.finish(&tx);
     }
 
     #[test]

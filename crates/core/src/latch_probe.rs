@@ -7,27 +7,32 @@
 //! property is easy to destroy silently — one innocent `self.something.lock()`
 //! added to a helper reintroduces the §4.2 latching the rework removed.
 //!
-//! In debug builds every latch acquisition of the version/table layer calls
+//! In debug builds every latch acquisition of the version/table layer and
+//! every slow-path acquisition of a context slot's detail mutex calls
 //! [`count_latch`]; tests drive the committed-read path and assert the
-//! counter did not move (`tests in `mvcc_table.rs`).  In release builds the
+//! counter did not move (tests in `mvcc_table.rs`).  The counter is
+//! per thread, so latches that tests running in parallel threads take are
+//! not counted against the test doing the reads.  In release builds the
 //! probe compiles to nothing.
 
 #[cfg(debug_assertions)]
 mod imp {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    static LATCH_ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
-
-    /// Records one latch (mutex / rwlock) acquisition.
-    #[inline]
-    pub fn count_latch() {
-        LATCH_ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+    thread_local! {
+        static LATCH_ACQUISITIONS: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// Total latch acquisitions recorded so far in this process.
+    /// Records one latch (mutex / rwlock) acquisition by this thread.
+    #[inline]
+    pub fn count_latch() {
+        LATCH_ACQUISITIONS.with(|n| n.set(n.get() + 1));
+    }
+
+    /// Total latch acquisitions recorded so far by this thread.
     #[inline]
     pub fn latch_count() -> u64 {
-        LATCH_ACQUISITIONS.load(Ordering::Relaxed)
+        LATCH_ACQUISITIONS.with(Cell::get)
     }
 }
 

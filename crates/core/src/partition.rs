@@ -453,7 +453,7 @@ impl PartitionedContext {
     /// context (see [`StateContext::set_transaction_lease`]).
     ///
     /// Only the router's lease drives reaping — the outer manager's reaper
-    /// force-aborts an expired outer transaction and the [`PartitionShard`]
+    /// force-aborts an expired outer transaction and the `PartitionShard`
     /// rollback cascade finishes its sub-transactions on every partition,
     /// so inner slots can never outlive the outer lease.  The inner
     /// contexts still get the lease configured so their
@@ -469,7 +469,7 @@ impl PartitionedContext {
     /// Force-aborts every expired outer transaction through the attached
     /// manager's reaper (the hook [`TransactionManager::new`] installs on
     /// the router context).  Each reaped outer transaction's rollback
-    /// cascades through its [`PartitionShard`]s, finishing the inner
+    /// cascades through its `PartitionShard`s, finishing the inner
     /// sub-transactions and releasing every partition's slot — so one
     /// sweep here unwedges GC floors on all partitions at once.  Returns
     /// the number of outer transactions reaped; 0 before `attach` or when

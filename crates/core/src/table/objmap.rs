@@ -1,4 +1,5 @@
-//! Lock-free, insert-only object index: `K → Arc<MvccObject<V>>`.
+//! Lock-free, insert-only object index: `K → MvccObject<V>`, with each
+//! object stored inline in its chain node.
 //!
 //! The MVCC table historically resolved keys through 64 `RwLock<HashMap>`
 //! shards — a shared read-latch acquisition on *every* committed read.  This
@@ -7,11 +8,18 @@
 //! can be a fixed-size bucket array of lock-free prepend-only chains:
 //!
 //! * **get** — one `Acquire` load of the bucket head plus a short chain
-//!   walk; no latch, no CAS.
+//!   walk; no latch, no CAS.  It returns `&T` borrowed from the map.
 //! * **insert** — allocate a node and CAS it as the new head; on a race,
-//!   re-walk (freeing the loser's node if the key appeared).
-//! * Nodes are immutable after publication and freed only when the map
-//!   drops, so readers may hold references across concurrent inserts.
+//!   re-walk (dropping the loser's unpublished node if the key appeared).
+//! * A node's key and link are immutable after publication, and nodes are
+//!   freed only when the map drops, so a `&T` stays valid for as long as
+//!   the map is borrowed, across any number of concurrent inserts.  Values
+//!   are only ever shared (`&T`); `T` synchronises its own interior
+//!   mutability.
+//!
+//! Storing the object in the node (rather than an `Arc` to it) saves a
+//! dependent cache miss on every read and keeps refcount read-modify-writes
+//! off validation, apply and garbage collection.
 //!
 //! The bucket count is fixed at construction (no resizing — resizing is
 //! what forces latches back in).  Chains degrade gracefully: with the
@@ -112,12 +120,15 @@ pub(crate) struct ObjMap<K, T> {
     len: AtomicUsize,
 }
 
-// SAFETY: nodes are heap-allocated, published via Release CAS, immutable
-// afterwards, and freed only in `drop(&mut self)`.
+// SAFETY: nodes are heap-allocated, published via Release CAS and freed
+// only in `drop(&mut self)`; a published node's `key` and `next` are never
+// written again.  Other threads share `&K` and `&T` through `&self`
+// (`Sync` bounds) and the map drops both wherever it is dropped (`Send`
+// bounds).  The bucket array and `len` are atomics.
 unsafe impl<K: Send + Sync, T: Send + Sync> Send for ObjMap<K, T> {}
 unsafe impl<K: Send + Sync, T: Send + Sync> Sync for ObjMap<K, T> {}
 
-impl<K: Eq + Hash + Clone, T: Clone> ObjMap<K, T> {
+impl<K: Eq + Hash + Clone, T> ObjMap<K, T> {
     /// Creates an index with `buckets` rounded up to a power of two.
     pub fn new(buckets: usize) -> Self {
         let n = buckets.max(16).next_power_of_two();
@@ -139,16 +150,18 @@ impl<K: Eq + Hash + Clone, T: Clone> ObjMap<K, T> {
         &self.buckets[((hash ^ (hash >> 32)) as usize) & self.mask]
     }
 
-    /// Walks a chain looking for `key`.  `head` must come from an `Acquire`
-    /// load of a bucket.
-    fn find_in(head: *mut Node<K, T>, key: &K) -> Option<T> {
+    /// Walks the chain from `head` up to (excluding) `stop`, looking for
+    /// `key`.  `head` must come from an `Acquire` load of one of this map's
+    /// buckets.
+    fn find_in(&self, head: *mut Node<K, T>, stop: *mut Node<K, T>, key: &K) -> Option<&T> {
         let mut cur = head;
-        while !cur.is_null() {
+        while cur != stop && !cur.is_null() {
             // SAFETY: nodes are published fully initialised (Release CAS /
-            // Acquire load) and never freed while the map is shared.
+            // Acquire load) and freed only when the map drops, which cannot
+            // happen while `&self` is borrowed.
             let node = unsafe { &*cur };
             if node.key == *key {
-                return Some(node.value.clone());
+                return Some(&node.value);
             }
             cur = node.next;
         }
@@ -156,33 +169,17 @@ impl<K: Eq + Hash + Clone, T: Clone> ObjMap<K, T> {
     }
 
     /// Latch-free lookup.
-    pub fn get(&self, key: &K) -> Option<T> {
-        Self::find_in(self.bucket(key).load(Ordering::Acquire), key)
-    }
-
-    /// Latch-free lookup that borrows the stored value instead of cloning
-    /// it (nodes live until the map drops, so the borrow is tied to
-    /// `&self`) — the committed-read path uses this to skip an `Arc`
-    /// refcount round-trip per read.
-    pub fn with<R>(&self, key: &K, f: impl FnOnce(&T) -> R) -> Option<R> {
-        let mut cur = self.bucket(key).load(Ordering::Acquire);
-        while !cur.is_null() {
-            // SAFETY: published nodes, as in `find_in`.
-            let node = unsafe { &*cur };
-            if node.key == *key {
-                return Some(f(&node.value));
-            }
-            cur = node.next;
-        }
-        None
+    pub fn get(&self, key: &K) -> Option<&T> {
+        let head = self.bucket(key).load(Ordering::Acquire);
+        self.find_in(head, std::ptr::null_mut(), key)
     }
 
     /// Returns the value for `key`, inserting `make()` if absent.  Callers
     /// racing on the same key converge on the first published value.
-    pub fn get_or_insert_with(&self, key: &K, make: impl FnOnce() -> T) -> T {
+    pub fn get_or_insert_with(&self, key: &K, make: impl FnOnce() -> T) -> &T {
         let bucket = self.bucket(key);
         let mut head = bucket.load(Ordering::Acquire);
-        if let Some(found) = Self::find_in(head, key) {
+        if let Some(found) = self.find_in(head, std::ptr::null_mut(), key) {
             return found;
         }
         let node = Box::into_raw(Box::new(Node {
@@ -194,25 +191,18 @@ impl<K: Eq + Hash + Clone, T: Clone> ObjMap<K, T> {
             match bucket.compare_exchange(head, node, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
                     self.len.fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: we still own the published node's contents for
-                    // reading; it will not be freed before the map drops.
-                    return unsafe { (*node).value.clone() };
+                    // SAFETY: the node is now published and lives until the
+                    // map drops.
+                    return unsafe { &(*node).value };
                 }
                 Err(new_head) => {
                     // Someone prepended concurrently: if it was our key,
                     // discard our node and use theirs; otherwise re-link and
                     // retry.  Only the new prefix can contain the key.
-                    let mut cur = new_head;
-                    while cur != head && !cur.is_null() {
-                        // SAFETY: published nodes, as above.
-                        let n = unsafe { &*cur };
-                        if n.key == *key {
-                            let value = n.value.clone();
-                            // SAFETY: our node was never published.
-                            drop(unsafe { Box::from_raw(node) });
-                            return value;
-                        }
-                        cur = n.next;
+                    if let Some(found) = self.find_in(new_head, head, key) {
+                        // SAFETY: our node was never published.
+                        drop(unsafe { Box::from_raw(node) });
+                        return found;
                     }
                     head = new_head;
                     // SAFETY: unpublished — we still own it exclusively.
@@ -237,7 +227,7 @@ impl<K: Eq + Hash + Clone, T: Clone> ObjMap<K, T> {
         for bucket in self.buckets.iter() {
             let mut cur = bucket.load(Ordering::Acquire);
             while !cur.is_null() {
-                // SAFETY: published nodes, as above.
+                // SAFETY: published nodes, as in `find_in`.
                 let node = unsafe { &*cur };
                 f(&node.key, &node.value);
                 cur = node.next;
@@ -267,15 +257,16 @@ mod tests {
 
     #[test]
     fn insert_get_and_iterate() {
-        let map: ObjMap<u32, Arc<String>> = ObjMap::new(16);
+        let map: ObjMap<u32, String> = ObjMap::new(16);
         assert_eq!(map.get(&1), None);
-        let a = map.get_or_insert_with(&1, || Arc::new("a".into()));
-        let b = map.get_or_insert_with(&2, || Arc::new("b".into()));
-        assert_eq!(*a, "a");
-        assert_eq!(*b, "b");
-        // Second insert of the same key returns the first value.
-        let a2 = map.get_or_insert_with(&1, || Arc::new("other".into()));
-        assert!(Arc::ptr_eq(&a, &a2));
+        let a = map.get_or_insert_with(&1, || "a".into());
+        let b = map.get_or_insert_with(&2, || "b".into());
+        assert_eq!(a, "a");
+        assert_eq!(b, "b");
+        // Second insert of the same key returns the first value, in place.
+        let a2 = map.get_or_insert_with(&1, || "other".into());
+        assert!(std::ptr::eq(a, a2));
+        assert!(std::ptr::eq(a, map.get(&1).unwrap()));
         assert_eq!(map.len(), 2);
         let mut seen: Vec<u32> = Vec::new();
         map.for_each(|k, _| seen.push(*k));
@@ -286,9 +277,9 @@ mod tests {
     #[test]
     fn chains_handle_many_keys_per_bucket() {
         // Tiny bucket count forces long chains.
-        let map: ObjMap<u64, Arc<u64>> = ObjMap::new(1);
+        let map: ObjMap<u64, u64> = ObjMap::new(1);
         for i in 0..500u64 {
-            map.get_or_insert_with(&i, || Arc::new(i));
+            map.get_or_insert_with(&i, || i);
         }
         assert_eq!(map.len(), 500);
         for i in 0..500u64 {
@@ -299,16 +290,16 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_converge() {
-        let map: Arc<ObjMap<u64, Arc<u64>>> = Arc::new(ObjMap::new(64));
+        let map: Arc<ObjMap<u64, u64>> = Arc::new(ObjMap::new(64));
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let map = Arc::clone(&map);
                 std::thread::spawn(move || {
                     for i in 0..2000u64 {
                         let key = i % 97; // heavy same-key racing
-                        let v = map.get_or_insert_with(&key, || Arc::new(key + t));
+                        let v = map.get_or_insert_with(&key, || key + t);
                         // Whatever value won, every thread sees the same one.
-                        assert_eq!(*map.get(&key).unwrap(), *v);
+                        assert!(std::ptr::eq(map.get(&key).unwrap(), v));
                     }
                 })
             })
@@ -317,5 +308,40 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(map.len(), 97);
+    }
+
+    #[test]
+    fn reference_survives_concurrent_inserts_into_its_bucket() {
+        let map: ObjMap<u64, Vec<u64>> = ObjMap::new(16);
+        let held = map.get_or_insert_with(&0, || vec![7; 64]);
+        // Keys that share key 0's bucket, so every insert below prepends to
+        // the chain `held` lives in.
+        let same_bucket: Vec<u64> = (1..100_000u64)
+            .filter(|k| std::ptr::eq(map.bucket(k), map.bucket(&0)))
+            .take(4_000)
+            .collect();
+        assert!(same_bucket.len() >= 1_000);
+        std::thread::scope(|s| {
+            for chunk in same_bucket.chunks(same_bucket.len() / 4) {
+                let map = &map;
+                s.spawn(move || {
+                    for k in chunk {
+                        map.get_or_insert_with(k, || vec![*k; 8]);
+                    }
+                });
+            }
+            // Read through the held reference while the chain grows.
+            s.spawn(|| {
+                for _ in 0..10_000 {
+                    assert!(held.iter().all(|v| *v == 7));
+                }
+            });
+        });
+        assert_eq!(map.len(), same_bucket.len() + 1);
+        assert_eq!(held, &vec![7; 64]);
+        assert!(std::ptr::eq(held, map.get(&0).unwrap()));
+        for k in &same_bucket {
+            assert_eq!(map.get(k).unwrap(), &vec![*k; 8]);
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! workspace vendors API-compatible shims for its few external dependencies.
 //! Channels are implemented with a mutex-protected deque plus two condition
 //! variables; `select!` polls its receivers, which is sufficient for the
-//! operator-per-thread dataflow of `tsp-stream`.
+//! operator-per-thread dataflow of `tsp-stream`.  Each side counts its
+//! blocked threads under the mutex, so `send`/`recv` notify the other side
+//! only when someone is waiting: an uncontended hand-off makes no futex
+//! wake system call.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -19,6 +22,19 @@ pub mod channel {
         capacity: usize,
         senders: usize,
         receivers: usize,
+        /// Senders blocked on `not_full`.
+        waiting_senders: usize,
+        /// Receivers blocked on `not_empty`.
+        waiting_receivers: usize,
+    }
+
+    impl<T> State<T> {
+        /// Pops the front value; the returned flag says whether a blocked
+        /// sender must be woken for the freed slot.
+        fn pop(&mut self) -> Option<(T, bool)> {
+            let v = self.queue.pop_front()?;
+            Some((v, self.waiting_senders > 0))
+        }
     }
 
     struct Inner<T> {
@@ -120,14 +136,19 @@ pub mod channel {
                 }
                 if st.queue.len() < st.capacity {
                     st.queue.push_back(value);
+                    let wake = st.waiting_receivers > 0;
                     drop(st);
-                    self.inner.not_empty.notify_one();
+                    if wake {
+                        self.inner.not_empty.notify_one();
+                    }
                     return Ok(());
                 }
+                st.waiting_senders += 1;
                 st = match self.inner.not_full.wait(st) {
                     Ok(g) => g,
                     Err(p) => p.into_inner(),
                 };
+                st.waiting_senders -= 1;
             }
         }
     }
@@ -138,27 +159,33 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut st = self.inner.lock();
             loop {
-                if let Some(v) = st.queue.pop_front() {
+                if let Some((v, wake)) = st.pop() {
                     drop(st);
-                    self.inner.not_full.notify_one();
+                    if wake {
+                        self.inner.not_full.notify_one();
+                    }
                     return Ok(v);
                 }
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
+                st.waiting_receivers += 1;
                 st = match self.inner.not_empty.wait(st) {
                     Ok(g) => g,
                     Err(p) => p.into_inner(),
                 };
+                st.waiting_receivers -= 1;
             }
         }
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.inner.lock();
-            if let Some(v) = st.queue.pop_front() {
+            if let Some((v, wake)) = st.pop() {
                 drop(st);
-                self.inner.not_full.notify_one();
+                if wake {
+                    self.inner.not_full.notify_one();
+                }
                 return Ok(v);
             }
             if st.senders == 0 {
@@ -203,6 +230,8 @@ pub mod channel {
                 capacity: capacity.max(1),
                 senders: 1,
                 receivers: 1,
+                waiting_senders: 0,
+                waiting_receivers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -281,6 +310,7 @@ pub mod channel {
 #[cfg(test)]
 mod tests {
     use super::channel;
+    use std::time::Duration;
 
     #[test]
     fn bounded_channel_blocks_and_drains() {
@@ -294,6 +324,68 @@ mod tests {
         t.join().unwrap();
         assert_eq!(got.len(), 100);
         assert_eq!(got[99], 99);
+    }
+
+    /// Lost-wakeup stress: with a one-slot channel almost every `send` and
+    /// `recv` blocks, so a skipped notification would leave a thread asleep
+    /// forever and the drain would never finish.
+    #[test]
+    fn many_senders_and_receivers_drain_a_one_slot_channel() {
+        const SENDERS: u64 = 4;
+        const PER_SENDER: u64 = 5_000;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (tx, rx) = channel::bounded::<u64>(1);
+            let senders: Vec<_> = (0..SENDERS)
+                .map(|s| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..PER_SENDER {
+                            tx.send(s * PER_SENDER + i).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            let blocking: Vec<_> = (0..3)
+                .map(|_| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || {
+                        rx.iter().fold((0u64, 0u64), |(n, sum), v| (n + 1, sum + v))
+                    })
+                })
+                .collect();
+            // One polling receiver covers the `try_recv` wake path.
+            let polling = std::thread::spawn(move || {
+                let (mut n, mut sum) = (0u64, 0u64);
+                loop {
+                    match rx.try_recv() {
+                        Ok(v) => {
+                            n += 1;
+                            sum += v;
+                        }
+                        Err(channel::TryRecvError::Empty) => std::thread::yield_now(),
+                        Err(channel::TryRecvError::Disconnected) => return (n, sum),
+                    }
+                }
+            });
+            for s in senders {
+                s.join().unwrap();
+            }
+            let (mut n, mut sum) = polling.join().unwrap();
+            for r in blocking {
+                let (rn, rsum) = r.join().unwrap();
+                n += rn;
+                sum += rsum;
+            }
+            done_tx.send((n, sum)).unwrap();
+        });
+        let total = SENDERS * PER_SENDER;
+        let (n, sum) = done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("channel did not drain: lost wakeup");
+        assert_eq!(n, total);
+        assert_eq!(sum, total * (total - 1) / 2);
     }
 
     #[test]
