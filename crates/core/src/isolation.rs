@@ -246,7 +246,7 @@ mod tests {
         table
             .write(&w, 1, "installed-not-published".into())
             .unwrap();
-        table.precommit(&w).unwrap();
+        table.validate(&w, true).unwrap();
         let cts = ctx.clock().next_commit_ts();
         table.apply(&w, cts).unwrap();
 
@@ -268,7 +268,7 @@ mod tests {
         for g in ctx.groups_of_state(table.id()) {
             ctx.publish_group_commit(g, cts).unwrap();
         }
-        table.finalize(&w);
+        table.finish(&w, true);
         ctx.finish(&w);
     }
 

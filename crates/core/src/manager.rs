@@ -8,11 +8,21 @@
 //! 1. every operator (or the caller of [`TransactionManager::commit`]) flags
 //!    its state as ready to commit,
 //! 2. the participant that sets the *last* flag becomes the coordinator,
-//! 3. the coordinator validates every participant (`precommit`), draws one
-//!    commit timestamp, applies all write sets, and finally publishes the
+//! 3. the coordinator validates every participant
+//!    ([`TxParticipant::validate`]), draws one commit timestamp, applies all
+//!    write sets, hands them off for durability, and finally publishes the
 //!    group's `LastCTS` — the single atomic store that makes the whole
 //!    multi-state transaction visible,
-//! 4. if any state flags abort, the transaction is rolled back globally.
+//! 4. if any state flags abort, the transaction is rolled back globally,
+//! 5. every participant is told how the transaction ended
+//!    ([`TxParticipant::finish`]).
+//!
+//! The phase sequence — validate → apply → durable hand-off → publish →
+//! finish, with the undo rule of each step — is written once, as the
+//! crate-private helpers after [`TransactionManager`]'s impl (`apply_all`,
+//! `hand_off_durable`, `publish_all`, `finish_all`).  The manager's commit
+//! path and the partition anchors ([`crate::partition`]), which run a
+//! partition's inner commit under the outer one, both call them.
 //!
 //! Readers coordinate purely through `LastCTS`/`ReadCTS` in the
 //! [`StateContext`]; they never take part in the 2PC and never block.
@@ -224,13 +234,7 @@ impl TransactionManager {
     /// transaction is rolled back and the error returned; retryable errors
     /// ([`TspError::is_retryable`]) may be retried with a *new* transaction.
     pub fn commit(&self, tx: &Tx) -> Result<Option<Timestamp>> {
-        if self.ctx.is_abort_flagged(tx)? {
-            self.rollback_internal(tx)?;
-            return Err(TspError::TxnAborted {
-                txn: tx.id().as_u64(),
-                reason: "a participating state flagged abort".into(),
-            });
-        }
+        self.reject_abort_flagged(tx)?;
         self.commit_internal(tx)
     }
 
@@ -247,33 +251,10 @@ impl TransactionManager {
     /// [`commit`](Self::commit).  Durability failures of the asynchronous
     /// writer surface here (and on [`flush`](Self::flush)) — the commit is
     /// visible but its persistence could not be confirmed.  Only the
-    /// backends of the states `tx` actually accessed are waited on; an
-    /// unrelated table's persistence backlog never delays this commit.
+    /// participants `tx` actually wrote are waited on; an unrelated table's
+    /// persistence backlog never delays this commit.
     pub fn commit_durable(&self, tx: &Tx) -> Result<Option<Timestamp>> {
-        if self.ctx.is_abort_flagged(tx)? {
-            self.rollback_internal(tx)?;
-            return Err(TspError::TxnAborted {
-                txn: tx.id().as_u64(),
-                reason: "a participating state flagged abort".into(),
-            });
-        }
-        // Resolve the participant list once, while the transaction is still
-        // active (after the commit its slot is released); the *writing*
-        // subset is what durability waits on — a state this transaction
-        // only read has no durability to wait for.
-        let participants = self.accessed_participants(tx)?;
-        let writers: Vec<Arc<dyn TxParticipant>> = participants
-            .iter()
-            .filter(|p| p.has_writes(tx))
-            .cloned()
-            .collect();
-        let cts = self.commit_resolved(tx, participants)?;
-        if let Some(cts) = cts {
-            for p in &writers {
-                p.wait_durable(cts)?;
-            }
-        }
-        Ok(cts)
+        self.commit_and_wait(tx, None).map(|(cts, _)| cts)
     }
 
     /// [`commit_durable`](Self::commit_durable) with a **bounded** durability
@@ -284,12 +265,49 @@ impl TransactionManager {
     /// visible but its persistence was not confirmed within the timeout —
     /// the write is still queued and will normally become durable shortly;
     /// the caller can poll again with [`StateContext::wait_durable_timeout`]
-    /// or escalate.  Each timeout bumps the `durability_timeouts` counter.
+    /// (on a partitioned deployment, the partition contexts hold the
+    /// writers) or escalate.  Each timeout bumps the `durability_timeouts`
+    /// counter.
     pub fn commit_durable_timeout(
         &self,
         tx: &Tx,
         timeout: Duration,
     ) -> Result<(Option<Timestamp>, bool)> {
+        self.commit_and_wait(tx, Some(timeout))
+    }
+
+    /// The one path behind both durable commits: resolve the writers while
+    /// `tx` is still active (after the commit its slot is released), commit,
+    /// then wait on each writer's [`TxParticipant::wait_durable`] — a state
+    /// this transaction only read has no durability to wait for.  The
+    /// `timeout` clock starts once the commit is visible.
+    fn commit_and_wait(
+        &self,
+        tx: &Tx,
+        timeout: Option<Duration>,
+    ) -> Result<(Option<Timestamp>, bool)> {
+        self.reject_abort_flagged(tx)?;
+        let participants = self.accessed_participants(tx)?;
+        let writers: Vec<Arc<dyn TxParticipant>> = participants
+            .iter()
+            .filter(|p| p.has_writes(tx))
+            .cloned()
+            .collect();
+        let Some(cts) = self.commit_resolved(tx, participants)? else {
+            return Ok((None, true));
+        };
+        let deadline = timeout.map(|t| Instant::now() + t);
+        for p in &writers {
+            if !p.wait_durable(cts, deadline)? {
+                TxStats::bump(&self.ctx.stats().durability_timeouts);
+                return Ok((Some(cts), false));
+            }
+        }
+        Ok((Some(cts), true))
+    }
+
+    /// Rolls `tx` back and fails if any participating state flagged abort.
+    fn reject_abort_flagged(&self, tx: &Tx) -> Result<()> {
         if self.ctx.is_abort_flagged(tx)? {
             self.rollback_internal(tx)?;
             return Err(TspError::TxnAborted {
@@ -297,14 +315,7 @@ impl TransactionManager {
                 reason: "a participating state flagged abort".into(),
             });
         }
-        let cts = self.commit(tx)?;
-        match cts {
-            Some(cts) => {
-                let durable = self.ctx.wait_durable_timeout(cts, timeout)?;
-                Ok((Some(cts), durable))
-            }
-            None => Ok((None, true)),
-        }
+        Ok(())
     }
 
     /// Blocks until every commit enqueued to the asynchronous persistence
@@ -324,9 +335,10 @@ impl TransactionManager {
         self.group_locks.read().get(&group).cloned()
     }
 
-    /// Validation + in-memory apply + durable hand-off for one transaction,
-    /// with the relevant commit locks held by the caller.  Returns the
-    /// commit timestamp; the caller publishes it.
+    /// Validation + in-memory apply + durable hand-off + participant
+    /// publish for one transaction, with the relevant commit locks held by
+    /// the caller.  Returns the commit timestamp; the caller publishes the
+    /// group `LastCTS`.
     fn commit_one(&self, tx: &Tx, participants: &[Arc<dyn TxParticipant>]) -> Result<Timestamp> {
         // Stage timings record on success *and* failure (an abort's
         // validation time is exactly what a conflict investigation needs).
@@ -336,85 +348,32 @@ impl TransactionManager {
         // Phase 1: validation (First-Committer-Wins / BOCC / SSI read-set
         // certification).
         let t_validate = Instant::now();
-        let validated: Result<()> = participants
-            .iter()
-            .try_for_each(|p| p.precommit_coordinated(tx, true).map(|_| ()));
+        let validated: Result<()> = participants.iter().try_for_each(|p| p.validate(tx, true));
         telemetry.validate_nanos().record(t_validate.elapsed());
         validated?;
-        // Phase 2: in-memory apply with a single commit timestamp.  A
-        // failure mid-way (version-array capacity pressure) aborts the
-        // transaction; already-applied participants — including the
-        // partially applied failing one — are *undone* so their
-        // installed-but-never-published versions cannot spuriously trip
-        // First-Committer-Wins / SSI certification for later transactions.
         let cts = self.ctx.clock().next_commit_ts();
         let writers: Vec<&Arc<dyn TxParticipant>> =
             participants.iter().filter(|p| p.has_writes(tx)).collect();
-        // Apply calls run under `catch_unwind` so a panic inside one
-        // participant (a panicking user codec, say) behaves like an apply
-        // error: the already-installed versions are *undone* — crucial when
-        // a batch leader is processing another thread's transaction, where
-        // leaking them would spuriously trip FCW/SSI for everyone else.
-        let guarded = |f: &mut dyn FnMut() -> Result<()>| -> Result<()> {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-                .unwrap_or_else(|_| Err(TspError::protocol("participant panicked during apply")))
-        };
+        // Phase 2: in-memory apply with a single commit timestamp.  Phase 3:
+        // durable hand-off, reached only if every apply succeeded.  Each
+        // helper undoes what it installed before returning an error.
         let t_apply = Instant::now();
-        for (i, p) in writers.iter().enumerate() {
-            if let Err(e) = guarded(&mut || p.apply(tx, cts)) {
-                for q in &writers[..=i] {
-                    q.undo_apply(tx, cts);
-                }
-                telemetry.apply_nanos().record(t_apply.elapsed());
-                self.ctx.stats().record_abort(AbortReason::FailedApply);
-                return Err(e);
-            }
-        }
+        let applied = apply_all(tx, cts, &writers);
         telemetry.apply_nanos().record(t_apply.elapsed());
-        // Phase 3: durable hand-off, only after every in-memory apply
-        // succeeded — the common abort cause (capacity) therefore persists
-        // nothing.  When two or more persistent participants contribute,
-        // the group redo record is assembled first and stashed on the
-        // transaction: each participant's batch then carries a full copy of
-        // the group's write sets, riding that batch's existing WAL record
-        // and fsync.  A durable failure here (an I/O error, a dead async
-        // writer, a panic) aborts too, and participants whose hand-off
-        // already happened — a synchronous batch written, or an enqueue
-        // accepted by a *healthy* asynchronous writer — leave this aborted
-        // commit's batch on (its way to) disk.  That orphan is harmless:
-        // recovery treats any redo record it finds as presumed-commit and
-        // rolls the whole group forward to it, which equals this commit's
-        // effects; a *partial* tear (some batches durable, some not) is
-        // likewise rolled forward from any surviving copy of the record —
-        // see `crate::recovery::restore_group`.
-        attach_group_redo(&self.ctx, tx, cts, writers.iter().copied());
-        let t_durable = Instant::now();
-        for p in &writers {
-            if let Err(e) = guarded(&mut || p.apply_durable(tx, cts)) {
-                for q in &writers {
-                    q.undo_apply(tx, cts);
-                }
-                telemetry
-                    .durable_handoff_nanos()
-                    .record(t_durable.elapsed());
-                self.ctx.stats().record_abort(AbortReason::FailedApply);
-                return Err(e);
-            }
+        let handed_off = applied.and_then(|()| {
+            let t_durable = Instant::now();
+            let handed_off = hand_off_durable(&self.ctx, tx, cts, &writers);
+            telemetry
+                .durable_handoff_nanos()
+                .record(t_durable.elapsed());
+            handed_off
+        });
+        if let Err(e) = handed_off {
+            self.ctx.stats().record_abort(AbortReason::FailedApply);
+            return Err(e);
         }
-        telemetry
-            .durable_handoff_nanos()
-            .record(t_durable.elapsed());
-        // Phase 4: participant-managed publish.  Participants fronting
-        // their own visibility domain (partition anchors publish their
-        // inner context's `LastCTS`) make the commit visible only now,
-        // after *every* participant's durable hand-off succeeded — so a
-        // durable failure above can never undo versions a reader already
-        // saw.  Base tables are no-ops here; their visibility is the outer
-        // group publish performed by the caller.  Infallible: the commit
-        // is decided once phase 3 completes.
-        for p in &writers {
-            p.publish_commit(tx, cts);
-        }
+        // Phase 4: participant-managed publish.
+        publish_all(tx, cts, &writers);
         Ok(cts)
     }
 
@@ -561,13 +520,11 @@ impl TransactionManager {
         if writers.is_empty() {
             // BOCC still validates its read set here; SSI learns from the
             // hint that the transaction wrote nothing and skips validation.
-            for p in &participants {
-                if let Err(e) = p.precommit_coordinated(tx, false) {
-                    self.finish_aborted(tx, &participants);
-                    return Err(e);
-                }
+            if let Err(e) = participants.iter().try_for_each(|p| p.validate(tx, false)) {
+                self.finish(tx, &participants, false);
+                return Err(e);
             }
-            self.finish_committed(tx, &participants);
+            self.finish(tx, &participants, true);
             return Ok(None);
         }
 
@@ -604,16 +561,8 @@ impl TransactionManager {
             let group = *write_groups.iter().next().expect("one write group");
             if let Some(gc) = self.group_commit(group) {
                 let outcome = self.commit_batched(tx, group, &gc, &participants);
-                return match outcome {
-                    Ok(cts) => {
-                        self.finish_committed(tx, &participants);
-                        Ok(Some(cts))
-                    }
-                    Err(e) => {
-                        self.finish_aborted(tx, &participants);
-                        Err(e)
-                    }
-                };
+                self.finish(tx, &participants, outcome.is_ok());
+                return outcome.map(Some);
             }
         }
 
@@ -639,12 +588,12 @@ impl TransactionManager {
                     self.ctx.publish_group_commit(*g, cts)?;
                 }
                 drop(_guards);
-                self.finish_committed(tx, &participants);
+                self.finish(tx, &participants, true);
                 Ok(Some(cts))
             }
             Err(e) => {
                 drop(_guards);
-                self.finish_aborted(tx, &participants);
+                self.finish(tx, &participants, false);
                 Err(e)
             }
         }
@@ -662,25 +611,12 @@ impl TransactionManager {
             FateClaim::Reaped | FateClaim::Gone => return Ok(()),
         }
         let participants = self.accessed_participants(tx)?;
-        self.finish_aborted(tx, &participants);
+        self.finish(tx, &participants, false);
         Ok(())
     }
 
-    fn finish_committed(&self, tx: &Tx, participants: &[Arc<dyn TxParticipant>]) {
-        for p in participants {
-            p.finalize(tx);
-        }
-        self.ctx.finish(tx);
-        TxStats::bump(&self.ctx.stats().committed);
-    }
-
-    fn finish_aborted(&self, tx: &Tx, participants: &[Arc<dyn TxParticipant>]) {
-        for p in participants {
-            p.rollback(tx);
-            p.finalize(tx);
-        }
-        self.ctx.finish(tx);
-        TxStats::bump(&self.ctx.stats().aborted);
+    fn finish(&self, tx: &Tx, participants: &[Arc<dyn TxParticipant>], committed: bool) {
+        finish_all(&self.ctx, tx, participants.iter(), committed);
     }
 
     // ------------------------------------------------------------------
@@ -763,8 +699,7 @@ impl TransactionManager {
                 // slot itself still get cleaned.  Slot-local rollback is
                 // tag-checked, so a partially cleaned participant is safe.
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    p.rollback(&tx);
-                    p.finalize(&tx);
+                    p.finish(&tx, false);
                 }));
             }
             self.ctx.finish(&tx);
@@ -836,6 +771,108 @@ impl TransactionManager {
             tx: Some(self.begin_read_only()?),
         })
     }
+}
+
+// ---------------------------------------------------------------------
+// The commit phases, shared with the partition anchors
+// ---------------------------------------------------------------------
+//
+// One commit is validate → apply → durable hand-off → publish → finish.
+// `TransactionManager::commit_one` and `PartitionShard` (which drives a
+// partition's inner context under the outer commit) both run the phases
+// through these helpers, so the order and the undo rules exist once.
+// Callers time the phases into their own context's telemetry, and only the
+// manager records the abort taxonomy.
+
+/// Runs one participant call with a panic converted into an error, so a
+/// panicking participant (a panicking user codec, say) is undone like a
+/// failing one — crucial when a batch leader is processing another
+/// thread's transaction, where leaking installed versions would spuriously
+/// trip FCW/SSI for everyone else.
+fn guarded(f: impl FnOnce() -> Result<()>) -> Result<()> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|_| Err(TspError::protocol("participant panicked during commit")))
+}
+
+/// Phase 2: applies every writer in memory at `cts`.  If writer *i* fails
+/// (version-array capacity pressure, a panic), `undo_apply` runs on
+/// `writers[..=i]` — the failing one may be partially applied — so no
+/// installed-but-never-published version can spuriously trip
+/// First-Committer-Wins / SSI certification for later transactions.
+pub(crate) fn apply_all(
+    tx: &Tx,
+    cts: Timestamp,
+    writers: &[&Arc<dyn TxParticipant>],
+) -> Result<()> {
+    for (i, p) in writers.iter().enumerate() {
+        if let Err(e) = guarded(|| p.apply(tx, cts)) {
+            for q in &writers[..=i] {
+                q.undo_apply(tx, cts);
+            }
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+/// Phase 3: the durable hand-off, run only after every apply succeeded.
+///
+/// When two or more persistent writers contribute, the group redo record is
+/// assembled first ([`attach_group_redo`]) and stashed on `tx`, so each
+/// writer's batch carries a full copy of the group's write sets on its
+/// existing WAL record and fsync.  A failure (an I/O error, a dead async
+/// writer, a panic) undoes **every** writer.  Writers whose hand-off already
+/// happened leave this aborted commit's batch on (its way to) disk; that
+/// orphan is harmless, because recovery treats any redo record as
+/// presumed-commit and rolls the group forward to it — see
+/// [`crate::recovery::restore_group`].
+pub(crate) fn hand_off_durable(
+    ctx: &StateContext,
+    tx: &Tx,
+    cts: Timestamp,
+    writers: &[&Arc<dyn TxParticipant>],
+) -> Result<()> {
+    attach_group_redo(ctx, tx, cts, writers.iter().copied());
+    for p in writers {
+        if let Err(e) = guarded(|| p.apply_durable(tx, cts)) {
+            for q in writers {
+                q.undo_apply(tx, cts);
+            }
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+/// Phase 4: participant-managed publish, after every durable hand-off
+/// succeeded — so a durable failure can never undo versions a reader
+/// already saw.  Base tables are no-ops here (their visibility is the
+/// caller's group `LastCTS` publish); partition anchors publish their inner
+/// context.  Infallible: the commit is decided once phase 3 completes.
+pub(crate) fn publish_all(tx: &Tx, cts: Timestamp, writers: &[&Arc<dyn TxParticipant>]) {
+    for p in writers {
+        p.publish_commit(tx, cts);
+    }
+}
+
+/// Ends `tx` on every participant and on `ctx`, counting it as committed or
+/// aborted.
+pub(crate) fn finish_all<'a>(
+    ctx: &StateContext,
+    tx: &Tx,
+    participants: impl Iterator<Item = &'a Arc<dyn TxParticipant>>,
+    committed: bool,
+) {
+    for p in participants {
+        p.finish(tx, committed);
+    }
+    ctx.finish(tx);
+    let stats = ctx.stats();
+    TxStats::bump(if committed {
+        &stats.committed
+    } else {
+        &stats.aborted
+    });
 }
 
 /// Handle to a background lease-reaper thread ([`TransactionManager::
@@ -1288,5 +1325,167 @@ mod tests {
         let r = mgr.scoped_read_only().unwrap();
         assert_eq!(a.read(&r, &1).unwrap(), Some(11));
         drop(r);
+    }
+
+    /// Which phase of a [`Recorder`] fails.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Fail {
+        Never,
+        Apply,
+        Durable,
+    }
+
+    /// A fake participant that logs every phase call as `"<name>.<phase>"`
+    /// into a log shared by all participants of one transaction.
+    struct Recorder {
+        id: StateId,
+        name: &'static str,
+        fail: Fail,
+        log: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Recorder {
+        fn note(&self, phase: &str) {
+            self.log.lock().push(format!("{}.{phase}", self.name));
+        }
+
+        fn outcome(&self, phase: &str, fail: Fail) -> Result<()> {
+            self.note(phase);
+            if self.fail == fail {
+                return Err(TspError::protocol("injected failure"));
+            }
+            Ok(())
+        }
+    }
+
+    impl TxParticipant for Recorder {
+        fn state_id(&self) -> StateId {
+            self.id
+        }
+        fn has_writes(&self, _tx: &Tx) -> bool {
+            true
+        }
+        fn validate(&self, _tx: &Tx, _txn_has_writes: bool) -> Result<()> {
+            self.note("validate");
+            Ok(())
+        }
+        fn apply(&self, _tx: &Tx, _cts: Timestamp) -> Result<()> {
+            self.outcome("apply", Fail::Apply)
+        }
+        fn finish(&self, _tx: &Tx, committed: bool) {
+            self.note(&format!("finish({committed})"));
+        }
+        fn undo_apply(&self, _tx: &Tx, _cts: Timestamp) {
+            self.note("undo_apply");
+        }
+        fn apply_durable(&self, _tx: &Tx, _cts: Timestamp) -> Result<()> {
+            self.outcome("apply_durable", Fail::Durable)
+        }
+        fn publish_commit(&self, _tx: &Tx, _cts: Timestamp) {
+            self.note("publish_commit");
+        }
+    }
+
+    /// Commits one transaction over recorders named by `spec` (one group)
+    /// and returns the commit result, the phase log and whether the group's
+    /// `LastCTS` moved.
+    fn run_phases(spec: &[(&'static str, Fail)]) -> (Result<Option<Timestamp>>, Vec<String>, bool) {
+        let ctx = Arc::new(StateContext::new());
+        let mgr = TransactionManager::new(Arc::clone(&ctx));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let ids: Vec<StateId> = spec
+            .iter()
+            .map(|&(name, fail)| {
+                let id = ctx.register_state(name);
+                mgr.register(Arc::new(Recorder {
+                    id,
+                    name,
+                    fail,
+                    log: Arc::clone(&log),
+                }));
+                id
+            })
+            .collect();
+        let group = mgr.register_group(&ids).unwrap();
+        let before = ctx.last_cts(group).unwrap();
+        let tx = mgr.begin().unwrap();
+        for id in &ids {
+            ctx.record_access(&tx, *id).unwrap();
+        }
+        let result = mgr.commit(&tx);
+        let published = ctx.last_cts(group).unwrap() != before;
+        let log = log.lock().clone();
+        (result, log, published)
+    }
+
+    fn phases(entries: &[&str]) -> Vec<String> {
+        entries.iter().map(|e| e.to_string()).collect()
+    }
+
+    #[test]
+    fn commit_phases_run_in_order() {
+        let (result, log, published) = run_phases(&[("a", Fail::Never), ("b", Fail::Never)]);
+        assert!(result.unwrap().is_some());
+        assert!(published);
+        assert_eq!(
+            log,
+            phases(&[
+                "a.validate",
+                "b.validate",
+                "a.apply",
+                "b.apply",
+                "a.apply_durable",
+                "b.apply_durable",
+                "a.publish_commit",
+                "b.publish_commit",
+                "a.finish(true)",
+                "b.finish(true)",
+            ])
+        );
+    }
+
+    #[test]
+    fn failed_apply_undoes_the_applied_prefix_and_persists_nothing() {
+        let (result, log, published) =
+            run_phases(&[("a", Fail::Never), ("b", Fail::Apply), ("c", Fail::Never)]);
+        assert!(result.is_err());
+        assert!(!published);
+        assert_eq!(
+            log,
+            phases(&[
+                "a.validate",
+                "b.validate",
+                "c.validate",
+                "a.apply",
+                "b.apply",
+                "a.undo_apply",
+                "b.undo_apply",
+                "a.finish(false)",
+                "b.finish(false)",
+                "c.finish(false)",
+            ])
+        );
+    }
+
+    #[test]
+    fn failed_durable_hand_off_undoes_every_writer_and_publishes_nothing() {
+        let (result, log, published) = run_phases(&[("a", Fail::Never), ("b", Fail::Durable)]);
+        assert!(result.is_err());
+        assert!(!published);
+        assert_eq!(
+            log,
+            phases(&[
+                "a.validate",
+                "b.validate",
+                "a.apply",
+                "b.apply",
+                "a.apply_durable",
+                "b.apply_durable",
+                "a.undo_apply",
+                "b.undo_apply",
+                "a.finish(false)",
+                "b.finish(false)",
+            ])
+        );
     }
 }

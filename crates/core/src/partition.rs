@@ -44,7 +44,7 @@
 //!
 //! The `PartitionShard` participant registered for each anchor state
 //! translates the outer commit protocol onto the inner context: inner
-//! validation runs in `precommit`, the inner commit timestamp is drawn
+//! validation runs in `validate`, the inner commit timestamp is drawn
 //! and versions installed in `apply`, persistence happens in
 //! `apply_durable`, and the inner `LastCTS` publish — the store that
 //! makes the partition's half visible — happens in `publish_commit`,
@@ -53,7 +53,10 @@
 //! all partitions' never-published versions without racing readers) —
 //! all inside the outer anchor lock(s), which serialize every committer
 //! of that partition.  Inner group-commit locks are never taken; the
-//! anchor lock *is* the partition's commit lock.
+//! anchor lock *is* the partition's commit lock.  The shard owns no phase
+//! loop of its own: it runs the inner apply, durable hand-off, publish and
+//! finish through the manager's phase helpers, the same ones the outer
+//! commit uses.
 //!
 //! # The consistent-snapshot rule (what NMSI relaxes)
 //!
@@ -103,12 +106,11 @@
 
 use crate::clock::EPOCH_TS;
 use crate::context::{StateContext, Tx};
-use crate::manager::TransactionManager;
+use crate::manager::{apply_all, finish_all, hand_off_durable, publish_all, TransactionManager};
 use crate::recovery::{recover_table_cts, replay_torn_suffix};
-use crate::stats::{TxStats, TxStatsSnapshot};
+use crate::stats::TxStatsSnapshot;
 use crate::table::common::{
-    attach_group_redo, KeyType, SlotLocal, TableHandle, TransactionalTable, TxParticipant,
-    ValueType,
+    KeyType, SlotLocal, TableHandle, TransactionalTable, TxParticipant, ValueType,
 };
 use crate::table::factory::Protocol;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
@@ -264,9 +266,6 @@ struct SubTxn {
 struct InnerEntry {
     participant: Arc<dyn TxParticipant>,
     groups: Vec<GroupId>,
-    /// Whether this shard persists to a storage backend — recorded at
-    /// creation because [`TxParticipant`] does not expose it.
-    persistent: bool,
 }
 
 /// The inner participants a sub-transaction accessed, each paired with
@@ -335,6 +334,46 @@ impl PartitionCore {
             }
         }
         Ok(out)
+    }
+
+    /// True if any inner participant of `outer`'s sub-transaction satisfies
+    /// `pred`.  A sub-transaction whose accesses cannot be enumerated
+    /// answers `true`: that keeps the outer commit on the write path, where
+    /// validation surfaces the error and aborts — answering `false` could
+    /// send it down the read-only path and silently drop its writes.
+    fn any_accessed(&self, outer: &Tx, pred: impl Fn(&dyn TxParticipant, &Tx) -> bool) -> bool {
+        let Some(sub) = self.sub(outer) else {
+            return false;
+        };
+        match self.accessed(&sub) {
+            Ok(accessed) => accessed.iter().any(|(p, _)| pred(p.as_ref(), &sub)),
+            Err(_) => {
+                debug_assert!(false, "accessed_states failed for a live sub-transaction");
+                true
+            }
+        }
+    }
+
+    /// The inner participants `sub` wrote, paired with their inner groups.
+    fn writers(&self, sub: &Tx) -> Result<AccessedInner> {
+        let mut writers = self.accessed(sub)?;
+        writers.retain(|(p, _)| p.has_writes(sub));
+        Ok(writers)
+    }
+
+    /// The sub-transaction of `outer` with the inner commit timestamp its
+    /// `apply` drew and its inner writers — `None` unless this partition
+    /// has a commit in flight.
+    fn in_flight(&self, outer: &Tx) -> Result<Option<(Tx, Timestamp, AccessedInner)>> {
+        let Some((sub, cts)) = self
+            .subs
+            .with(outer, |s| s.tx.clone().zip(s.pending_cts))
+            .flatten()
+        else {
+            return Ok(None);
+        };
+        let writers = self.writers(&sub)?;
+        Ok(Some((sub, cts, writers)))
     }
 }
 
@@ -434,7 +473,6 @@ impl PartitionedContext {
             mgr.register(Arc::new(PartitionShard {
                 pc: Arc::clone(self),
                 p,
-                name: format!("__partition/{p}"),
             }));
             mgr.register_group(&[core.anchor])?;
         }
@@ -454,7 +492,7 @@ impl PartitionedContext {
     ///
     /// Only the router's lease drives reaping — the outer manager's reaper
     /// force-aborts an expired outer transaction and the `PartitionShard`
-    /// rollback cascade finishes its sub-transactions on every partition,
+    /// `finish` cascade ends its sub-transactions on every partition,
     /// so inner slots can never outlive the outer lease.  The inner
     /// contexts still get the lease configured so their
     /// `oldest_active_age_nanos` gauges (and hence
@@ -531,7 +569,7 @@ impl PartitionedContext {
         // BTreeMap order == inner state-id order == table-creation order.
         let persistent: Vec<(StateId, &InnerEntry)> = inner
             .iter()
-            .filter(|(_, e)| e.persistent)
+            .filter(|(_, e)| e.participant.is_persistent())
             .map(|(s, e)| (*s, e))
             .collect();
         if persistent.len() != backends.len() {
@@ -644,8 +682,7 @@ impl PartitionedContext {
         let mut persistent = false;
         for (p, core) in self.parts.iter().enumerate() {
             let backend = backend_for(p);
-            let shard_persistent = backend.is_some();
-            persistent |= shard_persistent;
+            persistent |= backend.is_some();
             let shard = protocol.create_table::<K, V>(&core.ctx, format!("{name}.p{p}"), backend);
             let groups = vec![core
                 .ctx
@@ -656,7 +693,6 @@ impl PartitionedContext {
                 InnerEntry {
                     participant: Arc::clone(&shard).as_participant(),
                     groups,
-                    persistent: shard_persistent,
                 },
             );
             shards.push(shard);
@@ -718,13 +754,13 @@ impl PartitionedContext {
 // ---------------------------------------------------------------------
 
 /// The anchor participant of one partition: translates the outer commit
-/// protocol (validate → apply → persist → finalize, under the anchor
-/// group's commit lock) onto the partition's inner context and shard
-/// tables.
+/// protocol (validate → apply → durable hand-off → publish → finish, under
+/// the anchor group's commit lock) onto the partition's inner context and
+/// shard tables, running the inner phases through the manager's own phase
+/// helpers.
 struct PartitionShard {
     pc: Arc<PartitionedContext>,
     p: usize,
-    name: String,
 }
 
 impl PartitionShard {
@@ -733,17 +769,18 @@ impl PartitionShard {
     }
 }
 
+/// The participants of `accessed`, for the manager's phase helpers.
+fn participants(accessed: &AccessedInner) -> Vec<&Arc<dyn TxParticipant>> {
+    accessed.iter().map(|(p, _)| p).collect()
+}
+
 impl TxParticipant for PartitionShard {
     fn state_id(&self) -> StateId {
         self.core().anchor
     }
 
-    fn state_name(&self) -> &str {
-        &self.name
-    }
-
-    fn precommit(&self, tx: &Tx) -> Result<()> {
-        self.precommit_coordinated(tx, true)
+    fn has_writes(&self, tx: &Tx) -> bool {
+        self.core().any_accessed(tx, |p, sub| p.has_writes(sub))
     }
 
     /// Phase 1 of the partition commit: inner concurrency-control
@@ -751,37 +788,14 @@ impl TxParticipant for PartitionShard {
     /// committer of this partition.  Inner group locks are never taken —
     /// the anchor lock provides the mutual exclusion inner validation
     /// normally gets from its own group lock.
-    fn precommit_coordinated(&self, tx: &Tx, txn_has_writes: bool) -> Result<()> {
+    fn validate(&self, tx: &Tx, txn_has_writes: bool) -> Result<()> {
         let core = self.core();
         let Some(sub) = core.sub(tx) else {
             return Ok(());
         };
-        for (participant, _) in core.accessed(&sub)? {
-            participant.precommit_coordinated(&sub, txn_has_writes)?;
-        }
-        Ok(())
-    }
-
-    /// Forwarded from the inner tables: SSI read-set certification on
-    /// this partition requires the anchor lock even when the transaction
-    /// only read here — the outer manager then holds this partition's
-    /// commit lock across cross-partition certification.
-    fn validation_requires_commit_lock(&self, tx: &Tx) -> bool {
-        let core = self.core();
-        let Some(sub) = core.sub(tx) else {
-            return false;
-        };
-        match core.accessed(&sub) {
-            Ok(accessed) => accessed
-                .iter()
-                .any(|(p, _)| p.validation_requires_commit_lock(&sub)),
-            Err(_) => {
-                // The sub-transaction is broken; precommit will surface the
-                // error and abort.  Claim the lock conservatively meanwhile.
-                debug_assert!(false, "accessed_states failed for a live sub-transaction");
-                true
-            }
-        }
+        core.accessed(&sub)?
+            .iter()
+            .try_for_each(|(p, _)| p.validate(&sub, txn_has_writes))
     }
 
     /// Phase 2: draw the partition's own commit timestamp and install the
@@ -791,78 +805,90 @@ impl TxParticipant for PartitionShard {
         let Some(sub) = core.sub(tx) else {
             return Ok(());
         };
-        let accessed = core.accessed(&sub)?;
+        let writers = core.writers(&sub)?;
         let cts = core.ctx.clock().next_commit_ts();
         core.subs.with_mut(tx, |s| s.pending_cts = Some(cts));
-        let writers: Vec<_> = accessed
-            .into_iter()
-            .filter(|(p, _)| p.has_writes(&sub))
-            .collect();
         // The shard drives the inner pipeline itself (no inner
         // `TransactionManager`), so it also records the inner context's
         // stage timing — this is what makes per-partition telemetry
         // partition-resolved instead of router-only.
         let t_apply = Instant::now();
-        let mut result = Ok(());
-        for (i, (participant, _)) in writers.iter().enumerate() {
-            if let Err(e) = participant.apply(&sub, cts) {
-                for (undo, _) in &writers[..=i] {
-                    undo.undo_apply(&sub, cts);
-                }
-                core.subs.with_mut(tx, |s| s.pending_cts = None);
-                result = Err(e);
-                break;
-            }
-        }
+        let applied = apply_all(&sub, cts, &participants(&writers));
         core.ctx.telemetry().apply_nanos().record(t_apply.elapsed());
-        result
+        if applied.is_err() {
+            core.subs.with_mut(tx, |s| s.pending_cts = None);
+        }
+        applied
+    }
+
+    /// Ends the sub-transaction on every inner participant and releases its
+    /// inner slot.
+    fn finish(&self, tx: &Tx, committed: bool) {
+        let core = self.core();
+        if let Some(SubTxn { tx: Some(sub), .. }) = core.subs.take(tx) {
+            let accessed = core.accessed(&sub).unwrap_or_else(|_| {
+                debug_assert!(false, "accessed_states failed for a live sub-transaction");
+                Vec::new()
+            });
+            finish_all(&core.ctx, &sub, accessed.iter().map(|(p, _)| p), committed);
+        }
+    }
+
+    /// Forwarded from the inner tables: SSI read-set certification on
+    /// this partition requires the anchor lock even when the transaction
+    /// only read here — the outer manager then holds this partition's
+    /// commit lock across cross-partition certification.
+    fn validation_requires_commit_lock(&self, tx: &Tx) -> bool {
+        self.core()
+            .any_accessed(tx, |p, sub| p.validation_requires_commit_lock(sub))
+    }
+
+    fn undo_apply(&self, tx: &Tx, _outer_cts: Timestamp) {
+        let core = self.core();
+        let in_flight = core.in_flight(tx);
+        // Undo cannot propagate; a live sub-transaction (its inner commit
+        // timestamp is still set) must always enumerate.
+        debug_assert!(
+            in_flight.is_ok(),
+            "accessed_states failed for a live sub-transaction"
+        );
+        if let Ok(Some((sub, cts, writers))) = in_flight {
+            for (p, _) in &writers {
+                p.undo_apply(&sub, cts);
+            }
+            core.subs.with_mut(tx, |s| s.pending_cts = None);
+        }
     }
 
     /// Phase 3: persist through the partition's own durability hub.  Still
     /// under the anchor lock, so the per-partition persistence order
-    /// matches the commit order.  Deliberately does **not** publish the
-    /// inner `LastCTS`: in a cross-partition commit a *later* partition's
-    /// durable failure must still be able to undo this partition's apply,
-    /// and undo is only safe while the versions were never visible.  The
-    /// publish happens in [`publish_commit`](Self::publish_commit), which
-    /// the outer manager calls only after every partition's durable
-    /// hand-off succeeded.
+    /// matches the commit order.  The partition drives its own inner
+    /// commit, so the shared hand-off also assembles the inner group's redo
+    /// record (the outer manager only sees this shard as one opaque
+    /// participant): a crash tearing a multi-state commit *inside* the
+    /// partition is rolled forward by the partition's own recovery.
+    ///
+    /// Deliberately does **not** publish the inner `LastCTS`: in a
+    /// cross-partition commit a *later* partition's durable failure must
+    /// still be able to undo this partition's apply, and undo is only safe
+    /// while the versions were never visible.  The publish happens in
+    /// [`publish_commit`](Self::publish_commit), which the outer manager
+    /// calls only after every partition's durable hand-off succeeded.
     fn apply_durable(&self, tx: &Tx, _outer_cts: Timestamp) -> Result<()> {
         let core = self.core();
-        let Some(sub) = core.sub(tx) else {
-            return Ok(());
-        };
-        let Some(cts) = core.subs.with(tx, |s| s.pending_cts).flatten() else {
+        let Some((sub, cts, writers)) = core.in_flight(tx)? else {
             return Ok(()); // no writes on this partition
         };
-        let writers: Vec<_> = core
-            .accessed(&sub)?
-            .into_iter()
-            .filter(|(p, _)| p.has_writes(&sub))
-            .collect();
-        // The partition drives its own inner commit pipeline, so it also
-        // assembles the inner group's redo record (the outer manager only
-        // sees this shard as one opaque participant): a crash tearing a
-        // multi-state commit *inside* the partition is rolled forward by
-        // the partition's own recovery, exactly like a top-level group.
-        attach_group_redo(&core.ctx, &sub, cts, writers.iter().map(|(p, _)| p));
         let t_durable = Instant::now();
-        let mut result = Ok(());
-        for (participant, _) in &writers {
-            if let Err(e) = participant.apply_durable(&sub, cts) {
-                for (undo, _) in &writers {
-                    undo.undo_apply(&sub, cts);
-                }
-                core.subs.with_mut(tx, |s| s.pending_cts = None);
-                result = Err(e);
-                break;
-            }
-        }
+        let handed_off = hand_off_durable(&core.ctx, &sub, cts, &participants(&writers));
         core.ctx
             .telemetry()
             .durable_handoff_nanos()
             .record(t_durable.elapsed());
-        result
+        if handed_off.is_err() {
+            core.subs.with_mut(tx, |s| s.pending_cts = None);
+        }
+        handed_off
     }
 
     /// Phase 4: publish the inner `LastCTS` — the store that makes this
@@ -873,105 +899,32 @@ impl TxParticipant for PartitionShard {
     /// commit order.
     fn publish_commit(&self, tx: &Tx, _outer_cts: Timestamp) {
         let core = self.core();
-        let Some(sub) = core.sub(tx) else {
-            return;
-        };
-        let Some(cts) = core.subs.with(tx, |s| s.pending_cts).flatten() else {
+        let Some((sub, cts, writers)) = core
+            .in_flight(tx)
+            .expect("sub-transaction is live through commit")
+        else {
             return; // no writes on this partition
         };
-        let writers = core
-            .accessed(&sub)
-            .expect("sub-transaction is live through commit");
-        for (participant, groups) in &writers {
-            if !participant.has_writes(&sub) {
-                continue;
-            }
-            for g in groups {
-                // Inner groups were registered at table creation; the
-                // publish cannot fail, and the decided commit must not
-                // unwind here.
-                core.ctx
-                    .publish_group_commit(*g, cts)
-                    .expect("registered inner group publishes");
-            }
-        }
-    }
-
-    fn undo_apply(&self, tx: &Tx, _outer_cts: Timestamp) {
-        let core = self.core();
-        let Some(sub) = core.sub(tx) else {
-            return;
-        };
-        let Some(cts) = core.subs.with(tx, |s| s.pending_cts).flatten() else {
-            return;
-        };
-        let accessed = core.accessed(&sub).unwrap_or_else(|_| {
-            // Undo cannot propagate; a live sub-transaction (pending_cts is
-            // still set) must always enumerate.
-            debug_assert!(false, "accessed_states failed for a live sub-transaction");
-            Vec::new()
-        });
-        for (participant, _) in accessed {
-            if participant.has_writes(&sub) {
-                participant.undo_apply(&sub, cts);
-            }
-        }
-        core.subs.with_mut(tx, |s| s.pending_cts = None);
-    }
-
-    fn rollback(&self, tx: &Tx) {
-        let core = self.core();
-        if let Some(SubTxn { tx: Some(sub), .. }) = core.subs.take(tx) {
-            let accessed = core.accessed(&sub).unwrap_or_else(|_| {
-                debug_assert!(false, "accessed_states failed for a live sub-transaction");
-                Vec::new()
-            });
-            for (participant, _) in accessed {
-                participant.rollback(&sub);
-                participant.finalize(&sub);
-            }
-            core.ctx.finish(&sub);
-            TxStats::bump(&core.ctx.stats().aborted);
-        }
-    }
-
-    fn finalize(&self, tx: &Tx) {
-        let core = self.core();
-        if let Some(SubTxn { tx: Some(sub), .. }) = core.subs.take(tx) {
-            let accessed = core.accessed(&sub).unwrap_or_else(|_| {
-                debug_assert!(false, "accessed_states failed for a live sub-transaction");
-                Vec::new()
-            });
-            for (participant, _) in accessed {
-                participant.finalize(&sub);
-            }
-            core.ctx.finish(&sub);
-            TxStats::bump(&core.ctx.stats().committed);
+        publish_all(&sub, cts, &participants(&writers));
+        for g in writers.iter().flat_map(|(_, groups)| groups) {
+            // Inner groups were registered at table creation; the publish
+            // cannot fail, and the decided commit must not unwind here.
+            core.ctx
+                .publish_group_commit(*g, cts)
+                .expect("registered inner group publishes");
         }
     }
 
     /// Durability of this partition is confirmed through its own hub; the
     /// outer commit timestamp carries no meaning in inner time, so wait
-    /// for the partition's full backlog (equivalent-or-stronger bound).
-    fn wait_durable(&self, _cts: Timestamp) -> Result<()> {
-        self.core().ctx.durability().flush()
-    }
-
-    fn has_writes(&self, tx: &Tx) -> bool {
-        let core = self.core();
-        let Some(sub) = core.sub(tx) else {
-            return false;
-        };
-        match core.accessed(&sub) {
-            Ok(accessed) => accessed.iter().any(|(p, _)| p.has_writes(&sub)),
-            Err(_) => {
-                // Treating the error as "no writes" would let the commit
-                // take the read-only path and silently drop this
-                // partition's writes; claiming writes keeps the commit on
-                // the path where precommit surfaces the error and aborts.
-                debug_assert!(false, "accessed_states failed for a live sub-transaction");
-                true
-            }
+    /// for the partition's whole backlog — the bound
+    /// [`PartitionedContext::flush`] gives — until `deadline`.
+    fn wait_durable(&self, _cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
+        let hub = self.core().ctx.durability();
+        match deadline {
+            None => hub.flush().map(|()| true),
+            Some(d) => hub
+                .wait_durable_timeout(Timestamp::MAX, d.saturating_duration_since(Instant::now())),
         }
     }
 }
@@ -1033,11 +986,15 @@ impl<K: KeyType, V: ValueType> TxParticipant for PartitionedTable<K, V> {
         self.facade_id
     }
 
-    fn state_name(&self) -> &str {
-        &self.name
+    fn has_writes(&self, tx: &Tx) -> bool {
+        self.pc.parts.iter().enumerate().any(|(p, core)| {
+            core.sub(tx)
+                .map(|sub| self.shards[p].has_writes(&sub))
+                .unwrap_or(false)
+        })
     }
 
-    fn precommit(&self, _tx: &Tx) -> Result<()> {
+    fn validate(&self, _tx: &Tx, _txn_has_writes: bool) -> Result<()> {
         Ok(())
     }
 
@@ -1045,16 +1002,10 @@ impl<K: KeyType, V: ValueType> TxParticipant for PartitionedTable<K, V> {
         Ok(())
     }
 
-    fn rollback(&self, _tx: &Tx) {}
+    fn finish(&self, _tx: &Tx, _committed: bool) {}
 
-    fn finalize(&self, _tx: &Tx) {}
-
-    fn has_writes(&self, tx: &Tx) -> bool {
-        self.pc.parts.iter().enumerate().any(|(p, core)| {
-            core.sub(tx)
-                .map(|sub| self.shards[p].has_writes(&sub))
-                .unwrap_or(false)
-        })
+    fn is_persistent(&self) -> bool {
+        self.persistent
     }
 }
 
@@ -1101,8 +1052,8 @@ impl<K: KeyType, V: ValueType> TransactionalTable<K, V> for PartitionedTable<K, 
         Ok(())
     }
 
-    fn is_persistent(&self) -> bool {
-        self.persistent
+    fn name(&self) -> &str {
+        &self.name
     }
 
     fn as_participant(self: Arc<Self>) -> Arc<dyn TxParticipant> {

@@ -14,21 +14,18 @@
 
 use crate::context::{StateContext, Tx};
 use crate::table::common::{
-    buffer_write, build_state_redo, overlay_write_set, persist_pending, preload_rows,
-    read_own_write, reject_read_only, KeyType, PendingDurable, ReadSet, SlotLocal,
-    TransactionalTable, TxParticipant, TxWriteSets, TypedBackend, ValueType, WriteOp,
+    buffer_write, read_own_write, reject_read_only, InPlaceStore, KeyType, ReadSet, SlotLocal,
+    TransactionalTable, TxParticipant, TypedBackend, ValueType, WriteOp,
 };
 use crate::telemetry::AbortReason;
 use parking_lot::RwLock;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::Hasher;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 use tsp_common::{Result, StateId, Timestamp, TspError};
 use tsp_storage::redo::StateRedo;
 use tsp_storage::StorageBackend;
 
-const SHARDS: usize = 64;
 /// Prune the commit log once it exceeds this many entries.
 const COMMIT_LOG_PRUNE_THRESHOLD: usize = 1024;
 
@@ -44,20 +41,12 @@ pub struct BoccTable<K, V> {
     state_id: StateId,
     name: String,
     ctx: Arc<StateContext>,
-    /// Committed values overriding the base table (`None` = deleted).
-    committed: Vec<RwLock<HashMap<K, Option<V>>>>,
-    write_sets: TxWriteSets<K, V>,
+    /// Committed map, write sets and the in-place commit plumbing.
+    store: InPlaceStore<K, V>,
     /// Per-transaction read sets, stored slot-locally: recording a read
     /// costs an uncontended per-slot mutex instead of a global one.
     read_sets: SlotLocal<ReadSet<K>>,
     commit_log: RwLock<Vec<CommitRecord<K>>>,
-    backend: TypedBackend<K, V>,
-    /// Effective ops computed by `apply`, handed to `apply_durable`.
-    pending_durable: PendingDurable<K, V>,
-    /// Pre-images of the committed-map entries `apply` overwrote
-    /// (`None` = no prior entry), so a failed group commit can be undone
-    /// exactly.
-    undo_images: SlotLocal<Vec<(K, Option<Option<V>>)>>,
 }
 
 impl<K: KeyType, V: ValueType> BoccTable<K, V> {
@@ -86,13 +75,9 @@ impl<K: KeyType, V: ValueType> BoccTable<K, V> {
             state_id,
             name,
             ctx: Arc::clone(ctx),
-            committed: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            write_sets: TxWriteSets::for_context(ctx),
+            store: InPlaceStore::new(ctx, state_id, backend),
             read_sets: SlotLocal::for_context(ctx),
             commit_log: RwLock::new(Vec::new()),
-            backend,
-            pending_durable: PendingDurable::for_context(ctx),
-            undo_images: SlotLocal::for_context(ctx),
         })
     }
 
@@ -106,19 +91,6 @@ impl<K: KeyType, V: ValueType> BoccTable<K, V> {
         &self.name
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, Option<V>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.committed[(h.finish() as usize) % SHARDS]
-    }
-
-    fn committed_value(&self, key: &K) -> Result<Option<V>> {
-        if let Some(entry) = self.shard(key).read().get(key) {
-            return Ok(entry.clone());
-        }
-        self.backend.get(key)
-    }
-
     // ------------------------------------------------------------------
     // Data access within a transaction
     // ------------------------------------------------------------------
@@ -127,13 +99,13 @@ impl<K: KeyType, V: ValueType> BoccTable<K, V> {
     pub fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
         self.ctx.record_access(tx, self.state_id)?;
         self.ctx.stats().bump_read(tx.slot());
-        if let Some(own) = read_own_write(&self.write_sets, tx, key) {
+        if let Some(own) = read_own_write(self.store.write_sets(), tx, key) {
             return Ok(own);
         }
         self.record_read(tx, |rs| {
             rs.keys.insert(key.clone());
         })?;
-        self.committed_value(key)
+        self.store.committed_value(key)
     }
 
     /// Registers a read with the transaction's read set, pinning the group's
@@ -167,30 +139,7 @@ impl<K: KeyType, V: ValueType> BoccTable<K, V> {
     fn write_op(&self, tx: &Tx, key: K, op: WriteOp<V>) -> Result<()> {
         reject_read_only(tx)?;
         self.ctx.record_access(tx, self.state_id)?;
-        buffer_write(&self.ctx, &self.write_sets, tx, key, op)
-    }
-
-    /// The committed image of the whole table (base table overlaid with the
-    /// in-memory committed map).
-    fn committed_image(&self) -> Result<BTreeMap<K, V>> {
-        let mut out = BTreeMap::new();
-        self.backend.scan(&mut |k, v| {
-            out.insert(k, v);
-            true
-        })?;
-        for shard in &self.committed {
-            for (k, v) in shard.read().iter() {
-                match v {
-                    Some(v) => {
-                        out.insert(k.clone(), v.clone());
-                    }
-                    None => {
-                        out.remove(k);
-                    }
-                }
-            }
-        }
-        Ok(out)
+        buffer_write(&self.ctx, self.store.write_sets(), tx, key, op)
     }
 
     /// A whole-table read within `tx`: the current committed image overlaid
@@ -206,24 +155,13 @@ impl<K: KeyType, V: ValueType> BoccTable<K, V> {
         self.record_read(tx, |rs| {
             rs.whole_table = true;
         })?;
-        let mut out = self.committed_image()?;
-        if let Some(ops) = self.write_sets.with(tx, |ws| ws.effective()) {
-            overlay_write_set(&mut out, ops);
-        }
-        Ok(out)
+        self.store.scan(tx)
     }
 
     /// Loads initial data directly as committed rows, outside any
     /// transaction.  Persistent rows are written in large batches.
     pub fn preload(&self, rows: impl IntoIterator<Item = (K, V)>) -> Result<()> {
-        self.preload_impl(&mut rows.into_iter())
-    }
-
-    fn preload_impl(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
-        preload_rows(&self.backend, rows, |k, v| {
-            self.shard(&k).write().insert(k, Some(v));
-            Ok(())
-        })
+        self.store.preload(&mut rows.into_iter())
     }
 
     /// Number of entries currently in the validation commit log.
@@ -252,22 +190,23 @@ impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
         self.state_id
     }
 
-    fn state_name(&self) -> &str {
-        &self.name
+    fn has_writes(&self, tx: &Tx) -> bool {
+        self.store.write_sets().has_writes(tx)
     }
 
     /// Backward validation: the transaction fails if any transaction that
     /// committed after this one's snapshot floor for this state (its begin
     /// timestamp, or the older `LastCTS` pinned by its first read) wrote a
     /// key this one read or writes — or wrote *anything*, if this one
-    /// scanned the whole table.
-    fn precommit(&self, tx: &Tx) -> Result<()> {
+    /// scanned the whole table.  Read-only transactions validate too.
+    fn validate(&self, tx: &Tx, _txn_has_writes: bool) -> Result<()> {
         let (read_keys, whole_table) = self
             .read_sets
             .with(tx, |rs| (rs.keys.clone(), rs.whole_table))
             .unwrap_or((HashSet::new(), false));
         let write_keys: HashSet<K> = self
-            .write_sets
+            .store
+            .write_sets()
             .with(tx, |ws| ws.keys().cloned().collect())
             .unwrap_or_default();
         if read_keys.is_empty() && write_keys.is_empty() && !whole_table {
@@ -298,106 +237,22 @@ impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
     /// In-memory apply: publishes the commit-log footprint, then the values.
     /// Persistence happens in [`apply_durable`](TxParticipant::apply_durable).
     fn apply(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        let Some(ops) = self.write_sets.with(tx, |ws| ws.effective()) else {
-            return Ok(());
-        };
-        if ops.is_empty() {
-            return Ok(());
-        }
         // Publish the footprint to the validation log *before* the values
         // become visible, so a concurrent validator can never read a new
         // value without also seeing the log entry (conservative ordering).
-        let write_keys: Arc<HashSet<K>> = Arc::new(ops.iter().map(|(k, _)| k.clone()).collect());
-        self.commit_log
-            .write()
-            .push(CommitRecord { cts, write_keys });
-        let mut undo = Vec::with_capacity(ops.len());
-        for (key, op) in &ops {
-            let value = match op {
-                WriteOp::Put(v) => Some(v.clone()),
-                WriteOp::Delete => None,
-            };
-            let prev = self.shard(key).write().insert(key.clone(), value);
-            undo.push((key.clone(), prev));
-        }
-        self.undo_images.with_mut(tx, |cell| *cell = undo);
-        if self.backend.is_persistent() {
-            self.pending_durable.store(tx, ops);
-        }
+        self.store.apply(tx, |ops| {
+            let write_keys = Arc::new(ops.iter().map(|(k, _)| k.clone()).collect());
+            self.commit_log
+                .write()
+                .push(CommitRecord { cts, write_keys });
+        });
         self.prune_commit_log();
         Ok(())
     }
 
-    fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        persist_pending(
-            &self.ctx,
-            &self.backend,
-            &self.pending_durable,
-            &self.write_sets,
-            tx,
-            cts,
-        )
-    }
-
-    fn wait_durable(&self, cts: Timestamp) -> Result<()> {
-        self.backend.wait_durable(cts)
-    }
-
-    /// Removes the commit-log record published at `cts` — the commit will
-    /// never be visible, and a lingering record would spuriously fail
-    /// backward validation for every overlapping transaction — then restores
-    /// the committed-map entries `apply` overwrote, from the captured
-    /// pre-images.
-    fn undo_apply(&self, tx: &Tx, cts: Timestamp) {
-        let mut log = self.commit_log.write();
-        if let Some(pos) = log.iter().rposition(|r| r.cts == cts) {
-            log.remove(pos);
-        }
-        drop(log);
-        let Some(undo) = self.undo_images.take(tx) else {
-            return;
-        };
-        for (key, prev) in undo.into_iter().rev() {
-            let mut shard = self.shard(&key).write();
-            match prev {
-                Some(entry) => {
-                    shard.insert(key, entry);
-                }
-                None => {
-                    shard.remove(&key);
-                }
-            }
-        }
-    }
-
-    fn redo_eligible(&self, tx: &Tx) -> bool {
-        self.backend.is_persistent() && self.write_sets.has_writes(tx)
-    }
-
-    fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
-        if !self.backend.is_persistent() {
-            return None;
-        }
-        let ops = self
-            .pending_durable
-            .peek_or_recompute(tx, &self.write_sets)?;
-        if ops.is_empty() {
-            return None;
-        }
-        let images: HashMap<K, Option<V>> = self
-            .undo_images
-            .with(tx, |undo| {
-                undo.iter()
-                    .filter_map(|(k, prev)| prev.clone().map(|entry| (k.clone(), entry)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Some(build_state_redo(self.state_id, &ops, |k| {
-            match images.get(k) {
-                Some(Some(v)) => Some(Some(v.encode())),
-                _ => Some(None),
-            }
-        }))
+    fn finish(&self, tx: &Tx, _committed: bool) {
+        self.store.clear(tx);
+        self.read_sets.clear(tx);
     }
 
     /// Backward validation of a *writing* transaction must be serialized
@@ -411,22 +266,34 @@ impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
         !tx.is_read_only() && self.read_sets.is_claimed(tx)
     }
 
-    fn rollback(&self, tx: &Tx) {
-        self.write_sets.clear(tx);
-        self.read_sets.clear(tx);
-        self.pending_durable.clear(tx);
-        self.undo_images.clear(tx);
+    /// Removes the commit-log record published at `cts` — the commit will
+    /// never be visible, and a lingering record would spuriously fail
+    /// backward validation for every overlapping transaction — then restores
+    /// the committed-map entries `apply` overwrote, from the captured
+    /// pre-images.
+    fn undo_apply(&self, tx: &Tx, cts: Timestamp) {
+        let mut log = self.commit_log.write();
+        if let Some(pos) = log.iter().rposition(|r| r.cts == cts) {
+            log.remove(pos);
+        }
+        drop(log);
+        self.store.undo(tx);
     }
 
-    fn finalize(&self, tx: &Tx) {
-        self.write_sets.clear(tx);
-        self.read_sets.clear(tx);
-        self.pending_durable.clear(tx);
-        self.undo_images.clear(tx);
+    fn is_persistent(&self) -> bool {
+        self.store.is_persistent()
     }
 
-    fn has_writes(&self, tx: &Tx) -> bool {
-        self.write_sets.has_writes(tx)
+    fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
+        self.store.redo_section(tx)
+    }
+
+    fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
+        self.store.apply_durable(&self.ctx, tx, cts)
+    }
+
+    fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
+        self.store.wait_durable(cts, deadline)
     }
 }
 
@@ -448,11 +315,11 @@ impl<K: KeyType, V: ValueType> TransactionalTable<K, V> for BoccTable<K, V> {
     }
 
     fn preload_iter(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
-        self.preload_impl(rows)
+        self.store.preload(rows)
     }
 
-    fn is_persistent(&self) -> bool {
-        self.backend.is_persistent()
+    fn name(&self) -> &str {
+        &self.name
     }
 
     fn as_participant(self: Arc<Self>) -> Arc<dyn TxParticipant> {
@@ -472,14 +339,14 @@ mod tests {
     }
 
     fn commit(ctx: &StateContext, table: &BoccTable<u32, String>, tx: &Tx) -> Result<()> {
-        table.precommit(tx)?;
+        table.validate(tx, true)?;
         let cts = ctx.clock().next_commit_ts();
         table.apply(tx, cts)?;
         table.apply_durable(tx, cts)?;
         for g in ctx.groups_of_state(table.id()) {
             ctx.publish_group_commit(g, cts)?;
         }
-        table.finalize(tx);
+        table.finish(tx, true);
         ctx.finish(tx);
         Ok(())
     }
@@ -493,7 +360,7 @@ mod tests {
         commit(&ctx, &table, &w).unwrap();
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &1).unwrap(), Some("v".into()));
-        table.finalize(&r);
+        table.finish(&r, true);
         ctx.finish(&r);
         assert_eq!(table.commit_log_len(), 1);
     }
@@ -514,9 +381,9 @@ mod tests {
         table.write(&writer, 5, "new".into()).unwrap();
         commit(&ctx, &table, &writer).unwrap();
 
-        let err = table.precommit(&reader).unwrap_err();
+        let err = table.validate(&reader, false).unwrap_err();
         assert!(matches!(err, TspError::ValidationFailed { .. }));
-        table.finalize(&reader);
+        table.finish(&reader, true);
         ctx.finish(&reader);
         assert_eq!(ctx.stats().snapshot().validation_failures, 1);
     }
@@ -550,12 +417,11 @@ mod tests {
         commit(&ctx, &table, &t1).unwrap();
         let err = commit(&ctx, &table, &t2).unwrap_err();
         assert!(matches!(err, TspError::ValidationFailed { .. }));
-        table.rollback(&t2);
-        table.finalize(&t2);
+        table.finish(&t2, false);
         ctx.finish(&t2);
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &9).unwrap(), Some("t1".into()));
-        table.finalize(&r);
+        table.finish(&r, true);
         ctx.finish(&r);
     }
 
@@ -577,13 +443,12 @@ mod tests {
         let t = ctx.begin(false).unwrap();
         table.write(&t, 1, "tmp".into()).unwrap();
         table.read(&t, &2).unwrap();
-        table.rollback(&t);
-        table.finalize(&t);
+        table.finish(&t, false);
         ctx.finish(&t);
         assert!(!table.has_writes(&t));
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &1).unwrap(), None);
-        table.finalize(&r);
+        table.finish(&r, true);
         ctx.finish(&r);
     }
 
@@ -593,19 +458,19 @@ mod tests {
         table.preload([(10u32, "pre".to_string())]).unwrap();
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &10).unwrap(), Some("pre".into()));
-        table.finalize(&r);
+        table.finish(&r, true);
         ctx.finish(&r);
         let d = ctx.begin(false).unwrap();
         table.delete(&d, 10).unwrap();
         commit(&ctx, &table, &d).unwrap();
         let r2 = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r2, &10).unwrap(), None);
-        table.finalize(&r2);
+        table.finish(&r2, true);
         ctx.finish(&r2);
         let scanner = ctx.begin(true).unwrap();
         let scan = table.scan(&scanner).unwrap();
         assert!(scan.is_empty());
-        table.finalize(&scanner);
+        table.finish(&scanner, true);
         ctx.finish(&scanner);
     }
 
@@ -624,9 +489,9 @@ mod tests {
         let w = ctx.begin(false).unwrap();
         table.write(&w, 2, "phantom".into()).unwrap();
         commit(&ctx, &table, &w).unwrap();
-        let err = table.precommit(&scanner).unwrap_err();
+        let err = table.validate(&scanner, false).unwrap_err();
         assert!(matches!(err, TspError::ValidationFailed { .. }));
-        table.finalize(&scanner);
+        table.finish(&scanner, true);
         ctx.finish(&scanner);
     }
 
@@ -644,9 +509,9 @@ mod tests {
         let w = ctx.begin(false).unwrap();
         table.write(&w, 1, "b".into()).unwrap();
         commit(&ctx, &table, &w).unwrap();
-        let err = table.precommit(&scanner).unwrap_err();
+        let err = table.validate(&scanner, false).unwrap_err();
         assert!(matches!(err, TspError::ValidationFailed { .. }));
-        table.finalize(&scanner);
+        table.finish(&scanner, true);
         ctx.finish(&scanner);
     }
 }

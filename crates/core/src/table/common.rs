@@ -5,11 +5,13 @@
 //! for keys and values.
 
 use crate::context::{StateContext, Tx};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use tsp_common::{CachePadded, Result, StateId, Timestamp, TspError};
 use tsp_storage::redo::{redo_key, RedoOp, RedoRecord, StateRedo};
 use tsp_storage::{BatchOp, BatchWriter, Codec, StorageBackend, WriteBatch};
@@ -187,7 +189,7 @@ impl<T: Default> SlotLocal<T> {
         let mut data = cell.data.lock();
         if cell.owner.load(Ordering::Relaxed) != tx.id().as_u64() {
             // First use by this transaction (or a stale leftover from a
-            // previous occupant that skipped `finalize`): start fresh.
+            // previous occupant that skipped `finish`): start fresh.
             *data = T::default();
             cell.owner.store(tx.id().as_u64(), Ordering::Release);
         }
@@ -258,7 +260,7 @@ impl<T: Default> SlotLocal<T> {
         Some(std::mem::take(&mut data))
     }
 
-    /// Drops `tx`'s data (abort/finalize path).
+    /// Drops `tx`'s data (`finish` path).
     pub fn clear(&self, tx: &Tx) {
         let _ = self.take(tx);
     }
@@ -517,13 +519,18 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
         }
     }
 
-    /// Blocks until the commit at `cts` is durable on this backend: waits on
-    /// the attached asynchronous writer's `DurableCTS` watermark, or returns
-    /// immediately under synchronous (or no) persistence.
-    pub fn wait_durable(&self, cts: Timestamp) -> Result<()> {
-        match &self.writer {
-            Some(w) => w.wait_durable(cts),
-            None => Ok(()),
+    /// Waits until the commit at `cts` is durable on this backend, giving up
+    /// at `deadline` (`None` = no bound): waits on the attached asynchronous
+    /// writer's `DurableCTS` watermark, or returns `Ok(true)` at once under
+    /// synchronous (or no) persistence.  See
+    /// [`TxParticipant::wait_durable`].
+    pub fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
+        match (&self.writer, deadline) {
+            (None, _) => Ok(true),
+            (Some(w), None) => w.wait_durable(cts).map(|()| true),
+            (Some(w), Some(d)) => {
+                w.wait_durable_timeout(cts, d.saturating_duration_since(Instant::now()))
+            }
         }
     }
 
@@ -562,7 +569,7 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
 /// per commit, lengthening the serial section the batch leader holds for
 /// all its followers.  `apply` stores the ops it already computed,
 /// `apply_durable` takes them (recomputing only if called standalone), and
-/// rollback/finalize clear the cell.
+/// `finish` clears the cell.
 pub struct PendingDurable<K, V> {
     ops: SlotLocal<Vec<(K, WriteOp<V>)>>,
 }
@@ -606,9 +613,219 @@ impl<K: KeyType, V: ValueType> PendingDurable<K, V> {
             .or_else(|| write_sets.with(tx, |ws| ws.effective()))
     }
 
-    /// Drops any stashed ops (abort/finalize path).
+    /// Drops any stashed ops (`finish` path).
     pub fn clear(&self, tx: &Tx) {
         self.ops.clear(tx);
+    }
+}
+
+/// Shards of an [`InPlaceStore`]'s committed map.
+const IN_PLACE_SHARDS: usize = 64;
+
+/// A committed-map entry's pre-image: `None` = the key had no entry,
+/// `Some(None)` = a tombstone, `Some(Some(v))` = a committed override.
+type PreImage<V> = Option<Option<V>>;
+
+/// One shard of an [`InPlaceStore`]'s committed map (`None` = deleted).
+type CommittedShard<K, V> = RwLock<HashMap<K, Option<V>>>;
+
+/// The single-version store of the in-place protocols
+/// ([`crate::table::S2plTable`], [`crate::table::BoccTable`]): a sharded
+/// committed map overriding the base table, the per-transaction write sets,
+/// and the commit plumbing that updates the map in place.
+///
+/// Updating in place means a commit that is torn after this store applied
+/// (a later participant failed) must restore exactly what it overwrote, so
+/// [`apply`](Self::apply) captures the pre-image of every entry it replaces;
+/// [`undo`](Self::undo) restores them, and [`redo_section`](Self::redo_section)
+/// ships them as the undo values of the group redo record.  The protocols
+/// keep only their concurrency control (locks, read sets, commit log)
+/// around these calls.
+pub(crate) struct InPlaceStore<K, V> {
+    state_id: StateId,
+    /// Committed values overriding the base table.
+    committed: Box<[CommittedShard<K, V>]>,
+    write_sets: TxWriteSets<K, V>,
+    backend: TypedBackend<K, V>,
+    /// Effective ops computed by `apply`, handed to `apply_durable`.
+    pending_durable: PendingDurable<K, V>,
+    /// Pre-images of the committed-map entries `apply` overwrote.
+    undo_images: SlotLocal<Vec<(K, PreImage<V>)>>,
+}
+
+impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
+    /// Creates the store of state `state_id`, sized for `ctx`'s transaction
+    /// table.
+    pub fn new(ctx: &StateContext, state_id: StateId, backend: TypedBackend<K, V>) -> Self {
+        InPlaceStore {
+            state_id,
+            committed: (0..IN_PLACE_SHARDS)
+                .map(|_| RwLock::new(HashMap::new()))
+                .collect(),
+            write_sets: TxWriteSets::for_context(ctx),
+            backend,
+            pending_durable: PendingDurable::for_context(ctx),
+            undo_images: SlotLocal::for_context(ctx),
+        }
+    }
+
+    /// The uncommitted write sets.
+    pub fn write_sets(&self) -> &TxWriteSets<K, V> {
+        &self.write_sets
+    }
+
+    /// True if a persistent base table is attached.
+    pub fn is_persistent(&self) -> bool {
+        self.backend.is_persistent()
+    }
+
+    fn shard(&self, key: &K) -> &CommittedShard<K, V> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.committed[(h.finish() as usize) % IN_PLACE_SHARDS]
+    }
+
+    /// The latest committed value of `key`: the in-memory override, else the
+    /// base table.
+    pub fn committed_value(&self, key: &K) -> Result<Option<V>> {
+        if let Some(entry) = self.shard(key).read().get(key) {
+            return Ok(entry.clone());
+        }
+        self.backend.get(key)
+    }
+
+    /// The committed image of the whole table (base table overlaid with the
+    /// in-memory committed map), overlaid with `tx`'s own uncommitted
+    /// writes.
+    pub fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
+        let mut out = BTreeMap::new();
+        self.backend.scan(&mut |k, v| {
+            out.insert(k, v);
+            true
+        })?;
+        for shard in self.committed.iter() {
+            for (k, v) in shard.read().iter() {
+                match v {
+                    Some(v) => {
+                        out.insert(k.clone(), v.clone());
+                    }
+                    None => {
+                        out.remove(k);
+                    }
+                }
+            }
+        }
+        if let Some(ops) = self.write_sets.with(tx, |ws| ws.effective()) {
+            overlay_write_set(&mut out, ops);
+        }
+        Ok(out)
+    }
+
+    /// Loads initial rows as committed data, outside any transaction
+    /// (see [`preload_rows`]).
+    pub fn preload(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
+        preload_rows(&self.backend, rows, |k, v| {
+            self.shard(&k).write().insert(k, Some(v));
+            Ok(())
+        })
+    }
+
+    /// In-memory apply: writes `tx`'s effective ops into the committed map,
+    /// capturing each overwritten pre-image for [`undo`](Self::undo) and
+    /// stashing the ops for [`apply_durable`](Self::apply_durable).
+    /// `before_install` sees the ops first, before any value is visible.
+    pub fn apply(&self, tx: &Tx, before_install: impl FnOnce(&[(K, WriteOp<V>)])) {
+        let Some(ops) = self.write_sets.with(tx, |ws| ws.effective()) else {
+            return;
+        };
+        if ops.is_empty() {
+            return;
+        }
+        before_install(&ops);
+        let mut undo = Vec::with_capacity(ops.len());
+        for (key, op) in &ops {
+            let value = match op {
+                WriteOp::Put(v) => Some(v.clone()),
+                WriteOp::Delete => None,
+            };
+            let prev = self.shard(key).write().insert(key.clone(), value);
+            undo.push((key.clone(), prev));
+        }
+        self.undo_images.with_mut(tx, |cell| *cell = undo);
+        if self.backend.is_persistent() {
+            self.pending_durable.store(tx, ops);
+        }
+    }
+
+    /// Persists the ops [`apply`](Self::apply) stashed (see
+    /// [`persist_pending`]).
+    pub fn apply_durable(&self, ctx: &StateContext, tx: &Tx, cts: Timestamp) -> Result<()> {
+        persist_pending(
+            ctx,
+            &self.backend,
+            &self.pending_durable,
+            &self.write_sets,
+            tx,
+            cts,
+        )
+    }
+
+    /// See [`TypedBackend::wait_durable`].
+    pub fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
+        self.backend.wait_durable(cts, deadline)
+    }
+
+    /// Restores the committed-map entries [`apply`](Self::apply) overwrote,
+    /// newest first.  Taking the stash makes the call idempotent.
+    pub fn undo(&self, tx: &Tx) {
+        let Some(undo) = self.undo_images.take(tx) else {
+            return;
+        };
+        for (key, prev) in undo.into_iter().rev() {
+            let mut shard = self.shard(&key).write();
+            match prev {
+                Some(entry) => {
+                    shard.insert(key, entry);
+                }
+                None => {
+                    shard.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// This state's section of the group redo record, carrying the captured
+    /// pre-images as undo values: `Some(Some(bytes))` is the committed
+    /// override an op replaced, `Some(None)` means no prior entry (or a
+    /// tombstone) in the committed map.
+    pub fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
+        if !self.backend.is_persistent() {
+            return None;
+        }
+        let ops = self
+            .pending_durable
+            .peek_or_recompute(tx, &self.write_sets)?;
+        if ops.is_empty() {
+            return None;
+        }
+        let images: HashMap<K, V> = self
+            .undo_images
+            .with(tx, |undo| {
+                undo.iter()
+                    .filter_map(|(k, prev)| prev.clone().flatten().map(|v| (k.clone(), v)))
+                    .collect()
+            })
+            .unwrap_or_default();
+        Some(build_state_redo(self.state_id, &ops, |k| {
+            Some(images.get(k).map(|v| v.encode()))
+        }))
+    }
+
+    /// Drops everything `tx` left here: write set, stashed ops, pre-images.
+    pub fn clear(&self, tx: &Tx) {
+        self.write_sets.clear(tx);
+        self.pending_durable.clear(tx);
+        self.undo_images.clear(tx);
     }
 }
 
@@ -626,32 +843,49 @@ pub fn last_cts_key() -> Vec<u8> {
 }
 
 /// A participant in the consistency protocol (§4.3): one transactional state
-/// whose buffered effects are validated, applied or rolled back by the
-/// commit coordinator.
+/// whose buffered effects the commit coordinator validates, applies, makes
+/// durable and publishes — the phase sequence every concurrency-control
+/// protocol shares (§5.1).  The manager runs the phases
+/// (`crate::manager`'s phase helpers); a participant owes five obligations
+/// ([`state_id`](Self::state_id), [`has_writes`](Self::has_writes),
+/// [`validate`](Self::validate), [`apply`](Self::apply),
+/// [`finish`](Self::finish)) and overrides the defaulted hooks only where
+/// its protocol or storage needs them.
 pub trait TxParticipant: Send + Sync {
     /// The participant's state id.
     fn state_id(&self) -> StateId;
 
-    /// Human-readable state name (for diagnostics).
-    fn state_name(&self) -> &str;
+    /// True if the transaction buffered modifications against this state.
+    fn has_writes(&self, tx: &Tx) -> bool;
 
     /// Concurrency-control validation before commit.  Returning an error
     /// votes abort for the whole transaction (First-Committer-Wins check for
     /// MVCC, read-set validation for BOCC and SSI, nothing for S2PL).
-    fn precommit(&self, tx: &Tx) -> Result<()>;
-
-    /// [`precommit`](Self::precommit) with the coordinator's knowledge of
-    /// whether the transaction buffered writes against *any* participant.
     ///
-    /// Protocols whose validation only matters for writing transactions
-    /// (SSI: a transaction that wrote nothing anywhere is trivially
-    /// serializable at its snapshot) override this to skip work a single
-    /// participant cannot prove safe on its own.  The default ignores the
-    /// hint.
-    fn precommit_coordinated(&self, tx: &Tx, txn_has_writes: bool) -> Result<()> {
-        let _ = txn_has_writes;
-        self.precommit(tx)
-    }
+    /// `txn_has_writes` is the coordinator's knowledge of whether the
+    /// transaction buffered writes against *any* participant.  Protocols
+    /// whose validation only matters for writing transactions (SSI: a
+    /// transaction that wrote nothing anywhere is trivially serializable at
+    /// its snapshot) use it to skip work a single participant cannot prove
+    /// safe on its own; the others ignore it.
+    fn validate(&self, tx: &Tx, txn_has_writes: bool) -> Result<()>;
+
+    /// Applies the transaction's buffered effects **in memory** with commit
+    /// timestamp `cts`: installs versions / updates the committed image so
+    /// the transaction becomes visible once the coordinator publishes the
+    /// group's `LastCTS`.  Runs inside the group-commit critical section.
+    ///
+    /// Base-table persistence is *not* part of this step — the coordinator
+    /// calls [`apply_durable`](Self::apply_durable) afterwards (stage 2 of
+    /// the commit pipeline), while the write set is still alive.
+    fn apply(&self, tx: &Tx, cts: Timestamp) -> Result<()>;
+
+    /// Ends the transaction on this state: discards its buffered effects
+    /// (when `committed` is false) and releases every per-transaction
+    /// resource (write sets, read sets, locks, stashes).  Called exactly
+    /// once per participant, after the commit was published or the
+    /// transaction aborted.
+    fn finish(&self, tx: &Tx, committed: bool);
 
     /// True if this participant's commit-time validation must be serialized
     /// against committers of the groups `tx` *read* through this state (the
@@ -668,15 +902,45 @@ pub trait TxParticipant: Send + Sync {
         false
     }
 
-    /// Applies the transaction's buffered effects **in memory** with commit
-    /// timestamp `cts`: installs versions / updates the committed image so
-    /// the transaction becomes visible once the coordinator publishes the
-    /// group's `LastCTS`.  Runs inside the group-commit critical section.
+    /// Undoes a *successful* [`apply`](Self::apply) whose commit will never
+    /// be published (a later participant of the same transaction failed).
+    /// Called while the coordinator still holds the group-commit locks.
     ///
-    /// Base-table persistence is *not* part of this step — the coordinator
-    /// calls [`apply_durable`](Self::apply_durable) afterwards (stage 2 of
-    /// the commit pipeline), while the write set is still alive.
-    fn apply(&self, tx: &Tx, cts: Timestamp) -> Result<()>;
+    /// Multi-version stores unlink the versions installed at `cts` so their
+    /// headers cannot spuriously trip First-Committer-Wins or SSI
+    /// certification for later transactions (the failed-apply version leak).
+    /// The single-version baselines update their committed image in place,
+    /// so their `apply` captures the overwritten pre-images and this hook
+    /// restores them exactly.  The default is a no-op (volatile states with
+    /// nothing applied).  Must tolerate a partially applied (mid-loop
+    /// failed) state and be idempotent.
+    fn undo_apply(&self, tx: &Tx, cts: Timestamp) {
+        let _ = (tx, cts);
+    }
+
+    /// True if a persistent base table is attached, i.e. this participant
+    /// may contribute a [`redo_section`](Self::redo_section).  The
+    /// coordinator counts persistent writers *before* serializing any
+    /// section, so the single-state fast path — the common case — never
+    /// pays the write-set encoding a group record would need.  The default
+    /// (volatile states) is false.
+    fn is_persistent(&self) -> bool {
+        false
+    }
+
+    /// This participant's contribution to the group-wide redo record of the
+    /// commit in flight: the encoded effective write set (plus, for in-place
+    /// protocols, the captured pre-images), or `None` if the participant
+    /// persists nothing for this transaction.
+    ///
+    /// Called by the coordinator between [`apply`](Self::apply) and
+    /// [`apply_durable`](Self::apply_durable), so implementations may read
+    /// (but must not consume) the ops `apply` stashed.  The default — used
+    /// by volatile states — contributes nothing.
+    fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
+        let _ = tx;
+        None
+    }
 
     /// Persists the transaction's buffered effects to the base table for the
     /// commit at `cts`.  Still called inside the commit critical section so
@@ -709,68 +973,18 @@ pub trait TxParticipant: Send + Sync {
         let _ = (tx, cts);
     }
 
-    /// Blocks until the commit at `cts` is durable in this participant's
-    /// base table.  With an asynchronous persistence writer attached this
-    /// waits on its `DurableCTS` watermark; the default (volatile tables,
-    /// synchronous persistence) returns immediately — durability already
+    /// Waits until the commit at `cts` is durable in this participant's
+    /// base table, giving up at `deadline` (`None` waits without bound).
+    /// Returns `Ok(true)` once durable, `Ok(false)` if the deadline passed
+    /// first, or the persistence writer's sticky error.  With an
+    /// asynchronous persistence writer attached this waits on its
+    /// `DurableCTS` watermark; the default (volatile tables, synchronous
+    /// persistence) returns `Ok(true)` at once — durability already
     /// happened inside [`apply_durable`](Self::apply_durable).
-    fn wait_durable(&self, cts: Timestamp) -> Result<()> {
-        let _ = cts;
-        Ok(())
+    fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
+        let _ = (cts, deadline);
+        Ok(true)
     }
-
-    /// Undoes a *successful* [`apply`](Self::apply) whose commit will never
-    /// be published (a later participant of the same transaction failed).
-    /// Called while the coordinator still holds the group-commit locks.
-    ///
-    /// Multi-version stores unlink the versions installed at `cts` so their
-    /// headers cannot spuriously trip First-Committer-Wins or SSI
-    /// certification for later transactions (the failed-apply version leak).
-    /// The single-version baselines update their committed image in place,
-    /// so their `apply` captures the overwritten pre-images and this hook
-    /// restores them exactly.  The default is a no-op (volatile states with
-    /// nothing applied).  Must tolerate a partially applied (mid-loop
-    /// failed) state and be idempotent.
-    fn undo_apply(&self, tx: &Tx, cts: Timestamp) {
-        let _ = (tx, cts);
-    }
-
-    /// This participant's contribution to the group-wide redo record of the
-    /// commit in flight: the encoded effective write set (plus, for in-place
-    /// protocols, the captured pre-images), or `None` if the participant
-    /// persists nothing for this transaction.
-    ///
-    /// Called by the coordinator between [`apply`](Self::apply) and
-    /// [`apply_durable`](Self::apply_durable), so implementations may read
-    /// (but must not consume) the ops `apply` stashed.  The default — used
-    /// by volatile states — contributes nothing.
-    fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
-        let _ = tx;
-        None
-    }
-
-    /// Cheap pre-check for [`redo_section`](Self::redo_section): could this
-    /// participant contribute a section (persistent backend and buffered
-    /// writes)?  The coordinator counts eligible participants *before*
-    /// serializing any section, so the single-state fast path — the common
-    /// case — never pays the write-set encoding that a group record would
-    /// need.  May over-approximate (eligibility without an actual section
-    /// is fine); must never under-approximate.  The default — volatile
-    /// states — is `false`.
-    fn redo_eligible(&self, tx: &Tx) -> bool {
-        let _ = tx;
-        false
-    }
-
-    /// Discards the transaction's buffered effects.
-    fn rollback(&self, tx: &Tx);
-
-    /// Releases any per-transaction resources (locks, read sets).  Called
-    /// exactly once after commit or rollback.
-    fn finalize(&self, tx: &Tx);
-
-    /// True if the transaction buffered modifications against this state.
-    fn has_writes(&self, tx: &Tx) -> bool;
 }
 
 // ---------------------------------------------------------------------
@@ -790,7 +1004,7 @@ pub trait TxParticipant: Send + Sync {
 /// [`Protocol::create_table`](crate::table::Protocol::create_table).
 ///
 /// The supertrait [`TxParticipant`] carries the commit-protocol half
-/// (validate / apply / rollback / finalize); `dyn TransactionalTable<K, V>`
+/// (validate / apply / finish); `dyn TransactionalTable<K, V>`
 /// upcasts to `dyn TxParticipant` for registration with the
 /// [`crate::manager::TransactionManager`].
 pub trait TransactionalTable<K: KeyType, V: ValueType>: TxParticipant {
@@ -821,18 +1035,13 @@ pub trait TransactionalTable<K: KeyType, V: ValueType>: TxParticipant {
     /// [`TransactionalTableExt::preload`] wherever the iterator type is known.
     fn preload_iter(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()>;
 
-    /// True if a persistent base table is attached.
-    fn is_persistent(&self) -> bool;
-
     /// The table's registered state id (alias of [`TxParticipant::state_id`]).
     fn id(&self) -> StateId {
         self.state_id()
     }
 
-    /// The table's name (alias of [`TxParticipant::state_name`]).
-    fn name(&self) -> &str {
-        self.state_name()
-    }
+    /// The table's name, as registered with its context (diagnostics).
+    fn name(&self) -> &str;
 
     /// Upcasts the table to its commit-protocol half for registration with a
     /// transaction manager.
@@ -1019,7 +1228,7 @@ pub fn build_state_redo<K: KeyType, V: ValueType>(
 /// Assembles the group redo record for the commit at `cts` and stashes it on
 /// `tx` so every participant's [`persist_pending`] folds a copy into its own
 /// durable batch (riding the batch's existing WAL record and fsync — no
-/// extra sync).
+/// extra sync).  `writers` are the participants that buffered writes.
 ///
 /// Single-participant commits skip the record: one batch is already
 /// failure-atomic through the backend's WAL, so there is no suffix to tear.
@@ -1033,10 +1242,11 @@ pub fn attach_group_redo<'a>(
     cts: Timestamp,
     writers: impl Iterator<Item = &'a Arc<dyn TxParticipant>> + Clone,
 ) {
-    // Count before serializing: a single-state commit (the overwhelmingly
-    // common case) is already batch-atomic, needs no record, and must not
-    // pay the per-op write-set encoding just to find that out.
-    if writers.clone().filter(|p| p.redo_eligible(tx)).count() < 2 {
+    // Count persistent writers before serializing: a single-state commit
+    // (the overwhelmingly common case) is already batch-atomic, needs no
+    // record, and must not pay the per-op write-set encoding just to find
+    // that out.
+    if writers.clone().filter(|p| p.is_persistent()).count() < 2 {
         return;
     }
     let sections: Vec<StateRedo> = writers.filter_map(|p| p.redo_section(tx)).collect();

@@ -8,7 +8,7 @@
 //!   implements: `read` / `write` / `delete` / snapshot-respecting `scan` /
 //!   `preload`, plus the upcast to the commit-protocol half.
 //! * [`TxParticipant`] — the commit-protocol interface (validate / apply /
-//!   rollback / finalize) driven by
+//!   finish, plus defaulted durability and undo hooks) driven by
 //!   [`crate::manager::TransactionManager`] (§4.3 of the paper).
 //! * [`Protocol`] — runtime protocol selection:
 //!   [`Protocol::create_table`] returns an `Arc<dyn TransactionalTable<K, V>>`
@@ -32,7 +32,8 @@
 //! fundamentally the same consistency protocol for multiple states").  The
 //! mechanics they share — write-set buffering, read-your-own-writes,
 //! batched preloading, commit-marker persistence, scan overlays — live in
-//! [`common`] as free helpers rather than being re-implemented per protocol.
+//! [`common`] as free helpers rather than being re-implemented per protocol,
+//! and the two single-version baselines share one `InPlaceStore`.
 
 pub mod bocc_table;
 pub mod common;

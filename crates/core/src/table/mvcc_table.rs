@@ -53,6 +53,7 @@ use crate::table::objmap::{ObjMap, DEFAULT_INDEX_BUCKETS};
 use crate::telemetry::AbortReason;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 use tsp_common::{Result, StateId, Timestamp, TspError};
 use tsp_storage::redo::StateRedo;
 use tsp_storage::StorageBackend;
@@ -161,11 +162,6 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
     /// The table's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// True if a persistent base table is attached.
-    pub fn is_persistent(&self) -> bool {
-        self.backend.is_persistent()
     }
 
     fn object(&self, key: &K) -> Option<&MvccObject<V>> {
@@ -355,8 +351,8 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
         self.state_id
     }
 
-    fn state_name(&self) -> &str {
-        &self.name
+    fn has_writes(&self, tx: &Tx) -> bool {
+        self.write_sets.has_writes(tx)
     }
 
     /// First-Committer-Wins: if any key in the write set has a committed
@@ -371,7 +367,7 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
     /// in which case its begin timestamp is newer than the version it never
     /// saw.  The floor is per-state so a stale pin on an unrelated,
     /// quiescent group does not spuriously abort updates here.
-    fn precommit(&self, tx: &Tx) -> Result<()> {
+    fn validate(&self, tx: &Tx, _txn_has_writes: bool) -> Result<()> {
         // Writeless transactions (every ad-hoc reader) validate trivially:
         // probe the write buffer (one atomic load) before computing the
         // floor, which walks the slot mutex and the group registry.
@@ -460,17 +456,17 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
         )
     }
 
-    fn wait_durable(&self, cts: Timestamp) -> Result<()> {
-        self.backend.wait_durable(cts)
+    fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
+        self.backend.wait_durable(cts, deadline)
+    }
+
+    fn is_persistent(&self) -> bool {
+        self.backend.is_persistent()
     }
 
     /// Versioned tables undo a torn apply by unlinking the `cts` versions
     /// (see [`undo_apply`](TxParticipant::undo_apply)), so the redo record
     /// carries no undo images for them.
-    fn redo_eligible(&self, tx: &Tx) -> bool {
-        self.backend.is_persistent() && self.write_sets.has_writes(tx)
-    }
-
     fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
         if !self.backend.is_persistent() {
             return None;
@@ -498,18 +494,11 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
         });
     }
 
-    fn rollback(&self, tx: &Tx) {
+    /// Drops the write set (an aborted transaction's versions were never
+    /// installed, or were unlinked by `undo_apply`).
+    fn finish(&self, tx: &Tx, _committed: bool) {
         self.write_sets.clear(tx);
         self.pending_durable.clear(tx);
-    }
-
-    fn finalize(&self, tx: &Tx) {
-        self.write_sets.clear(tx);
-        self.pending_durable.clear(tx);
-    }
-
-    fn has_writes(&self, tx: &Tx) -> bool {
-        self.write_sets.has_writes(tx)
     }
 }
 
@@ -534,8 +523,8 @@ impl<K: KeyType, V: ValueType> TransactionalTable<K, V> for MvccTable<K, V> {
         self.preload_impl(rows)
     }
 
-    fn is_persistent(&self) -> bool {
-        MvccTable::is_persistent(self)
+    fn name(&self) -> &str {
+        &self.name
     }
 
     fn as_participant(self: Arc<Self>) -> Arc<dyn TxParticipant> {
@@ -559,14 +548,14 @@ mod tests {
     /// Commits a transaction against a single table the low-level way (the
     /// `TransactionManager` does this in production code).
     fn commit(ctx: &StateContext, table: &MvccTable<u32, String>, tx: &Tx) -> Timestamp {
-        table.precommit(tx).unwrap();
+        table.validate(tx, true).unwrap();
         let cts = ctx.clock().next_commit_ts();
         table.apply(tx, cts).unwrap();
         table.apply_durable(tx, cts).unwrap();
         for g in ctx.groups_of_state(table.id()) {
             ctx.publish_group_commit(g, cts).unwrap();
         }
-        table.finalize(tx);
+        table.finish(tx, true);
         ctx.finish(tx);
         cts
     }
@@ -761,10 +750,9 @@ mod tests {
         // t1 commits first.
         commit(&ctx, &table, &t1);
         // t2 must fail the FCW check.
-        let err = table.precommit(&t2).unwrap_err();
+        let err = table.validate(&t2, true).unwrap_err();
         assert!(matches!(err, TspError::WriteConflict { .. }));
-        table.rollback(&t2);
-        table.finalize(&t2);
+        table.finish(&t2, false);
         ctx.finish(&t2);
         assert_eq!(ctx.stats().snapshot().write_conflicts, 1);
         // The winner's value survives.
@@ -781,7 +769,7 @@ mod tests {
         table.write(&t1, 1, "a".into()).unwrap();
         table.write(&t2, 2, "b".into()).unwrap();
         commit(&ctx, &table, &t1);
-        assert!(table.precommit(&t2).is_ok());
+        assert!(table.validate(&t2, true).is_ok());
         commit(&ctx, &table, &t2);
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &1).unwrap(), Some("a".into()));
@@ -804,26 +792,26 @@ mod tests {
         ctx.register_group(&[table.id()]).unwrap();
         let t1 = ctx.begin(false).unwrap();
         table.write(&t1, 1, "x".into()).unwrap();
-        table.precommit(&t1).unwrap();
+        table.validate(&t1, true).unwrap();
         let cts = ctx.clock().next_commit_ts();
         table.apply(&t1, cts).unwrap();
-        table.finalize(&t1);
+        table.finish(&t1, true);
         ctx.finish(&t1);
         // A transaction that began before that commit now tries to write the
         // same key: the eager check rejects it at write() time already.
         let t2 = ctx.begin(false).unwrap();
         // t2 began after the commit, so no conflict for it …
         table.write(&t2, 1, "y".into()).unwrap();
-        table.rollback(&t2);
+        table.finish(&t2, false);
         ctx.finish(&t2);
         // … but a transaction whose begin predates the commit is rejected.
         let t3 = ctx.begin(false).unwrap();
         let t4 = ctx.begin(false).unwrap();
         table.write(&t3, 2, "a".into()).unwrap();
-        table.precommit(&t3).unwrap();
+        table.validate(&t3, true).unwrap();
         let cts = ctx.clock().next_commit_ts();
         table.apply(&t3, cts).unwrap();
-        table.finalize(&t3);
+        table.finish(&t3, true);
         ctx.finish(&t3);
         let err = table.write(&t4, 2, "b".into()).unwrap_err();
         assert!(matches!(err, TspError::WriteConflict { .. }));
@@ -835,8 +823,7 @@ mod tests {
         let (ctx, table) = setup();
         let t = ctx.begin(false).unwrap();
         table.write(&t, 3, "temp".into()).unwrap();
-        table.rollback(&t);
-        table.finalize(&t);
+        table.finish(&t, false);
         ctx.finish(&t);
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &3).unwrap(), None);
@@ -868,15 +855,15 @@ mod tests {
         assert_eq!(quiet.read(&tx, &9).unwrap(), None);
         assert_eq!(busy.read(&tx, &1).unwrap(), Some("v1".into()));
         busy.write(&tx, 1, "v2".into()).unwrap();
-        busy.precommit(&tx)
+        busy.validate(&tx, true)
             .expect("no conflict: the busy read was fresh");
         let cts = ctx.clock().next_commit_ts();
         busy.apply(&tx, cts).unwrap();
         for g in ctx.groups_of_state(busy.id()) {
             ctx.publish_group_commit(g, cts).unwrap();
         }
-        busy.finalize(&tx);
-        quiet.finalize(&tx);
+        busy.finish(&tx, true);
+        quiet.finish(&tx, true);
         ctx.finish(&tx);
 
         let r = ctx.begin(true).unwrap();
@@ -922,14 +909,14 @@ mod tests {
 
         let w = ctx.begin(false).unwrap();
         table.write(&w, 1, "updated".into()).unwrap();
-        table.precommit(&w).unwrap();
+        table.validate(&w, true).unwrap();
         let cts = ctx.clock().next_commit_ts();
         table.apply(&w, cts).unwrap();
         table.apply_durable(&w, cts).unwrap();
         for g in ctx.groups_of_state(table.id()) {
             ctx.publish_group_commit(g, cts).unwrap();
         }
-        table.finalize(&w);
+        table.finish(&w, true);
         ctx.finish(&w);
 
         // The old reader still sees the preloaded row (promoted to an
@@ -952,11 +939,11 @@ mod tests {
         ctx.register_group(&[table.id()]).unwrap();
         let t = ctx.begin(false).unwrap();
         table.write(&t, 11, "durable".into()).unwrap();
-        table.precommit(&t).unwrap();
+        table.validate(&t, true).unwrap();
         let cts = ctx.clock().next_commit_ts();
         table.apply(&t, cts).unwrap();
         table.apply_durable(&t, cts).unwrap();
-        table.finalize(&t);
+        table.finish(&t, true);
         ctx.finish(&t);
         assert_eq!(
             backend.get(&11u32.encode()).unwrap(),
@@ -980,7 +967,7 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert_eq!(snap.get(&2), Some(&"two".to_string()));
         assert_eq!(snap.get(&3), Some(&"three".to_string()));
-        table.rollback(&t);
+        table.finish(&t, false);
         ctx.finish(&t);
 
         // Another transaction never saw t's uncommitted changes.
@@ -1019,6 +1006,6 @@ mod tests {
         assert_eq!(table.versioned_key_count(), 2);
         assert_eq!(table.version_count(&1), 1);
         assert_eq!(table.name(), "t");
-        assert_eq!(table.state_name(), "t");
+        assert_eq!(TransactionalTable::name(&*table), "t");
     }
 }

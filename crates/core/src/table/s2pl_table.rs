@@ -16,26 +16,22 @@
 //! already updated its committed map in place, so `apply` captures the
 //! overwritten pre-images and [`TxParticipant::undo_apply`] restores them
 //! exactly — and the same pre-images travel in the group redo record
-//! ([`tsp_storage::redo`]) as the commit's undo values.
+//! ([`tsp_storage::redo`]) as the commit's undo values.  That single-version
+//! store is `InPlaceStore` (`table/common.rs`), shared with the BOCC baseline.
 
 use crate::context::{StateContext, Tx};
 use crate::table::common::{
-    buffer_write, build_state_redo, overlay_write_set, persist_pending, preload_rows,
-    read_own_write, reject_read_only, KeyType, PendingDurable, SlotLocal, TransactionalTable,
-    TxParticipant, TxWriteSets, TypedBackend, ValueType, WriteOp,
+    buffer_write, read_own_write, reject_read_only, InPlaceStore, KeyType, TransactionalTable,
+    TxParticipant, TypedBackend, ValueType, WriteOp,
 };
 use crate::table::locks::{LockManager, LockMode};
 use crate::telemetry::AbortReason;
-use parking_lot::RwLock;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::Hasher;
+use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 use tsp_common::{Result, StateId, Timestamp, TspError};
 use tsp_storage::redo::StateRedo;
 use tsp_storage::StorageBackend;
-
-const SHARDS: usize = 64;
 
 /// A single-version transactional table protected by strict two-phase
 /// locking.
@@ -44,17 +40,8 @@ pub struct S2plTable<K, V> {
     name: String,
     ctx: Arc<StateContext>,
     locks: LockManager<K>,
-    /// Committed values overriding the base table (`None` = deleted).
-    committed: Vec<RwLock<HashMap<K, Option<V>>>>,
-    write_sets: TxWriteSets<K, V>,
-    backend: TypedBackend<K, V>,
-    /// Effective ops computed by `apply`, handed to `apply_durable`.
-    pending_durable: PendingDurable<K, V>,
-    /// Pre-images of the committed-map entries `apply` overwrote
-    /// (`None` = the key had no entry): the per-commit undo values that let
-    /// [`TxParticipant::undo_apply`] restore the exact previous state after
-    /// a torn multi-participant apply.
-    undo_images: SlotLocal<Vec<(K, Option<Option<V>>)>>,
+    /// Committed map, write sets and the in-place commit plumbing.
+    store: InPlaceStore<K, V>,
 }
 
 impl<K: KeyType, V: ValueType> S2plTable<K, V> {
@@ -84,11 +71,7 @@ impl<K: KeyType, V: ValueType> S2plTable<K, V> {
             name,
             ctx: Arc::clone(ctx),
             locks: LockManager::new(),
-            committed: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            write_sets: TxWriteSets::for_context(ctx),
-            backend,
-            pending_durable: PendingDurable::for_context(ctx),
-            undo_images: SlotLocal::for_context(ctx),
+            store: InPlaceStore::new(ctx, state_id, backend),
         })
     }
 
@@ -102,19 +85,6 @@ impl<K: KeyType, V: ValueType> S2plTable<K, V> {
         &self.name
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, Option<V>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.committed[(h.finish() as usize) % SHARDS]
-    }
-
-    fn committed_value(&self, key: &K) -> Result<Option<V>> {
-        if let Some(entry) = self.shard(key).read().get(key) {
-            return Ok(entry.clone());
-        }
-        self.backend.get(key)
-    }
-
     // ------------------------------------------------------------------
     // Data access within a transaction
     // ------------------------------------------------------------------
@@ -124,12 +94,12 @@ impl<K: KeyType, V: ValueType> S2plTable<K, V> {
     pub fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
         self.ctx.record_access(tx, self.state_id)?;
         self.ctx.stats().bump_read(tx.slot());
-        if let Some(own) = read_own_write(&self.write_sets, tx, key) {
+        if let Some(own) = read_own_write(self.store.write_sets(), tx, key) {
             return Ok(own);
         }
         self.acquire(tx, key, LockMode::Shared)?;
         self.fence_acquired(tx)?;
-        self.committed_value(key)
+        self.store.committed_value(key)
     }
 
     /// Buffers an insert/update under an exclusive lock.
@@ -147,7 +117,7 @@ impl<K: KeyType, V: ValueType> S2plTable<K, V> {
         self.ctx.record_access(tx, self.state_id)?;
         self.acquire(tx, &key, LockMode::Exclusive)?;
         self.fence_acquired(tx)?;
-        buffer_write(&self.ctx, &self.write_sets, tx, key, op)
+        buffer_write(&self.ctx, self.store.write_sets(), tx, key, op)
     }
 
     fn acquire(&self, tx: &Tx, key: &K, mode: LockMode) -> Result<()> {
@@ -174,29 +144,6 @@ impl<K: KeyType, V: ValueType> S2plTable<K, V> {
         Ok(())
     }
 
-    /// The committed image of the whole table (base table overlaid with the
-    /// in-memory committed map).
-    fn committed_image(&self) -> Result<BTreeMap<K, V>> {
-        let mut out = BTreeMap::new();
-        self.backend.scan(&mut |k, v| {
-            out.insert(k, v);
-            true
-        })?;
-        for shard in &self.committed {
-            for (k, v) in shard.read().iter() {
-                match v {
-                    Some(v) => {
-                        out.insert(k.clone(), v.clone());
-                    }
-                    None => {
-                        out.remove(k);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// A whole-table read within `tx`: the current committed image overlaid
     /// with the transaction's own uncommitted writes.
     ///
@@ -206,24 +153,13 @@ impl<K: KeyType, V: ValueType> S2plTable<K, V> {
     /// table, whose scan is snapshot-exact).
     pub fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
         self.ctx.record_access(tx, self.state_id)?;
-        let mut out = self.committed_image()?;
-        if let Some(ops) = self.write_sets.with(tx, |ws| ws.effective()) {
-            overlay_write_set(&mut out, ops);
-        }
-        Ok(out)
+        self.store.scan(tx)
     }
 
     /// Loads initial data directly as committed rows, outside any
     /// transaction.  Persistent rows are written in large batches.
     pub fn preload(&self, rows: impl IntoIterator<Item = (K, V)>) -> Result<()> {
-        self.preload_impl(&mut rows.into_iter())
-    }
-
-    fn preload_impl(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
-        preload_rows(&self.backend, rows, |k, v| {
-            self.shard(&k).write().insert(k, Some(v));
-            Ok(())
-        })
+        self.store.preload(&mut rows.into_iter())
     }
 
     /// Number of transactions currently holding locks on this table.
@@ -237,123 +173,51 @@ impl<K: KeyType, V: ValueType> TxParticipant for S2plTable<K, V> {
         self.state_id
     }
 
-    fn state_name(&self) -> &str {
-        &self.name
+    fn has_writes(&self, tx: &Tx) -> bool {
+        self.store.write_sets().has_writes(tx)
     }
 
     /// All conflicts were already resolved by lock acquisition; there is
     /// nothing to validate.
-    fn precommit(&self, _tx: &Tx) -> Result<()> {
+    fn validate(&self, _tx: &Tx, _txn_has_writes: bool) -> Result<()> {
         Ok(())
     }
 
     /// In-memory apply: updates the committed map while the exclusive locks
     /// are still held.  Persistence happens in
     /// [`apply_durable`](TxParticipant::apply_durable).
-    fn apply(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        let _ = cts;
-        let Some(ops) = self.write_sets.with(tx, |ws| ws.effective()) else {
-            return Ok(());
-        };
-        let mut undo = Vec::with_capacity(ops.len());
-        for (key, op) in &ops {
-            let value = match op {
-                WriteOp::Put(v) => Some(v.clone()),
-                WriteOp::Delete => None,
-            };
-            let prev = self.shard(key).write().insert(key.clone(), value);
-            undo.push((key.clone(), prev));
-        }
-        self.undo_images.with_mut(tx, |cell| *cell = undo);
-        if self.backend.is_persistent() {
-            self.pending_durable.store(tx, ops);
-        }
+    fn apply(&self, tx: &Tx, _cts: Timestamp) -> Result<()> {
+        self.store.apply(tx, |_| {});
         Ok(())
     }
 
-    fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        persist_pending(
-            &self.ctx,
-            &self.backend,
-            &self.pending_durable,
-            &self.write_sets,
-            tx,
-            cts,
-        )
-    }
-
-    fn wait_durable(&self, cts: Timestamp) -> Result<()> {
-        self.backend.wait_durable(cts)
-    }
-
-    /// Restores the committed-map entries `apply` overwrote, from the
-    /// captured pre-images.  Taking the stash makes the call idempotent.
-    fn undo_apply(&self, tx: &Tx, cts: Timestamp) {
-        let _ = cts;
-        let Some(undo) = self.undo_images.take(tx) else {
-            return;
-        };
-        for (key, prev) in undo.into_iter().rev() {
-            let mut shard = self.shard(&key).write();
-            match prev {
-                Some(entry) => {
-                    shard.insert(key, entry);
-                }
-                None => {
-                    shard.remove(&key);
-                }
-            }
-        }
-    }
-
-    fn redo_eligible(&self, tx: &Tx) -> bool {
-        self.backend.is_persistent() && self.write_sets.has_writes(tx)
-    }
-
-    fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
-        if !self.backend.is_persistent() {
-            return None;
-        }
-        let ops = self
-            .pending_durable
-            .peek_or_recompute(tx, &self.write_sets)?;
-        if ops.is_empty() {
-            return None;
-        }
-        let images: std::collections::HashMap<K, Option<V>> = self
-            .undo_images
-            .with(tx, |undo| {
-                undo.iter()
-                    .filter_map(|(k, prev)| prev.clone().map(|entry| (k.clone(), entry)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Some(build_state_redo(self.state_id, &ops, |k| {
-            // `Some(Some(bytes))` = the committed override value the op
-            // replaced; `Some(None)` = no prior entry (or a tombstone) in
-            // the committed map.
-            match images.get(k) {
-                Some(Some(v)) => Some(Some(v.encode())),
-                _ => Some(None),
-            }
-        }))
-    }
-
-    fn rollback(&self, tx: &Tx) {
-        self.write_sets.clear(tx);
-        self.pending_durable.clear(tx);
-        self.undo_images.clear(tx);
-    }
-
-    fn finalize(&self, tx: &Tx) {
-        self.write_sets.clear(tx);
-        self.pending_durable.clear(tx);
-        self.undo_images.clear(tx);
+    /// Drops the buffered state and releases every lock (strict 2PL: locks
+    /// are held until the transaction ends).
+    fn finish(&self, tx: &Tx, _committed: bool) {
+        self.store.clear(tx);
         self.locks.release_all(tx.id());
     }
 
-    fn has_writes(&self, tx: &Tx) -> bool {
-        self.write_sets.has_writes(tx)
+    /// Restores the committed-map entries `apply` overwrote, from the
+    /// captured pre-images.
+    fn undo_apply(&self, tx: &Tx, _cts: Timestamp) {
+        self.store.undo(tx);
+    }
+
+    fn is_persistent(&self) -> bool {
+        self.store.is_persistent()
+    }
+
+    fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
+        self.store.redo_section(tx)
+    }
+
+    fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
+        self.store.apply_durable(&self.ctx, tx, cts)
+    }
+
+    fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
+        self.store.wait_durable(cts, deadline)
     }
 }
 
@@ -375,11 +239,11 @@ impl<K: KeyType, V: ValueType> TransactionalTable<K, V> for S2plTable<K, V> {
     }
 
     fn preload_iter(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
-        self.preload_impl(rows)
+        self.store.preload(rows)
     }
 
-    fn is_persistent(&self) -> bool {
-        self.backend.is_persistent()
+    fn name(&self) -> &str {
+        &self.name
     }
 
     fn as_participant(self: Arc<Self>) -> Arc<dyn TxParticipant> {
@@ -400,14 +264,14 @@ mod tests {
     }
 
     fn commit(ctx: &StateContext, table: &S2plTable<u32, String>, tx: &Tx) {
-        table.precommit(tx).unwrap();
+        table.validate(tx, true).unwrap();
         let cts = ctx.clock().next_commit_ts();
         table.apply(tx, cts).unwrap();
         table.apply_durable(tx, cts).unwrap();
         for g in ctx.groups_of_state(table.id()) {
             ctx.publish_group_commit(g, cts).unwrap();
         }
-        table.finalize(tx);
+        table.finish(tx, true);
         ctx.finish(tx);
     }
 
@@ -420,7 +284,7 @@ mod tests {
         commit(&ctx, &table, &w);
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &1).unwrap(), Some("hello".into()));
-        table.finalize(&r);
+        table.finish(&r, true);
         ctx.finish(&r);
         assert_eq!(table.lock_holder_count(), 0);
     }
@@ -434,14 +298,14 @@ mod tests {
         let reader = ctx.begin(true).unwrap();
         let err = table.read(&reader, &42).unwrap_err();
         assert!(matches!(err, TspError::Deadlock { .. }));
-        table.finalize(&reader);
+        table.finish(&reader, true);
         ctx.finish(&reader);
         commit(&ctx, &table, &writer);
         assert!(ctx.stats().snapshot().deadlocks >= 1);
     }
 
     #[test]
-    fn locks_are_released_after_finalize() {
+    fn locks_are_released_after_finish() {
         let (ctx, table) = setup();
         let writer = ctx.begin(false).unwrap();
         table.write(&writer, 7, "v".into()).unwrap();
@@ -449,7 +313,7 @@ mod tests {
         // After the writer finished, a younger reader acquires the lock fine.
         let reader = ctx.begin(true).unwrap();
         assert_eq!(table.read(&reader, &7).unwrap(), Some("v".into()));
-        table.finalize(&reader);
+        table.finish(&reader, true);
         ctx.finish(&reader);
     }
 
@@ -463,13 +327,12 @@ mod tests {
         let w2 = ctx.begin(false).unwrap();
         table.write(&w2, 3, "discard".into()).unwrap();
         table.delete(&w2, 3).unwrap();
-        table.rollback(&w2);
-        table.finalize(&w2);
+        table.finish(&w2, false);
         ctx.finish(&w2);
 
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &3).unwrap(), Some("keep".into()));
-        table.finalize(&r);
+        table.finish(&r, true);
         ctx.finish(&r);
     }
 
@@ -484,7 +347,7 @@ mod tests {
         commit(&ctx, &table, &d);
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &8).unwrap(), None);
-        table.finalize(&r);
+        table.finish(&r, true);
         ctx.finish(&r);
     }
 
@@ -499,16 +362,16 @@ mod tests {
             .unwrap();
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &4).unwrap(), Some("v4".into()));
-        table.finalize(&r);
+        table.finish(&r, true);
         ctx.finish(&r);
         // Committed updates shadow the base table and are persisted.
         let w = ctx.begin(false).unwrap();
         table.write(&w, 4, "updated".into()).unwrap();
-        table.precommit(&w).unwrap();
+        table.validate(&w, true).unwrap();
         let cts = ctx.clock().next_commit_ts();
         table.apply(&w, cts).unwrap();
         table.apply_durable(&w, cts).unwrap();
-        table.finalize(&w);
+        table.finish(&w, true);
         ctx.finish(&w);
         assert_eq!(
             backend.get(&4u32.encode()).unwrap(),
@@ -518,7 +381,7 @@ mod tests {
         let scan = table.scan(&scanner).unwrap();
         assert_eq!(scan.len(), 10);
         assert_eq!(scan.get(&4), Some(&"updated".to_string()));
-        table.finalize(&scanner);
+        table.finish(&scanner, true);
         ctx.finish(&scanner);
     }
 
@@ -534,8 +397,7 @@ mod tests {
         let snap = table.scan(&t).unwrap();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap.get(&2), Some(&"own".to_string()));
-        table.rollback(&t);
-        table.finalize(&t);
+        table.finish(&t, false);
         ctx.finish(&t);
     }
 
@@ -558,12 +420,12 @@ mod tests {
             })
         };
         std::thread::sleep(Duration::from_millis(50));
-        table.finalize(&reader);
+        table.finish(&reader, true);
         ctx.finish(&reader);
         t.join().unwrap();
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &1).unwrap(), Some("w".into()));
-        table.finalize(&r);
+        table.finish(&r, true);
         ctx.finish(&r);
     }
 }

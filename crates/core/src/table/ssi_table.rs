@@ -21,7 +21,7 @@
 //!   (the owner-tag fast path PR 3 introduced for write buffers), so the
 //!   bookkeeping adds one uncontended per-slot mutex per read and **no**
 //!   shared state.
-//! * **commit validation** ([`TxParticipant::precommit`]) first runs the
+//! * **commit validation** ([`TxParticipant::validate`]) first runs the
 //!   inner First-Committer-Wins check (write-write conflicts abort exactly
 //!   as under plain MVCC-SI), then certifies the read set: for every key
 //!   read, [`MvccTable::newest_version_ts`] must not exceed the snapshot
@@ -75,6 +75,7 @@ use crate::telemetry::AbortReason;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use tsp_common::{Result, StateId, Timestamp, TspError};
 use tsp_storage::StorageBackend;
 
@@ -143,11 +144,6 @@ impl<K: KeyType, V: ValueType> SsiTable<K, V> {
     /// The table's name.
     pub fn name(&self) -> &str {
         self.inner.name()
-    }
-
-    /// True if a persistent base table is attached.
-    pub fn is_persistent(&self) -> bool {
-        self.inner.is_persistent()
     }
 
     /// The underlying MVCC table (version-store maintenance: `gc`,
@@ -289,44 +285,25 @@ impl<K: KeyType, V: ValueType> TxParticipant for SsiTable<K, V> {
         self.inner.state_id()
     }
 
-    fn state_name(&self) -> &str {
-        self.inner.state_name()
+    fn has_writes(&self, tx: &Tx) -> bool {
+        self.inner.has_writes(tx)
     }
 
     /// First-Committer-Wins on the write set (delegated to the inner MVCC
     /// table), then read-set certification — the step that upgrades snapshot
-    /// isolation to serializability.  Read-only transactions skip both.
+    /// isolation to serializability.
     ///
-    /// Standalone validation cannot know whether the transaction wrote to
-    /// *other* participants, so it certifies conservatively; the
-    /// [`TransactionManager`](crate::manager::TransactionManager) calls
-    /// [`precommit_coordinated`](TxParticipant::precommit_coordinated) with
-    /// that knowledge instead.
-    fn precommit(&self, tx: &Tx) -> Result<()> {
-        self.precommit_coordinated(tx, true)
-    }
-
-    /// Coordinated validation: a transaction that buffered no writes against
-    /// *any* participant is trivially serializable at its snapshot — its
-    /// pinned `ReadCTS` is its serialization point — so certification is
-    /// skipped entirely and such transactions can never abort, exactly like
-    /// `begin_read_only` ones.
-    fn precommit_coordinated(&self, tx: &Tx, txn_has_writes: bool) -> Result<()> {
-        self.inner.precommit(tx)?;
+    /// A transaction that buffered no writes against *any* participant
+    /// (`txn_has_writes == false`) is trivially serializable at its
+    /// snapshot — its pinned `ReadCTS` is its serialization point — so
+    /// certification is skipped entirely and such transactions can never
+    /// abort, exactly like `begin_read_only` ones.
+    fn validate(&self, tx: &Tx, txn_has_writes: bool) -> Result<()> {
+        self.inner.validate(tx, txn_has_writes)?;
         if !txn_has_writes || tx.is_read_only() {
             return Ok(());
         }
         self.validate_reads(tx)
-    }
-
-    /// Read-set certification must be serialized against committers of the
-    /// groups this transaction read through this table: the coordinator
-    /// therefore takes those group-commit locks too (not only the written
-    /// groups'), closing the window in which a concurrent writer could
-    /// install a newer version of a certified key between this
-    /// transaction's validation and its publish.
-    fn validation_requires_commit_lock(&self, tx: &Tx) -> bool {
-        !tx.is_read_only() && self.read_sets.is_claimed(tx)
     }
 
     fn apply(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
@@ -352,53 +329,56 @@ impl<K: KeyType, V: ValueType> TxParticipant for SsiTable<K, V> {
         Ok(())
     }
 
-    fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        self.inner.apply_durable(tx, cts)
+    fn finish(&self, tx: &Tx, committed: bool) {
+        // If an aborted transaction's apply already advanced the watermark,
+        // take it back — unless a newer commit has legitimately raised it
+        // since (then that commit's timestamp covers ours and nothing is
+        // stale).
+        if let Some(Some((prev, cts))) = self.watermark_undo.take(tx) {
+            if !committed {
+                let _ = self.last_commit_cts.compare_exchange(
+                    cts,
+                    prev,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                );
+            }
+        }
+        self.read_sets.clear(tx);
+        self.inner.finish(tx, committed);
     }
 
-    fn wait_durable(&self, cts: Timestamp) -> Result<()> {
-        self.inner.wait_durable(cts)
+    /// Read-set certification must be serialized against committers of the
+    /// groups this transaction read through this table: the coordinator
+    /// therefore takes those group-commit locks too (not only the written
+    /// groups'), closing the window in which a concurrent writer could
+    /// install a newer version of a certified key between this
+    /// transaction's validation and its publish.
+    fn validation_requires_commit_lock(&self, tx: &Tx) -> bool {
+        !tx.is_read_only() && self.read_sets.is_claimed(tx)
     }
 
     /// Delegates the version uninstall to the inner MVCC store.  The scan
-    /// watermark is restored separately by [`rollback`](Self::rollback)
+    /// watermark is restored separately by [`finish`](Self::finish)
     /// through the undo log, which runs on every abort path.
     fn undo_apply(&self, tx: &Tx, cts: Timestamp) {
         self.inner.undo_apply(tx, cts);
     }
 
-    fn redo_eligible(&self, tx: &Tx) -> bool {
-        self.inner.redo_eligible(tx)
+    fn is_persistent(&self) -> bool {
+        self.inner.is_persistent()
     }
 
     fn redo_section(&self, tx: &Tx) -> Option<tsp_storage::redo::StateRedo> {
         self.inner.redo_section(tx)
     }
 
-    fn rollback(&self, tx: &Tx) {
-        // If this transaction's apply already advanced the watermark, take
-        // it back — unless a newer commit has legitimately raised it since
-        // (then that commit's timestamp covers ours and nothing is stale).
-        if let Some(Some((prev, cts))) = self.watermark_undo.take(tx) {
-            let _ = self.last_commit_cts.compare_exchange(
-                cts,
-                prev,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-        }
-        self.read_sets.clear(tx);
-        self.inner.rollback(tx);
+    fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
+        self.inner.apply_durable(tx, cts)
     }
 
-    fn finalize(&self, tx: &Tx) {
-        self.watermark_undo.clear(tx);
-        self.read_sets.clear(tx);
-        self.inner.finalize(tx);
-    }
-
-    fn has_writes(&self, tx: &Tx) -> bool {
-        self.inner.has_writes(tx)
+    fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
+        self.inner.wait_durable(cts, deadline)
     }
 }
 
@@ -423,8 +403,8 @@ impl<K: KeyType, V: ValueType> TransactionalTable<K, V> for SsiTable<K, V> {
         self.inner.preload_iter(rows)
     }
 
-    fn is_persistent(&self) -> bool {
-        SsiTable::is_persistent(self)
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 
     fn as_participant(self: Arc<Self>) -> Arc<dyn TxParticipant> {
@@ -588,7 +568,7 @@ mod tests {
     #[test]
     fn write_free_read_write_transactions_never_abort() {
         // A transaction begun with `begin()` that ends up writing nothing is
-        // trivially serializable at its snapshot: the coordinated precommit
+        // trivially serializable at its snapshot: coordinated validation
         // must skip certification even though the handle is not read-only.
         let (_ctx, mgr, table) = setup();
         let init = mgr.begin().unwrap();

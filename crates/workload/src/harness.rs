@@ -15,7 +15,6 @@
 //! throughput in K transactions per second — the quantity plotted in
 //! Figure 4.
 
-use crate::metrics::throughput_ktps;
 use crate::zipf::{KeyGen, ZipfTable};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -658,9 +657,25 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
     })
 }
 
+/// Throughput helper: committed operations over a wall-clock window, in
+/// thousands per second.
+pub fn throughput_ktps(committed: u64, elapsed: Duration) -> f64 {
+    if elapsed.is_zero() {
+        return 0.0;
+    }
+    committed as f64 / elapsed.as_secs_f64() / 1_000.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn throughput_math() {
+        assert_eq!(throughput_ktps(0, Duration::ZERO), 0.0);
+        let t = throughput_ktps(250_000, Duration::from_secs(2));
+        assert!((t - 125.0).abs() < 1e-9);
+    }
 
     #[test]
     fn quick_run_all_protocols_make_progress() {

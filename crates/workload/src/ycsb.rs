@@ -9,14 +9,13 @@
 //! sampler the Figure-4 harness uses, so results are directly comparable.
 
 use crate::harness::Protocol;
-use crate::histogram::Histogram;
 use crate::zipf::{ZipfSampler, ZipfTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tsp_common::Result;
+use tsp_common::{Histogram, Result};
 use tsp_core::prelude::*;
 
 /// One logical YCSB operation.
@@ -310,7 +309,7 @@ pub fn run_ycsb(config: &YcsbConfig) -> Result<YcsbResult> {
         committed,
         aborted: aborted.load(Ordering::Relaxed),
         elapsed,
-        throughput_ktps: crate::metrics::throughput_ktps(committed, elapsed),
+        throughput_ktps: crate::harness::throughput_ktps(committed, elapsed),
         latency,
     })
 }

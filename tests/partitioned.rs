@@ -370,3 +370,54 @@ fn slot_churn_reuses_slots_across_partitions() {
     assert!(table.read(&q, &(SPLIT + 5)).unwrap().unwrap_or(0) > 0);
     mgr.commit(&q).unwrap();
 }
+
+/// `commit_durable_timeout` on a partitioned manager waits on the
+/// partitions that hold the data, not on the router context (which has no
+/// persistence writers of its own): with a device that takes 300 ms per
+/// batch, a 5 ms bound must report `durable == false` and count the
+/// timeout, while the unbounded `commit_durable` waits until the batch is
+/// on disk.
+#[test]
+fn partitioned_commit_durable_timeout_waits_on_the_partitions() {
+    use std::time::{Duration, Instant};
+    use tsp::storage::{BTreeBackend, FaultInjectingBackend, FaultPlan, StorageBackend};
+
+    let spike = Duration::from_millis(300);
+    let slow = FaultPlan {
+        latency_spike: Some((1.0, spike)),
+        ..FaultPlan::transient(0, 0.0)
+    };
+    let pc = PartitionedContext::new(2);
+    pc.enable_async_persistence();
+    let mgr = TransactionManager::new(Arc::clone(pc.router_ctx()));
+    pc.attach(&mgr).unwrap();
+    let table = pc.create_table_with::<u32, i64>(
+        Protocol::Mvcc,
+        "slow",
+        |_| {
+            let inner: Arc<dyn StorageBackend> = Arc::new(BTreeBackend::new());
+            Some(FaultInjectingBackend::wrap(inner, slow) as Arc<dyn StorageBackend>)
+        },
+        Arc::new(RangePartitioner::new(vec![SPLIT])),
+    );
+
+    let tx = mgr.begin().unwrap();
+    table.write(&tx, 1, 10).unwrap();
+    let started = Instant::now();
+    let (cts, durable) = mgr
+        .commit_durable_timeout(&tx, Duration::from_millis(5))
+        .unwrap();
+    assert!(cts.is_some());
+    assert!(!durable, "a 300 ms write cannot be durable within 5 ms");
+    assert!(started.elapsed() < spike, "the bounded wait overran");
+    assert_eq!(pc.router_ctx().stats().snapshot().durability_timeouts, 1);
+    // Visible at once, durable once the slow batch lands.
+    assert_eq!(committed(&mgr, &table, &[1]), vec![10]);
+    pc.flush().unwrap();
+
+    let tx = mgr.begin().unwrap();
+    table.write(&tx, 1, 11).unwrap();
+    let started = Instant::now();
+    assert!(mgr.commit_durable(&tx).unwrap().is_some());
+    assert!(started.elapsed() >= spike, "commit_durable returned early");
+}

@@ -155,8 +155,8 @@ fn tear_group_commit(p: &Pair, key: u32, a_val: u64, b_val: u64) -> u64 {
     let w = p.ctx.begin(false).unwrap();
     p.a.write(&w, key, a_val).unwrap();
     p.b.write(&w, key, b_val).unwrap();
-    p.a.precommit(&w).unwrap();
-    p.b.precommit(&w).unwrap();
+    p.a.validate(&w, true).unwrap();
+    p.b.validate(&w, true).unwrap();
     let cts = p.ctx.clock().next_commit_ts();
     p.a.apply(&w, cts).unwrap();
     p.b.apply(&w, cts).unwrap();
