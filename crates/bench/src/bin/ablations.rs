@@ -174,7 +174,7 @@ fn ablation_version_slots(budget: &Budget) {
             }
         }
         mgr.commit(&straggler).unwrap();
-        let stats = ctx.stats().snapshot();
+        let stats = ctx.telemetry_snapshot().stats;
         println!(
             "{slots:>8} {:>14.0} {:>14} {:>14}",
             updates as f64 / started.elapsed().as_secs_f64(),

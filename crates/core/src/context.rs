@@ -85,16 +85,15 @@
 //! path.
 
 use crate::clock::{GlobalClock, EPOCH_TS};
-use crate::stats::TxStats;
 use crate::table::common::SlotLocal;
-use crate::telemetry::{AbortReason, Telemetry, TelemetrySnapshot, WriterCounters};
+use crate::telemetry::{AbortReason, Counter, Telemetry, TelemetrySnapshot, WriterScan};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tsp_common::{CachePadded, GroupId, Histogram, Result, StateId, Timestamp, TspError, TxnId};
+use tsp_common::{CachePadded, GroupId, Result, StateId, Timestamp, TspError, TxnId};
 use tsp_storage::{BatchWriter, RetryPolicy, StorageBackend};
 
 /// Default maximum number of concurrently active transactions.
@@ -323,7 +322,7 @@ pub struct DurabilityHub {
     /// Queue bound applied to writers spawned from here on (batches per
     /// writer; see [`tsp_storage::DEFAULT_QUEUE_CAPACITY`]).
     queue_capacity: AtomicUsize,
-    /// Depth gauge shared with the owning context's `TxStats`
+    /// Depth gauge shared with the owning context's [`Telemetry`]
     /// (`persist_queue_depth`): the writers keep it equal to the total
     /// number of queued batches across all backends.
     depth_gauge: Arc<AtomicU64>,
@@ -355,11 +354,6 @@ impl DurabilityHub {
             .store(capacity.max(1), Ordering::Release);
     }
 
-    /// The queue bound applied to newly spawned persistence writers.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity.load(Ordering::Acquire)
-    }
-
     /// Sets the [`RetryPolicy`] for persistence writers spawned *after*
     /// this call; writers already running keep their policy.  Call before
     /// tables are built (alongside
@@ -368,13 +362,8 @@ impl DurabilityHub {
         *self.retry_policy.lock() = policy;
     }
 
-    /// The retry budget applied to newly spawned persistence writers.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *self.retry_policy.lock()
-    }
-
     /// Total batches currently queued across all writers (the same gauge
-    /// surfaced as `TxStats::persist_queue_depth`).
+    /// surfaced as `TxStatsSnapshot::persist_queue_depth`).
     pub fn queue_depth(&self) -> u64 {
         self.depth_gauge.load(Ordering::Relaxed)
     }
@@ -500,30 +489,19 @@ impl DurabilityHub {
         self.writers.read().len()
     }
 
-    /// Merges every writer's queue-dwell and coalesced-batch-size
-    /// histograms into `dwell` / `coalesce` and returns the summed
-    /// [`WriterCounters`] — the persistence leg of
-    /// [`StateContext::telemetry_snapshot`].
-    pub fn collect_writer_telemetry(
-        &self,
-        dwell: &Histogram,
-        coalesce: &Histogram,
-    ) -> WriterCounters {
+    /// Adds every attached writer's queue-dwell and coalesced-batch-size
+    /// histograms and fault-tolerance counters to `scan` — the persistence
+    /// leg of [`StateContext::telemetry_snapshot`].
+    pub fn scan_writers(&self, scan: &mut WriterScan) {
         let writers = self.writers.read();
-        let mut counters = WriterCounters {
-            writers: writers.len() as u64,
-            ..WriterCounters::default()
-        };
+        scan.writers += writers.len() as u64;
         for (_, w) in writers.iter() {
-            dwell.merge(w.queue_dwell());
-            coalesce.merge(w.coalesced_batch());
-            if w.is_failed() {
-                counters.failed += 1;
-            }
-            counters.retries += w.persist_retries();
-            counters.recoveries += w.recoveries();
+            scan.queue_dwell.merge(w.queue_dwell());
+            scan.coalesced_batch.merge(w.coalesced_batch());
+            scan.failed += u64::from(w.is_failed());
+            scan.retries += w.persist_retries();
+            scan.recoveries += w.recoveries();
         }
-        counters
     }
 }
 
@@ -589,7 +567,6 @@ pub struct StateContext {
     /// Cached `oldest_active` value and the generation it was computed at.
     oldest_cache: AtomicU64,
     oldest_cache_gen: AtomicU64,
-    stats: TxStats,
     telemetry: Telemetry,
     durability: DurabilityHub,
     /// Per-slot stash of the encoded group redo record the commit
@@ -661,8 +638,8 @@ impl StateContext {
                 }
             })
             .collect();
-        let stats = TxStats::striped(capacity);
-        let durability = DurabilityHub::new(Arc::clone(&stats.persist_queue_depth));
+        let telemetry = Telemetry::striped(capacity);
+        let durability = DurabilityHub::new(Arc::clone(telemetry.persist_queue_depth()));
         StateContext {
             clock,
             states: RwLock::new(Vec::new()),
@@ -675,8 +652,7 @@ impl StateContext {
             active_gen: CachePadded::new(AtomicU64::new(0)),
             oldest_cache: AtomicU64::new(0),
             oldest_cache_gen: AtomicU64::new(u64::MAX),
-            stats,
-            telemetry: Telemetry::new(),
+            telemetry,
             durability,
             redo_stash: SlotLocal::new(capacity),
             admission_wait_nanos: AtomicU64::new(0),
@@ -698,32 +674,19 @@ impl StateContext {
         &self.clock
     }
 
-    /// Shared transaction statistics.
-    pub fn stats(&self) -> &TxStats {
-        &self.stats
-    }
-
-    /// The telemetry registry: commit-pipeline stage histograms and GC
-    /// gauges (see [`crate::telemetry`]).
+    /// The context's metrics registry: counters, abort taxonomy, stage
+    /// histograms and gauges (see [`crate::telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
-    /// Assembles a [`TelemetrySnapshot`] covering this context: counter
-    /// snapshot, stage histograms and the persistence aggregates collected
-    /// from every attached writer.
+    /// A [`TelemetrySnapshot`] covering this context: the registry plus
+    /// the persistence aggregates scanned from every attached writer.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         self.refresh_oldest_active_age();
-        let dwell = Histogram::new();
-        let coalesce = Histogram::new();
-        let writers = self.durability.collect_writer_telemetry(&dwell, &coalesce);
-        TelemetrySnapshot::collect(
-            &self.telemetry,
-            self.stats.snapshot(),
-            &dwell,
-            &coalesce,
-            writers,
-        )
+        let mut writers = WriterScan::default();
+        self.durability.scan_writers(&mut writers);
+        self.telemetry.snapshot(&writers)
     }
 
     /// The durability hub: asynchronous persistence writers and the
@@ -756,15 +719,6 @@ impl StateContext {
         self.admission_wait_nanos.store(nanos, Ordering::Relaxed);
     }
 
-    /// The configured bounded-wait admission budget (`None` =
-    /// immediate-fail admission).
-    pub fn admission_wait(&self) -> Option<Duration> {
-        match self.admission_wait_nanos.load(Ordering::Relaxed) {
-            0 => None,
-            n => Some(Duration::from_nanos(n)),
-        }
-    }
-
     /// Configures a transaction lease: every transaction begun after this
     /// call carries a wall-clock deadline of `lease` from its last observed
     /// activity (begin, and renewal on every slow-path owner check).  A
@@ -794,12 +748,12 @@ impl StateContext {
 
     /// Bounded [`DurabilityHub::wait_durable`]: `Ok(true)` once the commit
     /// at `cts` is durable on every backend, `Ok(false)` if `timeout`
-    /// elapsed first (counted in `TxStats::durability_timeouts`), or a
+    /// elapsed first (counted in [`Counter::DurabilityTimeouts`]), or a
     /// writer's sticky error.
     pub fn wait_durable_timeout(&self, cts: Timestamp, timeout: Duration) -> Result<bool> {
         let durable = self.durability.wait_durable_timeout(cts, timeout)?;
         if !durable {
-            TxStats::bump(&self.stats.durability_timeouts);
+            self.telemetry.bump(Counter::DurabilityTimeouts);
         }
         Ok(durable)
     }
@@ -927,7 +881,7 @@ impl StateContext {
     /// When the slot table is full the outcome depends on the admission
     /// mode ([`set_admission_wait`](Self::set_admission_wait)): immediate
     /// `SlotExhaustion` by default, or a bounded backoff wait that either
-    /// wins a freed slot (counted in `TxStats::admission_waits`) or
+    /// wins a freed slot (counted in [`Counter::AdmissionWaits`]) or
     /// expires with an [`AbortReason::AdmissionTimeout`].
     pub fn begin(&self, read_only: bool) -> Result<Tx> {
         let slot = self.claim_slot_admitted()?;
@@ -965,7 +919,7 @@ impl StateContext {
         // invalidate the cached OldestActiveVersion.
         fence(Ordering::SeqCst);
         self.active_gen.fetch_add(1, Ordering::Release);
-        TxStats::bump(&self.stats.begun);
+        self.telemetry.bump(Counter::Begun);
         Ok(Tx {
             id,
             slot,
@@ -1010,7 +964,7 @@ impl StateContext {
         let wait_nanos = self.admission_wait_nanos.load(Ordering::Relaxed);
         if wait_nanos == 0 {
             // Immediate-fail admission — the historical behaviour.
-            self.stats.record_abort(AbortReason::SlotExhaustion);
+            self.telemetry.record_abort(AbortReason::SlotExhaustion);
             return Err(err);
         }
         let started = Instant::now();
@@ -1023,7 +977,7 @@ impl StateContext {
         loop {
             let now = Instant::now();
             if now >= deadline {
-                self.stats.record_abort(AbortReason::AdmissionTimeout);
+                self.telemetry.record_abort(AbortReason::AdmissionTimeout);
                 return Err(TspError::CapacityExhausted {
                     what: "active transaction slots (admission wait expired)",
                 });
@@ -1033,7 +987,7 @@ impl StateContext {
                 self.try_reap();
             }
             if let Ok(slot) = self.claim_slot() {
-                TxStats::bump(&self.stats.admission_waits);
+                self.telemetry.bump(Counter::AdmissionWaits);
                 self.telemetry
                     .admission_wait_nanos()
                     .record_nanos(started.elapsed().as_nanos() as u64);
@@ -1125,12 +1079,6 @@ impl StateContext {
     /// if any.
     pub fn pending_redo(&self, tx: &Tx) -> Option<Arc<Vec<u8>>> {
         self.redo_stash.with(tx, |cell| cell.clone()).flatten()
-    }
-
-    /// Drops any group redo record attached to `tx` (abort path; `finish`
-    /// also clears it).
-    pub fn clear_redo(&self, tx: &Tx) {
-        self.redo_stash.clear(tx);
     }
 
     /// Releases a transaction's slot.  Idempotent: releasing an already
@@ -2269,7 +2217,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(ctx.active_count(), 0);
-        assert_eq!(ctx.stats().snapshot().begun, 4000);
+        assert_eq!(ctx.telemetry_snapshot().stats.begun, 4000);
     }
 
     /// Satellite: threaded slot churn across a multi-word (>64 slot)
@@ -2346,9 +2294,9 @@ mod tests {
         batch.put(vec![1], vec![1]);
         writer.enqueue(5, batch).unwrap();
         ctx.durability().flush().unwrap();
-        // Fully drained: the gauge (shared with TxStats) is back to zero.
+        // Fully drained: the gauge (shared with Telemetry) is back to zero.
         assert_eq!(ctx.durability().queue_depth(), 0);
-        assert_eq!(ctx.stats().snapshot().persist_queue_depth, 0);
+        assert_eq!(ctx.telemetry_snapshot().stats.persist_queue_depth, 0);
         assert!(ctx.durability().durable_cts().unwrap() >= 5);
     }
 }

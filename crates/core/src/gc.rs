@@ -5,9 +5,9 @@
 //! space is available in the version array."  That on-demand path lives in
 //! [`crate::mvcc::MvccObject::install`]; this module adds the complementary
 //! *vacuum* path a long-running deployment needs: a [`GcDriver`] that sweeps
-//! registered tables either on explicit request, after every N commits, or
-//! from a low-priority background thread — so version arrays are trimmed even
-//! for keys the stream stopped updating.
+//! registered tables either on explicit request or from a low-priority
+//! background thread — so version arrays are trimmed even for keys the
+//! stream stopped updating.
 //!
 //! The reclamation bound is the same in both paths: a version may be dropped
 //! once it is no longer the visible version for `OldestActiveVersion`, the
@@ -57,22 +57,16 @@ pub struct GcReport {
 pub struct GcDriver {
     ctx: Arc<StateContext>,
     targets: parking_lot::RwLock<Vec<Arc<dyn GcTarget>>>,
-    /// Sweep automatically once this many commits have been published since
-    /// the previous sweep (0 disables commit-triggered sweeps).
-    commit_interval: AtomicU64,
-    commits_at_last_sweep: AtomicU64,
     sweeps: AtomicU64,
     total_reclaimed: AtomicU64,
 }
 
 impl GcDriver {
-    /// Creates a driver with commit-triggered sweeps disabled.
+    /// Creates a driver with no registered tables.
     pub fn new(ctx: Arc<StateContext>) -> Arc<Self> {
         Arc::new(GcDriver {
             ctx,
             targets: parking_lot::RwLock::new(Vec::new()),
-            commit_interval: AtomicU64::new(0),
-            commits_at_last_sweep: AtomicU64::new(0),
             sweeps: AtomicU64::new(0),
             total_reclaimed: AtomicU64::new(0),
         })
@@ -86,13 +80,6 @@ impl GcDriver {
     /// Number of registered targets.
     pub fn target_count(&self) -> usize {
         self.targets.read().len()
-    }
-
-    /// Enables commit-triggered sweeps: [`maybe_run`](Self::maybe_run) sweeps
-    /// whenever at least `commits` transactions committed since the last
-    /// sweep.  `0` disables the trigger again.
-    pub fn set_commit_interval(&self, commits: u64) {
-        self.commit_interval.store(commits, Ordering::Relaxed);
     }
 
     /// Sweeps every registered table once and returns what was reclaimed.
@@ -117,32 +104,14 @@ impl GcDriver {
         self.sweeps.fetch_add(1, Ordering::Relaxed);
         self.total_reclaimed
             .fetch_add(report.reclaimed as u64, Ordering::Relaxed);
-        self.commits_at_last_sweep
-            .store(self.committed_count(), Ordering::Relaxed);
         // The swept tables record reclaim counters (`gc_runs` /
-        // `gc_reclaimed`) into the context stats themselves; the driver
+        // `gc_reclaimed`) into the context registry themselves; the driver
         // only refreshes the floor-lag gauge — how far the oldest active
         // snapshot trails the clock, i.e. the history GC must keep.
         self.ctx
             .telemetry()
             .set_gc_floor_lag(self.ctx.clock().now().saturating_sub(horizon));
         report
-    }
-
-    /// Sweeps only if the commit-interval trigger fired; returns the report
-    /// of the sweep that ran, if any.
-    pub fn maybe_run(&self) -> Option<GcReport> {
-        let interval = self.commit_interval.load(Ordering::Relaxed);
-        if interval == 0 {
-            return None;
-        }
-        let committed = self.committed_count();
-        let last = self.commits_at_last_sweep.load(Ordering::Relaxed);
-        if committed.saturating_sub(last) >= interval {
-            Some(self.run_once())
-        } else {
-            None
-        }
     }
 
     /// Number of sweeps performed so far.
@@ -153,10 +122,6 @@ impl GcDriver {
     /// Total versions reclaimed across all sweeps of this driver.
     pub fn total_reclaimed(&self) -> u64 {
         self.total_reclaimed.load(Ordering::Relaxed)
-    }
-
-    fn committed_count(&self) -> u64 {
-        self.ctx.stats().snapshot().committed
     }
 
     /// Starts a background thread sweeping every `interval` until the handle
@@ -292,7 +257,7 @@ mod tests {
         assert_eq!(report.reclaimed, 4);
         // The swept table records the reclaim into the context stats
         // (exactly once — the driver must not double-count it).
-        let snap = ctx.stats().snapshot();
+        let snap = ctx.telemetry_snapshot().stats;
         assert_eq!(snap.gc_runs, 1);
         assert_eq!(snap.gc_reclaimed, 4);
 
@@ -330,26 +295,7 @@ mod tests {
         assert_eq!(ctx.active_count(), 0);
         assert_eq!(report.reclaimed, 4);
         assert_eq!(table.version_count(&1), 1);
-        assert_eq!(ctx.stats().snapshot().lease_expirations, 1);
-    }
-
-    #[test]
-    fn commit_interval_trigger() {
-        let (ctx, mgr, table) = setup();
-        let driver = GcDriver::new(Arc::clone(&ctx));
-        driver.register(table.clone());
-        assert!(driver.maybe_run().is_none(), "disabled by default");
-
-        driver.set_commit_interval(3);
-        churn(&mgr, &table, 2);
-        assert!(
-            driver.maybe_run().is_none(),
-            "only 2 commits since last sweep"
-        );
-        churn(&mgr, &table, 1);
-        let report = driver.maybe_run().expect("3 commits reached");
-        assert!(report.reclaimed >= 2);
-        assert!(driver.maybe_run().is_none(), "counter reset after sweep");
+        assert_eq!(ctx.telemetry_snapshot().stats.lease_expirations, 1);
     }
 
     #[test]

@@ -90,12 +90,14 @@ pub use partition::{
 pub use recovery::{
     recover_table_cts, replay_torn_suffix, restore_group, resume_clock, RecoveryReport,
 };
-pub use stats::{TxStats, TxStatsSnapshot};
+pub use stats::TxStatsSnapshot;
 pub use table::{
     BoccTable, ConflictCheck, KeyType, MvccTable, MvccTableOptions, Protocol, S2plTable, SsiTable,
     TableHandle, TransactionalTable, TransactionalTableExt, TxParticipant, ValueType, WriteOp,
 };
-pub use telemetry::{AbortReason, HistogramSummary, Telemetry, TelemetrySnapshot, WriterCounters};
+pub use telemetry::{
+    AbortReason, Counter, HistogramSummary, Telemetry, TelemetrySnapshot, WriterScan,
+};
 
 /// Frequently used items, re-exported for `use tsp_core::prelude::*`.
 pub mod prelude {
@@ -113,7 +115,7 @@ pub mod prelude {
     pub use crate::recovery::{
         recover_table_cts, replay_torn_suffix, restore_group, resume_clock, RecoveryReport,
     };
-    pub use crate::stats::{TxStats, TxStatsSnapshot};
+    pub use crate::stats::TxStatsSnapshot;
     pub use crate::table::{
         BoccTable, ConflictCheck, KeyType, MvccTable, MvccTableOptions, Protocol, S2plTable,
         SsiTable, TableHandle, TransactionalTable, TransactionalTableExt, TxParticipant, ValueType,

@@ -69,9 +69,8 @@
 //! watermarks coincide.
 
 use crate::context::{CommitVote, FateClaim, StateContext, Tx};
-use crate::stats::TxStats;
 use crate::table::common::{attach_group_redo, TxParticipant};
-use crate::telemetry::AbortReason;
+use crate::telemetry::{AbortReason, Counter};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -299,7 +298,7 @@ impl TransactionManager {
         let deadline = timeout.map(|t| Instant::now() + t);
         for p in &writers {
             if !p.wait_durable(cts, deadline)? {
-                TxStats::bump(&self.ctx.stats().durability_timeouts);
+                self.ctx.telemetry().bump(Counter::DurabilityTimeouts);
                 return Ok((Some(cts), false));
             }
         }
@@ -369,7 +368,7 @@ impl TransactionManager {
             handed_off
         });
         if let Err(e) = handed_off {
-            self.ctx.stats().record_abort(AbortReason::FailedApply);
+            self.ctx.telemetry().record_abort(AbortReason::FailedApply);
             return Err(e);
         }
         // Phase 4: participant-managed publish.
@@ -407,7 +406,7 @@ impl TransactionManager {
             .unwrap_or_else(|_| {
                 // `commit_one` records its own taxonomy entries on regular
                 // errors; this net only catches panics, so no double count.
-                self.ctx.stats().record_abort(AbortReason::FailedApply);
+                self.ctx.telemetry().record_abort(AbortReason::FailedApply);
                 Err(TspError::protocol(
                     "commit processing panicked in the batch leader",
                 ))
@@ -703,9 +702,10 @@ impl TransactionManager {
                 }));
             }
             self.ctx.finish(&tx);
-            TxStats::bump(&self.ctx.stats().aborted);
-            self.ctx.stats().record_abort(AbortReason::LeaseExpired);
-            self.ctx.telemetry().add_lease_reaps(1);
+            let telemetry = self.ctx.telemetry();
+            telemetry.bump(Counter::Aborted);
+            telemetry.record_abort(AbortReason::LeaseExpired);
+            telemetry.bump(Counter::LeaseReaps);
             reaped += 1;
         }
         reaped
@@ -867,11 +867,10 @@ pub(crate) fn finish_all<'a>(
         p.finish(tx, committed);
     }
     ctx.finish(tx);
-    let stats = ctx.stats();
-    TxStats::bump(if committed {
-        &stats.committed
+    ctx.telemetry().bump(if committed {
+        Counter::Committed
     } else {
-        &stats.aborted
+        Counter::Aborted
     });
 }
 
@@ -999,7 +998,7 @@ mod tests {
         assert_eq!(a.read(&r, &1).unwrap(), Some(100));
         assert_eq!(b.read(&r, &1).unwrap(), Some(200));
         mgr.commit(&r).unwrap();
-        assert_eq!(mgr.context().stats().snapshot().committed, 3);
+        assert_eq!(mgr.context().telemetry_snapshot().stats.committed, 3);
     }
 
     #[test]
@@ -1021,7 +1020,7 @@ mod tests {
         assert_eq!(a.read(&r, &2).unwrap(), None);
         assert_eq!(b.read(&r, &2).unwrap(), None);
         mgr.commit(&r).unwrap();
-        assert_eq!(mgr.context().stats().snapshot().aborted, 1);
+        assert_eq!(mgr.context().telemetry_snapshot().stats.aborted, 1);
     }
 
     #[test]
@@ -1184,7 +1183,7 @@ mod tests {
         mgr.abort(&w).unwrap();
         assert!(mgr.commit(&w).is_err());
         mgr.abort(&w).unwrap();
-        assert_eq!(mgr.context().stats().snapshot().aborted, 1);
+        assert_eq!(mgr.context().telemetry_snapshot().stats.aborted, 1);
     }
 
     #[test]
@@ -1233,7 +1232,7 @@ mod tests {
         // strictly advanced past the reaped zombie's snapshot.
         assert!(ctx.oldest_active_fresh() > floor_before);
 
-        let snap = ctx.stats().snapshot();
+        let snap = ctx.telemetry_snapshot().stats;
         assert_eq!(snap.lease_expirations, 1);
         assert_eq!(ctx.telemetry_snapshot().lease_reaps, 1);
     }
@@ -1268,11 +1267,15 @@ mod tests {
         let zombie = mgr.begin().unwrap();
         a.write(&zombie, 1, 1).unwrap();
         let mut waited = 0;
-        while ctx.telemetry().lease_reaps() == 0 && waited < 500 {
+        while ctx.telemetry().count(Counter::LeaseReaps) == 0 && waited < 500 {
             std::thread::sleep(Duration::from_millis(2));
             waited += 1;
         }
-        assert_eq!(ctx.telemetry().lease_reaps(), 1, "zombie was reaped");
+        assert_eq!(
+            ctx.telemetry().count(Counter::LeaseReaps),
+            1,
+            "zombie was reaped"
+        );
         handle.stop();
         assert!(matches!(
             mgr.commit(&zombie).unwrap_err(),
@@ -1299,7 +1302,7 @@ mod tests {
         let w = mgr.begin().expect("slot freed by the inline reap");
         a.write(&w, 3, 3).unwrap();
         mgr.commit(&w).unwrap();
-        assert_eq!(ctx.stats().snapshot().lease_expirations, 2);
+        assert_eq!(ctx.telemetry_snapshot().stats.lease_expirations, 2);
     }
 
     #[test]
@@ -1309,7 +1312,7 @@ mod tests {
             let g = mgr.scoped().unwrap();
             a.write(&g, 1, 10).unwrap();
         } // dropped without commit: aborted
-        assert_eq!(mgr.context().stats().snapshot().aborted, 1);
+        assert_eq!(mgr.context().telemetry_snapshot().stats.aborted, 1);
 
         let g = mgr.scoped().unwrap();
         a.write(&g, 1, 11).unwrap();

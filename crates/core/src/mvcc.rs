@@ -106,12 +106,6 @@ pub struct Version<V> {
 }
 
 impl<V> Version<V> {
-    /// True if `read_ts` falls inside this version's lifetime.
-    #[inline]
-    pub fn visible_at(&self, read_ts: Timestamp) -> bool {
-        self.cts != NO_TS && self.cts <= read_ts && read_ts < self.dts
-    }
-
     /// True if this is the live (not yet superseded or deleted) version.
     #[inline]
     pub fn is_live(&self) -> bool {

@@ -108,19 +108,18 @@ use crate::clock::EPOCH_TS;
 use crate::context::{StateContext, Tx};
 use crate::manager::{apply_all, finish_all, hand_off_durable, publish_all, TransactionManager};
 use crate::recovery::{recover_table_cts, replay_torn_suffix};
-use crate::stats::TxStatsSnapshot;
 use crate::table::common::{
     KeyType, SlotLocal, TableHandle, TransactionalTable, TxParticipant, ValueType,
 };
 use crate::table::factory::Protocol;
-use crate::telemetry::{Telemetry, TelemetrySnapshot};
+use crate::telemetry::{Counter, Telemetry, TelemetrySnapshot, WriterScan};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tsp_common::{GroupId, Histogram, Result, StateId, Timestamp, TspError};
+use tsp_common::{GroupId, Result, StateId, Timestamp, TspError};
 use tsp_storage::StorageBackend;
 
 // ---------------------------------------------------------------------
@@ -591,7 +590,9 @@ impl PartitionedContext {
             }
         }
         core.ctx.clock().advance_past(last_cts);
-        core.ctx.telemetry().add_redo_replays(replayed_commits);
+        core.ctx
+            .telemetry()
+            .add(Counter::RedoReplays, replayed_commits);
         Ok(PartitionRecovery {
             partition: p,
             last_cts,
@@ -601,18 +602,9 @@ impl PartitionedContext {
         })
     }
 
-    /// Per-partition statistics snapshots (index = partition).  Each inner
+    /// Per-partition telemetry snapshots (index = partition).  Each inner
     /// context counts its own begins/commits/reads/writes/GC, so skew
     /// across partitions is directly observable.
-    pub fn partition_stats(&self) -> Vec<TxStatsSnapshot> {
-        self.parts
-            .iter()
-            .map(|c| c.ctx.stats().snapshot())
-            .collect()
-    }
-
-    /// Per-partition telemetry snapshots (index = partition) — the
-    /// partition-resolved companion of [`Self::partition_stats`].
     pub fn partition_telemetry(&self) -> Vec<TelemetrySnapshot> {
         self.parts
             .iter()
@@ -621,38 +613,20 @@ impl PartitionedContext {
     }
 
     /// One deployment-wide [`TelemetrySnapshot`] rolling up the router and
-    /// every partition: counters sum, stage and persistence histograms
-    /// merge bucket-wise, the GC floor-lag gauge takes the maximum (the
-    /// laggiest partition bounds reclaimable garbage everywhere it
+    /// every partition: one [`Telemetry::merge`] and one writer scan per
+    /// context.  Counters sum, stage and persistence histograms merge
+    /// bucket-wise, the GC floor-lag and oldest-age gauges take the maximum
+    /// (the laggiest partition bounds reclaimable garbage everywhere it
     /// matters).
     pub fn telemetry_rollup(&self) -> TelemetrySnapshot {
         let merged = Telemetry::new();
-        let dwell = Histogram::new();
-        let coalesce = Histogram::new();
-        // Freshen every context's oldest-active-age gauge first; merge
-        // takes the max, so the roll-up reports the oldest transaction
-        // anywhere in the deployment.
-        self.router.refresh_oldest_active_age();
-        for core in &self.parts {
-            core.ctx.refresh_oldest_active_age();
+        let mut writers = WriterScan::default();
+        for ctx in std::iter::once(&self.router).chain(self.parts.iter().map(|c| &c.ctx)) {
+            ctx.refresh_oldest_active_age();
+            merged.merge(ctx.telemetry());
+            ctx.durability().scan_writers(&mut writers);
         }
-        merged.merge(self.router.telemetry());
-        let mut stats = self.router.stats().snapshot();
-        let mut writers = self
-            .router
-            .durability()
-            .collect_writer_telemetry(&dwell, &coalesce);
-        for core in &self.parts {
-            merged.merge(core.ctx.telemetry());
-            stats = stats.merged_with(&core.ctx.stats().snapshot());
-            writers = writers.merged_with(
-                &core
-                    .ctx
-                    .durability()
-                    .collect_writer_telemetry(&dwell, &coalesce),
-            );
-        }
-        TelemetrySnapshot::collect(&merged, stats, &dwell, &coalesce, writers)
+        merged.snapshot(&writers)
     }
 
     /// Creates a partitioned table routed by [`HashPartitioner`].
@@ -958,11 +932,6 @@ impl<K: KeyType, V: ValueType> PartitionedTable<K, V> {
     /// version counts).
     pub fn shard(&self, p: usize) -> &TableHandle<K, V> {
         &self.shards[p]
-    }
-
-    /// The partitioned context this table routes over.
-    pub fn partitioned_ctx(&self) -> &Arc<PartitionedContext> {
-        &self.pc
     }
 
     fn with_sub<R>(
@@ -1273,10 +1242,10 @@ mod tests {
             table.write(&tx, a, 1).unwrap();
             mgr.commit(&tx).unwrap();
         }
-        let stats = pc.partition_stats();
+        let per_part = pc.partition_telemetry();
         let pa = table.partition_of(&a);
-        assert_eq!(stats[pa].committed, 5);
-        assert_eq!(stats[1 - pa].committed, 0);
+        assert_eq!(per_part[pa].stats.committed, 5);
+        assert_eq!(per_part[1 - pa].stats.committed, 0);
     }
 
     #[test]
@@ -1306,7 +1275,7 @@ mod tests {
             rollup.stats.committed,
             per_part[0].stats.committed
                 + per_part[1].stats.committed
-                + pc.router_ctx().stats().snapshot().committed
+                + pc.router_ctx().telemetry_snapshot().stats.committed
         );
         assert_eq!(
             rollup.apply_nanos.count,

@@ -36,6 +36,7 @@
 use crate::clock::{GlobalClock, EPOCH_TS};
 use crate::context::StateContext;
 use crate::table::common::last_cts_key;
+use crate::telemetry::Counter;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included};
 use tsp_common::{GroupId, Result, StateId, Timestamp, TspError};
@@ -116,7 +117,7 @@ pub fn restore_group(
         .unwrap_or(EPOCH_TS);
 
     ctx.restore_group_cts(group, max)?;
-    ctx.telemetry().add_redo_replays(replayed_commits);
+    ctx.telemetry().add(Counter::RedoReplays, replayed_commits);
     Ok(RecoveryReport {
         group,
         last_cts: max,
@@ -270,7 +271,7 @@ mod tests {
         assert_eq!(recover_table_cts(&*ba).unwrap(), Some(25));
         assert_eq!(ba.get(&2u32.encode()).unwrap(), Some(21u64.encode()));
         assert_eq!(ba.get(&redo_key(25)).unwrap(), Some(record.encode()));
-        assert_eq!(ctx.telemetry().redo_replays(), 1);
+        assert_eq!(ctx.telemetry().count(Counter::RedoReplays), 1);
     }
 
     #[test]

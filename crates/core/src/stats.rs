@@ -1,31 +1,28 @@
-//! Lightweight transaction statistics.
+//! Counter primitives and the plain-number counter view of a snapshot.
 //!
-//! Every table and the transaction manager update these counters with relaxed
-//! atomics; the benchmark harness and the examples read them to report
-//! throughput, abort rates and conflict breakdowns.
+//! The live counters belong to the per-context registry
+//! ([`Telemetry`](crate::telemetry::Telemetry)); this module holds the two
+//! pieces it is built from and reports through:
 //!
-//! Counters fall into two classes:
-//!
-//! * **Per-transaction events** (begun, committed, aborted, conflict
-//!   breakdowns, GC work) happen at most a few times per transaction; each
-//!   sits on its own cache line ([`CachePadded`]) so unrelated counters do
-//!   not false-share.
-//! * **Per-operation events** (`reads`, `writes`) are bumped on *every*
-//!   table access — with a single shared word they were the last
-//!   always-shared `fetch_add`s on the hot path.  They are therefore
-//!   **striped** ([`StripedCounter`]): each transaction bumps the stripe of
-//!   its own slot (already cache-hot — the slot index is in the `Tx`
-//!   handle), and [`TxStats::snapshot`] aggregates the stripes.  Two
-//!   concurrent transactions never contend on a stats word.
+//! * [`StripedCounter`] — the per-operation counter (`reads`, `writes`),
+//!   bumped on *every* table access.  With a single shared word those were
+//!   the last always-shared `fetch_add`s on the hot path, so each
+//!   transaction bumps the stripe of its own slot (already cache-hot — the
+//!   slot index is in the `Tx` handle) and snapshots sum the stripes.  Two
+//!   concurrent transactions never contend on a counter word.
+//! * [`TxStatsSnapshot`] — the counter section of a
+//!   [`TelemetrySnapshot`](crate::telemetry::TelemetrySnapshot): begun /
+//!   committed / aborted, the abort taxonomy, operation, GC and admission
+//!   counts as plain numbers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use tsp_common::CachePadded;
 
 use crate::telemetry::AbortReason;
 
-/// Default stripe count used by [`TxStats::new`]; contexts size their stats
-/// to the transaction-slot capacity via [`TxStats::striped`].
+/// Default stripe count of [`StripedCounter::default`]; contexts size their
+/// registry to the transaction-slot capacity via
+/// [`Telemetry::striped`](crate::telemetry::Telemetry::striped).
 const DEFAULT_STRIPES: usize = 64;
 
 /// A sharded event counter: per-slot stripes bumped with relaxed atomics and
@@ -84,153 +81,7 @@ impl Default for StripedCounter {
     }
 }
 
-/// Shared counters describing transaction outcomes.
-#[derive(Debug, Default)]
-pub struct TxStats {
-    /// Transactions begun.
-    pub begun: CachePadded<AtomicU64>,
-    /// Transactions committed successfully.
-    pub committed: CachePadded<AtomicU64>,
-    /// Transactions aborted for any reason.
-    pub aborted: CachePadded<AtomicU64>,
-    /// Aborts classified by the labeled taxonomy, indexed by
-    /// [`AbortReason::index`].  Record through [`TxStats::record_abort`];
-    /// the old ad-hoc `write_conflicts` / `validation_failures` /
-    /// `deadlocks` counters are now views over this array in
-    /// [`TxStatsSnapshot`].
-    pub abort_reasons: [CachePadded<AtomicU64>; AbortReason::COUNT],
-    /// Read operations served — striped per transaction slot (bump with
-    /// [`TxStats::bump_read`]).
-    pub reads: StripedCounter,
-    /// Write operations buffered — striped per transaction slot (bump with
-    /// [`TxStats::bump_write`]).
-    pub writes: StripedCounter,
-    /// Garbage-collection passes over version arrays.
-    pub gc_runs: CachePadded<AtomicU64>,
-    /// Versions reclaimed by garbage collection.
-    pub gc_reclaimed: CachePadded<AtomicU64>,
-    /// `begin` calls that found no free slot but obtained one within the
-    /// bounded admission wait (each is a begin that would have aborted with
-    /// `SlotExhaustion` under immediate-fail admission).
-    pub admission_waits: CachePadded<AtomicU64>,
-    /// Bounded durability waits (`wait_durable_timeout`) that elapsed
-    /// before the commit became durable.
-    pub durability_timeouts: CachePadded<AtomicU64>,
-    /// Batches currently queued in the asynchronous persistence writers —
-    /// a *gauge*, not a counter: the `Arc` is shared with every
-    /// `BatchWriter` of the owning context's durability hub, which
-    /// increments it on enqueue and decrements it on drain.  Always 0 with
-    /// synchronous persistence.  Not touched by [`TxStats::reset`] (zeroing
-    /// a live gauge would corrupt it).
-    pub persist_queue_depth: Arc<AtomicU64>,
-}
-
-impl TxStats {
-    /// Creates zeroed counters with the default stripe count.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates zeroed counters whose per-operation stripes cover `capacity`
-    /// transaction slots 1:1 — up to the 1024-stripe cap of
-    /// [`StripedCounter::new`]; contexts larger than that wrap, so a pair
-    /// of slots 1024 apart shares a stripe (a deliberate memory bound:
-    /// stripes are cache-line padded).
-    pub fn striped(capacity: usize) -> Self {
-        TxStats {
-            reads: StripedCounter::new(capacity),
-            writes: StripedCounter::new(capacity),
-            ..Self::default()
-        }
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one read performed by the transaction occupying `slot`.
-    #[inline]
-    pub fn bump_read(&self, slot: usize) {
-        self.reads.bump(slot);
-    }
-
-    /// Counts one buffered write performed by the transaction occupying
-    /// `slot`.
-    #[inline]
-    pub fn bump_write(&self, slot: usize) {
-        self.writes.bump(slot);
-    }
-
-    /// Records an abort classified by the taxonomy (the reason counter
-    /// only — the aggregate `aborted` counter is bumped where the
-    /// transaction actually finishes).
-    #[inline]
-    pub fn record_abort(&self, reason: AbortReason) {
-        self.abort_reasons[reason.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Aborts recorded for one taxonomy reason.
-    pub fn abort_reason_count(&self, reason: AbortReason) -> u64 {
-        self.abort_reasons[reason.index()].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of all counters as plain numbers.
-    pub fn snapshot(&self) -> TxStatsSnapshot {
-        let mut abort_reasons = [0u64; AbortReason::COUNT];
-        for (i, c) in self.abort_reasons.iter().enumerate() {
-            abort_reasons[i] = c.load(Ordering::Relaxed);
-        }
-        TxStatsSnapshot {
-            begun: self.begun.load(Ordering::Relaxed),
-            committed: self.committed.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            write_conflicts: abort_reasons[AbortReason::FcwConflict.index()],
-            validation_failures: abort_reasons[AbortReason::Certification.index()],
-            deadlocks: abort_reasons[AbortReason::LockConflict.index()],
-            slot_exhaustions: abort_reasons[AbortReason::SlotExhaustion.index()],
-            failed_applies: abort_reasons[AbortReason::FailedApply.index()],
-            admission_timeouts: abort_reasons[AbortReason::AdmissionTimeout.index()],
-            lease_expirations: abort_reasons[AbortReason::LeaseExpired.index()],
-            reads: self.reads.sum(),
-            writes: self.writes.sum(),
-            gc_runs: self.gc_runs.load(Ordering::Relaxed),
-            gc_reclaimed: self.gc_reclaimed.load(Ordering::Relaxed),
-            admission_waits: self.admission_waits.load(Ordering::Relaxed),
-            durability_timeouts: self.durability_timeouts.load(Ordering::Relaxed),
-            persist_queue_depth: self.persist_queue_depth.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets every counter to zero (between benchmark phases).
-    pub fn reset(&self) {
-        for c in [
-            &self.begun,
-            &self.committed,
-            &self.aborted,
-            &self.gc_runs,
-            &self.gc_reclaimed,
-            &self.admission_waits,
-            &self.durability_timeouts,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &self.abort_reasons {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.reads.reset();
-        self.writes.reset();
-    }
-}
-
-/// A point-in-time copy of [`TxStats`].
+/// The counter section of a [`TelemetrySnapshot`](crate::telemetry::TelemetrySnapshot).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TxStatsSnapshot {
     /// Transactions begun.
@@ -300,31 +151,6 @@ impl TxStatsSnapshot {
             AbortReason::LeaseExpired => self.lease_expirations,
         }
     }
-
-    /// Element-wise sum with another snapshot — the partition roll-up
-    /// primitive.  `persist_queue_depth` sums too: partitions own disjoint
-    /// writer sets, so depths add.
-    pub fn merged_with(&self, other: &TxStatsSnapshot) -> TxStatsSnapshot {
-        TxStatsSnapshot {
-            begun: self.begun + other.begun,
-            committed: self.committed + other.committed,
-            aborted: self.aborted + other.aborted,
-            write_conflicts: self.write_conflicts + other.write_conflicts,
-            validation_failures: self.validation_failures + other.validation_failures,
-            deadlocks: self.deadlocks + other.deadlocks,
-            slot_exhaustions: self.slot_exhaustions + other.slot_exhaustions,
-            failed_applies: self.failed_applies + other.failed_applies,
-            admission_timeouts: self.admission_timeouts + other.admission_timeouts,
-            lease_expirations: self.lease_expirations + other.lease_expirations,
-            reads: self.reads + other.reads,
-            writes: self.writes + other.writes,
-            gc_runs: self.gc_runs + other.gc_runs,
-            gc_reclaimed: self.gc_reclaimed + other.gc_reclaimed,
-            admission_waits: self.admission_waits + other.admission_waits,
-            durability_timeouts: self.durability_timeouts + other.durability_timeouts,
-            persist_queue_depth: self.persist_queue_depth + other.persist_queue_depth,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -332,71 +158,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bump_add_snapshot_reset() {
-        let s = TxStats::new();
-        TxStats::bump(&s.begun);
-        TxStats::bump(&s.begun);
-        s.reads.add(0, 10);
-        TxStats::bump(&s.committed);
-        TxStats::bump(&s.admission_waits);
-        TxStats::bump(&s.durability_timeouts);
-        let snap = s.snapshot();
-        assert_eq!(snap.begun, 2);
-        assert_eq!(snap.reads, 10);
-        assert_eq!(snap.committed, 1);
-        assert_eq!(snap.admission_waits, 1);
-        assert_eq!(snap.durability_timeouts, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), TxStatsSnapshot::default());
-    }
-
-    #[test]
-    fn striped_counter_aggregates_across_stripes() {
-        let s = TxStats::striped(130);
-        // Distinct slots land on distinct stripes and all count.
-        for slot in 0..130 {
-            s.bump_read(slot);
-            s.bump_write(slot);
-            s.bump_write(slot);
-        }
-        let snap = s.snapshot();
-        assert_eq!(snap.reads, 130);
-        assert_eq!(snap.writes, 260);
-        // Slot indexes beyond the stripe count wrap instead of panicking.
-        s.bump_read(1 << 20);
-        assert_eq!(s.snapshot().reads, 131);
-        s.reset();
-        assert_eq!(s.snapshot().reads, 0);
-    }
-
-    #[test]
-    fn abort_taxonomy_counts_and_legacy_views_agree() {
-        let s = TxStats::new();
-        s.record_abort(AbortReason::FcwConflict);
-        s.record_abort(AbortReason::FcwConflict);
-        s.record_abort(AbortReason::Certification);
-        s.record_abort(AbortReason::LockConflict);
-        s.record_abort(AbortReason::SlotExhaustion);
-        s.record_abort(AbortReason::FailedApply);
-        s.record_abort(AbortReason::AdmissionTimeout);
-        s.record_abort(AbortReason::LeaseExpired);
-        assert_eq!(s.abort_reason_count(AbortReason::FcwConflict), 2);
-        let snap = s.snapshot();
-        assert_eq!(snap.write_conflicts, 2);
-        assert_eq!(snap.validation_failures, 1);
-        assert_eq!(snap.deadlocks, 1);
-        assert_eq!(snap.slot_exhaustions, 1);
-        assert_eq!(snap.failed_applies, 1);
-        assert_eq!(snap.admission_timeouts, 1);
-        assert_eq!(snap.lease_expirations, 1);
-        for r in AbortReason::ALL {
-            assert_eq!(snap.abort_reason(r), s.abort_reason_count(r));
-        }
-        let doubled = snap.merged_with(&snap);
-        assert_eq!(doubled.write_conflicts, 4);
-        assert_eq!(doubled.slot_exhaustions, 2);
-        s.reset();
-        assert_eq!(s.snapshot(), TxStatsSnapshot::default());
+    fn striped_counter_sums_and_resets() {
+        let c = StripedCounter::new(3);
+        c.bump(0);
+        c.add(2, 10);
+        // Slots past the stripe count wrap instead of panicking.
+        c.bump(1 << 20);
+        assert_eq!(c.sum(), 12);
+        c.reset();
+        assert_eq!(c.sum(), 0);
     }
 
     #[test]
@@ -408,27 +178,5 @@ mod tests {
         };
         assert!((snap.abort_ratio() - 0.25).abs() < 1e-9);
         assert_eq!(TxStatsSnapshot::default().abort_ratio(), 0.0);
-    }
-
-    #[test]
-    fn concurrent_bumps_are_counted() {
-        use std::sync::Arc;
-        let s = Arc::new(TxStats::new());
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        TxStats::bump(&s.committed);
-                        s.bump_read(t);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.snapshot().committed, 4000);
-        assert_eq!(s.snapshot().reads, 4000);
     }
 }

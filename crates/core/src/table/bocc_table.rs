@@ -98,7 +98,7 @@ impl<K: KeyType, V: ValueType> BoccTable<K, V> {
     /// Reads `key`, recording it in the transaction's read set.
     pub fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
         self.ctx.record_access(tx, self.state_id)?;
-        self.ctx.stats().bump_read(tx.slot());
+        self.ctx.telemetry().bump_read(tx.slot());
         if let Some(own) = read_own_write(self.store.write_sets(), tx, key) {
             return Ok(own);
         }
@@ -225,7 +225,9 @@ impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
                     .iter()
                     .any(|k| read_keys.contains(k) || write_keys.contains(k))
             {
-                self.ctx.stats().record_abort(AbortReason::Certification);
+                self.ctx
+                    .telemetry()
+                    .record_abort(AbortReason::Certification);
                 return Err(TspError::ValidationFailed {
                     txn: tx.id().as_u64(),
                 });
@@ -385,7 +387,7 @@ mod tests {
         assert!(matches!(err, TspError::ValidationFailed { .. }));
         table.finish(&reader, true);
         ctx.finish(&reader);
-        assert_eq!(ctx.stats().snapshot().validation_failures, 1);
+        assert_eq!(ctx.telemetry_snapshot().stats.validation_failures, 1);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! for keys and values.
 
 use crate::context::{StateContext, Tx};
+use crate::telemetry::Counter;
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -1115,7 +1116,7 @@ pub fn buffer_write<K: KeyType, V: ValueType>(
     key: K,
     op: WriteOp<V>,
 ) -> Result<()> {
-    ctx.stats().bump_write(tx.slot());
+    ctx.telemetry().bump_write(tx.slot());
     write_sets.with_mut_checked(
         tx,
         || ctx.check_fate(tx),
@@ -1190,7 +1191,7 @@ pub fn persist_pending<K: KeyType, V: ValueType>(
     }
     let mut meta = commit_meta(backend, cts);
     if let Some(record) = ctx.pending_redo(tx) {
-        ctx.telemetry().add_redo_bytes(record.len() as u64);
+        ctx.telemetry().add(Counter::RedoBytes, record.len() as u64);
         meta.push((redo_key(cts), record.as_ref().clone()));
     }
     backend.apply_at(&ops, &meta, cts)

@@ -43,14 +43,13 @@
 
 use crate::context::{StateContext, Tx};
 use crate::mvcc::{MvccObject, DEFAULT_VERSION_SLOTS};
-use crate::stats::TxStats;
 use crate::table::common::{
     buffer_write, build_state_redo, overlay_write_set, persist_pending, preload_rows,
     read_own_write, reject_read_only, KeyType, PendingDurable, TransactionalTable, TxParticipant,
     TxWriteSets, TypedBackend, ValueType, WriteOp,
 };
 use crate::table::objmap::{ObjMap, DEFAULT_INDEX_BUCKETS};
-use crate::telemetry::AbortReason;
+use crate::telemetry::{AbortReason, Counter};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -184,7 +183,7 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
         // first access of this state — announces the snapshot floor that
         // makes the latch-free version scan below sound.
         let snapshot = self.ctx.access_snapshot(tx, self.state_id)?;
-        self.ctx.stats().bump_read(tx.slot());
+        self.ctx.telemetry().bump_read(tx.slot());
         if let Some(own) = read_own_write(&self.write_sets, tx, key) {
             return Ok(own);
         }
@@ -214,7 +213,7 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
         if self.opts.conflict_check == ConflictCheck::Eager {
             if let Some(obj) = self.object(&key) {
                 if obj.latest_cts() > tx.begin_ts() || obj.latest_dts() > tx.begin_ts() {
-                    self.ctx.stats().record_abort(AbortReason::FcwConflict);
+                    self.ctx.telemetry().record_abort(AbortReason::FcwConflict);
                     return Err(TspError::WriteConflict {
                         txn: tx.id().as_u64(),
                         detail: format!("eager check on state '{}'", self.name),
@@ -315,8 +314,10 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
             reclaimed += obj.gc_with(oldest, || self.ctx.oldest_active_fresh());
         });
         if reclaimed > 0 {
-            TxStats::bump(&self.ctx.stats().gc_runs);
-            TxStats::add(&self.ctx.stats().gc_reclaimed, reclaimed as u64);
+            self.ctx.telemetry().bump(Counter::GcRuns);
+            self.ctx
+                .telemetry()
+                .add(Counter::GcReclaimed, reclaimed as u64);
         }
         reclaimed
     }
@@ -386,7 +387,7 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
             })
             .unwrap_or(false);
         if conflict {
-            self.ctx.stats().record_abort(AbortReason::FcwConflict);
+            self.ctx.telemetry().record_abort(AbortReason::FcwConflict);
             return Err(TspError::WriteConflict {
                 txn: tx.id().as_u64(),
                 detail: format!("first-committer-wins on state '{}'", self.name),
@@ -424,8 +425,10 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
                     let reclaimed = obj
                         .install_with(v.clone(), cts, oldest, || self.ctx.oldest_active_fresh())?;
                     if reclaimed > 0 {
-                        TxStats::bump(&self.ctx.stats().gc_runs);
-                        TxStats::add(&self.ctx.stats().gc_reclaimed, reclaimed as u64);
+                        self.ctx.telemetry().bump(Counter::GcRuns);
+                        self.ctx
+                            .telemetry()
+                            .add(Counter::GcReclaimed, reclaimed as u64);
                     }
                 }
                 WriteOp::Delete => {
@@ -754,7 +757,7 @@ mod tests {
         assert!(matches!(err, TspError::WriteConflict { .. }));
         table.finish(&t2, false);
         ctx.finish(&t2);
-        assert_eq!(ctx.stats().snapshot().write_conflicts, 1);
+        assert_eq!(ctx.telemetry_snapshot().stats.write_conflicts, 1);
         // The winner's value survives.
         let r = ctx.begin(true).unwrap();
         assert_eq!(table.read(&r, &9).unwrap(), Some("t1".into()));
@@ -991,7 +994,7 @@ mod tests {
         assert_eq!(reclaimed, 4, "only the live version must remain");
         assert_eq!(table.version_count(&1), 1);
         assert_eq!(table.latest_committed(&1).unwrap(), Some("v4".into()));
-        assert!(ctx.stats().snapshot().gc_reclaimed >= 4);
+        assert!(ctx.telemetry_snapshot().stats.gc_reclaimed >= 4);
     }
 
     #[test]

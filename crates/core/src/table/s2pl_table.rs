@@ -93,7 +93,7 @@ impl<K: KeyType, V: ValueType> S2plTable<K, V> {
     /// wait-die may abort the younger transaction).
     pub fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
         self.ctx.record_access(tx, self.state_id)?;
-        self.ctx.stats().bump_read(tx.slot());
+        self.ctx.telemetry().bump_read(tx.slot());
         if let Some(own) = read_own_write(self.store.write_sets(), tx, key) {
             return Ok(own);
         }
@@ -123,7 +123,7 @@ impl<K: KeyType, V: ValueType> S2plTable<K, V> {
     fn acquire(&self, tx: &Tx, key: &K, mode: LockMode) -> Result<()> {
         self.locks.lock(tx.id(), key, mode).map_err(|e| {
             if matches!(e, TspError::Deadlock { .. }) {
-                self.ctx.stats().record_abort(AbortReason::LockConflict);
+                self.ctx.telemetry().record_abort(AbortReason::LockConflict);
             }
             e
         })
@@ -301,7 +301,7 @@ mod tests {
         table.finish(&reader, true);
         ctx.finish(&reader);
         commit(&ctx, &table, &writer);
-        assert!(ctx.stats().snapshot().deadlocks >= 1);
+        assert!(ctx.telemetry_snapshot().stats.deadlocks >= 1);
     }
 
     #[test]

@@ -271,7 +271,9 @@ impl<K: KeyType, V: ValueType> SsiTable<K, V> {
             })
             .unwrap_or(false);
         if conflict {
-            self.ctx.stats().record_abort(AbortReason::Certification);
+            self.ctx
+                .telemetry()
+                .record_abort(AbortReason::Certification);
             return Err(TspError::ValidationFailed {
                 txn: tx.id().as_u64(),
             });

@@ -1,27 +1,37 @@
-//! Engine-native telemetry: commit-pipeline stage timings, the labeled
-//! abort-reason taxonomy, GC/persistence gauges, and exposition.
+//! The engine's metrics registry: transaction counters, the labeled
+//! abort-reason taxonomy, commit-pipeline stage timings, GC/persistence
+//! gauges, and exposition.
 //!
-//! Every layer of the engine records into one per-context registry:
+//! Every [`StateContext`](crate::context::StateContext) owns one
+//! [`Telemetry`] registry, and every layer of the engine records into it:
 //!
+//! * **Transactions** (context, manager): begun / committed / aborted
+//!   [`Counter`]s, bounded-admission waits, durability-wait timeouts.
+//! * **Operations** (tables): per-slot striped read and write counters —
+//!   the committed-read path's one recording, a relaxed add to its own
+//!   slot's stripe (not a latch, never shared with another transaction).
 //! * **Commit pipeline** (`manager.rs`): validate / apply / durable-handoff
 //!   splits per commit, leader drain time, commit batch-size distribution
 //!   and follower wait time for the stage-1 leader/follower batch.
-//! * **Persistence** (`storage::BatchWriter` via the durability hub):
-//!   queue-dwell time per batch, coalesced-batch-size distribution, the
-//!   `persist_queue_depth` gauge and each writer's sticky-failure state.
-//! * **Abort taxonomy** ([`AbortReason`], counters in
-//!   [`TxStats`](crate::stats::TxStats)): every abort classified by *why* —
+//! * **Abort taxonomy** ([`AbortReason`]): every abort classified by *why* —
 //!   First-Committer-Wins conflict, SSI/BOCC certification failure, S2PL
-//!   lock conflict, transaction-slot exhaustion, or a failed apply.
-//! * **GC** (`gc.rs`): sweep and reclaim counters plus the *floor lag* —
-//!   how far the oldest active snapshot trails the clock, the quantity that
-//!   bounds reclaimable garbage.
+//!   lock conflict, transaction-slot exhaustion, a failed apply, an expired
+//!   admission wait or an expired lease.
+//! * **GC** (`gc.rs`, `MvccTable::gc`): sweep and reclaim counters plus the
+//!   *floor lag* — how far the oldest active snapshot trails the clock, the
+//!   quantity that bounds reclaimable garbage.
+//! * **Persistence** (`storage::BatchWriter` via the durability hub): the
+//!   `persist_queue_depth` gauge lives here; queue-dwell and
+//!   coalesced-batch-size histograms and each writer's sticky-failure state
+//!   stay on the writers and join a snapshot through the hub's
+//!   [`WriterScan`].
 //!
-//! Recording is deliberately boring: relaxed atomic bumps into
-//! [`Histogram`]s and counters, no locks, nothing on the latch-free
-//! committed-read path (reads record *nothing* here; only commit-side and
-//! background paths do).  The overhead budget and the rules for adding a
-//! metric live in the "Observability" section of `docs/ARCHITECTURE.md`.
+//! The registry has one recording API, one [`snapshot`](Telemetry::snapshot),
+//! one [`merge`](Telemetry::merge) (partition roll-ups) and one
+//! [`reset`](Telemetry::reset).  Recording is deliberately boring: relaxed
+//! atomic bumps into [`Histogram`]s and counters, no locks.  The overhead
+//! budget and the rules for adding a metric live in the "Observability"
+//! section of `docs/ARCHITECTURE.md`.
 //!
 //! Two exposition formats come for free from [`TelemetrySnapshot`]:
 //! [`to_json`](TelemetrySnapshot::to_json) (the bench binaries'
@@ -30,9 +40,10 @@
 //! a future network layer can serve `/metrics` by calling one method.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use tsp_common::{Histogram, TspError};
+use std::sync::Arc;
+use tsp_common::{CachePadded, Histogram, TspError};
 
-use crate::stats::TxStatsSnapshot;
+use crate::stats::{StripedCounter, TxStatsSnapshot};
 
 /// Why a transaction aborted — the labeled taxonomy replacing the old
 /// ad-hoc conflict counters.
@@ -136,18 +147,73 @@ impl std::fmt::Display for AbortReason {
     }
 }
 
-/// The per-context metrics registry: commit-pipeline stage histograms and
-/// GC gauges.  Counters live next door in [`TxStats`](crate::stats::TxStats)
-/// (including the per-[`AbortReason`] array); persistence histograms live in
-/// each [`BatchWriter`](tsp_storage::BatchWriter) and are aggregated at
-/// snapshot time —
-/// [`StateContext::telemetry_snapshot`](crate::context::StateContext::telemetry_snapshot)
-/// stitches all three sources into one [`TelemetrySnapshot`].
+/// A per-transaction event counter of the [`Telemetry`] registry.  Each
+/// sits on its own cache line; record with [`Telemetry::bump`] /
+/// [`Telemetry::add`], read with [`Telemetry::count`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Counter {
+    /// Transactions begun.
+    Begun,
+    /// Transactions committed successfully.
+    Committed,
+    /// Transactions aborted for any reason (the per-reason taxonomy is
+    /// recorded separately with [`Telemetry::record_abort`]).
+    Aborted,
+    /// Garbage-collection passes over version arrays.
+    GcRuns,
+    /// Versions reclaimed by garbage collection.
+    GcReclaimed,
+    /// `begin` calls that found no free slot but obtained one within the
+    /// bounded admission wait.
+    AdmissionWaits,
+    /// Bounded durability waits that elapsed before the commit became
+    /// durable.
+    DurabilityTimeouts,
+    /// Bytes of group redo records handed to persistence (each participant
+    /// persists its own copy; every copy counts).
+    RedoBytes,
+    /// Torn group commits rolled forward from the redo log at recovery.
+    RedoReplays,
+    /// Expired transactions force-aborted by the lease reaper.
+    LeaseReaps,
+}
+
+impl Counter {
+    /// Number of counters (the size of the registry's counter array); new
+    /// variants go last, so this stays "last variant + 1".
+    pub const COUNT: usize = Counter::LeaseReaps as usize + 1;
+}
+
+/// The per-context metrics registry: transaction and GC counters, the
+/// per-[`AbortReason`] taxonomy, striped per-operation counters,
+/// commit-pipeline stage histograms and gauges.  Each
+/// [`StateContext`](crate::context::StateContext) owns one; persistence
+/// histograms live in each [`BatchWriter`](tsp_storage::BatchWriter) and
+/// join at snapshot time through the durability hub's [`WriterScan`].
 ///
-/// All recording is relaxed-atomic and lock-free; nothing here is touched
-/// by the latch-free committed-read path.
+/// All recording is relaxed-atomic and lock-free.  Per-transaction counters
+/// each sit on their own cache line ([`CachePadded`]); the per-operation
+/// `reads`/`writes` counters are [`StripedCounter`]s indexed by the
+/// transaction's slot, so two concurrent transactions never contend on a
+/// metrics word — the committed-read path's only recording is one relaxed
+/// add to its own slot's stripe.
 #[derive(Debug, Default)]
 pub struct Telemetry {
+    /// Per-transaction event counters, indexed by [`Counter`].
+    counters: [CachePadded<AtomicU64>; Counter::COUNT],
+    /// Aborts per [`AbortReason`], indexed by [`AbortReason::index`].
+    aborts: [CachePadded<AtomicU64>; AbortReason::COUNT],
+    /// Read operations served (the stripe header on its own line, away
+    /// from the histogram words the commit path writes).
+    reads: CachePadded<StripedCounter>,
+    /// Write operations buffered.
+    writes: CachePadded<StripedCounter>,
+    /// Gauge: batches queued in the asynchronous persistence writers.  The
+    /// `Arc` is shared with every `BatchWriter` of the owning context's
+    /// durability hub, which increments it on enqueue and decrements it on
+    /// drain; [`reset`](Self::reset) leaves it alone (zeroing a live gauge
+    /// would corrupt it).
+    persist_queue_depth: Arc<AtomicU64>,
     /// Validation phase (FCW / BOCC / SSI certification) per commit.
     validate_nanos: Histogram,
     /// In-memory apply phase per commit.
@@ -166,13 +232,6 @@ pub struct Telemetry {
     /// Gauge: clock distance between `now` and the oldest active snapshot
     /// floor at the last GC sweep (logical-timestamp units).
     gc_floor_lag: AtomicU64,
-    /// Bytes of group redo records handed to persistence (each participant
-    /// persists its own copy; every copy counts).
-    redo_bytes: AtomicU64,
-    /// Torn group commits rolled forward from the redo log at recovery.
-    redo_replays: AtomicU64,
-    /// Expired transactions force-aborted by the lease reaper.
-    lease_reaps: AtomicU64,
     /// Gauge: age of the oldest active transaction in wall-clock
     /// nanoseconds (0 when no transaction is active or no lease clock is
     /// configured).  Refreshed at snapshot time.
@@ -180,9 +239,65 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Creates an empty registry.
+    /// Creates an empty registry with the default stripe count.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty registry whose per-operation stripes cover
+    /// `capacity` transaction slots 1:1 — up to the 1024-stripe cap of
+    /// [`StripedCounter::new`]; larger contexts wrap, so a pair of slots
+    /// 1024 apart shares a stripe (a deliberate memory bound: stripes are
+    /// cache-line padded).
+    pub fn striped(capacity: usize) -> Self {
+        Telemetry {
+            reads: CachePadded::new(StripedCounter::new(capacity)),
+            writes: CachePadded::new(StripedCounter::new(capacity)),
+            ..Self::default()
+        }
+    }
+
+    /// Increments a counter by one.
+    #[inline]
+    pub fn bump(&self, counter: Counter) {
+        self.add(counter, 1);
+    }
+
+    /// Adds `n` to a counter.
+    #[inline]
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current value of a counter.
+    pub fn count(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
+    }
+
+    /// Counts one read performed by the transaction occupying `slot`.
+    #[inline]
+    pub fn bump_read(&self, slot: usize) {
+        self.reads.bump(slot);
+    }
+
+    /// Counts one buffered write performed by the transaction occupying
+    /// `slot`.
+    #[inline]
+    pub fn bump_write(&self, slot: usize) {
+        self.writes.bump(slot);
+    }
+
+    /// Records an abort classified by the taxonomy (the reason counter
+    /// only — [`Counter::Aborted`] is bumped where the transaction actually
+    /// finishes).
+    #[inline]
+    pub fn record_abort(&self, reason: AbortReason) {
+        self.aborts[reason.index()].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The queue-depth gauge the durability hub shares with its writers.
+    pub(crate) fn persist_queue_depth(&self) -> &Arc<AtomicU64> {
+        &self.persist_queue_depth
     }
 
     /// Validation-phase timings (nanoseconds per commit).
@@ -231,36 +346,6 @@ impl Telemetry {
         self.gc_floor_lag.load(Ordering::Relaxed)
     }
 
-    /// Counts `n` bytes of encoded group redo record handed to persistence.
-    pub fn add_redo_bytes(&self, n: u64) {
-        self.redo_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Total bytes of group redo records handed to persistence.
-    pub fn redo_bytes(&self) -> u64 {
-        self.redo_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Counts `n` torn group commits rolled forward from the redo log.
-    pub fn add_redo_replays(&self, n: u64) {
-        self.redo_replays.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Total torn group commits rolled forward from the redo log.
-    pub fn redo_replays(&self) -> u64 {
-        self.redo_replays.load(Ordering::Relaxed)
-    }
-
-    /// Counts `n` expired transactions force-aborted by the lease reaper.
-    pub fn add_lease_reaps(&self, n: u64) {
-        self.lease_reaps.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Total expired transactions force-aborted by the lease reaper.
-    pub fn lease_reaps(&self) -> u64 {
-        self.lease_reaps.load(Ordering::Relaxed)
-    }
-
     /// Updates the oldest-active-transaction age gauge (wall nanoseconds).
     pub fn set_oldest_active_age_nanos(&self, age: u64) {
         self.oldest_active_age_nanos.store(age, Ordering::Relaxed);
@@ -271,51 +356,105 @@ impl Telemetry {
         self.oldest_active_age_nanos.load(Ordering::Relaxed)
     }
 
-    /// Merges another registry's recordings into this one (per-partition
-    /// roll-ups).  Histograms merge bucket-wise; the floor-lag gauge takes
-    /// the maximum (the laggiest partition bounds reclaimable garbage).
-    pub fn merge(&self, other: &Telemetry) {
-        self.validate_nanos.merge(&other.validate_nanos);
-        self.apply_nanos.merge(&other.apply_nanos);
-        self.durable_handoff_nanos
-            .merge(&other.durable_handoff_nanos);
-        self.leader_drain_nanos.merge(&other.leader_drain_nanos);
-        self.follower_wait_nanos.merge(&other.follower_wait_nanos);
-        self.commit_batch_size.merge(&other.commit_batch_size);
-        self.admission_wait_nanos.merge(&other.admission_wait_nanos);
-        self.gc_floor_lag.fetch_max(
-            other.gc_floor_lag.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.redo_bytes
-            .fetch_add(other.redo_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.redo_replays.fetch_add(
-            other.redo_replays.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.lease_reaps
-            .fetch_add(other.lease_reaps.load(Ordering::Relaxed), Ordering::Relaxed);
-        // The oldest transaction across partitions bounds the roll-up.
-        self.oldest_active_age_nanos.fetch_max(
-            other.oldest_active_age_nanos.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
+    fn histograms(&self) -> [&Histogram; 7] {
+        [
+            &self.validate_nanos,
+            &self.apply_nanos,
+            &self.durable_handoff_nanos,
+            &self.leader_drain_nanos,
+            &self.follower_wait_nanos,
+            &self.commit_batch_size,
+            &self.admission_wait_nanos,
+        ]
     }
 
-    /// Clears every histogram and gauge (between benchmark phases).
+    fn words(&self) -> impl Iterator<Item = &AtomicU64> {
+        self.counters.iter().chain(&self.aborts).map(|c| &**c)
+    }
+
+    /// Merges another registry's recordings into this one — the partition
+    /// roll-up primitive; merge into a fresh registry, never a live one.
+    /// Counters and the queue-depth gauge add (partitions own disjoint
+    /// writer sets), histograms merge bucket-wise, and the floor-lag and
+    /// oldest-age gauges take the maximum (the laggiest partition bounds
+    /// reclaimable garbage).
+    pub fn merge(&self, other: &Telemetry) {
+        for (mine, theirs) in self.words().zip(other.words()) {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.reads.add(0, other.reads.sum());
+        self.writes.add(0, other.writes.sum());
+        self.persist_queue_depth.fetch_add(
+            other.persist_queue_depth.load(Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
+        for (mine, theirs) in self.histograms().into_iter().zip(other.histograms()) {
+            mine.merge(theirs);
+        }
+        self.gc_floor_lag
+            .fetch_max(other.gc_floor_lag(), Ordering::Relaxed);
+        self.oldest_active_age_nanos
+            .fetch_max(other.oldest_active_age_nanos(), Ordering::Relaxed);
+    }
+
+    /// Clears every counter, histogram and gauge except the live
+    /// queue-depth gauge (between benchmark phases).
     pub fn reset(&self) {
-        self.validate_nanos.reset();
-        self.apply_nanos.reset();
-        self.durable_handoff_nanos.reset();
-        self.leader_drain_nanos.reset();
-        self.follower_wait_nanos.reset();
-        self.commit_batch_size.reset();
-        self.admission_wait_nanos.reset();
+        for c in self.words() {
+            c.store(0, Ordering::Relaxed);
+        }
+        self.reads.reset();
+        self.writes.reset();
+        for h in self.histograms() {
+            h.reset();
+        }
         self.gc_floor_lag.store(0, Ordering::Relaxed);
-        self.redo_bytes.store(0, Ordering::Relaxed);
-        self.redo_replays.store(0, Ordering::Relaxed);
-        self.lease_reaps.store(0, Ordering::Relaxed);
         self.oldest_active_age_nanos.store(0, Ordering::Relaxed);
+    }
+
+    /// A point-in-time copy of every metric, joined with the writer-level
+    /// aggregates a durability-hub scan collected.
+    pub fn snapshot(&self, writers: &WriterScan) -> TelemetrySnapshot {
+        let aborts = |r: AbortReason| self.aborts[r.index()].load(Ordering::Relaxed);
+        TelemetrySnapshot {
+            stats: TxStatsSnapshot {
+                begun: self.count(Counter::Begun),
+                committed: self.count(Counter::Committed),
+                aborted: self.count(Counter::Aborted),
+                write_conflicts: aborts(AbortReason::FcwConflict),
+                validation_failures: aborts(AbortReason::Certification),
+                deadlocks: aborts(AbortReason::LockConflict),
+                slot_exhaustions: aborts(AbortReason::SlotExhaustion),
+                failed_applies: aborts(AbortReason::FailedApply),
+                admission_timeouts: aborts(AbortReason::AdmissionTimeout),
+                lease_expirations: aborts(AbortReason::LeaseExpired),
+                reads: self.reads.sum(),
+                writes: self.writes.sum(),
+                gc_runs: self.count(Counter::GcRuns),
+                gc_reclaimed: self.count(Counter::GcReclaimed),
+                admission_waits: self.count(Counter::AdmissionWaits),
+                durability_timeouts: self.count(Counter::DurabilityTimeouts),
+                persist_queue_depth: self.persist_queue_depth.load(Ordering::Relaxed),
+            },
+            validate_nanos: HistogramSummary::of(&self.validate_nanos),
+            apply_nanos: HistogramSummary::of(&self.apply_nanos),
+            durable_handoff_nanos: HistogramSummary::of(&self.durable_handoff_nanos),
+            leader_drain_nanos: HistogramSummary::of(&self.leader_drain_nanos),
+            follower_wait_nanos: HistogramSummary::of(&self.follower_wait_nanos),
+            commit_batch_size: HistogramSummary::of(&self.commit_batch_size),
+            admission_wait_nanos: HistogramSummary::of(&self.admission_wait_nanos),
+            queue_dwell_nanos: HistogramSummary::of(&writers.queue_dwell),
+            coalesced_batch_size: HistogramSummary::of(&writers.coalesced_batch),
+            persist_writers: writers.writers,
+            failed_writers: writers.failed,
+            persist_retries: writers.retries,
+            writer_recoveries: writers.recoveries,
+            redo_bytes: self.count(Counter::RedoBytes),
+            redo_replays: self.count(Counter::RedoReplays),
+            lease_reaps: self.count(Counter::LeaseReaps),
+            oldest_active_age_nanos: self.oldest_active_age_nanos(),
+            gc_floor_lag: self.gc_floor_lag(),
+        }
     }
 }
 
@@ -361,11 +500,17 @@ impl HistogramSummary {
     }
 }
 
-/// Writer-level aggregates the durability hub collects at snapshot time:
-/// attached/failed writer counts plus the fault-tolerance counters every
-/// writer carries.  Summed across hubs by partition roll-ups.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WriterCounters {
+/// Writer-level aggregates the durability hubs' writer scan collects at
+/// snapshot time: the merged queue-dwell and coalesced-batch-size
+/// histograms, attached/failed writer counts and the fault-tolerance
+/// counters every writer carries.  A partition roll-up scans every hub into
+/// one value.
+#[derive(Debug, Default)]
+pub struct WriterScan {
+    /// Queue-dwell times merged across the scanned writers (ns).
+    pub queue_dwell: Histogram,
+    /// Coalesced-batch sizes merged across the scanned writers.
+    pub coalesced_batch: Histogram,
     /// Attached asynchronous persistence writers.
     pub writers: u64,
     /// Writers currently wedged in the sticky-failed state.
@@ -376,31 +521,16 @@ pub struct WriterCounters {
     pub recoveries: u64,
 }
 
-impl WriterCounters {
-    /// Element-wise sum — the partition roll-up primitive.
-    pub fn merged_with(&self, other: &WriterCounters) -> WriterCounters {
-        WriterCounters {
-            writers: self.writers + other.writers,
-            failed: self.failed + other.failed,
-            retries: self.retries + other.retries,
-            recoveries: self.recoveries + other.recoveries,
-        }
-    }
-}
-
 /// A structured point-in-time copy of every metric a context (or a
-/// partitioned roll-up) exposes — counters from
-/// [`TxStats`](crate::stats::TxStats), stage histograms from [`Telemetry`],
-/// persistence histograms and gauges from the durability hub's writers.
+/// partitioned roll-up) exposes — taken by [`Telemetry::snapshot`] from the
+/// registry plus the durability hub's [`WriterScan`].
 ///
 /// Serialize with [`to_json`](Self::to_json) or
 /// [`to_prometheus`](Self::to_prometheus).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// Transactions begun / committed / aborted and operation counts.
+    /// Transaction, abort-taxonomy, operation, GC and admission counters.
     pub stats: TxStatsSnapshot,
-    /// Aborts per [`AbortReason`], indexed by [`AbortReason::index`].
-    pub aborts_by_reason: [u64; AbortReason::COUNT],
     /// Commit validation phase (ns).
     pub validate_nanos: HistogramSummary,
     /// Commit in-memory apply phase (ns).
@@ -445,47 +575,9 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Assembles a snapshot from its three sources: the stage-histogram
-    /// registry, a counter snapshot, and the writer-level aggregates the
-    /// durability hub collected (`dwell`/`coalesce` merged across writers).
-    pub fn collect(
-        telemetry: &Telemetry,
-        stats: TxStatsSnapshot,
-        dwell: &Histogram,
-        coalesce: &Histogram,
-        writers: WriterCounters,
-    ) -> Self {
-        let mut aborts = [0u64; AbortReason::COUNT];
-        for r in AbortReason::ALL {
-            aborts[r.index()] = stats.abort_reason(r);
-        }
-        TelemetrySnapshot {
-            stats,
-            aborts_by_reason: aborts,
-            validate_nanos: HistogramSummary::of(&telemetry.validate_nanos),
-            apply_nanos: HistogramSummary::of(&telemetry.apply_nanos),
-            durable_handoff_nanos: HistogramSummary::of(&telemetry.durable_handoff_nanos),
-            leader_drain_nanos: HistogramSummary::of(&telemetry.leader_drain_nanos),
-            follower_wait_nanos: HistogramSummary::of(&telemetry.follower_wait_nanos),
-            commit_batch_size: HistogramSummary::of(&telemetry.commit_batch_size),
-            admission_wait_nanos: HistogramSummary::of(&telemetry.admission_wait_nanos),
-            queue_dwell_nanos: HistogramSummary::of(dwell),
-            coalesced_batch_size: HistogramSummary::of(coalesce),
-            persist_writers: writers.writers,
-            failed_writers: writers.failed,
-            persist_retries: writers.retries,
-            writer_recoveries: writers.recoveries,
-            redo_bytes: telemetry.redo_bytes(),
-            redo_replays: telemetry.redo_replays(),
-            lease_reaps: telemetry.lease_reaps(),
-            oldest_active_age_nanos: telemetry.oldest_active_age_nanos(),
-            gc_floor_lag: telemetry.gc_floor_lag(),
-        }
-    }
-
     /// Aborts recorded for one reason.
     pub fn abort_count(&self, reason: AbortReason) -> u64 {
-        self.aborts_by_reason[reason.index()]
+        self.stats.abort_reason(reason)
     }
 
     /// Serializes the snapshot as one JSON object (hand-rolled; the
@@ -793,8 +885,11 @@ mod tests {
         b.commit_batch_size().record_value(16);
         a.set_gc_floor_lag(5);
         b.set_gc_floor_lag(9);
-        a.add_lease_reaps(2);
-        b.add_lease_reaps(3);
+        a.add(Counter::LeaseReaps, 2);
+        b.add(Counter::LeaseReaps, 3);
+        a.bump_read(0);
+        b.bump_read(5);
+        b.record_abort(AbortReason::FcwConflict);
         a.set_oldest_active_age_nanos(100);
         b.set_oldest_active_age_nanos(700);
         a.merge(&b);
@@ -803,13 +898,110 @@ mod tests {
         assert_eq!(a.commit_batch_size().max_value(), 16);
         assert_eq!(a.gc_floor_lag(), 9);
         // Counters add; the age gauge takes the laggiest partition.
-        assert_eq!(a.lease_reaps(), 5);
+        assert_eq!(a.count(Counter::LeaseReaps), 5);
         assert_eq!(a.oldest_active_age_nanos(), 700);
+        let snap = a.snapshot(&WriterScan::default());
+        assert_eq!(snap.stats.reads, 2);
+        assert_eq!(snap.abort_count(AbortReason::FcwConflict), 1);
         a.reset();
         assert_eq!(a.validate_nanos().count(), 0);
         assert_eq!(a.gc_floor_lag(), 0);
-        assert_eq!(a.lease_reaps(), 0);
+        assert_eq!(a.count(Counter::LeaseReaps), 0);
         assert_eq!(a.oldest_active_age_nanos(), 0);
+        assert_eq!(
+            a.snapshot(&WriterScan::default()),
+            TelemetrySnapshot::default()
+        );
+    }
+
+    #[test]
+    fn counters_snapshot_and_reset() {
+        let t = Telemetry::new();
+        t.bump(Counter::Begun);
+        t.bump(Counter::Begun);
+        t.bump(Counter::Committed);
+        t.bump(Counter::AdmissionWaits);
+        t.bump(Counter::DurabilityTimeouts);
+        t.add(Counter::GcReclaimed, 10);
+        let snap = t.snapshot(&WriterScan::default()).stats;
+        assert_eq!(snap.begun, 2);
+        assert_eq!(snap.committed, 1);
+        assert_eq!(snap.admission_waits, 1);
+        assert_eq!(snap.durability_timeouts, 1);
+        assert_eq!(snap.gc_reclaimed, 10);
+        t.reset();
+        assert_eq!(
+            t.snapshot(&WriterScan::default()).stats,
+            TxStatsSnapshot::default()
+        );
+    }
+
+    #[test]
+    fn striped_counters_aggregate_across_stripes() {
+        let t = Telemetry::striped(130);
+        // Distinct slots land on distinct stripes and all count.
+        for slot in 0..130 {
+            t.bump_read(slot);
+            t.bump_write(slot);
+            t.bump_write(slot);
+        }
+        let snap = t.snapshot(&WriterScan::default()).stats;
+        assert_eq!(snap.reads, 130);
+        assert_eq!(snap.writes, 260);
+        // Slot indexes beyond the stripe count wrap instead of panicking.
+        t.bump_read(1 << 20);
+        assert_eq!(t.snapshot(&WriterScan::default()).stats.reads, 131);
+        t.reset();
+        assert_eq!(t.snapshot(&WriterScan::default()).stats.reads, 0);
+    }
+
+    #[test]
+    fn abort_taxonomy_counts_and_legacy_views_agree() {
+        let t = Telemetry::new();
+        t.record_abort(AbortReason::FcwConflict);
+        for r in AbortReason::ALL {
+            t.record_abort(r);
+        }
+        let snap = t.snapshot(&WriterScan::default());
+        let s = snap.stats;
+        assert_eq!(s.write_conflicts, 2);
+        assert_eq!(s.validation_failures, 1);
+        assert_eq!(s.deadlocks, 1);
+        assert_eq!(s.slot_exhaustions, 1);
+        assert_eq!(s.failed_applies, 1);
+        assert_eq!(s.admission_timeouts, 1);
+        assert_eq!(s.lease_expirations, 1);
+        for r in AbortReason::ALL {
+            assert_eq!(snap.abort_count(r), s.abort_reason(r));
+        }
+        let doubled = Telemetry::new();
+        doubled.merge(&t);
+        doubled.merge(&t);
+        let d = doubled.snapshot(&WriterScan::default()).stats;
+        assert_eq!(d.write_conflicts, 4);
+        assert_eq!(d.slot_exhaustions, 2);
+    }
+
+    #[test]
+    fn concurrent_bumps_are_counted() {
+        let t = Arc::new(Telemetry::new());
+        let handles: Vec<_> = (0..4)
+            .map(|slot| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    for _ in 0..1000 {
+                        t.bump(Counter::Committed);
+                        t.bump_read(slot);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let snap = t.snapshot(&WriterScan::default()).stats;
+        assert_eq!(snap.committed, 4000);
+        assert_eq!(snap.reads, 4000);
     }
 
     #[test]
@@ -879,9 +1071,12 @@ mod tests {
                 admission_waits: 6,
                 durability_timeouts: 1,
                 persist_queue_depth: 1,
+                write_conflicts: 1,
+                deadlocks: 2,
+                admission_timeouts: 4,
+                lease_expirations: 3,
                 ..Default::default()
             },
-            aborts_by_reason: [1, 0, 2, 0, 0, 4, 3],
             validate_nanos: HistogramSummary {
                 count: 7,
                 sum: 700,
@@ -1040,25 +1235,18 @@ tsp_gc_floor_lag 4
     fn json_shape_is_stable() {
         let telemetry = Telemetry::new();
         telemetry.validate_nanos().record_nanos(1_000);
-        let stats = TxStatsSnapshot {
-            begun: 2,
-            committed: 1,
-            aborted: 1,
-            write_conflicts: 1,
-            ..Default::default()
-        };
-        let snap = TelemetrySnapshot::collect(
-            &telemetry,
-            stats,
-            &Histogram::new(),
-            &Histogram::new(),
-            WriterCounters {
-                writers: 1,
-                failed: 0,
-                retries: 4,
-                recoveries: 2,
-            },
-        );
+        telemetry.bump(Counter::Begun);
+        telemetry.bump(Counter::Begun);
+        telemetry.bump(Counter::Committed);
+        telemetry.bump(Counter::Aborted);
+        telemetry.record_abort(AbortReason::FcwConflict);
+        let snap = telemetry.snapshot(&WriterScan {
+            writers: 1,
+            failed: 0,
+            retries: 4,
+            recoveries: 2,
+            ..WriterScan::default()
+        });
         let json = snap.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"begun\":2"));

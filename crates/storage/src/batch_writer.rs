@@ -75,7 +75,7 @@
 //! commit-path latency — the same flow-control shape as a WAL buffer
 //! filling up.  The current depth is observable through
 //! [`BatchWriter::queued_len`] and, when a depth gauge is attached, through
-//! the owning context's `TxStats`.
+//! the owning context's metrics registry (`persist_queue_depth`).
 
 use crate::backend::{StorageBackend, WriteBatch};
 use crate::retry::RetryPolicy;
@@ -125,7 +125,7 @@ struct Shared {
     /// Maximum queued batches before `enqueue` blocks (backpressure).
     capacity: usize,
     /// Optional externally owned gauge mirroring the queue depth (wired to
-    /// the owning context's `TxStats` by the durability hub).
+    /// the owning context's metrics registry by the durability hub).
     depth_gauge: Option<Arc<AtomicU64>>,
     /// Wakes the writer thread when work (or shutdown) arrives.
     work: Condvar,

@@ -14,6 +14,18 @@
 //!   "sync option = true" configuration of §5.1.
 //! * [`codec::Codec`] — order-preserving key/value encodings bridging typed
 //!   states and byte-oriented backends.
+//! * [`batch_writer::BatchWriter`] — the asynchronous persistence writer
+//!   behind a context's durability hub.
+//!
+//! Metrics: the engine's registry lives in `tsp_core::telemetry`.  This
+//! crate records only what the engine cannot see from above — each
+//! [`BatchWriter`] keeps its queue-dwell and coalesced-batch histograms and
+//! its retry/recovery counters, which the hub's writer scan joins into
+//! every telemetry snapshot — plus the opt-in [`stats::InstrumentedBackend`]
+//! decorator, which counts the operations and bytes that reach a backend.
+//! There is no block or row cache: committed reads are served from the
+//! in-memory version objects above the backend, and [`lsm::LsmStore`]
+//! filters negative lookups with per-SSTable [`Bloom`] filters.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -21,7 +33,6 @@
 pub mod backend;
 pub mod batch_writer;
 pub mod bloom;
-pub mod cache;
 pub mod checkpoint;
 pub mod checksum;
 pub mod codec;
@@ -40,7 +51,6 @@ pub mod wal;
 pub use backend::{BatchOp, StorageBackend, SyncPolicy, WriteBatch};
 pub use batch_writer::{BatchWriter, DEFAULT_QUEUE_CAPACITY};
 pub use bloom::Bloom;
-pub use cache::{CacheStats, CachedBackend, LruCache};
 pub use checkpoint::{create_checkpoint, read_checkpoint_info, restore_checkpoint, CheckpointInfo};
 pub use codec::Codec;
 pub use fault::{FaultInjectingBackend, FaultPlan};
@@ -57,7 +67,6 @@ pub mod prelude {
     pub use crate::backend::{BatchOp, StorageBackend, SyncPolicy, WriteBatch};
     pub use crate::batch_writer::{BatchWriter, DEFAULT_QUEUE_CAPACITY};
     pub use crate::bloom::Bloom;
-    pub use crate::cache::{CacheStats, CachedBackend, LruCache};
     pub use crate::checkpoint::{
         create_checkpoint, read_checkpoint_info, restore_checkpoint, CheckpointInfo,
     };

@@ -169,11 +169,6 @@ impl LsmStore {
         self.tables.read().len()
     }
 
-    /// Current memtable payload size in bytes.
-    pub fn memtable_bytes(&self) -> usize {
-        self.mem.read().bytes
-    }
-
     fn table_path(dir: &Path, file_no: u64) -> PathBuf {
         dir.join(format!("{file_no:08}.sst"))
     }

@@ -303,7 +303,7 @@ mod tests {
         }
         mgr.commit(&r).unwrap();
         // Two committed stream transactions plus the reader.
-        assert_eq!(mgr.context().stats().snapshot().committed, 3);
+        assert_eq!(mgr.context().telemetry_snapshot().stats.committed, 3);
     }
 
     #[test]
@@ -335,7 +335,7 @@ mod tests {
         assert_eq!(table.read(&r, &1).unwrap(), None, "rolled-back write gone");
         assert_eq!(table.read(&r, &2).unwrap(), Some(22));
         mgr.commit(&r).unwrap();
-        assert_eq!(mgr.context().stats().snapshot().aborted, 1);
+        assert_eq!(mgr.context().telemetry_snapshot().stats.aborted, 1);
     }
 
     #[test]
@@ -388,7 +388,7 @@ mod tests {
             assert_eq!(b.read(&r, &i).unwrap(), Some(i as u64));
         }
         mgr.commit(&r).unwrap();
-        let stats = ctx.stats().snapshot();
+        let stats = ctx.telemetry_snapshot().stats;
         assert_eq!(stats.begun, 2 + 1, "two stream txs + one reader");
         assert_eq!(stats.committed, 2 + 1);
         assert_eq!(coord.live_count(), 0);
@@ -413,7 +413,7 @@ mod tests {
         assert_eq!(table.read(&r, &6).unwrap(), Some(1));
         mgr.commit(&r).unwrap();
         // ceil(7/3) = 3 stream transactions + 1 reader.
-        assert_eq!(mgr.context().stats().snapshot().committed, 4);
+        assert_eq!(mgr.context().telemetry_snapshot().stats.committed, 4);
     }
 
     #[test]
@@ -436,7 +436,7 @@ mod tests {
             assert_eq!(table.read(&r, &i).unwrap(), Some(9));
         }
         mgr.commit(&r).unwrap();
-        assert_eq!(mgr.context().stats().snapshot().committed, 5);
+        assert_eq!(mgr.context().telemetry_snapshot().stats.committed, 5);
     }
 
     #[test]

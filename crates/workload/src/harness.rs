@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use tsp_common::{Histogram, Result, TspError};
 use tsp_core::{
     HistogramSummary, PartitionedContext, RangePartitioner, StateContext, TableHandle,
-    TransactionManager, TransactionalTableExt, TxStatsSnapshot, MAX_ACTIVE_TXNS,
+    TelemetrySnapshot, TransactionManager, TransactionalTableExt, TxStatsSnapshot, MAX_ACTIVE_TXNS,
 };
 use tsp_storage::{LsmOptions, LsmStore, StorageBackend, SyncPolicy};
 
@@ -376,6 +376,17 @@ impl BenchEnv {
         })
     }
 
+    /// The deployment-wide telemetry: the partition roll-up for a
+    /// partitioned environment (the writer counters live on the
+    /// per-partition writers, which the router context alone cannot see),
+    /// else the context's own snapshot.
+    pub fn telemetry(&self) -> TelemetrySnapshot {
+        match &self.partitioned {
+            Some(pc) => pc.telemetry_rollup(),
+            None => self.mgr.context().telemetry_snapshot(),
+        }
+    }
+
     /// A unique per-run directory for persistent base tables.
     fn fresh_data_dir(config: &WorkloadConfig) -> PathBuf {
         config
@@ -443,12 +454,17 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
     let zipf = ZipfTable::new(key_space, config.theta, true);
     let stop = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(config.readers + config.writers + 1));
-    env.mgr.context().stats().reset();
+    // Each context has one metrics registry, so one reset per context
+    // clears every counter, histogram and gauge a previous run on this
+    // environment recorded.  The writer counters live on the persistence
+    // writers themselves; the run reports their growth past this baseline.
+    env.mgr.context().telemetry().reset();
     if let Some(pc) = &env.partitioned {
         for p in 0..pc.partitions() {
-            pc.partition_ctx(p).stats().reset();
+            pc.partition_ctx(p).telemetry().reset();
         }
     }
+    let baseline = env.telemetry();
 
     // With a lease configured, a background reaper collects expired
     // transactions for the whole measured window (interval: a quarter
@@ -608,14 +624,8 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
     }
 
     let total = reader_committed + writer_committed;
-    let stats = env.mgr.context().stats().snapshot();
-    // Degraded-mode persistence counters come from the telemetry roll-up
-    // (the writer counters live on the per-backend BatchWriters, which the
-    // router context alone cannot see in a partitioned run).
-    let telemetry = match &env.partitioned {
-        Some(pc) => pc.telemetry_rollup(),
-        None => env.mgr.context().telemetry_snapshot(),
-    };
+    let stats = env.mgr.context().telemetry_snapshot().stats;
+    let telemetry = env.telemetry();
     if let Some(reaper) = reaper {
         reaper.stop();
     }
@@ -637,8 +647,8 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
         reader_p50: latencies.quantile(0.5),
         reader_p99: latencies.quantile(0.99),
         reader_p999: latencies.quantile(0.999),
-        persist_retries: telemetry.persist_retries,
-        writer_recoveries: telemetry.writer_recoveries,
+        persist_retries: telemetry.persist_retries - baseline.persist_retries,
+        writer_recoveries: telemetry.writer_recoveries - baseline.writer_recoveries,
         admission_waits: stats.admission_waits,
         admission_wait_p99,
         timed_out_commits: stats.durability_timeouts,
@@ -648,7 +658,7 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
         partition_stats: env
             .partitioned
             .as_ref()
-            .map(|pc| pc.partition_stats())
+            .map(|pc| pc.partition_telemetry().iter().map(|t| t.stats).collect())
             .unwrap_or_default(),
         partition_reader_latency: partition_latencies
             .iter()
@@ -698,6 +708,23 @@ mod tests {
             assert!(result.partition_reader_latency.is_empty());
             assert!(result.abort_ratio() >= 0.0);
         }
+    }
+
+    #[test]
+    fn run_in_resets_what_an_earlier_run_recorded() {
+        let config = WorkloadConfig::quick(Protocol::Mvcc);
+        assert_eq!(config.lease, None);
+        let env = BenchEnv::build(&config).unwrap();
+        // What an earlier run on this environment left behind: a lease reap
+        // and a bounded-admission wait, neither of which this run can cause
+        // (no lease, no admission wait configured).
+        let telemetry = env.mgr.context().telemetry();
+        telemetry.bump(tsp_core::Counter::LeaseReaps);
+        telemetry.admission_wait_nanos().record_nanos(5_000);
+        let result = run_in(&config, &env).unwrap();
+        assert_eq!(result.lease_reaps, 0);
+        assert_eq!(result.admission_wait_p99, None);
+        assert_eq!(result.admission_waits, 0);
     }
 
     #[test]

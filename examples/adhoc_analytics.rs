@@ -124,7 +124,7 @@ fn main() -> tsp::common::Result<()> {
         a.join().expect("analyst thread");
     }
 
-    let stats = ctx.stats().snapshot();
+    let stats = ctx.telemetry_snapshot().stats;
     println!("=== ad-hoc analytics under a running stream ===");
     println!(
         "stream processed {TRANSFERS} transfers in {:.2} s ({:.0} transfers/s)",

@@ -182,7 +182,7 @@ fn main() -> tsp::common::Result<()> {
     );
     println!("\nconsistency check passed: {home_rows} meters present in both grouped states");
 
-    let stats = ctx.stats().snapshot();
+    let stats = ctx.telemetry_snapshot().stats;
     println!(
         "\ntransaction statistics: {} begun, {} committed, {} aborted",
         stats.begun, stats.committed, stats.aborted

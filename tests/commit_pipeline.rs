@@ -352,7 +352,7 @@ fn leader_follower_handoff_under_many_committers() {
             max_cts = max_cts.max(m);
         }
         assert!(committed > 0, "{protocol}: some transactions must commit");
-        let stats = ctx.stats().snapshot();
+        let stats = ctx.telemetry_snapshot().stats;
         assert_eq!(stats.committed, committed, "{protocol}: commit counter");
         assert_eq!(stats.aborted, aborted, "{protocol}: abort counter");
         assert_eq!(

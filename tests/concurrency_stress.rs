@@ -4,6 +4,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tsp::core::prelude::*;
 
 /// Several writers increment disjoint counters concurrently under MVCC; every
@@ -104,7 +105,7 @@ fn contended_writers_preserve_committed_increments() {
     // Wins); on a single-core runner the threads may interleave so coarsely
     // that no conflict ever materialises, which is also fine — the invariant
     // above is what matters.
-    let _ = ctx.stats().snapshot().write_conflicts;
+    let _ = ctx.telemetry_snapshot().stats.write_conflicts;
 }
 
 /// BOCC writers racing on the same key: backward validation may abort
@@ -159,6 +160,20 @@ fn bocc_contended_writers_preserve_committed_increments() {
     );
 }
 
+/// Gives starving readers a window: waits until `done` has moved past
+/// `*since` (a reader finished since the previous pause), then records the
+/// new value.  A writer running back-to-back rounds on a 2-vCPU host can
+/// otherwise finish before any reader thread gets to commit.  The wait is
+/// bounded, so a reader path that never completes still fails its test's
+/// progress assertion instead of hanging.
+fn wait_for_progress(done: &AtomicU64, since: &mut u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while done.load(Ordering::Relaxed) == *since && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    *since = done.load(Ordering::Relaxed);
+}
+
 /// S2PL under reader/writer contention: wait-die may abort transactions but
 /// must never deadlock permanently, and committed data stays consistent.
 #[test]
@@ -171,11 +186,13 @@ fn s2pl_contention_never_hangs() {
     table.preload((0..16u32).map(|k| (k, 0u64))).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
+    let reads_done = Arc::new(AtomicU64::new(0));
     let readers: Vec<_> = (0..3)
         .map(|_| {
             let mgr = Arc::clone(&mgr);
             let table = Arc::clone(&table);
             let stop = Arc::clone(&stop);
+            let reads_done = Arc::clone(&reads_done);
             std::thread::spawn(move || {
                 let mut reads = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -193,6 +210,7 @@ fn s2pl_contention_never_hangs() {
                     if ok {
                         let _ = mgr.commit(&tx);
                         reads += 1;
+                        reads_done.fetch_add(1, Ordering::Relaxed);
                     } else {
                         let _ = mgr.abort(&tx);
                     }
@@ -204,7 +222,11 @@ fn s2pl_contention_never_hangs() {
 
     // Writer updates all 16 keys per transaction for a fixed number of rounds.
     let mut committed_rounds = 0u64;
+    let mut reads_at_pause = 0;
     for round in 1..=200u64 {
+        if round % 50 == 0 {
+            wait_for_progress(&reads_done, &mut reads_at_pause);
+        }
         loop {
             let tx = mgr.begin().unwrap();
             let mut ok = true;
@@ -288,12 +310,19 @@ fn bocc_validation_keeps_committed_reads_consistent() {
         })
         .collect();
 
+    // Every writer commit invalidates the readers in flight, so back-to-back
+    // rounds can starve them for the whole run; the writer pauses every 50
+    // rounds until some reader has committed.
+    let mut reads_at_pause = 0;
     for round in 1..=500u64 {
         let tx = mgr.begin().unwrap();
         table.write(&tx, 0, round).unwrap();
         table.write(&tx, 1, round).unwrap();
         // A single writer cannot fail validation.
         mgr.commit(&tx).unwrap();
+        if round % 50 == 0 {
+            wait_for_progress(&consistent_reads, &mut reads_at_pause);
+        }
     }
     stop.store(true, Ordering::Relaxed);
     for r in readers {

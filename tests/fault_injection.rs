@@ -236,7 +236,7 @@ fn bounded_admission_wins_a_freed_slot() {
     releaser.join().unwrap();
     mgr.commit(&tx).unwrap();
 
-    let stats = ctx.stats().snapshot();
+    let stats = ctx.telemetry_snapshot().stats;
     assert_eq!(stats.admission_waits, 1);
     assert_eq!(stats.admission_timeouts, 0);
     let snap = ctx.telemetry_snapshot();
@@ -268,7 +268,7 @@ fn bounded_admission_times_out_and_is_counted() {
         tsp::common::TspError::CapacityExhausted { .. }
     ));
 
-    let stats = ctx.stats().snapshot();
+    let stats = ctx.telemetry_snapshot().stats;
     assert_eq!(stats.admission_timeouts, 1);
     assert_eq!(stats.abort_reason(AbortReason::SlotExhaustion), 1);
     assert_eq!(stats.abort_reason(AbortReason::AdmissionTimeout), 1);

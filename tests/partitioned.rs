@@ -361,8 +361,11 @@ fn slot_churn_reuses_slots_across_partitions() {
         assert_eq!(pc.partition_ctx(p).active_count(), 0, "slot leak on p{p}");
     }
     // The partitions saw real traffic and their counters are consistent.
-    for (p, stats) in pc.partition_stats().iter().enumerate() {
-        assert!(stats.committed > 0, "partition {p} committed nothing");
+    for (p, telemetry) in pc.partition_telemetry().iter().enumerate() {
+        assert!(
+            telemetry.stats.committed > 0,
+            "partition {p} committed nothing"
+        );
     }
     // Reads after the churn still work (no wedged snapshots/GC floors).
     let q = mgr.begin_read_only().unwrap();
@@ -410,7 +413,13 @@ fn partitioned_commit_durable_timeout_waits_on_the_partitions() {
     assert!(cts.is_some());
     assert!(!durable, "a 300 ms write cannot be durable within 5 ms");
     assert!(started.elapsed() < spike, "the bounded wait overran");
-    assert_eq!(pc.router_ctx().stats().snapshot().durability_timeouts, 1);
+    assert_eq!(
+        pc.router_ctx()
+            .telemetry_snapshot()
+            .stats
+            .durability_timeouts,
+        1
+    );
     // Visible at once, durable once the slow batch lands.
     assert_eq!(committed(&mgr, &table, &[1]), vec![10]);
     pc.flush().unwrap();

@@ -1,10 +1,10 @@
 //! Property-based tests (proptest) for the extension modules: Bloom filters,
-//! range scans, the LRU cache, posting lists / secondary indexes, the latency
+//! range scans, posting lists / secondary indexes, the latency
 //! histogram, session windows and the relaxed isolation levels.  Each test
 //! checks the real implementation against a small, obviously-correct model.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tsp::core::index::PostingList;
 use tsp::core::prelude::*;
@@ -110,37 +110,6 @@ proptest! {
             .cloned()
             .collect();
         prop_assert_eq!(got, expected);
-    }
-}
-
-// ---------------------------------------------------------------------
-// LRU cache (with a budget large enough that nothing is evicted, the cache
-// must behave exactly like a hash map that is invalidated on writes)
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn cached_backend_is_transparent(
-        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), proptest::bool::ANY), 1..200),
-    ) {
-        let cached = CachedBackend::new(BTreeBackend::new(), 16 * 1024 * 1024);
-        let mut model: HashMap<u8, u8> = HashMap::new();
-        for (key, value, is_write) in ops {
-            if is_write {
-                cached.put(&[key], &[value]).unwrap();
-                model.insert(key, value);
-            } else {
-                let got = cached.get(&[key]).unwrap().map(|v| v[0]);
-                prop_assert_eq!(got, model.get(&key).copied());
-            }
-        }
-        // Final sweep: every key agrees with the model.
-        for (k, v) in &model {
-            prop_assert_eq!(cached.get(&[*k]).unwrap(), Some(vec![*v]));
-        }
-        prop_assert_eq!(cached.len(), model.len());
     }
 }
 

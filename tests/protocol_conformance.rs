@@ -171,7 +171,7 @@ fn write_write_conflict_admits_exactly_one_winner() {
             Protocol::Bocc => AbortReason::Certification,
             Protocol::S2pl => AbortReason::LockConflict,
         };
-        let snap = mgr.context().stats().snapshot();
+        let snap = mgr.context().telemetry_snapshot().stats;
         for reason in AbortReason::ALL {
             let want = u64::from(reason == expected);
             assert_eq!(
@@ -252,9 +252,8 @@ fn snapshot_visibility_during_concurrent_commit() {
                 // The taxonomy files the stale read under certification.
                 assert_eq!(
                     mgr.context()
-                        .stats()
-                        .snapshot()
-                        .abort_reason(AbortReason::Certification),
+                        .telemetry_snapshot()
+                        .abort_count(AbortReason::Certification),
                     1,
                     "BOCC: a failed backward validation is a certification abort"
                 );

@@ -152,7 +152,7 @@ fn reaper_recovers_from_zombie_clients_under_all_protocols() {
             "{protocol}: one sweep reaps all"
         );
         assert_eq!(ctx.active_count(), 0, "{protocol}: slots reclaimed");
-        let snap = ctx.stats().snapshot();
+        let snap = ctx.telemetry_snapshot().stats;
         assert_eq!(snap.lease_expirations as usize, spawned, "{protocol}");
         assert_eq!(
             ctx.telemetry_snapshot().lease_reaps as usize,
@@ -211,7 +211,11 @@ fn leases_disabled_reaps_nothing_and_preserves_zombies() {
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(mgr.reap_expired(), 0, "{protocol}: nothing to reap");
         assert_eq!(ctx.active_count(), 3, "{protocol}: slots stay occupied");
-        assert_eq!(ctx.stats().snapshot().lease_expirations, 0, "{protocol}");
+        assert_eq!(
+            ctx.telemetry_snapshot().stats.lease_expirations,
+            0,
+            "{protocol}"
+        );
 
         // An explicit abort still cleans up normally.
         for tx in &zombies {
@@ -250,7 +254,7 @@ fn slot_exhaustion_recovers_via_inline_reap() {
     let tx = mgr.begin().expect("inline reap frees a slot");
     table.write(&tx, 1, 42).unwrap();
     mgr.commit(&tx).unwrap();
-    assert_eq!(ctx.stats().snapshot().lease_expirations, 4);
+    assert_eq!(ctx.telemetry_snapshot().stats.lease_expirations, 4);
 }
 
 // Epoch-fence race property: `reap_expired` racing the owner's own commit
