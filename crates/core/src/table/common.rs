@@ -4,11 +4,12 @@
 //! the helpers hoisted out of the per-protocol tables, and the trait bounds
 //! for keys and values.
 
+use crate::clock::EPOCH_TS;
 use crate::context::{StateContext, Tx};
 use crate::telemetry::Counter;
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -373,6 +374,9 @@ impl<K: KeyType, V: ValueType> TxWriteSets<K, V> {
     }
 }
 
+/// A metadata entry of a commit batch: a put, or a delete for `None`.
+pub type MetaOp = (Vec<u8>, Option<Vec<u8>>);
+
 /// A typed view of an optional byte-level [`StorageBackend`] — the "Base
 /// Table" of Fig. 3.
 ///
@@ -384,24 +388,28 @@ pub struct TypedBackend<K, V> {
     /// Asynchronous persistence writer (stage 2 of the commit pipeline).
     /// `None` = synchronous durability inside the commit critical section.
     writer: Option<Arc<BatchWriter>>,
+    /// Commit timestamps of the group redo records this view wrote and has
+    /// not yet deleted, oldest first (see [`persist_pending`]).
+    live_redo: Mutex<VecDeque<Timestamp>>,
     _marker: std::marker::PhantomData<fn() -> (K, V)>,
 }
 
 impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
     /// A view with no persistence.
     pub fn volatile() -> Self {
-        TypedBackend {
-            backend: None,
-            writer: None,
-            _marker: std::marker::PhantomData,
-        }
+        Self::new(None, None)
     }
 
     /// A view over `backend` with synchronous durability.
     pub fn persistent(backend: Arc<dyn StorageBackend>) -> Self {
+        Self::new(Some(backend), None)
+    }
+
+    fn new(backend: Option<Arc<dyn StorageBackend>>, writer: Option<Arc<BatchWriter>>) -> Self {
         TypedBackend {
-            backend: Some(backend),
-            writer: None,
+            backend,
+            writer,
+            live_redo: Mutex::new(VecDeque::new()),
             _marker: std::marker::PhantomData,
         }
     }
@@ -419,11 +427,7 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
                 } else {
                     None
                 };
-                TypedBackend {
-                    backend: Some(b),
-                    writer,
-                    _marker: std::marker::PhantomData,
-                }
+                Self::new(Some(b), writer)
             }
         }
     }
@@ -463,9 +467,9 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
         Ok(())
     }
 
-    /// Encodes the effective modifications of a write set (plus optional
-    /// metadata entries) as one [`WriteBatch`].
-    fn build_batch(ops: &[(K, WriteOp<V>)], meta: &[(Vec<u8>, Vec<u8>)]) -> WriteBatch {
+    /// Encodes the effective modifications of a write set (plus metadata
+    /// puts, or deletes for `None`) as one [`WriteBatch`].
+    fn build_batch(ops: &[(K, WriteOp<V>)], meta: &[MetaOp]) -> WriteBatch {
         let mut batch = WriteBatch::with_capacity(ops.len() + meta.len());
         for (k, op) in ops {
             match op {
@@ -478,7 +482,10 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
             }
         }
         for (k, v) in meta {
-            batch.put(k.clone(), v.clone());
+            match v {
+                Some(v) => batch.put(k.clone(), v.clone()),
+                None => batch.delete(k.clone()),
+            };
         }
         batch
     }
@@ -487,7 +494,7 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
     /// metadata entries) as one atomic batch, synchronously — preloading and
     /// recovery restores use this; transactional commits go through
     /// [`apply_at`](Self::apply_at).
-    pub fn apply(&self, ops: &[(K, WriteOp<V>)], meta: &[(Vec<u8>, Vec<u8>)]) -> Result<()> {
+    pub fn apply(&self, ops: &[(K, WriteOp<V>)], meta: &[MetaOp]) -> Result<()> {
         let Some(b) = &self.backend else {
             return Ok(());
         };
@@ -501,12 +508,7 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
     /// batch to the asynchronous [`BatchWriter`] when one is attached (a
     /// queue push — no I/O on the commit path; durability trails behind the
     /// `DurableCTS` watermark), otherwise writes it synchronously.
-    pub fn apply_at(
-        &self,
-        ops: &[(K, WriteOp<V>)],
-        meta: &[(Vec<u8>, Vec<u8>)],
-        cts: Timestamp,
-    ) -> Result<()> {
+    pub fn apply_at(&self, ops: &[(K, WriteOp<V>)], meta: &[MetaOp], cts: Timestamp) -> Result<()> {
         let Some(b) = &self.backend else {
             return Ok(());
         };
@@ -767,6 +769,7 @@ impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
             &self.pending_durable,
             &self.write_sets,
             tx,
+            self.state_id,
             cts,
         )
     }
@@ -1172,12 +1175,20 @@ pub fn preload_rows<K: KeyType, V: ValueType>(
 /// batch too, under [`redo_key`]: every surviving participant then holds a
 /// full copy of the group's write sets, which is what lets recovery roll a
 /// torn suffix forward instead of min-fencing it.
+///
+/// The same batch deletes the records `backend` wrote earlier at or below
+/// the redo watermark — the `DurableCTS` with an asynchronous writer, the
+/// group's published `LastCTS` otherwise.  Every state of the group
+/// durably holds those commits, so no recovery can need them (the rule in
+/// [`tsp_storage::redo`]).  Live records per state stay bounded by the
+/// durability lag instead of growing with every commit.
 pub fn persist_pending<K: KeyType, V: ValueType>(
     ctx: &StateContext,
     backend: &TypedBackend<K, V>,
     pending: &PendingDurable<K, V>,
     write_sets: &TxWriteSets<K, V>,
     tx: &Tx,
+    state: StateId,
     cts: Timestamp,
 ) -> Result<()> {
     if !backend.is_persistent() {
@@ -1189,12 +1200,48 @@ pub fn persist_pending<K: KeyType, V: ValueType>(
     if ops.is_empty() {
         return Ok(());
     }
-    let mut meta = commit_meta(backend, cts);
-    if let Some(record) = ctx.pending_redo(tx) {
+    let mut meta = vec![(last_cts_key(), Some(cts.encode()))];
+    let record = ctx.pending_redo(tx);
+    if let Some(record) = &record {
         ctx.telemetry().add(Counter::RedoBytes, record.len() as u64);
-        meta.push((redo_key(cts), record.as_ref().clone()));
+        meta.push((redo_key(cts), Some(record.as_ref().clone())));
     }
-    backend.apply_at(&ops, &meta, cts)
+    {
+        let mut live = backend.live_redo.lock();
+        if !live.is_empty() {
+            let watermark = redo_watermark(ctx, backend, state);
+            while let Some(dead) = live.front().copied().filter(|c| *c <= watermark) {
+                live.pop_front();
+                meta.push((redo_key(dead), None));
+            }
+        }
+    }
+    backend.apply_at(&ops, &meta, cts)?;
+    if record.is_some() {
+        backend.live_redo.lock().push_back(cts);
+    }
+    Ok(())
+}
+
+/// A lower bound on the durable `LastCTS` marker of every state in
+/// `state`'s groups: group redo records at or below it are dead.  With an
+/// asynchronous writer that is the context's `DurableCTS`; with
+/// synchronous persistence a group's published `LastCTS`, because a commit
+/// is published only after every participant wrote its batch.
+fn redo_watermark<K: KeyType, V: ValueType>(
+    ctx: &StateContext,
+    backend: &TypedBackend<K, V>,
+    state: StateId,
+) -> Timestamp {
+    let watermark = match backend.writer() {
+        Some(_) => ctx.durability().durable_cts(),
+        None => ctx
+            .groups_of_state(state)
+            .into_iter()
+            .filter_map(|g| ctx.last_cts(g).ok())
+            .min(),
+    };
+    watermark.unwrap_or(EPOCH_TS)
 }
 
 /// Encodes a participant's effective write set as its section of the group
@@ -1259,19 +1306,6 @@ pub fn attach_group_redo<'a>(
         states: sections,
     };
     ctx.attach_redo(tx, Arc::new(record.encode()));
-}
-
-/// The metadata entries persisted with a commit batch: the durable group
-/// commit timestamp marker for persistent tables, nothing for volatile ones.
-pub fn commit_meta<K: KeyType, V: ValueType>(
-    backend: &TypedBackend<K, V>,
-    cts: Timestamp,
-) -> Vec<(Vec<u8>, Vec<u8>)> {
-    if backend.is_persistent() {
-        vec![(last_cts_key(), cts.encode())]
-    } else {
-        Vec::new()
-    }
 }
 
 /// Overlays a transaction's effective write set onto a scanned committed
@@ -1413,7 +1447,7 @@ mod tests {
         assert_eq!(tb.get(&7).unwrap(), Some("seven".to_string()));
         tb.apply(
             &[(8, WriteOp::Put("eight".into())), (7, WriteOp::Delete)],
-            &[(last_cts_key(), 42u64.encode())],
+            &[(last_cts_key(), Some(42u64.encode()))],
         )
         .unwrap();
         assert_eq!(tb.get(&7).unwrap(), None);

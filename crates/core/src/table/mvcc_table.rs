@@ -455,6 +455,7 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
             &self.pending_durable,
             &self.write_sets,
             tx,
+            self.state_id,
             cts,
         )
     }

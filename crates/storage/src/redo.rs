@@ -43,12 +43,17 @@
 //!
 //! ## Truncation
 //!
-//! The log is bounded by checkpoints: once every state of the group has
-//! durably stored a marker `>= w` (e.g. after a
-//! [`crate::checkpoint::create_checkpoint`] of each state), all records with
-//! `cts <= w` are dead weight and [`truncate_redo`] deletes them.  Records
-//! must only be truncated at or below such a group-wide watermark — a record
-//! above it may still be the only surviving copy of a torn suffix.
+//! Once every state of the group has durably stored a marker `>= w`, all
+//! records with `cts <= w` are dead weight.  Records must only be deleted
+//! at or below such a group-wide watermark — a record above it may still
+//! be the only surviving copy of a torn suffix.  The transactional layer
+//! applies the rule online: each table remembers the records it wrote and
+//! deletes the dead ones in its next commit batch, with the durable
+//! watermark (asynchronous persistence) or the group's published
+//! `LastCTS` (synchronous persistence) as `w` — see
+//! `tsp_core::table::common::persist_pending`.  Records a crashed run left
+//! behind are deleted by [`truncate_redo`] once a checkpoint
+//! ([`crate::checkpoint::create_checkpoint`] of each state) covers them.
 
 use crate::backend::{BatchOp, StorageBackend, WriteBatch};
 use crate::checksum::crc32;

@@ -90,37 +90,20 @@ impl Topology {
         mgr: Arc<TransactionManager>,
         query: impl Fn(&Tx) -> Result<Vec<U>> + Send + 'static,
     ) -> Stream<U> {
-        let (tx_out, stream) = {
-            let (tx, rx) = crossbeam::channel::bounded(self.core().channel_capacity());
-            (
-                tx,
-                Stream {
-                    rx,
-                    core: Arc::clone(self.core()),
-                },
-            )
-        };
-        let core = Arc::clone(self.core());
-        let handle = std::thread::spawn(move || {
-            core.wait_for_start();
+        self.source(move |out| {
             let Ok(txn) = mgr.begin_read_only() else {
-                let _ = tx_out.send(Punctuation::end_of_stream(0).into());
+                out(Punctuation::end_of_stream(0).into());
                 return;
             };
             let rows = query(&txn).unwrap_or_default();
             let _ = mgr.commit(&txn);
             for (i, row) in rows.into_iter().enumerate() {
-                if tx_out
-                    .send(StreamElement::Data(Tuple::new(0, i as u64, row)))
-                    .is_err()
-                {
+                if !out(StreamElement::Data(Tuple::new(0, i as u64, row))) {
                     return;
                 }
             }
-            let _ = tx_out.send(Punctuation::end_of_stream(0).into());
-        });
-        self.core().register(handle);
-        stream
+            out(Punctuation::end_of_stream(0).into());
+        })
     }
 
     /// Runs a whole-table ad-hoc query over any transactional table as a

@@ -64,37 +64,25 @@ where
         V: ValueType + Send,
         O: Data,
     {
-        self.spawn_operator(move |rx, tx| {
-            for el in rx.iter() {
-                match el {
-                    StreamElement::Data(t) => {
-                        let (k, a) = t.payload;
-                        // A read-only snapshot per probe: cheap (atomic slot
-                        // allocation) and always consistent.
-                        let value = match mgr.begin_read_only() {
-                            Ok(q) => {
-                                let v = table.read(&q, &k).ok().flatten();
-                                let _ = mgr.commit(&q);
-                                v
-                            }
-                            Err(_) => None,
-                        };
-                        if let Some(out) = combine(k, a, value) {
-                            if tx
-                                .send(StreamElement::Data(Tuple::new(t.timestamp, t.seq, out)))
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
+        self.fuse(move |el, out| match el {
+            StreamElement::Data(t) => {
+                let (k, a) = t.payload;
+                // A read-only snapshot per probe: cheap (atomic slot
+                // allocation) and always consistent.
+                let value = match mgr.begin_read_only() {
+                    Ok(q) => {
+                        let v = table.read(&q, &k).ok().flatten();
+                        let _ = mgr.commit(&q);
+                        v
                     }
-                    StreamElement::Punctuation(p) => {
-                        if tx.send(StreamElement::Punctuation(p)).is_err() {
-                            return;
-                        }
-                    }
+                    Err(_) => None,
+                };
+                match combine(k, a, value) {
+                    Some(o) => out(StreamElement::Data(Tuple::new(t.timestamp, t.seq, o))),
+                    None => true,
                 }
             }
+            StreamElement::Punctuation(p) => out(StreamElement::Punctuation(p)),
         })
     }
 }
@@ -110,6 +98,10 @@ impl<T: Data> Stream<T> {
     /// Punctuations from the left input are forwarded so transaction
     /// boundaries survive the join; the right input's punctuations only
     /// contribute to termination.
+    ///
+    /// A boundary operator: each input that is a fused chain runs on its
+    /// own thread into a channel, and the join selects over both channels
+    /// on the thread of the chain behind it.
     pub fn hash_join<U, K, O>(
         self,
         right: Stream<U>,
@@ -125,20 +117,10 @@ impl<T: Data> Stream<T> {
         O: Data,
     {
         assert!(window >= 1, "join window must hold at least one element");
-        let (out_tx, out) = {
-            let (tx, rx) = crossbeam::channel::bounded(self.core.channel_capacity());
-            (
-                tx,
-                Stream {
-                    rx,
-                    core: Arc::clone(&self.core),
-                },
-            )
-        };
         let core = Arc::clone(&self.core);
-        let left_rx = self.rx;
-        let right_rx = right.rx;
-        let handle = std::thread::spawn(move || {
+        let left_rx = self.into_receiver();
+        let right_rx = right.into_receiver();
+        Stream::fused(core, move |out| {
             let mut left_buf: HashMap<K, VecDeque<T>> = HashMap::new();
             let mut right_buf: HashMap<K, VecDeque<U>> = HashMap::new();
             let mut left_order: VecDeque<K> = VecDeque::new();
@@ -169,7 +151,7 @@ impl<T: Data> Stream<T> {
                             if let Some(matches) = right_buf.get(&k) {
                                 for r in matches {
                                     let o = combine(&t.payload, r);
-                                    if out_tx.send(StreamElement::Data(Tuple::new(t.timestamp, seq, o))).is_err() {
+                                    if !out(StreamElement::Data(Tuple::new(t.timestamp, seq, o))) {
                                         return;
                                     }
                                     seq += 1;
@@ -190,7 +172,7 @@ impl<T: Data> Stream<T> {
                             last_ts = last_ts.max(p.timestamp);
                             if p.kind == PunctuationKind::EndOfStream {
                                 left_open = false;
-                            } else if out_tx.send(StreamElement::Punctuation(p)).is_err() {
+                            } else if !out(StreamElement::Punctuation(p)) {
                                 return;
                             }
                         }
@@ -203,7 +185,7 @@ impl<T: Data> Stream<T> {
                             if let Some(matches) = left_buf.get(&k) {
                                 for l in matches {
                                     let o = combine(l, &t.payload);
-                                    if out_tx.send(StreamElement::Data(Tuple::new(t.timestamp, seq, o))).is_err() {
+                                    if !out(StreamElement::Data(Tuple::new(t.timestamp, seq, o))) {
                                         return;
                                     }
                                     seq += 1;
@@ -230,10 +212,8 @@ impl<T: Data> Stream<T> {
                     },
                 }
             }
-            let _ = out_tx.send(Punctuation::end_of_stream(last_ts).into());
-        });
-        core.register(handle);
-        out
+            out(Punctuation::end_of_stream(last_ts).into());
+        })
     }
 }
 

@@ -13,6 +13,12 @@
 //!   snapshot queries over tables (or attaching to a stream via
 //!   [`Stream::broadcast`]).
 //!
+//! Operators between a source (or a fork) and a sink run as one fused chain
+//! on one thread; only `broadcast`, `merge`, the partition routers and
+//! `hash_join` cross threads through bounded channels ([`stream`],
+//! [`topology`]).  The query below — source, `map`, punctuation,
+//! `TO_TABLE`, sink — is a single thread.
+//!
 //! Transaction boundaries are data-centric: `BOT`/`COMMIT`/`ROLLBACK`
 //! punctuations flow in-band ([`Stream::punctuate_every`],
 //! [`txn::Boundaries`]), and the [`txn::TxCoordinator`] makes sure all

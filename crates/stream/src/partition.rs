@@ -9,7 +9,12 @@
 //! * [`Stream::partition_by`] — hash-partition on a key so every element of
 //!   one key is handled by the same downstream instance,
 //! * [`Stream::round_robin`] — load-balance without key affinity,
-//! * [`Stream::key_by`] — attach an explicit key to every element.
+//! * [`Stream::key_by`] — attach an explicit key to every element (a fused
+//!   `map`).
+//!
+//! The two routers are boundary operators: the upstream chain runs on its
+//! own thread and feeds one bounded channel per partition, and each
+//! partition heads a chain — and a thread — of its own.
 //!
 //! Punctuations (transaction boundaries, window closes, end-of-stream) are
 //! broadcast to *every* partition, so per-partition `TO_TABLE` operators all
@@ -19,7 +24,6 @@
 use crate::stream::{Data, Stream};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use tsp_common::StreamElement;
 
 impl<T: Data> Stream<T> {
@@ -70,47 +74,16 @@ impl<T: Data> Stream<T> {
         n: usize,
         mut route_of: impl FnMut(&T) -> usize + Send + 'static,
     ) -> Vec<Stream<T>> {
-        let mut senders = Vec::with_capacity(n);
-        let mut streams = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, s) = {
-                // Reuse the stream's edge construction via a small broadcast
-                // of capacity 1; we need a fresh (Sender, Stream) pair bound
-                // to the same topology core.
-                let (tx, rx) = crossbeam::channel::bounded(self.core.channel_capacity());
-                (
-                    tx,
-                    Stream {
-                        rx,
-                        core: Arc::clone(&self.core),
-                    },
-                )
-            };
-            senders.push(tx);
-            streams.push(s);
-        }
-        let rx = self.rx;
-        let core = Arc::clone(&self.core);
-        let handle = std::thread::spawn(move || {
-            for el in rx.iter() {
-                match el {
-                    StreamElement::Data(t) => {
-                        let p = route_of(&t.payload).min(n - 1);
-                        if senders[p].send(StreamElement::Data(t)).is_err() {
-                            return;
-                        }
-                    }
-                    StreamElement::Punctuation(p) => {
-                        for s in &senders {
-                            if s.send(StreamElement::Punctuation(p)).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                }
+        let (senders, streams): (Vec<_>, Vec<_>) = (0..n).map(|_| self.channel()).unzip();
+        self.spawn(move |el| match el {
+            StreamElement::Data(t) => {
+                let p = route_of(&t.payload).min(n - 1);
+                senders[p].send(StreamElement::Data(t)).is_ok()
             }
+            StreamElement::Punctuation(p) => senders
+                .iter()
+                .all(|s| s.send(StreamElement::Punctuation(p)).is_ok()),
         });
-        core.register(handle);
         streams
     }
 }

@@ -1,10 +1,13 @@
-//! The [`Stream`] handle and the stateless / windowing operators built on it.
+//! The [`Stream`] handle and the stateless operators built on it.
 //!
-//! A `Stream<T>` represents one edge of the dataflow graph: a bounded channel
-//! of [`StreamElement<T>`]s produced by the operator upstream.  Each
-//! transformation (`map`, `filter`, windows, …) spawns the downstream
-//! operator on its own thread and returns the new edge, so building a
-//! pipeline is just method chaining:
+//! A `Stream<T>` is one edge of the dataflow graph.  Linear operators
+//! (`map`, `filter`, windows, `TO_TABLE`, `TO_STREAM`, …) do not start a
+//! thread: each composes a push-style step onto the upstream producer, so a
+//! whole chain from a source to its sink runs as direct calls on one thread.
+//! That thread starts when the chain reaches a sink or a boundary operator
+//! (`broadcast`, `merge`, the partition routers, `hash_join`); the edges a
+//! boundary operator leaves are bounded channels, each the start of a new
+//! chain.  Building a pipeline is still just method chaining:
 //!
 //! ```
 //! use tsp_stream::prelude::*;
@@ -15,6 +18,7 @@
 //!     .map(|x| x * 10)
 //!     .filter(|x| *x >= 30)
 //!     .collect();
+//! assert_eq!(topo.operator_count(), 1, "one fused chain, one thread");
 //! topo.run();
 //! assert_eq!(sink.take(), vec![30, 40, 50]);
 //! ```
@@ -25,14 +29,30 @@
 //! at the end of the pipeline.
 
 use crate::topology::{Topology, TopologyCore};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use tsp_common::{Punctuation, PunctuationKind, StreamElement, Timestamp, Tuple};
 
+/// The downstream half of a fused chain: takes one element, returns `false`
+/// once nothing downstream wants more (the chain then stops).
+pub(crate) type Emit<'a, T> = &'a mut dyn FnMut(StreamElement<T>) -> bool;
+
+/// A not-yet-started chain: pushes every element it produces into the given
+/// [`Emit`] on the calling thread.
+type Producer<T> = Box<dyn FnOnce(Emit<'_, T>) + Send>;
+
+enum Edge<T> {
+    /// The output of a boundary operator.
+    Channel(Receiver<StreamElement<T>>),
+    /// A source plus the linear operators composed onto it so far.
+    Fused(Producer<T>),
+}
+
 /// A typed edge of the dataflow graph.
+#[must_use = "a stream does nothing until it reaches a sink"]
 pub struct Stream<T> {
-    pub(crate) rx: Receiver<StreamElement<T>>,
+    edge: Edge<T>,
     pub(crate) core: Arc<TopologyCore>,
 }
 
@@ -41,15 +61,17 @@ pub trait Data: Send + 'static {}
 impl<T: Send + 'static> Data for T {}
 
 impl Topology {
-    fn new_edge<T: Data>(&self) -> (Sender<StreamElement<T>>, Stream<T>) {
-        let (tx, rx) = bounded(self.core().channel_capacity());
-        (
-            tx,
-            Stream {
-                rx,
-                core: Arc::clone(self.core()),
-            },
-        )
+    /// A source whose `body` runs once the topology is started, on the
+    /// thread of the chain it heads.
+    pub(crate) fn source<T: Data>(
+        &self,
+        body: impl FnOnce(Emit<'_, T>) + Send + 'static,
+    ) -> Stream<T> {
+        let core = Arc::clone(self.core());
+        Stream::fused(Arc::clone(&core), move |out| {
+            core.wait_for_start();
+            body(out)
+        })
     }
 
     /// A finite source emitting the given payloads (sequence numbers and
@@ -63,34 +85,23 @@ impl Topology {
         &self,
         items: impl IntoIterator<Item = (Timestamp, T)> + Send + 'static,
     ) -> Stream<T> {
-        let (tx, stream) = self.new_edge();
-        let core = Arc::clone(self.core());
-        let handle = std::thread::spawn(move || {
-            core.wait_for_start();
+        self.source(move |out| {
             let mut last_ts = 0;
             for (seq, (ts, payload)) in items.into_iter().enumerate() {
                 last_ts = ts;
-                if tx
-                    .send(StreamElement::Data(Tuple::new(ts, seq as u64, payload)))
-                    .is_err()
-                {
+                if !out(StreamElement::Data(Tuple::new(ts, seq as u64, payload))) {
                     return;
                 }
             }
-            let _ = tx.send(Punctuation::end_of_stream(last_ts).into());
-        });
-        self.core().register(handle);
-        stream
+            out(Punctuation::end_of_stream(last_ts).into());
+        })
     }
 
     /// A source emitting pre-built stream elements verbatim (used to inject
     /// explicit transaction punctuations); an `EndOfStream` is appended if the
     /// caller did not provide one.
     pub fn source_elements<T: Data>(&self, elements: Vec<StreamElement<T>>) -> Stream<T> {
-        let (tx, stream) = self.new_edge();
-        let core = Arc::clone(self.core());
-        let handle = std::thread::spawn(move || {
-            core.wait_for_start();
+        self.source(move |out| {
             let mut saw_eos = false;
             let mut last_ts = 0;
             for el in elements {
@@ -98,16 +109,14 @@ impl Topology {
                 if let StreamElement::Punctuation(p) = &el {
                     saw_eos |= p.kind == PunctuationKind::EndOfStream;
                 }
-                if tx.send(el).is_err() {
+                if !out(el) {
                     return;
                 }
             }
             if !saw_eos {
-                let _ = tx.send(Punctuation::end_of_stream(last_ts).into());
+                out(Punctuation::end_of_stream(last_ts).into());
             }
-        });
-        self.core().register(handle);
-        stream
+        })
     }
 
     /// A generator source: calls `next(i)` for `i in 0..count`, emitting the
@@ -117,185 +126,163 @@ impl Topology {
         count: u64,
         mut next: impl FnMut(u64) -> T + Send + 'static,
     ) -> Stream<T> {
-        let (tx, stream) = self.new_edge();
-        let core = Arc::clone(self.core());
-        let handle = std::thread::spawn(move || {
-            core.wait_for_start();
+        self.source(move |out| {
             for i in 0..count {
-                if tx
-                    .send(StreamElement::Data(Tuple::new(i, i, next(i))))
-                    .is_err()
-                {
+                if !out(StreamElement::Data(Tuple::new(i, i, next(i)))) {
                     return;
                 }
             }
-            let _ = tx.send(Punctuation::end_of_stream(count).into());
-        });
-        self.core().register(handle);
-        stream
+            out(Punctuation::end_of_stream(count).into());
+        })
     }
 }
 
 impl<T: Data> Stream<T> {
-    fn new_edge<U: Data>(&self) -> (Sender<StreamElement<U>>, Stream<U>) {
-        let (tx, rx) = bounded(self.core.channel_capacity());
-        (
-            tx,
-            Stream {
-                rx,
-                core: Arc::clone(&self.core),
-            },
-        )
+    /// A stream whose elements `producer` pushes once its chain runs.
+    pub(crate) fn fused(
+        core: Arc<TopologyCore>,
+        producer: impl FnOnce(Emit<'_, T>) + Send + 'static,
+    ) -> Self {
+        Stream {
+            edge: Edge::Fused(Box::new(producer)),
+            core,
+        }
     }
 
-    /// Spawns a downstream operator thread running `body(input, output)`.
-    pub(crate) fn spawn_operator<U: Data>(
+    /// A new boundary channel on this stream's topology: the sender for the
+    /// boundary operator and the stream that starts at its other end.
+    pub(crate) fn channel<U: Data>(&self) -> (Sender<StreamElement<U>>, Stream<U>) {
+        let (tx, rx) = crossbeam::channel::bounded(self.core.channel_capacity());
+        let stream = Stream {
+            edge: Edge::Channel(rx),
+            core: Arc::clone(&self.core),
+        };
+        (tx, stream)
+    }
+
+    /// Runs the chain on the calling thread, pushing every element into
+    /// `out` until the stream ends or `out` returns `false`.
+    fn run(self, out: Emit<'_, T>) {
+        match self.edge {
+            Edge::Channel(rx) => {
+                for el in rx.iter() {
+                    if !out(el) {
+                        return;
+                    }
+                }
+            }
+            Edge::Fused(producer) => producer(out),
+        }
+    }
+
+    /// Composes a linear operator onto the chain.  `step(el, out)` handles
+    /// one input element, pushing its outputs into `out`, and returns
+    /// `false` to stop the chain.
+    pub(crate) fn fuse<U: Data>(
         self,
-        body: impl FnOnce(Receiver<StreamElement<T>>, Sender<StreamElement<U>>) + Send + 'static,
+        mut step: impl FnMut(StreamElement<T>, Emit<'_, U>) -> bool + Send + 'static,
     ) -> Stream<U> {
-        let (tx, stream) = self.new_edge();
-        let rx = self.rx;
         let core = Arc::clone(&self.core);
-        let handle = std::thread::spawn(move || body(rx, tx));
-        core.register(handle);
-        stream
+        Stream::fused(core, move |out| self.run(&mut |el| step(el, out)))
     }
 
-    /// Spawns a terminal operator thread consuming the stream.
-    pub(crate) fn spawn_sink(self, body: impl FnOnce(Receiver<StreamElement<T>>) + Send + 'static) {
-        let rx = self.rx;
+    /// Runs the chain on a new operator thread of the topology, handing
+    /// every element to `sink` (a terminal, or a boundary operator feeding
+    /// its channels) until `sink` returns `false`.
+    pub(crate) fn spawn(self, mut sink: impl FnMut(StreamElement<T>) -> bool + Send + 'static) {
         let core = Arc::clone(&self.core);
-        let handle = std::thread::spawn(move || body(rx));
-        core.register(handle);
+        core.register(std::thread::spawn(move || self.run(&mut sink)));
+    }
+
+    /// The stream as a channel receiver, for boundary operators that
+    /// select over several inputs: a fused chain gets its own thread.
+    pub(crate) fn into_receiver(self) -> Receiver<StreamElement<T>> {
+        match self.edge {
+            Edge::Channel(rx) => rx,
+            edge => {
+                let (tx, out) = crossbeam::channel::bounded(self.core.channel_capacity());
+                Stream {
+                    edge,
+                    core: self.core,
+                }
+                .spawn(move |el| tx.send(el).is_ok());
+                out
+            }
+        }
     }
 
     /// Applies `f` to every data tuple; punctuations pass through.
     pub fn map<U: Data>(self, mut f: impl FnMut(T) -> U + Send + 'static) -> Stream<U> {
-        self.spawn_operator(move |rx, tx| {
-            for el in rx.iter() {
-                let out = el.map_data(&mut f);
-                if tx.send(out).is_err() {
-                    return;
-                }
-            }
-        })
+        self.fuse(move |el, out| out(el.map_data(&mut f)))
     }
 
     /// Keeps only data tuples for which `pred` returns true; punctuations
     /// pass through.
     pub fn filter(self, mut pred: impl FnMut(&T) -> bool + Send + 'static) -> Stream<T> {
-        self.spawn_operator(move |rx, tx| {
-            for el in rx.iter() {
-                let keep = match &el {
-                    StreamElement::Data(t) => pred(&t.payload),
-                    StreamElement::Punctuation(_) => true,
-                };
-                if keep && tx.send(el).is_err() {
-                    return;
-                }
-            }
+        self.fuse(move |el, out| match &el {
+            StreamElement::Data(t) if !pred(&t.payload) => true,
+            _ => out(el),
         })
     }
 
     /// Applies `f` to every data tuple, emitting zero or more outputs per
     /// input; punctuations pass through.
     pub fn flat_map<U: Data>(self, mut f: impl FnMut(T) -> Vec<U> + Send + 'static) -> Stream<U> {
-        self.spawn_operator(move |rx, tx| {
-            for el in rx.iter() {
-                match el {
-                    StreamElement::Data(t) => {
-                        let ts = t.timestamp;
-                        let seq = t.seq;
-                        for (i, out) in f(t.payload).into_iter().enumerate() {
-                            if tx
-                                .send(StreamElement::Data(Tuple::new(ts, seq + i as u64, out)))
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                    }
-                    StreamElement::Punctuation(p) => {
-                        if tx.send(StreamElement::Punctuation(p)).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
+        self.fuse(move |el, out| match el {
+            StreamElement::Data(t) => f(t.payload).into_iter().enumerate().all(|(i, o)| {
+                out(StreamElement::Data(Tuple::new(
+                    t.timestamp,
+                    t.seq + i as u64,
+                    o,
+                )))
+            }),
+            StreamElement::Punctuation(p) => out(StreamElement::Punctuation(p)),
         })
     }
 
     /// Calls `f` for every data tuple as a side effect, forwarding all
     /// elements unchanged (useful for instrumentation).
     pub fn inspect(self, mut f: impl FnMut(&T) + Send + 'static) -> Stream<T> {
-        self.spawn_operator(move |rx, tx| {
-            for el in rx.iter() {
-                if let StreamElement::Data(t) = &el {
-                    f(&t.payload);
-                }
-                if tx.send(el).is_err() {
-                    return;
-                }
+        self.fuse(move |el, out| {
+            if let StreamElement::Data(t) = &el {
+                f(&t.payload);
             }
+            out(el)
         })
     }
 
-    /// Duplicates the stream into `n` identical output streams.
+    /// Duplicates the stream into `n` identical output streams.  A boundary
+    /// operator: the upstream chain runs on its own thread and each output
+    /// is a channel heading a chain of its own.
     pub fn broadcast(self, n: usize) -> Vec<Stream<T>>
     where
         T: Clone,
     {
         assert!(n >= 1, "broadcast requires at least one output");
-        let mut senders = Vec::with_capacity(n);
-        let mut streams = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, s) = self.new_edge();
-            senders.push(tx);
-            streams.push(s);
-        }
-        let rx = self.rx;
-        let core = Arc::clone(&self.core);
-        let handle = std::thread::spawn(move || {
-            for el in rx.iter() {
-                for tx in &senders {
-                    if tx.send(el.clone()).is_err() {
-                        return;
-                    }
-                }
-            }
-        });
-        core.register(handle);
+        let (senders, streams): (Vec<_>, Vec<_>) = (0..n).map(|_| self.channel()).unzip();
+        self.spawn(move |el| senders.iter().all(|tx| tx.send(el.clone()).is_ok()));
         streams
     }
 
     /// Merges this stream with `other` (arbitrary interleaving).  A single
     /// `EndOfStream` is emitted once both inputs have ended; the individual
-    /// inputs' `EndOfStream` punctuations are swallowed.
+    /// inputs' `EndOfStream` punctuations are swallowed.  A boundary
+    /// operator: each input runs on its own thread.
     pub fn merge(self, other: Stream<T>) -> Stream<T> {
-        let (tx, out) = self.new_edge();
-        let core = Arc::clone(&self.core);
+        let (tx, out) = self.channel();
         let remaining = Arc::new(std::sync::atomic::AtomicUsize::new(2));
-        for rx in [self.rx, other.rx] {
+        for input in [self, other] {
             let tx = tx.clone();
             let remaining = Arc::clone(&remaining);
-            let handle = std::thread::spawn(move || {
-                let mut last_ts = 0;
-                for el in rx.iter() {
-                    last_ts = el.timestamp();
-                    if let StreamElement::Punctuation(p) = &el {
-                        if p.kind == PunctuationKind::EndOfStream {
-                            break;
-                        }
+            input.spawn(move |el| match el {
+                StreamElement::Punctuation(p) if p.kind == PunctuationKind::EndOfStream => {
+                    if remaining.fetch_sub(1, std::sync::atomic::Ordering::AcqRel) == 1 {
+                        let _ = tx.send(p.into());
                     }
-                    if tx.send(el).is_err() {
-                        return;
-                    }
+                    false
                 }
-                if remaining.fetch_sub(1, std::sync::atomic::Ordering::AcqRel) == 1 {
-                    let _ = tx.send(Punctuation::end_of_stream(last_ts).into());
-                }
+                el => tx.send(el).is_ok(),
             });
-            core.register(handle);
         }
         out
     }
@@ -304,13 +291,12 @@ impl<T: Data> Stream<T> {
     /// dropped).  The result is available after the topology has been joined.
     pub fn collect(self) -> Collected<T> {
         let out = Collected::new();
-        let inner = Arc::clone(&out.items);
-        self.spawn_sink(move |rx| {
-            for el in rx.iter() {
-                if let StreamElement::Data(t) = el {
-                    inner.lock().push(t.payload);
-                }
+        let items = Arc::clone(&out.items);
+        self.spawn(move |el| {
+            if let StreamElement::Data(t) = el {
+                items.lock().push(t.payload);
             }
+            true
         });
         out
     }
@@ -318,30 +304,28 @@ impl<T: Data> Stream<T> {
     /// Terminal operator collecting every element including punctuations.
     pub fn collect_elements(self) -> Collected<StreamElement<T>> {
         let out = Collected::new();
-        let inner = Arc::clone(&out.items);
-        self.spawn_sink(move |rx| {
-            for el in rx.iter() {
-                inner.lock().push(el);
-            }
+        let items = Arc::clone(&out.items);
+        self.spawn(move |el| {
+            items.lock().push(el);
+            true
         });
         out
     }
 
     /// Terminal operator invoking `f` for every data payload.
     pub fn for_each(self, mut f: impl FnMut(T) + Send + 'static) {
-        self.spawn_sink(move |rx| {
-            for el in rx.iter() {
-                if let StreamElement::Data(t) = el {
-                    f(t.payload);
-                }
+        self.spawn(move |el| {
+            if let StreamElement::Data(t) = el {
+                f(t.payload);
             }
+            true
         });
     }
 
     /// Terminal operator that simply discards everything (keeps upstream
     /// operators draining).
     pub fn drain(self) {
-        self.spawn_sink(move |rx| for _ in rx.iter() {});
+        self.spawn(|_| true);
     }
 }
 
@@ -499,6 +483,53 @@ mod tests {
     fn drain_completes() {
         let topo = Topology::new();
         topo.source_vec((0..1000u32).collect()).map(|x| x).drain();
+        topo.run();
+    }
+
+    #[test]
+    fn boundary_operators_start_threads_only_at_their_edges() {
+        // A linear chain, however long, is one thread.
+        let topo = Topology::new();
+        let _ = topo
+            .source_vec(vec![1u32])
+            .map(|x| x)
+            .filter(|_| true)
+            .inspect(|_| ())
+            .collect();
+        assert_eq!(topo.operator_count(), 1);
+        topo.run();
+
+        // broadcast: the upstream chain plus one per output.
+        let topo = Topology::new();
+        for b in topo.source_vec(vec![1u32]).map(|x| x).broadcast(3) {
+            b.drain();
+        }
+        assert_eq!(topo.operator_count(), 1 + 3);
+        topo.run();
+
+        // merge: each input on its own thread, plus the chain behind it.
+        let topo = Topology::new();
+        let a = topo.source_vec(vec![1u32]).map(|x| x);
+        a.merge(topo.source_vec(vec![2u32])).drain();
+        assert_eq!(topo.operator_count(), 2 + 1);
+        topo.run();
+
+        // partition_by: the upstream chain plus one per partition.
+        let topo = Topology::new();
+        for p in topo.source_vec(vec![1u32]).partition_by(2, |x| *x) {
+            p.drain();
+        }
+        assert_eq!(topo.operator_count(), 1 + 2);
+        topo.run();
+
+        // hash_join: each input on its own thread; the join heads the
+        // chain behind it.
+        let topo = Topology::new();
+        let l = topo.source_vec(vec![1u32]);
+        l.hash_join(topo.source_vec(vec![1u32]), 4, |x| *x, |y| *y, |x, y| x + y)
+            .map(|x| x)
+            .drain();
+        assert_eq!(topo.operator_count(), 2 + 1);
         topo.run();
     }
 

@@ -11,6 +11,12 @@
 //! same query, so by the time it observes a `COMMIT` punctuation the commit
 //! has already been performed; the query closure then runs as a fresh
 //! read-only snapshot transaction and its results are emitted as data tuples.
+//! A batch that rolled back reaches it as `ROLLBACK` and fires nothing.
+//!
+//! Fused into the chain of its `TO_TABLE` operators (see [`crate::stream`]),
+//! the query runs on the same thread right after the commit it reacts to,
+//! before the next batch is produced: an `OnCommit` snapshot sees exactly
+//! that commit and never a later one of the same chain.
 
 use crate::stream::{Data, Stream};
 use std::sync::Arc;
@@ -40,55 +46,35 @@ impl<T: Data> Stream<T> {
         trigger: TriggerPolicy,
         query: impl Fn(&Tx) -> Result<Vec<U>> + Send + 'static,
     ) -> Stream<U> {
-        self.spawn_operator(move |rx, tx_out| {
-            let mut seq = 0u64;
-            let emit = |ts: u64, seq: &mut u64| -> bool {
+        let mut seq = 0u64;
+        self.fuse(move |el, out| {
+            let fire = match &el {
+                StreamElement::Data(_) => trigger == TriggerPolicy::EveryTuple,
+                StreamElement::Punctuation(p) => match p.kind {
+                    PunctuationKind::Commit => trigger == TriggerPolicy::OnCommit,
+                    PunctuationKind::EndOfStream => trigger == TriggerPolicy::OnEndOfStream,
+                    _ => false,
+                },
+            };
+            if fire {
+                let ts = el.timestamp();
                 let Ok(tx) = mgr.begin_read_only() else {
                     return true;
                 };
                 let rows = query(&tx);
                 let _ = mgr.commit(&tx);
-                if let Ok(rows) = rows {
-                    for row in rows {
-                        if tx_out
-                            .send(StreamElement::Data(Tuple::new(ts, *seq, row)))
-                            .is_err()
-                        {
-                            return false;
-                        }
-                        *seq += 1;
+                for row in rows.into_iter().flatten() {
+                    if !out(StreamElement::Data(Tuple::new(ts, seq, row))) {
+                        return false;
                     }
+                    seq += 1;
                 }
-                true
-            };
-            for el in rx.iter() {
-                match &el {
-                    StreamElement::Data(t) => {
-                        if trigger == TriggerPolicy::EveryTuple && !emit(t.timestamp, &mut seq) {
-                            return;
-                        }
-                    }
-                    StreamElement::Punctuation(p) => match p.kind {
-                        // Kept as an explicit body: `emit` sends downstream,
-                        // and side effects must not hide in a match guard.
-                        #[allow(clippy::collapsible_match)]
-                        PunctuationKind::Commit => {
-                            if trigger == TriggerPolicy::OnCommit && !emit(p.timestamp, &mut seq) {
-                                return;
-                            }
-                        }
-                        PunctuationKind::EndOfStream => {
-                            if trigger == TriggerPolicy::OnEndOfStream
-                                && !emit(p.timestamp, &mut seq)
-                            {
-                                return;
-                            }
-                            let _ = tx_out.send(StreamElement::Punctuation(*p));
-                            return;
-                        }
-                        _ => {}
-                    },
+            }
+            match el {
+                StreamElement::Punctuation(p) if p.kind == PunctuationKind::EndOfStream => {
+                    out(StreamElement::Punctuation(p))
                 }
+                _ => true,
             }
         })
     }
@@ -139,16 +125,10 @@ mod tests {
             })
             .collect();
         topo.run();
-        // One emission per committed transaction.  The query downstream runs
-        // in its own snapshot: it sees *at least* the transaction whose commit
-        // triggered it, and — because the pipeline stages run in parallel —
-        // possibly already the next one; it can never observe a torn or
-        // uncommitted state.  So the first value is 6 or 21, the second 21.
-        let sums = sums.take();
-        assert_eq!(sums.len(), 2);
-        assert!(sums[0] == 6 || sums[0] == 21, "got {}", sums[0]);
-        assert_eq!(sums[1], 21);
-        assert!(sums[0] <= sums[1], "snapshots never go backwards");
+        // One emission per committed transaction.  The chain is fused, so
+        // the query runs right after the commit that triggered it and before
+        // the next batch is written: it sees exactly that commit.
+        assert_eq!(sums.take(), vec![6, 21]);
     }
 
     #[test]
@@ -188,6 +168,79 @@ mod tests {
             .collect();
         topo.run();
         assert_eq!(out.take(), vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn on_commit_trigger_skips_rolled_back_batches() {
+        let (mgr, table, coord) = setup();
+        let topo = Topology::new();
+        let table_w = Arc::clone(&table);
+        let fired = topo
+            .source_vec((0..4u32).map(|k| (k, 1u64)).collect())
+            .punctuate_every(2, Arc::clone(&coord))
+            .to_table(ToTable::new(
+                Arc::clone(&mgr),
+                Arc::clone(&coord),
+                table.id(),
+                Boundaries::Punctuations,
+                move |tx: &Tx, (k, v): &(u32, u64)| {
+                    if *k == 3 {
+                        return Err(tsp_common::TspError::protocol("writer fails on key 3"));
+                    }
+                    table_w.write(tx, *k, *v)
+                },
+            ))
+            .to_stream(Arc::clone(&mgr), TriggerPolicy::OnCommit, |_tx| {
+                Ok(vec![()])
+            })
+            .collect();
+        topo.run();
+        // Batch {0, 1} committed; batch {2, 3} rolled back and must not fire.
+        assert_eq!(fired.take().len(), 1);
+        let r = mgr.begin_read_only().unwrap();
+        assert_eq!(table.scan(&r).unwrap().len(), 2);
+        mgr.commit(&r).unwrap();
+    }
+
+    #[test]
+    fn figure_1_chain_runs_on_one_thread() {
+        let ctx = Arc::new(StateContext::new());
+        let mgr = TransactionManager::new(Arc::clone(&ctx));
+        let measurements = MvccTable::<u32, u64>::volatile(&ctx, "measurements");
+        let local = MvccTable::<u32, u64>::volatile(&ctx, "local_state");
+        mgr.register(measurements.clone());
+        mgr.register(local.clone());
+        mgr.register_group(&[measurements.id(), local.id()])
+            .unwrap();
+        let coord = TxCoordinator::new(Arc::clone(&ctx));
+        let (m_w, l_w) = (Arc::clone(&measurements), Arc::clone(&local));
+        let (m_q, l_q) = (Arc::clone(&measurements), Arc::clone(&local));
+        let topo = Topology::new();
+        let torn = topo
+            .source_vec((0..100u32).map(|i| (i % 10, u64::from(i))).collect())
+            .punctuate_every(10, Arc::clone(&coord))
+            .to_table(ToTable::new(
+                Arc::clone(&mgr),
+                Arc::clone(&coord),
+                measurements.id(),
+                Boundaries::Punctuations,
+                move |tx: &Tx, (k, v): &(u32, u64)| m_w.write(tx, *k, *v),
+            ))
+            .to_table(ToTable::new(
+                Arc::clone(&mgr),
+                Arc::clone(&coord),
+                local.id(),
+                Boundaries::Punctuations,
+                move |tx: &Tx, (k, v): &(u32, u64)| l_w.write(tx, *k, *v),
+            ))
+            .to_stream(Arc::clone(&mgr), TriggerPolicy::OnCommit, move |tx| {
+                Ok(vec![m_q.scan(tx)? != l_q.scan(tx)?])
+            })
+            .collect();
+        assert_eq!(topo.operator_count(), 1, "six operators, one thread");
+        topo.run();
+        assert_eq!(torn.take(), vec![false; 10]);
+        assert_eq!(ctx.active_count(), 0);
     }
 
     #[test]

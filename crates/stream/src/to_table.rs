@@ -13,14 +13,20 @@
 //!   becomes the coordinator of the global commit (§4.3),
 //! * on `ROLLBACK` (or a write error) flags abort, forcing a global rollback.
 //!
-//! All elements are forwarded downstream unchanged, so `TO_STREAM` operators
-//! placed after a `TO_TABLE` observe the same boundaries *after* the commit
-//! has been performed.
+//! Elements are forwarded downstream, so `TO_STREAM` operators placed after
+//! a `TO_TABLE` observe the same boundaries *after* the commit has been
+//! performed.  The one rewrite: the operator whose flag decides a rollback
+//! forwards `ROLLBACK` in place of the batch's `COMMIT`.
+//!
+//! The operator is fused into its chain (see [`crate::stream`]): in the
+//! Figure 1 chain both `TO_TABLE` operators and the `TO_STREAM` behind them
+//! run on the source's thread, and the second `TO_TABLE` commits before the
+//! next `BOT` is produced.
 
 use crate::stream::{Data, Stream};
 use crate::txn::{Boundaries, TxCoordinator};
 use std::sync::Arc;
-use tsp_common::{PunctuationKind, Result, StateId, StreamElement, TxnId};
+use tsp_common::{Punctuation, PunctuationKind, Result, StateId, StreamElement, TxnId};
 use tsp_core::table::{KeyType, TableHandle, ValueType};
 use tsp_core::{FlagOutcome, TransactionManager, Tx};
 
@@ -98,155 +104,160 @@ impl<K: KeyType, V: ValueType> ToTable<(K, V)> {
     }
 }
 
-struct PunctuatedState {
-    marker: TxnId,
+/// A running `TO_TABLE` operator and the transaction it holds open.
+///
+/// Dropping it with a transaction still open — its chain stopped before
+/// the transaction's boundary arrived — aborts that transaction.
+struct ToTableOp<T: Data> {
+    mgr: Arc<TransactionManager>,
+    coordinator: Arc<TxCoordinator>,
+    state: StateId,
+    writer: Box<dyn TableWriter<T>>,
+    open: Option<OpenTx>,
+}
+
+struct OpenTx {
     tx: Tx,
+    /// The punctuation marker of a coordinator-shared transaction; `None`
+    /// for the operator's own `EveryN`/`PerTuple` transactions.
+    marker: Option<TxnId>,
     failed: bool,
+    writes: usize,
+}
+
+impl<T: Data> ToTableOp<T> {
+    /// Opens the shared transaction of `marker`, or an own one for `None`.
+    fn begin(&mut self, marker: Option<TxnId>) {
+        self.end(true);
+        let tx = match marker {
+            Some(m) => self.coordinator.tx_for(m),
+            None => self.mgr.begin(),
+        };
+        self.open = tx.ok().map(|tx| OpenTx {
+            tx,
+            marker,
+            failed: false,
+            writes: 0,
+        });
+    }
+
+    fn write(&mut self, payload: &T) {
+        if let Some(open) = self.open.as_mut() {
+            if !open.failed && self.writer.apply(&open.tx, payload).is_err() {
+                open.failed = true;
+            }
+            open.writes += 1;
+        }
+    }
+
+    /// Ends the open transaction (if any): commits it unless `abort` is set
+    /// or a write failed.  A shared transaction is flagged, and the operator
+    /// that flags last decides it (§4.3).  Returns `false` if this call
+    /// decided a rollback.
+    fn end(&mut self, abort: bool) -> bool {
+        let Some(open) = self.open.take() else {
+            return true;
+        };
+        let abort = abort || open.failed;
+        let Some(marker) = open.marker else {
+            if abort {
+                let _ = self.mgr.abort(&open.tx);
+                return false;
+            }
+            return self.mgr.commit(&open.tx).is_ok();
+        };
+        let outcome = if abort {
+            self.mgr.flag_abort(&open.tx, self.state)
+        } else {
+            self.mgr.flag_commit(&open.tx, self.state)
+        };
+        match outcome {
+            Ok(FlagOutcome::Pending) => true,
+            // Committed, rolled back, or a concurrency-control error that
+            // already rolled the transaction back: the marker is finished.
+            decided => {
+                self.coordinator.remove(marker);
+                matches!(decided, Ok(FlagOutcome::Committed(_)))
+            }
+        }
+    }
+}
+
+impl<T: Data> Drop for ToTableOp<T> {
+    fn drop(&mut self) {
+        self.end(true);
+    }
 }
 
 impl<T: Data> Stream<T> {
-    /// Attaches a `TO_TABLE` operator; elements are forwarded unchanged.
+    /// Attaches a `TO_TABLE` operator.  Elements are forwarded unchanged,
+    /// except that the operator deciding the rollback of a punctuated
+    /// transaction forwards `ROLLBACK` in place of its `COMMIT`, so a
+    /// downstream `TO_STREAM` never fires for a batch that did not commit.
     pub fn to_table(self, config: ToTable<T>) -> Stream<T> {
         let ToTable {
             mgr,
             coordinator,
             state,
             boundaries,
-            mut writer,
+            writer,
         } = config;
         // Announce this operator's state to the coordinator so that shared
         // transactions wait for it before electing a commit coordinator.
         if boundaries == Boundaries::Punctuations {
             coordinator.register_participant(state);
         }
-        self.spawn_operator(move |rx, tx_out| {
-            match boundaries {
-                Boundaries::Punctuations => {
-                    let mut current: Option<PunctuatedState> = None;
-                    for el in rx.iter() {
-                        match &el {
-                            StreamElement::Punctuation(p) if p.kind == PunctuationKind::Bot => {
-                                if let Ok(tx) = coordinator.tx_for(p.txn) {
-                                    current = Some(PunctuatedState {
-                                        marker: p.txn,
-                                        tx,
-                                        failed: false,
-                                    });
-                                }
-                            }
-                            StreamElement::Punctuation(p)
-                                if p.kind == PunctuationKind::Commit
-                                    || p.kind == PunctuationKind::Rollback =>
-                            {
-                                if let Some(st) = current.take() {
-                                    let abort = st.failed || p.kind == PunctuationKind::Rollback;
-                                    let outcome = if abort {
-                                        mgr.flag_abort(&st.tx, state)
-                                    } else {
-                                        mgr.flag_commit(&st.tx, state)
-                                    };
-                                    match outcome {
-                                        Ok(FlagOutcome::Pending) => {}
-                                        // Committed, rolled back, or a
-                                        // concurrency-control error that
-                                        // already rolled the transaction
-                                        // back: the marker is finished.
-                                        _ => coordinator.remove(st.marker),
-                                    }
-                                }
-                            }
-                            StreamElement::Data(t) => {
-                                if current.is_none() {
-                                    // Data outside any announced transaction:
-                                    // open an implicit one so nothing is lost.
-                                    let marker = coordinator.next_marker();
-                                    if let Ok(tx) = coordinator.tx_for(marker) {
-                                        current = Some(PunctuatedState {
-                                            marker,
-                                            tx,
-                                            failed: false,
-                                        });
-                                    }
-                                }
-                                if let Some(st) = current.as_mut() {
-                                    if !st.failed && writer.apply(&st.tx, &t.payload).is_err() {
-                                        st.failed = true;
-                                    }
-                                }
-                            }
-                            StreamElement::Punctuation(p)
-                                if p.kind == PunctuationKind::EndOfStream =>
-                            {
-                                // Commit an implicit transaction that never
-                                // saw an explicit boundary.
-                                if let Some(st) = current.take() {
-                                    let outcome = if st.failed {
-                                        mgr.flag_abort(&st.tx, state)
-                                    } else {
-                                        mgr.flag_commit(&st.tx, state)
-                                    };
-                                    if !matches!(outcome, Ok(FlagOutcome::Pending)) {
-                                        coordinator.remove(st.marker);
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                        if tx_out.send(el).is_err() {
-                            return;
-                        }
+        let batch = match boundaries {
+            Boundaries::Punctuations => None,
+            Boundaries::EveryN(n) => Some(n.max(1)),
+            Boundaries::PerTuple => Some(1),
+        };
+        let mut op = ToTableOp {
+            mgr,
+            coordinator,
+            state,
+            writer,
+            open: None,
+        };
+        self.fuse(move |el, out| {
+            match (&el, batch) {
+                (StreamElement::Data(t), None) => {
+                    if op.open.is_none() {
+                        // Data outside any announced transaction: open an
+                        // implicit one so nothing is lost.
+                        let marker = op.coordinator.next_marker();
+                        op.begin(Some(marker));
+                    }
+                    op.write(&t.payload);
+                }
+                (StreamElement::Data(t), Some(batch)) => {
+                    if op.open.is_none() {
+                        op.begin(None);
+                    }
+                    op.write(&t.payload);
+                    if op.open.as_ref().is_some_and(|o| o.writes >= batch) {
+                        op.end(false);
                     }
                 }
-                Boundaries::EveryN(_) | Boundaries::PerTuple => {
-                    let batch = match boundaries {
-                        Boundaries::EveryN(n) => n.max(1),
-                        _ => 1,
-                    };
-                    let mut current: Option<Tx> = None;
-                    let mut pending = 0usize;
-                    let mut failed = false;
-                    let finish =
-                        |current: &mut Option<Tx>, pending: &mut usize, failed: &mut bool| {
-                            if let Some(tx) = current.take() {
-                                if *failed {
-                                    let _ = mgr.abort(&tx);
-                                } else {
-                                    let _ = mgr.commit(&tx);
-                                }
-                            }
-                            *pending = 0;
-                            *failed = false;
-                        };
-                    for el in rx.iter() {
-                        match &el {
-                            StreamElement::Data(t) => {
-                                if current.is_none() {
-                                    current = mgr.begin().ok();
-                                }
-                                if let Some(tx) = current.as_ref() {
-                                    if !failed && writer.apply(tx, &t.payload).is_err() {
-                                        failed = true;
-                                    }
-                                }
-                                pending += 1;
-                                if pending >= batch {
-                                    finish(&mut current, &mut pending, &mut failed);
-                                }
-                            }
-                            StreamElement::Punctuation(p)
-                                if p.kind == PunctuationKind::EndOfStream =>
-                            {
-                                finish(&mut current, &mut pending, &mut failed);
-                            }
-                            _ => {}
-                        }
-                        if tx_out.send(el).is_err() {
-                            return;
-                        }
-                    }
-                    finish(&mut current, &mut pending, &mut failed);
+                (StreamElement::Punctuation(p), None) if p.kind == PunctuationKind::Bot => {
+                    op.begin(Some(p.txn));
                 }
+                (StreamElement::Punctuation(p), None)
+                    if matches!(p.kind, PunctuationKind::Commit | PunctuationKind::Rollback) =>
+                {
+                    let rollback = p.kind == PunctuationKind::Rollback;
+                    if !op.end(rollback) && !rollback {
+                        return out(Punctuation::rollback(p.txn, p.timestamp).into());
+                    }
+                }
+                (StreamElement::Punctuation(p), _) if p.kind == PunctuationKind::EndOfStream => {
+                    // Commit an implicit transaction that never saw an
+                    // explicit boundary, or a partial batch.
+                    op.end(false);
+                }
+                _ => {}
             }
+            out(el)
         })
     }
 }
@@ -460,5 +471,33 @@ mod tests {
         assert_eq!(table.read(&r, &2).unwrap(), Some(20));
         mgr.commit(&r).unwrap();
         assert_eq!(coord.live_count(), 0);
+    }
+
+    #[test]
+    fn a_chain_stopped_mid_transaction_aborts_it() {
+        for boundaries in [Boundaries::Punctuations, Boundaries::EveryN(10)] {
+            let (ctx, mgr, table, coord) = setup();
+            let topo = Topology::new();
+            let mut source = topo.source_vec((0..20u32).map(|k| (k, 1u64)).collect());
+            if boundaries == Boundaries::Punctuations {
+                source = source.punctuate_every(10, Arc::clone(&coord));
+            }
+            let outputs = source
+                .to_table(ToTable::new(
+                    Arc::clone(&mgr),
+                    Arc::clone(&coord),
+                    table.id(),
+                    boundaries,
+                    writer_for(&table),
+                ))
+                .broadcast(1);
+            // Nothing consumes the broadcast, so the chain stops at the first
+            // element it forwards, with its transaction open.
+            drop(outputs);
+            topo.run();
+            assert_eq!(ctx.active_count(), 0, "{boundaries:?}");
+            assert_eq!(coord.live_count(), 0, "{boundaries:?}");
+            assert_eq!(ctx.telemetry_snapshot().stats.committed, 0);
+        }
     }
 }

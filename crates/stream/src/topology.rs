@@ -4,19 +4,22 @@
 //! can be seen as graph where each node is an operator and the edges
 //! represent their subscribed streams." (§4.1)
 //!
-//! Here a [`Topology`] owns the threads of all operators built on it.  Every
-//! operator runs on its own thread and communicates with its neighbours
-//! through bounded channels; sources additionally wait for
+//! Here a [`Topology`] owns the threads of all operators built on it.  A
+//! linear chain of operators — from a source, or from an edge a boundary
+//! operator leaves, to a sink or the next boundary operator — runs on one
+//! thread as direct calls (see [`crate::stream`]).  Only the boundary
+//! operators (`broadcast`, `merge`, the partition routers, `hash_join`)
+//! hand elements across bounded channels.  Sources wait for
 //! [`Topology::start`] so that a dataflow can be fully wired before any data
 //! moves.  [`Topology::run`] starts the sources and blocks until every
-//! operator has drained (i.e. all sources emitted `EndOfStream` and every
+//! thread has drained (i.e. all sources emitted `EndOfStream` and every
 //! downstream operator forwarded it).
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Default bound of inter-operator channels.
+/// Default bound of the channels boundary operators feed.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
 
 struct StartGate {
@@ -105,8 +108,9 @@ impl Topology {
         Self::with_channel_capacity(DEFAULT_CHANNEL_CAPACITY)
     }
 
-    /// Creates an empty topology whose operator channels hold at most
-    /// `capacity` in-flight elements each.
+    /// Creates an empty topology whose boundary channels hold at most
+    /// `capacity` in-flight elements each.  Fused chains have no channel to
+    /// size.
     pub fn with_channel_capacity(capacity: usize) -> Self {
         Topology {
             core: Arc::new(TopologyCore::new(capacity.max(1))),
@@ -134,7 +138,8 @@ impl Topology {
         self.join();
     }
 
-    /// Number of operator threads registered so far.
+    /// Number of operator threads registered so far: one per fused chain
+    /// (see [`crate::stream`]).
     pub fn operator_count(&self) -> usize {
         self.core.handles.lock().len()
     }

@@ -97,8 +97,12 @@ impl TxCoordinator {
     /// *sequential*: a new one only begins once the previous ones have
     /// finished, otherwise pipelined operators would start transaction *n+1*
     /// while transaction *n* is still committing and First-Committer-Wins
-    /// would abort perfectly valid stream batches.  The wait is bounded
-    /// (5 s) as a safety net against misconfigured topologies.
+    /// would abort perfectly valid stream batches.  Within one fused chain
+    /// the wait never blocks: the deciding `TO_TABLE` commits on the same
+    /// thread before the next `BOT` arrives.  It orders `TO_TABLE`
+    /// operators on forked branches (after a `broadcast` or a partition
+    /// router).  The wait is bounded (5 s) as a safety net against
+    /// misconfigured topologies.
     pub fn tx_for(&self, marker: TxnId) -> Result<Tx> {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         let mut live = self.live.lock();
@@ -148,57 +152,43 @@ impl<T: Data> Stream<T> {
     /// The final (possibly partial) batch is committed before `EndOfStream`.
     pub fn punctuate_every(self, n: usize, coordinator: Arc<TxCoordinator>) -> Stream<T> {
         assert!(n >= 1, "transaction batch size must be at least 1");
-        self.spawn_operator(move |rx, tx| {
-            let mut in_tx: Option<TxnId> = None;
-            let mut count = 0usize;
-            for el in rx.iter() {
-                match el {
-                    StreamElement::Data(t) => {
-                        let ts = t.timestamp;
-                        if in_tx.is_none() {
-                            let marker = coordinator.next_marker();
-                            if tx
-                                .send(StreamElement::Punctuation(Punctuation::bot(marker, ts)))
-                                .is_err()
-                            {
-                                return;
-                            }
-                            in_tx = Some(marker);
-                            count = 0;
+        let mut open: Option<TxnId> = None;
+        let mut count = 0usize;
+        self.fuse(move |el, out| match el {
+            StreamElement::Data(t) => {
+                let ts = t.timestamp;
+                let marker = match open {
+                    Some(marker) => marker,
+                    None => {
+                        let marker = coordinator.next_marker();
+                        if !out(StreamElement::Punctuation(Punctuation::bot(marker, ts))) {
+                            return false;
                         }
-                        if tx.send(StreamElement::Data(t)).is_err() {
-                            return;
-                        }
-                        count += 1;
-                        if count >= n {
-                            let marker = in_tx.take().expect("inside transaction");
-                            if tx
-                                .send(StreamElement::Punctuation(Punctuation::commit(marker, ts)))
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
+                        open = Some(marker);
+                        count = 0;
+                        marker
                     }
-                    StreamElement::Punctuation(p) => {
-                        if p.kind == PunctuationKind::EndOfStream {
-                            if let Some(marker) = in_tx.take() {
-                                if tx
-                                    .send(StreamElement::Punctuation(Punctuation::commit(
-                                        marker,
-                                        p.timestamp,
-                                    )))
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                            }
-                        }
-                        if tx.send(StreamElement::Punctuation(p)).is_err() {
-                            return;
+                };
+                if !out(StreamElement::Data(t)) {
+                    return false;
+                }
+                count += 1;
+                if count < n {
+                    return true;
+                }
+                open = None;
+                out(StreamElement::Punctuation(Punctuation::commit(marker, ts)))
+            }
+            StreamElement::Punctuation(p) => {
+                if p.kind == PunctuationKind::EndOfStream {
+                    if let Some(marker) = open.take() {
+                        let commit = Punctuation::commit(marker, p.timestamp);
+                        if !out(StreamElement::Punctuation(commit)) {
+                            return false;
                         }
                     }
                 }
+                out(StreamElement::Punctuation(p))
             }
         })
     }

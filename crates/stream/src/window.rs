@@ -13,10 +13,10 @@
 //! `WindowClose` / `EndOfStream` punctuation arrives, so partially filled
 //! windows are never silently dropped.
 
-use crate::stream::{Data, Stream};
-use std::collections::BTreeMap;
+use crate::stream::{Data, Emit, Stream};
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hash;
-use tsp_common::{PunctuationKind, StreamElement, Timestamp, Tuple};
+use tsp_common::{Punctuation, PunctuationKind, StreamElement, Timestamp, Tuple};
 
 /// The contents of one closed window.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,53 +41,57 @@ impl<T> Window<T> {
     }
 }
 
+/// Emits a closed window as one data tuple stamped with its end.
+fn emit<T: Data>(out: Emit<'_, Window<T>>, seq: &mut u64, w: Window<T>) -> bool {
+    *seq += 1;
+    out(StreamElement::Data(Tuple::new(w.end, *seq - 1, w)))
+}
+
+/// Emits the open window, if any.
+fn flush<T: Data>(
+    current: &mut Option<Window<T>>,
+    out: Emit<'_, Window<T>>,
+    seq: &mut u64,
+) -> bool {
+    current.take().is_none_or(|w| emit(out, seq, w))
+}
+
+/// True for the punctuations that close an open window.
+fn closes(p: &Punctuation) -> bool {
+    matches!(
+        p.kind,
+        PunctuationKind::WindowClose | PunctuationKind::EndOfStream
+    )
+}
+
 impl<T: Data> Stream<T> {
     /// Groups every `size` consecutive data tuples into one [`Window`].
     /// A trailing partial window is emitted when the stream ends.
     pub fn tumbling_count_window(self, size: usize) -> Stream<Window<T>> {
         assert!(size >= 1, "window size must be at least 1");
-        self.spawn_operator(move |rx, tx| {
-            let mut buf: Vec<T> = Vec::with_capacity(size);
-            let mut start = 0;
-            let mut end = 0;
-            let mut seq = 0u64;
-            let flush = |buf: &mut Vec<T>, start: Timestamp, end: Timestamp, seq: &mut u64| {
+        let mut buf: Vec<T> = Vec::with_capacity(size);
+        let (mut start, mut end, mut seq) = (0, 0, 0u64);
+        self.fuse(move |el, out| match el {
+            StreamElement::Data(t) => {
                 if buf.is_empty() {
+                    start = t.timestamp;
+                }
+                end = t.timestamp;
+                buf.push(t.payload);
+                if buf.len() < size {
                     return true;
                 }
-                let items = std::mem::take(buf);
-                let w = Window { start, end, items };
-                let ok = tx
-                    .send(StreamElement::Data(Tuple::new(end, *seq, w)))
-                    .is_ok();
-                *seq += 1;
-                ok
-            };
-            for el in rx.iter() {
-                match el {
-                    StreamElement::Data(t) => {
-                        if buf.is_empty() {
-                            start = t.timestamp;
-                        }
-                        end = t.timestamp;
-                        buf.push(t.payload);
-                        if buf.len() >= size && !flush(&mut buf, start, end, &mut seq) {
-                            return;
-                        }
-                    }
-                    StreamElement::Punctuation(p) => {
-                        let closes = matches!(
-                            p.kind,
-                            PunctuationKind::WindowClose | PunctuationKind::EndOfStream
-                        );
-                        if closes && !flush(&mut buf, start, end, &mut seq) {
-                            return;
-                        }
-                        if tx.send(StreamElement::Punctuation(p)).is_err() {
-                            return;
-                        }
+                let items = std::mem::take(&mut buf);
+                emit(out, &mut seq, Window { start, end, items })
+            }
+            StreamElement::Punctuation(p) => {
+                if closes(&p) && !buf.is_empty() {
+                    let items = std::mem::take(&mut buf);
+                    if !emit(out, &mut seq, Window { start, end, items }) {
+                        return false;
                     }
                 }
+                out(StreamElement::Punctuation(p))
             }
         })
     }
@@ -99,41 +103,28 @@ impl<T: Data> Stream<T> {
         T: Clone,
     {
         assert!(size >= 1 && slide >= 1, "size and slide must be at least 1");
-        self.spawn_operator(move |rx, tx| {
-            let mut buf: Vec<(Timestamp, T)> = Vec::new();
-            let mut since_emit = 0usize;
-            let mut seq = 0u64;
-            for el in rx.iter() {
-                match el {
-                    StreamElement::Data(t) => {
-                        buf.push((t.timestamp, t.payload));
-                        if buf.len() > size {
-                            buf.remove(0);
-                        }
-                        since_emit += 1;
-                        if buf.len() == size && since_emit >= slide {
-                            since_emit = 0;
-                            let w = Window {
-                                start: buf[0].0,
-                                end: buf[buf.len() - 1].0,
-                                items: buf.iter().map(|(_, v)| v.clone()).collect(),
-                            };
-                            if tx
-                                .send(StreamElement::Data(Tuple::new(w.end, seq, w)))
-                                .is_err()
-                            {
-                                return;
-                            }
-                            seq += 1;
-                        }
-                    }
-                    StreamElement::Punctuation(p) => {
-                        if tx.send(StreamElement::Punctuation(p)).is_err() {
-                            return;
-                        }
-                    }
+        let mut buf: VecDeque<(Timestamp, T)> = VecDeque::with_capacity(size + 1);
+        let mut since_emit = 0usize;
+        let mut seq = 0u64;
+        self.fuse(move |el, out| match el {
+            StreamElement::Data(t) => {
+                buf.push_back((t.timestamp, t.payload));
+                if buf.len() > size {
+                    buf.pop_front();
                 }
+                since_emit += 1;
+                if buf.len() < size || since_emit < slide {
+                    return true;
+                }
+                since_emit = 0;
+                let w = Window {
+                    start: buf[0].0,
+                    end: buf[buf.len() - 1].0,
+                    items: buf.iter().map(|(_, v)| v.clone()).collect(),
+                };
+                emit(out, &mut seq, w)
             }
+            StreamElement::Punctuation(p) => out(StreamElement::Punctuation(p)),
         })
     }
 
@@ -143,64 +134,35 @@ impl<T: Data> Stream<T> {
     /// the stream) arrives; input must be timestamp-ordered.
     pub fn tumbling_time_window(self, width: Timestamp) -> Stream<Window<T>> {
         assert!(width >= 1, "window width must be at least 1");
-        self.spawn_operator(move |rx, tx| {
-            let mut current: Option<(Timestamp, Vec<T>)> = None;
-            let mut seq = 0u64;
-            let mut last_ts = 0;
-            let flush = |current: &mut Option<(Timestamp, Vec<T>)>, seq: &mut u64| -> bool {
-                if let Some((win_start, items)) = current.take() {
-                    if !items.is_empty() {
-                        let w = Window {
-                            start: win_start,
-                            end: win_start + width - 1,
-                            items,
-                        };
-                        let ok = tx
-                            .send(StreamElement::Data(Tuple::new(w.end, *seq, w)))
-                            .is_ok();
-                        *seq += 1;
-                        return ok;
-                    }
+        let mut current: Option<Window<T>> = None;
+        let mut seq = 0u64;
+        self.fuse(move |el, out| match el {
+            StreamElement::Data(t) => {
+                let start = (t.timestamp / width) * width;
+                if current.as_ref().is_some_and(|w| w.start != start)
+                    && !flush(&mut current, out, &mut seq)
+                {
+                    return false;
                 }
+                current
+                    .get_or_insert_with(|| Window {
+                        start,
+                        end: start + width - 1,
+                        items: Vec::new(),
+                    })
+                    .items
+                    .push(t.payload);
                 true
-            };
-            for el in rx.iter() {
-                match el {
-                    StreamElement::Data(t) => {
-                        last_ts = t.timestamp;
-                        let win_start = (t.timestamp / width) * width;
-                        match &mut current {
-                            Some((cur_start, items)) if *cur_start == win_start => {
-                                items.push(t.payload);
-                            }
-                            _ => {
-                                if !flush(&mut current, &mut seq) {
-                                    return;
-                                }
-                                current = Some((win_start, vec![t.payload]));
-                            }
-                        }
-                    }
-                    StreamElement::Punctuation(p) => {
-                        if matches!(
-                            p.kind,
-                            PunctuationKind::EndOfStream | PunctuationKind::WindowClose
-                        ) && !flush(&mut current, &mut seq)
-                        {
-                            return;
-                        }
-                        let _ = last_ts;
-                        if tx.send(StreamElement::Punctuation(p)).is_err() {
-                            return;
-                        }
-                    }
+            }
+            StreamElement::Punctuation(p) => {
+                if closes(&p) && !flush(&mut current, out, &mut seq) {
+                    return false;
                 }
+                out(StreamElement::Punctuation(p))
             }
         })
     }
-}
 
-impl<T: Data> Stream<T> {
     /// Session window: consecutive elements whose event-time gap to the
     /// previous element is at most `gap` belong to the same session; a larger
     /// gap (or a `WindowClose` / `EndOfStream` punctuation) closes the
@@ -210,50 +172,31 @@ impl<T: Data> Stream<T> {
     /// Fig. 1: a burst of readings from one household forms one session, and
     /// the 30-minute local state corresponds to `gap = 30 min` in event time.
     pub fn session_window(self, gap: Timestamp) -> Stream<Window<T>> {
-        self.spawn_operator(move |rx, tx| {
-            let mut current: Option<(Timestamp, Timestamp, Vec<T>)> = None;
-            let mut seq = 0u64;
-            let flush =
-                |current: &mut Option<(Timestamp, Timestamp, Vec<T>)>, seq: &mut u64| -> bool {
-                    if let Some((start, end, items)) = current.take() {
-                        if !items.is_empty() {
-                            let w = Window { start, end, items };
-                            let ok = tx
-                                .send(StreamElement::Data(Tuple::new(w.end, *seq, w)))
-                                .is_ok();
-                            *seq += 1;
-                            return ok;
-                        }
-                    }
-                    true
-                };
-            for el in rx.iter() {
-                match el {
-                    StreamElement::Data(t) => match &mut current {
-                        Some((_, end, items)) if t.timestamp.saturating_sub(*end) <= gap => {
-                            *end = t.timestamp;
-                            items.push(t.payload);
-                        }
-                        _ => {
-                            if !flush(&mut current, &mut seq) {
-                                return;
-                            }
-                            current = Some((t.timestamp, t.timestamp, vec![t.payload]));
-                        }
-                    },
-                    StreamElement::Punctuation(p) => {
-                        if matches!(
-                            p.kind,
-                            PunctuationKind::EndOfStream | PunctuationKind::WindowClose
-                        ) && !flush(&mut current, &mut seq)
-                        {
-                            return;
-                        }
-                        if tx.send(StreamElement::Punctuation(p)).is_err() {
-                            return;
-                        }
-                    }
+        let mut current: Option<Window<T>> = None;
+        let mut seq = 0u64;
+        self.fuse(move |el, out| match el {
+            StreamElement::Data(t) => {
+                if current
+                    .as_ref()
+                    .is_some_and(|w| t.timestamp.saturating_sub(w.end) > gap)
+                    && !flush(&mut current, out, &mut seq)
+                {
+                    return false;
                 }
+                let w = current.get_or_insert_with(|| Window {
+                    start: t.timestamp,
+                    end: t.timestamp,
+                    items: Vec::new(),
+                });
+                w.end = t.timestamp;
+                w.items.push(t.payload);
+                true
+            }
+            StreamElement::Punctuation(p) => {
+                if closes(&p) && !flush(&mut current, out, &mut seq) {
+                    return false;
+                }
+                out(StreamElement::Punctuation(p))
             }
         })
     }

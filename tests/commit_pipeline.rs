@@ -435,3 +435,133 @@ fn capacity_failed_apply_does_not_abort_unrelated_committer() {
         mgr.commit(&straggler).unwrap();
     }
 }
+
+/// Group redo records are deleted online once every state of the group
+/// durably holds their commit: after a flush, the next group commit's
+/// batches delete every earlier record, so each store keeps only the
+/// newest one.  A crash that then tears a group commit still finds the
+/// torn commit's record and rolls the lagging state forward exactly.
+#[test]
+fn redo_records_are_truncated_below_the_durable_watermark() {
+    use tsp::storage::scan_redo;
+    let dir = temp_dir("redotrunc");
+    let opts = LsmOptions::no_sync();
+    let torn_cts;
+    {
+        let store_a = Arc::new(LsmStore::open(dir.join("a"), opts.clone()).unwrap());
+        let store_b = Arc::new(LsmStore::open(dir.join("b"), opts.clone()).unwrap());
+        let fail_b = FailSwitchBackend::new(Arc::clone(&store_b));
+        let ctx = Arc::new(StateContext::new());
+        ctx.enable_async_persistence();
+        let mgr = TransactionManager::new(Arc::clone(&ctx));
+        let a = MvccTable::<u32, u64>::persistent(&ctx, "a", store_a.clone());
+        let b = MvccTable::<u32, u64>::persistent(&ctx, "b", fail_b.clone());
+        mgr.register(a.clone());
+        mgr.register(b.clone());
+        mgr.register_group(&[a.id(), b.id()]).unwrap();
+        let commit_both = |k: u32| {
+            let tx = mgr.begin().unwrap();
+            a.write(&tx, k, u64::from(k)).unwrap();
+            b.write(&tx, k, u64::from(k)).unwrap();
+            mgr.commit(&tx)
+        };
+
+        // A flush every 20 commits: each batch after a flush deletes every
+        // record the flush made durable, so no store ever holds more than
+        // 20 records (without truncation it would hold one per commit).
+        for k in 0..200 {
+            commit_both(k).unwrap();
+            if k % 20 == 19 {
+                mgr.flush().unwrap();
+            }
+            for store in [&store_a, &store_b] {
+                assert!(scan_redo(&**store).unwrap().len() <= 20, "commit {k}");
+            }
+        }
+        let last = commit_both(200).unwrap().unwrap();
+        mgr.flush().unwrap();
+        for store in [&store_a, &store_b] {
+            let live: Vec<u64> = scan_redo(&**store).unwrap().into_keys().collect();
+            assert_eq!(live, vec![last], "only the record above the watermark");
+        }
+
+        // State B's device dies; the next group commit reaches only A.
+        fail_b.start_failing();
+        torn_cts = commit_both(201).ok().flatten();
+        mgr.flush().err();
+        if let Some(cts) = torn_cts {
+            let _ = ctx.durability().wait_durable(cts);
+        }
+    }
+
+    let store_a = Arc::new(LsmStore::open(dir.join("a"), opts.clone()).unwrap());
+    let store_b = Arc::new(LsmStore::open(dir.join("b"), opts).unwrap());
+    let ctx = Arc::new(StateContext::with_clock(
+        resume_clock(&[&*store_a, &*store_b]).unwrap(),
+    ));
+    let mgr = TransactionManager::new(Arc::clone(&ctx));
+    let a = MvccTable::<u32, u64>::persistent(&ctx, "a", store_a.clone());
+    let b = MvccTable::<u32, u64>::persistent(&ctx, "b", store_b.clone());
+    mgr.register(a.clone());
+    mgr.register(b.clone());
+    let group = mgr.register_group(&[a.id(), b.id()]).unwrap();
+    let report = restore_group(&ctx, group, &[&*store_a, &*store_b]).unwrap();
+    let q = mgr.begin_read_only().unwrap();
+    for k in 0..=200u32 {
+        assert_eq!(a.read(&q, &k).unwrap(), Some(u64::from(k)));
+        assert_eq!(b.read(&q, &k).unwrap(), Some(u64::from(k)));
+    }
+    let (a_torn, b_torn) = (a.read(&q, &201).unwrap(), b.read(&q, &201).unwrap());
+    assert_eq!(
+        a_torn, b_torn,
+        "recovery leaves no torn suffix between the states"
+    );
+    if report.per_state[0] != report.per_state[1] {
+        assert_eq!(
+            report.replayed_commits, 1,
+            "the torn commit was rolled forward"
+        );
+        assert_eq!(b_torn, Some(201));
+        assert_eq!(Some(report.last_cts), torn_cts);
+    }
+    mgr.commit(&q).unwrap();
+    lsm::destroy(dir.join("a")).unwrap();
+    lsm::destroy(dir.join("b")).unwrap();
+}
+
+/// Partition shards truncate their redo records by the same rule: each
+/// partition's `DurableCTS` bounds the records of the commits inside it.
+#[test]
+fn partition_shards_truncate_redo_records_below_their_watermark() {
+    use tsp::storage::{scan_redo, BTreeBackend};
+    let pc = PartitionedContext::new(2);
+    pc.enable_async_persistence();
+    let mgr = TransactionManager::new(Arc::clone(pc.router_ctx()));
+    pc.attach(&mgr).unwrap();
+    let backends: Vec<Arc<BTreeBackend>> = (0..4).map(|_| Arc::new(BTreeBackend::new())).collect();
+    let shard = |t: usize| {
+        let backends = backends.clone();
+        move |p: usize| Some(Arc::clone(&backends[2 * t + p]) as Arc<dyn StorageBackend>)
+    };
+    let t1 = pc.create_table::<u32, u64>(Protocol::Mvcc, "kv1", shard(0));
+    let t2 = pc.create_table::<u32, u64>(Protocol::Mvcc, "kv2", shard(1));
+    let commit_all = |round: u64| {
+        // Keys 0..16 cover both partitions; each commit writes both tables
+        // on every partition, so each partition logs a redo record.
+        let tx = mgr.begin().unwrap();
+        for k in 0..16u32 {
+            t1.write(&tx, k, round).unwrap();
+            t2.write(&tx, k, round).unwrap();
+        }
+        mgr.commit(&tx).unwrap();
+    };
+    for round in 0..30 {
+        commit_all(round);
+    }
+    pc.flush().unwrap();
+    commit_all(30);
+    pc.flush().unwrap();
+    for b in &backends {
+        assert_eq!(scan_redo(&**b).unwrap().len(), 1, "only the newest record");
+    }
+}

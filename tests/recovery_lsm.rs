@@ -288,6 +288,16 @@ fn checkpoint_truncation_keeps_later_redo_records_usable() {
             p.mgr.commit(&tx).unwrap();
         }
         watermark = p.ctx.last_cts(p.group).unwrap();
+        // Each commit deleted the records at or below the published
+        // `LastCTS` online: only the newest group commit's record is left,
+        // one copy per state.
+        assert_eq!(
+            scan_redo(&*p.backend_a)
+                .unwrap()
+                .into_keys()
+                .collect::<Vec<_>>(),
+            vec![watermark]
+        );
         // Checkpoint both states at the watermark, then truncate the redo
         // tail the checkpoint made redundant.
         create_checkpoint(&*p.backend_a, dir.join("ckpt_a")).unwrap();
@@ -296,8 +306,8 @@ fn checkpoint_truncation_keeps_later_redo_records_usable() {
         let removed_b = truncate_redo(&*p.backend_b, watermark).unwrap();
         assert_eq!(
             removed_a + removed_b,
-            10,
-            "five group commits × two copies of each record"
+            2,
+            "the newest group commit's record, one copy per state"
         );
         assert!(scan_redo(&*p.backend_a).unwrap().is_empty());
         // A tear *after* the truncation must still be repairable.
