@@ -299,6 +299,16 @@ pub(crate) enum FateClaim {
     Gone,
 }
 
+/// The encoded group redo record of an in-flight commit and the states
+/// whose commit batches carry a copy of it.
+pub struct PendingRedo {
+    /// The encoded [`tsp_storage::redo::RedoRecord`].
+    pub record: Vec<u8>,
+    /// The states that hold a copy: the record is dead once every one of
+    /// them has durably applied the commit.
+    pub holders: Arc<[StateId]>,
+}
+
 /// The durability side of the two-watermark commit pipeline: the registry of
 /// asynchronous per-backend persistence writers and the `DurableCTS`
 /// watermark they advance.
@@ -328,6 +338,8 @@ pub struct DurabilityHub {
     depth_gauge: Arc<AtomicU64>,
     /// One writer per distinct backend, deduplicated by `Arc` identity.
     writers: RwLock<Vec<(usize, Arc<BatchWriter>)>>,
+    /// The writer each persistent state persists through.
+    state_writers: RwLock<Vec<(StateId, Arc<BatchWriter>)>>,
     /// Retry budget applied to writers spawned from here on (transient
     /// `write_batch` failures are retried in place under it).
     retry_policy: Mutex<RetryPolicy>,
@@ -340,6 +352,7 @@ impl DurabilityHub {
             queue_capacity: AtomicUsize::new(tsp_storage::DEFAULT_QUEUE_CAPACITY),
             depth_gauge,
             writers: RwLock::new(Vec::new()),
+            state_writers: RwLock::new(Vec::new()),
             retry_policy: Mutex::new(RetryPolicy::default()),
         }
     }
@@ -374,11 +387,24 @@ impl DurabilityHub {
         self.async_enabled.load(Ordering::Acquire)
     }
 
-    /// Returns the writer for `backend`, spawning it on first use.  One
-    /// writer exists per distinct backend (`Arc` identity), so tables
-    /// sharing a base table also share its persistence queue — batches for
-    /// one backend are applied by one thread, in commit-timestamp order.
-    pub fn writer_for(&self, backend: &Arc<dyn StorageBackend>) -> Arc<BatchWriter> {
+    /// Returns the writer for `backend`, spawning it on first use, and
+    /// records that `state` persists through it.  One writer exists per
+    /// distinct backend (`Arc` identity), so tables sharing a base table
+    /// also share its persistence queue — batches for one backend are
+    /// applied by one thread, in commit-timestamp order.
+    pub fn writer_for(
+        &self,
+        state: StateId,
+        backend: &Arc<dyn StorageBackend>,
+    ) -> Arc<BatchWriter> {
+        let writer = self.backend_writer(backend);
+        self.state_writers
+            .write()
+            .push((state, Arc::clone(&writer)));
+        writer
+    }
+
+    fn backend_writer(&self, backend: &Arc<dyn StorageBackend>) -> Arc<BatchWriter> {
         let key = Arc::as_ptr(backend) as *const () as usize;
         if let Some((_, w)) = self.writers.read().iter().find(|(k, _)| *k == key) {
             return Arc::clone(w);
@@ -395,6 +421,16 @@ impl DurabilityHub {
         );
         writers.push((key, Arc::clone(&writer)));
         writer
+    }
+
+    /// True when the commit at `cts` is durable on the writer of every
+    /// state in `states`.  A state with no writer recorded by
+    /// [`writer_for`](Self::writer_for) counts as not durable.
+    pub fn durable_on(&self, states: &[StateId], cts: Timestamp) -> bool {
+        let bound = self.state_writers.read();
+        states
+            .iter()
+            .all(|s| bound.iter().any(|(b, w)| b == s && w.durable_cts() >= cts))
     }
 
     /// The global `DurableCTS` watermark: the minimum over all writers'
@@ -569,11 +605,11 @@ pub struct StateContext {
     oldest_cache_gen: AtomicU64,
     telemetry: Telemetry,
     durability: DurabilityHub,
-    /// Per-slot stash of the encoded group redo record the commit
-    /// coordinator assembled for the transaction's in-flight commit; each
-    /// persistent participant appends it to its own commit batch (see
+    /// Per-slot stash of the group redo record the commit coordinator
+    /// assembled for the transaction's in-flight commit; each persistent
+    /// participant appends it to its own commit batch (see
     /// [`crate::table::common::persist_pending`]).
-    redo_stash: SlotLocal<Option<Arc<Vec<u8>>>>,
+    redo_stash: SlotLocal<Option<Arc<PendingRedo>>>,
     /// Bounded-wait admission budget for `begin` in nanoseconds; 0 means
     /// immediate-fail admission (`SlotExhaustion` when the slot table is
     /// full, the historical behaviour).
@@ -1068,16 +1104,15 @@ impl StateContext {
         })
     }
 
-    /// Attaches the encoded group redo record for `tx`'s in-flight commit.
-    /// Each persistent participant's durable hand-off appends it to its own
+    /// Attaches the group redo record for `tx`'s in-flight commit.  Each
+    /// persistent participant's durable hand-off appends it to its own
     /// commit batch; cleared in [`finish`](Self::finish).
-    pub fn attach_redo(&self, tx: &Tx, record: Arc<Vec<u8>>) {
-        self.redo_stash.with_mut(tx, |cell| *cell = Some(record));
+    pub fn attach_redo(&self, tx: &Tx, redo: Arc<PendingRedo>) {
+        self.redo_stash.with_mut(tx, |cell| *cell = Some(redo));
     }
 
-    /// The encoded group redo record attached to `tx`'s in-flight commit,
-    /// if any.
-    pub fn pending_redo(&self, tx: &Tx) -> Option<Arc<Vec<u8>>> {
+    /// The group redo record attached to `tx`'s in-flight commit, if any.
+    pub fn pending_redo(&self, tx: &Tx) -> Option<Arc<PendingRedo>> {
         self.redo_stash.with(tx, |cell| cell.clone()).flatten()
     }
 
@@ -2288,7 +2323,7 @@ mod tests {
         let ctx = StateContext::new();
         ctx.durability().set_queue_capacity(8);
         let backend: Arc<dyn StorageBackend> = Arc::new(BTreeBackend::new());
-        let writer = ctx.durability().writer_for(&backend);
+        let writer = ctx.durability().writer_for(StateId(0), &backend);
         assert_eq!(writer.capacity(), 8);
         let mut batch = WriteBatch::new();
         batch.put(vec![1], vec![1]);

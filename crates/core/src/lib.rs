@@ -76,7 +76,8 @@ pub mod telemetry;
 
 pub use clock::{GlobalClock, EPOCH_TS};
 pub use context::{
-    CommitVote, DurabilityHub, StateContext, StateInfo, StateStatus, Tx, MAX_ACTIVE_TXNS,
+    CommitVote, DurabilityHub, PendingRedo, StateContext, StateInfo, StateStatus, Tx,
+    MAX_ACTIVE_TXNS,
 };
 pub use gc::{GcDriver, GcHandle, GcReport, GcTarget};
 pub use index::{IndexedTable, PostingList};

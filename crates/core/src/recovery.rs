@@ -29,11 +29,11 @@
 //! repaired from the record before visibility resumes.
 //!
 //! Redo records do not accumulate: each table deletes the records it wrote
-//! in a later commit batch once they fall at or below a watermark every
-//! state of the group durably reached (the `DurableCTS` under asynchronous
-//! persistence, the group's published `LastCTS` otherwise — see
-//! [`crate::table::common::persist_pending`]).  A torn suffix lies above
-//! that watermark, so its records survive for [`restore_group`].  Records
+//! in a later commit batch once every state holding a copy durably applied
+//! their commit (its writer's `DurableCTS` under asynchronous persistence,
+//! the group's published `LastCTS` otherwise — see
+//! [`crate::table::common::persist_pending`]).  A torn suffix is not
+//! durable on every holder, so its records survive for [`restore_group`].  Records
 //! left behind by a crashed run are truncated by a checkpoint
 //! ([`tsp_storage::truncate_redo`] with the checkpoint watermark — see
 //! `tsp_storage::checkpoint`); a stale tail of already-applied records below

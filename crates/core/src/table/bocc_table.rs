@@ -52,7 +52,7 @@ pub struct BoccTable<K, V> {
 impl<K: KeyType, V: ValueType> BoccTable<K, V> {
     /// Creates a volatile (in-memory only) table registered as `name`.
     pub fn volatile(ctx: &Arc<StateContext>, name: impl Into<String>) -> Arc<Self> {
-        Self::build(ctx, name, TypedBackend::for_context(ctx, None))
+        Self::build(ctx, name, None)
     }
 
     /// Creates a table persisting committed data to `backend`.
@@ -61,16 +61,17 @@ impl<K: KeyType, V: ValueType> BoccTable<K, V> {
         name: impl Into<String>,
         backend: Arc<dyn StorageBackend>,
     ) -> Arc<Self> {
-        Self::build(ctx, name, TypedBackend::for_context(ctx, Some(backend)))
+        Self::build(ctx, name, Some(backend))
     }
 
     fn build(
         ctx: &Arc<StateContext>,
         name: impl Into<String>,
-        backend: TypedBackend<K, V>,
+        backend: Option<Arc<dyn StorageBackend>>,
     ) -> Arc<Self> {
         let name = name.into();
         let state_id = ctx.register_state(&name);
+        let backend = TypedBackend::for_context(ctx, state_id, backend);
         Arc::new(BoccTable {
             state_id,
             name,

@@ -5,7 +5,7 @@
 //! for keys and values.
 
 use crate::clock::EPOCH_TS;
-use crate::context::{StateContext, Tx};
+use crate::context::{PendingRedo, StateContext, Tx};
 use crate::telemetry::Counter;
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
@@ -388,9 +388,10 @@ pub struct TypedBackend<K, V> {
     /// Asynchronous persistence writer (stage 2 of the commit pipeline).
     /// `None` = synchronous durability inside the commit critical section.
     writer: Option<Arc<BatchWriter>>,
-    /// Commit timestamps of the group redo records this view wrote and has
-    /// not yet deleted, oldest first (see [`persist_pending`]).
-    live_redo: Mutex<VecDeque<Timestamp>>,
+    /// The group redo records this view wrote and has not yet deleted,
+    /// oldest first: each commit timestamp with the states holding a copy
+    /// (see [`persist_pending`]).
+    live_redo: Mutex<VecDeque<(Timestamp, Arc<[StateId]>)>>,
     _marker: std::marker::PhantomData<fn() -> (K, V)>,
 }
 
@@ -418,12 +419,16 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
     /// `None`, otherwise persistent — attaching the context's per-backend
     /// asynchronous [`BatchWriter`] when the commit pipeline is enabled
     /// ([`StateContext::enable_async_persistence`]).
-    pub fn for_context(ctx: &StateContext, backend: Option<Arc<dyn StorageBackend>>) -> Self {
+    pub fn for_context(
+        ctx: &StateContext,
+        state: StateId,
+        backend: Option<Arc<dyn StorageBackend>>,
+    ) -> Self {
         match backend {
             None => Self::volatile(),
             Some(b) => {
                 let writer = if ctx.durability().async_enabled() {
-                    Some(ctx.durability().writer_for(&b))
+                    Some(ctx.durability().writer_for(state, &b))
                 } else {
                     None
                 };
@@ -1176,12 +1181,12 @@ pub fn preload_rows<K: KeyType, V: ValueType>(
 /// full copy of the group's write sets, which is what lets recovery roll a
 /// torn suffix forward instead of min-fencing it.
 ///
-/// The same batch deletes the records `backend` wrote earlier at or below
-/// the redo watermark — the `DurableCTS` with an asynchronous writer, the
-/// group's published `LastCTS` otherwise.  Every state of the group
-/// durably holds those commits, so no recovery can need them (the rule in
-/// [`tsp_storage::redo`]).  Live records per state stay bounded by the
-/// durability lag instead of growing with every commit.
+/// The same batch deletes the records `backend` wrote earlier once they
+/// are dead: every state holding a copy durably applied their commit, so no
+/// recovery can need them (the rule in [`tsp_storage::redo`]).  Live
+/// records per state stay bounded by the durability lag of the commits'
+/// own participants instead of growing with every commit.  The records
+/// are forgotten only once the batch deleting them was accepted.
 pub fn persist_pending<K: KeyType, V: ValueType>(
     ctx: &StateContext,
     backend: &TypedBackend<K, V>,
@@ -1201,47 +1206,58 @@ pub fn persist_pending<K: KeyType, V: ValueType>(
         return Ok(());
     }
     let mut meta = vec![(last_cts_key(), Some(cts.encode()))];
-    let record = ctx.pending_redo(tx);
-    if let Some(record) = &record {
-        ctx.telemetry().add(Counter::RedoBytes, record.len() as u64);
-        meta.push((redo_key(cts), Some(record.as_ref().clone())));
+    let redo = ctx.pending_redo(tx);
+    if let Some(redo) = &redo {
+        ctx.telemetry()
+            .add(Counter::RedoBytes, redo.record.len() as u64);
+        meta.push((redo_key(cts), Some(redo.record.clone())));
     }
-    {
-        let mut live = backend.live_redo.lock();
-        if !live.is_empty() {
-            let watermark = redo_watermark(ctx, backend, state);
-            while let Some(dead) = live.front().copied().filter(|c| *c <= watermark) {
-                live.pop_front();
-                meta.push((redo_key(dead), None));
-            }
-        }
-    }
+    let dead = {
+        let live = backend.live_redo.lock();
+        let dead = dead_redo(ctx, backend, state, &live);
+        meta.extend(live.iter().take(dead).map(|(c, _)| (redo_key(*c), None)));
+        dead
+    };
     backend.apply_at(&ops, &meta, cts)?;
-    if record.is_some() {
-        backend.live_redo.lock().push_back(cts);
+    let mut live = backend.live_redo.lock();
+    live.drain(..dead);
+    if let Some(redo) = redo {
+        live.push_back((cts, Arc::clone(&redo.holders)));
     }
     Ok(())
 }
 
-/// A lower bound on the durable `LastCTS` marker of every state in
-/// `state`'s groups: group redo records at or below it are dead.  With an
-/// asynchronous writer that is the context's `DurableCTS`; with
-/// synchronous persistence a group's published `LastCTS`, because a commit
-/// is published only after every participant wrote its batch.
-fn redo_watermark<K: KeyType, V: ValueType>(
+/// How many of the oldest `live` records are dead.  With asynchronous
+/// writers a record is dead once the writer of every state holding a copy
+/// has durably applied its commit ([`DurabilityHub::durable_on`]); writers
+/// of other states never hold it back.  With synchronous persistence it is
+/// dead at or below the published `LastCTS` of `state`'s groups, because a
+/// commit is published only after every participant wrote its batch.
+///
+/// [`DurabilityHub::durable_on`]: crate::context::DurabilityHub::durable_on
+fn dead_redo<K: KeyType, V: ValueType>(
     ctx: &StateContext,
     backend: &TypedBackend<K, V>,
     state: StateId,
-) -> Timestamp {
-    let watermark = match backend.writer() {
-        Some(_) => ctx.durability().durable_cts(),
-        None => ctx
-            .groups_of_state(state)
-            .into_iter()
-            .filter_map(|g| ctx.last_cts(g).ok())
-            .min(),
-    };
-    watermark.unwrap_or(EPOCH_TS)
+    live: &VecDeque<(Timestamp, Arc<[StateId]>)>,
+) -> usize {
+    if live.is_empty() {
+        return 0;
+    }
+    if backend.writer().is_some() {
+        let durability = ctx.durability();
+        return live
+            .iter()
+            .take_while(|(c, holders)| durability.durable_on(holders, *c))
+            .count();
+    }
+    let published = ctx
+        .groups_of_state(state)
+        .into_iter()
+        .filter_map(|g| ctx.last_cts(g).ok())
+        .min()
+        .unwrap_or(EPOCH_TS);
+    live.iter().take_while(|(c, _)| *c <= published).count()
 }
 
 /// Encodes a participant's effective write set as its section of the group
@@ -1301,11 +1317,18 @@ pub fn attach_group_redo<'a>(
     if sections.len() < 2 {
         return;
     }
+    let holders = sections.iter().map(|s| StateId(s.state)).collect();
     let record = RedoRecord {
         cts,
         states: sections,
     };
-    ctx.attach_redo(tx, Arc::new(record.encode()));
+    ctx.attach_redo(
+        tx,
+        Arc::new(PendingRedo {
+            record: record.encode(),
+            holders,
+        }),
+    );
 }
 
 /// Overlays a transaction's effective write set onto a scanned committed

@@ -129,18 +129,9 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
         backend: Option<Arc<dyn StorageBackend>>,
         opts: MvccTableOptions,
     ) -> Arc<Self> {
-        let typed = TypedBackend::for_context(ctx, backend);
-        Self::build(ctx, name, typed, opts)
-    }
-
-    fn build(
-        ctx: &Arc<StateContext>,
-        name: impl Into<String>,
-        backend: TypedBackend<K, V>,
-        opts: MvccTableOptions,
-    ) -> Arc<Self> {
         let name = name.into();
         let state_id = ctx.register_state(&name);
+        let backend = TypedBackend::for_context(ctx, state_id, backend);
         Arc::new(MvccTable {
             state_id,
             name,

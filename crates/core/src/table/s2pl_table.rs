@@ -47,7 +47,7 @@ pub struct S2plTable<K, V> {
 impl<K: KeyType, V: ValueType> S2plTable<K, V> {
     /// Creates a volatile (in-memory only) table registered as `name`.
     pub fn volatile(ctx: &Arc<StateContext>, name: impl Into<String>) -> Arc<Self> {
-        Self::build(ctx, name, TypedBackend::for_context(ctx, None))
+        Self::build(ctx, name, None)
     }
 
     /// Creates a table persisting committed data to `backend`.
@@ -56,16 +56,17 @@ impl<K: KeyType, V: ValueType> S2plTable<K, V> {
         name: impl Into<String>,
         backend: Arc<dyn StorageBackend>,
     ) -> Arc<Self> {
-        Self::build(ctx, name, TypedBackend::for_context(ctx, Some(backend)))
+        Self::build(ctx, name, Some(backend))
     }
 
     fn build(
         ctx: &Arc<StateContext>,
         name: impl Into<String>,
-        backend: TypedBackend<K, V>,
+        backend: Option<Arc<dyn StorageBackend>>,
     ) -> Arc<Self> {
         let name = name.into();
         let state_id = ctx.register_state(&name);
+        let backend = TypedBackend::for_context(ctx, state_id, backend);
         Arc::new(S2plTable {
             state_id,
             name,

@@ -48,12 +48,13 @@
 //! at or below such a group-wide watermark — a record above it may still
 //! be the only surviving copy of a torn suffix.  The transactional layer
 //! applies the rule online: each table remembers the records it wrote and
-//! deletes the dead ones in its next commit batch, with the durable
-//! watermark (asynchronous persistence) or the group's published
-//! `LastCTS` (synchronous persistence) as `w` — see
-//! `tsp_core::table::common::persist_pending`.  Records a crashed run left
-//! behind are deleted by [`truncate_redo`] once a checkpoint
-//! ([`crate::checkpoint::create_checkpoint`] of each state) covers them.
+//! deletes the dead ones in its next commit batch — with asynchronous
+//! persistence once the writer of every state holding a copy has the
+//! commit durable, with synchronous persistence at or below the group's
+//! published `LastCTS` — see `tsp_core::table::common::persist_pending`.
+//! Records a crashed run left behind are deleted by [`truncate_redo`] once
+//! a checkpoint ([`crate::checkpoint::create_checkpoint`] of each state)
+//! covers them.
 
 use crate::backend::{BatchOp, StorageBackend, WriteBatch};
 use crate::checksum::crc32;

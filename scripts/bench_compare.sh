@@ -15,8 +15,9 @@
 # median with its quartiles, the ratio new/old, and how many pairs each
 # side won (ties count for neither).
 #
+# Each run lasts BENCHMARK.json's run_seconds.
+#
 # Environment:
-#   RUN_SECONDS         seconds per run (default 10, as BENCHMARK.json)
 #   SEED                generator seed (default 7)
 #   BENCH_COMPARE_DIR   checkouts and results (default
 #                       ${TMPDIR:-/tmp}/tsp-bench-compare)
@@ -31,7 +32,8 @@ workload=$3
 pairs=$4
 root=$(git rev-parse --show-toplevel)
 base=${BENCH_COMPARE_DIR:-${TMPDIR:-/tmp}/tsp-bench-compare}
-seconds=${RUN_SECONDS:-10}
+seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+    "$root/BENCHMARK.json")
 seed=${SEED:-7}
 bin=e2e_bench/target/release/tsp-e2e-bench
 

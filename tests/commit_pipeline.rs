@@ -33,7 +33,11 @@ impl FailSwitchBackend {
     }
 
     fn start_failing(&self) {
-        self.fail.store(true, Ordering::Release);
+        self.set_failing(true);
+    }
+
+    fn set_failing(&self, fail: bool) {
+        self.fail.store(fail, Ordering::Release);
     }
 
     fn check(&self) -> tsp::common::Result<()> {
@@ -436,11 +440,13 @@ fn capacity_failed_apply_does_not_abort_unrelated_committer() {
     }
 }
 
-/// Group redo records are deleted online once every state of the group
-/// durably holds their commit: after a flush, the next group commit's
+/// Group redo records are deleted online once every state holding a copy
+/// durably applied their commit: after a flush, the next group commit's
 /// batches delete every earlier record, so each store keeps only the
-/// newest one.  A crash that then tears a group commit still finds the
-/// torn commit's record and rolls the lagging state forward exactly.
+/// newest one.  A persistent table of another group that was written once
+/// and then left idle does not hold the deletion back.  A crash that then
+/// tears a group commit still finds the torn commit's record and rolls the
+/// lagging state forward exactly.
 #[test]
 fn redo_records_are_truncated_below_the_durable_watermark() {
     use tsp::storage::scan_redo;
@@ -450,15 +456,24 @@ fn redo_records_are_truncated_below_the_durable_watermark() {
     {
         let store_a = Arc::new(LsmStore::open(dir.join("a"), opts.clone()).unwrap());
         let store_b = Arc::new(LsmStore::open(dir.join("b"), opts.clone()).unwrap());
+        let store_idle = Arc::new(LsmStore::open(dir.join("idle"), opts.clone()).unwrap());
         let fail_b = FailSwitchBackend::new(Arc::clone(&store_b));
         let ctx = Arc::new(StateContext::new());
         ctx.enable_async_persistence();
         let mgr = TransactionManager::new(Arc::clone(&ctx));
         let a = MvccTable::<u32, u64>::persistent(&ctx, "a", store_a.clone());
         let b = MvccTable::<u32, u64>::persistent(&ctx, "b", fail_b.clone());
+        let idle = MvccTable::<u32, u64>::persistent(&ctx, "idle", store_idle);
         mgr.register(a.clone());
         mgr.register(b.clone());
+        mgr.register(idle.clone());
         mgr.register_group(&[a.id(), b.id()]).unwrap();
+        mgr.register_group(&[idle.id()]).unwrap();
+        // A lookup-style table: one write at setup, none afterwards, so its
+        // writer's durable watermark stays at this commit.
+        let tx = mgr.begin().unwrap();
+        idle.write(&tx, 0, 0).unwrap();
+        mgr.commit(&tx).unwrap();
         let commit_both = |k: u32| {
             let tx = mgr.begin().unwrap();
             a.write(&tx, k, u64::from(k)).unwrap();
@@ -525,6 +540,51 @@ fn redo_records_are_truncated_below_the_durable_watermark() {
         assert_eq!(Some(report.last_cts), torn_cts);
     }
     mgr.commit(&q).unwrap();
+    lsm::destroy(dir.join("a")).unwrap();
+    lsm::destroy(dir.join("b")).unwrap();
+    lsm::destroy(dir.join("idle")).unwrap();
+}
+
+/// A commit batch that fails to persist keeps the records it was to delete
+/// tracked: the next batch that persists deletes them, so a transient
+/// device failure leaves no stale record behind (synchronous persistence).
+#[test]
+fn a_failed_batch_keeps_its_redo_deletions_for_the_next_one() {
+    use tsp::storage::scan_redo;
+    let dir = temp_dir("redofail");
+    let opts = LsmOptions::no_sync();
+    let store_a = Arc::new(LsmStore::open(dir.join("a"), opts.clone()).unwrap());
+    let store_b = Arc::new(LsmStore::open(dir.join("b"), opts).unwrap());
+    let fail_a = FailSwitchBackend::new(Arc::clone(&store_a));
+    let ctx = Arc::new(StateContext::new());
+    let mgr = TransactionManager::new(Arc::clone(&ctx));
+    let a = MvccTable::<u32, u64>::persistent(&ctx, "a", fail_a.clone());
+    let b = MvccTable::<u32, u64>::persistent(&ctx, "b", store_b.clone());
+    mgr.register(a.clone());
+    mgr.register(b.clone());
+    mgr.register_group(&[a.id(), b.id()]).unwrap();
+    let commit_both = |k: u32| {
+        let tx = mgr.begin().unwrap();
+        a.write(&tx, k, u64::from(k)).unwrap();
+        b.write(&tx, k, u64::from(k)).unwrap();
+        mgr.commit(&tx)
+    };
+    for k in 0..3 {
+        commit_both(k).unwrap();
+    }
+    // State A's device fails once: the commit aborts, and A's batch —
+    // which would have deleted the previous record — is lost.
+    fail_a.set_failing(true);
+    assert!(commit_both(3).is_err());
+    fail_a.set_failing(false);
+    let mut last = 0;
+    for k in 4..6 {
+        last = commit_both(k).unwrap().unwrap();
+    }
+    let live: Vec<u64> = scan_redo(&*store_a).unwrap().into_keys().collect();
+    assert_eq!(live, vec![last], "only the newest record is left on A");
+    drop((a, b, mgr, ctx, fail_a));
+    drop((store_a, store_b));
     lsm::destroy(dir.join("a")).unwrap();
     lsm::destroy(dir.join("b")).unwrap();
 }
