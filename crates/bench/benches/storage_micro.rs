@@ -22,7 +22,7 @@ fn bench_wal(c: &mut Criterion) {
     group.sample_size(20);
     let mut batch = WriteBatch::new();
     for i in 0..10u32 {
-        batch.put(i.to_be_bytes().to_vec(), vec![0xAB; 20]);
+        batch.put(i.to_be_bytes(), vec![0xAB; 20]);
     }
     for (label, sync) in [
         ("append_nosync", SyncPolicy::Never),

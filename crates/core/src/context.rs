@@ -299,11 +299,15 @@ pub(crate) enum FateClaim {
     Gone,
 }
 
-/// The encoded group redo record of an in-flight commit and the states
-/// whose commit batches carry a copy of it.
+/// The group redo record of an in-flight commit — each participant's
+/// section, encoded once — and the states whose commit batches carry a
+/// copy of it.
 pub struct PendingRedo {
-    /// The encoded [`tsp_storage::redo::RedoRecord`].
-    pub record: Vec<u8>,
+    /// The encoded sections; each holder's batch stores the record of the
+    /// *other* holders' sections ([`RedoSections::encode_copy`]).
+    ///
+    /// [`RedoSections::encode_copy`]: tsp_storage::redo::RedoSections::encode_copy
+    pub sections: tsp_storage::redo::RedoSections,
     /// The states that hold a copy: the record is dead once every one of
     /// them has durably applied the commit.
     pub holders: Arc<[StateId]>,

@@ -819,8 +819,8 @@ pub(crate) fn apply_all(
 ///
 /// When two or more persistent writers contribute, the group redo record is
 /// assembled first ([`attach_group_redo`]) and stashed on `tx`, so each
-/// writer's batch carries a full copy of the group's write sets on its
-/// existing WAL record and fsync.  A failure (an I/O error, a dead async
+/// writer's batch carries the other writers' write sets on its existing WAL
+/// record and fsync.  A failure (an I/O error, a dead async
 /// writer, a panic) undoes **every** writer.  Writers whose hand-off already
 /// happened leave this aborted commit's batch on (its way to) disk; that
 /// orphan is harmless, because recovery treats any redo record as

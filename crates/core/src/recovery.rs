@@ -13,13 +13,15 @@
 //! * uncommitted write sets are volatile by design, so nothing needs to be
 //!   undone: after a restart only committed data exists in the base tables;
 //! * multi-state group commits additionally fold a **group redo record**
-//!   ([`tsp_storage::redo`]) into *every* participant's batch — the full
-//!   write sets of all participating states, checksummed, riding each
-//!   batch's existing WAL record and fsync.  A crash that tears such a
-//!   commit (some states' batches durable, others lost) therefore always
-//!   leaves at least one intact copy of the record next to the surviving
-//!   marker, and [`restore_group`] rolls the lagging states **forward** to
-//!   the group's maximum logged commit: replay is exact, not a fence.
+//!   ([`tsp_storage::redo`]) into *every* participant's batch — the write
+//!   sets of all the *other* participating states, checksummed, riding
+//!   each batch's existing WAL record and fsync.  A crash that tears such
+//!   a commit (some states' batches durable, others lost) therefore always
+//!   leaves the lagging states' sections in the copies next to the
+//!   surviving markers, and [`restore_group`] rolls the lagging states
+//!   **forward** to the group's maximum logged commit: replay is exact,
+//!   not a fence.  Since no copy holds its own state's section, recovery
+//!   merges the sections of each commit across all intact copies.
 //!
 //! Earlier revisions of this module could only *detect* a torn group commit
 //! and fence the group's visibility to the minimum stored timestamp,
@@ -43,6 +45,7 @@ use crate::clock::{GlobalClock, EPOCH_TS};
 use crate::context::StateContext;
 use crate::table::common::last_cts_key;
 use crate::telemetry::Counter;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included};
 use tsp_common::{GroupId, Result, StateId, Timestamp, TspError};
@@ -98,9 +101,11 @@ pub fn recover_table_cts(backend: &dyn StorageBackend) -> Result<Option<Timestam
 ///   batch.  Replay is idempotent: re-crashing mid-recovery just replays
 ///   the remaining suffix on the next restart.
 ///
-/// Records are merged from *all* the group's backends, first intact copy
-/// wins — each copy is CRC-guarded, so a corrupt copy on one backend is
-/// skipped in favour of another state's copy.
+/// Records are merged per commit from *all* the group's backends: each
+/// copy holds the sections of the states other than its own, so the
+/// sections of one `cts` are united across every intact copy.  Each copy
+/// is CRC-guarded; a corrupt copy on one backend is skipped and the other
+/// copies still supply the sections it held.
 pub fn restore_group(
     ctx: &StateContext,
     group: GroupId,
@@ -137,7 +142,8 @@ pub fn restore_group(
 /// recovery driver ([`crate::partition::PartitionedContext::restore_partition`]):
 /// reads each state's stored commit marker, merges the redo logs of every
 /// backend, and rolls any lagging state forward through the logged group
-/// commits in `(min, max]`.
+/// commits in `(min, max]`.  A commit's sections are merged across every
+/// intact copy of its record (no copy holds its own state's section).
 ///
 /// Returns the per-state markers **as found on disk** (before replay, in
 /// input order) and the number of group commits whose missing per-state
@@ -158,18 +164,24 @@ pub fn replay_torn_suffix(
 
     let mut replayed_commits = 0u64;
     if min < max {
-        // Merge the redo logs of every backend: a state that lost its own
-        // batch recovers the record from any participant that kept it.
+        // Merge the redo logs of every backend, section by section: a
+        // state that lost its own batch recovers its section from any
+        // participant that kept a copy.
         let mut records: BTreeMap<Timestamp, RedoRecord> = BTreeMap::new();
         for b in backends {
             for (cts, rec) in scan_redo(*b)? {
-                records.entry(cts).or_insert(rec);
+                match records.entry(cts) {
+                    Entry::Vacant(e) => {
+                        e.insert(rec);
+                    }
+                    Entry::Occupied(mut e) => e.get_mut().merge(rec),
+                }
             }
         }
         // Ascending replay of the torn suffix: each lagging participant of
         // a logged group commit gets its section's ops, the advanced
-        // marker and a copy of the record in one atomic batch, so a crash
-        // during recovery is just a shorter tear.
+        // marker and a copy of the merged record in one atomic batch, so a
+        // crash during recovery is just a shorter tear.
         for (cts, rec) in records.range((Excluded(min), Included(max))) {
             let mut commit_was_torn = false;
             for (i, b) in backends.iter().enumerate() {
@@ -179,7 +191,7 @@ pub fn replay_torn_suffix(
                 let Some(section) = rec.section_for(states[i].as_u32()) else {
                     continue;
                 };
-                let mut batch = section.to_batch();
+                let mut batch = section.ops.clone();
                 batch.put(last_cts_key(), cts.encode());
                 batch.put(redo_key(*cts), rec.encode());
                 b.write_batch(&batch)?;
@@ -212,8 +224,9 @@ mod tests {
     use crate::manager::TransactionManager;
     use crate::table::MvccTable;
     use std::sync::Arc;
-    use tsp_storage::redo::{RedoOp, StateRedo};
-    use tsp_storage::{BTreeBackend, BatchOp};
+    use tsp_storage::checksum::crc32;
+    use tsp_storage::redo::{RedoSections, StateRedo};
+    use tsp_storage::{BTreeBackend, WriteBatch};
 
     fn committed_backend(values: &[(u32, u64)], cts: u64) -> Arc<BTreeBackend> {
         let b = Arc::new(BTreeBackend::new());
@@ -224,11 +237,28 @@ mod tests {
         b
     }
 
-    fn put_op(key: u32, value: u64) -> RedoOp {
-        RedoOp::new(BatchOp::Put {
-            key: key.encode(),
-            value: value.encode(),
-        })
+    fn puts(rows: &[(u32, u64)]) -> WriteBatch {
+        let mut batch = WriteBatch::new();
+        for (k, v) in rows {
+            batch.put_with(k, v);
+        }
+        batch
+    }
+
+    /// The copy of the commit at `cts` that `holder`'s batch stores: the
+    /// sections of every other state in `sections`.
+    fn copy_for(cts: Timestamp, holder: StateId, sections: &[(StateId, &[(u32, u64)])]) -> Vec<u8> {
+        let mut redo = RedoSections::new(cts);
+        for (state, rows) in sections {
+            redo.push(state.as_u32(), |w| {
+                for (k, v) in *rows {
+                    w.put_with(k, v);
+                }
+            });
+        }
+        let mut out = Vec::new();
+        redo.encode_copy(Some(holder.as_u32()), &mut out);
+        out
     }
 
     #[test]
@@ -253,11 +283,11 @@ mod tests {
             states: vec![
                 StateRedo {
                     state: a.as_u32(),
-                    ops: vec![put_op(2, 21)],
+                    ops: puts(&[(2, 21)]),
                 },
                 StateRedo {
                     state: b.as_u32(),
-                    ops: vec![put_op(2, 22)],
+                    ops: puts(&[(2, 22)]),
                 },
             ],
         };
@@ -278,6 +308,93 @@ mod tests {
         assert_eq!(ba.get(&2u32.encode()).unwrap(), Some(21u64.encode()));
         assert_eq!(ba.get(&redo_key(25)).unwrap(), Some(record.encode()));
         assert_eq!(ctx.telemetry().count(Counter::RedoReplays), 1);
+    }
+
+    /// Each copy holds only the *other* states' sections, so a lagging
+    /// state's section exists only in the survivors' copies, and the
+    /// sections of one commit are merged across them.
+    #[test]
+    fn lagging_sections_are_found_in_the_survivors_copies_and_merged() {
+        let ctx = StateContext::new();
+        let a = ctx.register_state("a5");
+        let b = ctx.register_state("b5");
+        let c = ctx.register_state("c5");
+        let g = ctx.register_group(&[a, b, c]).unwrap();
+
+        // Commit 25 wrote all three states; `a` lost its batch.  Commit 30
+        // wrote `b` and `c`; `c` lost its batch.
+        let c25: [(StateId, &[(u32, u64)]); 3] =
+            [(a, &[(1, 251)]), (b, &[(1, 252)]), (c, &[(1, 253)])];
+        let c30: [(StateId, &[(u32, u64)]); 2] = [(b, &[(2, 302)]), (c, &[(2, 303)])];
+        let ba = committed_backend(&[], 20);
+        let bb = committed_backend(&[(1, 252), (2, 302)], 30);
+        let bc = committed_backend(&[(1, 253)], 25);
+        bb.put(&redo_key(25), &copy_for(25, b, &c25)).unwrap();
+        bb.put(&redo_key(30), &copy_for(30, b, &c30)).unwrap();
+        bc.put(&redo_key(25), &copy_for(25, c, &c25)).unwrap();
+        for (store, own) in [(&bb, b), (&bc, c)] {
+            let rec = RedoRecord::decode(&store.get(&redo_key(25)).unwrap().unwrap()).unwrap();
+            assert!(rec.section_for(own.as_u32()).is_none(), "no own section");
+        }
+
+        let report = restore_group(&ctx, g, &[&*ba, &*bb, &*bc]).unwrap();
+        assert_eq!(report.per_state, vec![Some(20), Some(30), Some(25)]);
+        assert_eq!(report.last_cts, 30);
+        assert_eq!(report.replayed_commits, 2);
+        assert_eq!(ba.get(&1u32.encode()).unwrap(), Some(251u64.encode()));
+        assert_eq!(recover_table_cts(&*ba).unwrap(), Some(25));
+        assert_eq!(bc.get(&2u32.encode()).unwrap(), Some(303u64.encode()));
+        assert_eq!(recover_table_cts(&*bc).unwrap(), Some(30));
+        // `a`'s repaired copy is the merge of `b`'s copy ({a, c}) and
+        // `c`'s copy ({a, b}): it holds every section.
+        let merged = RedoRecord::decode(&ba.get(&redo_key(25)).unwrap().unwrap()).unwrap();
+        for state in [a, b, c] {
+            assert!(merged.section_for(state.as_u32()).is_some());
+        }
+    }
+
+    /// A record written when every copy held every section, with the
+    /// in-place protocols' pre-images as undo values, still replays.
+    #[test]
+    fn full_records_with_undo_images_still_replay() {
+        let ctx = StateContext::new();
+        let a = ctx.register_state("a6");
+        let b = ctx.register_state("b6");
+        let g = ctx.register_group(&[a, b]).unwrap();
+        let ba = committed_backend(&[(1, 10)], 20);
+        let bb = committed_backend(&[(1, 12)], 25);
+
+        // payload := cts state_count (state op_count (op undo)*)*, with
+        // undo 2 = a pre-image and undo 1 = the key was absent.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&25u64.to_be_bytes());
+        payload.extend_from_slice(&2u32.to_be_bytes());
+        for (state, value, pre_image) in [(a, 11u64, Some(10u64)), (b, 12, None)] {
+            payload.extend_from_slice(&state.as_u32().to_be_bytes());
+            payload.extend_from_slice(&1u32.to_be_bytes());
+            payload.push(0); // put
+            payload.extend_from_slice(&4u32.to_be_bytes());
+            payload.extend_from_slice(&1u32.encode());
+            payload.extend_from_slice(&8u32.to_be_bytes());
+            payload.extend_from_slice(&value.encode());
+            match pre_image {
+                Some(v) => {
+                    payload.push(2);
+                    payload.extend_from_slice(&8u32.to_be_bytes());
+                    payload.extend_from_slice(&v.encode());
+                }
+                None => payload.push(1),
+            }
+        }
+        let mut stored = crc32(&payload).to_be_bytes().to_vec();
+        stored.extend_from_slice(&payload);
+        bb.put(&redo_key(25), &stored).unwrap();
+
+        let report = restore_group(&ctx, g, &[&*ba, &*bb]).unwrap();
+        assert_eq!(report.last_cts, 25);
+        assert_eq!(report.replayed_commits, 1);
+        assert_eq!(ba.get(&1u32.encode()).unwrap(), Some(11u64.encode()));
+        assert_eq!(recover_table_cts(&*ba).unwrap(), Some(25));
     }
 
     #[test]
@@ -320,7 +437,7 @@ mod tests {
             cts: 10,
             states: vec![StateRedo {
                 state: a.as_u32(),
-                ops: vec![put_op(1, 999)],
+                ops: puts(&[(1, 999)]),
             }],
         };
         ba.put(&redo_key(10), &stale.encode()).unwrap();

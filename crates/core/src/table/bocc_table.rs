@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 use tsp_common::{Result, StateId, Timestamp, TspError};
-use tsp_storage::redo::StateRedo;
+use tsp_storage::redo::RedoSections;
 use tsp_storage::StorageBackend;
 
 /// Prune the commit log once it exceeds this many entries.
@@ -287,8 +287,8 @@ impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
         self.store.is_persistent()
     }
 
-    fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
-        self.store.redo_section(tx)
+    fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
+        self.store.redo_section(tx, sections)
     }
 
     fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {

@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tsp_common::{CachePadded, Result, StateId, Timestamp, TspError};
-use tsp_storage::redo::{redo_key, RedoOp, RedoRecord, StateRedo};
-use tsp_storage::{BatchOp, BatchWriter, Codec, StorageBackend, WriteBatch};
+use tsp_storage::redo::{redo_key, RedoSections};
+use tsp_storage::{BatchWriter, Codec, StorageBackend, WriteBatch};
 
 /// Bound for table keys: hashable, ordered, encodable.
 pub trait KeyType: Clone + Eq + Hash + Ord + Codec + Send + Sync + 'static {}
@@ -374,9 +374,6 @@ impl<K: KeyType, V: ValueType> TxWriteSets<K, V> {
     }
 }
 
-/// A metadata entry of a commit batch: a put, or a delete for `None`.
-pub type MetaOp = (Vec<u8>, Option<Vec<u8>>);
-
 /// A typed view of an optional byte-level [`StorageBackend`] — the "Base
 /// Table" of Fig. 3.
 ///
@@ -472,55 +469,41 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
         Ok(())
     }
 
-    /// Encodes the effective modifications of a write set (plus metadata
-    /// puts, or deletes for `None`) as one [`WriteBatch`].
-    fn build_batch(ops: &[(K, WriteOp<V>)], meta: &[MetaOp]) -> WriteBatch {
-        let mut batch = WriteBatch::with_capacity(ops.len() + meta.len());
+    /// Encodes the effective modifications of a write set as one
+    /// [`WriteBatch`], each typed key and value encoded straight into the
+    /// batch's buffer — the bytes the WAL stores.
+    fn batch_of(ops: &[(K, WriteOp<V>)]) -> WriteBatch {
+        let mut batch = WriteBatch::new();
         for (k, op) in ops {
             match op {
-                WriteOp::Put(v) => {
-                    batch.put(k.encode(), v.encode());
-                }
-                WriteOp::Delete => {
-                    batch.delete(k.encode());
-                }
-            }
-        }
-        for (k, v) in meta {
-            match v {
-                Some(v) => batch.put(k.clone(), v.clone()),
-                None => batch.delete(k.clone()),
+                WriteOp::Put(v) => batch.put_with(k, v),
+                WriteOp::Delete => batch.delete_with(k),
             };
         }
         batch
     }
 
-    /// Applies the effective modifications of a write set (plus optional
-    /// metadata entries) as one atomic batch, synchronously — preloading and
-    /// recovery restores use this; transactional commits go through
-    /// [`apply_at`](Self::apply_at).
-    pub fn apply(&self, ops: &[(K, WriteOp<V>)], meta: &[MetaOp]) -> Result<()> {
+    /// Applies the effective modifications of a write set as one atomic
+    /// batch, synchronously — preloading uses this; transactional commits
+    /// go through [`apply_at`](Self::apply_at).
+    pub fn apply(&self, ops: &[(K, WriteOp<V>)]) -> Result<()> {
         let Some(b) = &self.backend else {
             return Ok(());
         };
-        if ops.is_empty() && meta.is_empty() {
+        if ops.is_empty() {
             return Ok(());
         }
-        b.write_batch(&Self::build_batch(ops, meta))
+        b.write_batch(&Self::batch_of(ops))
     }
 
-    /// Persists the durable work of the commit at `cts`: hands the encoded
-    /// batch to the asynchronous [`BatchWriter`] when one is attached (a
-    /// queue push — no I/O on the commit path; durability trails behind the
-    /// `DurableCTS` watermark), otherwise writes it synchronously.
-    pub fn apply_at(&self, ops: &[(K, WriteOp<V>)], meta: &[MetaOp], cts: Timestamp) -> Result<()> {
+    /// Persists the durable work of the commit at `cts`: hands `batch` to
+    /// the asynchronous [`BatchWriter`] when one is attached (a queue push —
+    /// no I/O on the commit path; durability trails behind the `DurableCTS`
+    /// watermark), otherwise writes it synchronously.
+    pub fn apply_at(&self, batch: WriteBatch, cts: Timestamp) -> Result<()> {
         let Some(b) = &self.backend else {
             return Ok(());
         };
-        if ops.is_empty() && meta.is_empty() {
-            return Ok(());
-        }
-        let batch = Self::build_batch(ops, meta);
         match &self.writer {
             Some(w) => w.enqueue(cts, batch),
             None => b.write_batch(&batch),
@@ -607,18 +590,20 @@ impl<K: KeyType, V: ValueType> PendingDurable<K, V> {
             .or_else(|| write_sets.with(tx, |ws| ws.effective()))
     }
 
-    /// Clones the stashed ops without consuming them, falling back to the
-    /// write set.  Used by the redo-record assembly, which runs *before*
-    /// `apply_durable` takes the stash.
-    pub fn peek_or_recompute(
-        &self,
-        tx: &Tx,
-        write_sets: &TxWriteSets<K, V>,
-    ) -> Option<Vec<(K, WriteOp<V>)>> {
-        self.ops
-            .with(tx, |cell| cell.clone())
-            .filter(|ops| !ops.is_empty())
-            .or_else(|| write_sets.with(tx, |ws| ws.effective()))
+    /// Encodes the stashed ops, without consuming them, as `state`'s
+    /// section of the group redo record.  The coordinator calls this between
+    /// `apply`, which stashed the ops, and `apply_durable`, which takes them.
+    pub fn redo_section(&self, tx: &Tx, state: StateId, sections: &mut RedoSections) {
+        self.ops.with(tx, |ops| {
+            sections.push(state.as_u32(), |w| {
+                for (k, op) in ops {
+                    match op {
+                        WriteOp::Put(v) => w.put_with(k, v),
+                        WriteOp::Delete => w.delete_with(k),
+                    }
+                }
+            })
+        });
     }
 
     /// Drops any stashed ops (`finish` path).
@@ -645,8 +630,9 @@ type CommittedShard<K, V> = RwLock<HashMap<K, Option<V>>>;
 /// Updating in place means a commit that is torn after this store applied
 /// (a later participant failed) must restore exactly what it overwrote, so
 /// [`apply`](Self::apply) captures the pre-image of every entry it replaces;
-/// [`undo`](Self::undo) restores them, and [`redo_section`](Self::redo_section)
-/// ships them as the undo values of the group redo record.  The protocols
+/// [`undo`](Self::undo) restores them.  Recovery only rolls forward, so
+/// the pre-images stay in memory and the group redo record carries the ops
+/// alone.  The protocols
 /// keep only their concurrency control (locks, read sets, commit log)
 /// around these calls.
 pub(crate) struct InPlaceStore<K, V> {
@@ -803,31 +789,11 @@ impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
         }
     }
 
-    /// This state's section of the group redo record, carrying the captured
-    /// pre-images as undo values: `Some(Some(bytes))` is the committed
-    /// override an op replaced, `Some(None)` means no prior entry (or a
-    /// tombstone) in the committed map.
-    pub fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
-        if !self.backend.is_persistent() {
-            return None;
-        }
-        let ops = self
-            .pending_durable
-            .peek_or_recompute(tx, &self.write_sets)?;
-        if ops.is_empty() {
-            return None;
-        }
-        let images: HashMap<K, V> = self
-            .undo_images
-            .with(tx, |undo| {
-                undo.iter()
-                    .filter_map(|(k, prev)| prev.clone().flatten().map(|v| (k.clone(), v)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Some(build_state_redo(self.state_id, &ops, |k| {
-            Some(images.get(k).map(|v| v.encode()))
-        }))
+    /// This state's section of the group redo record, encoded from the ops
+    /// [`apply`](Self::apply) stashed (see [`PendingDurable::redo_section`]).
+    pub fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
+        self.pending_durable
+            .redo_section(tx, self.state_id, sections);
     }
 
     /// Drops everything `tx` left here: write set, stashed ops, pre-images.
@@ -937,18 +903,17 @@ pub trait TxParticipant: Send + Sync {
         false
     }
 
-    /// This participant's contribution to the group-wide redo record of the
-    /// commit in flight: the encoded effective write set (plus, for in-place
-    /// protocols, the captured pre-images), or `None` if the participant
-    /// persists nothing for this transaction.
+    /// Encodes this participant's section of the group-wide redo record of
+    /// the commit in flight into `sections`: its effective write set,
+    /// straight from the typed ops.  Contributes nothing if the
+    /// participant persists nothing for this transaction.
     ///
     /// Called by the coordinator between [`apply`](Self::apply) and
     /// [`apply_durable`](Self::apply_durable), so implementations may read
     /// (but must not consume) the ops `apply` stashed.  The default — used
     /// by volatile states — contributes nothing.
-    fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
-        let _ = tx;
-        None
+    fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
+        let _ = (tx, sections);
     }
 
     /// Persists the transaction's buffered effects to the base table for the
@@ -1154,7 +1119,7 @@ pub fn preload_rows<K: KeyType, V: ValueType>(
         if backend.is_persistent() {
             chunk.push((k, WriteOp::Put(v)));
             if chunk.len() >= PRELOAD_BATCH {
-                backend.apply(&chunk, &[])?;
+                backend.apply(&chunk)?;
                 chunk.clear();
             }
         } else {
@@ -1162,7 +1127,7 @@ pub fn preload_rows<K: KeyType, V: ValueType>(
         }
     }
     if !chunk.is_empty() {
-        backend.apply(&chunk, &[])?;
+        backend.apply(&chunk)?;
     }
     Ok(())
 }
@@ -1175,11 +1140,13 @@ pub fn preload_rows<K: KeyType, V: ValueType>(
 /// with no effective ops persists nothing (not even the marker).
 ///
 /// When the coordinator attached a group redo record to `tx` (the commit
-/// spans several persistent states — see
-/// [`StateContext::attach_redo`]), the record rides in this participant's
-/// batch too, under [`redo_key`]: every surviving participant then holds a
-/// full copy of the group's write sets, which is what lets recovery roll a
-/// torn suffix forward instead of min-fencing it.
+/// spans several persistent states — see [`StateContext::attach_redo`]),
+/// the record rides in this participant's batch too, under [`redo_key`],
+/// holding every *other* participant's section: every surviving
+/// participant then holds the sections of the states that may have lost
+/// their batch, which is what lets recovery roll a torn suffix forward
+/// instead of min-fencing it.  The record is written straight into the
+/// batch from the sections the coordinator encoded once.
 ///
 /// The same batch deletes the records `backend` wrote earlier once they
 /// are dead: every state holding a copy durably applied their commit, so no
@@ -1205,20 +1172,27 @@ pub fn persist_pending<K: KeyType, V: ValueType>(
     if ops.is_empty() {
         return Ok(());
     }
-    let mut meta = vec![(last_cts_key(), Some(cts.encode()))];
+    let mut batch = TypedBackend::batch_of(&ops);
+    batch.put(last_cts_key(), cts.encode());
     let redo = ctx.pending_redo(tx);
     if let Some(redo) = &redo {
-        ctx.telemetry()
-            .add(Counter::RedoBytes, redo.record.len() as u64);
-        meta.push((redo_key(cts), Some(redo.record.clone())));
+        let mut record_len = 0;
+        batch.put_value_with(redo_key(cts), |out| {
+            let start = out.len();
+            redo.sections.encode_copy(Some(state.as_u32()), out);
+            record_len = out.len() - start;
+        });
+        ctx.telemetry().add(Counter::RedoBytes, record_len as u64);
     }
     let dead = {
         let live = backend.live_redo.lock();
         let dead = dead_redo(ctx, backend, state, &live);
-        meta.extend(live.iter().take(dead).map(|(c, _)| (redo_key(*c), None)));
+        for (c, _) in live.iter().take(dead) {
+            batch.delete(redo_key(*c));
+        }
         dead
     };
-    backend.apply_at(&ops, &meta, cts)?;
+    backend.apply_at(batch, cts)?;
     let mut live = backend.live_redo.lock();
     live.drain(..dead);
     if let Some(redo) = redo {
@@ -1260,39 +1234,12 @@ fn dead_redo<K: KeyType, V: ValueType>(
     live.iter().take_while(|(c, _)| *c <= published).count()
 }
 
-/// Encodes a participant's effective write set as its section of the group
-/// redo record.  `undo_for` supplies the committed pre-image of a key for
-/// the in-place protocols (S2PL, BOCC) — `None` when the protocol does not
-/// capture pre-images (multi-version stores).
-pub fn build_state_redo<K: KeyType, V: ValueType>(
-    state: StateId,
-    ops: &[(K, WriteOp<V>)],
-    mut undo_for: impl FnMut(&K) -> Option<Option<Vec<u8>>>,
-) -> StateRedo {
-    let mut redo_ops = Vec::with_capacity(ops.len());
-    for (k, op) in ops {
-        let op = match op {
-            WriteOp::Put(v) => BatchOp::Put {
-                key: k.encode(),
-                value: v.encode(),
-            },
-            WriteOp::Delete => BatchOp::Delete { key: k.encode() },
-        };
-        redo_ops.push(RedoOp {
-            undo: undo_for(k),
-            op,
-        });
-    }
-    StateRedo {
-        state: state.as_u32(),
-        ops: redo_ops,
-    }
-}
-
 /// Assembles the group redo record for the commit at `cts` and stashes it on
 /// `tx` so every participant's [`persist_pending`] folds a copy into its own
 /// durable batch (riding the batch's existing WAL record and fsync — no
-/// extra sync).  `writers` are the participants that buffered writes.
+/// extra sync).  `writers` are the participants that buffered writes; each
+/// section is encoded once here, and each copy holds the sections of the
+/// other participants.
 ///
 /// Single-participant commits skip the record: one batch is already
 /// failure-atomic through the backend's WAL, so there is no suffix to tear.
@@ -1313,22 +1260,15 @@ pub fn attach_group_redo<'a>(
     if writers.clone().filter(|p| p.is_persistent()).count() < 2 {
         return;
     }
-    let sections: Vec<StateRedo> = writers.filter_map(|p| p.redo_section(tx)).collect();
+    let mut sections = RedoSections::new(cts);
+    for p in writers {
+        p.redo_section(tx, &mut sections);
+    }
     if sections.len() < 2 {
         return;
     }
-    let holders = sections.iter().map(|s| StateId(s.state)).collect();
-    let record = RedoRecord {
-        cts,
-        states: sections,
-    };
-    ctx.attach_redo(
-        tx,
-        Arc::new(PendingRedo {
-            record: record.encode(),
-            holders,
-        }),
-    );
+    let holders = sections.states().map(StateId).collect();
+    ctx.attach_redo(tx, Arc::new(PendingRedo { sections, holders }));
 }
 
 /// Overlays a transaction's effective write set onto a scanned committed
@@ -1451,7 +1391,7 @@ mod tests {
         assert_eq!(tb.get(&1).unwrap(), None);
         tb.put_direct(&1, &5).unwrap();
         assert_eq!(tb.get(&1).unwrap(), None);
-        tb.apply(&[(1, WriteOp::Put(5))], &[]).unwrap();
+        tb.apply(&[(1, WriteOp::Put(5))]).unwrap();
         let mut visited = 0;
         tb.scan(&mut |_, _| {
             visited += 1;
@@ -1468,11 +1408,9 @@ mod tests {
         assert!(tb.is_persistent());
         tb.put_direct(&7, &"seven".to_string()).unwrap();
         assert_eq!(tb.get(&7).unwrap(), Some("seven".to_string()));
-        tb.apply(
-            &[(8, WriteOp::Put("eight".into())), (7, WriteOp::Delete)],
-            &[(last_cts_key(), Some(42u64.encode()))],
-        )
-        .unwrap();
+        tb.apply(&[(8, WriteOp::Put("eight".into())), (7, WriteOp::Delete)])
+            .unwrap();
+        backend.put(&last_cts_key(), &42u64.encode()).unwrap();
         assert_eq!(tb.get(&7).unwrap(), None);
         assert_eq!(tb.get(&8).unwrap(), Some("eight".to_string()));
         // Metadata keys are visible at the byte level …
@@ -1491,7 +1429,7 @@ mod tests {
     fn typed_backend_empty_apply_is_noop() {
         let backend = Arc::new(BTreeBackend::new());
         let tb: TypedBackend<u32, u64> = TypedBackend::persistent(backend.clone());
-        tb.apply(&[], &[]).unwrap();
+        tb.apply(&[]).unwrap();
         assert_eq!(backend.len(), 0);
     }
 }

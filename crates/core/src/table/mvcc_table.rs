@@ -44,9 +44,9 @@
 use crate::context::{StateContext, Tx};
 use crate::mvcc::{MvccObject, DEFAULT_VERSION_SLOTS};
 use crate::table::common::{
-    buffer_write, build_state_redo, overlay_write_set, persist_pending, preload_rows,
-    read_own_write, reject_read_only, KeyType, PendingDurable, TransactionalTable, TxParticipant,
-    TxWriteSets, TypedBackend, ValueType, WriteOp,
+    buffer_write, overlay_write_set, persist_pending, preload_rows, read_own_write,
+    reject_read_only, KeyType, PendingDurable, TransactionalTable, TxParticipant, TxWriteSets,
+    TypedBackend, ValueType, WriteOp,
 };
 use crate::table::objmap::{ObjMap, DEFAULT_INDEX_BUCKETS};
 use crate::telemetry::{AbortReason, Counter};
@@ -54,7 +54,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tsp_common::{Result, StateId, Timestamp, TspError};
-use tsp_storage::redo::StateRedo;
+use tsp_storage::redo::RedoSections;
 use tsp_storage::StorageBackend;
 
 /// When the write-write conflict check runs (§4.2 discusses both choices;
@@ -459,20 +459,9 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
         self.backend.is_persistent()
     }
 
-    /// Versioned tables undo a torn apply by unlinking the `cts` versions
-    /// (see [`undo_apply`](TxParticipant::undo_apply)), so the redo record
-    /// carries no undo images for them.
-    fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
-        if !self.backend.is_persistent() {
-            return None;
-        }
-        let ops = self
-            .pending_durable
-            .peek_or_recompute(tx, &self.write_sets)?;
-        if ops.is_empty() {
-            return None;
-        }
-        Some(build_state_redo(self.state_id, &ops, |_| None))
+    fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
+        self.pending_durable
+            .redo_section(tx, self.state_id, sections);
     }
 
     /// Unlinks the versions installed at `cts` (and revives the versions

@@ -15,9 +15,10 @@
 //! participant of the same multi-state commit may fail after this table
 //! already updated its committed map in place, so `apply` captures the
 //! overwritten pre-images and [`TxParticipant::undo_apply`] restores them
-//! exactly — and the same pre-images travel in the group redo record
-//! ([`tsp_storage::redo`]) as the commit's undo values.  That single-version
-//! store is `InPlaceStore` (`table/common.rs`), shared with the BOCC baseline.
+//! exactly.  The pre-images stay in memory: the group redo record
+//! ([`tsp_storage::redo`]) only rolls commits forward, so it carries the ops
+//! alone.  That single-version store is `InPlaceStore` (`table/common.rs`),
+//! shared with the BOCC baseline.
 
 use crate::context::{StateContext, Tx};
 use crate::table::common::{
@@ -30,7 +31,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tsp_common::{Result, StateId, Timestamp, TspError};
-use tsp_storage::redo::StateRedo;
+use tsp_storage::redo::RedoSections;
 use tsp_storage::StorageBackend;
 
 /// A single-version transactional table protected by strict two-phase
@@ -209,8 +210,8 @@ impl<K: KeyType, V: ValueType> TxParticipant for S2plTable<K, V> {
         self.store.is_persistent()
     }
 
-    fn redo_section(&self, tx: &Tx) -> Option<StateRedo> {
-        self.store.redo_section(tx)
+    fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
+        self.store.redo_section(tx, sections)
     }
 
     fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {

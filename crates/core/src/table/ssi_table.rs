@@ -371,8 +371,8 @@ impl<K: KeyType, V: ValueType> TxParticipant for SsiTable<K, V> {
         self.inner.is_persistent()
     }
 
-    fn redo_section(&self, tx: &Tx) -> Option<tsp_storage::redo::StateRedo> {
-        self.inner.redo_section(tx)
+    fn redo_section(&self, tx: &Tx, sections: &mut tsp_storage::redo::RedoSections) {
+        self.inner.redo_section(tx, sections)
     }
 
     fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {

@@ -169,8 +169,9 @@ pub enum Counter {
     /// Bounded durability waits that elapsed before the commit became
     /// durable.
     DurabilityTimeouts,
-    /// Bytes of group redo records handed to persistence (each participant
-    /// persists its own copy; every copy counts).
+    /// Bytes of group redo records handed to persistence.  Each
+    /// participant persists its own copy, holding the other participants'
+    /// sections; every copy counts.
     RedoBytes,
     /// Torn group commits rolled forward from the redo log at recovery.
     RedoReplays,

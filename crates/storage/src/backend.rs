@@ -13,32 +13,83 @@
 //! * [`crate::lsm::LsmStore`] — persistent WAL + LSM store, the stand-in for
 //!   the RocksDB base table used in the paper's evaluation.
 
+use crate::codec::{len_prefixed, Codec};
 use std::sync::Arc;
-use tsp_common::Result;
+use tsp_common::{Result, TspError};
 
-/// A single operation inside a [`WriteBatch`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BatchOp {
+const TAG_PUT: u8 = 0;
+const TAG_DELETE: u8 = 1;
+
+/// A borrowed view of one operation inside a [`WriteBatch`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BatchOp<'a> {
     /// Insert or overwrite `key` with `value`.
     Put {
         /// Encoded key.
-        key: Vec<u8>,
+        key: &'a [u8],
         /// Encoded value.
-        value: Vec<u8>,
+        value: &'a [u8],
     },
     /// Remove `key` (a no-op if absent).
     Delete {
         /// Encoded key.
-        key: Vec<u8>,
+        key: &'a [u8],
     },
 }
 
-impl BatchOp {
+impl<'a> BatchOp<'a> {
     /// The key this operation touches.
-    pub fn key(&self) -> &[u8] {
-        match self {
+    pub fn key(&self) -> &'a [u8] {
+        match *self {
             BatchOp::Put { key, .. } | BatchOp::Delete { key } => key,
         }
+    }
+}
+
+/// Appends one put in the WAL op encoding, the key and value written in
+/// place by `key` and `value`.  Shared with [`crate::redo`], whose record
+/// sections use the same op encoding.
+pub(crate) fn encode_put(
+    out: &mut Vec<u8>,
+    key: impl FnOnce(&mut Vec<u8>),
+    value: impl FnOnce(&mut Vec<u8>),
+) {
+    out.push(TAG_PUT);
+    len_prefixed(out, key);
+    len_prefixed(out, value);
+}
+
+/// Appends one delete in the WAL op encoding (see [`encode_put`]).
+pub(crate) fn encode_delete(out: &mut Vec<u8>, key: impl FnOnce(&mut Vec<u8>)) {
+    out.push(TAG_DELETE);
+    len_prefixed(out, key);
+}
+
+/// Decodes one op of the WAL op encoding from `buf` at `*pos`, advancing
+/// the cursor.  Inverse of [`encode_put`] / [`encode_delete`].
+pub(crate) fn decode_op<'a>(buf: &'a [u8], pos: &mut usize) -> Result<BatchOp<'a>> {
+    fn bytes<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
+        let v = buf
+            .get(*pos..*pos + n)
+            .ok_or_else(|| TspError::corruption("batch op truncated"))?;
+        *pos += n;
+        Ok(v)
+    }
+    fn prefixed<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
+        let len = bytes(buf, pos, 4)?.try_into().expect("a 4-byte slice");
+        bytes(buf, pos, u32::from_be_bytes(len) as usize)
+    }
+    let tag = bytes(buf, pos, 1)?[0];
+    let key = prefixed(buf, pos)?;
+    match tag {
+        TAG_PUT => Ok(BatchOp::Put {
+            key,
+            value: prefixed(buf, pos)?,
+        }),
+        TAG_DELETE => Ok(BatchOp::Delete { key }),
+        other => Err(TspError::corruption(format!(
+            "unknown batch op tag {other}"
+        ))),
     }
 }
 
@@ -52,9 +103,28 @@ impl BatchOp {
 /// commit marker and, for multi-state group commits, the [`crate::redo`]
 /// record — into the same batch as the data: marker, redo record and rows
 /// are durable together or not at all.
-#[derive(Clone, Debug, Default)]
+///
+/// ## Layout
+///
+/// A batch is an op count plus one contiguous buffer (`rep`) holding the
+/// ops in the WAL op encoding ([`crate::wal`]):
+///
+/// ```text
+/// rep  := op*
+/// op   := tag:u8 (0 = put, 1 = delete)
+///         klen:u32  key[klen]
+///         (vlen:u32  value[vlen])      -- put only
+/// ```
+///
+/// Typed keys and values are encoded straight into `rep`
+/// ([`put_with`](Self::put_with)), the WAL stores `count ‖ rep` as the
+/// record payload without re-encoding it, and coalescing batches is a
+/// concatenation ([`append`](Self::append)).  [`iter`](Self::iter) yields
+/// borrowed views into the buffer.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WriteBatch {
-    ops: Vec<BatchOp>,
+    count: usize,
+    rep: Vec<u8>,
 }
 
 impl WriteBatch {
@@ -63,46 +133,112 @@ impl WriteBatch {
         Self::default()
     }
 
-    /// Creates an empty batch with room for `cap` operations.
-    pub fn with_capacity(cap: usize) -> Self {
+    /// Creates an empty batch with room for `bytes` bytes of encoded ops.
+    pub fn with_capacity(bytes: usize) -> Self {
         WriteBatch {
-            ops: Vec::with_capacity(cap),
+            count: 0,
+            rep: Vec::with_capacity(bytes),
         }
     }
 
     /// Appends a put operation.
-    pub fn put(&mut self, key: impl Into<Vec<u8>>, value: impl Into<Vec<u8>>) -> &mut Self {
-        self.ops.push(BatchOp::Put {
-            key: key.into(),
-            value: value.into(),
-        });
+    pub fn put(&mut self, key: impl AsRef<[u8]>, value: impl AsRef<[u8]>) -> &mut Self {
+        self.put_value_with(key, |out| out.extend_from_slice(value.as_ref()))
+    }
+
+    /// Appends a put whose value `write` appends in place (it must append
+    /// exactly the value's bytes).
+    pub fn put_value_with(
+        &mut self,
+        key: impl AsRef<[u8]>,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> &mut Self {
+        encode_put(
+            &mut self.rep,
+            |out| out.extend_from_slice(key.as_ref()),
+            write,
+        );
+        self.count += 1;
+        self
+    }
+
+    /// Appends a put of a typed key and value, encoded in place through
+    /// [`Codec::encode_into`].
+    pub fn put_with<K: Codec, V: Codec>(&mut self, key: &K, value: &V) -> &mut Self {
+        encode_put(
+            &mut self.rep,
+            |out| key.encode_into(out),
+            |out| value.encode_into(out),
+        );
+        self.count += 1;
         self
     }
 
     /// Appends a delete operation.
-    pub fn delete(&mut self, key: impl Into<Vec<u8>>) -> &mut Self {
-        self.ops.push(BatchOp::Delete { key: key.into() });
+    pub fn delete(&mut self, key: impl AsRef<[u8]>) -> &mut Self {
+        encode_delete(&mut self.rep, |out| out.extend_from_slice(key.as_ref()));
+        self.count += 1;
+        self
+    }
+
+    /// Appends a delete of a typed key, encoded in place.
+    pub fn delete_with<K: Codec>(&mut self, key: &K) -> &mut Self {
+        encode_delete(&mut self.rep, |out| key.encode_into(out));
+        self.count += 1;
+        self
+    }
+
+    /// Appends every operation of `other`, in order (a buffer concatenation).
+    pub fn append(&mut self, other: &WriteBatch) -> &mut Self {
+        self.rep.extend_from_slice(&other.rep);
+        self.count += other.count;
         self
     }
 
     /// Number of operations in the batch.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.count
     }
 
     /// True if the batch holds no operations.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.count == 0
+    }
+
+    /// Size of the encoded operations in bytes.
+    pub fn byte_len(&self) -> usize {
+        self.rep.len()
     }
 
     /// Iterates over the operations in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &BatchOp> {
-        self.ops.iter()
+    pub fn iter(&self) -> impl Iterator<Item = BatchOp<'_>> {
+        let mut pos = 0;
+        (0..self.count).map(move |_| {
+            decode_op(&self.rep, &mut pos).expect("a batch built through its API decodes")
+        })
     }
 
-    /// Consumes the batch, yielding its operations.
-    pub fn into_ops(self) -> Vec<BatchOp> {
-        self.ops
+    /// The encoded operations (the WAL record payload after the count).
+    pub(crate) fn rep(&self) -> &[u8] {
+        &self.rep
+    }
+
+    /// Rebuilds a batch from `count` ops in the WAL op encoding, verifying
+    /// that `rep` holds exactly that many well-formed ops.
+    pub(crate) fn decode(count: usize, rep: &[u8]) -> Result<WriteBatch> {
+        let mut pos = 0;
+        for _ in 0..count {
+            decode_op(rep, &mut pos)?;
+        }
+        if pos != rep.len() {
+            return Err(TspError::corruption(
+                "trailing bytes after the last batch op",
+            ));
+        }
+        Ok(WriteBatch {
+            count,
+            rep: rep.to_vec(),
+        })
     }
 }
 
@@ -205,22 +341,62 @@ mod tests {
 
     #[test]
     fn write_batch_builder() {
-        let mut b = WriteBatch::with_capacity(2);
+        let mut b = WriteBatch::with_capacity(64);
         assert!(b.is_empty());
-        b.put(vec![1], vec![10]).delete(vec![2]);
+        b.put([1], [10]).delete(vec![2]);
         assert_eq!(b.len(), 2);
-        let ops = b.clone().into_ops();
+        let ops: Vec<_> = b.iter().collect();
         assert_eq!(
             ops[0],
             BatchOp::Put {
-                key: vec![1],
-                value: vec![10]
+                key: &[1],
+                value: &[10]
             }
         );
-        assert_eq!(ops[1], BatchOp::Delete { key: vec![2] });
-        assert_eq!(b.iter().count(), 2);
+        assert_eq!(ops[1], BatchOp::Delete { key: &[2] });
         assert_eq!(ops[0].key(), &[1]);
         assert_eq!(ops[1].key(), &[2]);
+    }
+
+    #[test]
+    fn typed_ops_encode_like_their_bytes() {
+        let mut typed = WriteBatch::new();
+        typed.put_with(&7u32, &(1u64, 2u64)).delete_with(&9u32);
+        let mut raw = WriteBatch::new();
+        raw.put(7u32.encode(), (1u64, 2u64).encode())
+            .delete(9u32.encode());
+        assert_eq!(typed, raw);
+        let mut value = WriteBatch::new();
+        value.put_value_with(7u32.encode(), |out| (1u64, 2u64).encode_into(out));
+        value.delete(9u32.encode());
+        assert_eq!(value, raw);
+    }
+
+    #[test]
+    fn append_concatenates_in_order() {
+        let mut a = WriteBatch::new();
+        a.put(b"k", b"1");
+        let mut b = WriteBatch::new();
+        b.delete(b"k").put(b"j", b"2");
+        a.append(&b);
+        assert_eq!(a.len(), 3);
+        let keys: Vec<_> = a.iter().map(|op| op.key()).collect();
+        assert_eq!(keys, vec![&b"k"[..], b"k", b"j"]);
+        assert_eq!(a.byte_len(), 2 * (1 + 4 + 1 + 4 + 1) + (1 + 4 + 1));
+    }
+
+    #[test]
+    fn decode_rejects_malformed_reps() {
+        let mut b = WriteBatch::new();
+        b.put(b"key", b"value").delete(b"gone");
+        assert_eq!(WriteBatch::decode(2, b.rep()).unwrap(), b);
+        assert!(WriteBatch::decode(3, b.rep()).is_err(), "missing op");
+        assert!(WriteBatch::decode(1, b.rep()).is_err(), "trailing op");
+        let rep = b.rep();
+        assert!(WriteBatch::decode(2, &rep[..rep.len() - 1]).is_err());
+        let mut bad_tag = rep.to_vec();
+        bad_tag[0] = 9;
+        assert!(WriteBatch::decode(2, &bad_tag).is_err());
     }
 
     #[test]

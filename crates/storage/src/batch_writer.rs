@@ -7,7 +7,9 @@
 //! commit path); the writer thread drains the queue, **coalesces** every
 //! pending batch into a single [`WriteBatch`] in commit-timestamp order, and
 //! applies it with one `write_batch` call — one WAL record and one fsync for
-//! a whole burst of commits instead of one per transaction.
+//! a whole burst of commits instead of one per transaction.  A batch is one
+//! encoded buffer in the WAL op encoding, so coalescing concatenates the
+//! buffers and re-encodes no op; a drain of one batch writes it as is.
 //!
 //! # The `DurableCTS` watermark
 //!
@@ -579,6 +581,19 @@ fn write_with_retry(shared: &Shared, batch: &WriteBatch) -> Result<()> {
     }
 }
 
+/// Concatenates drained batches, in order, into the one batch a drain
+/// writes.  A lone batch is written as is.
+fn coalesce(mut batches: Vec<WriteBatch>) -> WriteBatch {
+    if batches.len() == 1 {
+        return batches.pop().expect("one batch");
+    }
+    let mut merged = WriteBatch::with_capacity(batches.iter().map(WriteBatch::byte_len).sum());
+    for batch in &batches {
+        merged.append(batch);
+    }
+    merged
+}
+
 /// The writer thread: drain → coalesce (cts order) → one `write_batch`
 /// (with in-place retries) → advance `DurableCTS` → wake waiters.
 fn writer_loop(shared: &Shared) {
@@ -626,19 +641,7 @@ fn writer_loop(shared: &Shared) {
                 .record_nanos(drain_instant.duration_since(*enqueued_at).as_nanos() as u64);
         }
         let max_cts = drained.last().map(|(cts, _, _)| *cts).unwrap_or(0);
-        let mut merged = WriteBatch::with_capacity(drained.iter().map(|(_, b, _)| b.len()).sum());
-        for (_, batch, _) in drained {
-            for op in batch.into_ops() {
-                match op {
-                    crate::backend::BatchOp::Put { key, value } => {
-                        merged.put(key, value);
-                    }
-                    crate::backend::BatchOp::Delete { key } => {
-                        merged.delete(key);
-                    }
-                }
-            }
-        }
+        let merged = coalesce(drained.into_iter().map(|(_, batch, _)| batch).collect());
         let result = write_with_retry(shared, &merged);
         {
             let mut st = shared.state.lock();

@@ -146,19 +146,19 @@ pub fn restore_checkpoint<B: StorageBackend + ?Sized>(
         )));
     }
     const BATCH: usize = 4096;
-    let mut batch = WriteBatch::with_capacity(BATCH);
+    let mut batch = WriteBatch::new();
     let mut imported = 0u64;
     let mut scan_err: Option<TspError> = None;
     sst.scan(&mut |k, v| {
         if let Some(v) = v {
-            batch.put(k.to_vec(), v.to_vec());
+            batch.put(k, v);
             imported += 1;
             if batch.len() >= BATCH {
                 if let Err(e) = target.write_batch(&batch) {
                     scan_err = Some(e);
                     return false;
                 }
-                batch = WriteBatch::with_capacity(BATCH);
+                batch = WriteBatch::new();
             }
         }
         true

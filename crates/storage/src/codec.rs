@@ -108,13 +108,22 @@ impl<const N: usize> Codec for [u8; N] {
     }
 }
 
+/// Appends a `u32` big-endian length prefix, the bytes `write` appends in
+/// place, and then patches the prefix to the length actually written — a
+/// length-prefixed encoding with no temporary buffer.
+pub(crate) fn len_prefixed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    write(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_be_bytes());
+}
+
 /// Pair codec: encodes `(A, B)` as `len(A) || A || B` so the boundary can be
 /// recovered.  Useful for composite keys (e.g. `(meter_id, window_start)`).
 impl<A: Codec, B: Codec> Codec for (A, B) {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        let a = self.0.encode();
-        out.extend_from_slice(&(a.len() as u32).to_be_bytes());
-        out.extend_from_slice(&a);
+        len_prefixed(out, |out| self.0.encode_into(out));
         self.1.encode_into(out);
     }
 
@@ -202,5 +211,15 @@ mod tests {
         let p2: (String, u32) = ("meter".into(), 99);
         assert_eq!(<(String, u32)>::decode(&p2.encode()).unwrap(), p2);
         assert!(<(u32, u64)>::decode(&[0, 0]).is_err());
+    }
+
+    #[test]
+    fn pair_encodes_after_existing_bytes() {
+        let mut out = vec![0xAA];
+        (7u64, 9u64).encode_into(&mut out);
+        let mut want = vec![0xAA, 0, 0, 0, 8];
+        want.extend_from_slice(&7u64.to_be_bytes());
+        want.extend_from_slice(&9u64.to_be_bytes());
+        assert_eq!(out, want);
     }
 }

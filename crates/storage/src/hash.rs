@@ -148,7 +148,7 @@ mod tests {
         let b = HashBackend::new();
         let mut batch = WriteBatch::new();
         for i in 0u32..64 {
-            batch.put(i.to_be_bytes().to_vec(), b"v".to_vec());
+            batch.put(i.to_be_bytes(), b"v");
         }
         b.write_batch(&batch).unwrap();
         let mut count = 0;

@@ -58,7 +58,10 @@ pub use hash::HashBackend;
 pub use lsm::{LsmOptions, LsmStore};
 pub use memtable::BTreeBackend;
 pub use range::{collect_range, count_range, scan_prefix, scan_range, KeyRange};
-pub use redo::{parse_redo_key, redo_key, scan_redo, truncate_redo, RedoOp, RedoRecord, StateRedo};
+pub use redo::{
+    parse_redo_key, redo_key, scan_redo, truncate_redo, RedoRecord, RedoSections, SectionWriter,
+    StateRedo,
+};
 pub use retry::RetryPolicy;
 pub use stats::{InstrumentedBackend, StorageStats, StorageStatsSnapshot};
 
@@ -77,7 +80,8 @@ pub mod prelude {
     pub use crate::memtable::BTreeBackend;
     pub use crate::range::{collect_range, count_range, scan_prefix, scan_range, KeyRange};
     pub use crate::redo::{
-        parse_redo_key, redo_key, scan_redo, truncate_redo, RedoOp, RedoRecord, StateRedo,
+        parse_redo_key, redo_key, scan_redo, truncate_redo, RedoRecord, RedoSections,
+        SectionWriter, StateRedo,
     };
     pub use crate::retry::RetryPolicy;
     pub use crate::stats::{InstrumentedBackend, StorageStats, StorageStatsSnapshot};

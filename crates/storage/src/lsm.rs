@@ -76,6 +76,10 @@ impl LsmOptions {
     }
 }
 
+/// Bytes a memtable entry costs beyond its key and value (map node and
+/// vector headers, roughly), counted against the flush budget.
+const MEM_ENTRY_OVERHEAD: usize = 32;
+
 /// Memtable entry: `None` is a tombstone.
 type MemEntry = Option<Vec<u8>>;
 
@@ -92,19 +96,26 @@ impl MemState {
         }
     }
 
-    fn apply(&mut self, op: &BatchOp) {
-        match op {
-            BatchOp::Put { key, value } => {
-                let delta = key.len() + value.len() + 32;
-                if self.map.insert(key.clone(), Some(value.clone())).is_none() {
-                    self.bytes += delta;
-                }
+    /// Applies one op, keeping `bytes` equal to the live footprint: a
+    /// replaced value or a tombstoned one gives its bytes back, so keys
+    /// overwritten or deleted in place (redo records truncated online) do
+    /// not push the memtable towards a flush.
+    fn apply(&mut self, op: BatchOp<'_>) {
+        let (key, value) = match op {
+            BatchOp::Put { key, value } => (key, Some(value)),
+            BatchOp::Delete { key } => (key, None),
+        };
+        let value_len = value.map_or(0, <[u8]>::len);
+        let value = value.map(<[u8]>::to_vec);
+        match self.map.get_mut(key) {
+            Some(entry) => {
+                self.bytes -= entry.as_ref().map_or(0, Vec::len);
+                self.bytes += value_len;
+                *entry = value;
             }
-            BatchOp::Delete { key } => {
-                let delta = key.len() + 32;
-                if self.map.insert(key.clone(), None).is_none() {
-                    self.bytes += delta;
-                }
+            None => {
+                self.bytes += key.len() + value_len + MEM_ENTRY_OVERHEAD;
+                self.map.insert(key.to_vec(), value);
             }
         }
     }
@@ -321,14 +332,14 @@ impl StorageBackend for LsmStore {
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let mut b = WriteBatch::with_capacity(1);
-        b.put(key.to_vec(), value.to_vec());
+        let mut b = WriteBatch::with_capacity(key.len() + value.len() + 9);
+        b.put(key, value);
         self.apply_batch(&b)
     }
 
     fn delete(&self, key: &[u8]) -> Result<()> {
-        let mut b = WriteBatch::with_capacity(1);
-        b.delete(key.to_vec());
+        let mut b = WriteBatch::with_capacity(key.len() + 5);
+        b.delete(key);
         self.apply_batch(&b)
     }
 
@@ -477,14 +488,44 @@ mod tests {
         destroy(&dir).unwrap();
     }
 
+    /// The flush budget counts live bytes: a large value put and then
+    /// deleted under a fresh key leaves only its tombstone behind, the
+    /// pattern of redo records that are truncated online.
+    #[test]
+    fn deleted_values_give_their_bytes_back_to_the_budget() {
+        let dir = tmpdir("livebytes");
+        let store =
+            LsmStore::open(&dir, LsmOptions::no_sync().with_memtable_budget(64 * 1024)).unwrap();
+        let value = vec![7u8; 4096];
+        for i in 0u32..500 {
+            let key = format!("__tsp__/redo/{i:08}");
+            let mut put = WriteBatch::new();
+            put.put(&key, &value);
+            store.write_batch(&put).unwrap();
+            let mut delete = WriteBatch::new();
+            delete.delete(&key);
+            store.write_batch(&delete).unwrap();
+        }
+        // 500 × 4 KiB went through; only 500 small tombstones are live.
+        assert_eq!(store.sstable_count(), 0, "no flush was needed");
+        // Overwriting a value in place also gives the old bytes back.
+        for _ in 0..100 {
+            store.put(b"hot", &value).unwrap();
+        }
+        assert_eq!(store.sstable_count(), 0);
+        assert_eq!(store.get(b"hot").unwrap(), Some(value));
+        assert_eq!(store.get(b"__tsp__/redo/00000001").unwrap(), None);
+        destroy(&dir).unwrap();
+    }
+
     #[test]
     fn write_batch_is_atomic_across_recovery() {
         let dir = tmpdir("batchatomic");
         {
             let store = LsmStore::open(&dir, LsmOptions::no_sync()).unwrap();
             let mut b = WriteBatch::new();
-            b.put(b"x".to_vec(), b"1".to_vec());
-            b.put(b"y".to_vec(), b"2".to_vec());
+            b.put(b"x", b"1");
+            b.put(b"y", b"2");
             store.write_batch(&b).unwrap();
         }
         let store = LsmStore::open(&dir, LsmOptions::no_sync()).unwrap();

@@ -56,11 +56,11 @@ impl BTreeBackend {
         }
     }
 
-    fn apply_op(&self, op: &BatchOp) {
+    fn apply_op(&self, op: BatchOp<'_>) {
         match op {
             BatchOp::Put { key, value } => {
                 let mut g = self.shards[shard_of(key)].write();
-                if g.insert(key.clone(), value.clone()).is_none() {
+                if g.insert(key.to_vec(), value.to_vec()).is_none() {
                     self.entries.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -171,9 +171,9 @@ mod tests {
     fn batch_is_applied_in_order() {
         let b = BTreeBackend::new();
         let mut batch = WriteBatch::new();
-        batch.put(b"a".to_vec(), b"1".to_vec());
-        batch.put(b"a".to_vec(), b"2".to_vec());
-        batch.delete(b"zzz".to_vec());
+        batch.put(b"a", b"1");
+        batch.put(b"a", b"2");
+        batch.delete(b"zzz");
         b.write_batch(&batch).unwrap();
         assert_eq!(b.get(b"a").unwrap().as_deref(), Some(&b"2"[..]));
         assert_eq!(b.len(), 1);

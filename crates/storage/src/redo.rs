@@ -6,7 +6,7 @@
 //! historical answer was to fence the recovered `LastCTS` to the minimum
 //! marker the states agree on, silently orphaning the persisted half.  This
 //! module removes that fence: every multi-state group commit additionally
-//! writes a **redo record** — the effective write sets of *all* participating
+//! writes a **redo record** — effective write sets of the participating
 //! states, checksummed — under a reserved metadata key inside **each**
 //! participant's own commit batch.  The record therefore
 //!
@@ -17,6 +17,19 @@
 //! * survives in every state that persisted the commit, so recovery can read
 //!   the *lagging* states' missing batches out of any surviving copy and roll
 //!   them forward to the maximum fully-logged commit timestamp.
+//!
+//! ## Which sections a copy holds
+//!
+//! A participant's copy carries the sections of **every other**
+//! participant, not its own.  Its own section would be useless: if that
+//! state lags at recovery, its batch — and the copy inside it — is gone,
+//! while every state that did persist the commit holds the lagging state's
+//! section.  Recovery therefore merges the sections of one `cts` across all
+//! intact copies (`tsp_core::recovery::replay_torn_suffix`).
+//!
+//! Each participant's section is encoded once per commit, straight from its
+//! typed ops ([`RedoSections`]); the per-participant copies are
+//! concatenations of those bytes under a fresh header and CRC.
 //!
 //! ## Record format
 //!
@@ -34,12 +47,12 @@
 //! ```
 //!
 //! The `op` encoding is byte-identical to a WAL record op
-//! ([`crate::wal::Wal`] shares the codec).  The optional `undo` tail carries
-//! the committed pre-image the in-place protocols (S2PL, BOCC) captured
-//! before overwriting their single-version store — the per-commit undo
-//! values that let them restore a pre-state after a torn multi-participant
-//! apply; the multi-version protocols leave it empty (their version store
-//! already knows how to unlink an unpublished commit).
+//! ([`crate::wal::Wal`] and [`WriteBatch`] share it).  Recovery only rolls
+//! forward, so the engine writes the "not captured" undo tag for every op;
+//! the in-place protocols (S2PL, BOCC) keep their pre-images in memory for
+//! undoing a torn apply.  The layout is unchanged from when records carried
+//! every section and those pre-images: a record with fewer sections, or
+//! with undo tags 1 and 2, still decodes (the pre-images are skipped).
 //!
 //! ## Truncation
 //!
@@ -56,10 +69,9 @@
 //! a checkpoint ([`crate::checkpoint::create_checkpoint`] of each state)
 //! covers them.
 
-use crate::backend::{BatchOp, StorageBackend, WriteBatch};
+use crate::backend::{decode_op, encode_delete, encode_put, BatchOp, StorageBackend, WriteBatch};
 use crate::checksum::crc32;
 use crate::codec::Codec;
-use crate::wal::{decode_batch_op, encode_batch_op};
 use std::collections::BTreeMap;
 use tsp_common::{Result, Timestamp, TspError};
 
@@ -85,54 +97,135 @@ pub fn parse_redo_key(key: &[u8]) -> Option<Timestamp> {
     Timestamp::decode(suffix).ok()
 }
 
-/// One redone operation: the batch op plus the optional committed pre-image
-/// of its key (see the module docs for the undo-tag semantics).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RedoOp {
-    /// The operation the commit applied.
-    pub op: BatchOp,
-    /// `None` — pre-image not captured (multi-version stores);
-    /// `Some(None)` — the key was absent before the commit;
-    /// `Some(Some(v))` — the committed value the op replaced.
-    pub undo: Option<Option<Vec<u8>>>,
+/// Appends the ops of one section, each followed by the "not captured"
+/// undo tag, and counts them (see [`RedoSections::push`]).
+pub struct SectionWriter<'a> {
+    out: &'a mut Vec<u8>,
+    ops: u32,
 }
 
-impl RedoOp {
-    /// A redo op without a captured pre-image.
-    pub fn new(op: BatchOp) -> Self {
-        RedoOp { op, undo: None }
+impl SectionWriter<'_> {
+    /// Appends a put of a typed key and value, encoded in place.
+    pub fn put_with<K: Codec, V: Codec>(&mut self, key: &K, value: &V) {
+        encode_put(
+            self.out,
+            |out| key.encode_into(out),
+            |out| value.encode_into(out),
+        );
+        self.end_op();
+    }
+
+    /// Appends a delete of a typed key, encoded in place.
+    pub fn delete_with<K: Codec>(&mut self, key: &K) {
+        encode_delete(self.out, |out| key.encode_into(out));
+        self.end_op();
+    }
+
+    fn push(&mut self, op: BatchOp<'_>) {
+        match op {
+            BatchOp::Put { key, value } => encode_put(
+                self.out,
+                |out| out.extend_from_slice(key),
+                |out| out.extend_from_slice(value),
+            ),
+            BatchOp::Delete { key } => encode_delete(self.out, |out| out.extend_from_slice(key)),
+        }
+        self.end_op();
+    }
+
+    fn end_op(&mut self) {
+        self.out.push(UNDO_NONE);
+        self.ops += 1;
     }
 }
 
-/// One participating state's slice of a group commit.
+/// The sections of one group commit's redo record, each encoded exactly
+/// once, from which every participant's stored copy is assembled
+/// ([`encode_copy`](Self::encode_copy)).
+#[derive(Debug)]
+pub struct RedoSections {
+    cts: Timestamp,
+    /// The encoded sections, back to back.
+    buf: Vec<u8>,
+    /// Each section's state id and byte range in `buf`.
+    spans: Vec<(u32, std::ops::Range<usize>)>,
+}
+
+impl RedoSections {
+    /// No sections yet, for the group commit at `cts`.
+    pub fn new(cts: Timestamp) -> Self {
+        RedoSections {
+            cts,
+            buf: Vec::new(),
+            spans: Vec::new(),
+        }
+    }
+
+    /// Encodes `state`'s section: `write` appends the state's effective
+    /// ops.  A section with no ops is dropped.
+    pub fn push(&mut self, state: u32, write: impl FnOnce(&mut SectionWriter<'_>)) {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&state.to_be_bytes());
+        self.buf.extend_from_slice(&[0; 4]);
+        let mut w = SectionWriter {
+            out: &mut self.buf,
+            ops: 0,
+        };
+        write(&mut w);
+        let ops = w.ops;
+        if ops == 0 {
+            self.buf.truncate(start);
+            return;
+        }
+        self.buf[start + 4..start + 8].copy_from_slice(&ops.to_be_bytes());
+        self.spans.push((state, start..self.buf.len()));
+    }
+
+    /// Number of sections.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// True if no state contributed a section.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The states with a section, in push order.
+    pub fn states(&self) -> impl Iterator<Item = u32> + '_ {
+        self.spans.iter().map(|(state, _)| *state)
+    }
+
+    /// Appends the stored record (CRC first) holding every section except
+    /// `holder`'s own — the copy `holder`'s commit batch carries (see the
+    /// module docs).  `None` keeps every section.
+    pub fn encode_copy(&self, holder: Option<u32>, out: &mut Vec<u8>) {
+        let kept = || self.spans.iter().filter(|(s, _)| Some(*s) != holder);
+        let at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        self.cts.encode_into(out);
+        out.extend_from_slice(&(kept().count() as u32).to_be_bytes());
+        for (_, span) in kept() {
+            out.extend_from_slice(&self.buf[span.clone()]);
+        }
+        let crc = crc32(&out[at + 4..]);
+        out[at..at + 4].copy_from_slice(&crc.to_be_bytes());
+    }
+}
+
+/// One participating state's slice of a group commit, as decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StateRedo {
     /// The state's registered id (`StateId::as_u32`).
     pub state: u32,
-    /// The state's effective write set at the record's commit timestamp.
-    pub ops: Vec<RedoOp>,
+    /// The state's effective write set at the record's commit timestamp —
+    /// the batch recovery replays into a lagging state.
+    pub ops: WriteBatch,
 }
 
-impl StateRedo {
-    /// The state's redo ops as a write batch (roll-forward replay).
-    pub fn to_batch(&self) -> WriteBatch {
-        let mut batch = WriteBatch::with_capacity(self.ops.len());
-        for r in &self.ops {
-            match &r.op {
-                BatchOp::Put { key, value } => {
-                    batch.put(key.clone(), value.clone());
-                }
-                BatchOp::Delete { key } => {
-                    batch.delete(key.clone());
-                }
-            }
-        }
-        batch
-    }
-}
-
-/// One group commit's redo record: every participating state's effective
-/// write set at a single commit timestamp.
+/// One group commit's redo record, as decoded from one or more stored
+/// copies: the sections of the participating states at one commit
+/// timestamp.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RedoRecord {
     /// The group commit timestamp.
@@ -142,94 +235,89 @@ pub struct RedoRecord {
 }
 
 impl RedoRecord {
-    /// The section for `state`, if it participated in this commit.
+    /// The section for `state`, if the record holds one.
     pub fn section_for(&self, state: u32) -> Option<&StateRedo> {
         self.states.iter().find(|s| s.state == state)
     }
 
-    /// Serialises the record, CRC first (the stored byte layout).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64 * self.states.len() + 16);
-        self.cts.encode_into(&mut payload);
-        payload.extend_from_slice(&(self.states.len() as u32).to_be_bytes());
-        for section in &self.states {
-            payload.extend_from_slice(&section.state.to_be_bytes());
-            payload.extend_from_slice(&(section.ops.len() as u32).to_be_bytes());
-            for r in &section.ops {
-                encode_batch_op(&r.op, &mut payload);
-                match &r.undo {
-                    None => payload.push(UNDO_NONE),
-                    Some(None) => payload.push(UNDO_ABSENT),
-                    Some(Some(v)) => {
-                        payload.push(UNDO_VALUE);
-                        payload.extend_from_slice(&(v.len() as u32).to_be_bytes());
-                        payload.extend_from_slice(v);
-                    }
-                }
+    /// Adds the sections of `other` — another copy of the same commit's
+    /// record — that this one lacks.
+    pub fn merge(&mut self, other: RedoRecord) {
+        debug_assert_eq!(self.cts, other.cts);
+        for section in other.states {
+            if self.section_for(section.state).is_none() {
+                self.states.push(section);
             }
         }
-        let mut out = Vec::with_capacity(payload.len() + 4);
-        out.extend_from_slice(&crc32(&payload).to_be_bytes());
-        out.extend_from_slice(&payload);
+    }
+
+    /// Serialises the record, CRC first (the stored byte layout), with
+    /// every section.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut sections = RedoSections::new(self.cts);
+        for section in &self.states {
+            sections.push(section.state, |w| {
+                for op in section.ops.iter() {
+                    w.push(op);
+                }
+            });
+        }
+        let mut out = Vec::with_capacity(sections.buf.len() + 16);
+        sections.encode_copy(None, &mut out);
         out
     }
 
-    /// Deserialises a stored record, verifying its checksum.
+    /// Deserialises a stored record, verifying its checksum.  Captured
+    /// pre-images (undo tags 1 and 2) are accepted and skipped.
     pub fn decode(bytes: &[u8]) -> Result<RedoRecord> {
-        if bytes.len() < 4 {
+        let Some((crc, payload)) = bytes.split_first_chunk::<4>() else {
             return Err(TspError::corruption("redo record truncated (crc)"));
-        }
-        let crc_expected = u32::from_be_bytes(bytes[0..4].try_into().unwrap());
-        let payload = &bytes[4..];
-        if crc32(payload) != crc_expected {
+        };
+        if crc32(payload) != u32::from_be_bytes(*crc) {
             return Err(TspError::corruption("redo record checksum mismatch"));
         }
-        let read_u32 = |buf: &[u8], pos: &mut usize| -> Result<u32> {
-            if *pos + 4 > buf.len() {
-                return Err(TspError::corruption("redo record truncated (u32)"));
-            }
-            let v = u32::from_be_bytes(buf[*pos..*pos + 4].try_into().unwrap());
+        let read_u32 = |pos: &mut usize| -> Result<u32> {
+            let v = payload
+                .get(*pos..*pos + 4)
+                .ok_or_else(|| TspError::corruption("redo record truncated (u32)"))?;
             *pos += 4;
-            Ok(v)
+            Ok(u32::from_be_bytes(v.try_into().expect("a 4-byte slice")))
         };
-        let mut pos = 0usize;
         if payload.len() < 8 {
             return Err(TspError::corruption("redo record truncated (cts)"));
         }
         let cts = Timestamp::decode(&payload[0..8])?;
-        pos += 8;
-        let state_count = read_u32(payload, &mut pos)? as usize;
-        let mut states = Vec::with_capacity(state_count);
+        let mut pos = 8usize;
+        let state_count = read_u32(&mut pos)? as usize;
+        let mut states = Vec::with_capacity(state_count.min(64));
         for _ in 0..state_count {
-            let state = read_u32(payload, &mut pos)?;
-            let op_count = read_u32(payload, &mut pos)? as usize;
-            let mut ops = Vec::with_capacity(op_count);
+            let state = read_u32(&mut pos)?;
+            let op_count = read_u32(&mut pos)? as usize;
+            let mut ops = WriteBatch::new();
             for _ in 0..op_count {
-                let op = decode_batch_op(payload, &mut pos)?;
-                if pos >= payload.len() {
-                    return Err(TspError::corruption("redo record truncated (undo tag)"));
-                }
-                let tag = payload[pos];
+                match decode_op(payload, &mut pos)? {
+                    BatchOp::Put { key, value } => ops.put(key, value),
+                    BatchOp::Delete { key } => ops.delete(key),
+                };
+                let tag = *payload
+                    .get(pos)
+                    .ok_or_else(|| TspError::corruption("redo record truncated (undo tag)"))?;
                 pos += 1;
-                let undo = match tag {
-                    UNDO_NONE => None,
-                    UNDO_ABSENT => Some(None),
+                match tag {
+                    UNDO_NONE | UNDO_ABSENT => {}
                     UNDO_VALUE => {
-                        let ulen = read_u32(payload, &mut pos)? as usize;
+                        let ulen = read_u32(&mut pos)? as usize;
                         if pos + ulen > payload.len() {
                             return Err(TspError::corruption("redo record truncated (pre-image)"));
                         }
-                        let v = payload[pos..pos + ulen].to_vec();
                         pos += ulen;
-                        Some(Some(v))
                     }
                     other => {
                         return Err(TspError::corruption(format!(
                             "unknown redo undo tag {other}"
                         )));
                     }
-                };
-                ops.push(RedoOp { op, undo });
+                }
             }
             states.push(StateRedo { state, ops });
         }
@@ -279,7 +367,7 @@ pub fn truncate_redo(backend: &dyn StorageBackend, watermark: Timestamp) -> Resu
     if stale.is_empty() {
         return Ok(0);
     }
-    let mut batch = WriteBatch::with_capacity(stale.len());
+    let mut batch = WriteBatch::new();
     let count = stale.len() as u64;
     for k in stale {
         batch.delete(k);
@@ -293,44 +381,107 @@ mod tests {
     use super::*;
     use crate::memtable::BTreeBackend;
 
+    fn batch(ops: &[(&[u8], Option<&[u8]>)]) -> WriteBatch {
+        let mut b = WriteBatch::new();
+        for (k, v) in ops {
+            match v {
+                Some(v) => b.put(k, v),
+                None => b.delete(k),
+            };
+        }
+        b
+    }
+
     fn sample_record(cts: Timestamp) -> RedoRecord {
         RedoRecord {
             cts,
             states: vec![
                 StateRedo {
                     state: 1,
-                    ops: vec![
-                        RedoOp::new(BatchOp::Put {
-                            key: b"a".to_vec(),
-                            value: b"1".to_vec(),
-                        }),
-                        RedoOp {
-                            op: BatchOp::Delete { key: b"b".to_vec() },
-                            undo: Some(Some(b"old".to_vec())),
-                        },
-                    ],
+                    ops: batch(&[(b"a", Some(b"1")), (b"b", None)]),
                 },
                 StateRedo {
                     state: 2,
-                    ops: vec![RedoOp {
-                        op: BatchOp::Put {
-                            key: b"c".to_vec(),
-                            value: b"3".to_vec(),
-                        },
-                        undo: Some(None),
-                    }],
+                    ops: batch(&[(b"c", Some(b"3"))]),
                 },
             ],
         }
     }
 
     #[test]
-    fn record_round_trips_with_undo_images() {
+    fn record_round_trips() {
         let rec = sample_record(42);
         let decoded = RedoRecord::decode(&rec.encode()).unwrap();
         assert_eq!(decoded, rec);
         assert_eq!(decoded.section_for(2).unwrap().ops.len(), 1);
         assert!(decoded.section_for(3).is_none());
+    }
+
+    #[test]
+    fn each_copy_holds_the_other_sections_in_the_record_layout() {
+        let mut sections = RedoSections::new(42);
+        sections.push(1, |w| {
+            w.put_with(&b"a".to_vec(), &b"1".to_vec());
+            w.delete_with(&b"b".to_vec());
+        });
+        sections.push(3, |_| {}); // nothing to persist: no section
+        sections.push(2, |w| w.put_with(&b"c".to_vec(), &b"3".to_vec()));
+        assert_eq!(sections.len(), 2);
+        assert_eq!(sections.states().collect::<Vec<_>>(), vec![1, 2]);
+
+        let full = sample_record(42);
+        let mut all = Vec::new();
+        sections.encode_copy(None, &mut all);
+        assert_eq!(all, full.encode());
+
+        let mut copy = vec![0xEE];
+        sections.encode_copy(Some(1), &mut copy);
+        assert_eq!(copy[0], 0xEE, "appends after existing bytes");
+        let decoded = RedoRecord::decode(&copy[1..]).unwrap();
+        assert_eq!(decoded.states, vec![full.states[1].clone()]);
+
+        // Merging the two copies restores the full record.
+        let mut other = Vec::new();
+        sections.encode_copy(Some(2), &mut other);
+        let mut merged = RedoRecord::decode(&other).unwrap();
+        merged.merge(decoded);
+        assert_eq!(merged, full);
+    }
+
+    /// A record with captured pre-images (undo tags 1 and 2), as written
+    /// when the in-place protocols shipped them, still decodes.
+    #[test]
+    fn records_with_undo_images_decode() {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&9u64.to_be_bytes());
+        payload.extend_from_slice(&1u32.to_be_bytes());
+        payload.extend_from_slice(&4u32.to_be_bytes()); // state 4
+        payload.extend_from_slice(&2u32.to_be_bytes()); // two ops
+        encode_put(
+            &mut payload,
+            |o| o.extend_from_slice(b"k"),
+            |o| o.extend_from_slice(b"new"),
+        );
+        payload.push(UNDO_VALUE);
+        payload.extend_from_slice(&3u32.to_be_bytes());
+        payload.extend_from_slice(b"old");
+        encode_delete(&mut payload, |o| o.extend_from_slice(b"j"));
+        payload.push(UNDO_ABSENT);
+        let mut stored = crc32(&payload).to_be_bytes().to_vec();
+        stored.extend_from_slice(&payload);
+
+        let rec = RedoRecord::decode(&stored).unwrap();
+        assert_eq!(rec.cts, 9);
+        assert_eq!(
+            rec.section_for(4).unwrap().ops,
+            batch(&[(b"k", Some(b"new")), (b"j", None)])
+        );
+        // An unknown undo tag is corruption, not silently skipped.
+        let tag_at = payload.len() - 1;
+        payload[tag_at] = 7;
+        let mut stored = crc32(&payload).to_be_bytes().to_vec();
+        stored.extend_from_slice(&payload);
+        assert!(RedoRecord::decode(&stored).is_err());
     }
 
     #[test]
@@ -372,12 +523,9 @@ mod tests {
     }
 
     #[test]
-    fn to_batch_preserves_op_order() {
-        let rec = sample_record(3);
-        let batch = rec.states[0].to_batch();
-        let ops = batch.into_ops();
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].key(), b"a");
-        assert_eq!(ops[1].key(), b"b");
+    fn section_ops_keep_their_order() {
+        let rec = RedoRecord::decode(&sample_record(3).encode()).unwrap();
+        let keys: Vec<_> = rec.states[0].ops.iter().map(|op| op.key()).collect();
+        assert_eq!(keys, vec![&b"a"[..], b"b"]);
     }
 }

@@ -247,8 +247,8 @@ mod tests {
         assert_eq!(backend.get(b"a").unwrap().as_deref(), Some(&b"12345"[..]));
         assert_eq!(backend.get(b"b").unwrap(), None);
         let mut batch = WriteBatch::new();
-        batch.put(b"c".to_vec(), b"1".to_vec());
-        batch.delete(b"a".to_vec());
+        batch.put(b"c", b"1");
+        batch.delete(b"a");
         backend.write_batch(&batch).unwrap();
         backend.scan(&mut |_, _| true).unwrap();
         backend.sync().unwrap();

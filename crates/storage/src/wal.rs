@@ -17,77 +17,22 @@
 //!             (vlen:u32  value[vlen])      -- put only
 //! ```
 //!
+//! The payload is exactly a [`WriteBatch`]'s op count followed by its
+//! encoded buffer (the batch is built in this op encoding), so
+//! [`Wal::append`] writes `op_count ‖ rep` under a streaming CRC without
+//! re-encoding a single op, and [`Wal::replay`] hands the payload back as a
+//! batch after checking that it holds exactly `op_count` well-formed ops.
+//!
 //! Replay stops at the first truncated or corrupt record: that is the normal
 //! shape of a crash tail, and everything before it is guaranteed intact by
 //! the per-record CRC.
 
-use crate::backend::{BatchOp, SyncPolicy, WriteBatch};
-use crate::checksum::crc32;
+use crate::backend::{SyncPolicy, WriteBatch};
+use crate::checksum::{crc32, Crc32};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tsp_common::{Result, TspError};
-
-const TAG_PUT: u8 = 0;
-const TAG_DELETE: u8 = 1;
-
-/// Serialises one batch op in the shared WAL op encoding (see the module
-/// docs).  Also used by [`crate::redo`] so redo records stay byte-compatible
-/// with WAL payloads.
-pub(crate) fn encode_batch_op(op: &BatchOp, out: &mut Vec<u8>) {
-    match op {
-        BatchOp::Put { key, value } => {
-            out.push(TAG_PUT);
-            out.extend_from_slice(&(key.len() as u32).to_be_bytes());
-            out.extend_from_slice(key);
-            out.extend_from_slice(&(value.len() as u32).to_be_bytes());
-            out.extend_from_slice(value);
-        }
-        BatchOp::Delete { key } => {
-            out.push(TAG_DELETE);
-            out.extend_from_slice(&(key.len() as u32).to_be_bytes());
-            out.extend_from_slice(key);
-        }
-    }
-}
-
-/// Decodes one batch op from `payload` at `*pos`, advancing the cursor.
-/// Inverse of [`encode_batch_op`]; shared with [`crate::redo`].
-pub(crate) fn decode_batch_op(payload: &[u8], pos: &mut usize) -> Result<BatchOp> {
-    let read_u32 = |buf: &[u8], pos: &mut usize| -> Result<u32> {
-        if *pos + 4 > buf.len() {
-            return Err(TspError::corruption("WAL payload truncated (u32)"));
-        }
-        let v = u32::from_be_bytes(buf[*pos..*pos + 4].try_into().unwrap());
-        *pos += 4;
-        Ok(v)
-    };
-    let read_bytes = |buf: &[u8], pos: &mut usize, n: usize| -> Result<Vec<u8>> {
-        if *pos + n > buf.len() {
-            return Err(TspError::corruption("WAL payload truncated (bytes)"));
-        }
-        let v = buf[*pos..*pos + n].to_vec();
-        *pos += n;
-        Ok(v)
-    };
-
-    if *pos >= payload.len() {
-        return Err(TspError::corruption("WAL payload truncated (op tag)"));
-    }
-    let tag = payload[*pos];
-    *pos += 1;
-    let klen = read_u32(payload, pos)? as usize;
-    let key = read_bytes(payload, pos, klen)?;
-    match tag {
-        TAG_PUT => {
-            let vlen = read_u32(payload, pos)? as usize;
-            let value = read_bytes(payload, pos, vlen)?;
-            Ok(BatchOp::Put { key, value })
-        }
-        TAG_DELETE => Ok(BatchOp::Delete { key }),
-        other => Err(TspError::corruption(format!("unknown WAL op tag {other}"))),
-    }
-}
 
 /// Append-only write-ahead log over a single file.
 pub struct Wal {
@@ -126,24 +71,19 @@ impl Wal {
         self.appended
     }
 
-    /// Serialises `batch` into a payload buffer.
-    fn encode_batch(batch: &WriteBatch, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(batch.len() as u32).to_be_bytes());
-        for op in batch.iter() {
-            encode_batch_op(op, out);
-        }
-    }
-
     /// Appends `batch` as a single record, honouring the sync policy.
     pub fn append(&mut self, batch: &WriteBatch) -> Result<()> {
-        let mut payload = Vec::with_capacity(64 * batch.len() + 8);
-        Self::encode_batch(batch, &mut payload);
-        let crc = crc32(&payload);
-        self.writer
-            .write_all(&(payload.len() as u32).to_be_bytes())?;
-        self.writer.write_all(&crc.to_be_bytes())?;
-        self.writer.write_all(&payload)?;
-        self.appended += 8 + payload.len() as u64;
+        let count = (batch.len() as u32).to_be_bytes();
+        let rep = batch.rep();
+        let mut crc = Crc32::new();
+        crc.update(&count);
+        crc.update(rep);
+        let payload_len = count.len() + rep.len();
+        self.writer.write_all(&(payload_len as u32).to_be_bytes())?;
+        self.writer.write_all(&crc.finish().to_be_bytes())?;
+        self.writer.write_all(&count)?;
+        self.writer.write_all(rep)?;
+        self.appended += 8 + payload_len as u64;
         self.writer.flush()?;
         if self.sync == SyncPolicy::Always {
             self.writer.get_ref().sync_data()?;
@@ -217,24 +157,10 @@ impl Wal {
     }
 
     fn decode_batch(payload: &[u8]) -> Result<WriteBatch> {
-        let mut pos = 0usize;
-        if pos + 4 > payload.len() {
-            return Err(TspError::corruption("WAL payload truncated (u32)"));
-        }
-        let count = u32::from_be_bytes(payload[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        let mut batch = WriteBatch::with_capacity(count);
-        for _ in 0..count {
-            match decode_batch_op(payload, &mut pos)? {
-                BatchOp::Put { key, value } => {
-                    batch.put(key, value);
-                }
-                BatchOp::Delete { key } => {
-                    batch.delete(key);
-                }
-            }
-        }
-        Ok(batch)
+        let Some((count, rep)) = payload.split_first_chunk::<4>() else {
+            return Err(TspError::corruption("WAL payload truncated (op count)"));
+        };
+        WriteBatch::decode(u32::from_be_bytes(*count) as usize, rep)
     }
 }
 
@@ -242,6 +168,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::backend::BatchOp;
+    use crate::codec::Codec;
     use std::fs;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -255,8 +182,8 @@ mod tests {
         let mut b = WriteBatch::new();
         for (k, v) in ops {
             match v {
-                Some(v) => b.put(k.to_vec(), v.to_vec()),
-                None => b.delete(k.to_vec()),
+                Some(v) => b.put(k, v),
+                None => b.delete(k),
             };
         }
         b
@@ -274,21 +201,76 @@ mod tests {
             assert!(wal.size() > 0);
         }
         let mut recovered = Vec::new();
-        let n = Wal::replay(&path, |b| recovered.push(b.into_ops())).unwrap();
+        let n = Wal::replay(&path, |b| recovered.push(b)).unwrap();
         assert_eq!(n, 2);
         assert_eq!(recovered[0].len(), 2);
         assert_eq!(
-            recovered[0][0],
-            BatchOp::Put {
-                key: b"k1".to_vec(),
-                value: b"v1".to_vec()
-            }
+            recovered[0].iter().next(),
+            Some(BatchOp::Put {
+                key: b"k1",
+                value: b"v1"
+            })
         );
         assert_eq!(
-            recovered[1][0],
-            BatchOp::Delete {
-                key: b"k1".to_vec()
-            }
+            recovered[1].iter().next(),
+            Some(BatchOp::Delete { key: b"k1" })
+        );
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The on-disk record bytes are pinned: logs written before the batch
+    /// became one encoded buffer must replay unchanged, and vice versa.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let dir = tmpdir("golden");
+        let path = dir.join("wal.log");
+        let mut b = WriteBatch::new();
+        b.put(b"meter-7", (7u64, 42u64).encode())
+            .put_with(&b"__tsp__/last_cts".to_vec(), &25u64)
+            .delete(b"gone");
+        {
+            let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
+            wal.append(&b).unwrap();
+            assert_eq!(wal.size(), 90);
+        }
+        let mut want = Vec::new();
+        want.extend_from_slice(&82u32.to_be_bytes()); // payload length
+        want.extend_from_slice(&0x732D_A12Bu32.to_be_bytes()); // CRC-32
+        want.extend_from_slice(&3u32.to_be_bytes()); // op count
+        want.push(0); // put "meter-7" -> (7, 42)
+        want.extend_from_slice(&7u32.to_be_bytes());
+        want.extend_from_slice(b"meter-7");
+        want.extend_from_slice(&20u32.to_be_bytes());
+        want.extend_from_slice(&8u32.to_be_bytes());
+        want.extend_from_slice(&7u64.to_be_bytes());
+        want.extend_from_slice(&42u64.to_be_bytes());
+        want.push(0); // put "__tsp__/last_cts" -> 25
+        want.extend_from_slice(&16u32.to_be_bytes());
+        want.extend_from_slice(b"__tsp__/last_cts");
+        want.extend_from_slice(&8u32.to_be_bytes());
+        want.extend_from_slice(&25u64.to_be_bytes());
+        want.push(1); // delete "gone"
+        want.extend_from_slice(&4u32.to_be_bytes());
+        want.extend_from_slice(b"gone");
+        assert_eq!(fs::read(&path).unwrap(), want);
+
+        let mut recovered = Vec::new();
+        assert_eq!(Wal::replay(&path, |r| recovered.push(r)).unwrap(), 1);
+        assert_eq!(recovered, vec![b.clone()]);
+        let ops: Vec<_> = recovered[0].iter().collect();
+        assert_eq!(
+            ops,
+            vec![
+                BatchOp::Put {
+                    key: b"meter-7",
+                    value: &(7u64, 42u64).encode()
+                },
+                BatchOp::Put {
+                    key: b"__tsp__/last_cts",
+                    value: &25u64.encode()
+                },
+                BatchOp::Delete { key: b"gone" },
+            ]
         );
         fs::remove_dir_all(dir).unwrap();
     }

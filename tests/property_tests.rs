@@ -302,9 +302,8 @@ proptest! {
         let mut recovered = Vec::new();
         tsp::storage::wal::Wal::replay(&path, |b| recovered.push(b)).unwrap();
         prop_assert_eq!(recovered.len(), 1);
-        let got: Vec<_> = recovered.remove(0).into_ops();
-        let want: Vec<_> = batch.into_ops();
-        prop_assert_eq!(got, want);
+        let got = recovered.remove(0);
+        prop_assert_eq!(got.iter().collect::<Vec<_>>(), batch.iter().collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
