@@ -45,7 +45,6 @@ use crate::clock::{GlobalClock, EPOCH_TS};
 use crate::context::StateContext;
 use crate::table::common::last_cts_key;
 use crate::telemetry::Counter;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included};
 use tsp_common::{GroupId, Result, StateId, Timestamp, TspError};
@@ -170,12 +169,11 @@ pub fn replay_torn_suffix(
         let mut records: BTreeMap<Timestamp, RedoRecord> = BTreeMap::new();
         for b in backends {
             for (cts, rec) in scan_redo(*b)? {
-                match records.entry(cts) {
-                    Entry::Vacant(e) => {
-                        e.insert(rec);
-                    }
-                    Entry::Occupied(mut e) => e.get_mut().merge(rec),
-                }
+                let empty = RedoRecord {
+                    cts,
+                    states: Vec::new(),
+                };
+                records.entry(cts).or_insert(empty).merge(rec);
             }
         }
         // Ascending replay of the torn suffix: each lagging participant of

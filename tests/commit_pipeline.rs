@@ -625,3 +625,53 @@ fn partition_shards_truncate_redo_records_below_their_watermark() {
         assert_eq!(scan_redo(&**b).unwrap().len(), 1, "only the newest record");
     }
 }
+
+/// Each state's commit batch stores the group redo record with the *other*
+/// states' sections only, and without pre-images, on every protocol.
+#[test]
+fn each_state_stores_only_the_other_states_redo_sections() {
+    use tsp::storage::{redo_key, BTreeBackend, RedoRecord};
+    for protocol in Protocol::ALL {
+        let ctx = Arc::new(StateContext::new());
+        let mgr = TransactionManager::new(Arc::clone(&ctx));
+        let backends: Vec<Arc<BTreeBackend>> =
+            (0..3).map(|_| Arc::new(BTreeBackend::new())).collect();
+        let tables: Vec<_> = backends
+            .iter()
+            .enumerate()
+            .map(|(i, b)| protocol.create_table::<u32, u64>(&ctx, format!("s{i}"), Some(b.clone())))
+            .collect();
+        for t in &tables {
+            mgr.register(Arc::clone(t).as_participant());
+            // Committed rows, so the in-place protocols capture pre-images.
+            t.preload([(1, 10), (2, 20)]).unwrap();
+        }
+        let ids: Vec<_> = tables.iter().map(|t| t.id()).collect();
+        mgr.register_group(&ids).unwrap();
+        let tx = mgr.begin().unwrap();
+        for (i, t) in tables.iter().enumerate() {
+            t.write(&tx, 1, 100 + i as u64).unwrap();
+            t.delete(&tx, 2).unwrap();
+        }
+        let cts = mgr.commit(&tx).unwrap().unwrap();
+        for (i, b) in backends.iter().enumerate() {
+            let stored = b.get(&redo_key(cts)).unwrap().expect("a copy");
+            let rec = RedoRecord::decode(&stored).unwrap();
+            assert_eq!(rec.encode(), stored, "{protocol}: no undo values");
+            let mut holders: Vec<_> = rec.states.iter().map(|s| s.state).collect();
+            holders.sort_unstable();
+            let others: Vec<_> = (0..3)
+                .filter(|&j| j != i)
+                .map(|j| ids[j].as_u32())
+                .collect();
+            assert_eq!(holders, others, "{protocol}: copy of state {i}");
+            for section in &rec.states {
+                let j = ids.iter().position(|id| id.as_u32() == section.state);
+                let mut want = WriteBatch::new();
+                want.put_with(&1u32, &(100 + j.unwrap() as u64))
+                    .delete_with(&2u32);
+                assert_eq!(section.ops, want, "{protocol}: section of state {j:?}");
+            }
+        }
+    }
+}
