@@ -11,15 +11,14 @@ fn bench_mvcc_object(c: &mut Criterion) {
         let obj = MvccObject::<u64>::new(8);
         let mut cts = 2u64;
         b.iter(|| {
-            obj.install(black_box(cts), cts, cts.saturating_sub(1))
-                .unwrap();
+            obj.install(black_box(cts), cts, cts.saturating_sub(1));
             cts += 1;
         });
     });
     group.bench_function("read_visible_hot", |b| {
         let obj = MvccObject::<u64>::new(8);
         for i in 0..6u64 {
-            obj.install(i, 2 + i, 0).unwrap();
+            obj.install(i, 2 + i, 0);
         }
         b.iter(|| black_box(obj.read_visible(black_box(5))));
     });

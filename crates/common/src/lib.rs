@@ -18,6 +18,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod error;
+pub mod fxhash;
 pub mod histogram;
 pub mod ids;
 pub mod pad;
@@ -26,6 +27,7 @@ pub mod time;
 pub mod tuple;
 
 pub use error::{ErrorClass, Result, TspError};
+pub use fxhash::{fx_shard, FxHashMap, FxHashSet, FxHasher};
 pub use histogram::Histogram;
 pub use ids::{GroupId, OperatorId, StateId, TxnId};
 pub use pad::CachePadded;

@@ -16,8 +16,9 @@
 //! * **A per-object seqlock** (`seq`, odd while a writer mutates) guards
 //!   against torn multi-header states: [`read_visible`](MvccObject::read_visible)
 //!   re-checks `seq` after the scan and retries if a writer interfered.
-//! * **Version storage grows in chunks that are never freed or moved**
-//!   while the object lives, so readers may hold references across growth.
+//! * **Version storage grows in chunks, and then overflow levels, that are
+//!   never freed or moved** while the object lives, so readers may hold
+//!   references across growth.
 //! * Writers (install / delete-stamp / GC) serialise on a per-object mutex
 //!   and mutate only inside odd `seq` windows.
 //!
@@ -76,17 +77,53 @@
 //! `read_ts`.  Garbage collection is performed *on demand* — when a new
 //! version must be installed and no slot is free — and only reclaims
 //! versions no longer visible at `OldestActiveVersion`.
+//!
+//! # Overflow levels
+//!
+//! The primary version array grows in chunks up to the 64-slot width of the
+//! `UsedSlots` bitmap, and that bitmap stays the fast path.  A hot key whose
+//! old versions are all pinned by a slow reader can need more: past 64
+//! versions still needed, [`install_with`](MvccObject::install_with) links
+//! an *overflow level* — 64 more slots with their own occupancy word —
+//! behind the last one, so a slow reader costs memory, never a writer
+//! error.  Slot indices past 63 name level `idx / 64 - 1`, so the live hint
+//! and every scan address them like primary slots.  The levels follow the
+//! chunks' rules, which is what keeps the latch-free clone sound:
+//!
+//! * a level is allocated fully initialised and published with a `Release`
+//!   store (readers load links with `Acquire`), at the tail, so existing
+//!   indices never move;
+//! * its bits and headers change only inside writer windows and are read
+//!   under the same seqlock validation as the primary array's — a reader
+//!   that sees a bit set in a window without the level's publication fails
+//!   validation exactly as for a not-yet-visible chunk;
+//! * a level is never freed or moved until the object drops, and a value in
+//!   it is dropped only by GC under the floor protocol above.  A slot's
+//!   value is therefore never moved or freed while a reader may clone it;
+//!   GC frees level slots for reuse, and installs fill the primary array
+//!   first.
+//!
+//! # First-Committer-Wins through the live slot
+//!
+//! The FCW check (§4.2) and SSI certification need only the newest write of
+//! a key: [`newest_write_ts`](MvccObject::newest_write_ts).  Versions are
+//! installed in commit order, so the live version's `cts` is at least every
+//! other `cts` and `dts` of the object, and the check is one header read
+//! through the live hint under the seqlock — no fold over the headers, no
+//! extra word on the object.  Only an object with no live version (its
+//! newest write was a delete, or it is empty) folds its headers.
 
 use crate::latch_probe;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use tsp_common::{Result, Timestamp, TspError, INFINITY_TS, NO_TS};
+use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use tsp_common::{Timestamp, INFINITY_TS, NO_TS};
 
 /// Default number of version slots per object.
 pub const DEFAULT_VERSION_SLOTS: usize = 8;
 
-/// Hard upper bound on version slots (occupancy must fit the 64-bit bitmap).
+/// Slots of the primary version array: the width of the `UsedSlots`
+/// bitmap.  Versions beyond it go to overflow levels of the same width.
 pub const MAX_VERSION_SLOTS: usize = 64;
 
 /// Upper bound on storage chunks: capacity doubles per chunk starting from
@@ -133,6 +170,28 @@ impl<V> VersionSlot<V> {
             value: UnsafeCell::new(None),
         }
     }
+
+    /// The `(cts, dts)` header (`Relaxed`; see the module protocol).
+    fn header(&self) -> (Timestamp, Timestamp) {
+        (
+            self.cts.load(Ordering::Relaxed),
+            self.dts.load(Ordering::Relaxed),
+        )
+    }
+
+    /// True if the version's lifetime `[cts, dts)` contains `read_ts`.
+    fn visible_at(&self, read_ts: Timestamp) -> bool {
+        let (cts, dts) = self.header();
+        cts != NO_TS && cts <= read_ts && read_ts < dts
+    }
+}
+
+/// An overflow level: [`MAX_VERSION_SLOTS`] more slots with their own
+/// occupancy word, linked behind the primary array (see the module docs).
+struct OverflowLevel<V> {
+    used: AtomicU64,
+    slots: [VersionSlot<V>; MAX_VERSION_SLOTS],
+    next: AtomicPtr<OverflowLevel<V>>,
 }
 
 /// A multi-versioned object holding all versions of one key.
@@ -142,24 +201,28 @@ pub struct MvccObject<V> {
     writer: Mutex<()>,
     /// Seqlock word: odd while a writer window is open.
     seq: AtomicU64,
-    /// Occupancy bitmap (bit *i* set ⇔ slot *i* holds a version).
+    /// Occupancy bitmap of the primary array (bit *i* set ⇔ slot *i* holds
+    /// a version).
     used: AtomicU64,
     /// Index + 1 of the *live* version slot (`dts == INFINITY_TS`), 0 when
     /// none.  At most one version is ever live, so this single word lets
     /// the common read (snapshot at or after the newest commit) probe one
-    /// slot instead of scanning the occupancy bitmap, and lets a writer
-    /// terminate its predecessor without a scan.  Mutated only under the
-    /// writer mutex inside seq windows; readers treat it as a seqlock-
-    /// validated hint.
+    /// slot instead of scanning the occupancy bitmap, lets a writer
+    /// terminate its predecessor without a scan, and gives the newest
+    /// write for First-Committer-Wins.  Mutated only under the writer mutex
+    /// inside seq windows; readers treat it as a seqlock-validated hint.
     live: AtomicU64,
-    /// Total slots allocated across chunks (monotone, ≤ 64).
-    allocated: AtomicUsize,
+    /// Slots allocated across the primary array's chunks (monotone, ≤ 64).
+    allocated: AtomicU32,
+    /// Initial capacity (chunk 0 size); total capacity doubles per grow.
+    capacity: u32,
     /// Version storage.  Chunk `k` holds `chunk_cap(k)` slots; chunks are
     /// allocated on demand, published with `Release`, and never freed or
     /// moved until the object drops — readers hold references across growth.
     chunks: [AtomicPtr<VersionSlot<V>>; MAX_CHUNKS],
-    /// Initial capacity (chunk 0 size); total capacity doubles per grow.
-    capacity: usize,
+    /// First overflow level (null until the primary array is full of
+    /// versions still needed); published and kept like the chunks.
+    overflow: AtomicPtr<OverflowLevel<V>>,
 }
 
 // SAFETY: all shared mutable state is accessed through atomics or through
@@ -190,10 +253,15 @@ fn chunk_cap(c: usize, k: usize) -> usize {
     }
 }
 
+/// The occupancy bit of global slot `idx` within its 64-slot word.
+fn bit(idx: usize) -> u64 {
+    1u64 << (idx % MAX_VERSION_SLOTS)
+}
+
 impl<V: Clone> MvccObject<V> {
     /// Creates an object with `capacity` initial version slots (clamped to
     /// `1..=`[`MAX_VERSION_SLOTS`]); the array grows on demand, doubling up
-    /// to the 64-slot bitmap width.
+    /// to the 64-slot bitmap width, and then by overflow levels.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.clamp(1, MAX_VERSION_SLOTS);
         let obj = MvccObject {
@@ -201,39 +269,43 @@ impl<V: Clone> MvccObject<V> {
             seq: AtomicU64::new(0),
             used: AtomicU64::new(0),
             live: AtomicU64::new(0),
-            allocated: AtomicUsize::new(0),
+            allocated: AtomicU32::new(0),
+            capacity: capacity as u32,
             chunks: Default::default(),
-            capacity,
+            overflow: AtomicPtr::new(std::ptr::null_mut()),
         };
         obj.alloc_chunk(0);
         obj
     }
 
-    /// The configured *initial* slot capacity (the array may grow on demand
-    /// up to [`MAX_VERSION_SLOTS`]).
+    /// The configured *initial* slot capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.capacity as usize
     }
 
-    /// The current size of the version array (initial capacity plus any
-    /// on-demand growth).
+    /// The current number of version slots: the primary array (initial
+    /// capacity plus any on-demand growth) plus every overflow level.
     pub fn allocated_slots(&self) -> usize {
-        self.allocated.load(Ordering::Acquire)
+        self.allocated.load(Ordering::Acquire) as usize + self.levels().count() * MAX_VERSION_SLOTS
     }
 
-    /// The occupancy bitmap (bit *i* set ⇔ slot *i* holds a version).
+    /// The primary array's occupancy bitmap (bit *i* set ⇔ slot *i* holds
+    /// a version); overflow levels keep their own words.
     pub fn used_slots(&self) -> u64 {
         self.used.load(Ordering::Acquire)
     }
 
     /// Number of stored versions.
     pub fn version_count(&self) -> usize {
-        self.used_slots().count_ones() as usize
+        self.levels()
+            .map(|l| l.used.load(Ordering::Acquire).count_ones() as usize)
+            .sum::<usize>()
+            + self.used_slots().count_ones() as usize
     }
 
     /// True if no versions are stored.
     pub fn is_empty(&self) -> bool {
-        self.used_slots() == 0
+        self.used_slots() == 0 && self.levels().all(|l| l.used.load(Ordering::Acquire) == 0)
     }
 
     // ------------------------------------------------------------------
@@ -243,45 +315,70 @@ impl<V: Clone> MvccObject<V> {
     /// Allocates chunk `k` and returns the index of its first slot.
     /// Writer-exclusive (or construction).
     fn alloc_chunk(&self, k: usize) -> usize {
-        let cap = chunk_cap(self.capacity, k);
+        let cap = chunk_cap(self.capacity(), k);
         debug_assert!(
             cap > 0,
             "chunk {k} not needed for capacity {}",
             self.capacity
         );
         let chunk: Box<[VersionSlot<V>]> = (0..cap).map(|_| VersionSlot::empty()).collect();
-        let first = self.allocated.load(Ordering::Relaxed);
+        let first = self.allocated.load(Ordering::Relaxed) as usize;
         // Publish the fully initialised chunk before bumping `allocated`.
         self.chunks[k].store(
             Box::into_raw(chunk) as *mut VersionSlot<V>,
             Ordering::Release,
         );
-        self.allocated.store(first + cap, Ordering::Release);
+        self.allocated
+            .store((first + cap) as u32, Ordering::Release);
         first
     }
 
-    /// Calls `f` with every allocated slot and its global index, in index
-    /// order.  Chunks are immutable once published, so this is safe from
-    /// both readers and the writer.
-    fn for_each_slot(&self, mut f: impl FnMut(usize, &VersionSlot<V>)) {
-        let mut base = 0;
-        for k in 0..MAX_CHUNKS {
-            let ptr = self.chunks[k].load(Ordering::Acquire);
-            if ptr.is_null() {
-                break;
-            }
-            let cap = chunk_cap(self.capacity, k);
-            for i in 0..cap {
-                // SAFETY: the chunk was published fully initialised with
-                // `cap` slots and is never freed while `self` lives.
-                f(base + i, unsafe { &*ptr.add(i) });
-            }
-            base += cap;
-        }
+    /// The overflow levels, in link order.  Levels are published fully
+    /// initialised with `Release` and never freed while `self` lives, so
+    /// this is safe from both readers and the writer.
+    fn levels(&self) -> impl Iterator<Item = &OverflowLevel<V>> {
+        // SAFETY: as above; a non-null pointer is a published level.
+        let first = unsafe { self.overflow.load(Ordering::Acquire).as_ref() };
+        std::iter::successors(first, |l| unsafe {
+            l.next.load(Ordering::Acquire).as_ref()
+        })
     }
 
-    /// The slot at global index `idx`, or `None` if the chunk holding it is
-    /// not yet visible to this thread.
+    /// Calls `f(index, slot, used word)` for every occupied slot — the
+    /// primary array first, then each overflow level — until `f` returns
+    /// `Some`.  For a latch-free reader the bits and headers are only a
+    /// candidate state that seqlock validation must confirm; a bit whose
+    /// chunk is not yet visible is skipped (see [`slot`](Self::slot)).
+    fn find_occupied<'a, R>(
+        &'a self,
+        mut f: impl FnMut(usize, &'a VersionSlot<V>, &'a AtomicU64) -> Option<R>,
+    ) -> Option<R> {
+        let mut bits = self.used.load(Ordering::Relaxed);
+        while bits != 0 {
+            let idx = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if let Some(r) = self.slot(idx).and_then(|slot| f(idx, slot, &self.used)) {
+                return Some(r);
+            }
+        }
+        for (n, level) in self.levels().enumerate() {
+            let base = MAX_VERSION_SLOTS * (n + 1);
+            let mut bits = level.used.load(Ordering::Relaxed);
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if let Some(r) = f(base + b, &level.slots[b], &level.used) {
+                    return Some(r);
+                }
+            }
+        }
+        None
+    }
+
+    /// The slot at global index `idx` (primary array below
+    /// [`MAX_VERSION_SLOTS`], overflow level `idx / 64 - 1` above), or
+    /// `None` if the chunk or level holding it is not yet visible to this
+    /// thread.
     ///
     /// `None` is only possible for latch-free readers: a `Relaxed` load of
     /// `used` may observe a bit set inside a concurrent install window
@@ -294,20 +391,38 @@ impl<V: Clone> MvccObject<V> {
     /// Writer-side callers hold the writer mutex and always see their own
     /// chunks.
     fn slot(&self, idx: usize) -> Option<&VersionSlot<V>> {
+        if idx >= MAX_VERSION_SLOTS {
+            let level = self.levels().nth(idx / MAX_VERSION_SLOTS - 1)?;
+            return Some(&level.slots[idx % MAX_VERSION_SLOTS]);
+        }
         let mut base = 0;
         for k in 0..MAX_CHUNKS {
-            let cap = chunk_cap(self.capacity, k);
+            let cap = chunk_cap(self.capacity(), k);
             if idx < base + cap {
                 let ptr = self.chunks[k].load(Ordering::Acquire);
                 if ptr.is_null() {
                     return None;
                 }
-                // SAFETY: as in `for_each_slot`.
+                // SAFETY: the chunk was published fully initialised with
+                // `cap` slots and is never freed while `self` lives.
                 return Some(unsafe { &*ptr.add(idx - base) });
             }
             base += cap;
         }
         None
+    }
+
+    /// The occupancy word holding global slot `idx`.  Writer-side only.
+    fn used_word(&self, idx: usize) -> &AtomicU64 {
+        if idx < MAX_VERSION_SLOTS {
+            &self.used
+        } else {
+            &self
+                .levels()
+                .nth(idx / MAX_VERSION_SLOTS - 1)
+                .expect("writer sees its own levels")
+                .used
+        }
     }
 
     // ------------------------------------------------------------------
@@ -335,123 +450,16 @@ impl<V: Clone> MvccObject<V> {
     // Latch-free reads
     // ------------------------------------------------------------------
 
-    /// Returns the value visible at `read_ts`, if any, **without acquiring
-    /// any latch** — the committed-read fast path.
-    ///
-    /// Concurrency contract: the calling transaction must have announced a
-    /// snapshot floor `<= read_ts` to the garbage collector's
-    /// `oldest_active` scan before calling (the context does this in
-    /// `begin`/pinning), or no concurrent GC/install may reclaim versions
-    /// still visible at `read_ts` (the single-writer test setting).
-    pub fn read_visible(&self, read_ts: Timestamp) -> Option<V> {
+    /// Runs `scan` until it completes over a seqlock-validated consistent
+    /// state (`seq` even and unchanged across it) and returns its result.
+    /// `scan` may load headers, bitmaps, the live hint and level links, but
+    /// must not touch values.
+    fn validated<R>(&self, mut scan: impl FnMut() -> R) -> R {
         let mut spins = 0u32;
         loop {
             let s1 = self.seq.load(Ordering::Acquire);
             if s1 & 1 == 0 {
-                let mut hit: Option<&VersionSlot<V>> = None;
-                // Fast path: probe the live-slot hint first.  A snapshot at
-                // or after the newest commit — the common case — matches in
-                // one slot probe; any torn or stale observation is rejected
-                // by the seqlock validation below like every other scan.
-                let live = self.live.load(Ordering::Relaxed);
-                if live != 0 {
-                    if let Some(slot) = self.slot(live as usize - 1) {
-                        let cts = slot.cts.load(Ordering::Relaxed);
-                        let dts = slot.dts.load(Ordering::Relaxed);
-                        if cts != NO_TS && cts <= read_ts && read_ts < dts {
-                            hit = Some(slot);
-                        }
-                    }
-                }
-                // Iterate only the *occupied* slots (usually one or two).
-                let mut bits = if hit.is_some() {
-                    0
-                } else {
-                    self.used.load(Ordering::Relaxed)
-                };
-                while bits != 0 {
-                    let idx = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    // A not-yet-visible chunk means the bit came from an
-                    // in-progress window; skip — validation below retries.
-                    let Some(slot) = self.slot(idx) else { continue };
-                    let cts = slot.cts.load(Ordering::Relaxed);
-                    let dts = slot.dts.load(Ordering::Relaxed);
-                    if cts != NO_TS && cts <= read_ts && read_ts < dts {
-                        hit = Some(slot);
-                        // At most one version is visible at any timestamp in
-                        // a consistent state — and inconsistent scans are
-                        // rejected by the validation below anyway.
-                        break;
-                    }
-                }
-                fence(Ordering::Acquire);
-                if self.seq.load(Ordering::Relaxed) == s1 {
-                    // SAFETY: the scan was validated as a consistent state
-                    // (seq unchanged and even).  The winning version has
-                    // `dts > read_ts >= announced floor`, so per the module
-                    // protocol no reclaimer may drop or overwrite its value
-                    // concurrently, and the `Acquire` load of `s1`
-                    // happens-after the write that installed it.
-                    return hit.and_then(|slot| unsafe { (*slot.value.get()).clone() });
-                }
-            }
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Like [`read_visible`](Self::read_visible) but serialised against
-    /// writers via the object latch.  For callers that read at snapshots
-    /// *not* covered by an announced floor (relaxed-isolation readers,
-    /// diagnostics) and therefore may not use the latch-free path.
-    pub fn read_visible_latched(&self, read_ts: Timestamp) -> Option<V> {
-        let _g = self.writer.lock();
-        latch_probe::count_latch();
-        let used = self.used.load(Ordering::Relaxed);
-        let mut hit = None;
-        self.for_each_slot(|idx, slot| {
-            if used & (1u64 << idx) == 0 {
-                return;
-            }
-            let cts = slot.cts.load(Ordering::Relaxed);
-            let dts = slot.dts.load(Ordering::Relaxed);
-            if cts != NO_TS && cts <= read_ts && read_ts < dts {
-                // SAFETY: the writer latch excludes every mutator.
-                hit = unsafe { (*slot.value.get()).clone() };
-            }
-        });
-        hit
-    }
-
-    /// Runs `f` over a seqlock-validated consistent view of `(used bitmap,
-    /// header loader)` and returns its result.  Header-only: `f` must not
-    /// touch values.
-    fn validated_header_scan<R>(
-        &self,
-        mut f: impl FnMut(u64, &dyn Fn(usize) -> (Timestamp, Timestamp)) -> R,
-    ) -> R {
-        let mut spins = 0u32;
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 0 {
-                let used = self.used.load(Ordering::Relaxed);
-                let load = |idx: usize| {
-                    // Not-yet-visible chunk (see `slot`): report the slot as
-                    // free; the validation below forces a retry.
-                    let Some(slot) = self.slot(idx) else {
-                        return (NO_TS, NO_TS);
-                    };
-                    (
-                        slot.cts.load(Ordering::Relaxed),
-                        slot.dts.load(Ordering::Relaxed),
-                    )
-                };
-                let result = f(used, &load);
+                let result = scan();
                 fence(Ordering::Acquire);
                 if self.seq.load(Ordering::Relaxed) == s1 {
                     return result;
@@ -466,64 +474,88 @@ impl<V: Clone> MvccObject<V> {
         }
     }
 
-    /// Folds `fold` over the headers of all occupied slots, latch-free.
-    fn fold_headers<R>(
-        &self,
-        init: R,
-        mut fold: impl FnMut(R, Timestamp, Timestamp) -> R + Copy,
-    ) -> R
-    where
-        R: Copy,
-    {
-        self.validated_header_scan(|used, load| {
-            let mut acc = init;
-            let mut bits = used;
-            while bits != 0 {
-                let idx = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let (cts, dts) = load(idx);
-                if cts != NO_TS {
-                    acc = fold(acc, cts, dts);
+    /// Returns the value visible at `read_ts`, if any, **without acquiring
+    /// any latch** — the committed-read fast path.
+    ///
+    /// Concurrency contract: the calling transaction must have announced a
+    /// snapshot floor `<= read_ts` to the garbage collector's
+    /// `oldest_active` scan before calling (the context does this in
+    /// `begin`/pinning), or no concurrent GC/install may reclaim versions
+    /// still visible at `read_ts` (the single-writer test setting).
+    pub fn read_visible(&self, read_ts: Timestamp) -> Option<V> {
+        let hit = self.validated(|| {
+            // Fast path: probe the live-slot hint first.  A snapshot at or
+            // after the newest commit — the common case — matches in one
+            // slot probe; any torn or stale observation is rejected by the
+            // seqlock validation like every other scan.
+            let live = self.live.load(Ordering::Relaxed);
+            if live != 0 {
+                if let Some(slot) = self.slot(live as usize - 1) {
+                    if slot.visible_at(read_ts) {
+                        return Some(slot);
+                    }
                 }
             }
-            acc
+            // Otherwise visit the occupied slots (usually one or two).  At
+            // most one version is visible at any timestamp in a consistent
+            // state — and inconsistent scans are rejected anyway.
+            self.find_occupied(|_, slot, _| slot.visible_at(read_ts).then_some(slot))
+        });
+        // SAFETY: the scan was validated as a consistent state (seq
+        // unchanged and even).  The winning version has `dts > read_ts >=
+        // announced floor`, so per the module protocol no reclaimer may
+        // drop or overwrite its value concurrently, and the `Acquire` load
+        // of the validated `seq` happens-after the write that installed it.
+        hit.and_then(|slot| unsafe { (*slot.value.get()).clone() })
+    }
+
+    /// Like [`read_visible`](Self::read_visible) but serialised against
+    /// writers via the object latch.  For callers that read at snapshots
+    /// *not* covered by an announced floor (relaxed-isolation readers,
+    /// diagnostics) and therefore may not use the latch-free path.
+    pub fn read_visible_latched(&self, read_ts: Timestamp) -> Option<V> {
+        let _g = self.writer.lock();
+        latch_probe::count_latch();
+        self.find_occupied(|_, slot, _| {
+            // SAFETY: the writer latch excludes every mutator.
+            slot.visible_at(read_ts)
+                .then(|| unsafe { (*slot.value.get()).clone() })
         })
+        .flatten()
     }
 
-    /// Commit timestamp of the newest version (committed or deleted), or
-    /// [`NO_TS`] if the object is empty.  Used by the First-Committer-Wins
-    /// check.  Latch-free.
-    pub fn latest_cts(&self) -> Timestamp {
-        self.fold_headers(NO_TS, |acc, cts, _| acc.max(cts))
-    }
-
-    /// The most recent deletion timestamp stamped on any version, or
-    /// [`NO_TS`].  Together with [`latest_cts`](Self::latest_cts) this lets
-    /// the FCW check detect deletes as conflicting writes.  Latch-free.
-    pub fn latest_dts(&self) -> Timestamp {
-        self.fold_headers(NO_TS, |acc, _, dts| {
-            if dts == INFINITY_TS {
-                acc
-            } else {
-                acc.max(dts)
+    /// The timestamp of the newest write to this object — its newest commit
+    /// or deletion, whichever is later — or [`NO_TS`] if it holds no
+    /// version.  The First-Committer-Wins check and SSI certification
+    /// compare it with a snapshot.  Latch-free.
+    ///
+    /// Versions are installed in commit order, so a live version's `cts` is
+    /// at least every other `cts` and `dts` of the object: with a live
+    /// version this is one header read through the live hint.  Only an
+    /// object without one (its newest write was a delete) folds the
+    /// headers.
+    pub fn newest_write_ts(&self) -> Timestamp {
+        self.validated(|| {
+            let live = self.live.load(Ordering::Relaxed);
+            if live != 0 {
+                // A not-yet-visible chunk fails validation and retries.
+                return self
+                    .slot(live as usize - 1)
+                    .map_or(NO_TS, |slot| slot.cts.load(Ordering::Relaxed));
             }
+            let mut newest = NO_TS;
+            self.find_occupied(|_, slot, _| {
+                let (cts, dts) = slot.header();
+                if cts != NO_TS {
+                    newest = newest.max(cts);
+                    if dts != INFINITY_TS {
+                        newest = newest.max(dts);
+                    }
+                }
+                None::<()>
+            });
+            newest
         })
-    }
-
-    /// Smallest commit timestamp stored, or [`NO_TS`] if empty.  Latch-free.
-    pub fn min_cts(&self) -> Timestamp {
-        let min = self.fold_headers(INFINITY_TS, |acc, cts, _| acc.min(cts));
-        if min == INFINITY_TS {
-            NO_TS
-        } else {
-            min
-        }
-    }
-
-    /// True if a live (not superseded, not deleted) version exists.
-    /// Latch-free.
-    pub fn has_live_version(&self) -> bool {
-        self.fold_headers(false, |acc, _, dts| acc || dts == INFINITY_TS)
     }
 
     /// Snapshot of all versions, newest first (diagnostics and tests).
@@ -532,20 +564,14 @@ impl<V: Clone> MvccObject<V> {
     pub fn versions(&self) -> Vec<Version<V>> {
         let _g = self.writer.lock();
         latch_probe::count_latch();
-        let used = self.used.load(Ordering::Relaxed);
-        let mut out = Vec::with_capacity(used.count_ones() as usize);
-        self.for_each_slot(|idx, slot| {
-            if used & (1u64 << idx) == 0 {
-                return;
-            }
+        let mut out = Vec::new();
+        self.find_occupied(|_, slot, _| {
             // SAFETY: the writer latch excludes every mutator.
             if let Some(value) = unsafe { (*slot.value.get()).clone() } {
-                out.push(Version {
-                    cts: slot.cts.load(Ordering::Relaxed),
-                    dts: slot.dts.load(Ordering::Relaxed),
-                    value,
-                });
+                let (cts, dts) = slot.header();
+                out.push(Version { cts, dts, value });
             }
+            None::<()>
         });
         out.sort_by_key(|v| std::cmp::Reverse(v.cts));
         out
@@ -560,10 +586,10 @@ impl<V: Clone> MvccObject<V> {
     /// object's on-demand garbage collection runs first, reclaiming
     /// versions whose lifetime ended at or before the bound returned by
     /// `refresh` (re-evaluated inside the reclaim fence as described in the
-    /// module docs); if nothing can be reclaimed the version array grows,
-    /// up to the 64-slot width of the `UsedSlots` bitmap.  Only when all 64
-    /// slots hold versions that are still needed does the install fail with
-    /// a retryable [`TspError::CapacityExhausted`].
+    /// module docs); if nothing can be reclaimed the primary array grows,
+    /// up to the 64-slot width of the `UsedSlots` bitmap, and past that a
+    /// new overflow level is linked.  A slow reader therefore costs memory,
+    /// never an error.
     ///
     /// `oldest_hint` is the caller's cheap (possibly cached) bound used to
     /// select reclaim candidates; `refresh` must return a *fresh*
@@ -575,25 +601,18 @@ impl<V: Clone> MvccObject<V> {
         cts: Timestamp,
         oldest_hint: Timestamp,
         refresh: impl FnMut() -> Timestamp,
-    ) -> Result<usize> {
+    ) -> usize {
         debug_assert!(cts != NO_TS);
         let _g = self.writer.lock();
         latch_probe::count_latch();
-        // Secure a free slot first (running the on-demand GC if needed) so a
-        // failed install leaves the object completely untouched.
         let mut reclaimed = 0;
-        let mut free = self.find_free_locked();
-        if free.is_none() {
-            reclaimed = self.gc_locked(oldest_hint, refresh);
-            free = self.find_free_locked();
-        }
-        if free.is_none() {
-            free = self.grow_locked();
-        }
-        let Some(idx) = free else {
-            return Err(TspError::CapacityExhausted {
-                what: "MVCC version slots",
-            });
+        let idx = match self.find_free_locked() {
+            Some(idx) => idx,
+            None => {
+                reclaimed = self.gc_locked(oldest_hint, refresh);
+                self.find_free_locked()
+                    .unwrap_or_else(|| self.grow_locked())
+            }
         };
         let s = self.enter_window();
         // Terminate the currently live version (the hint is exact: at most
@@ -605,6 +624,10 @@ impl<V: Clone> MvccObject<V> {
                 .slot(prev as usize - 1)
                 .expect("writer sees its own chunks");
             debug_assert_eq!(pslot.dts.load(Ordering::Relaxed), INFINITY_TS);
+            debug_assert!(
+                pslot.cts.load(Ordering::Relaxed) <= cts,
+                "versions are installed in commit order"
+            );
             pslot.dts.store(cts, Ordering::Relaxed);
         }
         let slot = self.slot(idx).expect("writer sees its own chunks");
@@ -616,20 +639,18 @@ impl<V: Clone> MvccObject<V> {
         }
         slot.cts.store(cts, Ordering::Relaxed);
         slot.dts.store(INFINITY_TS, Ordering::Relaxed);
-        self.used.store(
-            self.used.load(Ordering::Relaxed) | (1u64 << idx),
-            Ordering::Relaxed,
-        );
+        let word = self.used_word(idx);
+        word.store(word.load(Ordering::Relaxed) | bit(idx), Ordering::Relaxed);
         self.live.store(idx as u64 + 1, Ordering::Relaxed);
         self.exit_window(s);
-        Ok(reclaimed)
+        reclaimed
     }
 
     /// [`install_with`](Self::install_with) with a constant reclaim bound.
     /// Sound only when every concurrent reader's snapshot is at or above
     /// `oldest_active` (single-writer tests, preloading); table code uses
     /// `install_with` with a fresh context scan.
-    pub fn install(&self, value: V, cts: Timestamp, oldest_active: Timestamp) -> Result<usize> {
+    pub fn install(&self, value: V, cts: Timestamp, oldest_active: Timestamp) -> usize {
         self.install_with(value, cts, oldest_active, || oldest_active)
     }
 
@@ -659,12 +680,12 @@ impl<V: Clone> MvccObject<V> {
     /// was undone.
     ///
     /// This is the uninstall path of the commit protocol: a transaction
-    /// whose `apply` fails mid-way (e.g. version-array capacity pressure in
-    /// a later participant) has already installed versions that no reader
-    /// can ever see — their `cts` exceeds every published `LastCTS` — but
-    /// whose headers would spuriously trip First-Committer-Wins and SSI
-    /// certification for every later transaction with an older snapshot
-    /// floor.  The coordinator therefore undoes the applied participants.
+    /// whose `apply` fails mid-way (e.g. a panicking participant) has
+    /// already installed versions that no reader can ever see — their
+    /// `cts` exceeds every published `LastCTS` — but whose headers would
+    /// spuriously trip First-Committer-Wins and SSI certification for every
+    /// later transaction with an older snapshot floor.  The coordinator
+    /// therefore undoes the applied participants.
     ///
     /// Safety: no latch-free reader can be cloning the removed value — a
     /// reader only clones a version with `cts <= read_ts`, and every
@@ -676,19 +697,17 @@ impl<V: Clone> MvccObject<V> {
         debug_assert!(cts != NO_TS);
         let _g = self.writer.lock();
         latch_probe::count_latch();
-        let used = self.used.load(Ordering::Relaxed);
         let mut installed = None;
         let mut superseded = None;
-        self.for_each_slot(|i, slot| {
-            if used & (1u64 << i) == 0 {
-                return;
-            }
-            if slot.cts.load(Ordering::Relaxed) == cts {
+        self.find_occupied(|i, slot, _| {
+            let (c, d) = slot.header();
+            if c == cts {
                 installed = Some(i);
             }
-            if slot.dts.load(Ordering::Relaxed) == cts {
+            if d == cts {
                 superseded = Some(i);
             }
+            None::<()>
         });
         if installed.is_none() && superseded.is_none() {
             return false;
@@ -696,10 +715,8 @@ impl<V: Clone> MvccObject<V> {
         let s = self.enter_window();
         if let Some(idx) = installed {
             let slot = self.slot(idx).expect("writer sees its own chunks");
-            self.used.store(
-                self.used.load(Ordering::Relaxed) & !(1u64 << idx),
-                Ordering::Relaxed,
-            );
+            let word = self.used_word(idx);
+            word.store(word.load(Ordering::Relaxed) & !bit(idx), Ordering::Relaxed);
             slot.cts.store(NO_TS, Ordering::Relaxed);
             slot.dts.store(NO_TS, Ordering::Relaxed);
             // SAFETY: single writer; no reader clones a version whose cts
@@ -745,18 +762,14 @@ impl<V: Clone> MvccObject<V> {
     /// Reclaim pass; caller holds the writer mutex.
     fn gc_locked(&self, oldest_hint: Timestamp, mut refresh: impl FnMut() -> Timestamp) -> usize {
         // Candidate pre-scan outside the window (writer-exclusive reads).
-        let used = self.used.load(Ordering::Relaxed);
-        let mut candidates = 0u64;
-        self.for_each_slot(|i, slot| {
-            if used & (1u64 << i) == 0 {
-                return;
-            }
+        let dead = |slot: &VersionSlot<V>, bound: Timestamp| {
             let dts = slot.dts.load(Ordering::Relaxed);
-            if dts != INFINITY_TS && dts <= oldest_hint {
-                candidates |= 1u64 << i;
-            }
-        });
-        if candidates == 0 {
+            dts != INFINITY_TS && dts <= bound
+        };
+        if self
+            .find_occupied(|_, slot, _| dead(slot, oldest_hint).then_some(()))
+            .is_none()
+        {
             return 0;
         }
         let s = self.enter_window();
@@ -765,18 +778,15 @@ impl<V: Clone> MvccObject<V> {
         // so any reader whose floor the re-read misses must observe the odd
         // `seq` and retry (seeing the slot empty afterwards).
         fence(Ordering::SeqCst);
-        let bound = refresh();
+        // Only candidates of the hint are reclaimed, and only if the fresh
+        // bound agrees.
+        let bound = refresh().min(oldest_hint);
         let mut reclaimed = 0;
-        let mut new_used = self.used.load(Ordering::Relaxed);
-        self.for_each_slot(|i, slot| {
-            if candidates & (1u64 << i) == 0 {
-                return;
-            }
-            let dts = slot.dts.load(Ordering::Relaxed);
-            if dts != INFINITY_TS && dts <= bound {
+        self.find_occupied(|i, slot, word| {
+            if dead(slot, bound) {
                 // A version is dead once its lifetime ended at or before the
                 // oldest snapshot any active or future transaction can hold.
-                new_used &= !(1u64 << i);
+                word.store(word.load(Ordering::Relaxed) & !bit(i), Ordering::Relaxed);
                 slot.cts.store(NO_TS, Ordering::Relaxed);
                 slot.dts.store(NO_TS, Ordering::Relaxed);
                 // SAFETY: single writer; no reader can be cloning this value
@@ -786,62 +796,80 @@ impl<V: Clone> MvccObject<V> {
                 }
                 reclaimed += 1;
             }
+            None::<()>
         });
-        self.used.store(new_used, Ordering::Relaxed);
         self.exit_window(s);
         reclaimed
     }
 
-    /// First free allocated slot, if any.  Caller holds the writer mutex.
+    /// First free allocated slot, if any: the primary array first, then
+    /// the overflow levels.  Caller holds the writer mutex.
     fn find_free_locked(&self) -> Option<usize> {
-        let allocated = self.allocated.load(Ordering::Relaxed);
-        let used = self.used.load(Ordering::Relaxed);
-        let mask = if allocated >= 64 {
+        let allocated = self.allocated.load(Ordering::Relaxed) as usize;
+        let mask = if allocated >= MAX_VERSION_SLOTS {
             u64::MAX
         } else {
             (1u64 << allocated) - 1
         };
-        let free = !used & mask;
-        if free == 0 {
-            None
-        } else {
-            Some(free.trailing_zeros() as usize)
+        let free = !self.used.load(Ordering::Relaxed) & mask;
+        if free != 0 {
+            return Some(free.trailing_zeros() as usize);
         }
+        self.levels().enumerate().find_map(|(n, level)| {
+            let free = !level.used.load(Ordering::Relaxed);
+            (free != 0).then(|| MAX_VERSION_SLOTS * (n + 1) + free.trailing_zeros() as usize)
+        })
     }
 
-    /// Grows the version array by one chunk (doubling total capacity, never
-    /// beyond the bitmap width); returns the first new slot index.  Caller
-    /// holds the writer mutex.
-    fn grow_locked(&self) -> Option<usize> {
-        let allocated = self.allocated.load(Ordering::Relaxed);
-        if allocated >= MAX_VERSION_SLOTS {
-            return None;
+    /// Adds storage and returns its first slot index: the primary array
+    /// grows by one chunk (doubling its capacity, never beyond the bitmap
+    /// width); once it is full, a new overflow level is linked behind the
+    /// last one.  Caller holds the writer mutex.
+    fn grow_locked(&self) -> usize {
+        let allocated = self.allocated.load(Ordering::Relaxed) as usize;
+        if allocated < MAX_VERSION_SLOTS {
+            let mut k = 0;
+            let mut base = 0;
+            while base < allocated {
+                base += chunk_cap(self.capacity(), k);
+                k += 1;
+            }
+            return self.alloc_chunk(k);
         }
-        let mut k = 0;
-        let mut base = 0;
-        while base < allocated {
-            base += chunk_cap(self.capacity, k);
-            k += 1;
-        }
-        Some(self.alloc_chunk(k))
+        let level = Box::into_raw(Box::new(OverflowLevel {
+            used: AtomicU64::new(0),
+            slots: std::array::from_fn(|_| VersionSlot::empty()),
+            next: AtomicPtr::new(std::ptr::null_mut()),
+        }));
+        let count = self.levels().count();
+        // Publish the fully initialised level at the tail, so the indices
+        // of existing levels never change.
+        let tail = self.levels().last().map_or(&self.overflow, |l| &l.next);
+        tail.store(level, Ordering::Release);
+        MAX_VERSION_SLOTS * (count + 1)
     }
 }
 
 impl<V> Drop for MvccObject<V> {
     fn drop(&mut self) {
-        let mut base = 0;
+        let capacity = self.capacity as usize;
         for k in 0..MAX_CHUNKS {
             let ptr = *self.chunks[k].get_mut();
             if ptr.is_null() {
                 break;
             }
-            let cap = chunk_cap(self.capacity, k);
+            let cap = chunk_cap(capacity, k);
             // SAFETY: the chunk was allocated as a boxed slice of `cap`
             // slots in `alloc_chunk` and never freed since.
             drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, cap)) });
-            base += cap;
         }
-        let _ = base;
+        let mut level = *self.overflow.get_mut();
+        while !level.is_null() {
+            // SAFETY: each level was allocated with `Box::new` in
+            // `grow_locked`, linked once and never freed since.
+            let mut boxed = unsafe { Box::from_raw(level) };
+            level = *boxed.next.get_mut();
+        }
     }
 }
 
@@ -854,17 +882,15 @@ mod tests {
         let obj: MvccObject<u64> = MvccObject::new(4);
         assert!(obj.is_empty());
         assert_eq!(obj.read_visible(100), None);
-        assert_eq!(obj.latest_cts(), NO_TS);
-        assert_eq!(obj.min_cts(), NO_TS);
-        assert!(!obj.has_live_version());
+        assert_eq!(obj.newest_write_ts(), NO_TS);
         assert_eq!(obj.version_count(), 0);
     }
 
     #[test]
     fn install_and_read_visibility_windows() {
         let obj = MvccObject::new(4);
-        obj.install(10u64, 5, NO_TS).unwrap();
-        obj.install(20u64, 9, NO_TS).unwrap();
+        obj.install(10u64, 5, NO_TS);
+        obj.install(20u64, 9, NO_TS);
         // Reader before the first commit sees nothing.
         assert_eq!(obj.read_visible(4), None);
         // Reader between commits sees the first version.
@@ -873,21 +899,19 @@ mod tests {
         // Reader at/after the second commit sees the second version.
         assert_eq!(obj.read_visible(9), Some(20));
         assert_eq!(obj.read_visible(1000), Some(20));
-        assert_eq!(obj.latest_cts(), 9);
-        assert_eq!(obj.min_cts(), 5);
-        assert!(obj.has_live_version());
+        assert_eq!(obj.newest_write_ts(), 9);
         assert_eq!(obj.version_count(), 2);
     }
 
     #[test]
     fn delete_ends_visibility() {
         let obj = MvccObject::new(4);
-        obj.install(7u64, 3, NO_TS).unwrap();
+        obj.install(7u64, 3, NO_TS);
         assert!(obj.mark_deleted(6));
         assert_eq!(obj.read_visible(5), Some(7));
         assert_eq!(obj.read_visible(6), None);
-        assert!(!obj.has_live_version());
-        assert_eq!(obj.latest_dts(), 6);
+        // The delete is the newest write, found by the header fold.
+        assert_eq!(obj.newest_write_ts(), 6);
         // Deleting again reports no live version.
         assert!(!obj.mark_deleted(8));
     }
@@ -895,8 +919,8 @@ mod tests {
     #[test]
     fn latched_read_matches_latch_free_read() {
         let obj = MvccObject::new(4);
-        obj.install(1u64, 2, NO_TS).unwrap();
-        obj.install(2u64, 6, NO_TS).unwrap();
+        obj.install(1u64, 2, NO_TS);
+        obj.install(2u64, 6, NO_TS);
         for ts in [1, 2, 5, 6, 100] {
             assert_eq!(obj.read_visible(ts), obj.read_visible_latched(ts));
         }
@@ -906,10 +930,10 @@ mod tests {
     fn bitmap_tracks_occupancy() {
         let obj = MvccObject::new(8);
         assert_eq!(obj.used_slots(), 0);
-        obj.install(1u64, 2, NO_TS).unwrap();
+        obj.install(1u64, 2, NO_TS);
         assert_eq!(obj.used_slots().count_ones(), 1);
-        obj.install(2u64, 4, NO_TS).unwrap();
-        obj.install(3u64, 6, NO_TS).unwrap();
+        obj.install(2u64, 4, NO_TS);
+        obj.install(3u64, 6, NO_TS);
         assert_eq!(obj.used_slots().count_ones(), 3);
         // GC with an oldest-active past all dts values reclaims superseded ones.
         let reclaimed = obj.gc(100);
@@ -921,9 +945,9 @@ mod tests {
     #[test]
     fn gc_respects_oldest_active_snapshot() {
         let obj = MvccObject::new(8);
-        obj.install(1u64, 2, NO_TS).unwrap();
-        obj.install(2u64, 5, NO_TS).unwrap();
-        obj.install(3u64, 9, NO_TS).unwrap();
+        obj.install(1u64, 2, NO_TS);
+        obj.install(2u64, 5, NO_TS);
+        obj.install(3u64, 9, NO_TS);
         // An active reader at ts=4 still needs the version [2,5).
         assert_eq!(obj.gc(4), 0);
         assert_eq!(obj.read_visible(4), Some(1));
@@ -936,8 +960,8 @@ mod tests {
     #[test]
     fn gc_with_refreshed_bound_keeps_late_pins() {
         let obj = MvccObject::new(4);
-        obj.install(1u64, 2, NO_TS).unwrap();
-        obj.install(2u64, 8, NO_TS).unwrap();
+        obj.install(1u64, 2, NO_TS);
+        obj.install(2u64, 8, NO_TS);
         // The cheap hint claims everything up to ts=10 is reclaimable, but
         // the fresh rescan reports a reader pinned at 5: [2,8) must stay.
         assert_eq!(obj.gc_with(10, || 5), 0);
@@ -950,10 +974,10 @@ mod tests {
     #[test]
     fn on_demand_gc_when_slots_full() {
         let obj = MvccObject::new(2);
-        obj.install(1u64, 2, NO_TS).unwrap();
-        obj.install(2u64, 4, NO_TS).unwrap();
+        obj.install(1u64, 2, NO_TS);
+        obj.install(2u64, 4, NO_TS);
         // Slots full; oldest active snapshot is 10 so the [2,4) version can go.
-        let reclaimed = obj.install(3u64, 11, 10).unwrap();
+        let reclaimed = obj.install(3u64, 11, 10);
         assert_eq!(reclaimed, 1);
         assert_eq!(obj.read_visible(11), Some(3));
         // The [4,11) version must survive because it is still the snapshot of 10.
@@ -963,12 +987,12 @@ mod tests {
     #[test]
     fn array_grows_when_gc_cannot_reclaim() {
         let obj = MvccObject::new(2);
-        obj.install(1u64, 2, NO_TS).unwrap();
-        obj.install(2u64, 4, NO_TS).unwrap();
+        obj.install(1u64, 2, NO_TS);
+        obj.install(2u64, 4, NO_TS);
         assert_eq!(obj.allocated_slots(), 2);
         // Oldest active snapshot is 1: nothing can be reclaimed, so the
         // array grows instead of failing.
-        obj.install(3u64, 6, 1).unwrap();
+        obj.install(3u64, 6, 1);
         assert_eq!(obj.allocated_slots(), 4);
         assert_eq!(obj.version_count(), 3);
         // Every snapshot still sees its version.
@@ -978,56 +1002,86 @@ mod tests {
     }
 
     #[test]
-    fn capacity_exhausted_only_at_bitmap_width() {
+    fn versions_past_the_bitmap_width_go_to_overflow_levels() {
         let obj = MvccObject::new(2);
-        // Install 64 versions while an ancient snapshot (ts=1) pins them all.
-        for i in 0..MAX_VERSION_SLOTS as u64 {
-            obj.install(i, 2 + i, 1).unwrap();
+        // An ancient snapshot (ts=1) pins every version: 200 installs fill
+        // the primary array and then overflow levels, with no error.
+        for i in 0..200u64 {
+            obj.install(i, 2 + i, 1);
         }
-        assert_eq!(obj.allocated_slots(), MAX_VERSION_SLOTS);
-        assert_eq!(obj.version_count(), MAX_VERSION_SLOTS);
-        // The 65th needed version cannot be stored.
-        let err = obj.install(999u64, 1000, 1).unwrap_err();
-        assert!(matches!(err, TspError::CapacityExhausted { .. }));
-        // The failed install must not have corrupted visibility: the latest
-        // surviving version is still visible to new readers.
-        assert_eq!(
-            obj.read_visible(u64::MAX - 1),
-            Some(MAX_VERSION_SLOTS as u64 - 1)
-        );
-        // Once the old snapshot moves on, GC frees the array again.
-        assert!(obj.gc(2 + MAX_VERSION_SLOTS as u64) >= MAX_VERSION_SLOTS - 1);
-        obj.install(1000u64, 2000, 2000).unwrap();
-        assert_eq!(obj.read_visible(u64::MAX - 1), Some(1000));
+        assert_eq!(obj.version_count(), 200);
+        assert_eq!(obj.used_slots(), u64::MAX, "the primary array is full");
+        assert_eq!(obj.allocated_slots(), 4 * MAX_VERSION_SLOTS);
+        // Every version stays readable at its own snapshot, latch-free and
+        // latched, and the newest write is the live version's.
+        for i in 0..200u64 {
+            assert_eq!(obj.read_visible(2 + i), Some(i));
+        }
+        assert_eq!(obj.read_visible_latched(150), Some(148));
+        assert_eq!(obj.newest_write_ts(), 201);
+        assert_eq!(obj.versions().len(), 200);
+        // Once the snapshot moves on, GC reclaims everything but the live
+        // version — from the levels too — and freed slots are reused
+        // before any new storage is added.
+        assert_eq!(obj.gc(1000), 199);
+        assert_eq!(obj.version_count(), 1);
+        assert_eq!(obj.read_visible(u64::MAX - 1), Some(199));
+        for i in 0..100u64 {
+            obj.install(1000 + i, 1000 + i, 1000);
+        }
+        assert_eq!(obj.allocated_slots(), 4 * MAX_VERSION_SLOTS);
+        assert_eq!(obj.read_visible(u64::MAX - 1), Some(1099));
+    }
+
+    /// A live version in an overflow level with an empty primary array is
+    /// still found by the live hint, the scans and `is_empty`.
+    #[test]
+    fn a_live_version_in_an_overflow_level_is_found() {
+        let obj = MvccObject::new(1);
+        for i in 0..=MAX_VERSION_SLOTS as u64 {
+            obj.install(i, 2 + i, 1);
+        }
+        // Reclaim the primary array's 64 versions; the live one sits in
+        // the first overflow level.
+        assert_eq!(obj.gc(2 + MAX_VERSION_SLOTS as u64), MAX_VERSION_SLOTS);
+        assert_eq!(obj.used_slots(), 0);
+        assert!(!obj.is_empty());
+        assert_eq!(obj.read_visible(u64::MAX - 1), Some(64));
+        assert_eq!(obj.newest_write_ts(), 66);
+        assert!(obj.mark_deleted(70));
+        assert_eq!(obj.newest_write_ts(), 70);
+        assert_eq!(obj.read_visible(69), Some(64));
+        assert!(obj.undo_commit(70));
+        assert_eq!(obj.read_visible(u64::MAX - 1), Some(64));
     }
 
     #[test]
     fn undo_commit_unlinks_the_version_and_revives_the_predecessor() {
         let obj = MvccObject::new(4);
-        obj.install(1u64, 5, NO_TS).unwrap();
-        obj.install(2u64, 9, NO_TS).unwrap();
-        assert_eq!(obj.latest_cts(), 9);
+        obj.install(1u64, 5, NO_TS);
+        obj.install(2u64, 9, NO_TS);
+        assert_eq!(obj.newest_write_ts(), 9);
         // Undo the commit at 9: the object must look as if it never happened.
         assert!(obj.undo_commit(9));
-        assert_eq!(obj.latest_cts(), 5);
-        assert_eq!(obj.latest_dts(), NO_TS, "no terminated version remains");
-        assert!(obj.has_live_version(), "the predecessor is live again");
-        assert_eq!(obj.read_visible(100), Some(1));
+        assert_eq!(obj.newest_write_ts(), 5, "no terminated version remains");
+        assert_eq!(obj.read_visible(100), Some(1), "the predecessor is live");
         assert_eq!(obj.version_count(), 1);
         // Undoing an unknown cts is a no-op.
         assert!(!obj.undo_commit(42));
         // Undoing a delete restores the live version without freeing slots.
         obj.mark_deleted(12);
         assert_eq!(obj.read_visible(100), None);
+        assert_eq!(obj.newest_write_ts(), 12);
         assert!(obj.undo_commit(12));
         assert_eq!(obj.read_visible(100), Some(1));
+        assert_eq!(obj.newest_write_ts(), 5);
     }
 
     #[test]
     fn versions_are_reported_newest_first() {
         let obj = MvccObject::new(4);
-        obj.install(10u64, 2, NO_TS).unwrap();
-        obj.install(20u64, 7, NO_TS).unwrap();
+        obj.install(10u64, 2, NO_TS);
+        obj.install(20u64, 7, NO_TS);
         let vs = obj.versions();
         assert_eq!(vs.len(), 2);
         assert_eq!(vs[0].cts, 7);
@@ -1052,7 +1106,7 @@ mod tests {
         // capacity 1 exercises the deepest chunk chain: 1,1,2,4,8,16,32.
         let obj = MvccObject::new(1);
         for i in 0..MAX_VERSION_SLOTS as u64 {
-            obj.install(i, 2 + i, 1).unwrap();
+            obj.install(i, 2 + i, 1);
         }
         assert_eq!(obj.allocated_slots(), MAX_VERSION_SLOTS);
         // Every version remains readable at its own snapshot.
@@ -1065,7 +1119,7 @@ mod tests {
     fn concurrent_readers_and_installer() {
         use std::sync::Arc;
         let obj = Arc::new(MvccObject::new(16));
-        obj.install(0u64, 2, NO_TS).unwrap();
+        obj.install(0u64, 2, NO_TS);
         let writer = {
             let obj = Arc::clone(&obj);
             std::thread::spawn(move || {
@@ -1074,7 +1128,7 @@ mod tests {
                     // trails just behind the previous commit, so on-demand GC
                     // always finds reclaimable versions.
                     let cts = 2 + i * 2;
-                    obj.install(i, cts, cts - 1).unwrap();
+                    obj.install(i, cts, cts - 1);
                 }
             })
         };

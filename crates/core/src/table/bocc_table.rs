@@ -15,11 +15,11 @@
 use crate::context::{StateContext, Tx};
 use crate::table::common::{
     buffer_write, read_own_write, reject_read_only, InPlaceStore, KeyType, ReadSet, SlotLocal,
-    TransactionalTable, TxParticipant, TypedBackend, ValueType, WriteOp,
+    TransactionalTable, TxParticipant, TypedBackend, ValueType, WriteOp, WriteSet,
 };
 use crate::telemetry::AbortReason;
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tsp_common::{Result, StateId, Timestamp, TspError};
@@ -32,7 +32,7 @@ const COMMIT_LOG_PRUNE_THRESHOLD: usize = 1024;
 /// A committed transaction's footprint kept for backward validation.
 struct CommitRecord<K> {
     cts: Timestamp,
-    write_keys: Arc<HashSet<K>>,
+    write_keys: Box<[K]>,
 }
 
 /// A single-version transactional table protected by backward-oriented
@@ -201,38 +201,43 @@ impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
     /// key this one read or writes — or wrote *anything*, if this one
     /// scanned the whole table.  Read-only transactions validate too.
     fn validate(&self, tx: &Tx, _txn_has_writes: bool) -> Result<()> {
-        let (read_keys, whole_table) = self
-            .read_sets
-            .with(tx, |rs| (rs.keys.clone(), rs.whole_table))
-            .unwrap_or((HashSet::new(), false));
-        let write_keys: HashSet<K> = self
-            .store
-            .write_sets()
-            .with(tx, |ws| ws.keys().cloned().collect())
-            .unwrap_or_default();
-        if read_keys.is_empty() && write_keys.is_empty() && !whole_table {
+        if !self.read_sets.is_claimed(tx) && !self.has_writes(tx) {
             return Ok(());
         }
         let floor = self.ctx.state_snapshot_floor(tx, self.state_id)?;
         let log = self.commit_log.read();
-        for rec in log.iter().rev() {
-            if rec.cts <= floor {
-                // Log is append-only in cts order: nothing older can conflict.
-                break;
-            }
-            if whole_table
-                || rec
-                    .write_keys
-                    .iter()
-                    .any(|k| read_keys.contains(k) || write_keys.contains(k))
-            {
-                self.ctx
-                    .telemetry()
-                    .record_abort(AbortReason::Certification);
-                return Err(TspError::ValidationFailed {
-                    txn: tx.id().as_u64(),
-                });
-            }
+        // The sets are probed in place, inside the transaction's slot cells.
+        let overlaps = |rs: &ReadSet<K>, ws: &WriteSet<K, V>| {
+            // The log is append-only in cts order: nothing at or below the
+            // floor can conflict.
+            log.iter()
+                .rev()
+                .take_while(|rec| rec.cts > floor)
+                .any(|rec| {
+                    rs.whole_table
+                        || rec
+                            .write_keys
+                            .iter()
+                            .any(|k| rs.keys.contains(k) || ws.get(k).is_some())
+                })
+        };
+        let with_writes = |rs: &ReadSet<K>| {
+            self.store
+                .write_sets()
+                .with(tx, |ws| overlaps(rs, ws))
+                .unwrap_or_else(|| overlaps(rs, &WriteSet::new()))
+        };
+        let conflict = self
+            .read_sets
+            .with(tx, with_writes)
+            .unwrap_or_else(|| with_writes(&ReadSet::default()));
+        if conflict {
+            self.ctx
+                .telemetry()
+                .record_abort(AbortReason::Certification);
+            return Err(TspError::ValidationFailed {
+                txn: tx.id().as_u64(),
+            });
         }
         Ok(())
     }
@@ -244,7 +249,7 @@ impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
         // become visible, so a concurrent validator can never read a new
         // value without also seeing the log entry (conservative ordering).
         self.store.apply(tx, |ops| {
-            let write_keys = Arc::new(ops.iter().map(|(k, _)| k.clone()).collect());
+            let write_keys = ops.iter().map(|(k, _)| k.clone()).collect();
             self.commit_log
                 .write()
                 .push(CommitRecord { cts, write_keys });

@@ -8,13 +8,15 @@ use crate::clock::EPOCH_TS;
 use crate::context::{PendingRedo, StateContext, Tx};
 use crate::telemetry::Counter;
 use parking_lot::{Mutex, RwLock};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tsp_common::{CachePadded, Result, StateId, Timestamp, TspError};
+use tsp_common::{
+    fx_shard, CachePadded, FxHashMap, FxHashSet, Result, StateId, Timestamp, TspError,
+};
 use tsp_storage::redo::{redo_key, RedoSections};
 use tsp_storage::{BatchWriter, Codec, StorageBackend, WriteBatch};
 
@@ -41,12 +43,18 @@ pub enum WriteOp<V> {
 /// Writes are buffered here until commit; aborting a transaction therefore
 /// only needs to drop this structure ("it is enough for the abort operation
 /// to simply clear the corresponding write set").
+///
+/// The set is always in its *effective* form: one op per key, in the order
+/// the keys were first written, a later write of a key overwriting its op
+/// in place (last write wins).  The commit phases — validation, apply, the
+/// redo section and the durable batch — iterate [`ops`](Self::ops) by
+/// reference inside the transaction's slot cell, with nothing to rebuild.
 #[derive(Clone, Debug)]
 pub struct WriteSet<K, V> {
-    /// Modifications in arrival order (last write to a key wins).
+    /// One op per key, in first-write order.
     ops: Vec<(K, WriteOp<V>)>,
-    /// Index from key to the position of its most recent op.
-    index: HashMap<K, usize>,
+    /// Index from key to the position of its op.
+    index: FxHashMap<K, usize>,
 }
 
 impl<K: KeyType, V: ValueType> Default for WriteSet<K, V> {
@@ -60,7 +68,7 @@ impl<K: KeyType, V: ValueType> WriteSet<K, V> {
     pub fn new() -> Self {
         WriteSet {
             ops: Vec::new(),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
         }
     }
 
@@ -75,18 +83,23 @@ impl<K: KeyType, V: ValueType> WriteSet<K, V> {
     }
 
     fn record(&mut self, key: K, op: WriteOp<V>) {
-        self.ops.push((key.clone(), op));
-        self.index.insert(key, self.ops.len() - 1);
+        match self.index.entry(key) {
+            Entry::Occupied(e) => self.ops[*e.get()].1 = op,
+            Entry::Vacant(e) => {
+                self.ops.push((e.key().clone(), op));
+                e.insert(self.ops.len() - 1);
+            }
+        }
     }
 
-    /// The most recent buffered op for `key`, if any (read-your-own-writes).
+    /// The buffered op for `key`, if any (read-your-own-writes).
     pub fn get(&self, key: &K) -> Option<&WriteOp<V>> {
         self.index.get(key).map(|&i| &self.ops[i].1)
     }
 
     /// Number of distinct keys written.
     pub fn key_count(&self) -> usize {
-        self.index.len()
+        self.ops.len()
     }
 
     /// True if nothing is buffered.
@@ -94,29 +107,15 @@ impl<K: KeyType, V: ValueType> WriteSet<K, V> {
         self.ops.is_empty()
     }
 
-    /// Iterates the *effective* modifications: one entry per key, the most
-    /// recent op winning, in first-write order.
-    pub fn effective(&self) -> Vec<(K, WriteOp<V>)> {
-        let mut seen = HashMap::new();
-        let mut order = Vec::new();
-        for (key, _) in &self.ops {
-            if !seen.contains_key(key) {
-                seen.insert(key.clone(), ());
-                order.push(key.clone());
-            }
-        }
-        order
-            .into_iter()
-            .map(|k| {
-                let op = self.get(&k).expect("indexed key present").clone();
-                (k, op)
-            })
-            .collect()
+    /// The modifications: one per key, the last write winning, in
+    /// first-write order.
+    pub fn ops(&self) -> &[(K, WriteOp<V>)] {
+        &self.ops
     }
 
-    /// The distinct keys written.
+    /// The distinct keys written, in first-write order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.index.keys()
+        self.ops.iter().map(|(k, _)| k)
     }
 }
 
@@ -286,7 +285,7 @@ impl<T: Default> SlotLocal<T> {
 #[derive(Debug)]
 pub struct ReadSet<K> {
     /// Point-read keys.
-    pub keys: HashSet<K>,
+    pub keys: FxHashSet<K>,
     /// True if the transaction scanned the whole table; validation then
     /// treats *every* later commit as conflicting (phantom protection —
     /// a key-based read set cannot see concurrently inserted keys).
@@ -296,7 +295,7 @@ pub struct ReadSet<K> {
 impl<K> Default for ReadSet<K> {
     fn default() -> Self {
         ReadSet {
-            keys: HashSet::new(),
+            keys: FxHashSet::default(),
             whole_table: false,
         }
     }
@@ -551,67 +550,6 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
     }
 }
 
-/// Per-slot stash of the effective write-set ops computed by a table's
-/// in-memory `apply`, consumed by its `apply_durable`.
-///
-/// The two pipeline stages run back to back inside the commit critical
-/// section; without the stash each would materialize
-/// [`WriteSet::effective`] — a full clone of every key and value — twice
-/// per commit, lengthening the serial section the batch leader holds for
-/// all its followers.  `apply` stores the ops it already computed,
-/// `apply_durable` takes them (recomputing only if called standalone), and
-/// `finish` clears the cell.
-pub struct PendingDurable<K, V> {
-    ops: SlotLocal<Vec<(K, WriteOp<V>)>>,
-}
-
-impl<K: KeyType, V: ValueType> PendingDurable<K, V> {
-    /// Creates a stash sized for `ctx`'s transaction table.
-    pub fn for_context(ctx: &StateContext) -> Self {
-        PendingDurable {
-            ops: SlotLocal::for_context(ctx),
-        }
-    }
-
-    /// Stores the effective ops `apply` computed for `tx`.
-    pub fn store(&self, tx: &Tx, ops: Vec<(K, WriteOp<V>)>) {
-        self.ops.with_mut(tx, |cell| *cell = ops);
-    }
-
-    /// Takes the stashed ops, falling back to recomputing them from the
-    /// write set (standalone `apply_durable` calls, e.g. in tests).
-    pub fn take_or_recompute(
-        &self,
-        tx: &Tx,
-        write_sets: &TxWriteSets<K, V>,
-    ) -> Option<Vec<(K, WriteOp<V>)>> {
-        self.ops
-            .take(tx)
-            .or_else(|| write_sets.with(tx, |ws| ws.effective()))
-    }
-
-    /// Encodes the stashed ops, without consuming them, as `state`'s
-    /// section of the group redo record.  The coordinator calls this between
-    /// `apply`, which stashed the ops, and `apply_durable`, which takes them.
-    pub fn redo_section(&self, tx: &Tx, state: StateId, sections: &mut RedoSections) {
-        self.ops.with(tx, |ops| {
-            sections.push(state.as_u32(), |w| {
-                for (k, op) in ops {
-                    match op {
-                        WriteOp::Put(v) => w.put_with(k, v),
-                        WriteOp::Delete => w.delete_with(k),
-                    }
-                }
-            })
-        });
-    }
-
-    /// Drops any stashed ops (`finish` path).
-    pub fn clear(&self, tx: &Tx) {
-        self.ops.clear(tx);
-    }
-}
-
 /// Shards of an [`InPlaceStore`]'s committed map.
 const IN_PLACE_SHARDS: usize = 64;
 
@@ -620,7 +558,7 @@ const IN_PLACE_SHARDS: usize = 64;
 type PreImage<V> = Option<Option<V>>;
 
 /// One shard of an [`InPlaceStore`]'s committed map (`None` = deleted).
-type CommittedShard<K, V> = RwLock<HashMap<K, Option<V>>>;
+type CommittedShard<K, V> = RwLock<FxHashMap<K, Option<V>>>;
 
 /// The single-version store of the in-place protocols
 /// ([`crate::table::S2plTable`], [`crate::table::BoccTable`]): a sharded
@@ -641,10 +579,9 @@ pub(crate) struct InPlaceStore<K, V> {
     committed: Box<[CommittedShard<K, V>]>,
     write_sets: TxWriteSets<K, V>,
     backend: TypedBackend<K, V>,
-    /// Effective ops computed by `apply`, handed to `apply_durable`.
-    pending_durable: PendingDurable<K, V>,
-    /// Pre-images of the committed-map entries `apply` overwrote.
-    undo_images: SlotLocal<Vec<(K, PreImage<V>)>>,
+    /// Pre-images of the committed-map entries `apply` overwrote, one per
+    /// op of the write set, in its order.
+    undo_images: SlotLocal<Vec<PreImage<V>>>,
 }
 
 impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
@@ -654,11 +591,10 @@ impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
         InPlaceStore {
             state_id,
             committed: (0..IN_PLACE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
+                .map(|_| RwLock::new(FxHashMap::default()))
                 .collect(),
             write_sets: TxWriteSets::for_context(ctx),
             backend,
-            pending_durable: PendingDurable::for_context(ctx),
             undo_images: SlotLocal::for_context(ctx),
         }
     }
@@ -674,9 +610,7 @@ impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
     }
 
     fn shard(&self, key: &K) -> &CommittedShard<K, V> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.committed[(h.finish() as usize) % IN_PLACE_SHARDS]
+        &self.committed[fx_shard(key, IN_PLACE_SHARDS)]
     }
 
     /// The latest committed value of `key`: the in-memory override, else the
@@ -709,9 +643,8 @@ impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
                 }
             }
         }
-        if let Some(ops) = self.write_sets.with(tx, |ws| ws.effective()) {
-            overlay_write_set(&mut out, ops);
-        }
+        self.write_sets
+            .with(tx, |ws| overlay_write_set(&mut out, ws.ops()));
         Ok(out)
     }
 
@@ -724,45 +657,41 @@ impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
         })
     }
 
-    /// In-memory apply: writes `tx`'s effective ops into the committed map,
-    /// capturing each overwritten pre-image for [`undo`](Self::undo) and
-    /// stashing the ops for [`apply_durable`](Self::apply_durable).
+    /// In-memory apply: writes `tx`'s ops into the committed map, capturing
+    /// each overwritten pre-image for [`undo`](Self::undo) as it goes (a
+    /// panic mid-way leaves the pre-images of what was already written).
     /// `before_install` sees the ops first, before any value is visible.
     pub fn apply(&self, tx: &Tx, before_install: impl FnOnce(&[(K, WriteOp<V>)])) {
-        let Some(ops) = self.write_sets.with(tx, |ws| ws.effective()) else {
-            return;
-        };
-        if ops.is_empty() {
-            return;
-        }
-        before_install(&ops);
-        let mut undo = Vec::with_capacity(ops.len());
-        for (key, op) in &ops {
-            let value = match op {
-                WriteOp::Put(v) => Some(v.clone()),
-                WriteOp::Delete => None,
-            };
-            let prev = self.shard(key).write().insert(key.clone(), value);
-            undo.push((key.clone(), prev));
-        }
-        self.undo_images.with_mut(tx, |cell| *cell = undo);
-        if self.backend.is_persistent() {
-            self.pending_durable.store(tx, ops);
-        }
+        self.write_sets.with(tx, |ws| {
+            let ops = ws.ops();
+            if ops.is_empty() {
+                return;
+            }
+            before_install(ops);
+            self.undo_images.with_mut(tx, |undo| {
+                undo.clear();
+                for (key, op) in ops {
+                    let value = match op {
+                        WriteOp::Put(v) => Some(v.clone()),
+                        WriteOp::Delete => None,
+                    };
+                    let mut shard = self.shard(key).write();
+                    let prev = match shard.get_mut(key) {
+                        Some(entry) => Some(std::mem::replace(entry, value)),
+                        None => {
+                            shard.insert(key.clone(), value);
+                            None
+                        }
+                    };
+                    undo.push(prev);
+                }
+            });
+        });
     }
 
-    /// Persists the ops [`apply`](Self::apply) stashed (see
-    /// [`persist_pending`]).
+    /// Persists the write set (see [`persist_pending`]).
     pub fn apply_durable(&self, ctx: &StateContext, tx: &Tx, cts: Timestamp) -> Result<()> {
-        persist_pending(
-            ctx,
-            &self.backend,
-            &self.pending_durable,
-            &self.write_sets,
-            tx,
-            self.state_id,
-            cts,
-        )
+        persist_pending(ctx, &self.backend, &self.write_sets, tx, self.state_id, cts)
     }
 
     /// See [`TypedBackend::wait_durable`].
@@ -770,36 +699,37 @@ impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
         self.backend.wait_durable(cts, deadline)
     }
 
-    /// Restores the committed-map entries [`apply`](Self::apply) overwrote,
-    /// newest first.  Taking the stash makes the call idempotent.
+    /// Restores the committed-map entries [`apply`](Self::apply) overwrote.
+    /// Each key appears once in the write set, so the order does not
+    /// matter.  Taking the stash makes the call idempotent.
     pub fn undo(&self, tx: &Tx) {
         let Some(undo) = self.undo_images.take(tx) else {
             return;
         };
-        for (key, prev) in undo.into_iter().rev() {
-            let mut shard = self.shard(&key).write();
-            match prev {
-                Some(entry) => {
-                    shard.insert(key, entry);
-                }
-                None => {
-                    shard.remove(&key);
+        self.write_sets.with(tx, |ws| {
+            for ((key, _), prev) in ws.ops().iter().zip(undo) {
+                let mut shard = self.shard(key).write();
+                match prev {
+                    Some(entry) => {
+                        shard.insert(key.clone(), entry);
+                    }
+                    None => {
+                        shard.remove(key);
+                    }
                 }
             }
-        }
+        });
     }
 
-    /// This state's section of the group redo record, encoded from the ops
-    /// [`apply`](Self::apply) stashed (see [`PendingDurable::redo_section`]).
+    /// This state's section of the group redo record, encoded from the
+    /// write set (see [`redo_section`]).
     pub fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
-        self.pending_durable
-            .redo_section(tx, self.state_id, sections);
+        redo_section(&self.backend, &self.write_sets, tx, self.state_id, sections);
     }
 
-    /// Drops everything `tx` left here: write set, stashed ops, pre-images.
+    /// Drops everything `tx` left here: write set and pre-images.
     pub fn clear(&self, tx: &Tx) {
         self.write_sets.clear(tx);
-        self.pending_durable.clear(tx);
         self.undo_images.clear(tx);
     }
 }
@@ -904,14 +834,14 @@ pub trait TxParticipant: Send + Sync {
     }
 
     /// Encodes this participant's section of the group-wide redo record of
-    /// the commit in flight into `sections`: its effective write set,
-    /// straight from the typed ops.  Contributes nothing if the
-    /// participant persists nothing for this transaction.
+    /// the commit in flight into `sections`: its write set, straight from
+    /// the typed ops.  Contributes nothing if the participant persists
+    /// nothing for this transaction.
     ///
     /// Called by the coordinator between [`apply`](Self::apply) and
-    /// [`apply_durable`](Self::apply_durable), so implementations may read
-    /// (but must not consume) the ops `apply` stashed.  The default — used
-    /// by volatile states — contributes nothing.
+    /// [`apply_durable`](Self::apply_durable), while the write set is still
+    /// alive.  The default — used by volatile states — contributes
+    /// nothing.
     fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
         let _ = (tx, sections);
     }
@@ -1132,12 +1062,12 @@ pub fn preload_rows<K: KeyType, V: ValueType>(
     Ok(())
 }
 
-/// The shared `apply_durable` body of every protocol table: persists the
-/// ops stashed by `apply` (recomputing them only for standalone calls)
-/// together with the durable commit-timestamp marker, through
+/// The shared `apply_durable` body of every protocol table: persists `tx`'s
+/// write set together with the durable commit-timestamp marker, through
 /// [`TypedBackend::apply_at`] — an asynchronous enqueue when the commit
-/// pipeline is enabled, a synchronous batch write otherwise.  A transaction
-/// with no effective ops persists nothing (not even the marker).
+/// pipeline is enabled, a synchronous batch write otherwise.  The ops are
+/// encoded straight from the write set into the batch.  A transaction with
+/// no ops persists nothing (not even the marker).
 ///
 /// When the coordinator attached a group redo record to `tx` (the commit
 /// spans several persistent states — see [`StateContext::attach_redo`]),
@@ -1157,7 +1087,6 @@ pub fn preload_rows<K: KeyType, V: ValueType>(
 pub fn persist_pending<K: KeyType, V: ValueType>(
     ctx: &StateContext,
     backend: &TypedBackend<K, V>,
-    pending: &PendingDurable<K, V>,
     write_sets: &TxWriteSets<K, V>,
     tx: &Tx,
     state: StateId,
@@ -1166,13 +1095,14 @@ pub fn persist_pending<K: KeyType, V: ValueType>(
     if !backend.is_persistent() {
         return Ok(());
     }
-    let Some(ops) = pending.take_or_recompute(tx, write_sets) else {
+    let Some(mut batch) = write_sets
+        .with(tx, |ws| {
+            (!ws.is_empty()).then(|| TypedBackend::batch_of(ws.ops()))
+        })
+        .flatten()
+    else {
         return Ok(());
     };
-    if ops.is_empty() {
-        return Ok(());
-    }
-    let mut batch = TypedBackend::batch_of(&ops);
     batch.put(last_cts_key(), cts.encode());
     let redo = ctx.pending_redo(tx);
     if let Some(redo) = &redo {
@@ -1271,22 +1201,51 @@ pub fn attach_group_redo<'a>(
     ctx.attach_redo(tx, Arc::new(PendingRedo { sections, holders }));
 }
 
-/// Overlays a transaction's effective write set onto a scanned committed
-/// image (read-your-own-writes for whole-table scans).
+/// Overlays a transaction's write set onto a scanned committed image
+/// (read-your-own-writes for whole-table scans).
 pub fn overlay_write_set<K: KeyType, V: ValueType>(
     out: &mut BTreeMap<K, V>,
-    ops: Vec<(K, WriteOp<V>)>,
+    ops: &[(K, WriteOp<V>)],
 ) {
     for (k, op) in ops {
         match op {
             WriteOp::Put(v) => {
-                out.insert(k, v);
+                out.insert(k.clone(), v.clone());
             }
             WriteOp::Delete => {
-                out.remove(&k);
+                out.remove(k);
             }
         }
     }
+}
+
+/// The shared `redo_section` body of every persistent protocol table:
+/// encodes `tx`'s write set as `state`'s section of the group redo record,
+/// straight from the typed ops.  Volatile tables and empty write sets
+/// contribute nothing.
+pub fn redo_section<K: KeyType, V: ValueType>(
+    backend: &TypedBackend<K, V>,
+    write_sets: &TxWriteSets<K, V>,
+    tx: &Tx,
+    state: StateId,
+    sections: &mut RedoSections,
+) {
+    if !backend.is_persistent() {
+        return;
+    }
+    write_sets.with(tx, |ws| {
+        if ws.is_empty() {
+            return;
+        }
+        sections.push(state.as_u32(), |w| {
+            for (k, op) in ws.ops() {
+                match op {
+                    WriteOp::Put(v) => w.put_with(k, v),
+                    WriteOp::Delete => w.delete_with(k),
+                }
+            }
+        })
+    });
 }
 
 #[cfg(test)]
@@ -1306,11 +1265,38 @@ mod tests {
         assert_eq!(ws.get(&1), Some(&WriteOp::Put("c".into())));
         assert_eq!(ws.get(&2), Some(&WriteOp::Delete));
         assert_eq!(ws.get(&3), None);
-        let eff = ws.effective();
-        assert_eq!(eff.len(), 2);
-        assert_eq!(eff[0], (1, WriteOp::Put("c".into())));
-        assert_eq!(eff[1], (2, WriteOp::Delete));
-        assert_eq!(ws.keys().count(), 2);
+        assert_eq!(
+            ws.ops(),
+            &[(1, WriteOp::Put("c".into())), (2, WriteOp::Delete)]
+        );
+        assert_eq!(ws.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    /// put → delete → put on one key leaves one op, at the key's first-write
+    /// position, and read-your-own-writes sees the last write.
+    #[test]
+    fn rewrites_of_one_key_keep_one_op_in_first_write_order() {
+        let ctx = StateContext::new();
+        let sets: TxWriteSets<u32, String> = TxWriteSets::for_context(&ctx);
+        let tx = ctx.begin(false).unwrap();
+        sets.with_mut(&tx, |ws| {
+            ws.put(5, "first".into());
+            ws.put(9, "other".into());
+            ws.delete(5);
+        });
+        assert_eq!(read_own_write(&sets, &tx, &5), Some(None));
+        sets.with_mut(&tx, |ws| ws.put(5, "last".into()));
+        assert_eq!(read_own_write(&sets, &tx, &5), Some(Some("last".into())));
+        assert_eq!(read_own_write(&sets, &tx, &7), None);
+        let ops = sets.with(&tx, |ws| ws.ops().to_vec()).unwrap();
+        assert_eq!(
+            ops,
+            vec![
+                (5, WriteOp::Put("last".into())),
+                (9, WriteOp::Put("other".into()))
+            ]
+        );
+        ctx.finish(&tx);
     }
 
     #[test]

@@ -9,11 +9,9 @@
 //! wake-ups so the benchmark can never hang.
 
 use parking_lot::{Condvar, Mutex};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::time::{Duration, Instant};
-use tsp_common::{Result, TspError, TxnId};
+use tsp_common::{fx_shard, FxHashMap, FxHashSet, Result, TspError, TxnId};
 
 const SHARDS: usize = 32;
 
@@ -28,7 +26,7 @@ pub enum LockMode {
 
 #[derive(Default)]
 struct LockEntry {
-    readers: HashSet<u64>,
+    readers: FxHashSet<u64>,
     writer: Option<u64>,
 }
 
@@ -73,14 +71,14 @@ impl LockEntry {
 }
 
 struct LockShard<K> {
-    entries: Mutex<HashMap<K, LockEntry>>,
+    entries: Mutex<FxHashMap<K, LockEntry>>,
     released: Condvar,
 }
 
 /// Sharded lock table with wait-die deadlock avoidance.
 pub struct LockManager<K> {
     shards: Vec<LockShard<K>>,
-    holdings: Mutex<HashMap<u64, HashSet<K>>>,
+    holdings: Mutex<FxHashMap<u64, FxHashSet<K>>>,
     max_wait: Duration,
 }
 
@@ -101,19 +99,17 @@ impl<K: Clone + Eq + Hash> LockManager<K> {
         LockManager {
             shards: (0..SHARDS)
                 .map(|_| LockShard {
-                    entries: Mutex::new(HashMap::new()),
+                    entries: Mutex::new(FxHashMap::default()),
                     released: Condvar::new(),
                 })
                 .collect(),
-            holdings: Mutex::new(HashMap::new()),
+            holdings: Mutex::new(FxHashMap::default()),
             max_wait,
         }
     }
 
     fn shard(&self, key: &K) -> &LockShard<K> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+        &self.shards[fx_shard(key, SHARDS)]
     }
 
     /// Acquires `mode` on `key` for `txn`, applying wait-die.

@@ -44,16 +44,16 @@
 use crate::context::{StateContext, Tx};
 use crate::mvcc::{MvccObject, DEFAULT_VERSION_SLOTS};
 use crate::table::common::{
-    buffer_write, overlay_write_set, persist_pending, preload_rows, read_own_write,
-    reject_read_only, KeyType, PendingDurable, TransactionalTable, TxParticipant, TxWriteSets,
-    TypedBackend, ValueType, WriteOp,
+    buffer_write, overlay_write_set, persist_pending, preload_rows, read_own_write, redo_section,
+    reject_read_only, KeyType, TransactionalTable, TxParticipant, TxWriteSets, TypedBackend,
+    ValueType, WriteOp,
 };
 use crate::table::objmap::{ObjMap, DEFAULT_INDEX_BUCKETS};
 use crate::telemetry::{AbortReason, Counter};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-use tsp_common::{Result, StateId, Timestamp, TspError};
+use tsp_common::{Result, StateId, Timestamp, TspError, NO_TS};
 use tsp_storage::redo::RedoSections;
 use tsp_storage::StorageBackend;
 
@@ -102,8 +102,6 @@ pub struct MvccTable<K, V> {
     objects: ObjMap<K, MvccObject<V>>,
     write_sets: TxWriteSets<K, V>,
     backend: TypedBackend<K, V>,
-    /// Effective ops computed by `apply`, handed to `apply_durable`.
-    pending_durable: PendingDurable<K, V>,
     opts: MvccTableOptions,
 }
 
@@ -139,7 +137,6 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
             objects: ObjMap::new(opts.index_buckets),
             write_sets: TxWriteSets::for_context(ctx),
             backend,
-            pending_durable: PendingDurable::for_context(ctx),
             opts,
         })
     }
@@ -203,7 +200,7 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
         self.ctx.record_access(tx, self.state_id)?;
         if self.opts.conflict_check == ConflictCheck::Eager {
             if let Some(obj) = self.object(&key) {
-                if obj.latest_cts() > tx.begin_ts() || obj.latest_dts() > tx.begin_ts() {
+                if obj.newest_write_ts() > tx.begin_ts() {
                     self.ctx.telemetry().record_abort(AbortReason::FcwConflict);
                     return Err(TspError::WriteConflict {
                         txn: tx.id().as_u64(),
@@ -238,10 +235,44 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
             }
         });
         // Overlay the transaction's own writes (read-your-own-writes).
-        if let Some(ops) = self.write_sets.with(tx, |ws| ws.effective()) {
-            overlay_write_set(&mut out, ops);
-        }
+        self.write_sets
+            .with(tx, |ws| overlay_write_set(&mut out, ws.ops()));
         Ok(out)
+    }
+
+    /// Installs `ops` at `cts`, by reference from the write set.
+    fn install_all(&self, ops: &[(K, WriteOp<V>)], cts: Timestamp) -> Result<()> {
+        let oldest = self.ctx.oldest_active();
+        for (key, op) in ops {
+            let existing = self.object(key);
+            let needs_promotion = existing.is_none_or(|o| o.is_empty());
+            let obj = existing.unwrap_or_else(|| self.object_or_create(key));
+            // Promote a base-table row (committed before any in-memory
+            // version existed) so that older snapshots keep seeing it.
+            if needs_promotion && self.backend.is_persistent() {
+                if let Some(old) = self.backend.get(key)? {
+                    if obj.is_empty() {
+                        obj.install(old, crate::clock::EPOCH_TS, 0);
+                    }
+                }
+            }
+            match op {
+                WriteOp::Put(v) => {
+                    let reclaimed =
+                        obj.install_with(v.clone(), cts, oldest, || self.ctx.oldest_active_fresh());
+                    if reclaimed > 0 {
+                        self.ctx.telemetry().bump(Counter::GcRuns);
+                        self.ctx
+                            .telemetry()
+                            .add(Counter::GcReclaimed, reclaimed as u64);
+                    }
+                }
+                WriteOp::Delete => {
+                    obj.mark_deleted(cts);
+                }
+            }
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -260,7 +291,7 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
         use crate::clock::EPOCH_TS;
         preload_rows(&self.backend, rows, |k, v| {
             let obj = self.object_or_create(&k);
-            obj.install(v, EPOCH_TS, 0)?;
+            obj.install(v, EPOCH_TS, 0);
             Ok(())
         })
     }
@@ -287,8 +318,8 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
     /// recovery) and therefore never conflict.
     pub fn newest_version_ts(&self, key: &K) -> Timestamp {
         self.object(key)
-            .map(|o| o.latest_cts().max(o.latest_dts()))
-            .unwrap_or(0)
+            .map(MvccObject::newest_write_ts)
+            .unwrap_or(NO_TS)
     }
 
     /// Runs a garbage-collection sweep over every version object, reclaiming
@@ -359,6 +390,10 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
     /// in which case its begin timestamp is newer than the version it never
     /// saw.  The floor is per-state so a stale pin on an unrelated,
     /// quiescent group does not spuriously abort updates here.
+    ///
+    /// Each key costs one header read: the newest write of an object is
+    /// its live version's commit timestamp
+    /// ([`MvccObject::newest_write_ts`]).
     fn validate(&self, tx: &Tx, _txn_has_writes: bool) -> Result<()> {
         // Writeless transactions (every ad-hoc reader) validate trivially:
         // probe the write buffer (one atomic load) before computing the
@@ -372,8 +407,7 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
             .with(tx, |ws| {
                 ws.keys().any(|k| {
                     self.object(k)
-                        .map(|obj| obj.latest_cts() > floor || obj.latest_dts() > floor)
-                        .unwrap_or(false)
+                        .is_some_and(|obj| obj.newest_write_ts() > floor)
                 })
             })
             .unwrap_or(false);
@@ -391,48 +425,9 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
     /// base table is untouched here — persistence is
     /// [`apply_durable`](TxParticipant::apply_durable)'s job.
     fn apply(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        let Some(ops) = self.write_sets.with(tx, |ws| ws.effective()) else {
-            return Ok(());
-        };
-        if ops.is_empty() {
-            return Ok(());
-        }
-        let oldest = self.ctx.oldest_active();
-        for (key, op) in &ops {
-            let existing = self.object(key);
-            let needs_promotion = existing.is_none_or(|o| o.is_empty());
-            let obj = existing.unwrap_or_else(|| self.object_or_create(key));
-            // Promote a base-table row (committed before any in-memory
-            // version existed) so that older snapshots keep seeing it.
-            if needs_promotion && self.backend.is_persistent() {
-                if let Some(old) = self.backend.get(key)? {
-                    if obj.is_empty() {
-                        obj.install(old, crate::clock::EPOCH_TS, 0)?;
-                    }
-                }
-            }
-            match op {
-                WriteOp::Put(v) => {
-                    let reclaimed = obj
-                        .install_with(v.clone(), cts, oldest, || self.ctx.oldest_active_fresh())?;
-                    if reclaimed > 0 {
-                        self.ctx.telemetry().bump(Counter::GcRuns);
-                        self.ctx
-                            .telemetry()
-                            .add(Counter::GcReclaimed, reclaimed as u64);
-                    }
-                }
-                WriteOp::Delete => {
-                    obj.mark_deleted(cts);
-                }
-            }
-        }
-        // Hand the already-materialized ops to `apply_durable` so the
-        // critical section pays for `effective()` only once.
-        if self.backend.is_persistent() {
-            self.pending_durable.store(tx, ops);
-        }
-        Ok(())
+        self.write_sets
+            .with(tx, |ws| self.install_all(ws.ops(), cts))
+            .unwrap_or(Ok(()))
     }
 
     /// Persists the batch (plus the durable commit-timestamp marker) to the
@@ -443,7 +438,6 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
         persist_pending(
             &self.ctx,
             &self.backend,
-            &self.pending_durable,
             &self.write_sets,
             tx,
             self.state_id,
@@ -460,8 +454,7 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
     }
 
     fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
-        self.pending_durable
-            .redo_section(tx, self.state_id, sections);
+        redo_section(&self.backend, &self.write_sets, tx, self.state_id, sections);
     }
 
     /// Unlinks the versions installed at `cts` (and revives the versions
@@ -482,7 +475,6 @@ impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
     /// installed, or were unlinked by `undo_apply`).
     fn finish(&self, tx: &Tx, _committed: bool) {
         self.write_sets.clear(tx);
-        self.pending_durable.clear(tx);
     }
 }
 

@@ -29,8 +29,9 @@
 //! larger (or many-small-table) deployments — chain hops are dependent
 //! cache misses, the most expensive step of the whole read path.
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use tsp_common::fxhash::fx_hash;
 
 /// Default number of buckets (a power of two).
 ///
@@ -41,71 +42,6 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 /// via `MvccTableOptions::index_buckets`; key counts far beyond 64 Ki
 /// should raise it (the index never resizes).
 pub(crate) const DEFAULT_INDEX_BUCKETS: usize = 1 << 16;
-
-/// Multiplicative hasher (the FxHash scheme rustc uses internally).  The
-/// index hashes a small fixed-size key on *every* committed read, where
-/// SipHash's DoS resistance buys nothing — FxHash is a rotate, a xor and a
-/// multiply per word.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, n: u128) {
-        self.add(n as u64);
-        self.add((n >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
 
 struct Node<K, T> {
     key: K,
@@ -142,11 +78,11 @@ impl<K: Eq + Hash + Clone, T> ObjMap<K, T> {
     }
 
     fn bucket(&self, key: &K) -> &AtomicPtr<Node<K, T>> {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
+        // FxHash: the index hashes a small fixed-size key on *every*
+        // committed read, where SipHash's DoS resistance buys nothing.
         // Multiplicative hashing mixes into the high bits; fold them down
         // before masking.
-        let hash = h.finish();
+        let hash = fx_hash(key);
         &self.buckets[((hash ^ (hash >> 32)) as usize) & self.mask]
     }
 

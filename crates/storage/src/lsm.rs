@@ -5,7 +5,12 @@
 //!
 //! * every write batch is appended to the [`Wal`] first (fsync-ed under
 //!   [`SyncPolicy::Always`], the paper's configuration),
-//! * then applied to an in-memory memtable (`BTreeMap` with tombstones),
+//! * then applied to an in-memory memtable (`BTreeMap` with tombstones);
+//!   a delete leaves a tombstone only if some SSTable may hold the key (its
+//!   Bloom filter says so) — otherwise there is nothing to shadow, and the
+//!   delete just removes the memtable entry.  WAL replay applies the same
+//!   rule against the SSTables it opened, so deletes of keys that never
+//!   reached a run (group redo records truncated online) cost no memory,
 //! * when the memtable exceeds its byte budget it is flushed to an immutable
 //!   [`SsTable`], the manifest is updated and the WAL truncated,
 //! * when too many SSTables accumulate they are merged (full compaction,
@@ -99,10 +104,17 @@ impl MemState {
     /// Applies one op, keeping `bytes` equal to the live footprint: a
     /// replaced value or a tombstoned one gives its bytes back, so keys
     /// overwritten or deleted in place (redo records truncated online) do
-    /// not push the memtable towards a flush.
-    fn apply(&mut self, op: BatchOp<'_>) {
+    /// not push the memtable towards a flush.  A delete of a key none of
+    /// `tables` may hold removes the entry instead of leaving a tombstone.
+    fn apply(&mut self, op: BatchOp<'_>, tables: &[Arc<SsTable>]) {
         let (key, value) = match op {
             BatchOp::Put { key, value } => (key, Some(value)),
+            BatchOp::Delete { key } if !tables.iter().any(|t| t.may_contain(key)) => {
+                if let Some(entry) = self.map.remove(key) {
+                    self.bytes -= key.len() + entry.map_or(0, |v| v.len()) + MEM_ENTRY_OVERHEAD;
+                }
+                return;
+            }
             BatchOp::Delete { key } => (key, None),
         };
         let value_len = value.map_or(0, <[u8]>::len);
@@ -154,7 +166,7 @@ impl LsmStore {
         let mut mem = MemState::new();
         Wal::replay(&wal_path, |batch| {
             for op in batch.iter() {
-                mem.apply(op);
+                mem.apply(op, &tables);
             }
         })?;
         let wal = Wal::open(&wal_path, opts.sync)?;
@@ -190,9 +202,11 @@ impl LsmStore {
         let _guard = self.write_lock.lock();
         self.wal.lock().append(batch)?;
         let needs_flush = {
+            // The run set only changes under `write_lock`, which we hold.
+            let tables = self.tables.read();
             let mut mem = self.mem.write();
             for op in batch.iter() {
-                mem.apply(op);
+                mem.apply(op, &tables);
             }
             mem.bytes >= self.opts.memtable_budget_bytes
         };
@@ -489,8 +503,8 @@ mod tests {
     }
 
     /// The flush budget counts live bytes: a large value put and then
-    /// deleted under a fresh key leaves only its tombstone behind, the
-    /// pattern of redo records that are truncated online.
+    /// deleted under a fresh key leaves nothing behind, the pattern of
+    /// redo records that are truncated online.
     #[test]
     fn deleted_values_give_their_bytes_back_to_the_budget() {
         let dir = tmpdir("livebytes");
@@ -506,8 +520,10 @@ mod tests {
             delete.delete(&key);
             store.write_batch(&delete).unwrap();
         }
-        // 500 × 4 KiB went through; only 500 small tombstones are live.
+        // 500 × 4 KiB went through, and no run holds the keys, so not even
+        // a tombstone is left.
         assert_eq!(store.sstable_count(), 0, "no flush was needed");
+        assert!(store.mem.read().map.is_empty());
         // Overwriting a value in place also gives the old bytes back.
         for _ in 0..100 {
             store.put(b"hot", &value).unwrap();
@@ -515,6 +531,50 @@ mod tests {
         assert_eq!(store.sstable_count(), 0);
         assert_eq!(store.get(b"hot").unwrap(), Some(value));
         assert_eq!(store.get(b"__tsp__/redo/00000001").unwrap(), None);
+        destroy(&dir).unwrap();
+    }
+
+    /// Deletes of keys no SSTable holds leave the memtable empty, live and
+    /// after WAL replay; a key an SSTable holds stays shadowed by its
+    /// tombstone for `get` and `scan`, also after reopen.
+    #[test]
+    fn deletes_leave_tombstones_only_over_keys_a_run_may_hold() {
+        let dir = tmpdir("tombstones");
+        {
+            let store = LsmStore::open(&dir, LsmOptions::no_sync()).unwrap();
+            for i in 0u32..50 {
+                let mut b = WriteBatch::new();
+                b.put(i.to_be_bytes(), b"fresh");
+                b.delete(i.to_be_bytes());
+                store.write_batch(&b).unwrap();
+            }
+            assert!(store.mem.read().map.is_empty());
+            assert_eq!(store.mem.read().bytes, 0);
+        }
+        {
+            let store = LsmStore::open(&dir, LsmOptions::no_sync()).unwrap();
+            assert!(store.mem.read().map.is_empty(), "replay drops them too");
+            store.put(b"flushed", b"old").unwrap();
+            store.put(b"kept", b"v").unwrap();
+            store.flush().unwrap();
+            store.delete(b"flushed").unwrap();
+            assert_eq!(
+                store.mem.read().map.get(&b"flushed"[..]),
+                Some(&None),
+                "a key a run holds keeps its tombstone"
+            );
+            assert_eq!(store.get(b"flushed").unwrap(), None);
+        }
+        let store = LsmStore::open(&dir, LsmOptions::no_sync()).unwrap();
+        assert_eq!(store.get(b"flushed").unwrap(), None);
+        let mut seen = Vec::new();
+        store
+            .scan(&mut |k, v| {
+                seen.push((k.to_vec(), v.to_vec()));
+                true
+            })
+            .unwrap();
+        assert_eq!(seen, vec![(b"kept".to_vec(), b"v".to_vec())]);
         destroy(&dir).unwrap();
     }
 

@@ -240,13 +240,20 @@ impl SsTable {
         &self.bloom
     }
 
+    /// False if this run certainly holds no entry (value or tombstone) for
+    /// `key`; true if it may (an empty run holds nothing, and otherwise the
+    /// Bloom filter decides, false positives included).
+    pub fn may_contain(&self, key: &[u8]) -> bool {
+        !self.index.is_empty() && self.bloom.may_contain(key)
+    }
+
     /// Looks up `key`.
     ///
     /// Returns `None` if the key is not present in this run at all, and
     /// `Some(None)` if the run holds a tombstone for it (so callers can stop
     /// searching older runs).
     pub fn get(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
-        if self.index.is_empty() || !self.bloom.may_contain(key) {
+        if !self.may_contain(key) {
             return Ok(None);
         }
         // Find the last index entry with index_key <= key.

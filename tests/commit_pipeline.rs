@@ -6,8 +6,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tsp::core::prelude::*;
-use tsp::core::MvccTableOptions;
-use tsp::storage::{lsm, LsmOptions, LsmStore, StorageBackend, WriteBatch};
+use tsp::storage::{lsm, Codec, LsmOptions, LsmStore, StorageBackend, WriteBatch};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tsp-pipeline-{name}-{}", std::process::id()));
@@ -375,68 +374,99 @@ fn leader_follower_handoff_under_many_committers() {
     }
 }
 
-/// Satellite (ROADMAP bug): a capacity-failed apply must not leak
-/// installed-but-never-published versions that spuriously abort an
-/// unrelated, concurrent committer.
+/// A value whose clone panics for [`Fragile::POISON`]: the deterministic
+/// stand-in for a participant whose apply fails mid-commit (a panicking
+/// user codec or clone), after earlier participants already applied.
+#[derive(Debug, PartialEq, Eq)]
+struct Fragile(u64);
+
+impl Fragile {
+    const POISON: u64 = 999;
+}
+
+impl Clone for Fragile {
+    fn clone(&self) -> Self {
+        assert_ne!(self.0, Self::POISON, "poisoned value cloned");
+        Fragile(self.0)
+    }
+}
+
+impl Codec for Fragile {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.0.encode_into(out);
+    }
+
+    fn decode(bytes: &[u8]) -> tsp::common::Result<Self> {
+        u64::decode(bytes).map(Fragile)
+    }
+}
+
+/// A failed apply must not leak installed-but-never-published versions,
+/// commit-log records or in-place writes that spuriously abort an
+/// unrelated, concurrent committer — and First-Committer-Wins must still
+/// catch a real conflict afterwards.  Under every protocol, the second
+/// participant's apply panics after the first one applied a put and a
+/// delete.
 #[test]
-fn capacity_failed_apply_does_not_abort_unrelated_committer() {
-    for protocol in [Protocol::Mvcc, Protocol::Ssi] {
+fn failed_apply_does_not_abort_unrelated_committer() {
+    for protocol in Protocol::ALL {
         let ctx = Arc::new(StateContext::new());
         let mgr = TransactionManager::new(Arc::clone(&ctx));
         // `a` registers first (lower state id), so the manager applies `a`
-        // before `b` — the capacity failure on `b` strikes after `a`'s
-        // versions are already installed.
-        let a = protocol.create_table_with_options::<u32, u64>(
-            &ctx,
-            "a",
-            None,
-            MvccTableOptions::default(),
-        );
-        let b = protocol.create_table_with_options::<u32, u64>(
-            &ctx,
-            "b",
-            None,
-            MvccTableOptions::default(),
-        );
+        // before `b` — the failure on `b` strikes after `a`'s writes are
+        // already applied.
+        let a = protocol.create_table::<u32, u64>(&ctx, "a", None);
+        let b = protocol.create_table::<u32, Fragile>(&ctx, "b", None);
         mgr.register(Arc::clone(&a).as_participant());
         mgr.register(Arc::clone(&b).as_participant());
         mgr.register_group(&[a.id(), b.id()]).unwrap();
+        let init = mgr.begin().unwrap();
+        a.write(&init, 1, 1).unwrap();
+        a.write(&init, 2, 2).unwrap();
+        b.write(&init, 0, Fragile(0)).unwrap();
+        mgr.commit(&init).unwrap();
 
-        // A straggler pins the epoch snapshot so GC can never reclaim, then
-        // 64 commits fill every version slot of b's hot key.
-        let straggler = mgr.begin_read_only().unwrap();
-        assert_eq!(b.read(&straggler, &0).unwrap(), None);
-        for i in 0..64u64 {
-            let tx = mgr.begin().unwrap();
-            b.write(&tx, 0, i).unwrap();
-            mgr.commit(&tx).unwrap();
-        }
-
-        // `u` begins *before* the doomed transaction commits, so its
-        // snapshot floor is below the failed apply's commit timestamp —
-        // without the uninstall path, the leaked version on a:1 would
-        // spuriously trip First-Committer-Wins.
+        // `u` and `old` begin *before* the doomed transaction commits, so
+        // their snapshot floors are below the failed apply's commit
+        // timestamp — without the uninstall path, the leaked version on a:1
+        // or the leaked delete of a:2 would spuriously trip
+        // First-Committer-Wins.
         let u = mgr.begin().unwrap();
+        let old = mgr.begin().unwrap();
 
         let doomed = mgr.begin().unwrap();
         a.write(&doomed, 1, 11).unwrap();
-        b.write(&doomed, 0, 999).unwrap();
+        a.delete(&doomed, 2).unwrap();
+        b.write(&doomed, 0, Fragile(Fragile::POISON)).unwrap();
         let err = mgr.commit(&doomed).unwrap_err();
         assert!(
-            matches!(err, tsp::common::TspError::CapacityExhausted { .. }),
-            "{protocol}: expected capacity failure, got {err}"
+            err.to_string().contains("panicked"),
+            "{protocol}: expected the apply failure, got {err}"
         );
 
         a.write(&u, 1, 22).unwrap();
+        a.write(&u, 2, 33).unwrap();
         mgr.commit(&u)
             .unwrap_or_else(|e| panic!("{protocol}: unrelated committer spuriously aborted: {e}"));
 
+        // `old` began before `u` committed: its blind write of a:1 is a
+        // first-committer-wins conflict, except under S2PL, which has no
+        // commit-time check and serializes it after `u`.
+        a.write(&old, 1, 44).unwrap();
+        let old_committed = mgr.commit(&old).is_ok();
+        assert_eq!(
+            old_committed,
+            protocol == Protocol::S2pl,
+            "{protocol}: the concurrent writer of a:1"
+        );
+
         // The aborted transaction left nothing visible anywhere.
         let q = mgr.begin_read_only().unwrap();
-        assert_eq!(a.read(&q, &1).unwrap(), Some(22));
-        assert_eq!(b.read(&q, &0).unwrap(), Some(63));
+        let a1 = if old_committed { 44 } else { 22 };
+        assert_eq!(a.read(&q, &1).unwrap(), Some(a1), "{protocol}");
+        assert_eq!(a.read(&q, &2).unwrap(), Some(33), "{protocol}");
+        assert_eq!(b.read(&q, &0).unwrap(), Some(Fragile(0)), "{protocol}");
         mgr.commit(&q).unwrap();
-        mgr.commit(&straggler).unwrap();
     }
 }
 

@@ -128,6 +128,63 @@ fn lost_updates_are_prevented_by_first_committer_wins() {
     mgr.commit(&q).unwrap();
 }
 
+/// A concurrent write is still caught when the key's newest write is a
+/// delete, or a reinsert after a delete, under every protocol.  A blind
+/// write by a transaction that began before the delete aborts under MVCC
+/// and SSI (First-Committer-Wins) and BOCC (backward validation); S2PL has
+/// no commit-time check and orders the blind write after the others, a
+/// serial history.
+#[test]
+fn first_committer_wins_sees_deletes_and_reinserts_per_protocol() {
+    for protocol in Protocol::ALL {
+        let ctx = Arc::new(StateContext::new());
+        let mgr = TransactionManager::new(Arc::clone(&ctx));
+        let t = protocol.create_table::<u32, i64>(&ctx, "t", None);
+        mgr.register(Arc::clone(&t).as_participant());
+        mgr.register_group(&[t.id()]).unwrap();
+        let init = mgr.begin().unwrap();
+        t.write(&init, 1, 1).unwrap();
+        t.write(&init, 2, 2).unwrap();
+        mgr.commit(&init).unwrap();
+
+        let old1 = mgr.begin().unwrap();
+        let old2 = mgr.begin().unwrap();
+        // Key 1 is deleted; key 2 is deleted and then reinserted.
+        let d = mgr.begin().unwrap();
+        t.delete(&d, 1).unwrap();
+        t.delete(&d, 2).unwrap();
+        mgr.commit(&d).unwrap();
+        let r = mgr.begin().unwrap();
+        t.write(&r, 2, 20).unwrap();
+        mgr.commit(&r).unwrap();
+
+        t.write(&old1, 1, 100).unwrap();
+        t.write(&old2, 2, 200).unwrap();
+        for (key, old) in [(1, old1), (2, old2)] {
+            match mgr.commit(&old) {
+                Ok(_) => assert_eq!(protocol, Protocol::S2pl, "{protocol}: key {key}"),
+                Err(e) => {
+                    assert_ne!(protocol, Protocol::S2pl, "{protocol}: key {key}: {e}");
+                    assert!(e.is_retryable(), "{protocol}: key {key}: {e}");
+                }
+            }
+        }
+
+        let q = mgr.begin_read_only().unwrap();
+        let expected = if protocol == Protocol::S2pl {
+            (Some(100), Some(200))
+        } else {
+            (None, Some(20))
+        };
+        assert_eq!(
+            (t.read(&q, &1).unwrap(), t.read(&q, &2).unwrap()),
+            expected,
+            "{protocol}"
+        );
+        mgr.commit(&q).unwrap();
+    }
+}
+
 #[test]
 fn read_skew_across_two_states_is_prevented_by_the_consistency_protocol() {
     // Two states of one stream query: an invariant `a + b == 0` is maintained

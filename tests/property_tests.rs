@@ -36,7 +36,7 @@ proptest! {
         let mut cts = 1u64;
         for (i, gap) in cts_gaps.iter().enumerate() {
             cts += gap;
-            obj.install(i as u64, cts, 0).unwrap();
+            obj.install(i as u64, cts, 0);
             history.push((cts, i as u64));
         }
         let probe = 1 + probe_offset;
@@ -56,7 +56,7 @@ proptest! {
     ) {
         let obj = MvccObject::<u64>::new(4);
         for i in 0..n_versions {
-            obj.install(i as u64, 2 + i as u64 * 2, 0).unwrap();
+            obj.install(i as u64, 2 + i as u64 * 2, 0);
         }
         let oldest_active = 2 + oldest_active_offset;
         let visible_before = obj.read_visible(oldest_active);
@@ -64,6 +64,55 @@ proptest! {
         obj.gc(oldest_active);
         prop_assert_eq!(obj.read_visible(oldest_active), visible_before);
         prop_assert_eq!(obj.read_visible(u64::MAX - 1), newest_before);
+    }
+
+    /// `newest_write_ts` — the live version's commit timestamp, and a
+    /// header fold only for an object without one — equals the fold over
+    /// every version header (the newest `cts`, or `dts` of a terminated
+    /// version) after any sequence of installs, deletes, undone commits and
+    /// GC passes, overflow levels included.
+    #[test]
+    fn newest_write_ts_matches_the_header_fold(
+        steps in proptest::collection::vec((0u8..4, 0u64..8), 1..200),
+        capacity in 1usize..9,
+    ) {
+        let obj = MvccObject::<u64>::new(capacity);
+        let mut ts = 1u64;
+        // Newest timestamp a reader may have pinned, and the newest commit
+        // while it is still unpublished (the only one that may be undone).
+        let mut published = 1u64;
+        let mut unpublished: Option<u64> = None;
+        for (kind, arg) in steps {
+            match kind {
+                0 | 1 => {
+                    if let Some(cts) = unpublished {
+                        published = cts;
+                    }
+                    ts += 1 + arg % 3;
+                    if kind == 0 {
+                        obj.install(ts, ts, published.saturating_sub(arg));
+                    } else {
+                        obj.mark_deleted(ts);
+                    }
+                    unpublished = Some(ts);
+                }
+                2 => {
+                    if let Some(cts) = unpublished.take() {
+                        obj.undo_commit(cts);
+                    }
+                }
+                _ => {
+                    obj.gc(published.saturating_sub(arg));
+                }
+            }
+            let fold = obj
+                .versions()
+                .iter()
+                .map(|v| if v.is_live() { v.cts } else { v.cts.max(v.dts) })
+                .max()
+                .unwrap_or(tsp::common::NO_TS);
+            prop_assert_eq!(obj.newest_write_ts(), fold);
+        }
     }
 }
 
