@@ -1,11 +1,15 @@
 //! The FxHash hasher (the multiplicative scheme rustc uses internally) for
 //! in-memory, per-key hash maps and shard selection.
 //!
-//! Keys hashed on the commit and read paths are small, fixed-size values,
-//! where SipHash's DoS resistance buys nothing: FxHash is a rotate, a xor
-//! and a multiply per word.  Its output is *not* stable across builds of
-//! the standard library's `Hash` impls, so anything that must agree across
-//! processes (partition routing, on-disk layouts) keeps its own stable hash.
+//! Keys hashed on the commit and read paths are small, fixed-size values:
+//! FxHash is a rotate, a xor and a multiply per word, where SipHash runs
+//! several mixing rounds per key.  The price is SipHash's resistance to keys
+//! crafted to collide — the table keys of a stream are that stream's data,
+//! so a source an adversary controls could lengthen chains; the MVCC key
+//! index made that trade first.  The output is *not* stable across builds
+//! of the standard library's `Hash` impls, so anything that must agree
+//! across processes (partition routing, on-disk layouts) keeps its own
+//! stable hash.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};

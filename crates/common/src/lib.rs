@@ -27,7 +27,7 @@ pub mod time;
 pub mod tuple;
 
 pub use error::{ErrorClass, Result, TspError};
-pub use fxhash::{fx_shard, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{fx_hash, fx_shard, FxHashMap, FxHashSet};
 pub use histogram::Histogram;
 pub use ids::{GroupId, OperatorId, StateId, TxnId};
 pub use pad::CachePadded;

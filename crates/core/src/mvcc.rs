@@ -337,10 +337,14 @@ impl<V: Clone> MvccObject<V> {
     /// initialised with `Release` and never freed while `self` lives, so
     /// this is safe from both readers and the writer.
     fn levels(&self) -> impl Iterator<Item = &OverflowLevel<V>> {
-        // SAFETY: as above; a non-null pointer is a published level.
+        // SAFETY: a non-null link was stored by `grow_locked` from a
+        // `Box::into_raw` of a fully initialised level (the `Acquire` load
+        // pairs with its `Release` store), and levels are freed only in
+        // `drop`, which cannot run while `&self` is borrowed.
         let first = unsafe { self.overflow.load(Ordering::Acquire).as_ref() };
-        std::iter::successors(first, |l| unsafe {
-            l.next.load(Ordering::Acquire).as_ref()
+        std::iter::successors(first, |l| {
+            // SAFETY: as for `first`.
+            unsafe { l.next.load(Ordering::Acquire).as_ref() }
         })
     }
 

@@ -675,15 +675,7 @@ impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
                         WriteOp::Put(v) => Some(v.clone()),
                         WriteOp::Delete => None,
                     };
-                    let mut shard = self.shard(key).write();
-                    let prev = match shard.get_mut(key) {
-                        Some(entry) => Some(std::mem::replace(entry, value)),
-                        None => {
-                            shard.insert(key.clone(), value);
-                            None
-                        }
-                    };
-                    undo.push(prev);
+                    undo.push(self.shard(key).write().insert(key.clone(), value));
                 }
             });
         });

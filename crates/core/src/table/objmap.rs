@@ -31,7 +31,7 @@
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use tsp_common::fxhash::fx_hash;
+use tsp_common::fx_hash;
 
 /// Default number of buckets (a power of two).
 ///

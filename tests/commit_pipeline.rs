@@ -405,8 +405,8 @@ impl Codec for Fragile {
 /// commit-log records or in-place writes that spuriously abort an
 /// unrelated, concurrent committer — and First-Committer-Wins must still
 /// catch a real conflict afterwards.  Under every protocol, the second
-/// participant's apply panics after the first one applied a put and a
-/// delete.
+/// participant's apply panics mid-loop, after the first one applied a put
+/// and a delete.
 #[test]
 fn failed_apply_does_not_abort_unrelated_committer() {
     for protocol in Protocol::ALL {
@@ -437,12 +437,20 @@ fn failed_apply_does_not_abort_unrelated_committer() {
         let doomed = mgr.begin().unwrap();
         a.write(&doomed, 1, 11).unwrap();
         a.delete(&doomed, 2).unwrap();
+        // `b` applies key 5 before the poisoned key 0 panics mid-loop.
+        b.write(&doomed, 5, Fragile(5)).unwrap();
         b.write(&doomed, 0, Fragile(Fragile::POISON)).unwrap();
         let err = mgr.commit(&doomed).unwrap_err();
         assert!(
             err.to_string().contains("panicked"),
             "{protocol}: expected the apply failure, got {err}"
         );
+        // Nothing the doomed transaction applied stayed visible.
+        let q = mgr.begin_read_only().unwrap();
+        assert_eq!(a.read(&q, &1).unwrap(), Some(1), "{protocol}");
+        assert_eq!(a.read(&q, &2).unwrap(), Some(2), "{protocol}");
+        assert_eq!(b.read(&q, &5).unwrap(), None, "{protocol}");
+        mgr.commit(&q).unwrap();
 
         a.write(&u, 1, 22).unwrap();
         a.write(&u, 2, 33).unwrap();
@@ -460,7 +468,6 @@ fn failed_apply_does_not_abort_unrelated_committer() {
             "{protocol}: the concurrent writer of a:1"
         );
 
-        // The aborted transaction left nothing visible anywhere.
         let q = mgr.begin_read_only().unwrap();
         let a1 = if old_committed { 44 } else { 22 };
         assert_eq!(a.read(&q, &1).unwrap(), Some(a1), "{protocol}");
