@@ -84,14 +84,18 @@
 //! `UsedSlots` bitmap, and that bitmap stays the fast path.  A hot key whose
 //! old versions are all pinned by a slow reader can need more: past 64
 //! versions still needed, [`install_with`](MvccObject::install_with) links
-//! an *overflow level* — 64 more slots with their own occupancy word —
-//! behind the last one, so a slow reader costs memory, never a writer
-//! error.  Slot indices past 63 name level `idx / 64 - 1`, so the live hint
-//! and every scan address them like primary slots.  The levels follow the
-//! chunks' rules, which is what keeps the latch-free clone sound:
+//! an *overflow level* — 64 more slots with their own occupancy word — so a
+//! slow reader costs memory, never a writer error.  Each level records the
+//! global index of its first slot, so the live hint and every scan address
+//! level slots like primary ones.  Levels form a list, newest first: the
+//! live version of a hot key usually sits in the newest level, so a read at
+//! the newest snapshot and the next install stay one hop away however many
+//! versions a slow reader pins.  The levels follow the chunks' rules, which
+//! is what keeps the latch-free clone sound:
 //!
-//! * a level is allocated fully initialised and published with a `Release`
-//!   store (readers load links with `Acquire`), at the tail, so existing
+//! * a level is allocated fully initialised (its `base` and link to the
+//!   older levels never change) and published as the new head with a
+//!   `Release` store that readers pair with an `Acquire` load, so existing
 //!   indices never move;
 //! * its bits and headers change only inside writer windows and are read
 //!   under the same seqlock validation as the primary array's — a reader
@@ -102,6 +106,10 @@
 //!   value is therefore never moved or freed while a reader may clone it;
 //!   GC frees level slots for reuse, and installs fill the primary array
 //!   first.
+//!
+//! While a reader pins them, every 64th install of a hot key still runs the
+//! on-demand GC over all its versions before linking a level, so installs
+//! cost time linear in the pinned versions, amortised over 64.
 //!
 //! # First-Committer-Wins through the live slot
 //!
@@ -187,11 +195,16 @@ impl<V> VersionSlot<V> {
 }
 
 /// An overflow level: [`MAX_VERSION_SLOTS`] more slots with their own
-/// occupancy word, linked behind the primary array (see the module docs).
+/// occupancy word (see the module docs).  Levels form a list, newest
+/// first; a level's fields other than `used` and the slots never change
+/// after it is published.
 struct OverflowLevel<V> {
+    /// Global index of `slots[0]`.
+    base: usize,
     used: AtomicU64,
     slots: [VersionSlot<V>; MAX_VERSION_SLOTS],
-    next: AtomicPtr<OverflowLevel<V>>,
+    /// The next older level (null for the first one).
+    next: *mut OverflowLevel<V>,
 }
 
 /// A multi-versioned object holding all versions of one key.
@@ -220,7 +233,7 @@ pub struct MvccObject<V> {
     /// allocated on demand, published with `Release`, and never freed or
     /// moved until the object drops — readers hold references across growth.
     chunks: [AtomicPtr<VersionSlot<V>>; MAX_CHUNKS],
-    /// First overflow level (null until the primary array is full of
+    /// Newest overflow level (null until the primary array is full of
     /// versions still needed); published and kept like the chunks.
     overflow: AtomicPtr<OverflowLevel<V>>,
 }
@@ -228,7 +241,10 @@ pub struct MvccObject<V> {
 // SAFETY: all shared mutable state is accessed through atomics or through
 // the `UnsafeCell` values, whose cross-thread discipline (single writer
 // inside seq windows; readers clone only validated, reclaim-protected
-// versions) is documented in the module header.
+// versions) is documented in the module header.  The chunks and overflow
+// levels behind the raw pointers are owned by the object, published with
+// `Release` before any reader can reach them, immutable in their links and
+// `base`, and freed only in `drop`.
 unsafe impl<V: Send> Send for MvccObject<V> {}
 unsafe impl<V: Send + Sync> Sync for MvccObject<V> {}
 
@@ -333,19 +349,27 @@ impl<V: Clone> MvccObject<V> {
         first
     }
 
-    /// The overflow levels, in link order.  Levels are published fully
+    /// The overflow levels, newest first.  Levels are published fully
     /// initialised with `Release` and never freed while `self` lives, so
     /// this is safe from both readers and the writer.
     fn levels(&self) -> impl Iterator<Item = &OverflowLevel<V>> {
-        // SAFETY: a non-null link was stored by `grow_locked` from a
+        // SAFETY: a non-null head was stored by `grow_locked` from a
         // `Box::into_raw` of a fully initialised level (the `Acquire` load
         // pairs with its `Release` store), and levels are freed only in
         // `drop`, which cannot run while `&self` is borrowed.
-        let first = unsafe { self.overflow.load(Ordering::Acquire).as_ref() };
-        std::iter::successors(first, |l| {
-            // SAFETY: as for `first`.
-            unsafe { l.next.load(Ordering::Acquire).as_ref() }
+        let newest = unsafe { self.overflow.load(Ordering::Acquire).as_ref() };
+        std::iter::successors(newest, |l| {
+            // SAFETY: `next` was set before the level holding it was
+            // published and never changes; it points to an older level,
+            // kept like the newest one.
+            unsafe { l.next.as_ref() }
         })
+    }
+
+    /// The overflow level holding global slot `idx` (≥ 64).  The live
+    /// version usually sits in the newest level, found first.
+    fn level_of(&self, idx: usize) -> Option<&OverflowLevel<V>> {
+        self.levels().find(|l| l.base <= idx)
     }
 
     /// Calls `f(index, slot, used word)` for every occupied slot — the
@@ -365,13 +389,12 @@ impl<V: Clone> MvccObject<V> {
                 return Some(r);
             }
         }
-        for (n, level) in self.levels().enumerate() {
-            let base = MAX_VERSION_SLOTS * (n + 1);
+        for level in self.levels() {
             let mut bits = level.used.load(Ordering::Relaxed);
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if let Some(r) = f(base + b, &level.slots[b], &level.used) {
+                if let Some(r) = f(level.base + b, &level.slots[b], &level.used) {
                     return Some(r);
                 }
             }
@@ -380,7 +403,7 @@ impl<V: Clone> MvccObject<V> {
     }
 
     /// The slot at global index `idx` (primary array below
-    /// [`MAX_VERSION_SLOTS`], overflow level `idx / 64 - 1` above), or
+    /// [`MAX_VERSION_SLOTS`], an overflow level above), or
     /// `None` if the chunk or level holding it is not yet visible to this
     /// thread.
     ///
@@ -396,8 +419,8 @@ impl<V: Clone> MvccObject<V> {
     /// chunks.
     fn slot(&self, idx: usize) -> Option<&VersionSlot<V>> {
         if idx >= MAX_VERSION_SLOTS {
-            let level = self.levels().nth(idx / MAX_VERSION_SLOTS - 1)?;
-            return Some(&level.slots[idx % MAX_VERSION_SLOTS]);
+            let level = self.level_of(idx)?;
+            return Some(&level.slots[idx - level.base]);
         }
         let mut base = 0;
         for k in 0..MAX_CHUNKS {
@@ -421,11 +444,7 @@ impl<V: Clone> MvccObject<V> {
         if idx < MAX_VERSION_SLOTS {
             &self.used
         } else {
-            &self
-                .levels()
-                .nth(idx / MAX_VERSION_SLOTS - 1)
-                .expect("writer sees its own levels")
-                .used
+            &self.level_of(idx).expect("writer sees its own levels").used
         }
     }
 
@@ -819,9 +838,9 @@ impl<V: Clone> MvccObject<V> {
         if free != 0 {
             return Some(free.trailing_zeros() as usize);
         }
-        self.levels().enumerate().find_map(|(n, level)| {
+        self.levels().find_map(|level| {
             let free = !level.used.load(Ordering::Relaxed);
-            (free != 0).then(|| MAX_VERSION_SLOTS * (n + 1) + free.trailing_zeros() as usize)
+            (free != 0).then(|| level.base + free.trailing_zeros() as usize)
         })
     }
 
@@ -840,17 +859,21 @@ impl<V: Clone> MvccObject<V> {
             }
             return self.alloc_chunk(k);
         }
+        // Publish the fully initialised level as the new head, so the
+        // indices of existing levels never change and the newest versions
+        // (the live one above all) are found first.
+        let base = self
+            .levels()
+            .next()
+            .map_or(MAX_VERSION_SLOTS, |newest| newest.base + MAX_VERSION_SLOTS);
         let level = Box::into_raw(Box::new(OverflowLevel {
+            base,
             used: AtomicU64::new(0),
             slots: std::array::from_fn(|_| VersionSlot::empty()),
-            next: AtomicPtr::new(std::ptr::null_mut()),
+            next: self.overflow.load(Ordering::Relaxed),
         }));
-        let count = self.levels().count();
-        // Publish the fully initialised level at the tail, so the indices
-        // of existing levels never change.
-        let tail = self.levels().last().map_or(&self.overflow, |l| &l.next);
-        tail.store(level, Ordering::Release);
-        MAX_VERSION_SLOTS * (count + 1)
+        self.overflow.store(level, Ordering::Release);
+        base
     }
 }
 
@@ -871,8 +894,7 @@ impl<V> Drop for MvccObject<V> {
         while !level.is_null() {
             // SAFETY: each level was allocated with `Box::new` in
             // `grow_locked`, linked once and never freed since.
-            let mut boxed = unsafe { Box::from_raw(level) };
-            level = *boxed.next.get_mut();
+            level = unsafe { Box::from_raw(level) }.next;
         }
     }
 }
