@@ -15,14 +15,14 @@
 use crate::context::{StateContext, Tx};
 use crate::table::common::{
     buffer_write, read_own_write, reject_read_only, InPlaceStore, KeyType, ReadSet, SlotLocal,
-    TransactionalTable, TxParticipant, TypedBackend, ValueType, WriteOp, WriteSet,
+    TransactionalTable, TxParticipant, TypedBackend, ValueType, WriteOp,
 };
 use crate::telemetry::AbortReason;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-use tsp_common::{Result, StateId, Timestamp, TspError};
+use tsp_common::{FxHashSet, Result, StateId, Timestamp, TspError};
 use tsp_storage::redo::RedoSections;
 use tsp_storage::StorageBackend;
 
@@ -201,43 +201,38 @@ impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
     /// key this one read or writes — or wrote *anything*, if this one
     /// scanned the whole table.  Read-only transactions validate too.
     fn validate(&self, tx: &Tx, _txn_has_writes: bool) -> Result<()> {
-        if !self.read_sets.is_claimed(tx) && !self.has_writes(tx) {
+        let (read_keys, whole_table) = self
+            .read_sets
+            .with(tx, |rs| (rs.keys.clone(), rs.whole_table))
+            .unwrap_or_default();
+        let write_keys: FxHashSet<K> = self
+            .store
+            .write_sets()
+            .with(tx, |ws| ws.keys().cloned().collect())
+            .unwrap_or_default();
+        if read_keys.is_empty() && write_keys.is_empty() && !whole_table {
             return Ok(());
         }
         let floor = self.ctx.state_snapshot_floor(tx, self.state_id)?;
         let log = self.commit_log.read();
-        // The sets are probed in place, inside the transaction's slot cells.
-        let overlaps = |rs: &ReadSet<K>, ws: &WriteSet<K, V>| {
-            // The log is append-only in cts order: nothing at or below the
-            // floor can conflict.
-            log.iter()
-                .rev()
-                .take_while(|rec| rec.cts > floor)
-                .any(|rec| {
-                    rs.whole_table
-                        || rec
-                            .write_keys
-                            .iter()
-                            .any(|k| rs.keys.contains(k) || ws.get(k).is_some())
-                })
-        };
-        let with_writes = |rs: &ReadSet<K>| {
-            self.store
-                .write_sets()
-                .with(tx, |ws| overlaps(rs, ws))
-                .unwrap_or_else(|| overlaps(rs, &WriteSet::new()))
-        };
-        let conflict = self
-            .read_sets
-            .with(tx, with_writes)
-            .unwrap_or_else(|| with_writes(&ReadSet::default()));
-        if conflict {
-            self.ctx
-                .telemetry()
-                .record_abort(AbortReason::Certification);
-            return Err(TspError::ValidationFailed {
-                txn: tx.id().as_u64(),
-            });
+        for rec in log.iter().rev() {
+            if rec.cts <= floor {
+                // Log is append-only in cts order: nothing older can conflict.
+                break;
+            }
+            if whole_table
+                || rec
+                    .write_keys
+                    .iter()
+                    .any(|k| read_keys.contains(k) || write_keys.contains(k))
+            {
+                self.ctx
+                    .telemetry()
+                    .record_abort(AbortReason::Certification);
+                return Err(TspError::ValidationFailed {
+                    txn: tx.id().as_u64(),
+                });
+            }
         }
         Ok(())
     }
