@@ -419,8 +419,10 @@ impl<V: Clone> MvccObject<V> {
     /// chunks.
     fn slot(&self, idx: usize) -> Option<&VersionSlot<V>> {
         if idx >= MAX_VERSION_SLOTS {
+            // A reader that does not see the newest level yet finds an older
+            // one here, and `get` reports the slot as not visible.
             let level = self.level_of(idx)?;
-            return Some(&level.slots[idx - level.base]);
+            return level.slots.get(idx - level.base);
         }
         let mut base = 0;
         for k in 0..MAX_CHUNKS {
@@ -1139,6 +1141,36 @@ mod tests {
         for i in 0..MAX_VERSION_SLOTS as u64 {
             assert_eq!(obj.read_visible(2 + i), Some(i));
         }
+    }
+
+    /// Readers racing an installer that links overflow levels (every
+    /// version stays pinned) see the newest version only move forward and
+    /// the pinned one never change.
+    #[test]
+    fn concurrent_readers_across_overflow_levels() {
+        let obj = MvccObject::new(1);
+        obj.install(0u64, 2, 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 1..600u64 {
+                    obj.install(i, 2 + i, 1);
+                }
+            });
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut last = 0;
+                    for _ in 0..5_000 {
+                        let v = obj.read_visible(u64::MAX - 1).expect("a live version");
+                        assert!(v >= last, "newest read went back from {last} to {v}");
+                        last = v;
+                        assert_eq!(obj.read_visible(2), Some(0));
+                        assert!(obj.newest_write_ts() >= 2 + last);
+                    }
+                });
+            }
+        });
+        assert_eq!(obj.version_count(), 600);
+        assert_eq!(obj.read_visible(u64::MAX - 1), Some(599));
     }
 
     #[test]
