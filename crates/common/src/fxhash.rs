@@ -70,9 +70,18 @@ impl Hasher for FxHasher {
         self.add(n as u64);
     }
 
+    /// The product with its top 24 bits folded into the low ones.  A
+    /// product's low bits depend only on the key's low bits, so they are
+    /// zero whenever the key's are: keys `k << 16` all fall into one of
+    /// every 65,536 buckets of a map that masks the low bits, as `HashMap`
+    /// does.  After the fold, the bucket index of a table of up to 2²⁴
+    /// buckets takes in the product's best-mixed bits, and the top 40 bits
+    /// that [`fx_shard`] and the map's control tag read stay as they are.
+    /// (Folding the high half, `>> 32`, brings in middle bits instead: keys
+    /// `k << 16` then fill only 47 % of 4,096 buckets, against 70 % here.)
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash ^ (self.hash >> 40)
     }
 }
 
@@ -129,5 +138,15 @@ mod tests {
         }
         // Every shard gets a fair share (1,000 on average).
         assert!(counts.iter().all(|&c| c > 500), "{counts:?}");
+    }
+
+    #[test]
+    fn low_bits_spread_keys_with_zero_low_bits() {
+        let mut used = vec![false; 4096];
+        for k in 0u64..4096 {
+            used[(fx_hash(&(k << 16)) & 4095) as usize] = true;
+        }
+        let filled = used.iter().filter(|&&u| u).count();
+        assert!(filled > 2048, "{filled} of 4096 buckets");
     }
 }

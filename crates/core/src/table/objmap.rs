@@ -79,11 +79,9 @@ impl<K: Eq + Hash + Clone, T> ObjMap<K, T> {
 
     fn bucket(&self, key: &K) -> &AtomicPtr<Node<K, T>> {
         // FxHash: the index hashes a small fixed-size key on *every*
-        // committed read, where SipHash's DoS resistance buys nothing.
-        // Multiplicative hashing mixes into the high bits; fold them down
-        // before masking.
-        let hash = fx_hash(key);
-        &self.buckets[((hash ^ (hash >> 32)) as usize) & self.mask]
+        // committed read, where SipHash's DoS resistance buys nothing.  Its
+        // `finish` already folds the top bits down, so masking is enough.
+        &self.buckets[(fx_hash(key) as usize) & self.mask]
     }
 
     /// Walks the chain from `head` up to (excluding) `stop`, looking for

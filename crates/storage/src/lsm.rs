@@ -10,7 +10,12 @@
 //!   Bloom filter says so) — otherwise there is nothing to shadow, and the
 //!   delete just removes the memtable entry.  WAL replay applies the same
 //!   rule against the SSTables it opened, so deletes of keys that never
-//!   reached a run (group redo records truncated online) cost no memory,
+//!   reached a run (group redo records truncated online) cost no memory.
+//!   A put over a live value overwrites it in place when the value's
+//!   buffer is at most twice the new length (the common case: a meter's
+//!   fixed-size row rewritten on every commit costs no allocation), and
+//!   otherwise reallocates, so a value that shrank cannot pin a large
+//!   buffer,
 //! * when the memtable exceeds its byte budget it is flushed to an immutable
 //!   [`SsTable`], the manifest is updated and the WAL truncated,
 //! * when too many SSTables accumulate they are merged (full compaction,
@@ -106,6 +111,8 @@ impl MemState {
     /// overwritten or deleted in place (redo records truncated online) do
     /// not push the memtable towards a flush.  A delete of a key none of
     /// `tables` may hold removes the entry instead of leaving a tombstone.
+    /// A put over a live value reuses its buffer when the buffer is at most
+    /// twice the new length, and otherwise allocates one that fits.
     fn apply(&mut self, op: BatchOp<'_>, tables: &[Arc<SsTable>]) {
         let (key, value) = match op {
             BatchOp::Put { key, value } => (key, Some(value)),
@@ -118,16 +125,21 @@ impl MemState {
             BatchOp::Delete { key } => (key, None),
         };
         let value_len = value.map_or(0, <[u8]>::len);
-        let value = value.map(<[u8]>::to_vec);
         match self.map.get_mut(key) {
             Some(entry) => {
                 self.bytes -= entry.as_ref().map_or(0, Vec::len);
                 self.bytes += value_len;
-                *entry = value;
+                match (entry, value) {
+                    (Some(old), Some(new)) if old.capacity() <= 2 * new.len() => {
+                        old.clear();
+                        old.extend_from_slice(new);
+                    }
+                    (entry, value) => *entry = value.map(<[u8]>::to_vec),
+                }
             }
             None => {
                 self.bytes += key.len() + value_len + MEM_ENTRY_OVERHEAD;
-                self.map.insert(key.to_vec(), value);
+                self.map.insert(key.to_vec(), value.map(<[u8]>::to_vec));
             }
         }
     }
@@ -531,6 +543,45 @@ mod tests {
         assert_eq!(store.sstable_count(), 0);
         assert_eq!(store.get(b"hot").unwrap(), Some(value));
         assert_eq!(store.get(b"__tsp__/redo/00000001").unwrap(), None);
+        destroy(&dir).unwrap();
+    }
+
+    /// Overwrites of one key keep `get` and the byte budget exact, reuse
+    /// the value's buffer while it is at most twice the new length, and
+    /// give it up for a much shorter value.
+    #[test]
+    fn overwrites_reuse_the_value_buffer_only_while_it_fits() {
+        let dir = tmpdir("inplace");
+        let store = LsmStore::open(&dir, LsmOptions::no_sync()).unwrap();
+        // A run holds the key, so the delete below leaves a tombstone.
+        store.put(b"key", b"old").unwrap();
+        store.flush().unwrap();
+        let capacity = |store: &LsmStore| {
+            let mem = store.mem.read();
+            mem.map[&b"key"[..]].as_ref().map_or(0, Vec::capacity)
+        };
+        let steps: [(&str, Option<&[u8]>); 6] = [
+            ("first", Some(&[1; 24])),
+            ("longer", Some(&[2; 64])),
+            ("shorter", Some(&[3; 40])),
+            ("much shorter", Some(&[4; 8])),
+            ("tombstone", None),
+            ("value again", Some(&[5; 12])),
+        ];
+        for (step, value) in steps {
+            match value {
+                Some(v) => store.put(b"key", v).unwrap(),
+                None => store.delete(b"key").unwrap(),
+            }
+            assert_eq!(store.get(b"key").unwrap().as_deref(), value, "{step}");
+            let live = b"key".len() + value.map_or(0, <[u8]>::len) + MEM_ENTRY_OVERHEAD;
+            assert_eq!(store.mem.read().bytes, live, "{step}");
+            match step {
+                "shorter" => assert!(capacity(&store) >= 64, "the 64-byte buffer is reused"),
+                "much shorter" => assert!(capacity(&store) <= 2 * 8, "the old buffer is given up"),
+                _ => {}
+            }
+        }
         destroy(&dir).unwrap();
     }
 
