@@ -12,7 +12,7 @@
 //!   rule against the SSTables it opened, so deletes of keys that never
 //!   reached a run (group redo records truncated online) cost no memory.
 //!   A put over a live value overwrites it in place when the value's
-//!   buffer is at most twice the new length (the common case: a meter's
+//!   buffer is at most twice the new length (the common case: a
 //!   fixed-size row rewritten on every commit costs no allocation), and
 //!   otherwise reallocates, so a value that shrank cannot pin a large
 //!   buffer,
