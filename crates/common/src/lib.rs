@@ -23,6 +23,7 @@ pub mod histogram;
 pub mod ids;
 pub mod pad;
 pub mod punctuation;
+pub mod recycle;
 pub mod time;
 pub mod tuple;
 

@@ -85,7 +85,7 @@
 //! path.
 
 use crate::clock::{GlobalClock, EPOCH_TS};
-use crate::table::common::SlotLocal;
+use crate::table::common::{Recycle, SlotLocal};
 use crate::telemetry::{AbortReason, Counter, Telemetry, TelemetrySnapshot, WriterScan};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -94,6 +94,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tsp_common::{CachePadded, GroupId, Result, StateId, Timestamp, TspError, TxnId};
+use tsp_storage::redo::RedoSections;
 use tsp_storage::{BatchWriter, RetryPolicy, StorageBackend};
 
 /// Default maximum number of concurrently active transactions.
@@ -302,15 +303,49 @@ pub(crate) enum FateClaim {
 /// The group redo record of an in-flight commit — each participant's
 /// section, encoded once — and the states whose commit batches carry a
 /// copy of it.
+///
+/// Kept in the transaction's slot and reused by the slot's later commits:
+/// the section buffers keep their capacity, and the holder list is shared
+/// by every commit with the same participant set.
 pub struct PendingRedo {
     /// The encoded sections; each holder's batch stores the record of the
     /// *other* holders' sections ([`RedoSections::encode_copy`]).
-    ///
-    /// [`RedoSections::encode_copy`]: tsp_storage::redo::RedoSections::encode_copy
-    pub sections: tsp_storage::redo::RedoSections,
+    pub sections: RedoSections,
     /// The states that hold a copy: the record is dead once every one of
     /// them has durably applied the commit.
     pub holders: Arc<[StateId]>,
+}
+
+impl Default for PendingRedo {
+    fn default() -> Self {
+        PendingRedo {
+            sections: RedoSections::new(0),
+            holders: Arc::new([]),
+        }
+    }
+}
+
+impl Recycle for PendingRedo {
+    /// Empties the sections; the holder list stays for the next commit to
+    /// share.
+    fn recycle(&mut self) {
+        self.sections.reset(0);
+    }
+}
+
+impl PendingRedo {
+    /// Sets [`holders`](Self::holders) to the states with a section, keeping
+    /// the current list when it already names them.
+    pub fn share_holders(&mut self) {
+        let same = self
+            .holders
+            .iter()
+            .map(|s| s.as_u32())
+            .eq(self.sections.states());
+        if !same {
+            self.holders = self.sections.states().map(StateId).collect();
+        }
+    }
 }
 
 /// The durability side of the two-watermark commit pipeline: the registry of
@@ -613,7 +648,7 @@ pub struct StateContext {
     /// assembled for the transaction's in-flight commit; each persistent
     /// participant appends it to its own commit batch (see
     /// [`crate::table::common::persist_pending`]).
-    redo_stash: SlotLocal<Option<Arc<PendingRedo>>>,
+    redo_stash: SlotLocal<PendingRedo>,
     /// Bounded-wait admission budget for `begin` in nanoseconds; 0 means
     /// immediate-fail admission (`SlotExhaustion` when the slot table is
     /// full, the historical behaviour).
@@ -870,13 +905,25 @@ impl StateContext {
 
     /// Groups a state belongs to (usually exactly one).
     pub fn groups_of_state(&self, state: StateId) -> Vec<GroupId> {
-        self.groups
-            .read()
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.states.contains(&state))
-            .map(|(i, _)| GroupId(i as u32))
-            .collect()
+        let mut groups = Vec::new();
+        self.for_each_group_of_state(state, |g, _| groups.push(g));
+        groups
+    }
+
+    /// Visits each group `state` belongs to with its `LastCTS`, under the
+    /// group registry's read lock — the commit path's allocation-free form
+    /// of [`groups_of_state`](Self::groups_of_state).  `visit` must not
+    /// call back into the group registry.
+    pub fn for_each_group_of_state(
+        &self,
+        state: StateId,
+        mut visit: impl FnMut(GroupId, Timestamp),
+    ) {
+        for (i, g) in self.groups.read().iter().enumerate() {
+            if g.states.contains(&state) {
+                visit(GroupId(i as u32), g.last_cts.load(Ordering::Acquire));
+            }
+        }
     }
 
     /// The commit timestamp of the last globally completed transaction of
@@ -1108,16 +1155,20 @@ impl StateContext {
         })
     }
 
-    /// Attaches the group redo record for `tx`'s in-flight commit.  Each
-    /// persistent participant's durable hand-off appends it to its own
-    /// commit batch; cleared in [`finish`](Self::finish).
-    pub fn attach_redo(&self, tx: &Tx, redo: Arc<PendingRedo>) {
-        self.redo_stash.with_mut(tx, |cell| *cell = Some(redo));
+    /// Builds the group redo record for `tx`'s in-flight commit in the
+    /// slot's recycled [`PendingRedo`] and attaches it when `build` returns
+    /// true.  Each persistent participant's durable hand-off appends it to
+    /// its own commit batch; released in [`finish`](Self::finish).
+    pub fn attach_redo(&self, tx: &Tx, build: impl FnOnce(&mut PendingRedo) -> bool) {
+        if !self.redo_stash.with_mut(tx, build) {
+            self.redo_stash.clear(tx);
+        }
     }
 
-    /// The group redo record attached to `tx`'s in-flight commit, if any.
-    pub fn pending_redo(&self, tx: &Tx) -> Option<Arc<PendingRedo>> {
-        self.redo_stash.with(tx, |cell| cell.clone()).flatten()
+    /// Runs `f` with the group redo record attached to `tx`'s in-flight
+    /// commit, if any.
+    pub fn with_pending_redo<R>(&self, tx: &Tx, f: impl FnOnce(&PendingRedo) -> R) -> Option<R> {
+        self.redo_stash.with(tx, f)
     }
 
     /// Releases a transaction's slot.  Idempotent: releasing an already
@@ -1502,6 +1553,18 @@ impl StateContext {
         Ok(self.slots[tx.slot].detail.lock().states.clone())
     }
 
+    /// Visits the states accessed by `tx` so far, in access order, under
+    /// the slot's detail lock — the allocation-free form of
+    /// [`accessed_states`](Self::accessed_states).  `visit` must not call
+    /// back into this context for `tx`.
+    pub fn for_each_accessed_state(&self, tx: &Tx, mut visit: impl FnMut(StateId)) -> Result<()> {
+        self.check_owner(tx)?;
+        for (state, _) in &self.slots[tx.slot].detail.lock().states {
+            visit(*state);
+        }
+        Ok(())
+    }
+
     /// Records the access *and* resolves the snapshot timestamp `tx` must
     /// use when reading `state` — the combined per-read entry point of the
     /// table layer.
@@ -1530,11 +1593,10 @@ impl StateContext {
         // reaped transaction must not pin new groups — the reaper is
         // concurrently *unpinning* them to release the snapshot floor.
         self.check_fate(tx)?;
-        let groups = self.groups_of_state(state);
         crate::latch_probe::count_latch();
         let mut detail = self.slots[tx.slot].detail.lock();
         detail.record(state, StateStatus::Active);
-        let result = self.pin_groups_locked(&mut detail, tx, state, &groups)?;
+        let result = self.pin_groups_locked(&mut detail, tx, state);
         // Publish the entry: timestamp first, then the tags (the hit loads
         // them in the opposite order; see module docs).
         if let Some(e) = entry {
@@ -1555,46 +1617,40 @@ impl StateContext {
     /// consistency").
     pub fn read_snapshot(&self, tx: &Tx, state: StateId) -> Result<Timestamp> {
         self.check_owner(tx)?;
-        let groups = self.groups_of_state(state);
         let mut detail = self.slots[tx.slot].detail.lock();
-        self.pin_groups_locked(&mut detail, tx, state, &groups)
+        Ok(self.pin_groups_locked(&mut detail, tx, state))
     }
 
     /// Pin resolution shared by [`read_snapshot`](Self::read_snapshot) and
     /// [`access_snapshot`](Self::access_snapshot); caller holds the slot's
     /// detail mutex.
-    fn pin_groups_locked(
-        &self,
-        detail: &mut TxDetail,
-        tx: &Tx,
-        _state: StateId,
-        groups: &[GroupId],
-    ) -> Result<Timestamp> {
-        if groups.is_empty() {
-            // A state outside any group reads the freshest committed data but
-            // still pins a per-transaction snapshot so repeated reads agree.
-            if let Some((_, ts)) = detail.read_cts.iter().find(|(g, _)| g.0 == u32::MAX) {
-                return Ok(*ts);
-            }
-            let ts = self.clock.now();
-            detail.read_cts.push((GroupId(u32::MAX), ts));
-            self.lower_snapshot_floor(tx.slot, ts);
-            return Ok(ts);
-        }
+    fn pin_groups_locked(&self, detail: &mut TxDetail, tx: &Tx, state: StateId) -> Timestamp {
         let mut result = u64::MAX;
-        for g in groups {
-            if let Some((_, ts)) = detail.read_cts.iter().find(|(pg, _)| pg == g) {
+        let mut grouped = false;
+        self.for_each_group_of_state(state, |g, last_cts| {
+            grouped = true;
+            if let Some((_, ts)) = detail.read_cts.iter().find(|(pg, _)| *pg == g) {
                 result = result.min(*ts);
             } else {
-                let ts = self.last_cts(*g)?;
-                detail.read_cts.push((*g, ts));
-                self.lower_snapshot_floor(tx.slot, ts);
-                result = result.min(ts);
+                detail.read_cts.push((g, last_cts));
+                self.lower_snapshot_floor(tx.slot, last_cts);
+                result = result.min(last_cts);
             }
+        });
+        if grouped {
+            // Overlap rule: never read newer than a snapshot already pinned
+            // by this transaction for another group sharing a state.
+            return result;
         }
-        // Overlap rule: never read newer than a snapshot already pinned by
-        // this transaction for another group sharing a state.
-        Ok(result)
+        // A state outside any group reads the freshest committed data but
+        // still pins a per-transaction snapshot so repeated reads agree.
+        if let Some((_, ts)) = detail.read_cts.iter().find(|(g, _)| g.0 == u32::MAX) {
+            return *ts;
+        }
+        let ts = self.clock.now();
+        detail.read_cts.push((GroupId(u32::MAX), ts));
+        self.lower_snapshot_floor(tx.slot, ts);
+        ts
     }
 
     /// The pinned read snapshots of `tx` (group, ReadCTS).
@@ -1631,17 +1687,18 @@ impl StateContext {
     /// look conflicting, and retries would spuriously abort forever.
     pub fn state_snapshot_floor(&self, tx: &Tx, state: StateId) -> Result<Timestamp> {
         self.check_owner(tx)?;
-        let groups = self.groups_of_state(state);
         let detail = self.slots[tx.slot].detail.lock();
         let mut floor = tx.begin_ts();
-        for (g, ts) in &detail.read_cts {
-            let relevant = if groups.is_empty() {
-                // Ungrouped states pin under the sentinel group id.
-                g.0 == u32::MAX
-            } else {
-                groups.contains(g)
-            };
-            if relevant {
+        let mut grouped = false;
+        self.for_each_group_of_state(state, |g, _| {
+            grouped = true;
+            if let Some((_, ts)) = detail.read_cts.iter().find(|(pg, _)| *pg == g) {
+                floor = floor.min(*ts);
+            }
+        });
+        if !grouped {
+            // Ungrouped states pin under the sentinel group id.
+            if let Some((_, ts)) = detail.read_cts.iter().find(|(g, _)| g.0 == u32::MAX) {
                 floor = floor.min(*ts);
             }
         }

@@ -149,15 +149,12 @@ impl<K: KeyType, V: ValueType> IsolatedReader<K, V> {
     /// several stream queries) the *older* one wins — the same rule §4.3
     /// prescribes for overlapping topologies.
     fn published_cts(&self) -> Result<Timestamp> {
-        let groups = self.ctx.groups_of_state(self.table.id());
-        if groups.is_empty() {
-            return Err(TspError::UnknownGroup { group: 0 });
-        }
-        let mut min = Timestamp::MAX;
-        for g in groups {
-            min = min.min(self.ctx.last_cts(g)?);
-        }
-        Ok(min)
+        let mut min = None::<Timestamp>;
+        self.ctx
+            .for_each_group_of_state(self.table.id(), |_, last_cts| {
+                min = Some(min.map_or(last_cts, |m| m.min(last_cts)));
+            });
+        min.ok_or(TspError::UnknownGroup { group: 0 })
     }
 }
 

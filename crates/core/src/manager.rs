@@ -76,7 +76,12 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tsp_common::recycle::{recycle_vec, KEEP_ENTRIES};
 use tsp_common::{GroupId, Result, StateId, Timestamp, TspError};
+
+/// The participants of one commit: those that buffered writes first, then
+/// the ones it only read, each part in state-id order.
+type Participants = Vec<Arc<dyn TxParticipant>>;
 
 /// Outcome reported to an operator that flagged its state (operator-style
 /// commit protocol, §4.3).
@@ -92,11 +97,12 @@ pub enum FlagOutcome {
 }
 
 /// One enqueued commit awaiting (or holding) its group's batch: the
-/// transaction handle, its participants, and the outcome cell the batch
-/// leader fills in.
+/// transaction handle, its participants (the first `writers` of them
+/// buffered writes), and the outcome cell the batch leader fills in.
 struct CommitSlot {
     tx: Tx,
-    participants: Vec<Arc<dyn TxParticipant>>,
+    participants: Participants,
+    writers: usize,
     /// `Some` once the leader decided; moved out exactly once by the owner.
     outcome: Mutex<Option<Result<Timestamp>>>,
     /// Published *after* the group commit is visible (`Release`); the owner
@@ -105,10 +111,11 @@ struct CommitSlot {
 }
 
 impl CommitSlot {
-    fn new(tx: Tx, participants: Vec<Arc<dyn TxParticipant>>) -> Arc<Self> {
+    fn new(tx: Tx, participants: Participants, writers: usize) -> Arc<Self> {
         Arc::new(CommitSlot {
             tx,
             participants,
+            writers,
             outcome: Mutex::new(None),
             decided: AtomicBool::new(false),
         })
@@ -152,6 +159,9 @@ pub struct TransactionManager {
     ctx: Arc<StateContext>,
     participants: RwLock<HashMap<StateId, Arc<dyn TxParticipant>>>,
     group_locks: RwLock<HashMap<GroupId, Arc<GroupCommit>>>,
+    /// Per transaction slot, the emptied participant list of the slot's
+    /// last commit, refilled by its next one.
+    lists: Box<[Mutex<Participants>]>,
 }
 
 impl TransactionManager {
@@ -163,10 +173,14 @@ impl TransactionManager {
     /// configured.  The hook holds only a weak reference — dropping the
     /// manager disarms it.
     pub fn new(ctx: Arc<StateContext>) -> Arc<Self> {
+        let lists = (0..ctx.max_active_txns())
+            .map(|_| Mutex::new(Vec::new()))
+            .collect();
         let mgr = Arc::new(TransactionManager {
             ctx,
             participants: RwLock::new(HashMap::new()),
             group_locks: RwLock::new(HashMap::new()),
+            lists,
         });
         let weak = Arc::downgrade(&mgr);
         mgr.ctx
@@ -204,22 +218,26 @@ impl TransactionManager {
         self.ctx.begin(true)
     }
 
-    fn participant(&self, state: StateId) -> Option<Arc<dyn TxParticipant>> {
-        self.participants.read().get(&state).cloned()
+    /// The participants `tx` accessed, in state-id order, collected into
+    /// the list buffer of `tx`'s slot.  Hand the list back with
+    /// [`recycle_list`](Self::recycle_list).
+    fn accessed_participants(&self, tx: &Tx) -> Result<Participants> {
+        let mut list = std::mem::take(&mut *self.lists[tx.slot()].lock());
+        let registry = self.participants.read();
+        self.ctx.for_each_accessed_state(tx, |s| {
+            if let Some(p) = registry.get(&s) {
+                list.push(Arc::clone(p));
+            }
+        })?;
+        drop(registry);
+        list.sort_unstable_by_key(|p| p.state_id());
+        Ok(list)
     }
 
-    fn accessed_participants(&self, tx: &Tx) -> Result<Vec<Arc<dyn TxParticipant>>> {
-        let mut states: Vec<StateId> = self
-            .ctx
-            .accessed_states(tx)?
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        states.sort();
-        Ok(states
-            .into_iter()
-            .filter_map(|s| self.participant(s))
-            .collect())
+    /// Returns `list`, emptied, to the buffer of `tx`'s slot.
+    fn recycle_list(&self, tx: &Tx, mut list: Participants) {
+        recycle_vec(&mut list, KEEP_ENTRIES);
+        *self.lists[tx.slot()].lock() = list;
     }
 
     // ------------------------------------------------------------------
@@ -286,23 +304,25 @@ impl TransactionManager {
         timeout: Option<Duration>,
     ) -> Result<(Option<Timestamp>, bool)> {
         self.reject_abort_flagged(tx)?;
-        let participants = self.accessed_participants(tx)?;
-        let writers: Vec<Arc<dyn TxParticipant>> = participants
-            .iter()
-            .filter(|p| p.has_writes(tx))
-            .cloned()
-            .collect();
-        let Some(cts) = self.commit_resolved(tx, participants)? else {
-            return Ok((None, true));
-        };
-        let deadline = timeout.map(|t| Instant::now() + t);
-        for p in &writers {
-            if !p.wait_durable(cts, deadline)? {
-                self.ctx.telemetry().bump(Counter::DurabilityTimeouts);
-                return Ok((Some(cts), false));
-            }
-        }
-        Ok((Some(cts), true))
+        let mut participants = self.accessed_participants(tx)?;
+        let writers = split_writers(tx, &mut participants);
+        let outcome = self
+            .commit_resolved(tx, &participants, writers)
+            .and_then(|cts| {
+                let Some(cts) = cts else {
+                    return Ok((None, true));
+                };
+                let deadline = timeout.map(|t| Instant::now() + t);
+                for p in &participants[..writers] {
+                    if !p.wait_durable(cts, deadline)? {
+                        self.ctx.telemetry().bump(Counter::DurabilityTimeouts);
+                        return Ok((Some(cts), false));
+                    }
+                }
+                Ok((Some(cts), true))
+            });
+        self.recycle_list(tx, participants);
+        outcome
     }
 
     /// Rolls `tx` back and fails if any participating state flagged abort.
@@ -337,8 +357,13 @@ impl TransactionManager {
     /// Validation + in-memory apply + durable hand-off + participant
     /// publish for one transaction, with the relevant commit locks held by
     /// the caller.  Returns the commit timestamp; the caller publishes the
-    /// group `LastCTS`.
-    fn commit_one(&self, tx: &Tx, participants: &[Arc<dyn TxParticipant>]) -> Result<Timestamp> {
+    /// group `LastCTS`.  The first `writers` participants buffered writes.
+    fn commit_one(
+        &self,
+        tx: &Tx,
+        participants: &[Arc<dyn TxParticipant>],
+        writers: usize,
+    ) -> Result<Timestamp> {
         // Stage timings record on success *and* failure (an abort's
         // validation time is exactly what a conflict investigation needs).
         // Cost: a handful of `Instant::now()` calls and relaxed histogram
@@ -351,17 +376,16 @@ impl TransactionManager {
         telemetry.validate_nanos().record(t_validate.elapsed());
         validated?;
         let cts = self.ctx.clock().next_commit_ts();
-        let writers: Vec<&Arc<dyn TxParticipant>> =
-            participants.iter().filter(|p| p.has_writes(tx)).collect();
+        let writers = participants[..writers].iter();
         // Phase 2: in-memory apply with a single commit timestamp.  Phase 3:
         // durable hand-off, reached only if every apply succeeded.  Each
         // helper undoes what it installed before returning an error.
         let t_apply = Instant::now();
-        let applied = apply_all(tx, cts, &writers);
+        let applied = apply_all(tx, cts, writers.clone());
         telemetry.apply_nanos().record(t_apply.elapsed());
         let handed_off = applied.and_then(|()| {
             let t_durable = Instant::now();
-            let handed_off = hand_off_durable(&self.ctx, tx, cts, &writers);
+            let handed_off = hand_off_durable(&self.ctx, tx, cts, writers.clone());
             telemetry
                 .durable_handoff_nanos()
                 .record(t_durable.elapsed());
@@ -372,7 +396,7 @@ impl TransactionManager {
             return Err(e);
         }
         // Phase 4: participant-managed publish.
-        publish_all(tx, cts, &writers);
+        publish_all(tx, cts, writers);
         Ok(cts)
     }
 
@@ -401,7 +425,7 @@ impl TransactionManager {
             // partial apply; this outer net covers validation and
             // bookkeeping panics, where nothing was installed yet.)
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.commit_one(&s.tx, &s.participants)
+                self.commit_one(&s.tx, &s.participants, s.writers)
             }))
             .unwrap_or_else(|_| {
                 // `commit_one` records its own taxonomy entries on regular
@@ -446,9 +470,10 @@ impl TransactionManager {
         group: GroupId,
         gc: &GroupCommit,
         participants: &[Arc<dyn TxParticipant>],
+        writers: usize,
     ) -> Result<Timestamp> {
         if let Some(guard) = gc.lock.try_lock() {
-            let outcome = self.commit_one(tx, participants);
+            let outcome = self.commit_one(tx, participants, writers);
             if let Ok(cts) = outcome {
                 self.ctx
                     .publish_group_commit(group, cts)
@@ -460,7 +485,7 @@ impl TransactionManager {
             drop(guard);
             return outcome;
         }
-        let slot = CommitSlot::new(tx.clone(), participants.to_vec());
+        let slot = CommitSlot::new(tx.clone(), participants.to_vec(), writers);
         gc.queue.lock().push(Arc::clone(&slot));
         // Contended path only: the try-lock fast path above pays no
         // telemetry beyond `commit_one`'s own stage timings.
@@ -481,17 +506,22 @@ impl TransactionManager {
     }
 
     fn commit_internal(&self, tx: &Tx) -> Result<Option<Timestamp>> {
-        let participants = self.accessed_participants(tx)?;
-        self.commit_resolved(tx, participants)
+        let mut participants = self.accessed_participants(tx)?;
+        let writers = split_writers(tx, &mut participants);
+        let outcome = self.commit_resolved(tx, &participants, writers);
+        self.recycle_list(tx, participants);
+        outcome
     }
 
     /// [`commit_internal`](Self::commit_internal) with the participant list
     /// already resolved (callers that need the list themselves, like
     /// [`commit_durable`](Self::commit_durable), avoid resolving it twice).
+    /// The first `writers` participants buffered writes.
     fn commit_resolved(
         &self,
         tx: &Tx,
-        participants: Vec<Arc<dyn TxParticipant>>,
+        participants: &[Arc<dyn TxParticipant>],
+        writers: usize,
     ) -> Result<Option<Timestamp>> {
         // Claim the transaction's fate before touching any participant: the
         // slot-epoch CAS is the single arbitration point between this commit
@@ -512,25 +542,34 @@ impl TransactionManager {
                 })
             }
         }
-        let writers: Vec<&Arc<dyn TxParticipant>> =
-            participants.iter().filter(|p| p.has_writes(tx)).collect();
-
         // Read-only fast path: nothing to validate, nothing to publish.
-        if writers.is_empty() {
+        if writers == 0 {
             // BOCC still validates its read set here; SSI learns from the
             // hint that the transaction wrote nothing and skips validation.
             if let Err(e) = participants.iter().try_for_each(|p| p.validate(tx, false)) {
-                self.finish(tx, &participants, false);
+                self.finish(tx, participants, false);
                 return Err(e);
             }
-            self.finish(tx, &participants, true);
+            self.finish(tx, participants, true);
             return Ok(None);
+        }
+
+        // The hot shape — all commit ordering confined to one group — goes
+        // through the leader/follower batch; everything else (multi-group
+        // writes, cross-group read certification) takes the classic
+        // multi-lock path below.
+        if let Some(group) = self.single_commit_group(tx, participants, writers) {
+            if let Some(gc) = self.group_commit(group) {
+                let outcome = self.commit_batched(tx, group, &gc, participants, writers);
+                self.finish(tx, participants, outcome.is_ok());
+                return outcome.map(Some);
+            }
         }
 
         // Groups whose LastCTS will move; their commit locks serialise
         // concurrent committers of the same group ("only during the commit
         // time, a short synchronization is required", §4.2).
-        let write_groups: BTreeSet<GroupId> = writers
+        let write_groups: BTreeSet<GroupId> = participants[..writers]
             .iter()
             .flat_map(|p| self.ctx.groups_of_state(p.state_id()))
             .collect();
@@ -552,19 +591,6 @@ impl TransactionManager {
             .filter(|g| !write_groups.contains(g))
             .collect();
 
-        // The hot shape — all commit ordering confined to one group — goes
-        // through the leader/follower batch; everything else (multi-group
-        // writes, cross-group read certification) takes the classic
-        // multi-lock path below.
-        if read_lock_groups.is_empty() && write_groups.len() == 1 {
-            let group = *write_groups.iter().next().expect("one write group");
-            if let Some(gc) = self.group_commit(group) {
-                let outcome = self.commit_batched(tx, group, &gc, &participants);
-                self.finish(tx, &participants, outcome.is_ok());
-                return outcome.map(Some);
-            }
-        }
-
         let lock_groups: BTreeSet<GroupId>;
         let lock_set: &BTreeSet<GroupId> = if read_lock_groups.is_empty() {
             &write_groups
@@ -581,21 +607,49 @@ impl TransactionManager {
         };
         let _guards: Vec<_> = locks.iter().map(|l| l.lock.lock()).collect();
 
-        match self.commit_one(tx, &participants) {
+        match self.commit_one(tx, participants, writers) {
             Ok(cts) => {
                 for g in &write_groups {
                     self.ctx.publish_group_commit(*g, cts)?;
                 }
                 drop(_guards);
-                self.finish(tx, &participants, true);
+                self.finish(tx, participants, true);
                 Ok(Some(cts))
             }
             Err(e) => {
                 drop(_guards);
-                self.finish(tx, &participants, false);
+                self.finish(tx, participants, false);
                 Err(e)
             }
         }
+    }
+
+    /// The group whose commit lock alone orders `tx`: every state it wrote
+    /// belongs to this one group, and so does every state whose validation
+    /// needs a read-side commit lock.  `None` sends the commit down the
+    /// multi-lock path.  Visits the group registry in place.
+    fn single_commit_group(
+        &self,
+        tx: &Tx,
+        participants: &[Arc<dyn TxParticipant>],
+        writers: usize,
+    ) -> Option<GroupId> {
+        let mut group = None;
+        let mut single = true;
+        let mut see = |g: GroupId, _| match group {
+            None => group = Some(g),
+            Some(h) => single &= h == g,
+        };
+        for p in &participants[..writers] {
+            self.ctx.for_each_group_of_state(p.state_id(), &mut see);
+        }
+        for p in participants
+            .iter()
+            .filter(|p| p.validation_requires_commit_lock(tx))
+        {
+            self.ctx.for_each_group_of_state(p.state_id(), &mut see);
+        }
+        group.filter(|_| single)
     }
 
     fn rollback_internal(&self, tx: &Tx) -> Result<()> {
@@ -611,6 +665,7 @@ impl TransactionManager {
         }
         let participants = self.accessed_participants(tx)?;
         self.finish(tx, &participants, false);
+        self.recycle_list(tx, participants);
         Ok(())
     }
 
@@ -702,6 +757,7 @@ impl TransactionManager {
                 }));
             }
             self.ctx.finish(&tx);
+            self.recycle_list(&tx, participants);
             let telemetry = self.ctx.telemetry();
             telemetry.bump(Counter::Aborted);
             telemetry.record_abort(AbortReason::LeaseExpired);
@@ -799,14 +855,14 @@ fn guarded(f: impl FnOnce() -> Result<()>) -> Result<()> {
 /// `writers[..=i]` — the failing one may be partially applied — so no
 /// installed-but-never-published version can spuriously trip
 /// First-Committer-Wins / SSI certification for later transactions.
-pub(crate) fn apply_all(
+pub(crate) fn apply_all<'a>(
     tx: &Tx,
     cts: Timestamp,
-    writers: &[&Arc<dyn TxParticipant>],
+    writers: impl Iterator<Item = &'a Arc<dyn TxParticipant>> + Clone,
 ) -> Result<()> {
-    for (i, p) in writers.iter().enumerate() {
+    for (i, p) in writers.clone().enumerate() {
         if let Err(e) = guarded(|| p.apply(tx, cts)) {
-            for q in &writers[..=i] {
+            for q in writers.take(i + 1) {
                 q.undo_apply(tx, cts);
             }
             return Err(e);
@@ -826,14 +882,14 @@ pub(crate) fn apply_all(
 /// orphan is harmless, because recovery treats any redo record as
 /// presumed-commit and rolls the group forward to it — see
 /// [`crate::recovery::restore_group`].
-pub(crate) fn hand_off_durable(
+pub(crate) fn hand_off_durable<'a>(
     ctx: &StateContext,
     tx: &Tx,
     cts: Timestamp,
-    writers: &[&Arc<dyn TxParticipant>],
+    writers: impl Iterator<Item = &'a Arc<dyn TxParticipant>> + Clone,
 ) -> Result<()> {
-    attach_group_redo(ctx, tx, cts, writers.iter().copied());
-    for p in writers {
+    attach_group_redo(ctx, tx, cts, writers.clone());
+    for p in writers.clone() {
         if let Err(e) = guarded(|| p.apply_durable(tx, cts)) {
             for q in writers {
                 q.undo_apply(tx, cts);
@@ -849,10 +905,28 @@ pub(crate) fn hand_off_durable(
 /// already saw.  Base tables are no-ops here (their visibility is the
 /// caller's group `LastCTS` publish); partition anchors publish their inner
 /// context.  Infallible: the commit is decided once phase 3 completes.
-pub(crate) fn publish_all(tx: &Tx, cts: Timestamp, writers: &[&Arc<dyn TxParticipant>]) {
+pub(crate) fn publish_all<'a>(
+    tx: &Tx,
+    cts: Timestamp,
+    writers: impl Iterator<Item = &'a Arc<dyn TxParticipant>>,
+) {
     for p in writers {
         p.publish_commit(tx, cts);
     }
+}
+
+/// Moves the participants that buffered writes for `tx` to the front of
+/// `participants`, keeping each part's order, and returns how many there
+/// are.  Rotates in place: commits touch a handful of states.
+fn split_writers(tx: &Tx, participants: &mut [Arc<dyn TxParticipant>]) -> usize {
+    let mut writers = 0;
+    for i in 0..participants.len() {
+        if participants[i].has_writes(tx) {
+            participants[writers..=i].rotate_right(1);
+            writers += 1;
+        }
+    }
+    writers
 }
 
 /// Ends `tx` on every participant and on `ctx`, counting it as committed or

@@ -109,7 +109,7 @@ use crate::context::{StateContext, Tx};
 use crate::manager::{apply_all, finish_all, hand_off_durable, publish_all, TransactionManager};
 use crate::recovery::{recover_table_cts, replay_torn_suffix};
 use crate::table::common::{
-    KeyType, SlotLocal, TableHandle, TransactionalTable, TxParticipant, ValueType,
+    KeyType, Recycle, SlotLocal, TableHandle, TransactionalTable, TxParticipant, ValueType,
 };
 use crate::table::factory::Protocol;
 use crate::telemetry::{Counter, Telemetry, TelemetrySnapshot, WriterScan};
@@ -259,6 +259,8 @@ struct SubTxn {
     /// `apply_durable` / `undo_apply`.
     pending_cts: Option<Timestamp>,
 }
+
+impl Recycle for SubTxn {}
 
 /// A shard table registered on one partition: the inner participant plus
 /// the inner groups its commits publish.
@@ -744,8 +746,8 @@ impl PartitionShard {
 }
 
 /// The participants of `accessed`, for the manager's phase helpers.
-fn participants(accessed: &AccessedInner) -> Vec<&Arc<dyn TxParticipant>> {
-    accessed.iter().map(|(p, _)| p).collect()
+fn participants(accessed: &AccessedInner) -> impl Iterator<Item = &Arc<dyn TxParticipant>> + Clone {
+    accessed.iter().map(|(p, _)| p)
 }
 
 impl TxParticipant for PartitionShard {
@@ -787,7 +789,7 @@ impl TxParticipant for PartitionShard {
         // stage timing — this is what makes per-partition telemetry
         // partition-resolved instead of router-only.
         let t_apply = Instant::now();
-        let applied = apply_all(&sub, cts, &participants(&writers));
+        let applied = apply_all(&sub, cts, participants(&writers));
         core.ctx.telemetry().apply_nanos().record(t_apply.elapsed());
         if applied.is_err() {
             core.subs.with_mut(tx, |s| s.pending_cts = None);
@@ -854,7 +856,7 @@ impl TxParticipant for PartitionShard {
             return Ok(()); // no writes on this partition
         };
         let t_durable = Instant::now();
-        let handed_off = hand_off_durable(&core.ctx, &sub, cts, &participants(&writers));
+        let handed_off = hand_off_durable(&core.ctx, &sub, cts, participants(&writers));
         core.ctx
             .telemetry()
             .durable_handoff_nanos()
@@ -879,7 +881,7 @@ impl TxParticipant for PartitionShard {
         else {
             return; // no writes on this partition
         };
-        publish_all(&sub, cts, &participants(&writers));
+        publish_all(&sub, cts, participants(&writers));
         for g in writers.iter().flat_map(|(_, groups)| groups) {
             // Inner groups were registered at table creation; the publish
             // cannot fail, and the decided commit must not unwind here.

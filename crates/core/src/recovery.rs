@@ -8,7 +8,7 @@
 //! * every persistent table stores the commit timestamp of the last
 //!   transaction applied to it under a reserved metadata key, written in the
 //!   *same* atomic batch as the transaction's data (see
-//!   [`crate::table::common::last_cts_key`]) — durability therefore costs no
+//!   [`crate::table::common::LAST_CTS_KEY`]) — durability therefore costs no
 //!   extra fsync;
 //! * uncommitted write sets are volatile by design, so nothing needs to be
 //!   undone: after a restart only committed data exists in the base tables;
@@ -43,7 +43,7 @@
 
 use crate::clock::{GlobalClock, EPOCH_TS};
 use crate::context::StateContext;
-use crate::table::common::last_cts_key;
+use crate::table::common::LAST_CTS_KEY;
 use crate::telemetry::Counter;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included};
@@ -78,7 +78,7 @@ pub struct RecoveryReport {
 /// Reads the commit timestamp of the last transaction a persistent base
 /// table has applied, if any.
 pub fn recover_table_cts(backend: &dyn StorageBackend) -> Result<Option<Timestamp>> {
-    match backend.get(&last_cts_key())? {
+    match backend.get(LAST_CTS_KEY)? {
         None => Ok(None),
         Some(bytes) => Ok(Some(u64::decode(&bytes)?)),
     }
@@ -190,7 +190,7 @@ pub fn replay_torn_suffix(
                     continue;
                 };
                 let mut batch = section.ops.clone();
-                batch.put(last_cts_key(), cts.encode());
+                batch.put(LAST_CTS_KEY, cts.encode());
                 batch.put(redo_key(*cts), rec.encode());
                 b.write_batch(&batch)?;
                 commit_was_torn = true;
@@ -231,7 +231,7 @@ mod tests {
         for (k, v) in values {
             b.put(&k.encode(), &v.encode()).unwrap();
         }
-        b.put(&last_cts_key(), &cts.encode()).unwrap();
+        b.put(LAST_CTS_KEY, &cts.encode()).unwrap();
         b
     }
 

@@ -5,15 +5,17 @@
 //! for keys and values.
 
 use crate::clock::EPOCH_TS;
-use crate::context::{PendingRedo, StateContext, Tx};
+use crate::context::{StateContext, Tx};
 use crate::telemetry::Counter;
 use parking_lot::{Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use tsp_common::recycle::{recycle_map, recycle_set, recycle_vec, KEEP_BYTES, KEEP_ENTRIES};
 use tsp_common::{
     fx_shard, CachePadded, FxHashMap, FxHashSet, Result, StateId, Timestamp, TspError,
 };
@@ -117,6 +119,40 @@ impl<K: KeyType, V: ValueType> WriteSet<K, V> {
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.ops.iter().map(|(k, _)| k)
     }
+
+    /// Entries the op list and the index hold before they reallocate.
+    #[cfg(test)]
+    fn capacity(&self) -> (usize, usize) {
+        (self.ops.capacity(), self.index.capacity())
+    }
+}
+
+impl<K: KeyType, V: ValueType> Recycle for WriteSet<K, V> {
+    fn recycle(&mut self) {
+        recycle_vec(&mut self.ops, KEEP_ENTRIES);
+        recycle_map(&mut self.index);
+    }
+}
+
+/// Slot-local data that outlives its transaction.  [`SlotLocal`] empties a
+/// cell with [`recycle`](Self::recycle) when its transaction finishes (or
+/// a new one claims it), so the buffers inside keep their capacity from one
+/// transaction to the next, under the rule of [`tsp_common::recycle`].
+pub trait Recycle: Default {
+    /// Empties the data for the cell's next transaction.  The default
+    /// replaces it with `Default::default()` — right for data that holds
+    /// no buffer.
+    fn recycle(&mut self) {
+        *self = Self::default();
+    }
+}
+
+impl<T> Recycle for Option<T> {}
+
+impl<T> Recycle for Vec<T> {
+    fn recycle(&mut self) {
+        recycle_vec(self, KEEP_ENTRIES);
+    }
 }
 
 /// Transaction-slot-local storage: one `T` per active-transaction slot,
@@ -152,7 +188,7 @@ struct SlotCell<T> {
     data: Mutex<T>,
 }
 
-impl<T: Default> SlotLocal<T> {
+impl<T: Recycle> SlotLocal<T> {
     /// Creates storage for `capacity` transaction slots (size it with
     /// [`StateContext::max_active_txns`]).
     pub fn new(capacity: usize) -> Self {
@@ -182,7 +218,7 @@ impl<T: Default> SlotLocal<T> {
         self.cell(tx).owner.load(Ordering::Acquire) == tx.id().as_u64()
     }
 
-    /// Runs `f` with `tx`'s data, claiming (and resetting) the cell on
+    /// Runs `f` with `tx`'s data, claiming (and emptying) the cell on
     /// first use.
     pub fn with_mut<R>(&self, tx: &Tx, f: impl FnOnce(&mut T) -> R) -> R {
         let cell = self.cell(tx);
@@ -190,8 +226,8 @@ impl<T: Default> SlotLocal<T> {
         let mut data = cell.data.lock();
         if cell.owner.load(Ordering::Relaxed) != tx.id().as_u64() {
             // First use by this transaction (or a stale leftover from a
-            // previous occupant that skipped `finish`): start fresh.
-            *data = T::default();
+            // previous occupant that skipped `finish`): start empty.
+            data.recycle();
             cell.owner.store(tx.id().as_u64(), Ordering::Release);
         }
         f(&mut data)
@@ -208,7 +244,7 @@ impl<T: Default> SlotLocal<T> {
     /// **under the cell mutex** and only on the claim path — repeat touches
     /// by an already-claimed owner skip it, keeping the hot path one lock +
     /// one relaxed load.  The ordering argument: the reaper clears cells
-    /// through [`take`](Self::take)/[`clear`](Self::clear) under the same
+    /// through [`clear`](Self::clear) under the same
     /// mutex *after* winning the epoch CAS, so if this claim observes the
     /// pre-reap owner tag as already cleared (or a new occupant's tag), the
     /// epoch bump is visible too and `check` fails deterministically.
@@ -223,7 +259,7 @@ impl<T: Default> SlotLocal<T> {
         let mut data = cell.data.lock();
         if cell.owner.load(Ordering::Relaxed) != tx.id().as_u64() {
             check()?;
-            *data = T::default();
+            data.recycle();
             cell.owner.store(tx.id().as_u64(), Ordering::Release);
         }
         Ok(f(&mut data))
@@ -238,7 +274,7 @@ impl<T: Default> SlotLocal<T> {
         }
         crate::latch_probe::count_latch();
         let data = cell.data.lock();
-        // Re-check under the lock: `take`/`clear` may have released the
+        // Re-check under the lock: `release_with` may have released the
         // cell between the probe and the lock.
         if cell.owner.load(Ordering::Relaxed) != tx.id().as_u64() {
             return None;
@@ -246,8 +282,10 @@ impl<T: Default> SlotLocal<T> {
         Some(f(&data))
     }
 
-    /// Removes and returns `tx`'s data, releasing the cell.
-    pub fn take(&self, tx: &Tx) -> Option<T> {
+    /// Runs `f` with `tx`'s data one last time, then empties the cell in
+    /// place ([`Recycle`]) and releases it.  `None` if `tx` holds no data
+    /// here (never claimed, or already released).
+    pub fn release_with<R>(&self, tx: &Tx, f: impl FnOnce(&mut T) -> R) -> Option<R> {
         let cell = self.cell(tx);
         if cell.owner.load(Ordering::Acquire) != tx.id().as_u64() {
             return None;
@@ -258,12 +296,25 @@ impl<T: Default> SlotLocal<T> {
             return None;
         }
         cell.owner.store(0, Ordering::Release);
-        Some(std::mem::take(&mut data))
+        let result = f(&mut data);
+        data.recycle();
+        Some(result)
     }
 
-    /// Drops `tx`'s data (`finish` path).
+    /// Removes and returns `tx`'s data, releasing the cell.
+    pub fn take(&self, tx: &Tx) -> Option<T> {
+        self.release_with(tx, std::mem::take)
+    }
+
+    /// Empties `tx`'s cell in place and releases it (`finish` path).
     pub fn clear(&self, tx: &Tx) {
-        let _ = self.take(tx);
+        self.release_with(tx, |_| ());
+    }
+
+    /// The data of the cell `slot` maps to, whoever owns it (tests).
+    #[cfg(test)]
+    fn cell_data(&self, slot: usize) -> parking_lot::MutexGuard<'_, T> {
+        self.slots[slot % self.slots.len()].data.lock()
     }
 
     /// Number of claimed cells (diagnostics).
@@ -305,6 +356,13 @@ impl<K: KeyType> ReadSet<K> {
     /// True if the transaction recorded no reads at all.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty() && !self.whole_table
+    }
+}
+
+impl<K: KeyType> Recycle for ReadSet<K> {
+    fn recycle(&mut self) {
+        recycle_set(&mut self.keys);
+        self.whole_table = false;
     }
 }
 
@@ -384,11 +442,21 @@ pub struct TypedBackend<K, V> {
     /// Asynchronous persistence writer (stage 2 of the commit pipeline).
     /// `None` = synchronous durability inside the commit critical section.
     writer: Option<Arc<BatchWriter>>,
-    /// The group redo records this view wrote and has not yet deleted,
-    /// oldest first: each commit timestamp with the states holding a copy
-    /// (see [`persist_pending`]).
-    live_redo: Mutex<VecDeque<(Timestamp, Arc<[StateId]>)>>,
+    /// What each commit's durable batch needs from the commits before it.
+    log: Mutex<DurableLog>,
     _marker: std::marker::PhantomData<fn() -> (K, V)>,
+}
+
+/// The per-view state of [`persist_pending`], locked once per commit.
+#[derive(Default)]
+struct DurableLog {
+    /// The group redo records the view wrote and has not yet deleted,
+    /// oldest first: each commit timestamp with the states holding a copy.
+    live_redo: VecDeque<(Timestamp, Arc<[StateId]>)>,
+    /// The batch buffer of synchronous persistence, reused by every commit
+    /// (`write_batch` only borrows it).  With an asynchronous writer the
+    /// batch is drawn from the writer's pool instead.
+    batch: WriteBatch,
 }
 
 impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
@@ -406,7 +474,7 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
         TypedBackend {
             backend,
             writer,
-            live_redo: Mutex::new(VecDeque::new()),
+            log: Mutex::new(DurableLog::default()),
             _marker: std::marker::PhantomData,
         }
     }
@@ -448,15 +516,25 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
         self.backend.as_ref()
     }
 
-    /// Reads and decodes the committed value of `key`.
+    /// Reads and decodes the committed value of `key`.  The key is encoded
+    /// into a per-thread scratch buffer and the value decoded where the
+    /// backend holds it ([`StorageBackend::get_with`]), so a lookup that
+    /// finds a fixed-size value allocates nothing.
     pub fn get(&self, key: &K) -> Result<Option<V>> {
-        match &self.backend {
-            None => Ok(None),
-            Some(b) => match b.get(&key.encode())? {
-                None => Ok(None),
-                Some(bytes) => Ok(Some(V::decode(&bytes)?)),
-            },
+        thread_local! {
+            static KEY: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
         }
+        let Some(b) = &self.backend else {
+            return Ok(None);
+        };
+        let mut encoded = KEY.take();
+        key.encode_into(&mut encoded);
+        let mut value = None;
+        let found = b.get_with(&encoded, &mut |bytes| value = Some(V::decode(bytes)));
+        recycle_vec(&mut encoded, KEEP_BYTES);
+        KEY.set(encoded);
+        found?;
+        value.transpose()
     }
 
     /// Writes a committed value directly (used for preloading data outside
@@ -468,18 +546,16 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
         Ok(())
     }
 
-    /// Encodes the effective modifications of a write set as one
-    /// [`WriteBatch`], each typed key and value encoded straight into the
-    /// batch's buffer — the bytes the WAL stores.
-    fn batch_of(ops: &[(K, WriteOp<V>)]) -> WriteBatch {
-        let mut batch = WriteBatch::new();
+    /// Encodes the effective modifications of a write set into `batch`,
+    /// each typed key and value encoded straight into the batch's buffer —
+    /// the bytes the WAL stores.
+    fn encode_ops(batch: &mut WriteBatch, ops: &[(K, WriteOp<V>)]) {
         for (k, op) in ops {
             match op {
                 WriteOp::Put(v) => batch.put_with(k, v),
                 WriteOp::Delete => batch.delete_with(k),
             };
         }
-        batch
     }
 
     /// Applies the effective modifications of a write set as one atomic
@@ -492,20 +568,37 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
         if ops.is_empty() {
             return Ok(());
         }
-        b.write_batch(&Self::batch_of(ops))
+        let mut batch = WriteBatch::new();
+        Self::encode_ops(&mut batch, ops);
+        b.write_batch(&batch)
+    }
+
+    /// An empty batch for the next commit: the asynchronous writer's
+    /// pooled buffer, or the buffer synchronous persistence keeps in `log`.
+    fn take_batch(&self, log: &mut DurableLog) -> WriteBatch {
+        match &self.writer {
+            Some(w) => w.take_buffer(),
+            None => std::mem::take(&mut log.batch),
+        }
     }
 
     /// Persists the durable work of the commit at `cts`: hands `batch` to
     /// the asynchronous [`BatchWriter`] when one is attached (a queue push —
     /// no I/O on the commit path; durability trails behind the `DurableCTS`
-    /// watermark), otherwise writes it synchronously.
-    pub fn apply_at(&self, batch: WriteBatch, cts: Timestamp) -> Result<()> {
+    /// watermark), otherwise writes it synchronously and keeps the emptied
+    /// buffer in `log` for the next commit.
+    fn apply_at(&self, mut batch: WriteBatch, cts: Timestamp, log: &mut DurableLog) -> Result<()> {
         let Some(b) = &self.backend else {
             return Ok(());
         };
         match &self.writer {
             Some(w) => w.enqueue(cts, batch),
-            None => b.write_batch(&batch),
+            None => {
+                let written = b.write_batch(&batch);
+                batch.recycle();
+                log.batch = batch;
+                written
+            }
         }
     }
 
@@ -693,23 +786,22 @@ impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
 
     /// Restores the committed-map entries [`apply`](Self::apply) overwrote.
     /// Each key appears once in the write set, so the order does not
-    /// matter.  Taking the stash makes the call idempotent.
+    /// matter.  Releasing the stash makes the call idempotent.
     pub fn undo(&self, tx: &Tx) {
-        let Some(undo) = self.undo_images.take(tx) else {
-            return;
-        };
         self.write_sets.with(tx, |ws| {
-            for ((key, _), prev) in ws.ops().iter().zip(undo) {
-                let mut shard = self.shard(key).write();
-                match prev {
-                    Some(entry) => {
-                        shard.insert(key.clone(), entry);
-                    }
-                    None => {
-                        shard.remove(key);
+            self.undo_images.release_with(tx, |undo| {
+                for ((key, _), prev) in ws.ops().iter().zip(undo.drain(..)) {
+                    let mut shard = self.shard(key).write();
+                    match prev {
+                        Some(entry) => {
+                            shard.insert(key.clone(), entry);
+                        }
+                        None => {
+                            shard.remove(key);
+                        }
                     }
                 }
-            }
+            })
         });
     }
 
@@ -732,12 +824,8 @@ pub const META_PREFIX: &[u8] = b"__tsp__/";
 
 /// Reserved key under which a persistent table stores the commit timestamp
 /// of the last transaction applied to it (used by recovery to restore the
-/// group's `LastCTS`).
-pub fn last_cts_key() -> Vec<u8> {
-    let mut k = META_PREFIX.to_vec();
-    k.extend_from_slice(b"last_cts");
-    k
-}
+/// group's `LastCTS`): [`META_PREFIX`] followed by `last_cts`.
+pub const LAST_CTS_KEY: &[u8] = b"__tsp__/last_cts";
 
 /// A participant in the consistency protocol (§4.3): one transactional state
 /// whose buffered effects the commit coordinator validates, applies, makes
@@ -1087,17 +1175,21 @@ pub fn persist_pending<K: KeyType, V: ValueType>(
     if !backend.is_persistent() {
         return Ok(());
     }
+    let mut log = backend.log.lock();
     let Some(mut batch) = write_sets
         .with(tx, |ws| {
-            (!ws.is_empty()).then(|| TypedBackend::batch_of(ws.ops()))
+            (!ws.is_empty()).then(|| {
+                let mut batch = backend.take_batch(&mut log);
+                TypedBackend::encode_ops(&mut batch, ws.ops());
+                batch
+            })
         })
         .flatten()
     else {
         return Ok(());
     };
-    batch.put(last_cts_key(), cts.encode());
-    let redo = ctx.pending_redo(tx);
-    if let Some(redo) = &redo {
+    batch.put(LAST_CTS_KEY, cts.to_be_bytes());
+    let holders = ctx.with_pending_redo(tx, |redo| {
         let mut record_len = 0;
         batch.put_value_with(redo_key(cts), |out| {
             let start = out.len();
@@ -1105,20 +1197,16 @@ pub fn persist_pending<K: KeyType, V: ValueType>(
             record_len = out.len() - start;
         });
         ctx.telemetry().add(Counter::RedoBytes, record_len as u64);
+        Arc::clone(&redo.holders)
+    });
+    let dead = dead_redo(ctx, backend, state, &log.live_redo);
+    for (c, _) in log.live_redo.iter().take(dead) {
+        batch.delete(redo_key(*c));
     }
-    let dead = {
-        let live = backend.live_redo.lock();
-        let dead = dead_redo(ctx, backend, state, &live);
-        for (c, _) in live.iter().take(dead) {
-            batch.delete(redo_key(*c));
-        }
-        dead
-    };
-    backend.apply_at(batch, cts)?;
-    let mut live = backend.live_redo.lock();
-    live.drain(..dead);
-    if let Some(redo) = redo {
-        live.push_back((cts, Arc::clone(&redo.holders)));
+    backend.apply_at(batch, cts, &mut log)?;
+    log.live_redo.drain(..dead);
+    if let Some(holders) = holders {
+        log.live_redo.push_back((cts, holders));
     }
     Ok(())
 }
@@ -1147,17 +1235,16 @@ fn dead_redo<K: KeyType, V: ValueType>(
             .take_while(|(c, holders)| durability.durable_on(holders, *c))
             .count();
     }
-    let published = ctx
-        .groups_of_state(state)
-        .into_iter()
-        .filter_map(|g| ctx.last_cts(g).ok())
-        .min()
-        .unwrap_or(EPOCH_TS);
+    let mut published = None::<Timestamp>;
+    ctx.for_each_group_of_state(state, |_, last_cts| {
+        published = Some(published.map_or(last_cts, |p| p.min(last_cts)));
+    });
+    let published = published.unwrap_or(EPOCH_TS);
     live.iter().take_while(|(c, _)| *c <= published).count()
 }
 
-/// Assembles the group redo record for the commit at `cts` and stashes it on
-/// `tx` so every participant's [`persist_pending`] folds a copy into its own
+/// Assembles the group redo record for the commit at `cts` in `tx`'s slot
+/// so every participant's [`persist_pending`] folds a copy into its own
 /// durable batch (riding the batch's existing WAL record and fsync — no
 /// extra sync).  `writers` are the participants that buffered writes; each
 /// section is encoded once here, and each copy holds the sections of the
@@ -1182,15 +1269,17 @@ pub fn attach_group_redo<'a>(
     if writers.clone().filter(|p| p.is_persistent()).count() < 2 {
         return;
     }
-    let mut sections = RedoSections::new(cts);
-    for p in writers {
-        p.redo_section(tx, &mut sections);
-    }
-    if sections.len() < 2 {
-        return;
-    }
-    let holders = sections.states().map(StateId).collect();
-    ctx.attach_redo(tx, Arc::new(PendingRedo { sections, holders }));
+    ctx.attach_redo(tx, |redo| {
+        redo.sections.reset(cts);
+        for p in writers {
+            p.redo_section(tx, &mut redo.sections);
+        }
+        if redo.sections.len() < 2 {
+            return false;
+        }
+        redo.share_holders();
+        true
+    });
 }
 
 /// Overlays a transaction's write set onto a scanned committed image
@@ -1362,6 +1451,124 @@ mod tests {
         ctx.finish(&tx);
     }
 
+    /// True if a recycled collection of `capacity` fits the rule after a
+    /// use of `used` entries: at most twice the need, or below the floor.
+    fn capped(capacity: usize, used: usize) -> bool {
+        capacity <= 2 * used || capacity < KEEP_ENTRIES
+    }
+
+    /// Runs one transaction on `ctx` that writes keys `0..n` to `sets` and
+    /// finishes it; returns its slot.
+    fn write_keys(ctx: &StateContext, sets: &TxWriteSets<u32, u64>, n: u32) -> usize {
+        let tx = ctx.begin(false).unwrap();
+        sets.with_mut(&tx, |ws| (0..n).for_each(|k| ws.put(k, u64::from(k))));
+        sets.clear(&tx);
+        ctx.finish(&tx);
+        tx.slot()
+    }
+
+    #[test]
+    fn a_slot_keeps_its_write_set_buffers_but_not_a_large_one() {
+        let ctx = StateContext::with_capacity(1);
+        let sets: TxWriteSets<u32, u64> = TxWriteSets::for_context(&ctx);
+        let slot = write_keys(&ctx, &sets, 100);
+        let warm = sets.sets.cell_data(slot).capacity();
+        assert!(warm.0 >= 100 && warm.1 >= 100);
+        write_keys(&ctx, &sets, 100);
+        assert_eq!(sets.sets.cell_data(slot).capacity(), warm, "reused");
+
+        write_keys(&ctx, &sets, 100_000);
+        write_keys(&ctx, &sets, 10);
+        let (ops, index) = sets.sets.cell_data(slot).capacity();
+        assert!(capped(ops, 10), "op list kept {ops} entries");
+        assert!(capped(index, 10), "index kept {index} entries");
+    }
+
+    #[test]
+    fn a_slot_does_not_keep_a_large_read_set() {
+        let ctx = StateContext::with_capacity(1);
+        let reads: SlotLocal<ReadSet<u32>> = SlotLocal::for_context(&ctx);
+        let mut slot = 0;
+        for n in [100_000, 10] {
+            let tx = ctx.begin(false).unwrap();
+            reads.with_mut(&tx, |rs| {
+                rs.keys.extend(0..n);
+                rs.whole_table = true;
+            });
+            reads.clear(&tx);
+            ctx.finish(&tx);
+            slot = tx.slot();
+        }
+        let cell = reads.cell_data(slot);
+        assert!(cell.is_empty());
+        assert!(capped(cell.keys.capacity(), 10), "{}", cell.keys.capacity());
+    }
+
+    /// A participant holding nothing but a write set.
+    struct Buffered {
+        state: StateId,
+        sets: TxWriteSets<u32, u64>,
+    }
+
+    impl TxParticipant for Buffered {
+        fn state_id(&self) -> StateId {
+            self.state
+        }
+        fn has_writes(&self, tx: &Tx) -> bool {
+            self.sets.has_writes(tx)
+        }
+        fn validate(&self, _tx: &Tx, _txn_has_writes: bool) -> Result<()> {
+            Ok(())
+        }
+        fn apply(&self, _tx: &Tx, _cts: Timestamp) -> Result<()> {
+            Ok(())
+        }
+        fn finish(&self, tx: &Tx, _committed: bool) {
+            self.sets.clear(tx);
+        }
+    }
+
+    /// The reaper empties a zombie's cell through the same recycling path
+    /// as `finish`, under the cell mutex: the cell is released and empty,
+    /// the zombie's late write cannot claim it, and the slot's next
+    /// transaction starts clean and caps what the zombie grew.
+    #[test]
+    fn a_reaped_zombie_leaves_a_clean_cell() {
+        let ctx = Arc::new(StateContext::with_capacity(1));
+        ctx.set_transaction_lease(Some(std::time::Duration::from_millis(1)));
+        let mgr = crate::manager::TransactionManager::new(Arc::clone(&ctx));
+        let table = Arc::new(Buffered {
+            state: ctx.register_state("buffered"),
+            sets: TxWriteSets::for_context(&ctx),
+        });
+        mgr.register(table.clone());
+        let write = |tx: &Tx, k: u32| {
+            ctx.record_access(tx, table.state)?;
+            buffer_write(&ctx, &table.sets, tx, k, WriteOp::Put(u64::from(k)))
+        };
+        let zombie = mgr.begin().unwrap();
+        for k in 0..100_000 {
+            write(&zombie, k).unwrap();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert_eq!(mgr.reap_expired(), 1);
+        assert_eq!(table.sets.active_count(), 0, "cell released");
+        assert_eq!(table.sets.sets.cell_data(zombie.slot()).key_count(), 0);
+        assert!(write(&zombie, 1).is_err(), "the zombie's late write fails");
+        assert_eq!(table.sets.active_count(), 0, "and claims nothing");
+
+        let next = mgr.begin().unwrap();
+        assert_eq!(next.slot(), zombie.slot());
+        assert!(!table.sets.has_writes(&next));
+        for k in 0..10 {
+            write(&next, k).unwrap();
+        }
+        assert_eq!(table.sets.with(&next, |ws| ws.key_count()), Some(10));
+        mgr.commit(&next).unwrap();
+        let (ops, index) = table.sets.sets.cell_data(next.slot()).capacity();
+        assert!(capped(ops, 10) && capped(index, 10), "{ops} / {index}");
+    }
+
     #[test]
     fn typed_backend_volatile_is_a_noop() {
         let tb: TypedBackend<u32, u64> = TypedBackend::volatile();
@@ -1388,11 +1595,11 @@ mod tests {
         assert_eq!(tb.get(&7).unwrap(), Some("seven".to_string()));
         tb.apply(&[(8, WriteOp::Put("eight".into())), (7, WriteOp::Delete)])
             .unwrap();
-        backend.put(&last_cts_key(), &42u64.encode()).unwrap();
+        backend.put(LAST_CTS_KEY, &42u64.encode()).unwrap();
         assert_eq!(tb.get(&7).unwrap(), None);
         assert_eq!(tb.get(&8).unwrap(), Some("eight".to_string()));
         // Metadata keys are visible at the byte level …
-        assert_eq!(backend.get(&last_cts_key()).unwrap(), Some(42u64.encode()));
+        assert_eq!(backend.get(LAST_CTS_KEY).unwrap(), Some(42u64.encode()));
         // … but skipped by the typed scan.
         let mut seen = Vec::new();
         tb.scan(&mut |k, v| {

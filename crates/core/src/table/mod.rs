@@ -46,8 +46,9 @@ pub mod ssi_table;
 
 pub use bocc_table::BoccTable;
 pub use common::{
-    attach_group_redo, last_cts_key, KeyType, ReadSet, SlotLocal, TableHandle, TransactionalTable,
+    attach_group_redo, KeyType, ReadSet, Recycle, SlotLocal, TableHandle, TransactionalTable,
     TransactionalTableExt, TxParticipant, TxWriteSets, TypedBackend, ValueType, WriteOp, WriteSet,
+    LAST_CTS_KEY,
 };
 pub use factory::Protocol;
 pub use locks::{LockManager, LockMode};

@@ -511,7 +511,7 @@ impl<K: KeyType, V: ValueType> TransactionalTable<K, V> for MvccTable<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::common::last_cts_key;
+    use crate::table::common::LAST_CTS_KEY;
     use tsp_storage::{BTreeBackend, Codec};
 
     fn setup() -> (Arc<StateContext>, Arc<MvccTable<u32, String>>) {
@@ -925,7 +925,7 @@ mod tests {
             backend.get(&11u32.encode()).unwrap(),
             Some("durable".to_string().encode())
         );
-        assert_eq!(backend.get(&last_cts_key()).unwrap(), Some(cts.encode()));
+        assert_eq!(backend.get(LAST_CTS_KEY).unwrap(), Some(cts.encode()));
     }
 
     #[test]

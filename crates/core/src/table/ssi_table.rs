@@ -248,7 +248,10 @@ impl<K: KeyType, V: ValueType> SsiTable<K, V> {
         // Certification is only sound under the group commit lock; an
         // ungrouped state has none (and no published LastCTS), so degrading
         // silently to racy SI would betray the protocol's whole point.
-        if self.ctx.groups_of_state(self.id()).is_empty() {
+        let mut grouped = false;
+        self.ctx
+            .for_each_group_of_state(self.id(), |_, _| grouped = true);
+        if !grouped {
             return Err(TspError::config(format!(
                 "SSI table '{}' is not registered in any topology group; \
                  read-set certification requires the group commit lock",

@@ -15,6 +15,7 @@
 
 use crate::codec::{len_prefixed, Codec};
 use std::sync::Arc;
+use tsp_common::recycle::{recycle_vec, KEEP_BYTES};
 use tsp_common::{Result, TspError};
 
 const TAG_PUT: u8 = 0;
@@ -210,6 +211,19 @@ impl WriteBatch {
         self.rep.len()
     }
 
+    /// Bytes the batch's buffer can hold before it reallocates.
+    pub fn capacity(&self) -> usize {
+        self.rep.capacity()
+    }
+
+    /// Empties the batch for its next use, keeping its buffer while the
+    /// buffer is at most twice what this use needed (see
+    /// [`tsp_common::recycle`]).
+    pub fn recycle(&mut self) {
+        self.count = 0;
+        recycle_vec(&mut self.rep, KEEP_BYTES);
+    }
+
     /// Iterates over the operations in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = BatchOp<'_>> {
         let mut pos = 0;
@@ -276,6 +290,14 @@ pub trait StorageBackend: Send + Sync + 'static {
     /// Returns the value stored under `key`, if any.
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>>;
 
+    /// Looks `key` up and passes its value, if any, to `visit`, returning
+    /// whether one was found.  Backends that can lend the value in place
+    /// override this to save [`get`](Self::get)'s copy; the default goes
+    /// through `get`.
+    fn get_with(&self, key: &[u8], visit: &mut dyn FnMut(&[u8])) -> Result<bool> {
+        Ok(self.get(key)?.map(|v| visit(&v)).is_some())
+    }
+
     /// Inserts or overwrites `key`.
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()>;
 
@@ -311,6 +333,9 @@ pub trait StorageBackend: Send + Sync + 'static {
 impl<B: StorageBackend + ?Sized> StorageBackend for Arc<B> {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         (**self).get(key)
+    }
+    fn get_with(&self, key: &[u8], visit: &mut dyn FnMut(&[u8])) -> Result<bool> {
+        (**self).get_with(key, visit)
     }
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         (**self).put(key, value)

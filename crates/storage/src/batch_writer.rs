@@ -28,6 +28,15 @@
 //! `TransactionManager::commit_durable` / `flush`) blocks until it is
 //! *durable*.
 //!
+//! The writer recycles its buffers: the queue a drain takes is swapped for
+//! the (empty) one the previous drain emptied, a multi-batch drain
+//! concatenates into a merge buffer the writer keeps, and the drained
+//! batches go back to a small pool that the committer's next batch is drawn
+//! from ([`BatchWriter::take_buffer`]).  Each buffer is kept only while it
+//! is at most twice what its last use needed ([`tsp_common::recycle`]), so
+//! a warm writer allocates nothing per commit and one huge commit does not
+//! pin memory.
+//!
 //! Multi-state group commits additionally piggyback a [`crate::redo`] record
 //! on each participant's batch: the record travels inside the batch the
 //! writer coalesces, so it shares the batch's WAL record and fsync — group
@@ -86,6 +95,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use tsp_common::recycle::{keeps, KEEP_ENTRIES};
 use tsp_common::{Histogram, Result, Timestamp, TspError};
 
 /// Default bound on the number of queued batches per writer.  Each queued
@@ -154,6 +164,10 @@ struct Shared {
     /// Telemetry: how many enqueued batches each drain coalesced into one
     /// backend `write_batch`.
     coalesce: Histogram,
+    /// Emptied batch buffers of written drains, handed out by
+    /// [`BatchWriter::take_buffer`]; at most `capacity` of them, as many as
+    /// the queue can hold.
+    pool: Mutex<Vec<WriteBatch>>,
 }
 
 /// Asynchronous, coalescing persistence writer for one storage backend.
@@ -211,6 +225,7 @@ impl BatchWriter {
             recoveries: AtomicU64::new(0),
             dwell: Histogram::new(),
             coalesce: Histogram::new(),
+            pool: Mutex::new(Vec::new()),
         });
         let thread = spawn_writer_thread(&shared);
         Arc::new(BatchWriter {
@@ -222,6 +237,23 @@ impl BatchWriter {
     /// The backend this writer persists to.
     pub fn backend(&self) -> &Arc<dyn StorageBackend> {
         &self.shared.backend
+    }
+
+    /// An empty batch for the next [`enqueue`](Self::enqueue): a recycled
+    /// buffer of an earlier, written batch when one is pooled.
+    pub fn take_buffer(&self) -> WriteBatch {
+        self.shared.pool.lock().pop().unwrap_or_default()
+    }
+
+    /// Capacities of the pooled batch buffers (tests).
+    #[cfg(test)]
+    fn pooled_capacities(&self) -> Vec<usize> {
+        self.shared
+            .pool
+            .lock()
+            .iter()
+            .map(WriteBatch::capacity)
+            .collect()
     }
 
     /// Enqueues the durable work of one commit.  Called from inside the
@@ -581,24 +613,34 @@ fn write_with_retry(shared: &Shared, batch: &WriteBatch) -> Result<()> {
     }
 }
 
-/// Concatenates drained batches, in order, into the one batch a drain
-/// writes.  A lone batch is written as is.
-fn coalesce(mut batches: Vec<WriteBatch>) -> WriteBatch {
-    if batches.len() == 1 {
-        return batches.pop().expect("one batch");
+/// A drained queue entry: commit timestamp, batch, enqueue instant.
+type Entry = (Timestamp, WriteBatch, Instant);
+
+/// Returns the batch buffers of a written drain to the pool and empties
+/// `drained` for the next drain (under the recycling rule).
+fn recycle_drained(shared: &Shared, drained: &mut Vec<Entry>) {
+    let used = drained.len();
+    let mut pool = shared.pool.lock();
+    for (_, mut batch, _) in drained.drain(..) {
+        batch.recycle();
+        if pool.len() < shared.capacity && batch.capacity() > 0 {
+            pool.push(batch);
+        }
     }
-    let mut merged = WriteBatch::with_capacity(batches.iter().map(WriteBatch::byte_len).sum());
-    for batch in &batches {
-        merged.append(batch);
+    if !keeps(drained.capacity(), used, KEEP_ENTRIES) {
+        *drained = Vec::new();
     }
-    merged
 }
 
 /// The writer thread: drain → coalesce (cts order) → one `write_batch`
 /// (with in-place retries) → advance `DurableCTS` → wake waiters.
 fn writer_loop(shared: &Shared) {
+    // Kept across drains: the empty queue the next drain swaps in, and the
+    // buffer a multi-batch drain is concatenated into.
+    let mut drained: Vec<Entry> = Vec::new();
+    let mut merged = WriteBatch::new();
     loop {
-        let drained = {
+        {
             let mut st = shared.state.lock();
             loop {
                 if st.abandoned {
@@ -612,7 +654,7 @@ fn writer_loop(shared: &Shared) {
                 }
                 shared.work.wait(&mut st);
             }
-            let mut drained = std::mem::take(&mut st.queue);
+            std::mem::swap(&mut st.queue, &mut drained);
             // Commit-timestamp order: enqueues happen inside the per-group
             // commit locks, so per-table batches already arrive in cts
             // order; sorting additionally restores order across groups
@@ -621,7 +663,9 @@ fn writer_loop(shared: &Shared) {
             // under one commit-lock domain (the normal one-backend-per-table
             // deployment) — see the module docs for the shared-backend
             // caveat.
-            drained.sort_by_key(|(cts, _, _)| *cts);
+            if !drained.is_sorted_by_key(|(cts, _, _)| *cts) {
+                drained.sort_by_key(|(cts, _, _)| *cts);
+            }
             st.writing = true;
             if let Some(g) = &shared.depth_gauge {
                 g.fetch_sub(drained.len() as u64, Ordering::Relaxed);
@@ -629,8 +673,7 @@ fn writer_loop(shared: &Shared) {
             // The queue just went empty: wake any enqueuer blocked on
             // backpressure so it can refill while we apply this drain.
             shared.done.notify_all();
-            drained
-        };
+        }
         // Telemetry, on the writer thread (never the commit path): one
         // coalesce sample per drain, one dwell sample per drained batch.
         shared.coalesce.record_value(drained.len() as u64);
@@ -641,28 +684,39 @@ fn writer_loop(shared: &Shared) {
                 .record_nanos(drain_instant.duration_since(*enqueued_at).as_nanos() as u64);
         }
         let max_cts = drained.last().map(|(cts, _, _)| *cts).unwrap_or(0);
-        let merged = coalesce(drained.into_iter().map(|(_, batch, _)| batch).collect());
-        let result = write_with_retry(shared, &merged);
-        {
-            let mut st = shared.state.lock();
-            st.writing = false;
-            match result {
-                Ok(()) => {
-                    shared.durable.fetch_max(max_cts, Ordering::AcqRel);
-                }
-                Err(e) => {
-                    st.error = Some(e.to_string());
-                    // Retain the failed batch for `try_recover` to replay
-                    // ahead of the queue.
-                    st.retained = Some((max_cts, merged));
-                    // Work enqueued during the failed write will not drain
-                    // unless recovery succeeds — keep the gauge honest.
-                    reconcile_dead_queue_gauge(shared, &mut st);
-                    shared.done.notify_all();
-                    return; // sticky failure: stop consuming work
-                }
+        // A lone batch is written as is; several are concatenated, in
+        // order, into the merge buffer.
+        let coalesced = if drained.len() == 1 {
+            &mut drained[0].1
+        } else {
+            merged.recycle();
+            for (_, batch, _) in &drained {
+                merged.append(batch);
             }
-            shared.done.notify_all();
+            &mut merged
+        };
+        match write_with_retry(shared, coalesced) {
+            Ok(()) => {
+                shared.durable.fetch_max(max_cts, Ordering::AcqRel);
+                // Pool the buffers before `writing` drops, so a committer
+                // that waited for the drain finds them there.
+                recycle_drained(shared, &mut drained);
+                shared.state.lock().writing = false;
+                shared.done.notify_all();
+            }
+            Err(e) => {
+                let mut st = shared.state.lock();
+                st.writing = false;
+                st.error = Some(e.to_string());
+                // Retain the failed batch for `try_recover` to replay
+                // ahead of the queue.
+                st.retained = Some((max_cts, std::mem::take(coalesced)));
+                // Work enqueued during the failed write will not drain
+                // unless recovery succeeds — keep the gauge honest.
+                reconcile_dead_queue_gauge(shared, &mut st);
+                shared.done.notify_all();
+                return; // sticky failure: stop consuming work
+            }
         }
     }
 }
@@ -688,6 +742,44 @@ mod tests {
         assert!(writer.durable_cts() >= 20);
         assert_eq!(backend.get(&[1]).unwrap(), Some(vec![1]));
         assert_eq!(backend.get(&[2]).unwrap(), Some(vec![2]));
+    }
+
+    /// Written batches go back to the pool for the next commit; a buffer
+    /// one huge commit grew is kept only while its next use needs it.
+    #[test]
+    fn the_pool_reuses_buffers_but_not_a_large_one() {
+        let writer = BatchWriter::spawn(Arc::new(BTreeBackend::new()));
+        let fill = |batch: &mut WriteBatch, keys: u32| {
+            for k in 0..keys {
+                batch.put(k.to_be_bytes(), [0; 8]);
+            }
+        };
+        let mut steady = writer.take_buffer();
+        fill(&mut steady, 100);
+        writer.enqueue(1, steady).unwrap();
+        writer.sync_barrier().unwrap();
+        let pooled = writer.pooled_capacities();
+        assert_eq!(pooled.len(), 1, "the written batch was pooled");
+        let reused = writer.take_buffer();
+        assert!(reused.is_empty() && reused.capacity() == pooled[0]);
+        drop(reused);
+
+        let mut big = writer.take_buffer();
+        fill(&mut big, 100_000);
+        writer.enqueue(2, big).unwrap();
+        writer.sync_barrier().unwrap();
+        let mut small = writer.take_buffer();
+        assert!(small.capacity() >= 100_000, "the big buffer, recycled");
+        fill(&mut small, 10);
+        let need = small.byte_len();
+        writer.enqueue(3, small).unwrap();
+        writer.sync_barrier().unwrap();
+        for capacity in writer.pooled_capacities() {
+            assert!(
+                capacity <= 2 * need || capacity < tsp_common::recycle::KEEP_BYTES,
+                "pooled buffer of {capacity} bytes after a {need}-byte batch"
+            );
+        }
     }
 
     #[test]

@@ -73,6 +73,7 @@ use crate::backend::{decode_op, encode_delete, encode_put, BatchOp, StorageBacke
 use crate::checksum::crc32;
 use crate::codec::Codec;
 use std::collections::BTreeMap;
+use tsp_common::recycle::{recycle_vec, KEEP_BYTES, KEEP_ENTRIES};
 use tsp_common::{Result, Timestamp, TspError};
 
 /// Reserved key prefix of redo records inside a base table (below the
@@ -84,10 +85,14 @@ const UNDO_NONE: u8 = 0;
 const UNDO_ABSENT: u8 = 1;
 const UNDO_VALUE: u8 = 2;
 
+/// Length of a redo-record key: [`REDO_PREFIX`] and a big-endian `u64`.
+pub const REDO_KEY_LEN: usize = REDO_PREFIX.len() + 8;
+
 /// The storage key of the redo record for the group commit at `cts`.
-pub fn redo_key(cts: Timestamp) -> Vec<u8> {
-    let mut k = REDO_PREFIX.to_vec();
-    cts.encode_into(&mut k);
+pub fn redo_key(cts: Timestamp) -> [u8; REDO_KEY_LEN] {
+    let mut k = [0; REDO_KEY_LEN];
+    k[..REDO_PREFIX.len()].copy_from_slice(REDO_PREFIX);
+    k[REDO_PREFIX.len()..].copy_from_slice(&cts.to_be_bytes());
     k
 }
 
@@ -159,6 +164,15 @@ impl RedoSections {
             buf: Vec::new(),
             spans: Vec::new(),
         }
+    }
+
+    /// Empties the sections for the group commit at `cts`, keeping the
+    /// buffers while they are at most twice what the last commit needed
+    /// (see [`tsp_common::recycle`]).
+    pub fn reset(&mut self, cts: Timestamp) {
+        self.cts = cts;
+        recycle_vec(&mut self.buf, KEEP_BYTES);
+        recycle_vec(&mut self.spans, KEEP_ENTRIES);
     }
 
     /// Encodes `state`'s section: `write` appends the state's effective

@@ -23,23 +23,29 @@
 //! re-encoding a single op, and [`Wal::replay`] hands the payload back as a
 //! batch after checking that it holds exactly `op_count` well-formed ops.
 //!
+//! Each record reaches the file in one vectored `write(2)` — header, op
+//! count and the batch's buffer — with no copy and no intermediate buffer.
+//!
 //! Replay stops at the first truncated or corrupt record: that is the normal
 //! shape of a crash tail, and everything before it is guaranteed intact by
-//! the per-record CRC.
+//! the per-record CRC.  [`Wal::recover`] cuts such a tail off before the log
+//! takes new records; appending after it would hide every later record
+//! behind the torn one from the next replay.  For the same reason a failed
+//! [`Wal::append`] truncates the log back to its last complete record.
 
 use crate::backend::{SyncPolicy, WriteBatch};
 use crate::checksum::{crc32, Crc32};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, IoSlice, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tsp_common::{Result, TspError};
 
 /// Append-only write-ahead log over a single file.
 pub struct Wal {
     path: PathBuf,
-    writer: BufWriter<File>,
+    file: File,
     sync: SyncPolicy,
-    /// Bytes appended since the log was created or last truncated.
+    /// Bytes of complete records in the log.
     appended: u64,
 }
 
@@ -55,10 +61,29 @@ impl Wal {
         let appended = file.metadata()?.len();
         Ok(Wal {
             path,
-            writer: BufWriter::new(file),
+            file,
             sync,
             appended,
         })
+    }
+
+    /// Replays the log at `path` like [`replay`](Self::replay), then opens
+    /// it for appending with a torn or corrupt tail cut off (and the cut
+    /// synced), so records appended from here on follow the last intact
+    /// one.
+    pub fn recover(
+        path: impl AsRef<Path>,
+        sync: SyncPolicy,
+        apply: impl FnMut(WriteBatch),
+    ) -> Result<Self> {
+        let (_, intact) = Self::replay_intact(path.as_ref(), apply)?;
+        let mut wal = Self::open(path, sync)?;
+        if wal.appended > intact {
+            wal.file.set_len(intact)?;
+            wal.file.sync_data()?;
+            wal.appended = intact;
+        }
+        Ok(wal)
     }
 
     /// Path of the underlying file.
@@ -71,7 +96,9 @@ impl Wal {
         self.appended
     }
 
-    /// Appends `batch` as a single record, honouring the sync policy.
+    /// Appends `batch` as a single record, honouring the sync policy.  On
+    /// failure the log is truncated back to its last complete record, so a
+    /// retried append does not land behind a partial one.
     pub fn append(&mut self, batch: &WriteBatch) -> Result<()> {
         let count = (batch.len() as u32).to_be_bytes();
         let rep = batch.rep();
@@ -79,38 +106,51 @@ impl Wal {
         crc.update(&count);
         crc.update(rep);
         let payload_len = count.len() + rep.len();
-        self.writer.write_all(&(payload_len as u32).to_be_bytes())?;
-        self.writer.write_all(&crc.finish().to_be_bytes())?;
-        self.writer.write_all(&count)?;
-        self.writer.write_all(rep)?;
-        self.appended += 8 + payload_len as u64;
-        self.writer.flush()?;
+        let mut header = [0; 12];
+        header[..4].copy_from_slice(&(payload_len as u32).to_be_bytes());
+        header[4..8].copy_from_slice(&crc.finish().to_be_bytes());
+        header[8..].copy_from_slice(&count);
+        if let Err(e) = self.write_record(&header, rep) {
+            // Best effort: if the truncation fails too, the next `recover`
+            // still cuts the partial record off.
+            let _ = self.file.set_len(self.appended);
+            return Err(e);
+        }
+        self.appended += (header.len() + rep.len()) as u64;
+        Ok(())
+    }
+
+    /// Writes `header ‖ rep` with vectored writes, looping over short
+    /// writes (one `write(2)` in the normal case), then syncs per policy.
+    fn write_record(&mut self, header: &[u8], rep: &[u8]) -> Result<()> {
+        let mut slices = [IoSlice::new(header), IoSlice::new(rep)];
+        let mut pending = &mut slices[..];
+        while !pending.is_empty() {
+            match self.file.write_vectored(pending) {
+                Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+                Ok(n) => IoSlice::advance_slices(&mut pending, n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
         if self.sync == SyncPolicy::Always {
-            self.writer.get_ref().sync_data()?;
+            self.file.sync_data()?;
         }
         Ok(())
     }
 
-    /// Forces all buffered data to disk regardless of the sync policy.
+    /// Forces all written data to disk regardless of the sync policy.
     pub fn sync(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()?;
+        self.file.sync_data()?;
         Ok(())
     }
 
     /// Truncates the log to zero length (after its contents have been made
-    /// durable elsewhere, e.g. flushed to an SSTable).
+    /// durable elsewhere, e.g. flushed to an SSTable).  The file is opened
+    /// for appending, so the next record lands at the new end.
     pub fn truncate(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        let file = self.writer.get_ref();
-        file.set_len(0)?;
-        file.sync_data()?;
-        // Re-open the append cursor at the new end of file.
-        let file = OpenOptions::new()
-            .append(true)
-            .read(true)
-            .open(&self.path)?;
-        self.writer = BufWriter::new(file);
+        self.file.set_len(0)?;
+        self.file.sync_data()?;
         self.appended = 0;
         Ok(())
     }
@@ -121,10 +161,15 @@ impl Wal {
     /// A truncated or corrupt tail is tolerated (it is the expected result of
     /// a crash mid-append); corruption *before* the tail still surfaces as an
     /// error because the following records would be unreadable anyway.
-    pub fn replay(path: impl AsRef<Path>, mut apply: impl FnMut(WriteBatch)) -> Result<usize> {
-        let path = path.as_ref();
+    pub fn replay(path: impl AsRef<Path>, apply: impl FnMut(WriteBatch)) -> Result<usize> {
+        Self::replay_intact(path.as_ref(), apply).map(|(batches, _)| batches)
+    }
+
+    /// [`replay`](Self::replay), also returning the length of the intact
+    /// prefix: the end of the last record replayed.
+    fn replay_intact(path: &Path, mut apply: impl FnMut(WriteBatch)) -> Result<(usize, u64)> {
         if !path.exists() {
-            return Ok(0);
+            return Ok((0, 0));
         }
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
@@ -153,7 +198,7 @@ impl Wal {
             batches += 1;
             pos = end;
         }
-        Ok(batches)
+        Ok((batches, pos as u64))
     }
 
     fn decode_batch(payload: &[u8]) -> Result<WriteBatch> {
@@ -299,6 +344,34 @@ mod tests {
         let n = Wal::replay(&path, |b| recovered.push(b)).unwrap();
         assert_eq!(n, 1);
         assert_eq!(recovered[0].iter().next().unwrap().key(), b"a");
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn recover_cuts_the_torn_tail_before_appending() {
+        let dir = tmpdir("recover");
+        let path = dir.join("wal.log");
+        {
+            let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
+            wal.append(&batch(&[(b"a", Some(b"1"))])).unwrap();
+            wal.append(&batch(&[(b"b", Some(b"2"))])).unwrap();
+        }
+        let data = fs::read(&path).unwrap();
+        fs::write(&path, &data[..data.len() - 3]).unwrap();
+        {
+            let mut replayed = 0;
+            let mut wal = Wal::recover(&path, SyncPolicy::Never, |_| replayed += 1).unwrap();
+            assert_eq!(replayed, 1);
+            assert_eq!(wal.size(), fs::metadata(&path).unwrap().len());
+            wal.append(&batch(&[(b"c", Some(b"3"))])).unwrap();
+        }
+        let mut keys = Vec::new();
+        let n = Wal::replay(&path, |b| {
+            keys.push(b.iter().next().unwrap().key().to_vec())
+        })
+        .unwrap();
+        assert_eq!(n, 2);
+        assert_eq!(keys, vec![b"a".to_vec(), b"c".to_vec()]);
         fs::remove_dir_all(dir).unwrap();
     }
 
