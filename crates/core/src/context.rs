@@ -307,6 +307,7 @@ pub(crate) enum FateClaim {
 /// Kept in the transaction's slot and reused by the slot's later commits:
 /// the section buffers keep their capacity, and the holder list is shared
 /// by every commit with the same participant set.
+#[derive(Default)]
 pub struct PendingRedo {
     /// The encoded sections; each holder's batch stores the record of the
     /// *other* holders' sections ([`RedoSections::encode_copy`]).
@@ -314,15 +315,6 @@ pub struct PendingRedo {
     /// The states that hold a copy: the record is dead once every one of
     /// them has durably applied the commit.
     pub holders: Arc<[StateId]>,
-}
-
-impl Default for PendingRedo {
-    fn default() -> Self {
-        PendingRedo {
-            sections: RedoSections::new(0),
-            holders: Arc::new([]),
-        }
-    }
 }
 
 impl Recycle for PendingRedo {

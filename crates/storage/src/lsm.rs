@@ -37,6 +37,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tsp_common::recycle::keeps;
 use tsp_common::{Result, TspError};
 
 /// Tuning options for an [`LsmStore`].
@@ -131,7 +132,7 @@ impl MemState {
                 self.bytes -= entry.as_ref().map_or(0, Vec::len);
                 self.bytes += value_len;
                 match (entry, value) {
-                    (Some(old), Some(new)) if old.capacity() <= 2 * new.len() => {
+                    (Some(old), Some(new)) if keeps(old.capacity(), new.len(), 0) => {
                         old.clear();
                         old.extend_from_slice(new);
                     }

@@ -147,7 +147,7 @@ impl SectionWriter<'_> {
 /// The sections of one group commit's redo record, each encoded exactly
 /// once, from which every participant's stored copy is assembled
 /// ([`encode_copy`](Self::encode_copy)).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RedoSections {
     cts: Timestamp,
     /// The encoded sections, back to back.
