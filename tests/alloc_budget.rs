@@ -115,19 +115,19 @@ impl Engine {
     }
 
     /// Allocations of one warm commit of `writes` keys per state: the
-    /// largest count over a few commits, each started once the previous
-    /// one is durable (the writer has pooled its batch buffers again).
+    /// largest count over a few commits after as many warm-up ones.  Each
+    /// commit starts once the previous one is durable, so the writers have
+    /// pooled its batch buffers again and every batch deletes the same
+    /// number of dead redo records.
     fn commit_allocations(&self, writes: u32) -> u64 {
-        for _ in 0..20 {
-            self.commit(writes);
-        }
-        (0..5)
-            .map(|_| {
-                self.mgr.flush().unwrap();
-                allocations(|| self.commit(writes))
-            })
-            .max()
-            .unwrap()
+        let durable_commit = || {
+            self.mgr.flush().unwrap();
+            allocations(|| self.commit(writes))
+        };
+        (0..20).for_each(|_| {
+            durable_commit();
+        });
+        (0..5).map(|_| durable_commit()).max().unwrap()
     }
 }
 
