@@ -104,6 +104,12 @@ use tsp_common::{Histogram, Result, Timestamp, TspError};
 /// memory and the visible-but-not-yet-durable window.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
+/// Written batch buffers a writer keeps for the committers' next batches:
+/// a few drains' worth.  A backlog beyond it (an fsync stall) allocates,
+/// and its buffers are freed once written rather than held for the next
+/// stall.
+const POOLED_BUFFERS: usize = 64;
+
 /// Queue and lifecycle state shared with the writer thread.
 struct WriterState {
     /// Pending `(cts, batch, enqueued_at)` entries, in enqueue order.  The
@@ -165,8 +171,7 @@ struct Shared {
     /// backend `write_batch`.
     coalesce: Histogram,
     /// Emptied batch buffers of written drains, handed out by
-    /// [`BatchWriter::take_buffer`]; at most `capacity` of them, as many as
-    /// the queue can hold.
+    /// [`BatchWriter::take_buffer`]; at most [`POOLED_BUFFERS`].
     pool: Mutex<Vec<WriteBatch>>,
 }
 
@@ -623,7 +628,7 @@ fn recycle_drained(shared: &Shared, drained: &mut Vec<Entry>) {
     let mut pool = shared.pool.lock();
     for (_, mut batch, _) in drained.drain(..) {
         batch.recycle();
-        if pool.len() < shared.capacity && batch.capacity() > 0 {
+        if pool.len() < POOLED_BUFFERS && batch.capacity() > 0 {
             pool.push(batch);
         }
     }
