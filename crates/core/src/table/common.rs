@@ -560,7 +560,7 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
 
     /// Applies the effective modifications of a write set as one atomic
     /// batch, synchronously — preloading uses this; transactional commits
-    /// go through [`apply_at`](Self::apply_at).
+    /// go through [`persist_pending`].
     pub fn apply(&self, ops: &[(K, WriteOp<V>)]) -> Result<()> {
         let Some(b) = &self.backend else {
             return Ok(());
@@ -1143,11 +1143,12 @@ pub fn preload_rows<K: KeyType, V: ValueType>(
 }
 
 /// The shared `apply_durable` body of every protocol table: persists `tx`'s
-/// write set together with the durable commit-timestamp marker, through
-/// [`TypedBackend::apply_at`] — an asynchronous enqueue when the commit
-/// pipeline is enabled, a synchronous batch write otherwise.  The ops are
-/// encoded straight from the write set into the batch.  A transaction with
-/// no ops persists nothing (not even the marker).
+/// write set together with the durable commit-timestamp marker — an
+/// enqueue on the asynchronous [`BatchWriter`] when the commit pipeline is
+/// enabled, a synchronous batch write otherwise.  The ops are encoded
+/// straight from the write set into a recycled batch buffer (the writer's
+/// pool, or the one synchronous persistence keeps per table).  A
+/// transaction with no ops persists nothing (not even the marker).
 ///
 /// When the coordinator attached a group redo record to `tx` (the commit
 /// spans several persistent states — see [`StateContext::attach_redo`]),
