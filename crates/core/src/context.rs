@@ -360,9 +360,6 @@ pub struct DurabilityHub {
     /// Whether tables built against this context should persist through an
     /// asynchronous writer (set before tables are constructed).
     async_enabled: AtomicBool,
-    /// Queue bound applied to writers spawned from here on (batches per
-    /// writer; see [`tsp_storage::DEFAULT_QUEUE_CAPACITY`]).
-    queue_capacity: AtomicUsize,
     /// Depth gauge shared with the owning context's [`Telemetry`]
     /// (`persist_queue_depth`): the writers keep it equal to the total
     /// number of queued batches across all backends.
@@ -380,22 +377,11 @@ impl DurabilityHub {
     fn new(depth_gauge: Arc<AtomicU64>) -> Self {
         DurabilityHub {
             async_enabled: AtomicBool::new(false),
-            queue_capacity: AtomicUsize::new(tsp_storage::DEFAULT_QUEUE_CAPACITY),
             depth_gauge,
             writers: RwLock::new(Vec::new()),
             state_writers: RwLock::new(Vec::new()),
             retry_policy: Mutex::new(RetryPolicy::default()),
         }
-    }
-
-    /// Sets the queue bound (in batches) for persistence writers spawned
-    /// *after* this call; writers already running keep their bound.  Call
-    /// before tables are built (alongside
-    /// [`StateContext::enable_async_persistence`]) to bound the whole
-    /// deployment.  Clamped to at least 1.
-    pub fn set_queue_capacity(&self, capacity: usize) {
-        self.queue_capacity
-            .store(capacity.max(1), Ordering::Release);
     }
 
     /// Sets the [`RetryPolicy`] for persistence writers spawned *after*
@@ -446,7 +432,7 @@ impl DurabilityHub {
         }
         let writer = BatchWriter::spawn_with_policy(
             Arc::clone(backend),
-            self.queue_capacity.load(Ordering::Acquire),
+            tsp_storage::DEFAULT_QUEUE_CAPACITY,
             Some(Arc::clone(&self.depth_gauge)),
             *self.retry_policy.lock(),
         );
@@ -2374,10 +2360,9 @@ mod tests {
     fn durability_queue_depth_flows_into_stats() {
         use tsp_storage::{BTreeBackend, StorageBackend, WriteBatch};
         let ctx = StateContext::new();
-        ctx.durability().set_queue_capacity(8);
         let backend: Arc<dyn StorageBackend> = Arc::new(BTreeBackend::new());
         let writer = ctx.durability().writer_for(StateId(0), &backend);
-        assert_eq!(writer.capacity(), 8);
+        assert_eq!(writer.capacity(), tsp_storage::DEFAULT_QUEUE_CAPACITY);
         let mut batch = WriteBatch::new();
         batch.put(vec![1], vec![1]);
         writer.enqueue(5, batch).unwrap();

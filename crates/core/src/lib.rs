@@ -10,11 +10,13 @@
 //! * [`mvcc`] — multi-versioned data structures: per-key version arrays with
 //!   `[cts, dts]` headers, a `UsedSlots` occupancy bitmap and on-demand
 //!   garbage collection.
-//! * [`table`] — the transactional table layer.  All four concurrency
-//!   protocols ([`table::MvccTable`] with snapshot isolation — the paper's
-//!   contribution — the [`table::S2plTable`] and [`table::BoccTable`]
-//!   baselines, and the serializable [`table::SsiTable`] extension) implement
-//!   one protocol-agnostic trait, [`table::TransactionalTable`]; the
+//! * [`table`] — the transactional table layer: one generic table,
+//!   [`table::Table`], with each concurrency protocol plugged in as a
+//!   [`table::Policy`] — [`table::MvccTable`] with snapshot isolation (the
+//!   paper's contribution), the [`table::S2plTable`] and
+//!   [`table::BoccTable`] baselines, and the serializable
+//!   [`table::SsiTable`] extension.  The table implements the
+//!   protocol-agnostic trait [`table::TransactionalTable`] once; the
 //!   [`table::Protocol`] factory turns protocol choice into a runtime value
 //!   (`protocol.create_table(...) -> Arc<dyn TransactionalTable<K, V>>`).
 //! * [`context`] — the global state context: registered states, topology

@@ -13,18 +13,13 @@
 //! abort and redo its work.
 
 use crate::context::{StateContext, Tx};
-use crate::table::common::{
-    buffer_write, read_own_write, reject_read_only, InPlaceStore, KeyType, ReadSet, SlotLocal,
-    TransactionalTable, TxParticipant, TypedBackend, ValueType, WriteOp,
-};
+use crate::table::common::{KeyType, ReadSet, SlotLocal, ValueType, WriteOp};
+use crate::table::mvcc_table::MvccTableOptions;
+use crate::table::skeleton::{Policy, Store, Table};
+use crate::table::store::InPlaceStore;
 use crate::telemetry::AbortReason;
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Instant;
-use tsp_common::{FxHashSet, Result, StateId, Timestamp, TspError};
-use tsp_storage::redo::RedoSections;
-use tsp_storage::StorageBackend;
+use tsp_common::{Result, Timestamp, TspError};
 
 /// Prune the commit log once it exceeds this many entries.
 const COMMIT_LOG_PRUNE_THRESHOLD: usize = 1024;
@@ -35,227 +30,92 @@ struct CommitRecord<K> {
     write_keys: Box<[K]>,
 }
 
-/// A single-version transactional table protected by backward-oriented
-/// optimistic concurrency control.
-pub struct BoccTable<K, V> {
-    state_id: StateId,
-    name: String,
-    ctx: Arc<StateContext>,
-    /// Committed map, write sets and the in-place commit plumbing.
+/// Backward-oriented optimistic concurrency control.
+pub struct Bocc<K, V> {
     store: InPlaceStore<K, V>,
+    /// The footprints backward validation checks, in commit order.
+    commit_log: RwLock<Vec<CommitRecord<K>>>,
     /// Per-transaction read sets, stored slot-locally: recording a read
     /// costs an uncontended per-slot mutex instead of a global one.
-    read_sets: SlotLocal<ReadSet<K>>,
-    commit_log: RwLock<Vec<CommitRecord<K>>>,
+    reads: SlotLocal<ReadSet<K>>,
 }
 
-impl<K: KeyType, V: ValueType> BoccTable<K, V> {
-    /// Creates a volatile (in-memory only) table registered as `name`.
-    pub fn volatile(ctx: &Arc<StateContext>, name: impl Into<String>) -> Arc<Self> {
-        Self::build(ctx, name, None)
-    }
+/// A single-version transactional table protected by backward-oriented
+/// optimistic concurrency control.
+pub type BoccTable<K, V> = Table<K, V, Bocc<K, V>>;
 
-    /// Creates a table persisting committed data to `backend`.
-    pub fn persistent(
-        ctx: &Arc<StateContext>,
-        name: impl Into<String>,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Arc<Self> {
-        Self::build(ctx, name, Some(backend))
-    }
+impl<K: KeyType, V: ValueType> Policy<K, V> for Bocc<K, V> {
+    type Store = InPlaceStore<K, V>;
 
-    fn build(
-        ctx: &Arc<StateContext>,
-        name: impl Into<String>,
-        backend: Option<Arc<dyn StorageBackend>>,
-    ) -> Arc<Self> {
-        let name = name.into();
-        let state_id = ctx.register_state(&name);
-        let backend = TypedBackend::for_context(ctx, state_id, backend);
-        Arc::new(BoccTable {
-            state_id,
-            name,
-            ctx: Arc::clone(ctx),
-            store: InPlaceStore::new(ctx, state_id, backend),
-            read_sets: SlotLocal::for_context(ctx),
+    fn new(ctx: &StateContext, opts: &MvccTableOptions) -> Self {
+        Bocc {
+            store: InPlaceStore::new(ctx, opts),
             commit_log: RwLock::new(Vec::new()),
-        })
-    }
-
-    /// The table's registered state id.
-    pub fn id(&self) -> StateId {
-        self.state_id
-    }
-
-    /// The table's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    // ------------------------------------------------------------------
-    // Data access within a transaction
-    // ------------------------------------------------------------------
-
-    /// Reads `key`, recording it in the transaction's read set.
-    pub fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
-        self.ctx.record_access(tx, self.state_id)?;
-        self.ctx.telemetry().bump_read(tx.slot());
-        if let Some(own) = read_own_write(self.store.write_sets(), tx, key) {
-            return Ok(own);
+            reads: SlotLocal::for_context(ctx),
         }
-        self.record_read(tx, |rs| {
-            rs.keys.insert(key.clone());
-        })?;
-        self.store.committed_value(key)
     }
 
-    /// Registers a read with the transaction's read set, pinning the group's
-    /// `LastCTS` as the transaction's start marker on the *first* read.
+    fn store(&self) -> &InPlaceStore<K, V> {
+        &self.store
+    }
+
+    /// Registers a read with the transaction's read set (for a scan, the
+    /// whole table: backward validation then rejects the transaction if
+    /// *any* commit lands before it commits, inserts of new keys included),
+    /// pinning the group's `LastCTS` as the transaction's start marker on
+    /// the *first* read.
     ///
     /// The pin makes backward validation compare commit-log entries against
     /// the snapshot floor, which closes the window where a commit draws its
     /// timestamp before this transaction begins but applies after this read.
     /// Pinning only once keeps the per-read cost at one mutex acquisition.
-    fn record_read(&self, tx: &Tx, update: impl FnOnce(&mut ReadSet<K>)) -> Result<()> {
-        if !self.read_sets.is_claimed(tx) {
-            let _ = self.ctx.read_snapshot(tx, self.state_id)?;
+    fn on_read(t: &BoccTable<K, V>, tx: &Tx, key: Option<&K>) -> Result<()> {
+        if !t.policy.reads.is_claimed(tx) {
+            let _ = t.ctx.read_snapshot(tx, t.state_id)?;
         }
         // Epoch fence on the first-touch claim: a lease-reaped transaction
         // must not re-register a read set the reaper already retracted.
-        self.read_sets
-            .with_mut_checked(tx, || self.ctx.check_fate(tx), update)?;
-        Ok(())
-    }
-
-    /// Buffers an insert/update (no checks until validation).
-    pub fn write(&self, tx: &Tx, key: K, value: V) -> Result<()> {
-        self.write_op(tx, key, WriteOp::Put(value))
-    }
-
-    /// Buffers a delete (no checks until validation).
-    pub fn delete(&self, tx: &Tx, key: K) -> Result<()> {
-        self.write_op(tx, key, WriteOp::Delete)
-    }
-
-    fn write_op(&self, tx: &Tx, key: K, op: WriteOp<V>) -> Result<()> {
-        reject_read_only(tx)?;
-        self.ctx.record_access(tx, self.state_id)?;
-        buffer_write(&self.ctx, self.store.write_sets(), tx, key, op)
-    }
-
-    /// A whole-table read within `tx`: the current committed image overlaid
-    /// with the transaction's own uncommitted writes.
-    ///
-    /// The scan marks the whole table as read, so backward validation
-    /// rejects the transaction if *any* commit lands before it commits —
-    /// including inserts of keys that did not exist at scan time (phantom
-    /// protection).  The scan is therefore optimistically consistent, at the
-    /// cost of aborting whole-table readers under write traffic.
-    pub fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
-        self.ctx.record_access(tx, self.state_id)?;
-        self.record_read(tx, |rs| {
-            rs.whole_table = true;
-        })?;
-        self.store.scan(tx)
-    }
-
-    /// Loads initial data directly as committed rows, outside any
-    /// transaction.  Persistent rows are written in large batches.
-    pub fn preload(&self, rows: impl IntoIterator<Item = (K, V)>) -> Result<()> {
-        self.store.preload(&mut rows.into_iter())
-    }
-
-    /// Number of entries currently in the validation commit log.
-    pub fn commit_log_len(&self) -> usize {
-        self.commit_log.read().len()
-    }
-
-    fn prune_commit_log(&self) {
-        // Cheap length probe first: the oldest-active sweep only runs when
-        // there is actually something to prune.
-        if self.commit_log.read().len() <= COMMIT_LOG_PRUNE_THRESHOLD {
-            return;
-        }
-        let oldest = self.ctx.oldest_active();
-        let mut log = self.commit_log.write();
-        if log.len() > COMMIT_LOG_PRUNE_THRESHOLD {
-            // Records older than every active transaction's begin can no
-            // longer invalidate anyone.
-            log.retain(|r| r.cts >= oldest);
-        }
-    }
-}
-
-impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
-    fn state_id(&self) -> StateId {
-        self.state_id
-    }
-
-    fn has_writes(&self, tx: &Tx) -> bool {
-        self.store.write_sets().has_writes(tx)
+        t.policy
+            .reads
+            .with_mut_checked(tx, || t.ctx.check_fate(tx), |rs| rs.record(key))
     }
 
     /// Backward validation: the transaction fails if any transaction that
     /// committed after this one's snapshot floor for this state (its begin
     /// timestamp, or the older `LastCTS` pinned by its first read) wrote a
     /// key this one read or writes — or wrote *anything*, if this one
-    /// scanned the whole table.  Read-only transactions validate too.
-    fn validate(&self, tx: &Tx, _txn_has_writes: bool) -> Result<()> {
-        let (read_keys, whole_table) = self
-            .read_sets
-            .with(tx, |rs| (rs.keys.clone(), rs.whole_table))
-            .unwrap_or_default();
-        let write_keys: FxHashSet<K> = self
-            .store
-            .write_sets()
-            .with(tx, |ws| ws.keys().cloned().collect())
-            .unwrap_or_default();
-        if read_keys.is_empty() && write_keys.is_empty() && !whole_table {
+    /// scanned the whole table.  Read-only transactions validate too.  The
+    /// read and write sets are probed in place, inside their slot cells.
+    fn validate(t: &BoccTable<K, V>, tx: &Tx, _txn_has_writes: bool) -> Result<()> {
+        if !t.policy.reads.is_claimed(tx) && !t.write_sets.has_writes(tx) {
             return Ok(());
         }
-        let floor = self.ctx.state_snapshot_floor(tx, self.state_id)?;
-        let log = self.commit_log.read();
-        for rec in log.iter().rev() {
-            if rec.cts <= floor {
-                // Log is append-only in cts order: nothing older can conflict.
-                break;
-            }
-            if whole_table
-                || rec
-                    .write_keys
+        let floor = t.ctx.state_snapshot_floor(tx, t.state_id)?;
+        let conflict = t.write_sets.view(tx, |ws| {
+            t.policy.reads.view(tx, |rs| {
+                let whole_table = rs.is_some_and(|rs| rs.whole_table);
+                let touched = |k: &K| {
+                    rs.is_some_and(|rs| rs.keys.contains(k))
+                        || ws.is_some_and(|ws| ws.get(k).is_some())
+                };
+                // The log is append-only in cts order: nothing at or below
+                // the floor can conflict.
+                t.policy
+                    .commit_log
+                    .read()
                     .iter()
-                    .any(|k| read_keys.contains(k) || write_keys.contains(k))
-            {
-                self.ctx
-                    .telemetry()
-                    .record_abort(AbortReason::Certification);
-                return Err(TspError::ValidationFailed {
-                    txn: tx.id().as_u64(),
-                });
-            }
+                    .rev()
+                    .take_while(|rec| rec.cts > floor)
+                    .any(|rec| whole_table || rec.write_keys.iter().any(touched))
+            })
+        });
+        if conflict {
+            t.ctx.telemetry().record_abort(AbortReason::Certification);
+            return Err(TspError::ValidationFailed {
+                txn: tx.id().as_u64(),
+            });
         }
         Ok(())
-    }
-
-    /// In-memory apply: publishes the commit-log footprint, then the values.
-    /// Persistence happens in [`apply_durable`](TxParticipant::apply_durable).
-    fn apply(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        // Publish the footprint to the validation log *before* the values
-        // become visible, so a concurrent validator can never read a new
-        // value without also seeing the log entry (conservative ordering).
-        self.store.apply(tx, |ops| {
-            let write_keys = ops.iter().map(|(k, _)| k.clone()).collect();
-            self.commit_log
-                .write()
-                .push(CommitRecord { cts, write_keys });
-        });
-        self.prune_commit_log();
-        Ok(())
-    }
-
-    fn finish(&self, tx: &Tx, _committed: bool) {
-        self.store.clear(tx);
-        self.read_sets.clear(tx);
     }
 
     /// Backward validation of a *writing* transaction must be serialized
@@ -265,8 +125,34 @@ impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
     /// write skew.  (Read-only transactions still validate lock-free in
     /// the manager's fast path — their failure mode is a missed abort of a
     /// non-snapshot read, inherent to lockless BOCC reads.)
-    fn validation_requires_commit_lock(&self, tx: &Tx) -> bool {
-        !tx.is_read_only() && self.read_sets.is_claimed(tx)
+    fn validation_requires_commit_lock(t: &BoccTable<K, V>, tx: &Tx) -> bool {
+        !tx.is_read_only() && t.policy.reads.is_claimed(tx)
+    }
+
+    /// Publishes the commit-log footprint, then the values.
+    fn apply(t: &BoccTable<K, V>, tx: &Tx, ops: &[(K, WriteOp<V>)], cts: Timestamp) -> Result<()> {
+        if ops.is_empty() {
+            return Ok(());
+        }
+        // Publish the footprint to the validation log *before* the values
+        // become visible, so a concurrent validator can never read a new
+        // value without also seeing the log entry (conservative ordering).
+        let write_keys = ops.iter().map(|(k, _)| k.clone()).collect();
+        let log = &t.policy.commit_log;
+        log.write().push(CommitRecord { cts, write_keys });
+        t.policy.store.apply(&t.ctx, &t.backend, tx, ops, cts)?;
+        // Cheap length probe first: the oldest-active sweep only runs when
+        // there is actually something to prune.
+        if log.read().len() > COMMIT_LOG_PRUNE_THRESHOLD {
+            let oldest = t.ctx.oldest_active();
+            let mut log = log.write();
+            if log.len() > COMMIT_LOG_PRUNE_THRESHOLD {
+                // Records older than every active transaction's begin can
+                // no longer invalidate anyone.
+                log.retain(|r| r.cts >= oldest);
+            }
+        }
+        Ok(())
     }
 
     /// Removes the commit-log record published at `cts` — the commit will
@@ -274,65 +160,32 @@ impl<K: KeyType, V: ValueType> TxParticipant for BoccTable<K, V> {
     /// backward validation for every overlapping transaction — then restores
     /// the committed-map entries `apply` overwrote, from the captured
     /// pre-images.
-    fn undo_apply(&self, tx: &Tx, cts: Timestamp) {
-        let mut log = self.commit_log.write();
+    fn undo(t: &BoccTable<K, V>, tx: &Tx, ops: &[(K, WriteOp<V>)], cts: Timestamp) {
+        let mut log = t.policy.commit_log.write();
         if let Some(pos) = log.iter().rposition(|r| r.cts == cts) {
             log.remove(pos);
         }
         drop(log);
-        self.store.undo(tx);
+        t.policy.store.undo(tx, ops, cts);
     }
 
-    fn is_persistent(&self) -> bool {
-        self.store.is_persistent()
-    }
-
-    fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
-        self.store.redo_section(tx, sections)
-    }
-
-    fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        self.store.apply_durable(&self.ctx, tx, cts)
-    }
-
-    fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
-        self.store.wait_durable(cts, deadline)
+    fn finish(t: &BoccTable<K, V>, tx: &Tx, _committed: bool) {
+        t.policy.reads.clear(tx);
     }
 }
 
-impl<K: KeyType, V: ValueType> TransactionalTable<K, V> for BoccTable<K, V> {
-    fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
-        BoccTable::read(self, tx, key)
-    }
-
-    fn write(&self, tx: &Tx, key: K, value: V) -> Result<()> {
-        BoccTable::write(self, tx, key, value)
-    }
-
-    fn delete(&self, tx: &Tx, key: K) -> Result<()> {
-        BoccTable::delete(self, tx, key)
-    }
-
-    fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
-        BoccTable::scan(self, tx)
-    }
-
-    fn preload_iter(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
-        self.store.preload(rows)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn as_participant(self: Arc<Self>) -> Arc<dyn TxParticipant> {
-        self
+impl<K: KeyType, V: ValueType> BoccTable<K, V> {
+    /// Number of entries currently in the validation commit log.
+    pub fn commit_log_len(&self) -> usize {
+        self.policy.commit_log.read().len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::common::TxParticipant;
+    use std::sync::Arc;
 
     fn setup() -> (Arc<StateContext>, Arc<BoccTable<u32, String>>) {
         let ctx = Arc::new(StateContext::new());

@@ -1,24 +1,22 @@
-//! Building blocks shared by all transactional table implementations:
-//! the protocol-agnostic [`TransactionalTable`] interface, uncommitted write
-//! sets ("dirty arrays"), the typed view onto a byte-level storage backend,
-//! the helpers hoisted out of the per-protocol tables, and the trait bounds
-//! for keys and values.
+//! Building blocks of the transactional table: the protocol-agnostic
+//! [`TransactionalTable`] and [`TxParticipant`] interfaces, uncommitted
+//! write sets ("dirty arrays"), slot-local transaction storage, the typed
+//! view onto a byte-level storage backend with its durable-batch helpers,
+//! and the trait bounds for keys and values.
 
 use crate::clock::EPOCH_TS;
 use crate::context::{StateContext, Tx};
 use crate::telemetry::Counter;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
-use std::hash::Hash;
+use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tsp_common::recycle::{recycle_map, recycle_set, recycle_vec, KEEP_BYTES, KEEP_ENTRIES};
-use tsp_common::{
-    fx_shard, CachePadded, FxHashMap, FxHashSet, Result, StateId, Timestamp, TspError,
-};
+use tsp_common::{CachePadded, FxHashMap, FxHashSet, Result, StateId, Timestamp};
 use tsp_storage::redo::{redo_key, RedoSections};
 use tsp_storage::{BatchWriter, Codec, StorageBackend, WriteBatch};
 
@@ -155,6 +153,12 @@ impl<T> Recycle for Vec<T> {
     }
 }
 
+impl<T, S: BuildHasher + Default> Recycle for HashSet<T, S> {
+    fn recycle(&mut self) {
+        recycle_set(self);
+    }
+}
+
 /// Transaction-slot-local storage: one `T` per active-transaction slot,
 /// indexed by [`Tx::slot`].
 ///
@@ -268,18 +272,24 @@ impl<T: Recycle> SlotLocal<T> {
     /// Runs `f` with `tx`'s data if the cell is claimed.  Unclaimed cells
     /// are detected with a single atomic load — no lock.
     pub fn with<R>(&self, tx: &Tx, f: impl FnOnce(&T) -> R) -> Option<R> {
+        self.view(tx, |data| data.map(f))
+    }
+
+    /// Runs `f` with `tx`'s data, or with `None` if the cell is not
+    /// claimed (detected with a single atomic load — no lock).
+    pub fn view<R>(&self, tx: &Tx, f: impl FnOnce(Option<&T>) -> R) -> R {
         let cell = self.cell(tx);
         if cell.owner.load(Ordering::Acquire) != tx.id().as_u64() {
-            return None;
+            return f(None);
         }
         crate::latch_probe::count_latch();
         let data = cell.data.lock();
         // Re-check under the lock: `release_with` may have released the
         // cell between the probe and the lock.
         if cell.owner.load(Ordering::Relaxed) != tx.id().as_u64() {
-            return None;
+            return f(None);
         }
-        Some(f(&data))
+        f(Some(&data))
     }
 
     /// Runs `f` with `tx`'s data one last time, then empties the cell in
@@ -326,6 +336,13 @@ impl<T: Recycle> SlotLocal<T> {
     }
 }
 
+impl<K: KeyType, V: ValueType> SlotLocal<WriteSet<K, V>> {
+    /// True if `tx` has buffered at least one modification.
+    pub fn has_writes(&self, tx: &Tx) -> bool {
+        self.with(tx, |ws| !ws.is_empty()).unwrap_or(false)
+    }
+}
+
 /// What one transaction has read from a table, kept for commit-time read
 /// validation (BOCC backward validation, SSI read-set certification).
 ///
@@ -357,77 +374,25 @@ impl<K: KeyType> ReadSet<K> {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty() && !self.whole_table
     }
+
+    /// Records a point read of `key`, or a whole-table scan (`None`).  A
+    /// whole-table mark subsumes point keys, and repeat reads of a hot key
+    /// need no second clone.
+    pub fn record(&mut self, key: Option<&K>) {
+        match key {
+            None => self.whole_table = true,
+            Some(k) if !self.whole_table && !self.keys.contains(k) => {
+                self.keys.insert(k.clone());
+            }
+            Some(_) => {}
+        }
+    }
 }
 
 impl<K: KeyType> Recycle for ReadSet<K> {
     fn recycle(&mut self) {
         recycle_set(&mut self.keys);
         self.whole_table = false;
-    }
-}
-
-/// All uncommitted write sets of one table — the "Uncommitted Write Set"
-/// box of Fig. 3, stored per transaction slot (see [`SlotLocal`]): the
-/// write-buffer probe on the read path costs one atomic load for
-/// transactions that have not written to this table.
-pub struct TxWriteSets<K, V> {
-    sets: SlotLocal<WriteSet<K, V>>,
-}
-
-impl<K: KeyType, V: ValueType> TxWriteSets<K, V> {
-    /// Creates a write-set store for `capacity` transaction slots.
-    pub fn new(capacity: usize) -> Self {
-        TxWriteSets {
-            sets: SlotLocal::new(capacity),
-        }
-    }
-
-    /// Creates a write-set store sized for `ctx`'s transaction table.
-    pub fn for_context(ctx: &StateContext) -> Self {
-        TxWriteSets {
-            sets: SlotLocal::for_context(ctx),
-        }
-    }
-
-    /// Runs `f` with the (created on demand) write set of `tx`.
-    pub fn with_mut<R>(&self, tx: &Tx, f: impl FnOnce(&mut WriteSet<K, V>) -> R) -> R {
-        self.sets.with_mut(tx, f)
-    }
-
-    /// [`with_mut`](Self::with_mut) with an epoch-fence check on first use
-    /// (see [`SlotLocal::with_mut_checked`]).
-    pub fn with_mut_checked<R>(
-        &self,
-        tx: &Tx,
-        check: impl FnOnce() -> Result<()>,
-        f: impl FnOnce(&mut WriteSet<K, V>) -> R,
-    ) -> Result<R> {
-        self.sets.with_mut_checked(tx, check, f)
-    }
-
-    /// Runs `f` with the write set of `tx` if one exists.
-    pub fn with<R>(&self, tx: &Tx, f: impl FnOnce(&WriteSet<K, V>) -> R) -> Option<R> {
-        self.sets.with(tx, f)
-    }
-
-    /// Removes and returns the write set of `tx`.
-    pub fn take(&self, tx: &Tx) -> Option<WriteSet<K, V>> {
-        self.sets.take(tx)
-    }
-
-    /// Drops the write set of `tx` (abort path).
-    pub fn clear(&self, tx: &Tx) {
-        self.sets.clear(tx);
-    }
-
-    /// True if `tx` has buffered at least one modification.
-    pub fn has_writes(&self, tx: &Tx) -> bool {
-        self.sets.with(tx, |ws| !ws.is_empty()).unwrap_or(false)
-    }
-
-    /// Number of transactions with live write sets (diagnostics).
-    pub fn active_count(&self) -> usize {
-        self.sets.claimed_count()
     }
 }
 
@@ -643,181 +608,6 @@ impl<K: KeyType, V: ValueType> TypedBackend<K, V> {
     }
 }
 
-/// Shards of an [`InPlaceStore`]'s committed map.
-const IN_PLACE_SHARDS: usize = 64;
-
-/// A committed-map entry's pre-image: `None` = the key had no entry,
-/// `Some(None)` = a tombstone, `Some(Some(v))` = a committed override.
-type PreImage<V> = Option<Option<V>>;
-
-/// One shard of an [`InPlaceStore`]'s committed map (`None` = deleted).
-type CommittedShard<K, V> = RwLock<FxHashMap<K, Option<V>>>;
-
-/// The single-version store of the in-place protocols
-/// ([`crate::table::S2plTable`], [`crate::table::BoccTable`]): a sharded
-/// committed map overriding the base table, the per-transaction write sets,
-/// and the commit plumbing that updates the map in place.
-///
-/// Updating in place means a commit that is torn after this store applied
-/// (a later participant failed) must restore exactly what it overwrote, so
-/// [`apply`](Self::apply) captures the pre-image of every entry it replaces;
-/// [`undo`](Self::undo) restores them.  Recovery only rolls forward, so
-/// the pre-images stay in memory and the group redo record carries the ops
-/// alone.  The protocols
-/// keep only their concurrency control (locks, read sets, commit log)
-/// around these calls.
-pub(crate) struct InPlaceStore<K, V> {
-    state_id: StateId,
-    /// Committed values overriding the base table.
-    committed: Box<[CommittedShard<K, V>]>,
-    write_sets: TxWriteSets<K, V>,
-    backend: TypedBackend<K, V>,
-    /// Pre-images of the committed-map entries `apply` overwrote, one per
-    /// op of the write set, in its order.
-    undo_images: SlotLocal<Vec<PreImage<V>>>,
-}
-
-impl<K: KeyType, V: ValueType> InPlaceStore<K, V> {
-    /// Creates the store of state `state_id`, sized for `ctx`'s transaction
-    /// table.
-    pub fn new(ctx: &StateContext, state_id: StateId, backend: TypedBackend<K, V>) -> Self {
-        InPlaceStore {
-            state_id,
-            committed: (0..IN_PLACE_SHARDS)
-                .map(|_| RwLock::new(FxHashMap::default()))
-                .collect(),
-            write_sets: TxWriteSets::for_context(ctx),
-            backend,
-            undo_images: SlotLocal::for_context(ctx),
-        }
-    }
-
-    /// The uncommitted write sets.
-    pub fn write_sets(&self) -> &TxWriteSets<K, V> {
-        &self.write_sets
-    }
-
-    /// True if a persistent base table is attached.
-    pub fn is_persistent(&self) -> bool {
-        self.backend.is_persistent()
-    }
-
-    fn shard(&self, key: &K) -> &CommittedShard<K, V> {
-        &self.committed[fx_shard(key, IN_PLACE_SHARDS)]
-    }
-
-    /// The latest committed value of `key`: the in-memory override, else the
-    /// base table.
-    pub fn committed_value(&self, key: &K) -> Result<Option<V>> {
-        if let Some(entry) = self.shard(key).read().get(key) {
-            return Ok(entry.clone());
-        }
-        self.backend.get(key)
-    }
-
-    /// The committed image of the whole table (base table overlaid with the
-    /// in-memory committed map), overlaid with `tx`'s own uncommitted
-    /// writes.
-    pub fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
-        let mut out = BTreeMap::new();
-        self.backend.scan(&mut |k, v| {
-            out.insert(k, v);
-            true
-        })?;
-        for shard in self.committed.iter() {
-            for (k, v) in shard.read().iter() {
-                match v {
-                    Some(v) => {
-                        out.insert(k.clone(), v.clone());
-                    }
-                    None => {
-                        out.remove(k);
-                    }
-                }
-            }
-        }
-        self.write_sets
-            .with(tx, |ws| overlay_write_set(&mut out, ws.ops()));
-        Ok(out)
-    }
-
-    /// Loads initial rows as committed data, outside any transaction
-    /// (see [`preload_rows`]).
-    pub fn preload(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
-        preload_rows(&self.backend, rows, |k, v| {
-            self.shard(&k).write().insert(k, Some(v));
-            Ok(())
-        })
-    }
-
-    /// In-memory apply: writes `tx`'s ops into the committed map, capturing
-    /// each overwritten pre-image for [`undo`](Self::undo) as it goes (a
-    /// panic mid-way leaves the pre-images of what was already written).
-    /// `before_install` sees the ops first, before any value is visible.
-    pub fn apply(&self, tx: &Tx, before_install: impl FnOnce(&[(K, WriteOp<V>)])) {
-        self.write_sets.with(tx, |ws| {
-            let ops = ws.ops();
-            if ops.is_empty() {
-                return;
-            }
-            before_install(ops);
-            self.undo_images.with_mut(tx, |undo| {
-                undo.clear();
-                for (key, op) in ops {
-                    let value = match op {
-                        WriteOp::Put(v) => Some(v.clone()),
-                        WriteOp::Delete => None,
-                    };
-                    undo.push(self.shard(key).write().insert(key.clone(), value));
-                }
-            });
-        });
-    }
-
-    /// Persists the write set (see [`persist_pending`]).
-    pub fn apply_durable(&self, ctx: &StateContext, tx: &Tx, cts: Timestamp) -> Result<()> {
-        persist_pending(ctx, &self.backend, &self.write_sets, tx, self.state_id, cts)
-    }
-
-    /// See [`TypedBackend::wait_durable`].
-    pub fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
-        self.backend.wait_durable(cts, deadline)
-    }
-
-    /// Restores the committed-map entries [`apply`](Self::apply) overwrote.
-    /// Each key appears once in the write set, so the order does not
-    /// matter.  Releasing the stash makes the call idempotent.
-    pub fn undo(&self, tx: &Tx) {
-        self.write_sets.with(tx, |ws| {
-            self.undo_images.release_with(tx, |undo| {
-                for ((key, _), prev) in ws.ops().iter().zip(undo.drain(..)) {
-                    let mut shard = self.shard(key).write();
-                    match prev {
-                        Some(entry) => {
-                            shard.insert(key.clone(), entry);
-                        }
-                        None => {
-                            shard.remove(key);
-                        }
-                    }
-                }
-            })
-        });
-    }
-
-    /// This state's section of the group redo record, encoded from the
-    /// write set (see [`redo_section`]).
-    pub fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
-        redo_section(&self.backend, &self.write_sets, tx, self.state_id, sections);
-    }
-
-    /// Drops everything `tx` left here: write set and pre-images.
-    pub fn clear(&self, tx: &Tx) {
-        self.write_sets.clear(tx);
-        self.undo_images.clear(tx);
-    }
-}
-
 /// Reserved key prefix for table metadata stored inside the base table
 /// (e.g. the durably persisted group commit timestamp).
 pub const META_PREFIX: &[u8] = b"__tsp__/";
@@ -977,10 +767,11 @@ pub trait TxParticipant: Send + Sync {
 
 /// The protocol-agnostic transactional table interface.
 ///
-/// All three concurrency-control implementations — [`crate::table::MvccTable`]
-/// (snapshot isolation, the paper's contribution), [`crate::table::S2plTable`]
-/// and [`crate::table::BoccTable`] (the evaluation baselines) — expose exactly
-/// this surface, mirroring the paper's observation that "all concurrency
+/// The one implementation, [`crate::table::Table`], serves every
+/// concurrency-control protocol — [`crate::table::MvccTable`] (snapshot
+/// isolation, the paper's contribution), [`crate::table::S2plTable`] and
+/// [`crate::table::BoccTable`] (the evaluation baselines) and
+/// [`crate::table::SsiTable`] — mirroring the paper's observation that "all concurrency
 /// control protocols use fundamentally the same consistency protocol for
 /// multiple states" (§5.1).  Code written against
 /// `Arc<dyn TransactionalTable<K, V>>` is therefore protocol-independent; the
@@ -1051,19 +842,8 @@ impl<K: KeyType, V: ValueType, T: TransactionalTable<K, V> + ?Sized> Transaction
 }
 
 // ---------------------------------------------------------------------
-// Helpers shared by the three protocol implementations
+// Helpers of the table skeleton
 // ---------------------------------------------------------------------
-
-/// Rejects writes issued inside read-only transactions (shared guard of every
-/// protocol's write path).
-pub fn reject_read_only(tx: &Tx) -> Result<()> {
-    if tx.is_read_only() {
-        return Err(TspError::protocol(
-            "write attempted in a read-only transaction",
-        ));
-    }
-    Ok(())
-}
 
 /// Looks up the transaction's own buffered modification of `key`
 /// (read-your-own-writes).  `Some(Some(v))` is a buffered put, `Some(None)` a
@@ -1072,7 +852,7 @@ pub fn reject_read_only(tx: &Tx) -> Result<()> {
 /// For transactions that have not written to this table (every read-only
 /// ad-hoc query) this costs one atomic load — no lock (see [`SlotLocal`]).
 pub fn read_own_write<K: KeyType, V: ValueType>(
-    write_sets: &TxWriteSets<K, V>,
+    write_sets: &SlotLocal<WriteSet<K, V>>,
     tx: &Tx,
     key: &K,
 ) -> Option<Option<V>> {
@@ -1090,11 +870,12 @@ pub fn read_own_write<K: KeyType, V: ValueType>(
 ///
 /// The first write a transaction buffers claims its slot-local cell; that
 /// claim is epoch-fenced, so a transaction the reaper force-aborted gets
-/// [`TspError::LeaseExpired`] here instead of planting state in a cell the
-/// slot's next occupant will inherit.
+/// [`TspError::LeaseExpired`](tsp_common::TspError::LeaseExpired) here
+/// instead of planting state in a cell the slot's next occupant will
+/// inherit.
 pub fn buffer_write<K: KeyType, V: ValueType>(
     ctx: &StateContext,
-    write_sets: &TxWriteSets<K, V>,
+    write_sets: &SlotLocal<WriteSet<K, V>>,
     tx: &Tx,
     key: K,
     op: WriteOp<V>,
@@ -1110,39 +891,7 @@ pub fn buffer_write<K: KeyType, V: ValueType>(
     )
 }
 
-/// Number of rows per durable batch used by [`preload_rows`].
-pub const PRELOAD_BATCH: usize = 4096;
-
-/// Loads initial rows as committed data, outside any transaction.
-///
-/// Persistent rows are written to the base table in batches of
-/// [`PRELOAD_BATCH`] so preloading pays one durable write per few thousand
-/// rows instead of one per row; volatile rows are handed to
-/// `install_volatile` (each protocol's in-memory committed representation).
-pub fn preload_rows<K: KeyType, V: ValueType>(
-    backend: &TypedBackend<K, V>,
-    rows: &mut dyn Iterator<Item = (K, V)>,
-    mut install_volatile: impl FnMut(K, V) -> Result<()>,
-) -> Result<()> {
-    let mut chunk: Vec<(K, WriteOp<V>)> = Vec::new();
-    for (k, v) in rows {
-        if backend.is_persistent() {
-            chunk.push((k, WriteOp::Put(v)));
-            if chunk.len() >= PRELOAD_BATCH {
-                backend.apply(&chunk)?;
-                chunk.clear();
-            }
-        } else {
-            install_volatile(k, v)?;
-        }
-    }
-    if !chunk.is_empty() {
-        backend.apply(&chunk)?;
-    }
-    Ok(())
-}
-
-/// The shared `apply_durable` body of every protocol table: persists `tx`'s
+/// The `apply_durable` body of every table: persists `tx`'s
 /// write set together with the durable commit-timestamp marker — an
 /// enqueue on the asynchronous [`BatchWriter`] when the commit pipeline is
 /// enabled, a synchronous batch write otherwise.  The ops are encoded
@@ -1168,7 +917,7 @@ pub fn preload_rows<K: KeyType, V: ValueType>(
 pub fn persist_pending<K: KeyType, V: ValueType>(
     ctx: &StateContext,
     backend: &TypedBackend<K, V>,
-    write_sets: &TxWriteSets<K, V>,
+    write_sets: &SlotLocal<WriteSet<K, V>>,
     tx: &Tx,
     state: StateId,
     cts: Timestamp,
@@ -1283,31 +1032,13 @@ pub fn attach_group_redo<'a>(
     });
 }
 
-/// Overlays a transaction's write set onto a scanned committed image
-/// (read-your-own-writes for whole-table scans).
-pub fn overlay_write_set<K: KeyType, V: ValueType>(
-    out: &mut BTreeMap<K, V>,
-    ops: &[(K, WriteOp<V>)],
-) {
-    for (k, op) in ops {
-        match op {
-            WriteOp::Put(v) => {
-                out.insert(k.clone(), v.clone());
-            }
-            WriteOp::Delete => {
-                out.remove(k);
-            }
-        }
-    }
-}
-
-/// The shared `redo_section` body of every persistent protocol table:
+/// The `redo_section` body of every persistent table:
 /// encodes `tx`'s write set as `state`'s section of the group redo record,
 /// straight from the typed ops.  Volatile tables and empty write sets
 /// contribute nothing.
 pub fn redo_section<K: KeyType, V: ValueType>(
     backend: &TypedBackend<K, V>,
-    write_sets: &TxWriteSets<K, V>,
+    write_sets: &SlotLocal<WriteSet<K, V>>,
     tx: &Tx,
     state: StateId,
     sections: &mut RedoSections,
@@ -1333,6 +1064,7 @@ pub fn redo_section<K: KeyType, V: ValueType>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsp_common::TspError;
     use tsp_storage::BTreeBackend;
 
     #[test]
@@ -1359,7 +1091,7 @@ mod tests {
     #[test]
     fn rewrites_of_one_key_keep_one_op_in_first_write_order() {
         let ctx = StateContext::new();
-        let sets: TxWriteSets<u32, String> = TxWriteSets::for_context(&ctx);
+        let sets: SlotLocal<WriteSet<u32, String>> = SlotLocal::for_context(&ctx);
         let tx = ctx.begin(false).unwrap();
         sets.with_mut(&tx, |ws| {
             ws.put(5, "first".into());
@@ -1384,20 +1116,20 @@ mod tests {
     #[test]
     fn tx_write_sets_lifecycle() {
         let ctx = StateContext::new();
-        let sets: TxWriteSets<u32, u64> = TxWriteSets::for_context(&ctx);
+        let sets: SlotLocal<WriteSet<u32, u64>> = SlotLocal::for_context(&ctx);
         let t1 = ctx.begin(false).unwrap();
         let t2 = ctx.begin(false).unwrap();
         assert!(!sets.has_writes(&t1));
         sets.with_mut(&t1, |ws| ws.put(1, 100));
         sets.with_mut(&t2, |ws| ws.put(2, 200));
         assert!(sets.has_writes(&t1));
-        assert_eq!(sets.active_count(), 2);
+        assert_eq!(sets.claimed_count(), 2);
         assert_eq!(sets.with(&t1, |ws| ws.key_count()), Some(1));
         let taken = sets.take(&t1).unwrap();
         assert_eq!(taken.key_count(), 1);
         assert!(!sets.has_writes(&t1));
         sets.clear(&t2);
-        assert_eq!(sets.active_count(), 0);
+        assert_eq!(sets.claimed_count(), 0);
         ctx.finish(&t1);
         ctx.finish(&t2);
     }
@@ -1407,7 +1139,7 @@ mod tests {
         // A new transaction reusing the slot of a finished one must not see
         // the predecessor's data, even if the predecessor skipped cleanup.
         let ctx = StateContext::with_capacity(1);
-        let sets: TxWriteSets<u32, u64> = TxWriteSets::for_context(&ctx);
+        let sets: SlotLocal<WriteSet<u32, u64>> = SlotLocal::for_context(&ctx);
         let t1 = ctx.begin(false).unwrap();
         sets.with_mut(&t1, |ws| ws.put(7, 70));
         ctx.finish(&t1); // no take/clear: stale leftover in the cell
@@ -1428,7 +1160,7 @@ mod tests {
     #[test]
     fn checked_claim_runs_the_check_only_on_first_use() {
         let ctx = StateContext::new();
-        let sets: TxWriteSets<u32, u64> = TxWriteSets::for_context(&ctx);
+        let sets: SlotLocal<WriteSet<u32, u64>> = SlotLocal::for_context(&ctx);
         let tx = ctx.begin(false).unwrap();
         // A failing check blocks the claim and leaves the cell unclaimed.
         let err = sets
@@ -1436,7 +1168,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, TspError::LeaseExpired { .. }));
         assert!(!sets.has_writes(&tx));
-        assert_eq!(sets.active_count(), 0);
+        assert_eq!(sets.claimed_count(), 0);
         // A passing check claims the cell …
         sets.with_mut_checked(&tx, || Ok(()), |ws| ws.put(1, 10))
             .unwrap();
@@ -1460,7 +1192,7 @@ mod tests {
 
     /// Runs one transaction on `ctx` that writes keys `0..n` to `sets` and
     /// finishes it; returns its slot.
-    fn write_keys(ctx: &StateContext, sets: &TxWriteSets<u32, u64>, n: u32) -> usize {
+    fn write_keys(ctx: &StateContext, sets: &SlotLocal<WriteSet<u32, u64>>, n: u32) -> usize {
         let tx = ctx.begin(false).unwrap();
         sets.with_mut(&tx, |ws| (0..n).for_each(|k| ws.put(k, u64::from(k))));
         sets.clear(&tx);
@@ -1471,16 +1203,16 @@ mod tests {
     #[test]
     fn a_slot_keeps_its_write_set_buffers_but_not_a_large_one() {
         let ctx = StateContext::with_capacity(1);
-        let sets: TxWriteSets<u32, u64> = TxWriteSets::for_context(&ctx);
+        let sets: SlotLocal<WriteSet<u32, u64>> = SlotLocal::for_context(&ctx);
         let slot = write_keys(&ctx, &sets, 100);
-        let warm = sets.sets.cell_data(slot).capacity();
+        let warm = sets.cell_data(slot).capacity();
         assert!(warm.0 >= 100 && warm.1 >= 100);
         write_keys(&ctx, &sets, 100);
-        assert_eq!(sets.sets.cell_data(slot).capacity(), warm, "reused");
+        assert_eq!(sets.cell_data(slot).capacity(), warm, "reused");
 
         write_keys(&ctx, &sets, 100_000);
         write_keys(&ctx, &sets, 10);
-        let (ops, index) = sets.sets.cell_data(slot).capacity();
+        let (ops, index) = sets.cell_data(slot).capacity();
         assert!(capped(ops, 10), "op list kept {ops} entries");
         assert!(capped(index, 10), "index kept {index} entries");
     }
@@ -1508,7 +1240,7 @@ mod tests {
     /// A participant holding nothing but a write set.
     struct Buffered {
         state: StateId,
-        sets: TxWriteSets<u32, u64>,
+        sets: SlotLocal<WriteSet<u32, u64>>,
     }
 
     impl TxParticipant for Buffered {
@@ -1540,7 +1272,7 @@ mod tests {
         let mgr = crate::manager::TransactionManager::new(Arc::clone(&ctx));
         let table = Arc::new(Buffered {
             state: ctx.register_state("buffered"),
-            sets: TxWriteSets::for_context(&ctx),
+            sets: SlotLocal::for_context(&ctx),
         });
         mgr.register(table.clone());
         let write = |tx: &Tx, k: u32| {
@@ -1553,10 +1285,10 @@ mod tests {
         }
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert_eq!(mgr.reap_expired(), 1);
-        assert_eq!(table.sets.active_count(), 0, "cell released");
-        assert_eq!(table.sets.sets.cell_data(zombie.slot()).key_count(), 0);
+        assert_eq!(table.sets.claimed_count(), 0, "cell released");
+        assert_eq!(table.sets.cell_data(zombie.slot()).key_count(), 0);
         assert!(write(&zombie, 1).is_err(), "the zombie's late write fails");
-        assert_eq!(table.sets.active_count(), 0, "and claims nothing");
+        assert_eq!(table.sets.claimed_count(), 0, "and claims nothing");
 
         let next = mgr.begin().unwrap();
         assert_eq!(next.slot(), zombie.slot());
@@ -1566,7 +1298,7 @@ mod tests {
         }
         assert_eq!(table.sets.with(&next, |ws| ws.key_count()), Some(10));
         mgr.commit(&next).unwrap();
-        let (ops, index) = table.sets.sets.cell_data(next.slot()).capacity();
+        let (ops, index) = table.sets.cell_data(next.slot()).capacity();
         assert!(capped(ops, 10) && capped(index, 10), "{ops} / {index}");
     }
 

@@ -88,22 +88,7 @@ impl Protocol {
         name: impl Into<String>,
         backend: Option<Arc<dyn StorageBackend>>,
     ) -> TableHandle<K, V> {
-        match self {
-            Protocol::Mvcc => {
-                MvccTable::with_options(ctx, name, backend, MvccTableOptions::default())
-            }
-            Protocol::S2pl => match backend {
-                Some(b) => S2plTable::persistent(ctx, name, b),
-                None => S2plTable::volatile(ctx, name),
-            },
-            Protocol::Bocc => match backend {
-                Some(b) => BoccTable::persistent(ctx, name, b),
-                None => BoccTable::volatile(ctx, name),
-            },
-            Protocol::Ssi => {
-                SsiTable::with_options(ctx, name, backend, MvccTableOptions::default())
-            }
-        }
+        self.create_table_with_options(ctx, name, backend, MvccTableOptions::default())
     }
 
     /// Like [`create_table`](Self::create_table) but with explicit MVCC
@@ -119,8 +104,9 @@ impl Protocol {
     ) -> TableHandle<K, V> {
         match self {
             Protocol::Mvcc => MvccTable::with_options(ctx, name, backend, mvcc_opts),
+            Protocol::S2pl => S2plTable::with_options(ctx, name, backend, mvcc_opts),
+            Protocol::Bocc => BoccTable::with_options(ctx, name, backend, mvcc_opts),
             Protocol::Ssi => SsiTable::with_options(ctx, name, backend, mvcc_opts),
-            other => other.create_table(ctx, name, backend),
         }
     }
 }

@@ -7,6 +7,10 @@
 //! (returns [`TspError::Deadlock`]) and is expected to be retried by its
 //! caller.  A bounded wait (default 1 s) additionally guards against lost
 //! wake-ups so the benchmark can never hang.
+//!
+//! The manager keeps no per-transaction registry: the caller remembers
+//! which keys it locked (the S2PL table keeps them in the transaction's
+//! slot-local cell) and hands them back to [`LockManager::release`].
 
 use parking_lot::{Condvar, Mutex};
 use std::hash::Hash;
@@ -78,7 +82,6 @@ struct LockShard<K> {
 /// Sharded lock table with wait-die deadlock avoidance.
 pub struct LockManager<K> {
     shards: Vec<LockShard<K>>,
-    holdings: Mutex<FxHashMap<u64, FxHashSet<K>>>,
     max_wait: Duration,
 }
 
@@ -103,7 +106,6 @@ impl<K: Clone + Eq + Hash> LockManager<K> {
                     released: Condvar::new(),
                 })
                 .collect(),
-            holdings: Mutex::new(FxHashMap::default()),
             max_wait,
         }
     }
@@ -126,12 +128,6 @@ impl<K: Clone + Eq + Hash> LockManager<K> {
             let conflicts = entry.conflicts_for(id, mode);
             if conflicts.is_empty() {
                 entry.grant(id, mode);
-                drop(entries);
-                self.holdings
-                    .lock()
-                    .entry(id)
-                    .or_default()
-                    .insert(key.clone());
                 return Ok(());
             }
             // Wait-die: only wait if this transaction is older (smaller
@@ -148,32 +144,39 @@ impl<K: Clone + Eq + Hash> LockManager<K> {
         }
     }
 
-    /// Releases every lock held by `txn` (end of transaction — strict 2PL).
-    pub fn release_all(&self, txn: TxnId) {
+    /// Releases `txn`'s locks on `keys` (end of transaction — strict 2PL).
+    /// Keys `txn` does not hold are skipped.
+    pub fn release<'a>(&self, txn: TxnId, keys: impl IntoIterator<Item = &'a K>)
+    where
+        K: 'a,
+    {
         let id = txn.as_u64();
-        let keys = match self.holdings.lock().remove(&id) {
-            Some(keys) => keys,
-            None => return,
-        };
         for key in keys {
-            let shard = self.shard(&key);
+            let shard = self.shard(key);
             let mut entries = shard.entries.lock();
-            if let Some(entry) = entries.get_mut(&key) {
+            if let Some(entry) = entries.get_mut(key) {
                 entry.readers.remove(&id);
                 if entry.writer == Some(id) {
                     entry.writer = None;
                 }
                 if entry.is_free() {
-                    entries.remove(&key);
+                    entries.remove(key);
                 }
             }
             shard.released.notify_all();
         }
     }
 
-    /// Number of transactions currently holding at least one lock.
+    /// Number of transactions currently holding at least one lock
+    /// (diagnostics: walks every shard).
     pub fn holder_count(&self) -> usize {
-        self.holdings.lock().len()
+        let mut holders = FxHashSet::default();
+        for shard in &self.shards {
+            for entry in shard.entries.lock().values() {
+                holders.extend(entry.readers.iter().copied().chain(entry.writer));
+            }
+        }
+        holders.len()
     }
 
     /// Number of keys with at least one lock (diagnostics).
@@ -193,8 +196,8 @@ mod tests {
         lm.lock(TxnId(1), &5, LockMode::Shared).unwrap();
         lm.lock(TxnId(2), &5, LockMode::Shared).unwrap();
         assert_eq!(lm.holder_count(), 2);
-        lm.release_all(TxnId(1));
-        lm.release_all(TxnId(2));
+        lm.release(TxnId(1), [&5]);
+        lm.release(TxnId(2), [&5]);
         assert_eq!(lm.holder_count(), 0);
         assert_eq!(lm.locked_key_count(), 0);
     }
@@ -207,7 +210,7 @@ mod tests {
         // Younger transaction (5) must die instead of waiting.
         let err = lm.lock(TxnId(5), &9, LockMode::Shared).unwrap_err();
         assert!(matches!(err, TspError::Deadlock { txn: 5 }));
-        lm.release_all(TxnId(1));
+        lm.release(TxnId(1), [&9]);
     }
 
     #[test]
@@ -218,7 +221,7 @@ mod tests {
         lm.lock(TxnId(3), &1, LockMode::Exclusive).unwrap(); // upgrade, sole reader
         lm.lock(TxnId(3), &1, LockMode::Exclusive).unwrap();
         lm.lock(TxnId(3), &1, LockMode::Shared).unwrap(); // already writer
-        lm.release_all(TxnId(3));
+        lm.release(TxnId(3), [&1]);
         assert_eq!(lm.locked_key_count(), 0);
     }
 
@@ -230,8 +233,8 @@ mod tests {
         // Younger writer (8) cannot upgrade while 2 holds a shared lock.
         let err = lm.lock(TxnId(8), &7, LockMode::Exclusive).unwrap_err();
         assert!(matches!(err, TspError::Deadlock { .. }));
-        lm.release_all(TxnId(2));
-        lm.release_all(TxnId(8));
+        lm.release(TxnId(2), [&7]);
+        lm.release(TxnId(8), [&7]);
     }
 
     #[test]
@@ -248,9 +251,9 @@ mod tests {
             })
         };
         std::thread::sleep(Duration::from_millis(50));
-        lm.release_all(TxnId(10));
+        lm.release(TxnId(10), [&1]);
         waiter.join().unwrap().unwrap();
-        lm.release_all(TxnId(2));
+        lm.release(TxnId(2), [&1]);
     }
 
     #[test]
@@ -263,13 +266,13 @@ mod tests {
         let err = lm.lock(TxnId(2), &1, LockMode::Exclusive).unwrap_err();
         assert!(matches!(err, TspError::Deadlock { .. }));
         assert!(start.elapsed() < Duration::from_secs(2));
-        lm.release_all(TxnId(10));
+        lm.release(TxnId(10), [&1]);
     }
 
     #[test]
-    fn release_all_without_locks_is_noop() {
+    fn release_without_locks_is_noop() {
         let lm: LockManager<u32> = LockManager::new();
-        lm.release_all(TxnId(99));
+        lm.release(TxnId(99), [&1]);
         assert_eq!(lm.holder_count(), 0);
     }
 
@@ -281,10 +284,11 @@ mod tests {
                 let lm = Arc::clone(&lm);
                 std::thread::spawn(move || {
                     let txn = TxnId(t + 1);
-                    for k in 0..200u64 {
-                        lm.lock(txn, &(t * 1000 + k), LockMode::Exclusive).unwrap();
+                    let keys: Vec<u64> = (0..200).map(|k| t * 1000 + k).collect();
+                    for k in &keys {
+                        lm.lock(txn, k, LockMode::Exclusive).unwrap();
                     }
-                    lm.release_all(txn);
+                    lm.release(txn, &keys);
                 })
             })
             .collect();

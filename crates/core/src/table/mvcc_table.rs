@@ -1,10 +1,12 @@
 //! The multi-versioned transactional table — the paper's "table wrapper"
 //! (§4.1) combined with the snapshot-isolation concurrency protocol (§4.2).
 //!
-//! A [`MvccTable`] wraps a (possibly persistent) base table.  Every key maps
-//! to an [`MvccObject`] holding its version history; uncommitted changes are
-//! buffered in per-transaction write sets and only become visible when the
-//! commit installs them and the group's `LastCTS` is published.
+//! A [`MvccTable`] is the [`Table`] skeleton over the multi-version store
+//! ([`Versions`]) with the [`Mvcc`] policy.  Every key maps to an
+//! [`MvccObject`] holding its version history;
+//! uncommitted changes are buffered in per-transaction write sets and only
+//! become visible when the commit installs them and the group's `LastCTS`
+//! is published.
 //!
 //! The concurrency protocol implemented here:
 //!
@@ -32,30 +34,26 @@
 //!    between states stays on the fast path (the first access of a state
 //!    takes the slot mutex once, and announces the snapshot floor the
 //!    version-reclaim protocol depends on — see `mvcc.rs`),
-//! 2. the write-buffer probe is one atomic owner-tag load
-//!    ([`TxWriteSets`] over slot-local storage),
-//! 3. the key resolves through a lock-free insert-only index
-//!    (`objmap.rs`) that stores each [`MvccObject`] inline in its chain
-//!    node, so the lookup borrows the object with no extra pointer hop and
-//!    no refcount traffic, and
-//! 4. [`MvccObject::read_visible`] scans seqlock-validated atomic version
+//! 2. the write-buffer probe is one atomic owner-tag load (the write sets
+//!    live in [`SlotLocal`](crate::table::SlotLocal) storage),
+//! 3. the MVCC policy's read hook is empty,
+//! 4. the key resolves through a lock-free insert-only index
+//!    (`objmap.rs`) that stores each object inline in its chain node, so
+//!    the lookup borrows the object with no extra pointer hop and no
+//!    refcount traffic, and
+//! 5. `MvccObject::read_visible` scans seqlock-validated atomic version
 //!    headers.
+//!
+//! [`StateContext::access_snapshot`]: crate::context::StateContext::access_snapshot
 
 use crate::context::{StateContext, Tx};
 use crate::mvcc::{MvccObject, DEFAULT_VERSION_SLOTS};
-use crate::table::common::{
-    buffer_write, overlay_write_set, persist_pending, preload_rows, read_own_write, redo_section,
-    reject_read_only, KeyType, TransactionalTable, TxParticipant, TxWriteSets, TypedBackend,
-    ValueType, WriteOp,
-};
-use crate::table::objmap::{ObjMap, DEFAULT_INDEX_BUCKETS};
+use crate::table::common::{KeyType, ValueType};
+use crate::table::objmap::DEFAULT_INDEX_BUCKETS;
+use crate::table::skeleton::{Policy, Store, Table};
+use crate::table::store::Versions;
 use crate::telemetry::{AbortReason, Counter};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Instant;
-use tsp_common::{Result, StateId, Timestamp, TspError, NO_TS};
-use tsp_storage::redo::RedoSections;
-use tsp_storage::StorageBackend;
+use tsp_common::{Result, Timestamp, TspError, NO_TS};
 
 /// When the write-write conflict check runs (§4.2 discusses both choices;
 /// the ablation bench compares them).
@@ -70,7 +68,8 @@ pub enum ConflictCheck {
     Eager,
 }
 
-/// Tuning options for an [`MvccTable`].
+/// Tuning options for the multi-version store ([`MvccTable`],
+/// [`SsiTable`](crate::table::SsiTable)).
 #[derive(Clone, Debug)]
 pub struct MvccTableOptions {
     /// Version slots per MVCC object.
@@ -93,217 +92,109 @@ impl Default for MvccTableOptions {
     }
 }
 
-/// A snapshot-isolated, multi-versioned transactional table.
-pub struct MvccTable<K, V> {
-    state_id: StateId,
-    name: String,
-    ctx: Arc<StateContext>,
-    /// Lock-free key → version-object index (objects are never removed).
-    objects: ObjMap<K, MvccObject<V>>,
-    write_sets: TxWriteSets<K, V>,
-    backend: TypedBackend<K, V>,
-    opts: MvccTableOptions,
+/// Snapshot isolation: no read rule, First-Committer-Wins at commit.
+pub struct Mvcc<K, V> {
+    store: Versions<K, V>,
 }
 
-impl<K: KeyType, V: ValueType> MvccTable<K, V> {
-    /// Creates a volatile (in-memory only) table registered as `name`.
-    pub fn volatile(ctx: &Arc<StateContext>, name: impl Into<String>) -> Arc<Self> {
-        Self::with_options(ctx, name, None, MvccTableOptions::default())
-    }
+/// A snapshot-isolated, multi-versioned transactional table.
+pub type MvccTable<K, V> = Table<K, V, Mvcc<K, V>>;
 
-    /// Creates a table persisting committed data to `backend`.
-    pub fn persistent(
-        ctx: &Arc<StateContext>,
-        name: impl Into<String>,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Arc<Self> {
-        Self::with_options(ctx, name, Some(backend), MvccTableOptions::default())
-    }
+impl<K: KeyType, V: ValueType> Policy<K, V> for Mvcc<K, V> {
+    type Store = Versions<K, V>;
 
-    /// Creates a table with explicit options.
-    pub fn with_options(
-        ctx: &Arc<StateContext>,
-        name: impl Into<String>,
-        backend: Option<Arc<dyn StorageBackend>>,
-        opts: MvccTableOptions,
-    ) -> Arc<Self> {
-        let name = name.into();
-        let state_id = ctx.register_state(&name);
-        let backend = TypedBackend::for_context(ctx, state_id, backend);
-        Arc::new(MvccTable {
-            state_id,
-            name,
-            ctx: Arc::clone(ctx),
-            objects: ObjMap::new(opts.index_buckets),
-            write_sets: TxWriteSets::for_context(ctx),
-            backend,
-            opts,
-        })
-    }
-
-    /// The table's registered state id.
-    pub fn id(&self) -> StateId {
-        self.state_id
-    }
-
-    /// The table's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn object(&self, key: &K) -> Option<&MvccObject<V>> {
-        self.objects.get(key)
-    }
-
-    fn object_or_create(&self, key: &K) -> &MvccObject<V> {
-        self.objects
-            .get_or_insert_with(key, || MvccObject::new(self.opts.version_slots))
-    }
-
-    // ------------------------------------------------------------------
-    // Data access within a transaction
-    // ------------------------------------------------------------------
-
-    /// Reads `key` as of the transaction's snapshot, honouring its own
-    /// uncommitted writes.  Latch-free for committed data (see module docs).
-    pub fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
-        // Records the access, resolves the pinned snapshot, and — on the
-        // first access of this state — announces the snapshot floor that
-        // makes the latch-free version scan below sound.
-        let snapshot = self.ctx.access_snapshot(tx, self.state_id)?;
-        self.ctx.telemetry().bump_read(tx.slot());
-        if let Some(own) = read_own_write(&self.write_sets, tx, key) {
-            return Ok(own);
+    fn new(ctx: &StateContext, opts: &MvccTableOptions) -> Self {
+        Mvcc {
+            store: Versions::new(ctx, opts),
         }
-        if let Some(obj) = self.object(key) {
-            if !obj.is_empty() {
-                return Ok(obj.read_visible(snapshot));
-            }
+    }
+
+    fn store(&self) -> &Versions<K, V> {
+        &self.store
+    }
+
+    fn on_write(t: &MvccTable<K, V>, tx: &Tx, key: &K) -> Result<()> {
+        t.eager_conflict_check(tx, key)
+    }
+
+    fn validate(t: &MvccTable<K, V>, tx: &Tx, _txn_has_writes: bool) -> Result<()> {
+        t.first_committer_wins(tx)
+    }
+}
+
+/// The operations of a table on the multi-version store, whatever its
+/// policy.
+impl<K: KeyType, V: ValueType, P: Policy<K, V, Store = Versions<K, V>>> Table<K, V, P> {
+    /// With [`ConflictCheck::Eager`], aborts a write of `key` at once when
+    /// a version newer than the transaction's begin already committed.
+    pub(super) fn eager_conflict_check(&self, tx: &Tx, key: &K) -> Result<()> {
+        if self.policy.store().conflict_check != ConflictCheck::Eager {
+            return Ok(());
         }
-        // No in-memory versions: the only committed value (if any) predates
-        // every running transaction (preloaded or recovered base-table data).
-        self.backend.get(key)
-    }
-
-    /// Buffers an insert/update of `key` in the transaction's write set.
-    pub fn write(&self, tx: &Tx, key: K, value: V) -> Result<()> {
-        self.write_op(tx, key, WriteOp::Put(value))
-    }
-
-    /// Buffers a delete of `key` in the transaction's write set.
-    pub fn delete(&self, tx: &Tx, key: K) -> Result<()> {
-        self.write_op(tx, key, WriteOp::Delete)
-    }
-
-    fn write_op(&self, tx: &Tx, key: K, op: WriteOp<V>) -> Result<()> {
-        reject_read_only(tx)?;
-        self.ctx.record_access(tx, self.state_id)?;
-        if self.opts.conflict_check == ConflictCheck::Eager {
-            if let Some(obj) = self.object(&key) {
-                if obj.newest_write_ts() > tx.begin_ts() {
-                    self.ctx.telemetry().record_abort(AbortReason::FcwConflict);
-                    return Err(TspError::WriteConflict {
-                        txn: tx.id().as_u64(),
-                        detail: format!("eager check on state '{}'", self.name),
-                    });
-                }
+        match self.policy.store().object(key) {
+            Some(obj) if obj.newest_write_ts() > tx.begin_ts() => {
+                self.ctx.telemetry().record_abort(AbortReason::FcwConflict);
+                Err(TspError::WriteConflict {
+                    txn: tx.id().as_u64(),
+                    detail: format!("eager check on state '{}'", self.name),
+                })
             }
+            _ => Ok(()),
         }
-        buffer_write(&self.ctx, &self.write_sets, tx, key, op)
     }
 
-    /// A consistent snapshot of the whole table as of the transaction's
-    /// pinned `ReadCTS` (the paper's queryable-state requirement ①).
-    pub fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
-        let snapshot = self.ctx.access_snapshot(tx, self.state_id)?;
-        let mut out = BTreeMap::new();
-        self.backend.scan(&mut |k, v| {
-            out.insert(k, v);
-            true
-        })?;
-        self.objects.for_each(|k, obj| {
-            if obj.is_empty() {
-                return;
-            }
-            match obj.read_visible(snapshot) {
-                Some(v) => {
-                    out.insert(k.clone(), v);
-                }
-                None => {
-                    out.remove(k);
-                }
-            }
-        });
-        // Overlay the transaction's own writes (read-your-own-writes).
-        self.write_sets
-            .with(tx, |ws| overlay_write_set(&mut out, ws.ops()));
-        Ok(out)
-    }
-
-    /// Installs `ops` at `cts`, by reference from the write set.
-    fn install_all(&self, ops: &[(K, WriteOp<V>)], cts: Timestamp) -> Result<()> {
-        let oldest = self.ctx.oldest_active();
-        for (key, op) in ops {
-            let existing = self.object(key);
-            let needs_promotion = existing.is_none_or(|o| o.is_empty());
-            let obj = existing.unwrap_or_else(|| self.object_or_create(key));
-            // Promote a base-table row (committed before any in-memory
-            // version existed) so that older snapshots keep seeing it.
-            if needs_promotion && self.backend.is_persistent() {
-                if let Some(old) = self.backend.get(key)? {
-                    if obj.is_empty() {
-                        obj.install(old, crate::clock::EPOCH_TS, 0);
-                    }
-                }
-            }
-            match op {
-                WriteOp::Put(v) => {
-                    let reclaimed =
-                        obj.install_with(v.clone(), cts, oldest, || self.ctx.oldest_active_fresh());
-                    if reclaimed > 0 {
-                        self.ctx.telemetry().bump(Counter::GcRuns);
-                        self.ctx
-                            .telemetry()
-                            .add(Counter::GcReclaimed, reclaimed as u64);
-                    }
-                }
-                WriteOp::Delete => {
-                    obj.mark_deleted(cts);
-                }
-            }
+    /// First-Committer-Wins: if any key in the write set has a committed
+    /// version newer than this transaction's *snapshot floor for this
+    /// state* — the oldest snapshot it may have read through this state's
+    /// groups, never newer than its begin timestamp — a concurrent
+    /// transaction won the race and this one must abort (§4.2).
+    ///
+    /// The floor (rather than the begin timestamp alone) closes a
+    /// lost-update window: a transaction can begin *after* a concurrent
+    /// commit drew its timestamp but still pin the pre-commit snapshot,
+    /// in which case its begin timestamp is newer than the version it never
+    /// saw.  The floor is per-state so a stale pin on an unrelated,
+    /// quiescent group does not spuriously abort updates here.
+    ///
+    /// Each key costs one header read: the newest write of an object is
+    /// its live version's commit timestamp
+    /// ([`MvccObject::newest_write_ts`]).
+    pub(super) fn first_committer_wins(&self, tx: &Tx) -> Result<()> {
+        // Writeless transactions (every ad-hoc reader) validate trivially:
+        // probe the write buffer (one atomic load) before computing the
+        // floor, which walks the slot mutex and the group registry.
+        if !self.write_sets.has_writes(tx) {
+            return Ok(());
+        }
+        let floor = self.ctx.state_snapshot_floor(tx, self.state_id)?;
+        let conflict = self
+            .write_sets
+            .with(tx, |ws| {
+                ws.keys().any(|k| self.newest_version_ts(k) > floor)
+            })
+            .unwrap_or(false);
+        if conflict {
+            self.ctx.telemetry().record_abort(AbortReason::FcwConflict);
+            return Err(TspError::WriteConflict {
+                txn: tx.id().as_u64(),
+                detail: format!("first-committer-wins on state '{}'", self.name),
+            });
         }
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Maintenance & inspection
-    // ------------------------------------------------------------------
-
-    /// Loads initial data directly as committed-at-epoch rows, outside any
-    /// transaction (benchmark preloading, recovery restore).  Persistent rows
-    /// are written in large batches so the base table pays one durable write
-    /// per few thousand rows instead of one per row.
-    pub fn preload(&self, rows: impl IntoIterator<Item = (K, V)>) -> Result<()> {
-        self.preload_impl(&mut rows.into_iter())
-    }
-
-    fn preload_impl(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
-        use crate::clock::EPOCH_TS;
-        preload_rows(&self.backend, rows, |k, v| {
-            let obj = self.object_or_create(&k);
-            obj.install(v, EPOCH_TS, 0);
-            Ok(())
-        })
-    }
-
     /// Number of keys with in-memory version objects.
     pub fn versioned_key_count(&self) -> usize {
-        self.objects.len()
+        self.policy.store().objects.len()
     }
 
     /// Number of versions currently stored for `key` (0 if no object).
     pub fn version_count(&self, key: &K) -> usize {
-        self.object(key).map(|o| o.version_count()).unwrap_or(0)
+        self.policy
+            .store()
+            .object(key)
+            .map(|o| o.version_count())
+            .unwrap_or(0)
     }
 
     /// The newest timestamp at which `key` was written or deleted (0 if the
@@ -317,7 +208,9 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
     /// in-memory versions predate every running transaction (preload or
     /// recovery) and therefore never conflict.
     pub fn newest_version_ts(&self, key: &K) -> Timestamp {
-        self.object(key)
+        self.policy
+            .store()
+            .object(key)
             .map(MvccObject::newest_write_ts)
             .unwrap_or(NO_TS)
     }
@@ -332,7 +225,7 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
     pub fn gc(&self) -> usize {
         let oldest = self.ctx.oldest_active();
         let mut reclaimed = 0;
-        self.objects.for_each(|_, obj| {
+        self.policy.store().objects.for_each(|_, obj| {
             reclaimed += obj.gc_with(oldest, || self.ctx.oldest_active_fresh());
         });
         if reclaimed > 0 {
@@ -354,12 +247,10 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
     /// this path serialises against writers on the object latch rather than
     /// using the latch-free scan.
     pub fn read_at(&self, snapshot: Timestamp, key: &K) -> Result<Option<V>> {
-        if let Some(obj) = self.object(key) {
-            if !obj.is_empty() {
-                return Ok(obj.read_visible_latched(snapshot));
-            }
+        match self.policy.store().object(key) {
+            Some(obj) if !obj.is_empty() => Ok(obj.read_visible_latched(snapshot)),
+            _ => self.backend.get(key),
         }
-        self.backend.get(key)
     }
 
     /// The latest committed value of `key` regardless of any snapshot
@@ -369,150 +260,12 @@ impl<K: KeyType, V: ValueType> MvccTable<K, V> {
     }
 }
 
-impl<K: KeyType, V: ValueType> TxParticipant for MvccTable<K, V> {
-    fn state_id(&self) -> StateId {
-        self.state_id
-    }
-
-    fn has_writes(&self, tx: &Tx) -> bool {
-        self.write_sets.has_writes(tx)
-    }
-
-    /// First-Committer-Wins: if any key in the write set has a committed
-    /// version newer than this transaction's *snapshot floor for this
-    /// state* — the oldest snapshot it may have read through this state's
-    /// groups, never newer than its begin timestamp — a concurrent
-    /// transaction won the race and this one must abort (§4.2).
-    ///
-    /// The floor (rather than the begin timestamp alone) closes a
-    /// lost-update window: a transaction can begin *after* a concurrent
-    /// commit drew its timestamp but still pin the pre-commit snapshot,
-    /// in which case its begin timestamp is newer than the version it never
-    /// saw.  The floor is per-state so a stale pin on an unrelated,
-    /// quiescent group does not spuriously abort updates here.
-    ///
-    /// Each key costs one header read: the newest write of an object is
-    /// its live version's commit timestamp
-    /// ([`MvccObject::newest_write_ts`]).
-    fn validate(&self, tx: &Tx, _txn_has_writes: bool) -> Result<()> {
-        // Writeless transactions (every ad-hoc reader) validate trivially:
-        // probe the write buffer (one atomic load) before computing the
-        // floor, which walks the slot mutex and the group registry.
-        if !self.write_sets.has_writes(tx) {
-            return Ok(());
-        }
-        let floor = self.ctx.state_snapshot_floor(tx, self.state_id)?;
-        let conflict = self
-            .write_sets
-            .with(tx, |ws| {
-                ws.keys().any(|k| {
-                    self.object(k)
-                        .is_some_and(|obj| obj.newest_write_ts() > floor)
-                })
-            })
-            .unwrap_or(false);
-        if conflict {
-            self.ctx.telemetry().record_abort(AbortReason::FcwConflict);
-            return Err(TspError::WriteConflict {
-                txn: tx.id().as_u64(),
-                detail: format!("first-committer-wins on state '{}'", self.name),
-            });
-        }
-        Ok(())
-    }
-
-    /// In-memory apply: installs the write set's versions at `cts`.  The
-    /// base table is untouched here — persistence is
-    /// [`apply_durable`](TxParticipant::apply_durable)'s job.
-    fn apply(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        self.write_sets
-            .with(tx, |ws| self.install_all(ws.ops(), cts))
-            .unwrap_or(Ok(()))
-    }
-
-    /// Persists the batch (plus the durable commit-timestamp marker) to the
-    /// base table — synchronously, or as a push onto the asynchronous
-    /// writer's queue when the commit pipeline is enabled.  Failure
-    /// atomicity comes from the backend's WAL.
-    fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        persist_pending(
-            &self.ctx,
-            &self.backend,
-            &self.write_sets,
-            tx,
-            self.state_id,
-            cts,
-        )
-    }
-
-    fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
-        self.backend.wait_durable(cts, deadline)
-    }
-
-    fn is_persistent(&self) -> bool {
-        self.backend.is_persistent()
-    }
-
-    fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
-        redo_section(&self.backend, &self.write_sets, tx, self.state_id, sections);
-    }
-
-    /// Unlinks the versions installed at `cts` (and revives the versions
-    /// they superseded): the commit was never published, and leaving the
-    /// headers in place would spuriously trip First-Committer-Wins / SSI
-    /// certification for later transactions (the failed-apply version leak).
-    fn undo_apply(&self, tx: &Tx, cts: Timestamp) {
-        self.write_sets.with(tx, |ws| {
-            for key in ws.keys() {
-                if let Some(obj) = self.object(key) {
-                    obj.undo_commit(cts);
-                }
-            }
-        });
-    }
-
-    /// Drops the write set (an aborted transaction's versions were never
-    /// installed, or were unlinked by `undo_apply`).
-    fn finish(&self, tx: &Tx, _committed: bool) {
-        self.write_sets.clear(tx);
-    }
-}
-
-impl<K: KeyType, V: ValueType> TransactionalTable<K, V> for MvccTable<K, V> {
-    fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
-        MvccTable::read(self, tx, key)
-    }
-
-    fn write(&self, tx: &Tx, key: K, value: V) -> Result<()> {
-        MvccTable::write(self, tx, key, value)
-    }
-
-    fn delete(&self, tx: &Tx, key: K) -> Result<()> {
-        MvccTable::delete(self, tx, key)
-    }
-
-    fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
-        MvccTable::scan(self, tx)
-    }
-
-    fn preload_iter(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
-        self.preload_impl(rows)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn as_participant(self: Arc<Self>) -> Arc<dyn TxParticipant> {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::common::LAST_CTS_KEY;
-    use tsp_storage::{BTreeBackend, Codec};
+    use crate::table::common::{TransactionalTable, TxParticipant, LAST_CTS_KEY};
+    use std::sync::Arc;
+    use tsp_storage::{BTreeBackend, Codec, StorageBackend};
 
     fn setup() -> (Arc<StateContext>, Arc<MvccTable<u32, String>>) {
         let ctx = Arc::new(StateContext::new());

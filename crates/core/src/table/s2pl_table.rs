@@ -17,246 +17,129 @@
 //! overwritten pre-images and [`TxParticipant::undo_apply`] restores them
 //! exactly.  The pre-images stay in memory: the group redo record
 //! ([`tsp_storage::redo`]) only rolls commits forward, so it carries the ops
-//! alone.  That single-version store is `InPlaceStore` (`table/common.rs`),
-//! shared with the BOCC baseline.
+//! alone.  That single-version store is [`InPlaceStore`], shared with the
+//! BOCC baseline.  The keys a transaction locked live in its slot-local
+//! policy cell, so `finish` releases them without a shared registry.
+//!
+//! [`TxParticipant::undo_apply`]: crate::table::TxParticipant::undo_apply
 
 use crate::context::{StateContext, Tx};
-use crate::table::common::{
-    buffer_write, read_own_write, reject_read_only, InPlaceStore, KeyType, TransactionalTable,
-    TxParticipant, TypedBackend, ValueType, WriteOp,
-};
+use crate::table::common::{KeyType, SlotLocal, ValueType};
 use crate::table::locks::{LockManager, LockMode};
+use crate::table::mvcc_table::MvccTableOptions;
+use crate::table::skeleton::{Policy, Store, Table};
+use crate::table::store::InPlaceStore;
 use crate::telemetry::AbortReason;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Instant;
-use tsp_common::{Result, StateId, Timestamp, TspError};
-use tsp_storage::redo::RedoSections;
-use tsp_storage::StorageBackend;
+use tsp_common::{FxHashSet, Result, TspError};
+
+/// Strict two-phase locking with wait-die.
+pub struct S2pl<K, V> {
+    store: InPlaceStore<K, V>,
+    locks: LockManager<K>,
+    /// The keys each transaction holds a lock on, released at `finish`.
+    held: SlotLocal<FxHashSet<K>>,
+}
 
 /// A single-version transactional table protected by strict two-phase
 /// locking.
-pub struct S2plTable<K, V> {
-    state_id: StateId,
-    name: String,
-    ctx: Arc<StateContext>,
-    locks: LockManager<K>,
-    /// Committed map, write sets and the in-place commit plumbing.
-    store: InPlaceStore<K, V>,
-}
+pub type S2plTable<K, V> = Table<K, V, S2pl<K, V>>;
 
-impl<K: KeyType, V: ValueType> S2plTable<K, V> {
-    /// Creates a volatile (in-memory only) table registered as `name`.
-    pub fn volatile(ctx: &Arc<StateContext>, name: impl Into<String>) -> Arc<Self> {
-        Self::build(ctx, name, None)
-    }
+impl<K: KeyType, V: ValueType> Policy<K, V> for S2pl<K, V> {
+    type Store = InPlaceStore<K, V>;
 
-    /// Creates a table persisting committed data to `backend`.
-    pub fn persistent(
-        ctx: &Arc<StateContext>,
-        name: impl Into<String>,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Arc<Self> {
-        Self::build(ctx, name, Some(backend))
-    }
-
-    fn build(
-        ctx: &Arc<StateContext>,
-        name: impl Into<String>,
-        backend: Option<Arc<dyn StorageBackend>>,
-    ) -> Arc<Self> {
-        let name = name.into();
-        let state_id = ctx.register_state(&name);
-        let backend = TypedBackend::for_context(ctx, state_id, backend);
-        Arc::new(S2plTable {
-            state_id,
-            name,
-            ctx: Arc::clone(ctx),
+    fn new(ctx: &StateContext, opts: &MvccTableOptions) -> Self {
+        S2pl {
+            store: InPlaceStore::new(ctx, opts),
             locks: LockManager::new(),
-            store: InPlaceStore::new(ctx, state_id, backend),
-        })
-    }
-
-    /// The table's registered state id.
-    pub fn id(&self) -> StateId {
-        self.state_id
-    }
-
-    /// The table's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    // ------------------------------------------------------------------
-    // Data access within a transaction
-    // ------------------------------------------------------------------
-
-    /// Reads `key` under a shared lock (blocking behind concurrent writers;
-    /// wait-die may abort the younger transaction).
-    pub fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
-        self.ctx.record_access(tx, self.state_id)?;
-        self.ctx.telemetry().bump_read(tx.slot());
-        if let Some(own) = read_own_write(self.store.write_sets(), tx, key) {
-            return Ok(own);
+            held: SlotLocal::for_context(ctx),
         }
-        self.acquire(tx, key, LockMode::Shared)?;
-        self.fence_acquired(tx)?;
-        self.store.committed_value(key)
     }
 
-    /// Buffers an insert/update under an exclusive lock.
-    pub fn write(&self, tx: &Tx, key: K, value: V) -> Result<()> {
-        self.write_op(tx, key, WriteOp::Put(value))
+    fn store(&self) -> &InPlaceStore<K, V> {
+        &self.store
     }
 
-    /// Buffers a delete under an exclusive lock.
-    pub fn delete(&self, tx: &Tx, key: K) -> Result<()> {
-        self.write_op(tx, key, WriteOp::Delete)
+    /// Point reads take a shared lock (blocking behind concurrent writers;
+    /// wait-die may abort the younger transaction).  Full-table reads under
+    /// shared locks are not offered: a scan reads the committed image
+    /// without locking individual keys (callers that need a strictly
+    /// consistent whole-table view should use the MVCC table, whose scan is
+    /// snapshot-exact).
+    fn on_read(t: &S2plTable<K, V>, tx: &Tx, key: Option<&K>) -> Result<()> {
+        key.map_or(Ok(()), |key| lock(t, tx, key, LockMode::Shared))
     }
 
-    fn write_op(&self, tx: &Tx, key: K, op: WriteOp<V>) -> Result<()> {
-        reject_read_only(tx)?;
-        self.ctx.record_access(tx, self.state_id)?;
-        self.acquire(tx, &key, LockMode::Exclusive)?;
-        self.fence_acquired(tx)?;
-        buffer_write(&self.ctx, self.store.write_sets(), tx, key, op)
-    }
-
-    fn acquire(&self, tx: &Tx, key: &K, mode: LockMode) -> Result<()> {
-        self.locks.lock(tx.id(), key, mode).map_err(|e| {
-            if matches!(e, TspError::Deadlock { .. }) {
-                self.ctx.telemetry().record_abort(AbortReason::LockConflict);
-            }
-            e
-        })
-    }
-
-    /// Epoch fence after every lock acquisition: a lease-reaped transaction
-    /// must not walk away holding a fresh lock the reaper's `release_all`
-    /// already missed.  The lock manager's global holdings mutex totally
-    /// orders this transaction's insert against the reaper's sweep, so
-    /// either this fence observes the epoch bump and self-releases, or the
-    /// reaper's `release_all` (which runs after its epoch claim) sweeps the
-    /// lock just inserted — no leak either way.
-    fn fence_acquired(&self, tx: &Tx) -> Result<()> {
-        if let Err(e) = self.ctx.check_fate(tx) {
-            self.locks.release_all(tx.id());
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// A whole-table read within `tx`: the current committed image overlaid
-    /// with the transaction's own uncommitted writes.
-    ///
-    /// Full-table reads under shared locks are not offered; the scan reads
-    /// the committed image without locking individual keys (callers that
-    /// need a strictly consistent whole-table view should use the MVCC
-    /// table, whose scan is snapshot-exact).
-    pub fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
-        self.ctx.record_access(tx, self.state_id)?;
-        self.store.scan(tx)
-    }
-
-    /// Loads initial data directly as committed rows, outside any
-    /// transaction.  Persistent rows are written in large batches.
-    pub fn preload(&self, rows: impl IntoIterator<Item = (K, V)>) -> Result<()> {
-        self.store.preload(&mut rows.into_iter())
-    }
-
-    /// Number of transactions currently holding locks on this table.
-    pub fn lock_holder_count(&self) -> usize {
-        self.locks.holder_count()
-    }
-}
-
-impl<K: KeyType, V: ValueType> TxParticipant for S2plTable<K, V> {
-    fn state_id(&self) -> StateId {
-        self.state_id
-    }
-
-    fn has_writes(&self, tx: &Tx) -> bool {
-        self.store.write_sets().has_writes(tx)
+    /// Writes take an exclusive lock before they are buffered.
+    fn on_write(t: &S2plTable<K, V>, tx: &Tx, key: &K) -> Result<()> {
+        lock(t, tx, key, LockMode::Exclusive)
     }
 
     /// All conflicts were already resolved by lock acquisition; there is
     /// nothing to validate.
-    fn validate(&self, _tx: &Tx, _txn_has_writes: bool) -> Result<()> {
+    fn validate(_t: &S2plTable<K, V>, _tx: &Tx, _txn_has_writes: bool) -> Result<()> {
         Ok(())
     }
 
-    /// In-memory apply: updates the committed map while the exclusive locks
-    /// are still held.  Persistence happens in
-    /// [`apply_durable`](TxParticipant::apply_durable).
-    fn apply(&self, tx: &Tx, _cts: Timestamp) -> Result<()> {
-        self.store.apply(tx, |_| {});
-        Ok(())
-    }
-
-    /// Drops the buffered state and releases every lock (strict 2PL: locks
-    /// are held until the transaction ends).
-    fn finish(&self, tx: &Tx, _committed: bool) {
-        self.store.clear(tx);
-        self.locks.release_all(tx.id());
-    }
-
-    /// Restores the committed-map entries `apply` overwrote, from the
-    /// captured pre-images.
-    fn undo_apply(&self, tx: &Tx, _cts: Timestamp) {
-        self.store.undo(tx);
-    }
-
-    fn is_persistent(&self) -> bool {
-        self.store.is_persistent()
-    }
-
-    fn redo_section(&self, tx: &Tx, sections: &mut RedoSections) {
-        self.store.redo_section(tx, sections)
-    }
-
-    fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        self.store.apply_durable(&self.ctx, tx, cts)
-    }
-
-    fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
-        self.store.wait_durable(cts, deadline)
+    /// Releases every lock (strict 2PL: locks are held until the
+    /// transaction ends).
+    fn finish(t: &S2plTable<K, V>, tx: &Tx, _committed: bool) {
+        let S2pl { locks, held, .. } = &t.policy;
+        held.release_with(tx, |keys| locks.release(tx.id(), keys.iter()));
     }
 }
 
-impl<K: KeyType, V: ValueType> TransactionalTable<K, V> for S2plTable<K, V> {
-    fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
-        S2plTable::read(self, tx, key)
+/// Acquires `mode` on `key` and records the key in the transaction's cell.
+///
+/// The first lock claims the cell under the epoch fence, and every
+/// acquisition is fenced again afterwards: a lease-reaped transaction must
+/// not walk away holding a fresh lock the reaper's `finish` already missed.
+/// The cell mutex totally orders the recording against the reaper's
+/// release, so either the fence fails here and the transaction releases
+/// the lock itself, or the reaper's `finish` (which runs after its epoch
+/// claim) releases it — no leak either way.
+fn lock<K: KeyType, V: ValueType>(
+    t: &S2plTable<K, V>,
+    tx: &Tx,
+    key: &K,
+    mode: LockMode,
+) -> Result<()> {
+    let S2pl { locks, held, .. } = &t.policy;
+    if let Err(e) = locks.lock(tx.id(), key, mode) {
+        if matches!(e, TspError::Deadlock { .. }) {
+            t.ctx.telemetry().record_abort(AbortReason::LockConflict);
+        }
+        return Err(e);
     }
-
-    fn write(&self, tx: &Tx, key: K, value: V) -> Result<()> {
-        S2plTable::write(self, tx, key, value)
+    let recorded = held.with_mut_checked(
+        tx,
+        || t.ctx.check_fate(tx),
+        |keys| {
+            if !keys.contains(key) {
+                keys.insert(key.clone());
+            }
+        },
+    );
+    if let Err(e) = recorded.and_then(|()| t.ctx.check_fate(tx)) {
+        locks.release(tx.id(), [key]);
+        held.release_with(tx, |keys| locks.release(tx.id(), keys.iter()));
+        return Err(e);
     }
+    Ok(())
+}
 
-    fn delete(&self, tx: &Tx, key: K) -> Result<()> {
-        S2plTable::delete(self, tx, key)
-    }
-
-    fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
-        S2plTable::scan(self, tx)
-    }
-
-    fn preload_iter(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
-        self.store.preload(rows)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn as_participant(self: Arc<Self>) -> Arc<dyn TxParticipant> {
-        self
+impl<K: KeyType, V: ValueType> S2plTable<K, V> {
+    /// Number of transactions currently holding locks on this table.
+    pub fn lock_holder_count(&self) -> usize {
+        self.policy.locks.holder_count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsp_storage::{BTreeBackend, Codec};
+    use crate::table::common::TxParticipant;
+    use std::sync::Arc;
+    use tsp_storage::{BTreeBackend, Codec, StorageBackend};
 
     fn setup() -> (Arc<StateContext>, Arc<S2plTable<u32, String>>) {
         let ctx = Arc::new(StateContext::new());

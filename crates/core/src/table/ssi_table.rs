@@ -11,22 +11,22 @@
 //! ("write-snapshot isolation") using exactly the centralized-certifier
 //! machinery a group-commit path already has.
 //!
-//! [`SsiTable`] implements that scheme on top of the unmodified MVCC
-//! machinery:
+//! [`SsiTable`] implements that scheme as a validation policy ([`Ssi`])
+//! over the same [`Table`] skeleton and multi-version store as
+//! [`MvccTable`](crate::table::MvccTable):
 //!
-//! * **reads and writes** delegate to an inner [`MvccTable`] — same pinned
-//!   snapshots, same latch-free committed-read fast path, same write
-//!   buffering.  Each point read additionally records its key in a
-//!   per-transaction [`ReadSet`] held in slot-indexed [`SlotLocal`] storage
-//!   (the owner-tag fast path PR 3 introduced for write buffers), so the
-//!   bookkeeping adds one uncontended per-slot mutex per read and **no**
-//!   shared state.
+//! * **reads and writes** are the MVCC ones — same pinned snapshots, same
+//!   latch-free committed-read fast path, same write buffering.  Each point
+//!   read of a read-write transaction additionally records its key in a
+//!   per-transaction [`ReadSet`] held in the table's slot-local policy cell,
+//!   so the bookkeeping adds one uncontended per-slot mutex per read and
+//!   **no** shared state.
 //! * **commit validation** ([`TxParticipant::validate`]) first runs the
-//!   inner First-Committer-Wins check (write-write conflicts abort exactly
-//!   as under plain MVCC-SI), then certifies the read set: for every key
-//!   read, [`MvccTable::newest_version_ts`] must not exceed the snapshot
-//!   floor the transaction read that state at
-//!   ([`StateContext::state_snapshot_floor`]).  A whole-table scan marks the
+//!   First-Committer-Wins check (write-write conflicts abort exactly as
+//!   under plain MVCC-SI), then certifies the read set: for every key
+//!   read, [`Table::newest_version_ts`] must not exceed the snapshot the
+//!   transaction read that state at (its pinned `ReadCTS`,
+//!   [`StateContext::read_snapshot`]).  A whole-table scan marks the
 //!   read set as `whole_table` and is certified against the table-level
 //!   last-commit watermark instead, which also rejects phantom inserts.
 //! * **read-only transactions never validate and never abort.**  This is
@@ -54,303 +54,180 @@
 //!
 //! # Scope of the guarantee
 //!
-//! The serializability upgrade is per [topology
-//! group](StateContext::register_group), matching the system's unit of
-//! atomic publication: within one group — one continuous query's states —
-//! committed histories are serializable and the write-skew / read-only
-//! anomalies are closed (`tests/isolation_anomalies.rs`).  Reads spanning
+//! The serializability upgrade is per [topology group], matching the
+//! system's unit of atomic publication: within one group — one continuous
+//! query's states — committed histories are serializable and the
+//! write-skew / read-only anomalies are closed (`tests/isolation_anomalies.rs`).  Reads spanning
 //! *independent* groups pin one snapshot per group (the base system's
 //! overlap rule), and those per-group snapshots need not form one global
 //! consistent cut; a write-free transaction observing several unrelated
 //! groups gets the same cross-group SI consistency as under plain MVCC.
 //! States left outside any group have no commit lock and no published
 //! `LastCTS`; always register SSI tables in a group.
+//!
+//! [topology group]: crate::context::StateContext::register_group
+//! [`StateContext::read_snapshot`]: crate::context::StateContext::read_snapshot
+//! [`TxParticipant::validate`]: crate::table::TxParticipant::validate
+//! [`TxParticipant::validation_requires_commit_lock`]: crate::table::TxParticipant::validation_requires_commit_lock
 
 use crate::context::{StateContext, Tx};
-use crate::table::common::{
-    KeyType, ReadSet, SlotLocal, TransactionalTable, TxParticipant, ValueType,
-};
-use crate::table::mvcc_table::{MvccTable, MvccTableOptions};
+use crate::table::common::{KeyType, ReadSet, Recycle, SlotLocal, ValueType, WriteOp};
+use crate::table::mvcc_table::MvccTableOptions;
+use crate::table::skeleton::{Policy, Store, Table};
+use crate::table::store::Versions;
 use crate::telemetry::AbortReason;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-use tsp_common::{Result, StateId, Timestamp, TspError};
-use tsp_storage::StorageBackend;
+use tsp_common::{Result, Timestamp, TspError};
+
+/// Write-snapshot isolation: MVCC plus read-set certification.
+pub struct Ssi<K, V> {
+    store: Versions<K, V>,
+    /// Commit timestamp of the newest transaction applied to this table —
+    /// the certification bound for whole-table scans (phantom protection).
+    watermark: AtomicU64,
+    /// Per-transaction state: recording a read costs an uncontended
+    /// per-slot mutex, the commit-time "did this transaction read here?"
+    /// probe one atomic load.
+    txs: SlotLocal<SsiTx<K>>,
+}
 
 /// A serializable transactional table: MVCC snapshot isolation plus
 /// commit-time read-set validation (write-snapshot isolation).
 ///
-/// Everything a [`MvccTable`] guarantees still holds — pinned snapshots,
-/// latch-free committed reads, First-Committer-Wins on writes — and in
-/// addition no committed history ever exhibits write skew or the read-only
-/// anomaly (see the module docs and `tests/isolation_anomalies.rs`).
-pub struct SsiTable<K, V> {
-    inner: Arc<MvccTable<K, V>>,
-    ctx: Arc<StateContext>,
-    /// Per-transaction read sets in slot-local storage: recording costs an
-    /// uncontended per-slot mutex, the commit-time "did this transaction
-    /// read here?" probe one atomic load.
-    read_sets: SlotLocal<ReadSet<K>>,
-    /// Commit timestamp of the newest transaction applied to this table —
-    /// the certification bound for whole-table scans (phantom protection).
-    last_commit_cts: AtomicU64,
-    /// Watermark undo log, per transaction slot: the (previous, advanced-to)
-    /// pair recorded by `apply` so that a transaction aborted *after* its
-    /// apply (a later participant failed) can restore the watermark instead
-    /// of stranding a commit timestamp that never published.
-    watermark_undo: SlotLocal<Option<(Timestamp, Timestamp)>>,
+/// Everything a [`MvccTable`](crate::table::MvccTable) guarantees still
+/// holds — pinned snapshots, latch-free committed reads,
+/// First-Committer-Wins on writes — and in addition no committed history
+/// ever exhibits write skew or the read-only anomaly (see the module docs
+/// and `tests/isolation_anomalies.rs`).
+pub type SsiTable<K, V> = Table<K, V, Ssi<K, V>>;
+
+/// What an SSI transaction keeps in its slot cell.
+struct SsiTx<K> {
+    /// The keys read (or the whole-table mark), for certification.
+    reads: ReadSet<K>,
+    /// The (previous, advanced-to) scan watermark recorded by `apply`, so
+    /// that a transaction aborted *after* its apply (a later participant
+    /// failed) can restore the watermark instead of stranding a commit
+    /// timestamp that never published.
+    watermark_undo: Option<(Timestamp, Timestamp)>,
 }
 
-impl<K: KeyType, V: ValueType> SsiTable<K, V> {
-    /// Creates a volatile (in-memory only) table registered as `name`.
-    pub fn volatile(ctx: &Arc<StateContext>, name: impl Into<String>) -> Arc<Self> {
-        Self::with_options(ctx, name, None, MvccTableOptions::default())
+impl<K> Default for SsiTx<K> {
+    fn default() -> Self {
+        SsiTx {
+            reads: ReadSet::default(),
+            watermark_undo: None,
+        }
+    }
+}
+
+impl<K: KeyType> Recycle for SsiTx<K> {
+    fn recycle(&mut self) {
+        self.reads.recycle();
+        self.watermark_undo = None;
+    }
+}
+
+impl<K: KeyType, V: ValueType> Policy<K, V> for Ssi<K, V> {
+    type Store = Versions<K, V>;
+
+    fn new(ctx: &StateContext, opts: &MvccTableOptions) -> Self {
+        Ssi {
+            store: Versions::new(ctx, opts),
+            watermark: AtomicU64::new(0),
+            txs: SlotLocal::for_context(ctx),
+        }
     }
 
-    /// Creates a table persisting committed data to `backend`.
-    pub fn persistent(
-        ctx: &Arc<StateContext>,
-        name: impl Into<String>,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Arc<Self> {
-        Self::with_options(ctx, name, Some(backend), MvccTableOptions::default())
+    fn store(&self) -> &Versions<K, V> {
+        &self.store
     }
 
-    /// Creates a table with explicit MVCC tuning options (the version store
-    /// is the plain MVCC one, so all its knobs apply unchanged).
-    pub fn with_options(
-        ctx: &Arc<StateContext>,
-        name: impl Into<String>,
-        backend: Option<Arc<dyn StorageBackend>>,
-        opts: MvccTableOptions,
-    ) -> Arc<Self> {
-        let inner = MvccTable::with_options(ctx, name, backend, opts);
-        Arc::new(SsiTable {
-            inner,
-            ctx: Arc::clone(ctx),
-            read_sets: SlotLocal::for_context(ctx),
-            last_commit_cts: AtomicU64::new(0),
-            watermark_undo: SlotLocal::for_context(ctx),
-        })
-    }
-
-    /// The table's registered state id.
-    pub fn id(&self) -> StateId {
-        self.inner.id()
-    }
-
-    /// The table's name.
-    pub fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    /// The underlying MVCC table (version-store maintenance: `gc`,
-    /// `version_count`, diagnostics).
-    pub fn mvcc(&self) -> &Arc<MvccTable<K, V>> {
-        &self.inner
-    }
-
-    /// Reads `key` as of the transaction's snapshot, recording the key in
-    /// the transaction's read set for commit-time certification.
+    /// Records the key read — or, for a scan, the whole table, so that
+    /// certification rejects the transaction if *any* commit (an insert of
+    /// a key that did not exist at scan time included) lands here later.
     ///
     /// Read-only transactions skip the recording entirely — they are never
     /// validated (their snapshot is their serialization point), so the read
     /// path of an ad-hoc query is byte-for-byte the latch-free MVCC one.
-    pub fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
-        // The inner read validates ownership (a stale handle fails with
-        // `UnknownTxn` before it can clobber the slot occupant's read set)
-        // and pins the snapshot; only then is the key recorded, so the
-        // context bookkeeping is paid exactly once per read.
-        let value = self.inner.read(tx, key)?;
-        if !tx.is_read_only() {
-            // Epoch-fenced on the first-touch claim: a lease-reaped
-            // transaction must not re-register a read set the reaper
-            // already retracted from certification.
-            self.read_sets.with_mut_checked(
-                tx,
-                || self.ctx.check_fate(tx),
-                |rs| {
-                    // A whole-table mark subsumes point keys, and repeat
-                    // reads of a hot key need no second clone.
-                    if !rs.whole_table && !rs.keys.contains(key) {
-                        rs.keys.insert(key.clone());
-                    }
-                },
-            )?;
+    /// The skeleton has already validated ownership (a stale handle fails
+    /// with `UnknownTxn` before it can clobber the slot occupant's read set).
+    fn on_read(t: &SsiTable<K, V>, tx: &Tx, key: Option<&K>) -> Result<()> {
+        if tx.is_read_only() {
+            return Ok(());
         }
-        Ok(value)
+        // Epoch-fenced on the first-touch claim: a lease-reaped transaction
+        // must not re-register a read set the reaper already retracted.
+        t.policy
+            .txs
+            .with_mut_checked(tx, || t.ctx.check_fate(tx), |s| s.reads.record(key))
     }
 
-    /// Buffers an insert/update of `key` in the transaction's write set.
-    pub fn write(&self, tx: &Tx, key: K, value: V) -> Result<()> {
-        self.inner.write(tx, key, value)
+    fn on_write(t: &SsiTable<K, V>, tx: &Tx, key: &K) -> Result<()> {
+        t.eager_conflict_check(tx, key)
     }
 
-    /// Buffers a delete of `key` in the transaction's write set.
-    pub fn delete(&self, tx: &Tx, key: K) -> Result<()> {
-        self.inner.delete(tx, key)
-    }
-
-    /// A consistent whole-table snapshot as of the transaction's pinned
-    /// `ReadCTS`.  For read-write transactions the scan marks the whole
-    /// table as read, so certification rejects the transaction if *any*
-    /// commit — including an insert of a key that did not exist at scan
-    /// time — lands on this table afterwards (phantom protection).
-    pub fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
-        // Ownership is validated by the inner scan before the read set is
-        // touched (see `read`).
-        let image = self.inner.scan(tx)?;
-        if !tx.is_read_only() {
-            self.read_sets.with_mut_checked(
-                tx,
-                || self.ctx.check_fate(tx),
-                |rs| {
-                    rs.whole_table = true;
-                },
-            )?;
-        }
-        Ok(image)
-    }
-
-    /// Loads initial data directly as committed-at-epoch rows, outside any
-    /// transaction.
-    pub fn preload(&self, rows: impl IntoIterator<Item = (K, V)>) -> Result<()> {
-        let mut iter = rows.into_iter();
-        self.inner.preload_iter(&mut iter)
-    }
-
-    /// Runs a garbage-collection sweep over the underlying version store.
-    pub fn gc(&self) -> usize {
-        self.inner.gc()
-    }
-
-    /// Certifies the transaction's read set: every key read must still be
-    /// current at the snapshot the reads were served at.
-    ///
-    /// The certification bound is the state's pinned `ReadCTS`
-    /// ([`StateContext::read_snapshot`]) — *not* the FCW floor, which
-    /// additionally takes the minimum with the begin timestamp.  Reads are
-    /// served at the pin, so a version that committed between `begin` and
-    /// the first read *was* observed and must not fail certification;
-    /// min-ing with the begin timestamp would spuriously abort every
-    /// read-write query that begins just before a group commit.  A version
-    /// newer than the pin was genuinely unseen — exactly the
-    /// read-write antidependency certification must reject.
-    ///
-    /// The key probe runs inside the transaction-private slot lock — no key
-    /// is cloned; `newest_version_ts` is latch-free.
-    fn validate_reads(&self, tx: &Tx) -> Result<()> {
-        if !self.read_sets.is_claimed(tx) {
-            return Ok(()); // nothing read through this table
-        }
-        // Certification is only sound under the group commit lock; an
-        // ungrouped state has none (and no published LastCTS), so degrading
-        // silently to racy SI would betray the protocol's whole point.
-        let mut grouped = false;
-        self.ctx
-            .for_each_group_of_state(self.id(), |_, _| grouped = true);
-        if !grouped {
-            return Err(TspError::config(format!(
-                "SSI table '{}' is not registered in any topology group; \
-                 read-set certification requires the group commit lock",
-                self.name()
-            )));
-        }
-        let snapshot = self.ctx.read_snapshot(tx, self.id())?;
-        let conflict = self
-            .read_sets
-            .with(tx, |rs| {
-                if rs.is_empty() {
-                    false
-                } else if rs.whole_table {
-                    self.last_commit_cts.load(Ordering::Acquire) > snapshot
-                } else {
-                    rs.keys
-                        .iter()
-                        .any(|k| self.inner.newest_version_ts(k) > snapshot)
-                }
-            })
-            .unwrap_or(false);
-        if conflict {
-            self.ctx
-                .telemetry()
-                .record_abort(AbortReason::Certification);
-            return Err(TspError::ValidationFailed {
-                txn: tx.id().as_u64(),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl<K: KeyType, V: ValueType> TxParticipant for SsiTable<K, V> {
-    fn state_id(&self) -> StateId {
-        self.inner.state_id()
-    }
-
-    fn has_writes(&self, tx: &Tx) -> bool {
-        self.inner.has_writes(tx)
-    }
-
-    /// First-Committer-Wins on the write set (delegated to the inner MVCC
-    /// table), then read-set certification — the step that upgrades snapshot
-    /// isolation to serializability.
+    /// First-Committer-Wins on the write set, then read-set certification —
+    /// the step that upgrades snapshot isolation to serializability.
     ///
     /// A transaction that buffered no writes against *any* participant
     /// (`txn_has_writes == false`) is trivially serializable at its
     /// snapshot — its pinned `ReadCTS` is its serialization point — so
     /// certification is skipped entirely and such transactions can never
     /// abort, exactly like `begin_read_only` ones.
-    fn validate(&self, tx: &Tx, txn_has_writes: bool) -> Result<()> {
-        self.inner.validate(tx, txn_has_writes)?;
-        if !txn_has_writes || tx.is_read_only() {
+    ///
+    /// The certification bound is the state's pinned `ReadCTS`
+    /// ([`read_snapshot`](crate::context::StateContext::read_snapshot)) —
+    /// *not* the FCW floor, which additionally takes the minimum with the
+    /// begin timestamp.  Reads are served at the pin, so a version that
+    /// committed between `begin` and the first read *was* observed and must
+    /// not fail certification; min-ing with the begin timestamp would
+    /// spuriously abort every read-write query that begins just before a
+    /// group commit.  A version newer than the pin was genuinely unseen —
+    /// exactly the read-write antidependency certification must reject.
+    ///
+    /// The key probe runs inside the transaction-private slot lock — no key
+    /// is cloned; `newest_version_ts` is latch-free.
+    fn validate(t: &SsiTable<K, V>, tx: &Tx, txn_has_writes: bool) -> Result<()> {
+        t.first_committer_wins(tx)?;
+        if !txn_has_writes || tx.is_read_only() || !t.policy.txs.is_claimed(tx) {
             return Ok(());
         }
-        self.validate_reads(tx)
-    }
-
-    fn apply(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        let had_writes = self.inner.has_writes(tx);
-        TxParticipant::apply(&*self.inner, tx, cts)?;
-        // Advance the scan watermark only once the versions are actually
-        // installed: a failed apply (capacity pressure) aborts the whole
-        // transaction, and a watermark for a commit that never happened
-        // would spuriously fail later whole-table certifications.  While
-        // the committing transaction holds the group locks, no certifier
-        // can observe the install-then-watermark window.  The previous
-        // value is kept in the undo log so an abort of the *whole
-        // transaction* after this apply succeeded (a later participant
-        // failed) can restore it; that restore runs after the locks drop,
-        // so its effect is best-effort — the residual (shared with plain
-        // MVCC, whose failed applies also leave never-published versions
-        // behind) is only ever a conservative spurious abort, never a
-        // missed conflict.
-        if had_writes {
-            let prev = self.last_commit_cts.fetch_max(cts, Ordering::AcqRel);
-            self.watermark_undo.with_mut(tx, |u| *u = Some((prev, cts)));
+        // Certification is only sound under the group commit lock; an
+        // ungrouped state has none (and no published LastCTS), so degrading
+        // silently to racy SI would betray the protocol's whole point.
+        let mut grouped = false;
+        t.ctx
+            .for_each_group_of_state(t.state_id, |_, _| grouped = true);
+        if !grouped {
+            return Err(TspError::config(format!(
+                "SSI table '{}' is not registered in any topology group; \
+                 read-set certification requires the group commit lock",
+                t.name
+            )));
+        }
+        let snapshot = t.ctx.read_snapshot(tx, t.state_id)?;
+        let conflict = t
+            .policy
+            .txs
+            .with(tx, |s| {
+                if s.reads.whole_table {
+                    t.policy.watermark.load(Ordering::Acquire) > snapshot
+                } else {
+                    s.reads
+                        .keys
+                        .iter()
+                        .any(|k| t.newest_version_ts(k) > snapshot)
+                }
+            })
+            .unwrap_or(false);
+        if conflict {
+            t.ctx.telemetry().record_abort(AbortReason::Certification);
+            return Err(TspError::ValidationFailed {
+                txn: tx.id().as_u64(),
+            });
         }
         Ok(())
-    }
-
-    fn finish(&self, tx: &Tx, committed: bool) {
-        // If an aborted transaction's apply already advanced the watermark,
-        // take it back — unless a newer commit has legitimately raised it
-        // since (then that commit's timestamp covers ours and nothing is
-        // stale).
-        if let Some(Some((prev, cts))) = self.watermark_undo.take(tx) {
-            if !committed {
-                let _ = self.last_commit_cts.compare_exchange(
-                    cts,
-                    prev,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-            }
-        }
-        self.read_sets.clear(tx);
-        self.inner.finish(tx, committed);
     }
 
     /// Read-set certification must be serialized against committers of the
@@ -359,67 +236,53 @@ impl<K: KeyType, V: ValueType> TxParticipant for SsiTable<K, V> {
     /// groups'), closing the window in which a concurrent writer could
     /// install a newer version of a certified key between this
     /// transaction's validation and its publish.
-    fn validation_requires_commit_lock(&self, tx: &Tx) -> bool {
-        !tx.is_read_only() && self.read_sets.is_claimed(tx)
+    fn validation_requires_commit_lock(t: &SsiTable<K, V>, tx: &Tx) -> bool {
+        !tx.is_read_only() && t.policy.txs.is_claimed(tx)
     }
 
-    /// Delegates the version uninstall to the inner MVCC store.  The scan
-    /// watermark is restored separately by [`finish`](Self::finish)
-    /// through the undo log, which runs on every abort path.
-    fn undo_apply(&self, tx: &Tx, cts: Timestamp) {
-        self.inner.undo_apply(tx, cts);
+    fn apply(t: &SsiTable<K, V>, tx: &Tx, ops: &[(K, WriteOp<V>)], cts: Timestamp) -> Result<()> {
+        t.policy.store.apply(&t.ctx, &t.backend, tx, ops, cts)?;
+        // Advance the scan watermark only once the versions are actually
+        // installed: a failed apply (capacity pressure) aborts the whole
+        // transaction, and a watermark for a commit that never happened
+        // would spuriously fail later whole-table certifications.  While
+        // the committing transaction holds the group locks, no certifier
+        // can observe the install-then-watermark window.  The previous
+        // value is kept in the policy cell so an abort of the *whole
+        // transaction* after this apply succeeded (a later participant
+        // failed) can restore it in `finish`; that restore runs after the
+        // locks drop, so its effect is best-effort — the residual (shared
+        // with plain MVCC, whose failed applies also leave never-published
+        // versions behind) is only ever a conservative spurious abort,
+        // never a missed conflict.
+        if !ops.is_empty() {
+            let prev = t.policy.watermark.fetch_max(cts, Ordering::AcqRel);
+            t.policy
+                .txs
+                .with_mut(tx, |s| s.watermark_undo = Some((prev, cts)));
+        }
+        Ok(())
     }
 
-    fn is_persistent(&self) -> bool {
-        self.inner.is_persistent()
-    }
-
-    fn redo_section(&self, tx: &Tx, sections: &mut tsp_storage::redo::RedoSections) {
-        self.inner.redo_section(tx, sections)
-    }
-
-    fn apply_durable(&self, tx: &Tx, cts: Timestamp) -> Result<()> {
-        self.inner.apply_durable(tx, cts)
-    }
-
-    fn wait_durable(&self, cts: Timestamp, deadline: Option<Instant>) -> Result<bool> {
-        self.inner.wait_durable(cts, deadline)
-    }
-}
-
-impl<K: KeyType, V: ValueType> TransactionalTable<K, V> for SsiTable<K, V> {
-    fn read(&self, tx: &Tx, key: &K) -> Result<Option<V>> {
-        SsiTable::read(self, tx, key)
-    }
-
-    fn write(&self, tx: &Tx, key: K, value: V) -> Result<()> {
-        SsiTable::write(self, tx, key, value)
-    }
-
-    fn delete(&self, tx: &Tx, key: K) -> Result<()> {
-        SsiTable::delete(self, tx, key)
-    }
-
-    fn scan(&self, tx: &Tx) -> Result<BTreeMap<K, V>> {
-        SsiTable::scan(self, tx)
-    }
-
-    fn preload_iter(&self, rows: &mut dyn Iterator<Item = (K, V)>) -> Result<()> {
-        self.inner.preload_iter(rows)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn as_participant(self: Arc<Self>) -> Arc<dyn TxParticipant> {
-        self
+    /// Drops the read set.  If an aborted transaction's apply already
+    /// advanced the watermark, takes it back — unless a newer commit has
+    /// legitimately raised it since (then that commit's timestamp covers
+    /// ours and nothing is stale).
+    fn finish(t: &SsiTable<K, V>, tx: &Tx, committed: bool) {
+        let undo = t.policy.txs.release_with(tx, |s| s.watermark_undo);
+        if let (Some(Some((prev, cts))), false) = (undo, committed) {
+            let _ =
+                t.policy
+                    .watermark
+                    .compare_exchange(cts, prev, Ordering::AcqRel, Ordering::Acquire);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn setup() -> (
         Arc<StateContext>,

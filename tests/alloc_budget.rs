@@ -181,3 +181,49 @@ fn a_committed_read_only_query_allocates_nothing() {
     let n = allocations(query);
     assert_eq!(n, 0, "a committed 20-read query made {n} allocations");
 }
+
+/// Allocations of one warm read-modify-write commit of keys `0..writes` in
+/// each of two volatile `protocol` states built by the factory: the largest
+/// count over a few commits after as many warm-up ones.
+fn protocol_commit_allocations(protocol: Protocol, writes: u32) -> u64 {
+    let ctx = Arc::new(StateContext::new());
+    let mgr = TransactionManager::new(Arc::clone(&ctx));
+    let tables: Vec<TableHandle<u32, (u64, u64)>> = (0..2)
+        .map(|i| {
+            let table = protocol.create_table(&ctx, format!("state-{i}"), None);
+            mgr.register(Arc::clone(&table).as_participant());
+            table
+        })
+        .collect();
+    let ids: Vec<_> = tables.iter().map(|t| t.id()).collect();
+    mgr.register_group(&ids).unwrap();
+    let commit = || {
+        let tx = mgr.begin().unwrap();
+        for table in &tables {
+            for k in 0..writes {
+                let (n, sum) = table.read(&tx, &k).unwrap().unwrap_or_default();
+                table.write(&tx, k, (n + 1, sum + u64::from(k))).unwrap();
+            }
+        }
+        assert!(mgr.commit(&tx).unwrap().is_some());
+    };
+    (0..20).for_each(|_| commit());
+    (0..5).map(|_| allocations(commit)).max().unwrap()
+}
+
+/// MVCC and SSI commit without allocating; BOCC allocates only the one
+/// commit-log record per state that backward validation keeps.  S2PL is
+/// left out: its lock table allocates an entry per locked key.
+#[test]
+fn a_warm_volatile_commit_allocates_only_what_its_protocol_keeps() {
+    for protocol in [Protocol::Mvcc, Protocol::Ssi, Protocol::Bocc] {
+        let budget = if protocol == Protocol::Bocc { 2 } else { 0 };
+        let ten = protocol_commit_allocations(protocol, 10);
+        let thousand = protocol_commit_allocations(protocol, 1_000);
+        assert!(
+            ten <= budget,
+            "{protocol}: a warm two-state commit made {ten} allocations (budget {budget})"
+        );
+        assert_eq!(ten, thousand, "{protocol}: 10 vs 1,000 writes per state");
+    }
+}
