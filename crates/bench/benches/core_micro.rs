@@ -8,7 +8,7 @@ use tsp_core::prelude::*;
 fn bench_mvcc_object(c: &mut Criterion) {
     let mut group = c.benchmark_group("mvcc_object");
     group.bench_function("install_with_gc", |b| {
-        let obj = MvccObject::<u64>::new(8);
+        let obj = MvccObject::<u64>::new();
         let mut cts = 2u64;
         b.iter(|| {
             obj.install(black_box(cts), cts, cts.saturating_sub(1));
@@ -16,7 +16,7 @@ fn bench_mvcc_object(c: &mut Criterion) {
         });
     });
     group.bench_function("read_visible_hot", |b| {
-        let obj = MvccObject::<u64>::new(8);
+        let obj = MvccObject::<u64>::new();
         for i in 0..6u64 {
             obj.install(i, 2 + i, 0);
         }

@@ -5,14 +5,12 @@
 //!
 //! 1. **Conflict-check timing** — §4.2: check write-write overlaps eagerly on
 //!    every write vs. only at commit time (First-Committer-Wins).
-//! 2. **Version-array capacity** — §4.1: how many version slots per MVCC
-//!    object before on-demand GC starts hurting.
-//! 3. **Storage backend** — §5.1: in-memory vs. LSM without fsync vs. LSM
+//! 2. **Storage backend** — §5.1: in-memory vs. LSM without fsync vs. LSM
 //!    with synchronous writes (the paper's setting).
-//! 4. **Group size** — §4.3: overhead of the consistency protocol as the
+//! 3. **Group size** — §4.3: overhead of the consistency protocol as the
 //!    number of states written together grows.
-//! 5. **TO_STREAM trigger policy** — §3: per-tuple vs. on-commit emission.
-//! 6. **Dyn-dispatch overhead** — ROADMAP open item: the committed-read hot
+//! 4. **TO_STREAM trigger policy** — §3: per-tuple vs. on-commit emission.
+//! 5. **Dyn-dispatch overhead** — ROADMAP open item: the committed-read hot
 //!    path through `Arc<dyn TransactionalTable>` (how every harness and
 //!    operator holds tables since the PR 1 trait refactor) vs. the
 //!    monomorphized call on the concrete `Arc<MvccTable>`, at θ = 0.
@@ -132,61 +130,9 @@ fn ablation_conflict_timing(budget: &Budget) {
     }
 }
 
-/// Ablation 2: version-array capacity vs. update throughput with a straggler
-/// reader pinning an old snapshot (forces long version chains).
-fn ablation_version_slots(budget: &Budget) {
-    println!("\n--- Ablation 2: version-array capacity & GC pressure (§4.1) ---");
-    println!(
-        "{:>8} {:>14} {:>14} {:>14}",
-        "slots", "updates/s", "gc runs", "gc reclaimed"
-    );
-    for slots in [2usize, 4, 8, 16, 32] {
-        let ctx = Arc::new(StateContext::new());
-        let mgr = TransactionManager::new(Arc::clone(&ctx));
-        let table: TableHandle<u32, u64> = Protocol::Mvcc.create_table_with_options(
-            &ctx,
-            "versions",
-            None,
-            MvccTableOptions {
-                version_slots: slots,
-                ..Default::default()
-            },
-        );
-        mgr.register(Arc::clone(&table).as_participant());
-        mgr.register_group(&[table.id()]).unwrap();
-        // A straggler ad-hoc reader holds an old snapshot for the whole run,
-        // so only `slots`-bounded GC can reclaim at all.
-        let straggler = mgr.begin_read_only().unwrap();
-        let _ = table.read(&straggler, &0);
-
-        let started = Instant::now();
-        let mut updates = 0u64;
-        while started.elapsed() < budget.run {
-            let tx = mgr.begin().unwrap();
-            for k in 0..16u32 {
-                table.write(&tx, k, updates).unwrap();
-            }
-            match mgr.commit(&tx) {
-                Ok(_) => updates += 1,
-                Err(_) => {
-                    let _ = mgr.abort(&tx);
-                }
-            }
-        }
-        mgr.commit(&straggler).unwrap();
-        let stats = ctx.telemetry_snapshot().stats;
-        println!(
-            "{slots:>8} {:>14.0} {:>14} {:>14}",
-            updates as f64 / started.elapsed().as_secs_f64(),
-            stats.gc_runs,
-            stats.gc_reclaimed
-        );
-    }
-}
-
-/// Ablation 3: storage backend (the §5.1 sync setting vs. cheaper options).
+/// Ablation 2: storage backend (the §5.1 sync setting vs. cheaper options).
 fn ablation_storage(budget: &Budget) {
-    println!("\n--- Ablation 3: base-table storage backend (§5.1) ---");
+    println!("\n--- Ablation 2: base-table storage backend (§5.1) ---");
     println!(
         "{:>10} {:>14} {:>14} {:>12}",
         "storage", "total K tps", "writer tps", "reader K tps"
@@ -218,9 +164,9 @@ fn ablation_storage(budget: &Budget) {
     }
 }
 
-/// Ablation 4: consistency-protocol overhead vs. number of states per group.
+/// Ablation 3: consistency-protocol overhead vs. number of states per group.
 fn ablation_group_size(budget: &Budget) {
-    println!("\n--- Ablation 4: multi-state consistency protocol overhead (§4.3) ---");
+    println!("\n--- Ablation 3: multi-state consistency protocol overhead (§4.3) ---");
     println!(
         "{:>8} {:>16} {:>18}",
         "states", "commits/s", "writes/commit"
@@ -261,9 +207,9 @@ fn ablation_group_size(budget: &Budget) {
     }
 }
 
-/// Ablation 5: TO_STREAM trigger policy (per-tuple vs. on-commit).
+/// Ablation 4: TO_STREAM trigger policy (per-tuple vs. on-commit).
 fn ablation_trigger(budget: &Budget) {
-    println!("\n--- Ablation 5: TO_STREAM trigger policy (§3) ---");
+    println!("\n--- Ablation 4: TO_STREAM trigger policy (§3) ---");
     println!(
         "{:>12} {:>14} {:>16} {:>14}",
         "trigger", "input tuples", "emitted tuples", "elapsed ms"
@@ -305,13 +251,13 @@ fn ablation_trigger(budget: &Budget) {
     }
 }
 
-/// Ablation 6: `Arc<dyn TransactionalTable>` vs. monomorphized reads on the
+/// Ablation 5: `Arc<dyn TransactionalTable>` vs. monomorphized reads on the
 /// committed-read fast path (uniform keys, single reader — pure call
 /// overhead, no contention).  Quantifies the ROADMAP's dyn-dispatch open
 /// item: if the ratio is ≈ 1.0, a generic fast path for single-protocol
 /// deployments is not worth its complexity.
 fn ablation_dyn_dispatch(budget: &Budget) {
-    println!("\n--- Ablation 6: dyn-dispatch overhead on the read fast path ---");
+    println!("\n--- Ablation 5: dyn-dispatch overhead on the read fast path ---");
     println!("{:>14} {:>14} {:>14}", "dispatch", "reads/s", "ratio");
     let table_size = budget.table_size.min(65_536);
     let ctx = Arc::new(StateContext::new());
@@ -359,7 +305,6 @@ fn main() {
         budget.run.as_secs_f64()
     );
     ablation_conflict_timing(&budget);
-    ablation_version_slots(&budget);
     ablation_storage(&budget);
     ablation_group_size(&budget);
     ablation_trigger(&budget);

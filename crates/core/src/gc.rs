@@ -210,8 +210,12 @@ mod tests {
         driver.register(table.clone());
         assert_eq!(driver.target_count(), 1);
 
+        // A reader pinned across the churn keeps the installs' on-demand
+        // GC from reclaiming the superseded versions first.
+        let pinned = mgr.begin_read_only().unwrap();
         churn(&mgr, &table, 5);
         assert_eq!(table.version_count(&1), 5);
+        mgr.commit(&pinned).unwrap();
         let report = driver.run_once();
         assert_eq!(report.reclaimed, 4);
         assert_eq!(report.per_table, vec![("gc-target".to_string(), 4)]);
@@ -252,7 +256,10 @@ mod tests {
         let (ctx, mgr, table) = setup();
         let driver = GcDriver::new(Arc::clone(&ctx));
         driver.register(table.clone());
+        // Pinned across the churn, as in `run_once_reclaims_superseded_versions`.
+        let pinned = mgr.begin_read_only().unwrap();
         churn(&mgr, &table, 5);
+        mgr.commit(&pinned).unwrap();
         let report = driver.run_once();
         assert_eq!(report.reclaimed, 4);
         // The swept table records the reclaim into the context stats
@@ -308,12 +315,15 @@ mod tests {
         driver.register(t1.clone());
         driver.register(t2.clone());
 
+        // Pinned across the churn, as in `run_once_reclaims_superseded_versions`.
+        let pinned = mgr.begin_read_only().unwrap();
         churn(&mgr, &t1, 3);
         for i in 0..4 {
             let tx = mgr.begin().unwrap();
             t2.write(&tx, 7, format!("x{i}")).unwrap();
             mgr.commit(&tx).unwrap();
         }
+        mgr.commit(&pinned).unwrap();
         let report = driver.run_once();
         assert_eq!(report.per_table.len(), 2);
         assert_eq!(report.reclaimed, 2 + 3);

@@ -85,7 +85,7 @@ pub use gc::{GcDriver, GcHandle, GcReport, GcTarget};
 pub use index::{IndexedTable, PostingList};
 pub use isolation::{IsolatedReader, IsolationLevel};
 pub use manager::{FlagOutcome, ReaperHandle, TransactionManager, TxGuard};
-pub use mvcc::{MvccObject, Version, DEFAULT_VERSION_SLOTS, MAX_VERSION_SLOTS};
+pub use mvcc::{MvccObject, Version, LEVEL_SLOTS};
 pub use partition::{
     HashPartitioner, PartitionRecovery, PartitionedContext, PartitionedTable, Partitioner,
     RangePartitioner,

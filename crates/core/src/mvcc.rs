@@ -4,9 +4,8 @@
 //! Each key of a transactional table maps to one [`MvccObject`].  The object
 //! holds version slots carrying the classic MVCC header `< [cts, dts],
 //! value >` — the commit and deletion timestamps delimiting the version's
-//! lifetime.  Slot occupancy is mirrored in a 64-bit
-//! [`used_slots`](MvccObject::used_slots) bitmap, as in the paper's
-//! `UsedSlots` bit vector (footnote 2).
+//! lifetime.  Slot occupancy is mirrored in 64-bit occupancy words, as in
+//! the paper's `UsedSlots` bit vector (footnote 2).
 //!
 //! §4.2 prescribes a "lightweight locking strategy"; this implementation
 //! goes one step further and removes the read latch entirely:
@@ -16,11 +15,13 @@
 //! * **A per-object seqlock** (`seq`, odd while a writer mutates) guards
 //!   against torn multi-header states: [`read_visible`](MvccObject::read_visible)
 //!   re-checks `seq` after the scan and retries if a writer interfered.
-//! * **Version storage grows in chunks, and then overflow levels, that are
-//!   never freed or moved** while the object lives, so readers may hold
-//!   references across growth.
+//! * **Version storage is never freed or moved** while the object lives —
+//!   two slots inside the object, then levels linked on demand — so
+//!   readers may hold references across growth.
 //! * Writers (install / delete-stamp / GC) serialise on a per-object mutex
-//!   and mutate only inside odd `seq` windows.
+//!   and mutate only inside odd `seq` windows.  Every install opens one:
+//!   it ends the previous live version's lifetime, so it is never merely
+//!   additive.
 //!
 //! # Memory-ordering protocol
 //!
@@ -76,40 +77,50 @@
 //! sees the version whose half-open lifetime `[cts, dts)` contains
 //! `read_ts`.  Garbage collection is performed *on demand* — when a new
 //! version must be installed and no slot is free — and only reclaims
-//! versions no longer visible at `OldestActiveVersion`.
+//! versions no longer visible at `OldestActiveVersion`.  The reclaim runs
+//! in the install's own write window, so an install opens one window
+//! whether or not it reclaims.
 //!
-//! # Overflow levels
+//! # Inline slots and levels
 //!
-//! The primary version array grows in chunks up to the 64-slot width of the
-//! `UsedSlots` bitmap, and that bitmap stays the fast path.  A hot key whose
-//! old versions are all pinned by a slow reader can need more: past 64
-//! versions still needed, [`install_with`](MvccObject::install_with) links
-//! an *overflow level* — 64 more slots with their own occupancy word — so a
-//! slow reader costs memory, never a writer error.  Each level records the
-//! global index of its first slot, so the live hint and every scan address
-//! level slots like primary ones.  Levels form a list, newest first: the
-//! live version of a hot key usually sits in the newest level, so a read at
-//! the newest snapshot and the next install stay one hop away however many
-//! versions a slow reader pins.  The levels follow the chunks' rules, which
-//! is what keeps the latch-free clone sound:
+//! The object keeps its first two slots inline: the live version and the
+//! one it superseded, which is all a key needs while no reader holds an
+//! old snapshot for long.  A key is then one allocation — its index node —
+//! and the read, First-Committer-Wins and install paths reach the live
+//! slot without a pointer hop.  Installs fill the inline slots first, so
+//! the live version moves back inline once a slow reader has left.
 //!
-//! * a level is allocated fully initialised (its `base` and link to the
-//!   older levels never change) and published as the new head with a
-//!   `Release` store that readers pair with an `Acquire` load, so existing
-//!   indices never move;
+//! A key whose old versions are pinned by a slow reader needs more: when
+//! no slot is free and the on-demand GC can reclaim nothing,
+//! [`install_with`](MvccObject::install_with) links a *level* whose
+//! capacity equals the slots the object already has — 2, 4, 8, 16, 32 —
+//! and then [`LEVEL_SLOTS`] per level, so a slow reader costs memory
+//! (at most twice the versions it pins), never a writer error.  Each level
+//! has its own occupancy word, with bits indexed from the global index of
+//! its first slot (its `base`), so the live hint and every scan address
+//! level slots like inline ones.  Levels form a list, newest first: the
+//! live version of a hot key usually sits in the newest level, so a read
+//! at the newest snapshot and the next install stay one hop away however
+//! many versions a slow reader pins.  What keeps the latch-free clone
+//! sound:
+//!
+//! * a level is allocated fully initialised (its `base`, its slots and its
+//!   link to the older levels never change) and published as the new head
+//!   with a `Release` store that readers pair with an `Acquire` load, so
+//!   existing indices never move;
 //! * its bits and headers change only inside writer windows and are read
-//!   under the same seqlock validation as the primary array's — a reader
-//!   that sees a bit set in a window without the level's publication fails
-//!   validation exactly as for a not-yet-visible chunk;
+//!   under the same seqlock validation as the inline slots' — a reader
+//!   that sees a bit or a live index set in a window without the level's
+//!   publication finds no slot for it and fails validation;
 //! * a level is never freed or moved until the object drops, and a value in
 //!   it is dropped only by GC under the floor protocol above.  A slot's
 //!   value is therefore never moved or freed while a reader may clone it;
-//!   GC frees level slots for reuse, and installs fill the primary array
-//!   first.
+//!   GC frees level slots for reuse.
 //!
-//! While a reader pins them, every 64th install of a hot key still runs the
-//! on-demand GC over all its versions before linking a level, so installs
-//! cost time linear in the pinned versions, amortised over 64.
+//! While a reader pins them, the install that finds every slot taken runs
+//! the on-demand GC over all the key's versions before it links a level;
+//! the level's free slots then serve as many installs, so installs cost
+//! time linear in the pinned versions, amortised over the level's size.
 //!
 //! # First-Committer-Wins through the live slot
 //!
@@ -124,19 +135,15 @@
 use crate::latch_probe;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use tsp_common::{Timestamp, INFINITY_TS, NO_TS};
 
-/// Default number of version slots per object.
-pub const DEFAULT_VERSION_SLOTS: usize = 8;
+/// Version slots kept inside the object: the live version and the one it
+/// superseded.
+const INLINE_SLOTS: usize = 2;
 
-/// Slots of the primary version array: the width of the `UsedSlots`
-/// bitmap.  Versions beyond it go to overflow levels of the same width.
-pub const MAX_VERSION_SLOTS: usize = 64;
-
-/// Upper bound on storage chunks: capacity doubles per chunk starting from
-/// a minimum initial capacity of 1, so `1 + log2(64)` chunks suffice.
-const MAX_CHUNKS: usize = 7;
+/// Slots of the largest level: the width of a level's occupancy word.
+pub const LEVEL_SLOTS: usize = 64;
 
 /// One version of a value: the MVCC entry `< [cts, dts], value >`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -194,17 +201,57 @@ impl<V> VersionSlot<V> {
     }
 }
 
-/// An overflow level: [`MAX_VERSION_SLOTS`] more slots with their own
-/// occupancy word (see the module docs).  Levels form a list, newest
-/// first; a level's fields other than `used` and the slots never change
-/// after it is published.
-struct OverflowLevel<V> {
+/// A level of version slots beyond the inline ones (see the module docs).
+/// Levels form a list, newest first; a level's fields other than `used`
+/// and the slots' contents never change after it is published.
+struct Level<V> {
     /// Global index of `slots[0]`.
     base: usize,
+    /// Occupancy word: bit *i* set ⇔ `slots[i]` holds a version.
     used: AtomicU64,
-    slots: [VersionSlot<V>; MAX_VERSION_SLOTS],
+    slots: Box<[VersionSlot<V>]>,
     /// The next older level (null for the first one).
-    next: *mut OverflowLevel<V>,
+    next: *mut Level<V>,
+}
+
+/// A run of slots that share an occupancy word: the inline slots or one
+/// level.
+struct Run<'a, V> {
+    /// Global index of `slots[0]`.
+    base: usize,
+    used: &'a AtomicU64,
+    slots: &'a [VersionSlot<V>],
+}
+
+/// An occupied or free slot found by its global index.
+struct Loc<'a, V> {
+    idx: usize,
+    slot: &'a VersionSlot<V>,
+    /// The occupancy word of the slot's run, and the slot's bit in it.
+    used: &'a AtomicU64,
+    bit: u64,
+}
+
+impl<V> Level<V> {
+    fn run(&self) -> Run<'_, V> {
+        Run {
+            base: self.base,
+            used: &self.used,
+            slots: &self.slots,
+        }
+    }
+}
+
+impl<'a, V> Run<'a, V> {
+    /// The slot at offset `i` of this run (`None` past its end).
+    fn loc(&self, i: usize) -> Option<Loc<'a, V>> {
+        self.slots.get(i).map(|slot| Loc {
+            idx: self.base + i,
+            slot,
+            used: self.used,
+            bit: 1 << i,
+        })
+    }
 }
 
 /// A multi-versioned object holding all versions of one key.
@@ -214,150 +261,94 @@ pub struct MvccObject<V> {
     writer: Mutex<()>,
     /// Seqlock word: odd while a writer window is open.
     seq: AtomicU64,
-    /// Occupancy bitmap of the primary array (bit *i* set ⇔ slot *i* holds
-    /// a version).
-    used: AtomicU64,
     /// Index + 1 of the *live* version slot (`dts == INFINITY_TS`), 0 when
     /// none.  At most one version is ever live, so this single word lets
     /// the common read (snapshot at or after the newest commit) probe one
-    /// slot instead of scanning the occupancy bitmap, lets a writer
+    /// slot instead of scanning the occupancy words, lets a writer
     /// terminate its predecessor without a scan, and gives the newest
     /// write for First-Committer-Wins.  Mutated only under the writer mutex
     /// inside seq windows; readers treat it as a seqlock-validated hint.
     live: AtomicU64,
-    /// Slots allocated across the primary array's chunks (monotone, ≤ 64).
-    allocated: AtomicU32,
-    /// Initial capacity (chunk 0 size); total capacity doubles per grow.
-    capacity: u32,
-    /// Version storage.  Chunk `k` holds `chunk_cap(k)` slots; chunks are
-    /// allocated on demand, published with `Release`, and never freed or
-    /// moved until the object drops — readers hold references across growth.
-    chunks: [AtomicPtr<VersionSlot<V>>; MAX_CHUNKS],
-    /// Newest overflow level (null until the primary array is full of
-    /// versions still needed); published and kept like the chunks.
-    overflow: AtomicPtr<OverflowLevel<V>>,
+    /// Occupancy word of the inline slots (bit *i* set ⇔ slot *i* holds a
+    /// version).
+    used: AtomicU64,
+    /// The first slots, global indices `0..INLINE_SLOTS`.
+    inline: [VersionSlot<V>; INLINE_SLOTS],
+    /// Newest level (null until the inline slots are full of versions
+    /// still needed).
+    levels: AtomicPtr<Level<V>>,
 }
 
 // SAFETY: all shared mutable state is accessed through atomics or through
 // the `UnsafeCell` values, whose cross-thread discipline (single writer
 // inside seq windows; readers clone only validated, reclaim-protected
-// versions) is documented in the module header.  The chunks and overflow
-// levels behind the raw pointers are owned by the object, published with
-// `Release` before any reader can reach them, immutable in their links and
-// `base`, and freed only in `drop`.
+// versions) is documented in the module header.  The levels behind the raw
+// pointers are owned by the object, published with `Release` before any
+// reader can reach them, immutable in their links, `base` and slot arrays,
+// and freed only in `drop`.  Values are dropped by whichever thread runs a
+// reclaim or the drop (`V: Send`) and cloned from shared references by
+// readers (`V: Sync`).
 unsafe impl<V: Send> Send for MvccObject<V> {}
 unsafe impl<V: Send + Sync> Sync for MvccObject<V> {}
 
 impl<V: Clone> Default for MvccObject<V> {
     fn default() -> Self {
-        Self::new(DEFAULT_VERSION_SLOTS)
+        Self::new()
     }
-}
-
-/// Total slots after `k + 1` chunks for an object of initial capacity `c`.
-fn total_after(c: usize, k: usize) -> usize {
-    (c << k).min(MAX_VERSION_SLOTS)
-}
-
-/// Capacity of chunk `k` for an object of initial capacity `c` (0 when the
-/// chunk is never needed).
-fn chunk_cap(c: usize, k: usize) -> usize {
-    if k == 0 {
-        c
-    } else {
-        total_after(c, k) - total_after(c, k - 1)
-    }
-}
-
-/// The occupancy bit of global slot `idx` within its 64-slot word.
-fn bit(idx: usize) -> u64 {
-    1u64 << (idx % MAX_VERSION_SLOTS)
 }
 
 impl<V: Clone> MvccObject<V> {
-    /// Creates an object with `capacity` initial version slots (clamped to
-    /// `1..=`[`MAX_VERSION_SLOTS`]); the array grows on demand, doubling up
-    /// to the 64-slot bitmap width, and then by overflow levels.
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.clamp(1, MAX_VERSION_SLOTS);
-        let obj = MvccObject {
+    /// Creates an object with no versions.  It allocates nothing: the
+    /// first two versions live inside it, and levels are
+    /// linked on demand.
+    pub fn new() -> Self {
+        MvccObject {
             writer: Mutex::new(()),
             seq: AtomicU64::new(0),
-            used: AtomicU64::new(0),
             live: AtomicU64::new(0),
-            allocated: AtomicU32::new(0),
-            capacity: capacity as u32,
-            chunks: Default::default(),
-            overflow: AtomicPtr::new(std::ptr::null_mut()),
-        };
-        obj.alloc_chunk(0);
-        obj
+            used: AtomicU64::new(0),
+            inline: std::array::from_fn(|_| VersionSlot::empty()),
+            levels: AtomicPtr::new(std::ptr::null_mut()),
+        }
     }
 
-    /// The configured *initial* slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity as usize
-    }
-
-    /// The current number of version slots: the primary array (initial
-    /// capacity plus any on-demand growth) plus every overflow level.
+    /// The current number of version slots: the inline ones plus every
+    /// level's.
     pub fn allocated_slots(&self) -> usize {
-        self.allocated.load(Ordering::Acquire) as usize + self.levels().count() * MAX_VERSION_SLOTS
+        self.runs().map(|r| r.slots.len()).sum()
     }
 
-    /// The primary array's occupancy bitmap (bit *i* set ⇔ slot *i* holds
-    /// a version); overflow levels keep their own words.
+    /// The inline slots' occupancy bits (bit *i* set ⇔ slot *i* holds a
+    /// version); levels keep their own words.
     pub fn used_slots(&self) -> u64 {
         self.used.load(Ordering::Acquire)
     }
 
     /// Number of stored versions.
     pub fn version_count(&self) -> usize {
-        self.levels()
-            .map(|l| l.used.load(Ordering::Acquire).count_ones() as usize)
-            .sum::<usize>()
-            + self.used_slots().count_ones() as usize
+        self.runs()
+            .map(|r| r.used.load(Ordering::Acquire).count_ones() as usize)
+            .sum()
     }
 
     /// True if no versions are stored.
     pub fn is_empty(&self) -> bool {
-        self.used_slots() == 0 && self.levels().all(|l| l.used.load(Ordering::Acquire) == 0)
+        self.runs().all(|r| r.used.load(Ordering::Acquire) == 0)
     }
 
     // ------------------------------------------------------------------
     // Storage layout
     // ------------------------------------------------------------------
 
-    /// Allocates chunk `k` and returns the index of its first slot.
-    /// Writer-exclusive (or construction).
-    fn alloc_chunk(&self, k: usize) -> usize {
-        let cap = chunk_cap(self.capacity(), k);
-        debug_assert!(
-            cap > 0,
-            "chunk {k} not needed for capacity {}",
-            self.capacity
-        );
-        let chunk: Box<[VersionSlot<V>]> = (0..cap).map(|_| VersionSlot::empty()).collect();
-        let first = self.allocated.load(Ordering::Relaxed) as usize;
-        // Publish the fully initialised chunk before bumping `allocated`.
-        self.chunks[k].store(
-            Box::into_raw(chunk) as *mut VersionSlot<V>,
-            Ordering::Release,
-        );
-        self.allocated
-            .store((first + cap) as u32, Ordering::Release);
-        first
-    }
-
-    /// The overflow levels, newest first.  Levels are published fully
-    /// initialised with `Release` and never freed while `self` lives, so
-    /// this is safe from both readers and the writer.
-    fn levels(&self) -> impl Iterator<Item = &OverflowLevel<V>> {
+    /// The levels, newest first.  Levels are published fully initialised
+    /// with `Release` and never freed while `self` lives, so this is safe
+    /// from both readers and the writer.
+    fn levels(&self) -> impl Iterator<Item = &Level<V>> {
         // SAFETY: a non-null head was stored by `grow_locked` from a
         // `Box::into_raw` of a fully initialised level (the `Acquire` load
         // pairs with its `Release` store), and levels are freed only in
         // `drop`, which cannot run while `&self` is borrowed.
-        let newest = unsafe { self.overflow.load(Ordering::Acquire).as_ref() };
+        let newest = unsafe { self.levels.load(Ordering::Acquire).as_ref() };
         std::iter::successors(newest, |l| {
             // SAFETY: `next` was set before the level holding it was
             // published and never changes; it points to an older level,
@@ -366,88 +357,57 @@ impl<V: Clone> MvccObject<V> {
         })
     }
 
-    /// The overflow level holding global slot `idx` (≥ 64).  The live
-    /// version usually sits in the newest level, found first.
-    fn level_of(&self, idx: usize) -> Option<&OverflowLevel<V>> {
-        self.levels().find(|l| l.base <= idx)
+    fn inline_run(&self) -> Run<'_, V> {
+        Run {
+            base: 0,
+            used: &self.used,
+            slots: &self.inline,
+        }
     }
 
-    /// Calls `f(index, slot, used word)` for every occupied slot — the
-    /// primary array first, then each overflow level — until `f` returns
-    /// `Some`.  For a latch-free reader the bits and headers are only a
-    /// candidate state that seqlock validation must confirm; a bit whose
-    /// chunk is not yet visible is skipped (see [`slot`](Self::slot)).
-    fn find_occupied<'a, R>(
-        &'a self,
-        mut f: impl FnMut(usize, &'a VersionSlot<V>, &'a AtomicU64) -> Option<R>,
-    ) -> Option<R> {
-        let mut bits = self.used.load(Ordering::Relaxed);
-        while bits != 0 {
-            let idx = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if let Some(r) = self.slot(idx).and_then(|slot| f(idx, slot, &self.used)) {
-                return Some(r);
-            }
+    /// The inline slots, then every level, newest first.
+    fn runs(&self) -> impl Iterator<Item = Run<'_, V>> {
+        std::iter::once(self.inline_run()).chain(self.levels().map(Level::run))
+    }
+
+    /// The slot at global index `idx`, or `None` if the level holding it is
+    /// not yet visible to this thread.
+    ///
+    /// `None` is only possible for latch-free readers: a `Relaxed` load of
+    /// the live hint may observe an index set inside a concurrent install
+    /// window without a happens-before edge to the new level's
+    /// publication, so the `Acquire` head load here can still return an
+    /// older head.  Such a reader finds no level covering `idx` (an older
+    /// level's slots end below the newer one's `base`) and simply skips the
+    /// slot — having observed an in-window store, its seqlock validation is
+    /// guaranteed to fail (the writer's `Release` window fence pairs with
+    /// the reader's `Acquire` fence) and the retry's fresh `seq` load
+    /// brings the publication into view.  Writer-side callers hold the
+    /// writer mutex and always see their own levels.
+    fn locate(&self, idx: usize) -> Option<Loc<'_, V>> {
+        if idx < INLINE_SLOTS {
+            return self.inline_run().loc(idx);
         }
-        for level in self.levels() {
-            let mut bits = level.used.load(Ordering::Relaxed);
+        let level = self.levels().find(|l| l.base <= idx)?;
+        level.run().loc(idx - level.base)
+    }
+
+    /// Calls `f` for every occupied slot — the inline ones first, then each
+    /// level, newest first — until `f` returns `Some`.  For a latch-free
+    /// reader the bits and headers are only a candidate state that seqlock
+    /// validation must confirm.
+    fn find_occupied<'a, R>(&'a self, mut f: impl FnMut(Loc<'a, V>) -> Option<R>) -> Option<R> {
+        for run in self.runs() {
+            let mut bits = run.used.load(Ordering::Relaxed);
             while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
+                let i = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if let Some(r) = f(level.base + b, &level.slots[b], &level.used) {
+                if let Some(r) = run.loc(i).and_then(&mut f) {
                     return Some(r);
                 }
             }
         }
         None
-    }
-
-    /// The slot at global index `idx` (primary array below
-    /// [`MAX_VERSION_SLOTS`], an overflow level above), or
-    /// `None` if the chunk or level holding it is not yet visible to this
-    /// thread.
-    ///
-    /// `None` is only possible for latch-free readers: a `Relaxed` load of
-    /// `used` may observe a bit set inside a concurrent install window
-    /// without a happens-before edge to the grown chunk's publication, so
-    /// the `Acquire` chunk load here can still legally return null.  Such a
-    /// reader must simply skip the slot — having observed an in-window
-    /// store, its seqlock validation is guaranteed to fail (the writer's
-    /// `Release` window fence pairs with the reader's `Acquire` fence) and
-    /// the retry's fresh `seq` load brings the chunk publication into view.
-    /// Writer-side callers hold the writer mutex and always see their own
-    /// chunks.
-    fn slot(&self, idx: usize) -> Option<&VersionSlot<V>> {
-        if idx >= MAX_VERSION_SLOTS {
-            // A reader that does not see the newest level yet finds an older
-            // one here, and `get` reports the slot as not visible.
-            let level = self.level_of(idx)?;
-            return level.slots.get(idx - level.base);
-        }
-        let mut base = 0;
-        for k in 0..MAX_CHUNKS {
-            let cap = chunk_cap(self.capacity(), k);
-            if idx < base + cap {
-                let ptr = self.chunks[k].load(Ordering::Acquire);
-                if ptr.is_null() {
-                    return None;
-                }
-                // SAFETY: the chunk was published fully initialised with
-                // `cap` slots and is never freed while `self` lives.
-                return Some(unsafe { &*ptr.add(idx - base) });
-            }
-            base += cap;
-        }
-        None
-    }
-
-    /// The occupancy word holding global slot `idx`.  Writer-side only.
-    fn used_word(&self, idx: usize) -> &AtomicU64 {
-        if idx < MAX_VERSION_SLOTS {
-            &self.used
-        } else {
-            &self.level_of(idx).expect("writer sees its own levels").used
-        }
     }
 
     // ------------------------------------------------------------------
@@ -477,8 +437,8 @@ impl<V: Clone> MvccObject<V> {
 
     /// Runs `scan` until it completes over a seqlock-validated consistent
     /// state (`seq` even and unchanged across it) and returns its result.
-    /// `scan` may load headers, bitmaps, the live hint and level links, but
-    /// must not touch values.
+    /// `scan` may load headers, occupancy words, the live hint and level
+    /// links, but must not touch values.
     fn validated<R>(&self, mut scan: impl FnMut() -> R) -> R {
         let mut spins = 0u32;
         loop {
@@ -515,16 +475,16 @@ impl<V: Clone> MvccObject<V> {
             // seqlock validation like every other scan.
             let live = self.live.load(Ordering::Relaxed);
             if live != 0 {
-                if let Some(slot) = self.slot(live as usize - 1) {
-                    if slot.visible_at(read_ts) {
-                        return Some(slot);
+                if let Some(loc) = self.locate(live as usize - 1) {
+                    if loc.slot.visible_at(read_ts) {
+                        return Some(loc.slot);
                     }
                 }
             }
             // Otherwise visit the occupied slots (usually one or two).  At
             // most one version is visible at any timestamp in a consistent
             // state — and inconsistent scans are rejected anyway.
-            self.find_occupied(|_, slot, _| slot.visible_at(read_ts).then_some(slot))
+            self.find_occupied(|loc| loc.slot.visible_at(read_ts).then_some(loc.slot))
         });
         // SAFETY: the scan was validated as a consistent state (seq
         // unchanged and even).  The winning version has `dts > read_ts >=
@@ -541,10 +501,11 @@ impl<V: Clone> MvccObject<V> {
     pub fn read_visible_latched(&self, read_ts: Timestamp) -> Option<V> {
         let _g = self.writer.lock();
         latch_probe::count_latch();
-        self.find_occupied(|_, slot, _| {
+        self.find_occupied(|loc| {
             // SAFETY: the writer latch excludes every mutator.
-            slot.visible_at(read_ts)
-                .then(|| unsafe { (*slot.value.get()).clone() })
+            loc.slot
+                .visible_at(read_ts)
+                .then(|| unsafe { (*loc.slot.value.get()).clone() })
         })
         .flatten()
     }
@@ -563,14 +524,14 @@ impl<V: Clone> MvccObject<V> {
         self.validated(|| {
             let live = self.live.load(Ordering::Relaxed);
             if live != 0 {
-                // A not-yet-visible chunk fails validation and retries.
+                // A not-yet-visible level fails validation and retries.
                 return self
-                    .slot(live as usize - 1)
-                    .map_or(NO_TS, |slot| slot.cts.load(Ordering::Relaxed));
+                    .locate(live as usize - 1)
+                    .map_or(NO_TS, |loc| loc.slot.cts.load(Ordering::Relaxed));
             }
             let mut newest = NO_TS;
-            self.find_occupied(|_, slot, _| {
-                let (cts, dts) = slot.header();
+            self.find_occupied(|loc| {
+                let (cts, dts) = loc.slot.header();
                 if cts != NO_TS {
                     newest = newest.max(cts);
                     if dts != INFINITY_TS {
@@ -590,10 +551,10 @@ impl<V: Clone> MvccObject<V> {
         let _g = self.writer.lock();
         latch_probe::count_latch();
         let mut out = Vec::new();
-        self.find_occupied(|_, slot, _| {
+        self.find_occupied(|loc| {
             // SAFETY: the writer latch excludes every mutator.
-            if let Some(value) = unsafe { (*slot.value.get()).clone() } {
-                let (cts, dts) = slot.header();
+            if let Some(value) = unsafe { (*loc.slot.value.get()).clone() } {
+                let (cts, dts) = loc.slot.header();
                 out.push(Version { cts, dts, value });
             }
             None::<()>
@@ -608,13 +569,12 @@ impl<V: Clone> MvccObject<V> {
 
     /// Installs a new version committed at `cts`, terminating the lifetime
     /// of the previously live version (if any).  When no slot is free the
-    /// object's on-demand garbage collection runs first, reclaiming
-    /// versions whose lifetime ended at or before the bound returned by
-    /// `refresh` (re-evaluated inside the reclaim fence as described in the
-    /// module docs); if nothing can be reclaimed the primary array grows,
-    /// up to the 64-slot width of the `UsedSlots` bitmap, and past that a
-    /// new overflow level is linked.  A slow reader therefore costs memory,
-    /// never an error.
+    /// object's on-demand garbage collection runs first, in the same write
+    /// window, reclaiming versions whose lifetime ended at or before the
+    /// bound returned by `refresh` (re-evaluated inside the reclaim fence
+    /// as described in the module docs); if nothing can be reclaimed a new
+    /// level is linked.  A slow reader therefore costs memory, never an
+    /// error.
     ///
     /// `oldest_hint` is the caller's cheap (possibly cached) bound used to
     /// select reclaim candidates; `refresh` must return a *fresh*
@@ -630,24 +590,28 @@ impl<V: Clone> MvccObject<V> {
         debug_assert!(cts != NO_TS);
         let _g = self.writer.lock();
         latch_probe::count_latch();
-        let mut reclaimed = 0;
-        let idx = match self.find_free_locked() {
-            Some(idx) => idx,
-            None => {
-                reclaimed = self.gc_locked(oldest_hint, refresh);
-                self.find_free_locked()
-                    .unwrap_or_else(|| self.grow_locked())
-            }
-        };
+        let mut free = self.find_free_locked();
+        if free.is_none() && !self.has_dead_locked(oldest_hint) {
+            // Nothing to reclaim: link the level before the window opens,
+            // so no reader waits on the allocation.
+            free = Some(self.grow_locked());
+        }
         let s = self.enter_window();
+        let mut reclaimed = 0;
+        let idx = free.unwrap_or_else(|| {
+            reclaimed = self.reclaim_in_window(oldest_hint, refresh);
+            self.find_free_locked()
+                .unwrap_or_else(|| self.grow_locked())
+        });
         // Terminate the currently live version (the hint is exact: at most
         // one version is live and only this writer mutates it), then
         // publish the new one.
         let prev = self.live.load(Ordering::Relaxed);
         if prev != 0 {
             let pslot = self
-                .slot(prev as usize - 1)
-                .expect("writer sees its own chunks");
+                .locate(prev as usize - 1)
+                .expect("writer sees its own levels")
+                .slot;
             debug_assert_eq!(pslot.dts.load(Ordering::Relaxed), INFINITY_TS);
             debug_assert!(
                 pslot.cts.load(Ordering::Relaxed) <= cts,
@@ -655,17 +619,19 @@ impl<V: Clone> MvccObject<V> {
             );
             pslot.dts.store(cts, Ordering::Relaxed);
         }
-        let slot = self.slot(idx).expect("writer sees its own chunks");
+        let loc = self.locate(idx).expect("writer sees its own levels");
         // SAFETY: single writer (mutex held), slot is free, and no reader
         // clones a free slot's value (validated scans skip clear `used`
         // bits; a reclaimed slot was dropped under the floor protocol).
         unsafe {
-            *slot.value.get() = Some(value);
+            *loc.slot.value.get() = Some(value);
         }
-        slot.cts.store(cts, Ordering::Relaxed);
-        slot.dts.store(INFINITY_TS, Ordering::Relaxed);
-        let word = self.used_word(idx);
-        word.store(word.load(Ordering::Relaxed) | bit(idx), Ordering::Relaxed);
+        loc.slot.cts.store(cts, Ordering::Relaxed);
+        loc.slot.dts.store(INFINITY_TS, Ordering::Relaxed);
+        loc.used.store(
+            loc.used.load(Ordering::Relaxed) | loc.bit,
+            Ordering::Relaxed,
+        );
         self.live.store(idx as u64 + 1, Ordering::Relaxed);
         self.exit_window(s);
         reclaimed
@@ -688,9 +654,11 @@ impl<V: Clone> MvccObject<V> {
         if live == 0 {
             return false;
         }
-        let idx = live as usize - 1;
         let s = self.enter_window();
-        let slot = self.slot(idx).expect("writer sees its own chunks");
+        let slot = self
+            .locate(live as usize - 1)
+            .expect("writer sees its own levels")
+            .slot;
         debug_assert_eq!(slot.dts.load(Ordering::Relaxed), INFINITY_TS);
         slot.dts.store(cts, Ordering::Relaxed);
         self.live.store(0, Ordering::Relaxed);
@@ -724,13 +692,13 @@ impl<V: Clone> MvccObject<V> {
         latch_probe::count_latch();
         let mut installed = None;
         let mut superseded = None;
-        self.find_occupied(|i, slot, _| {
-            let (c, d) = slot.header();
+        self.find_occupied(|loc| {
+            let (c, d) = loc.slot.header();
             if c == cts {
-                installed = Some(i);
+                installed = Some(loc.idx);
             }
             if d == cts {
-                superseded = Some(i);
+                superseded = Some(loc.idx);
             }
             None::<()>
         });
@@ -739,21 +707,15 @@ impl<V: Clone> MvccObject<V> {
         }
         let s = self.enter_window();
         if let Some(idx) = installed {
-            let slot = self.slot(idx).expect("writer sees its own chunks");
-            let word = self.used_word(idx);
-            word.store(word.load(Ordering::Relaxed) & !bit(idx), Ordering::Relaxed);
-            slot.cts.store(NO_TS, Ordering::Relaxed);
-            slot.dts.store(NO_TS, Ordering::Relaxed);
             // SAFETY: single writer; no reader clones a version whose cts
             // was never covered by a published snapshot (see doc comment).
-            unsafe {
-                *slot.value.get() = None;
-            }
+            unsafe { self.vacate(self.locate(idx).expect("writer sees its own levels")) };
         }
         if let Some(idx) = superseded {
             // Header-only: the previously live version becomes live again.
-            self.slot(idx)
-                .expect("writer sees its own chunks")
+            self.locate(idx)
+                .expect("writer sees its own levels")
+                .slot
                 .dts
                 .store(INFINITY_TS, Ordering::Relaxed);
         }
@@ -775,7 +737,13 @@ impl<V: Clone> MvccObject<V> {
     pub fn gc_with(&self, oldest_hint: Timestamp, refresh: impl FnMut() -> Timestamp) -> usize {
         let _g = self.writer.lock();
         latch_probe::count_latch();
-        self.gc_locked(oldest_hint, refresh)
+        if !self.has_dead_locked(oldest_hint) {
+            return 0;
+        }
+        let s = self.enter_window();
+        let reclaimed = self.reclaim_in_window(oldest_hint, refresh);
+        self.exit_window(s);
+        reclaimed
     }
 
     /// [`gc_with`](Self::gc_with) with a constant bound — same soundness
@@ -784,115 +752,104 @@ impl<V: Clone> MvccObject<V> {
         self.gc_with(oldest_active, || oldest_active)
     }
 
-    /// Reclaim pass; caller holds the writer mutex.
-    fn gc_locked(&self, oldest_hint: Timestamp, mut refresh: impl FnMut() -> Timestamp) -> usize {
-        // Candidate pre-scan outside the window (writer-exclusive reads).
-        let dead = |slot: &VersionSlot<V>, bound: Timestamp| {
-            let dts = slot.dts.load(Ordering::Relaxed);
-            dts != INFINITY_TS && dts <= bound
-        };
-        if self
-            .find_occupied(|_, slot, _| dead(slot, oldest_hint).then_some(()))
-            .is_none()
-        {
-            return 0;
-        }
-        let s = self.enter_window();
+    /// True if a version's lifetime ended at or before `bound`.
+    fn dead(slot: &VersionSlot<V>, bound: Timestamp) -> bool {
+        let dts = slot.dts.load(Ordering::Relaxed);
+        dts != INFINITY_TS && dts <= bound
+    }
+
+    /// True if some version is a reclaim candidate under `oldest_hint`.
+    /// Caller holds the writer mutex.
+    fn has_dead_locked(&self, oldest_hint: Timestamp) -> bool {
+        self.find_occupied(|loc| Self::dead(loc.slot, oldest_hint).then_some(()))
+            .is_some()
+    }
+
+    /// Reclaim pass; the caller holds the writer mutex and has opened a
+    /// write window.
+    fn reclaim_in_window(
+        &self,
+        oldest_hint: Timestamp,
+        mut refresh: impl FnMut() -> Timestamp,
+    ) -> usize {
         // Dekker pairing with reader floor announcements (module docs): the
-        // odd `seq` store above is ordered before the floor re-read below,
-        // so any reader whose floor the re-read misses must observe the odd
-        // `seq` and retry (seeing the slot empty afterwards).
+        // odd `seq` store of the open window is ordered before the floor
+        // re-read below, so any reader whose floor the re-read misses must
+        // observe the odd `seq` and retry (seeing the slot empty
+        // afterwards).
         fence(Ordering::SeqCst);
         // Only candidates of the hint are reclaimed, and only if the fresh
         // bound agrees.
         let bound = refresh().min(oldest_hint);
         let mut reclaimed = 0;
-        self.find_occupied(|i, slot, word| {
-            if dead(slot, bound) {
-                // A version is dead once its lifetime ended at or before the
-                // oldest snapshot any active or future transaction can hold.
-                word.store(word.load(Ordering::Relaxed) & !bit(i), Ordering::Relaxed);
-                slot.cts.store(NO_TS, Ordering::Relaxed);
-                slot.dts.store(NO_TS, Ordering::Relaxed);
-                // SAFETY: single writer; no reader can be cloning this value
-                // per the fence pairing above.
-                unsafe {
-                    *slot.value.get() = None;
-                }
+        self.find_occupied(|loc| {
+            // A version is dead once its lifetime ended at or before the
+            // oldest snapshot any active or future transaction can hold.
+            if Self::dead(loc.slot, bound) {
+                // SAFETY: single writer; no reader can be cloning this
+                // value per the fence pairing above.
+                unsafe { self.vacate(loc) };
                 reclaimed += 1;
             }
             None::<()>
         });
-        self.exit_window(s);
         reclaimed
     }
 
-    /// First free allocated slot, if any: the primary array first, then
-    /// the overflow levels.  Caller holds the writer mutex.
-    fn find_free_locked(&self) -> Option<usize> {
-        let allocated = self.allocated.load(Ordering::Relaxed) as usize;
-        let mask = if allocated >= MAX_VERSION_SLOTS {
-            u64::MAX
-        } else {
-            (1u64 << allocated) - 1
-        };
-        let free = !self.used.load(Ordering::Relaxed) & mask;
-        if free != 0 {
-            return Some(free.trailing_zeros() as usize);
+    /// Frees an occupied slot: clears its bit and headers and drops its
+    /// value.
+    ///
+    /// # Safety
+    ///
+    /// The caller holds the writer mutex inside an open write window, and
+    /// no latch-free reader may be cloning the slot's value (the floor
+    /// protocol, or a version no published snapshot covers).
+    unsafe fn vacate(&self, loc: Loc<'_, V>) {
+        loc.used.store(
+            loc.used.load(Ordering::Relaxed) & !loc.bit,
+            Ordering::Relaxed,
+        );
+        loc.slot.cts.store(NO_TS, Ordering::Relaxed);
+        loc.slot.dts.store(NO_TS, Ordering::Relaxed);
+        // SAFETY: the caller's contract excludes every other access.
+        unsafe {
+            *loc.slot.value.get() = None;
         }
-        self.levels().find_map(|level| {
-            let free = !level.used.load(Ordering::Relaxed);
-            (free != 0).then(|| level.base + free.trailing_zeros() as usize)
+    }
+
+    /// First free slot, if any: the inline slots first, then the levels,
+    /// newest first.  Caller holds the writer mutex.
+    fn find_free_locked(&self) -> Option<usize> {
+        self.runs().find_map(|run| {
+            let free = !run.used.load(Ordering::Relaxed) & (u64::MAX >> (64 - run.slots.len()));
+            (free != 0).then(|| run.base + free.trailing_zeros() as usize)
         })
     }
 
-    /// Adds storage and returns its first slot index: the primary array
-    /// grows by one chunk (doubling its capacity, never beyond the bitmap
-    /// width); once it is full, a new overflow level is linked behind the
-    /// last one.  Caller holds the writer mutex.
+    /// Links a new level as the head of the list and returns the global
+    /// index of its first slot.  Its capacity equals the slots the object
+    /// already has, up to [`LEVEL_SLOTS`].  Caller holds the writer mutex.
     fn grow_locked(&self) -> usize {
-        let allocated = self.allocated.load(Ordering::Relaxed) as usize;
-        if allocated < MAX_VERSION_SLOTS {
-            let mut k = 0;
-            let mut base = 0;
-            while base < allocated {
-                base += chunk_cap(self.capacity(), k);
-                k += 1;
-            }
-            return self.alloc_chunk(k);
-        }
-        // Publish the fully initialised level as the new head, so the
-        // indices of existing levels never change and the newest versions
-        // (the live one above all) are found first.
-        let base = self
-            .levels()
-            .next()
-            .map_or(MAX_VERSION_SLOTS, |newest| newest.base + MAX_VERSION_SLOTS);
-        let level = Box::into_raw(Box::new(OverflowLevel {
+        let base = self.allocated_slots();
+        let level = Box::into_raw(Box::new(Level {
             base,
             used: AtomicU64::new(0),
-            slots: std::array::from_fn(|_| VersionSlot::empty()),
-            next: self.overflow.load(Ordering::Relaxed),
+            slots: (0..base.min(LEVEL_SLOTS))
+                .map(|_| VersionSlot::empty())
+                .collect(),
+            next: self.levels.load(Ordering::Relaxed),
         }));
-        self.overflow.store(level, Ordering::Release);
+        // Publish the fully initialised level as the new head, so the
+        // indices of existing slots never change and the newest versions
+        // (the live one above all) are found first.
+        self.levels.store(level, Ordering::Release);
         base
     }
 }
 
 impl<V> Drop for MvccObject<V> {
     fn drop(&mut self) {
-        let capacity = self.capacity as usize;
-        for k in 0..MAX_CHUNKS {
-            let ptr = *self.chunks[k].get_mut();
-            if ptr.is_null() {
-                break;
-            }
-            let cap = chunk_cap(capacity, k);
-            // SAFETY: the chunk was allocated as a boxed slice of `cap`
-            // slots in `alloc_chunk` and never freed since.
-            drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, cap)) });
-        }
-        let mut level = *self.overflow.get_mut();
+        let mut level = *self.levels.get_mut();
         while !level.is_null() {
             // SAFETY: each level was allocated with `Box::new` in
             // `grow_locked`, linked once and never freed since.
@@ -907,7 +864,7 @@ mod tests {
 
     #[test]
     fn empty_object_has_no_visible_versions() {
-        let obj: MvccObject<u64> = MvccObject::new(4);
+        let obj: MvccObject<u64> = MvccObject::new();
         assert!(obj.is_empty());
         assert_eq!(obj.read_visible(100), None);
         assert_eq!(obj.newest_write_ts(), NO_TS);
@@ -916,7 +873,7 @@ mod tests {
 
     #[test]
     fn install_and_read_visibility_windows() {
-        let obj = MvccObject::new(4);
+        let obj = MvccObject::new();
         obj.install(10u64, 5, NO_TS);
         obj.install(20u64, 9, NO_TS);
         // Reader before the first commit sees nothing.
@@ -933,7 +890,7 @@ mod tests {
 
     #[test]
     fn delete_ends_visibility() {
-        let obj = MvccObject::new(4);
+        let obj = MvccObject::new();
         obj.install(7u64, 3, NO_TS);
         assert!(obj.mark_deleted(6));
         assert_eq!(obj.read_visible(5), Some(7));
@@ -946,7 +903,7 @@ mod tests {
 
     #[test]
     fn latched_read_matches_latch_free_read() {
-        let obj = MvccObject::new(4);
+        let obj = MvccObject::new();
         obj.install(1u64, 2, NO_TS);
         obj.install(2u64, 6, NO_TS);
         for ts in [1, 2, 5, 6, 100] {
@@ -956,23 +913,35 @@ mod tests {
 
     #[test]
     fn bitmap_tracks_occupancy() {
-        let obj = MvccObject::new(8);
+        let obj = MvccObject::new();
         assert_eq!(obj.used_slots(), 0);
         obj.install(1u64, 2, NO_TS);
-        assert_eq!(obj.used_slots().count_ones(), 1);
+        assert_eq!(obj.used_slots(), 0b01);
         obj.install(2u64, 4, NO_TS);
+        assert_eq!(obj.used_slots(), 0b11, "the inline slots are full");
+        // Nothing is reclaimable: the third version goes to a level.
         obj.install(3u64, 6, NO_TS);
-        assert_eq!(obj.used_slots().count_ones(), 3);
-        // GC with an oldest-active past all dts values reclaims superseded ones.
+        assert_eq!(obj.used_slots(), 0b11);
+        assert_eq!(obj.version_count(), 3);
+        // GC with an oldest-active past all dts values reclaims superseded
+        // ones, and leaves the inline slots free.
         let reclaimed = obj.gc(100);
         assert_eq!(reclaimed, 2);
-        assert_eq!(obj.used_slots().count_ones(), 1);
+        assert_eq!(obj.used_slots(), 0);
+        assert_eq!(obj.version_count(), 1);
+        assert_eq!(obj.read_visible(100), Some(3));
+        // The next install fills an inline slot again: the live version
+        // moves back inline.
+        obj.install(4u64, 101, 100);
+        assert_eq!(obj.used_slots(), 0b01);
+        assert_eq!(obj.version_count(), 2);
+        assert_eq!(obj.read_visible(101), Some(4));
         assert_eq!(obj.read_visible(100), Some(3));
     }
 
     #[test]
     fn gc_respects_oldest_active_snapshot() {
-        let obj = MvccObject::new(8);
+        let obj = MvccObject::new();
         obj.install(1u64, 2, NO_TS);
         obj.install(2u64, 5, NO_TS);
         obj.install(3u64, 9, NO_TS);
@@ -987,7 +956,7 @@ mod tests {
 
     #[test]
     fn gc_with_refreshed_bound_keeps_late_pins() {
-        let obj = MvccObject::new(4);
+        let obj = MvccObject::new();
         obj.install(1u64, 2, NO_TS);
         obj.install(2u64, 8, NO_TS);
         // The cheap hint claims everything up to ts=10 is reclaimable, but
@@ -1001,7 +970,7 @@ mod tests {
 
     #[test]
     fn on_demand_gc_when_slots_full() {
-        let obj = MvccObject::new(2);
+        let obj = MvccObject::new();
         obj.install(1u64, 2, NO_TS);
         obj.install(2u64, 4, NO_TS);
         // Slots full; oldest active snapshot is 10 so the [2,4) version can go.
@@ -1014,12 +983,12 @@ mod tests {
 
     #[test]
     fn array_grows_when_gc_cannot_reclaim() {
-        let obj = MvccObject::new(2);
+        let obj = MvccObject::new();
         obj.install(1u64, 2, NO_TS);
         obj.install(2u64, 4, NO_TS);
         assert_eq!(obj.allocated_slots(), 2);
-        // Oldest active snapshot is 1: nothing can be reclaimed, so the
-        // array grows instead of failing.
+        // Oldest active snapshot is 1: nothing can be reclaimed, so a level
+        // of two more slots is linked instead of failing.
         obj.install(3u64, 6, 1);
         assert_eq!(obj.allocated_slots(), 4);
         assert_eq!(obj.version_count(), 3);
@@ -1030,16 +999,17 @@ mod tests {
     }
 
     #[test]
-    fn versions_past_the_bitmap_width_go_to_overflow_levels() {
-        let obj = MvccObject::new(2);
+    fn versions_past_the_level_width_go_to_more_levels() {
+        let obj = MvccObject::new();
         // An ancient snapshot (ts=1) pins every version: 200 installs fill
-        // the primary array and then overflow levels, with no error.
+        // the inline slots and then levels of 2, 4, .., 64, 64, 64 slots,
+        // with no error.
         for i in 0..200u64 {
             obj.install(i, 2 + i, 1);
         }
         assert_eq!(obj.version_count(), 200);
-        assert_eq!(obj.used_slots(), u64::MAX, "the primary array is full");
-        assert_eq!(obj.allocated_slots(), 4 * MAX_VERSION_SLOTS);
+        assert_eq!(obj.used_slots(), 0b11, "the inline slots are full");
+        assert_eq!(obj.allocated_slots(), 4 * LEVEL_SLOTS);
         // Every version stays readable at its own snapshot, latch-free and
         // latched, and the newest write is the live version's.
         for i in 0..200u64 {
@@ -1050,28 +1020,29 @@ mod tests {
         assert_eq!(obj.versions().len(), 200);
         // Once the snapshot moves on, GC reclaims everything but the live
         // version — from the levels too — and freed slots are reused
-        // before any new storage is added.
+        // before any new storage is added, the inline ones first.
         assert_eq!(obj.gc(1000), 199);
         assert_eq!(obj.version_count(), 1);
         assert_eq!(obj.read_visible(u64::MAX - 1), Some(199));
         for i in 0..100u64 {
             obj.install(1000 + i, 1000 + i, 1000);
         }
-        assert_eq!(obj.allocated_slots(), 4 * MAX_VERSION_SLOTS);
+        assert_eq!(obj.allocated_slots(), 4 * LEVEL_SLOTS);
         assert_eq!(obj.read_visible(u64::MAX - 1), Some(1099));
+        assert_ne!(obj.used_slots(), 0, "the live version is back inline");
     }
 
-    /// A live version in an overflow level with an empty primary array is
-    /// still found by the live hint, the scans and `is_empty`.
+    /// A live version in a level with empty inline slots is still found by
+    /// the live hint, the scans and `is_empty`.
     #[test]
-    fn a_live_version_in_an_overflow_level_is_found() {
-        let obj = MvccObject::new(1);
-        for i in 0..=MAX_VERSION_SLOTS as u64 {
+    fn a_live_version_in_a_level_is_found() {
+        let obj = MvccObject::new();
+        for i in 0..=LEVEL_SLOTS as u64 {
             obj.install(i, 2 + i, 1);
         }
-        // Reclaim the primary array's 64 versions; the live one sits in
-        // the first overflow level.
-        assert_eq!(obj.gc(2 + MAX_VERSION_SLOTS as u64), MAX_VERSION_SLOTS);
+        // Reclaim the first 64 versions; the live one sits alone in the
+        // first 64-slot level.
+        assert_eq!(obj.gc(2 + LEVEL_SLOTS as u64), LEVEL_SLOTS);
         assert_eq!(obj.used_slots(), 0);
         assert!(!obj.is_empty());
         assert_eq!(obj.read_visible(u64::MAX - 1), Some(64));
@@ -1085,7 +1056,7 @@ mod tests {
 
     #[test]
     fn undo_commit_unlinks_the_version_and_revives_the_predecessor() {
-        let obj = MvccObject::new(4);
+        let obj = MvccObject::new();
         obj.install(1u64, 5, NO_TS);
         obj.install(2u64, 9, NO_TS);
         assert_eq!(obj.newest_write_ts(), 9);
@@ -1107,7 +1078,7 @@ mod tests {
 
     #[test]
     fn versions_are_reported_newest_first() {
-        let obj = MvccObject::new(4);
+        let obj = MvccObject::new();
         obj.install(10u64, 2, NO_TS);
         obj.install(20u64, 7, NO_TS);
         let vs = obj.versions();
@@ -1119,36 +1090,51 @@ mod tests {
         assert_eq!(vs[1].dts, 7);
     }
 
+    /// A key holding at most two versions is its object alone: no
+    /// allocation beyond the index node the object sits in.
     #[test]
-    fn capacity_is_clamped() {
-        let obj: MvccObject<u8> = MvccObject::new(0);
-        assert_eq!(obj.capacity(), 1);
-        let obj: MvccObject<u8> = MvccObject::new(1000);
-        assert_eq!(obj.capacity(), MAX_VERSION_SLOTS);
+    fn the_first_two_versions_live_inside_the_object() {
+        assert!(std::mem::size_of::<MvccObject<(u64, u64)>>() <= 128);
         let obj: MvccObject<u8> = MvccObject::default();
-        assert_eq!(obj.capacity(), DEFAULT_VERSION_SLOTS);
+        assert_eq!(obj.allocated_slots(), 2);
+        assert!(obj.levels().next().is_none());
+        obj.install(1, 2, NO_TS);
+        obj.install(2, 4, NO_TS);
+        // Every later install reclaims the superseded version in place.
+        for i in 3..100u8 {
+            assert_eq!(obj.install(i, 2 * u64::from(i), 2 * u64::from(i) - 1), 1);
+        }
+        assert_eq!(obj.allocated_slots(), 2);
+        assert!(obj.levels().next().is_none());
+        assert_eq!(obj.read_visible(u64::MAX - 1), Some(99));
+        assert_eq!(obj.read_visible(197), Some(98));
     }
 
     #[test]
-    fn minimal_capacity_grows_through_all_chunks() {
-        // capacity 1 exercises the deepest chunk chain: 1,1,2,4,8,16,32.
-        let obj = MvccObject::new(1);
-        for i in 0..MAX_VERSION_SLOTS as u64 {
+    fn levels_double_up_to_the_level_width_then_stay_there() {
+        let obj = MvccObject::new();
+        let mut sizes = vec![obj.allocated_slots()];
+        for i in 0..4 * LEVEL_SLOTS as u64 {
             obj.install(i, 2 + i, 1);
+            if obj.allocated_slots() != *sizes.last().unwrap() {
+                sizes.push(obj.allocated_slots());
+            }
         }
-        assert_eq!(obj.allocated_slots(), MAX_VERSION_SLOTS);
+        assert_eq!(sizes, [2, 4, 8, 16, 32, 64, 128, 192, 256]);
+        let level_sizes: Vec<usize> = obj.levels().map(|l| l.slots.len()).collect();
+        assert_eq!(level_sizes, [64, 64, 64, 32, 16, 8, 4, 2], "newest first");
         // Every version remains readable at its own snapshot.
-        for i in 0..MAX_VERSION_SLOTS as u64 {
+        for i in 0..4 * LEVEL_SLOTS as u64 {
             assert_eq!(obj.read_visible(2 + i), Some(i));
         }
     }
 
-    /// Readers racing an installer that links overflow levels (every
+    /// Readers racing an installer that links levels (every
     /// version stays pinned) see the newest version only move forward and
     /// the pinned one never change.
     #[test]
-    fn concurrent_readers_across_overflow_levels() {
-        let obj = MvccObject::new(1);
+    fn concurrent_readers_across_levels() {
+        let obj = MvccObject::new();
         obj.install(0u64, 2, 1);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -1176,7 +1162,7 @@ mod tests {
     #[test]
     fn concurrent_readers_and_installer() {
         use std::sync::Arc;
-        let obj = Arc::new(MvccObject::new(16));
+        let obj = Arc::new(MvccObject::new());
         obj.install(0u64, 2, NO_TS);
         let writer = {
             let obj = Arc::clone(&obj);

@@ -11,10 +11,16 @@
 //! The manager keeps no per-transaction registry: the caller remembers
 //! which keys it locked (the S2PL table keeps them in the transaction's
 //! slot-local cell) and hands them back to [`LockManager::release`].
+//!
+//! A key has a lock-table entry only while some transaction holds a lock on
+//! it.  The reader list of a released entry is kept, emptied, in its
+//! shard's pool for the next entry, so a warm lock table grants and
+//! releases locks without allocating.
 
 use parking_lot::{Condvar, Mutex};
 use std::hash::Hash;
 use std::time::{Duration, Instant};
+use tsp_common::recycle::KEEP_ENTRIES;
 use tsp_common::{fx_shard, FxHashMap, FxHashSet, Result, TspError, TxnId};
 
 const SHARDS: usize = 32;
@@ -28,9 +34,9 @@ pub enum LockMode {
     Exclusive,
 }
 
-#[derive(Default)]
 struct LockEntry {
-    readers: FxHashSet<u64>,
+    /// Shared holders: a list, since a key has few of them.
+    readers: Vec<u64>,
     writer: Option<u64>,
 }
 
@@ -40,42 +46,42 @@ impl LockEntry {
     }
 
     /// Transactions currently blocking `txn` from acquiring `mode`.
-    fn conflicts_for(&self, txn: u64, mode: LockMode) -> Vec<u64> {
-        match mode {
-            LockMode::Shared => match self.writer {
-                Some(w) if w != txn => vec![w],
-                _ => Vec::new(),
-            },
-            LockMode::Exclusive => {
-                let mut out: Vec<u64> =
-                    self.readers.iter().copied().filter(|r| *r != txn).collect();
-                if let Some(w) = self.writer {
-                    if w != txn {
-                        out.push(w);
-                    }
-                }
-                out
-            }
-        }
+    fn conflicts(&self, txn: u64, mode: LockMode) -> impl Iterator<Item = u64> + '_ {
+        let readers = match mode {
+            LockMode::Shared => &[][..],
+            LockMode::Exclusive => &self.readers[..],
+        };
+        readers
+            .iter()
+            .copied()
+            .chain(self.writer)
+            .filter(move |holder| *holder != txn)
     }
 
     fn grant(&mut self, txn: u64, mode: LockMode) {
         match mode {
             LockMode::Shared => {
-                if self.writer != Some(txn) {
-                    self.readers.insert(txn);
+                if self.writer != Some(txn) && !self.readers.contains(&txn) {
+                    self.readers.push(txn);
                 }
             }
             LockMode::Exclusive => {
-                self.readers.remove(&txn);
+                self.readers.retain(|r| *r != txn);
                 self.writer = Some(txn);
             }
         }
     }
 }
 
+/// One shard's entries, and the emptied reader lists of released entries
+/// (at most [`KEEP_ENTRIES`]) that new entries start from.
+struct ShardTable<K> {
+    entries: FxHashMap<K, LockEntry>,
+    spare_readers: Vec<Vec<u64>>,
+}
+
 struct LockShard<K> {
-    entries: Mutex<FxHashMap<K, LockEntry>>,
+    table: Mutex<ShardTable<K>>,
     released: Condvar,
 }
 
@@ -102,7 +108,10 @@ impl<K: Clone + Eq + Hash> LockManager<K> {
         LockManager {
             shards: (0..SHARDS)
                 .map(|_| LockShard {
-                    entries: Mutex::new(FxHashMap::default()),
+                    table: Mutex::new(ShardTable {
+                        entries: FxHashMap::default(),
+                        spare_readers: Vec::new(),
+                    }),
                     released: Condvar::new(),
                 })
                 .collect(),
@@ -122,25 +131,33 @@ impl<K: Clone + Eq + Hash> LockManager<K> {
         let id = txn.as_u64();
         let shard = self.shard(key);
         let deadline = Instant::now() + self.max_wait;
-        let mut entries = shard.entries.lock();
+        let mut table = shard.table.lock();
         loop {
-            let entry = entries.entry(key.clone()).or_default();
-            let conflicts = entry.conflicts_for(id, mode);
-            if conflicts.is_empty() {
+            let ShardTable {
+                entries,
+                spare_readers,
+            } = &mut *table;
+            let entry = entries.entry(key.clone()).or_insert_with(|| LockEntry {
+                readers: spare_readers.pop().unwrap_or_default(),
+                writer: None,
+            });
+            let (mut blocked, mut dies) = (false, false);
+            for holder in entry.conflicts(id, mode) {
+                blocked = true;
+                // Wait-die: only wait if this transaction is older (smaller
+                // timestamp) than every conflicting holder; otherwise die.
+                dies |= id > holder;
+            }
+            if !blocked {
                 entry.grant(id, mode);
                 return Ok(());
             }
-            // Wait-die: only wait if this transaction is older (smaller
-            // timestamp) than every conflicting holder; otherwise die.
-            if conflicts.iter().any(|holder| id > *holder) {
-                return Err(TspError::Deadlock { txn: id });
-            }
-            if Instant::now() >= deadline {
+            if dies || Instant::now() >= deadline {
                 return Err(TspError::Deadlock { txn: id });
             }
             shard
                 .released
-                .wait_for(&mut entries, Duration::from_millis(5));
+                .wait_for(&mut table, Duration::from_millis(5));
         }
     }
 
@@ -153,14 +170,21 @@ impl<K: Clone + Eq + Hash> LockManager<K> {
         let id = txn.as_u64();
         for key in keys {
             let shard = self.shard(key);
-            let mut entries = shard.entries.lock();
+            let mut table = shard.table.lock();
+            let ShardTable {
+                entries,
+                spare_readers,
+            } = &mut *table;
             if let Some(entry) = entries.get_mut(key) {
-                entry.readers.remove(&id);
+                entry.readers.retain(|r| *r != id);
                 if entry.writer == Some(id) {
                     entry.writer = None;
                 }
                 if entry.is_free() {
-                    entries.remove(key);
+                    let readers = entries.remove(key).expect("the entry was found").readers;
+                    if readers.capacity() > 0 && spare_readers.len() < KEEP_ENTRIES {
+                        spare_readers.push(readers);
+                    }
                 }
             }
             shard.released.notify_all();
@@ -172,7 +196,7 @@ impl<K: Clone + Eq + Hash> LockManager<K> {
     pub fn holder_count(&self) -> usize {
         let mut holders = FxHashSet::default();
         for shard in &self.shards {
-            for entry in shard.entries.lock().values() {
+            for entry in shard.table.lock().entries.values() {
                 holders.extend(entry.readers.iter().copied().chain(entry.writer));
             }
         }
@@ -181,7 +205,10 @@ impl<K: Clone + Eq + Hash> LockManager<K> {
 
     /// Number of keys with at least one lock (diagnostics).
     pub fn locked_key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.table.lock().entries.len())
+            .sum()
     }
 }
 

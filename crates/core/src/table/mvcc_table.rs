@@ -47,7 +47,7 @@
 //! [`StateContext::access_snapshot`]: crate::context::StateContext::access_snapshot
 
 use crate::context::{StateContext, Tx};
-use crate::mvcc::{MvccObject, DEFAULT_VERSION_SLOTS};
+use crate::mvcc::MvccObject;
 use crate::table::common::{KeyType, ValueType};
 use crate::table::objmap::DEFAULT_INDEX_BUCKETS;
 use crate::table::skeleton::{Policy, Store, Table};
@@ -72,8 +72,6 @@ pub enum ConflictCheck {
 /// [`SsiTable`](crate::table::SsiTable)).
 #[derive(Clone, Debug)]
 pub struct MvccTableOptions {
-    /// Version slots per MVCC object.
-    pub version_slots: usize,
     /// Conflict-check timing.
     pub conflict_check: ConflictCheck,
     /// Buckets of the lock-free key → version-object index (rounded up to a
@@ -85,7 +83,6 @@ pub struct MvccTableOptions {
 impl Default for MvccTableOptions {
     fn default() -> Self {
         MvccTableOptions {
-            version_slots: DEFAULT_VERSION_SLOTS,
             conflict_check: ConflictCheck::AtCommit,
             index_buckets: DEFAULT_INDEX_BUCKETS,
         }
@@ -195,6 +192,15 @@ impl<K: KeyType, V: ValueType, P: Policy<K, V, Store = Versions<K, V>>> Table<K,
             .object(key)
             .map(|o| o.version_count())
             .unwrap_or(0)
+    }
+
+    /// Version slots allocated for `key` (0 if no object): the two inline
+    /// ones plus every level a slow reader made it link.
+    pub fn allocated_slots(&self, key: &K) -> usize {
+        self.policy
+            .store()
+            .object(key)
+            .map_or(0, MvccObject::allocated_slots)
     }
 
     /// The newest timestamp at which `key` was written or deleted (0 if the
@@ -710,12 +716,16 @@ mod tests {
     #[test]
     fn gc_reclaims_superseded_versions() {
         let (ctx, table) = setup();
+        // A reader pinned across the writes keeps the installs' on-demand
+        // GC from reclaiming the superseded versions first.
+        let pinned = ctx.begin(true).unwrap();
         for i in 0..5 {
             let w = ctx.begin(false).unwrap();
             table.write(&w, 1, format!("v{i}")).unwrap();
             commit(&ctx, &table, &w);
         }
         assert_eq!(table.version_count(&1), 5);
+        ctx.finish(&pinned);
         let reclaimed = table.gc();
         assert_eq!(reclaimed, 4, "only the live version must remain");
         assert_eq!(table.version_count(&1), 1);

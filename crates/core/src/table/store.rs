@@ -20,7 +20,6 @@ use tsp_common::{fx_shard, FxHashMap, Result, StateId, Timestamp, NO_TS};
 /// that become visible once the group's `LastCTS` is published.
 pub struct Versions<K, V> {
     pub(super) objects: ObjMap<K, MvccObject<V>>,
-    version_slots: usize,
     pub(super) conflict_check: ConflictCheck,
 }
 
@@ -30,8 +29,7 @@ impl<K: KeyType, V: ValueType> Versions<K, V> {
     }
 
     fn object_or_create(&self, key: &K) -> &MvccObject<V> {
-        self.objects
-            .get_or_insert_with(key, || MvccObject::new(self.version_slots))
+        self.objects.get_or_insert_with(key, MvccObject::new)
     }
 }
 
@@ -39,7 +37,6 @@ impl<K: KeyType, V: ValueType> Store<K, V> for Versions<K, V> {
     fn new(_ctx: &StateContext, opts: &MvccTableOptions) -> Self {
         Versions {
             objects: ObjMap::new(opts.index_buckets),
-            version_slots: opts.version_slots,
             conflict_check: opts.conflict_check,
         }
     }

@@ -211,12 +211,16 @@ fn protocol_commit_allocations(protocol: Protocol, writes: u32) -> u64 {
     (0..5).map(|_| allocations(commit)).max().unwrap()
 }
 
-/// MVCC and SSI commit without allocating; BOCC allocates only the one
-/// commit-log record per state that backward validation keeps.  S2PL is
-/// left out: its lock table allocates an entry per locked key.
+/// MVCC, SSI and S2PL commit without allocating; BOCC allocates only the
+/// one commit-log record per state that backward validation keeps.
 #[test]
 fn a_warm_volatile_commit_allocates_only_what_its_protocol_keeps() {
-    for protocol in [Protocol::Mvcc, Protocol::Ssi, Protocol::Bocc] {
+    for protocol in [
+        Protocol::Mvcc,
+        Protocol::Ssi,
+        Protocol::S2pl,
+        Protocol::Bocc,
+    ] {
         let budget = if protocol == Protocol::Bocc { 2 } else { 0 };
         let ten = protocol_commit_allocations(protocol, 10);
         let thousand = protocol_commit_allocations(protocol, 1_000);
@@ -226,4 +230,106 @@ fn a_warm_volatile_commit_allocates_only_what_its_protocol_keeps() {
         );
         assert_eq!(ten, thousand, "{protocol}: 10 vs 1,000 writes per state");
     }
+}
+
+/// An MVCC table of `(u64, u64)` values, the shape of a meter state.
+type MeterTable = MvccTable<u32, (u64, u64)>;
+
+/// A volatile [`MeterTable`] over one group, and its manager.
+fn volatile_mvcc(name: &str) -> (Arc<TransactionManager>, Arc<MeterTable>) {
+    let ctx = Arc::new(StateContext::new());
+    let mgr = TransactionManager::new(Arc::clone(&ctx));
+    let table = MvccTable::volatile(&ctx, name);
+    mgr.register(table.clone());
+    mgr.register_group(&[table.id()]).unwrap();
+    (mgr, table)
+}
+
+/// Commits `(round, k)` to every key in `keys`; returns the commit
+/// timestamp.
+fn write_keys(
+    mgr: &TransactionManager,
+    table: &MeterTable,
+    keys: impl IntoIterator<Item = u32>,
+    round: u64,
+) -> u64 {
+    let tx = mgr.begin().unwrap();
+    for k in keys {
+        table.write(&tx, k, (round, u64::from(k))).unwrap();
+    }
+    mgr.commit(&tx)
+        .unwrap()
+        .expect("a writing commit has a timestamp")
+}
+
+/// A key's first versions live inside its version object, so a key costs
+/// one allocation: the index node holding the object.
+#[test]
+fn a_commit_of_fresh_keys_allocates_one_object_per_key() {
+    const N: u32 = 1_000;
+    let (mgr, table) = volatile_mvcc("fresh");
+    // Warm the write set with as many keys.
+    for round in 0..3 {
+        write_keys(&mgr, &table, 0..N, round);
+    }
+    let n = allocations(|| {
+        write_keys(&mgr, &table, N..2 * N, 0);
+    });
+    assert!(
+        n <= u64::from(N) + 8,
+        "a commit of {N} fresh keys made {n} allocations"
+    );
+}
+
+/// A read-only transaction pinned while every key takes 1 to 6 more
+/// versions: every version stays readable at its snapshot, and each key's
+/// storage grows by doubling levels — at most twice the versions it holds.
+/// Once the reader is gone and GC has run, each key holds one version
+/// again and its next install allocates nothing.
+#[test]
+fn a_pinned_reader_costs_each_key_at_most_twice_its_versions() {
+    const KEYS: u32 = 10_000;
+    let (mgr, table) = volatile_mvcc("pinned");
+    let extra = |k: u32| u64::from(k % 6) + 1;
+    let first = write_keys(&mgr, &table, 0..KEYS, 0);
+    let reader = mgr.begin_read_only().unwrap();
+    assert_eq!(table.read(&reader, &0).unwrap(), Some((0, 0)));
+    let rounds: Vec<u64> = (1..=6)
+        .map(|round| {
+            write_keys(
+                &mgr,
+                &table,
+                (0..KEYS).filter(|k| extra(*k) >= round),
+                round,
+            )
+        })
+        .collect();
+    for k in 0..KEYS {
+        let versions = table.version_count(&k);
+        assert_eq!(versions as u64, 1 + extra(k), "key {k}");
+        let slots = table.allocated_slots(&k);
+        assert!(
+            slots <= 2.max(2 * versions),
+            "key {k}: {slots} slots for {versions} versions"
+        );
+        assert_eq!(table.read(&reader, &k).unwrap(), Some((0, u64::from(k))));
+        assert_eq!(table.read_at(first, &k).unwrap(), Some((0, u64::from(k))));
+        for (round, cts) in (1..).zip(&rounds) {
+            let expected = (extra(k).min(round), u64::from(k));
+            assert_eq!(table.read_at(*cts, &k).unwrap(), Some(expected), "key {k}");
+        }
+    }
+    assert_eq!(mgr.commit(&reader).unwrap(), None);
+    table.gc();
+    assert!((0..KEYS).all(|k| table.version_count(&k) == 1));
+    // Warm the write set for single-key commits.
+    for _ in 0..3 {
+        write_keys(&mgr, &table, [0], 7);
+    }
+    let n = allocations(|| {
+        for k in 0..KEYS {
+            write_keys(&mgr, &table, [k], 8);
+        }
+    });
+    assert_eq!(n, 0, "installs after the reader left made {n} allocations");
 }

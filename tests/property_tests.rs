@@ -31,7 +31,7 @@ proptest! {
         cts_gaps in proptest::collection::vec(1u64..5, 1..12),
         probe_offset in 0u64..40,
     ) {
-        let obj = MvccObject::<u64>::new(4);
+        let obj = MvccObject::<u64>::new();
         let mut history: Vec<(u64, u64)> = Vec::new(); // (cts, value)
         let mut cts = 1u64;
         for (i, gap) in cts_gaps.iter().enumerate() {
@@ -54,7 +54,7 @@ proptest! {
         n_versions in 2usize..10,
         oldest_active_offset in 0u64..30,
     ) {
-        let obj = MvccObject::<u64>::new(4);
+        let obj = MvccObject::<u64>::new();
         for i in 0..n_versions {
             obj.install(i as u64, 2 + i as u64 * 2, 0);
         }
@@ -74,9 +74,8 @@ proptest! {
     #[test]
     fn newest_write_ts_matches_the_header_fold(
         steps in proptest::collection::vec((0u8..4, 0u64..8), 1..200),
-        capacity in 1usize..9,
     ) {
-        let obj = MvccObject::<u64>::new(capacity);
+        let obj = MvccObject::<u64>::new();
         let mut ts = 1u64;
         // Newest timestamp a reader may have pinned, and the newest commit
         // while it is still unpublished (the only one that may be undone).
