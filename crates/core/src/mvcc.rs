@@ -77,9 +77,7 @@
 //! sees the version whose half-open lifetime `[cts, dts)` contains
 //! `read_ts`.  Garbage collection is performed *on demand* — when a new
 //! version must be installed and no slot is free — and only reclaims
-//! versions no longer visible at `OldestActiveVersion`.  The reclaim runs
-//! in the install's own write window, so an install opens one window
-//! whether or not it reclaims.
+//! versions no longer visible at `OldestActiveVersion`.
 //!
 //! # Inline slots and levels
 //!
@@ -299,8 +297,7 @@ impl<V: Clone> Default for MvccObject<V> {
 
 impl<V: Clone> MvccObject<V> {
     /// Creates an object with no versions.  It allocates nothing: the
-    /// first two versions live inside it, and levels are
-    /// linked on demand.
+    /// first two versions live inside it, and levels are linked on demand.
     pub fn new() -> Self {
         MvccObject {
             writer: Mutex::new(()),
@@ -569,12 +566,11 @@ impl<V: Clone> MvccObject<V> {
 
     /// Installs a new version committed at `cts`, terminating the lifetime
     /// of the previously live version (if any).  When no slot is free the
-    /// object's on-demand garbage collection runs first, in the same write
-    /// window, reclaiming versions whose lifetime ended at or before the
-    /// bound returned by `refresh` (re-evaluated inside the reclaim fence
-    /// as described in the module docs); if nothing can be reclaimed a new
-    /// level is linked.  A slow reader therefore costs memory, never an
-    /// error.
+    /// object's on-demand garbage collection runs first, reclaiming
+    /// versions whose lifetime ended at or before the bound returned by
+    /// `refresh` (re-evaluated inside the reclaim fence as described in the
+    /// module docs); if nothing can be reclaimed a new level is linked.  A
+    /// slow reader therefore costs memory, never an error.
     ///
     /// `oldest_hint` is the caller's cheap (possibly cached) bound used to
     /// select reclaim candidates; `refresh` must return a *fresh*
@@ -590,19 +586,16 @@ impl<V: Clone> MvccObject<V> {
         debug_assert!(cts != NO_TS);
         let _g = self.writer.lock();
         latch_probe::count_latch();
-        let mut free = self.find_free_locked();
-        if free.is_none() && !self.has_dead_locked(oldest_hint) {
-            // Nothing to reclaim: link the level before the window opens,
-            // so no reader waits on the allocation.
-            free = Some(self.grow_locked());
-        }
-        let s = self.enter_window();
         let mut reclaimed = 0;
-        let idx = free.unwrap_or_else(|| {
-            reclaimed = self.reclaim_in_window(oldest_hint, refresh);
-            self.find_free_locked()
-                .unwrap_or_else(|| self.grow_locked())
-        });
+        let idx = match self.find_free_locked() {
+            Some(idx) => idx,
+            None => {
+                reclaimed = self.gc_locked(oldest_hint, refresh);
+                self.find_free_locked()
+                    .unwrap_or_else(|| self.grow_locked())
+            }
+        };
+        let s = self.enter_window();
         // Terminate the currently live version (the hint is exact: at most
         // one version is live and only this writer mutates it), then
         // publish the new one.
@@ -737,13 +730,7 @@ impl<V: Clone> MvccObject<V> {
     pub fn gc_with(&self, oldest_hint: Timestamp, refresh: impl FnMut() -> Timestamp) -> usize {
         let _g = self.writer.lock();
         latch_probe::count_latch();
-        if !self.has_dead_locked(oldest_hint) {
-            return 0;
-        }
-        let s = self.enter_window();
-        let reclaimed = self.reclaim_in_window(oldest_hint, refresh);
-        self.exit_window(s);
-        reclaimed
+        self.gc_locked(oldest_hint, refresh)
     }
 
     /// [`gc_with`](Self::gc_with) with a constant bound — same soundness
@@ -752,31 +739,24 @@ impl<V: Clone> MvccObject<V> {
         self.gc_with(oldest_active, || oldest_active)
     }
 
-    /// True if a version's lifetime ended at or before `bound`.
-    fn dead(slot: &VersionSlot<V>, bound: Timestamp) -> bool {
-        let dts = slot.dts.load(Ordering::Relaxed);
-        dts != INFINITY_TS && dts <= bound
-    }
-
-    /// True if some version is a reclaim candidate under `oldest_hint`.
-    /// Caller holds the writer mutex.
-    fn has_dead_locked(&self, oldest_hint: Timestamp) -> bool {
-        self.find_occupied(|loc| Self::dead(loc.slot, oldest_hint).then_some(()))
-            .is_some()
-    }
-
-    /// Reclaim pass; the caller holds the writer mutex and has opened a
-    /// write window.
-    fn reclaim_in_window(
-        &self,
-        oldest_hint: Timestamp,
-        mut refresh: impl FnMut() -> Timestamp,
-    ) -> usize {
+    /// Reclaim pass; caller holds the writer mutex.
+    fn gc_locked(&self, oldest_hint: Timestamp, mut refresh: impl FnMut() -> Timestamp) -> usize {
+        // Candidate pre-scan outside the window (writer-exclusive reads).
+        let dead = |slot: &VersionSlot<V>, bound: Timestamp| {
+            let dts = slot.dts.load(Ordering::Relaxed);
+            dts != INFINITY_TS && dts <= bound
+        };
+        if self
+            .find_occupied(|loc| dead(loc.slot, oldest_hint).then_some(()))
+            .is_none()
+        {
+            return 0;
+        }
+        let s = self.enter_window();
         // Dekker pairing with reader floor announcements (module docs): the
-        // odd `seq` store of the open window is ordered before the floor
-        // re-read below, so any reader whose floor the re-read misses must
-        // observe the odd `seq` and retry (seeing the slot empty
-        // afterwards).
+        // odd `seq` store above is ordered before the floor re-read below,
+        // so any reader whose floor the re-read misses must observe the odd
+        // `seq` and retry (seeing the slot empty afterwards).
         fence(Ordering::SeqCst);
         // Only candidates of the hint are reclaimed, and only if the fresh
         // bound agrees.
@@ -785,14 +765,15 @@ impl<V: Clone> MvccObject<V> {
         self.find_occupied(|loc| {
             // A version is dead once its lifetime ended at or before the
             // oldest snapshot any active or future transaction can hold.
-            if Self::dead(loc.slot, bound) {
-                // SAFETY: single writer; no reader can be cloning this
-                // value per the fence pairing above.
+            if dead(loc.slot, bound) {
+                // SAFETY: single writer inside the window; no reader can be
+                // cloning this value per the fence pairing above.
                 unsafe { self.vacate(loc) };
                 reclaimed += 1;
             }
             None::<()>
         });
+        self.exit_window(s);
         reclaimed
     }
 

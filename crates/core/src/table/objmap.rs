@@ -19,7 +19,9 @@
 //!
 //! Storing the object in the node (rather than an `Arc` to it) saves a
 //! dependent cache miss on every read and keeps refcount read-modify-writes
-//! off validation, apply and garbage collection.
+//! off validation, apply and garbage collection.  An `MvccObject` keeps its
+//! first two versions inline, so the node is a key's only allocation until
+//! a slow reader makes the object link a level (`mvcc.rs`).
 //!
 //! The bucket count is fixed at construction (no resizing — resizing is
 //! what forces latches back in).  Chains degrade gracefully: with the

@@ -70,7 +70,7 @@ proptest! {
     /// header fold only for an object without one — equals the fold over
     /// every version header (the newest `cts`, or `dts` of a terminated
     /// version) after any sequence of installs, deletes, undone commits and
-    /// GC passes, overflow levels included.
+    /// GC passes, levels included.
     #[test]
     fn newest_write_ts_matches_the_header_fold(
         steps in proptest::collection::vec((0u8..4, 0u64..8), 1..200),
