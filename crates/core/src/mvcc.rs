@@ -354,6 +354,7 @@ impl<V: Clone> MvccObject<V> {
         })
     }
 
+    /// The inline slots, as a run.
     fn inline_run(&self) -> Run<'_, V> {
         Run {
             base: 0,
