@@ -18,8 +18,8 @@
 //! * **Version storage is never freed or moved** while the object lives —
 //!   two slots inside the object, then levels linked on demand — so
 //!   readers may hold references across growth.
-//! * Writers (install / delete-stamp / GC) serialise on a per-object mutex
-//!   and mutate only inside odd `seq` windows.  Every install opens one:
+//! * Writers (install / delete-stamp / GC) serialise on a per-object
+//!   one-byte latch and mutate only inside odd `seq` windows.  Every install opens one:
 //!   it ends the previous live version's lifetime, so it is never merely
 //!   additive.
 //!
@@ -34,7 +34,7 @@
 //! * The `Acquire` on `s1` pairs with the `Release` even-store of the window
 //!   that produced the observed state: every header and value written in or
 //!   before that window *happens-before* the reader's scan (writers are
-//!   serialised by the mutex, so earlier windows are ordered through it).
+//!   serialised by the latch, so earlier windows are ordered through it).
 //! * The `fence(Release)` after the odd-store pairs with the reader's
 //!   `fence(Acquire)`: a reader that observed any in-window store must also
 //!   observe `seq` odd (or changed) at `s2` and retries.  Headers are
@@ -120,6 +120,27 @@
 //! the level's free slots then serve as many installs, so installs cost
 //! time linear in the pinned versions, amortised over the level's size.
 //!
+//! # Layout
+//!
+//! A committed read checks the seqlock word, the live hint, the inline
+//! occupancy word and the level pointer before it clones a value, so the
+//! object is `#[repr(C)]` with that header first — `seq`, `live`, the
+//! writer latch, `used`, `levels` — and the inline slots after it, each
+//! `#[repr(C)] { cts, dts, value }`.  For a `(u64, u64)` value the header
+//! is 32 bytes and the object 112; in its index node, behind a 16-byte key
+//! and link, the header ends at byte 48 and the node fills one 128-byte
+//! line pair (`table/objmap.rs`).  Two choices keep it at 112 bytes:
+//!
+//! * the live hint is an `AtomicU32` — 2³² slots would be 160 GB of one
+//!   key;
+//! * the writer latch is one `AtomicBool`, taken with an `Acquire`
+//!   compare-exchange and released by its guard's `Release` store, which
+//!   orders each writer's window after the previous writer's as a mutex
+//!   would.  Writers hold it for one install, delete stamp or reclaim pass,
+//!   so a waiter spins, then yields, as a validating reader does.
+//!
+//! A level is one allocation: its header, then its slots.
+//!
 //! # First-Committer-Wins through the live slot
 //!
 //! The FCW check (§4.2) and SSI certification need only the newest write of
@@ -131,9 +152,11 @@
 //! newest write was a delete, or it is empty) folds its headers.
 
 use crate::latch_probe;
-use parking_lot::Mutex;
+use std::alloc::Layout;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
+use std::marker::PhantomData;
+use std::ptr::NonNull;
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use tsp_common::{Timestamp, INFINITY_TS, NO_TS};
 
 /// Version slots kept inside the object: the live version and the one it
@@ -164,6 +187,7 @@ impl<V> Version<V> {
 }
 
 /// One version slot: atomic lifetime headers plus the (writer-owned) value.
+#[repr(C)]
 struct VersionSlot<V> {
     /// Commit timestamp; [`NO_TS`] while the slot is free.
     cts: AtomicU64,
@@ -199,17 +223,20 @@ impl<V> VersionSlot<V> {
     }
 }
 
-/// A level of version slots beyond the inline ones (see the module docs).
+/// A level of version slots beyond the inline ones (see the module docs):
+/// this header, followed in the same allocation by its `len` slots.
 /// Levels form a list, newest first; a level's fields other than `used`
 /// and the slots' contents never change after it is published.
 struct Level<V> {
-    /// Global index of `slots[0]`.
+    /// Global index of the first slot.
     base: usize,
-    /// Occupancy word: bit *i* set ⇔ `slots[i]` holds a version.
+    /// Occupancy word: bit *i* set ⇔ slot *i* holds a version.
     used: AtomicU64,
-    slots: Box<[VersionSlot<V>]>,
+    /// Number of slots.
+    len: usize,
     /// The next older level (null for the first one).
     next: *mut Level<V>,
+    _slots: PhantomData<VersionSlot<V>>,
 }
 
 /// A run of slots that share an occupancy word: the inline slots or one
@@ -231,11 +258,83 @@ struct Loc<'a, V> {
 }
 
 impl<V> Level<V> {
-    fn run(&self) -> Run<'_, V> {
-        Run {
-            base: self.base,
-            used: &self.used,
-            slots: &self.slots,
+    /// The block of a level of `len` slots, and the offset of its first
+    /// slot.
+    fn layout(len: usize) -> (Layout, usize) {
+        let slots = Layout::array::<VersionSlot<V>>(len).expect("a level has at most 64 slots");
+        Layout::new::<Level<V>>()
+            .extend(slots)
+            .expect("a level of at most 64 slots fits in memory")
+    }
+
+    /// Allocates a level of `len` free slots, as one block.
+    fn alloc(base: usize, len: usize, next: *mut Level<V>) -> *mut Level<V> {
+        let (layout, offset) = Self::layout(len);
+        // SAFETY: the layout holds the header, so it is not zero-sized.
+        let block = unsafe { std::alloc::alloc(layout) };
+        if block.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        let level = block.cast::<Level<V>>();
+        // SAFETY: `block` is a fresh allocation of `layout`, which places
+        // the header at offset 0 and `len` aligned slots at `offset`.
+        unsafe {
+            level.write(Level {
+                base,
+                used: AtomicU64::new(0),
+                len,
+                next,
+                _slots: PhantomData,
+            });
+            let slots = block.add(offset).cast::<VersionSlot<V>>();
+            for i in 0..len {
+                slots.add(i).write(VersionSlot::empty());
+            }
+        }
+        level
+    }
+
+    /// The level's slots.
+    ///
+    /// # Safety
+    ///
+    /// `level` was returned by [`alloc`](Self::alloc) and stays allocated
+    /// for `'a`.
+    unsafe fn run<'a>(level: *const Level<V>) -> Run<'a, V> {
+        // SAFETY: the caller's contract; the header and slots were
+        // initialised by `alloc`, and the slots are reached through the
+        // block's own pointer.
+        unsafe {
+            let header = &*level;
+            let offset = Self::layout(header.len).1;
+            Run {
+                base: header.base,
+                used: &header.used,
+                slots: std::slice::from_raw_parts(
+                    level.cast::<u8>().add(offset).cast::<VersionSlot<V>>(),
+                    header.len,
+                ),
+            }
+        }
+    }
+
+    /// Drops the level's slots, frees its block and returns the next older
+    /// level.
+    ///
+    /// # Safety
+    ///
+    /// `level` was returned by [`alloc`](Self::alloc), is freed only once,
+    /// and nothing borrows it any more.
+    unsafe fn free(level: *mut Level<V>) -> *mut Level<V> {
+        // SAFETY: the caller's contract; `alloc` initialised `len` slots at
+        // the layout's offset, and the header holds nothing to drop.
+        unsafe {
+            let (next, len) = ((*level).next, (*level).len);
+            let (layout, offset) = Self::layout(len);
+            let slots = level.cast::<u8>().add(offset).cast::<VersionSlot<V>>();
+            std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(slots, len));
+            std::alloc::dealloc(level.cast(), layout);
+            next
         }
     }
 }
@@ -252,11 +351,58 @@ impl<'a, V> Run<'a, V> {
     }
 }
 
-/// A multi-versioned object holding all versions of one key.
+/// The writer latch (see the module docs): one byte, taken with an
+/// `Acquire` compare-exchange and released by [`LatchGuard`]'s `Release`
+/// store.
+struct WriterLatch(AtomicBool);
+
+/// Holds the [`WriterLatch`] until dropped.
+struct LatchGuard<'a>(&'a AtomicBool);
+
+impl WriterLatch {
+    fn lock(&self) -> LatchGuard<'_> {
+        let mut spins = 0;
+        while self
+            .0
+            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            // Wait on plain loads, so waiters do not pull the line away
+            // from the holder.
+            while self.0.load(Ordering::Relaxed) {
+                backoff(&mut spins);
+            }
+        }
+        LatchGuard(&self.0)
+    }
+}
+
+impl Drop for LatchGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
+/// One round of waiting: a spin hint for the first 64 rounds, then a
+/// yield, so a preempted writer gets the core back.
+fn backoff(spins: &mut u32) {
+    *spins += 1;
+    if *spins > 64 {
+        std::thread::yield_now();
+    } else {
+        std::hint::spin_loop();
+    }
+}
+
+/// The live hint for the slot at global index `idx`.
+fn live_hint(idx: usize) -> u32 {
+    u32::try_from(idx + 1).expect("2^32 slots would be 160 GB of one key")
+}
+
+/// A multi-versioned object holding all versions of one key.  Its header
+/// comes first (see "Layout" in the module docs).
+#[repr(C)]
 pub struct MvccObject<V> {
-    /// Serialises writers (install, delete-stamp, GC).  Never taken by
-    /// [`read_visible`](Self::read_visible).
-    writer: Mutex<()>,
     /// Seqlock word: odd while a writer window is open.
     seq: AtomicU64,
     /// Index + 1 of the *live* version slot (`dts == INFINITY_TS`), 0 when
@@ -264,17 +410,20 @@ pub struct MvccObject<V> {
     /// the common read (snapshot at or after the newest commit) probe one
     /// slot instead of scanning the occupancy words, lets a writer
     /// terminate its predecessor without a scan, and gives the newest
-    /// write for First-Committer-Wins.  Mutated only under the writer mutex
+    /// write for First-Committer-Wins.  Mutated only under the writer latch
     /// inside seq windows; readers treat it as a seqlock-validated hint.
-    live: AtomicU64,
+    live: AtomicU32,
+    /// Serialises writers (install, delete-stamp, GC).  Never taken by
+    /// [`read_visible`](Self::read_visible).
+    writer: WriterLatch,
     /// Occupancy word of the inline slots (bit *i* set ⇔ slot *i* holds a
     /// version).
     used: AtomicU64,
-    /// The first slots, global indices `0..INLINE_SLOTS`.
-    inline: [VersionSlot<V>; INLINE_SLOTS],
     /// Newest level (null until the inline slots are full of versions
     /// still needed).
     levels: AtomicPtr<Level<V>>,
+    /// The first slots, global indices `0..INLINE_SLOTS`.
+    inline: [VersionSlot<V>; INLINE_SLOTS],
 }
 
 // SAFETY: all shared mutable state is accessed through atomics or through
@@ -282,8 +431,8 @@ pub struct MvccObject<V> {
 // inside seq windows; readers clone only validated, reclaim-protected
 // versions) is documented in the module header.  The levels behind the raw
 // pointers are owned by the object, published with `Release` before any
-// reader can reach them, immutable in their links, `base` and slot arrays,
-// and freed only in `drop`.  Values are dropped by whichever thread runs a
+// reader can reach them, immutable in their links, `base`, `len` and slot
+// counts, and freed only in `drop`; the writer latch is an atomic.  Values are dropped by whichever thread runs a
 // reclaim or the drop (`V: Send`) and cloned from shared references by
 // readers (`V: Sync`).
 unsafe impl<V: Send> Send for MvccObject<V> {}
@@ -300,12 +449,12 @@ impl<V: Clone> MvccObject<V> {
     /// first two versions live inside it, and levels are linked on demand.
     pub fn new() -> Self {
         MvccObject {
-            writer: Mutex::new(()),
             seq: AtomicU64::new(0),
-            live: AtomicU64::new(0),
+            live: AtomicU32::new(0),
+            writer: WriterLatch(AtomicBool::new(false)),
             used: AtomicU64::new(0),
-            inline: std::array::from_fn(|_| VersionSlot::empty()),
             levels: AtomicPtr::new(std::ptr::null_mut()),
+            inline: std::array::from_fn(|_| VersionSlot::empty()),
         }
     }
 
@@ -337,20 +486,23 @@ impl<V: Clone> MvccObject<V> {
     // Storage layout
     // ------------------------------------------------------------------
 
-    /// The levels, newest first.  Levels are published fully initialised
-    /// with `Release` and never freed while `self` lives, so this is safe
-    /// from both readers and the writer.
-    fn levels(&self) -> impl Iterator<Item = &Level<V>> {
-        // SAFETY: a non-null head was stored by `grow_locked` from a
-        // `Box::into_raw` of a fully initialised level (the `Acquire` load
-        // pairs with its `Release` store), and levels are freed only in
-        // `drop`, which cannot run while `&self` is borrowed.
-        let newest = unsafe { self.levels.load(Ordering::Acquire).as_ref() };
+    /// The levels, newest first, as runs.  Levels are published fully
+    /// initialised with `Release` and never freed while `self` lives, so
+    /// this is safe from both readers and the writer.
+    fn levels(&self) -> impl Iterator<Item = Run<'_, V>> {
+        let newest = NonNull::new(self.levels.load(Ordering::Acquire));
         std::iter::successors(newest, |l| {
-            // SAFETY: `next` was set before the level holding it was
-            // published and never changes; it points to an older level,
-            // kept like the newest one.
-            unsafe { l.next.as_ref() }
+            // SAFETY: as below; `next` was set before the level holding it
+            // was published and never changes, and points to an older
+            // level, kept like the newest one.
+            NonNull::new(unsafe { l.as_ref() }.next)
+        })
+        .map(|l| {
+            // SAFETY: a non-null head was stored by `grow_locked` from
+            // `Level::alloc` (the `Acquire` load pairs with its `Release`
+            // store), and levels are freed only in `drop`, which cannot run
+            // while `&self` is borrowed.
+            unsafe { Level::run(l.as_ptr()) }
         })
     }
 
@@ -365,7 +517,7 @@ impl<V: Clone> MvccObject<V> {
 
     /// The inline slots, then every level, newest first.
     fn runs(&self) -> impl Iterator<Item = Run<'_, V>> {
-        std::iter::once(self.inline_run()).chain(self.levels().map(Level::run))
+        std::iter::once(self.inline_run()).chain(self.levels())
     }
 
     /// The slot at global index `idx`, or `None` if the level holding it is
@@ -381,13 +533,13 @@ impl<V: Clone> MvccObject<V> {
     /// guaranteed to fail (the writer's `Release` window fence pairs with
     /// the reader's `Acquire` fence) and the retry's fresh `seq` load
     /// brings the publication into view.  Writer-side callers hold the
-    /// writer mutex and always see their own levels.
+    /// writer latch and always see their own levels.
     fn locate(&self, idx: usize) -> Option<Loc<'_, V>> {
         if idx < INLINE_SLOTS {
             return self.inline_run().loc(idx);
         }
         let level = self.levels().find(|l| l.base <= idx)?;
-        level.run().loc(idx - level.base)
+        level.loc(idx - level.base)
     }
 
     /// Calls `f` for every occupied slot — the inline ones first, then each
@@ -448,12 +600,7 @@ impl<V: Clone> MvccObject<V> {
                     return result;
                 }
             }
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+            backoff(&mut spins);
         }
     }
 
@@ -614,7 +761,7 @@ impl<V: Clone> MvccObject<V> {
             pslot.dts.store(cts, Ordering::Relaxed);
         }
         let loc = self.locate(idx).expect("writer sees its own levels");
-        // SAFETY: single writer (mutex held), slot is free, and no reader
+        // SAFETY: single writer (latch held), slot is free, and no reader
         // clones a free slot's value (validated scans skip clear `used`
         // bits; a reclaimed slot was dropped under the floor protocol).
         unsafe {
@@ -626,7 +773,7 @@ impl<V: Clone> MvccObject<V> {
             loc.used.load(Ordering::Relaxed) | loc.bit,
             Ordering::Relaxed,
         );
-        self.live.store(idx as u64 + 1, Ordering::Relaxed);
+        self.live.store(live_hint(idx), Ordering::Relaxed);
         self.exit_window(s);
         reclaimed
     }
@@ -716,10 +863,8 @@ impl<V: Clone> MvccObject<V> {
         // The undone commit either installed the live version (put) or
         // terminated it (delete); in both cases the restored predecessor —
         // if any — is now the one live version.
-        self.live.store(
-            superseded.map(|i| i as u64 + 1).unwrap_or(0),
-            Ordering::Relaxed,
-        );
+        self.live
+            .store(superseded.map_or(0, live_hint), Ordering::Relaxed);
         self.exit_window(s);
         true
     }
@@ -740,7 +885,7 @@ impl<V: Clone> MvccObject<V> {
         self.gc_with(oldest_active, || oldest_active)
     }
 
-    /// Reclaim pass; caller holds the writer mutex.
+    /// Reclaim pass; caller holds the writer latch.
     fn gc_locked(&self, oldest_hint: Timestamp, mut refresh: impl FnMut() -> Timestamp) -> usize {
         // Candidate pre-scan outside the window (writer-exclusive reads).
         let dead = |slot: &VersionSlot<V>, bound: Timestamp| {
@@ -783,7 +928,7 @@ impl<V: Clone> MvccObject<V> {
     ///
     /// # Safety
     ///
-    /// The caller holds the writer mutex inside an open write window, and
+    /// The caller holds the writer latch inside an open write window, and
     /// no latch-free reader may be cloning the slot's value (the floor
     /// protocol, or a version no published snapshot covers).
     unsafe fn vacate(&self, loc: Loc<'_, V>) {
@@ -800,7 +945,7 @@ impl<V: Clone> MvccObject<V> {
     }
 
     /// First free slot, if any: the inline slots first, then the levels,
-    /// newest first.  Caller holds the writer mutex.
+    /// newest first.  Caller holds the writer latch.
     fn find_free_locked(&self) -> Option<usize> {
         self.runs().find_map(|run| {
             let free = !run.used.load(Ordering::Relaxed) & (u64::MAX >> (64 - run.slots.len()));
@@ -810,17 +955,14 @@ impl<V: Clone> MvccObject<V> {
 
     /// Links a new level as the head of the list and returns the global
     /// index of its first slot.  Its capacity equals the slots the object
-    /// already has, up to [`LEVEL_SLOTS`].  Caller holds the writer mutex.
+    /// already has, up to [`LEVEL_SLOTS`].  Caller holds the writer latch.
     fn grow_locked(&self) -> usize {
         let base = self.allocated_slots();
-        let level = Box::into_raw(Box::new(Level {
+        let level = Level::alloc(
             base,
-            used: AtomicU64::new(0),
-            slots: (0..base.min(LEVEL_SLOTS))
-                .map(|_| VersionSlot::empty())
-                .collect(),
-            next: self.levels.load(Ordering::Relaxed),
-        }));
+            base.min(LEVEL_SLOTS),
+            self.levels.load(Ordering::Relaxed),
+        );
         // Publish the fully initialised level as the new head, so the
         // indices of existing slots never change and the newest versions
         // (the live one above all) are found first.
@@ -833,9 +975,10 @@ impl<V> Drop for MvccObject<V> {
     fn drop(&mut self) {
         let mut level = *self.levels.get_mut();
         while !level.is_null() {
-            // SAFETY: each level was allocated with `Box::new` in
-            // `grow_locked`, linked once and never freed since.
-            level = unsafe { Box::from_raw(level) }.next;
+            // SAFETY: each level was allocated by `Level::alloc` in
+            // `grow_locked`, linked once and never freed since, and
+            // `&mut self` excludes every reader.
+            level = unsafe { Level::free(level) };
         }
     }
 }
@@ -1076,7 +1219,7 @@ mod tests {
     /// allocation beyond the index node the object sits in.
     #[test]
     fn the_first_two_versions_live_inside_the_object() {
-        assert!(std::mem::size_of::<MvccObject<(u64, u64)>>() <= 128);
+        assert_eq!(std::mem::size_of::<MvccObject<(u64, u64)>>(), 112);
         let obj: MvccObject<u8> = MvccObject::default();
         assert_eq!(obj.allocated_slots(), 2);
         assert!(obj.levels().next().is_none());
@@ -1141,40 +1284,48 @@ mod tests {
         assert_eq!(obj.read_visible(u64::MAX - 1), Some(599));
     }
 
+    /// Readers validate while an installer and a collector take turns on
+    /// the writer latch: every read finds a live version, and each version
+    /// is reclaimed at most once.
     #[test]
     fn concurrent_readers_and_installer() {
-        use std::sync::Arc;
-        let obj = Arc::new(MvccObject::new());
+        let obj = MvccObject::new();
         obj.install(0u64, 2, NO_TS);
-        let writer = {
-            let obj = Arc::clone(&obj);
-            std::thread::spawn(move || {
+        let done = AtomicBool::new(false);
+        let reclaimed = std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let mut reclaimed = 0;
                 for i in 1..500u64 {
-                    // Monotonically increasing cts; the oldest active snapshot
-                    // trails just behind the previous commit, so on-demand GC
-                    // always finds reclaimable versions.
+                    // Monotonically increasing cts; the oldest active
+                    // snapshot trails just behind the previous commit, so
+                    // on-demand GC always finds reclaimable versions.
                     let cts = 2 + i * 2;
-                    obj.install(i, cts, cts - 1);
+                    reclaimed += obj.install(i, cts, cts - 1);
                 }
-            })
-        };
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let obj = Arc::clone(&obj);
-                std::thread::spawn(move || {
+                done.store(true, Ordering::Release);
+                reclaimed
+            });
+            let collector = s.spawn(|| {
+                let mut reclaimed = 0;
+                while !done.load(Ordering::Acquire) {
+                    // The installer's bound: just behind the newest commit.
+                    let bound = obj.newest_write_ts() - 1;
+                    reclaimed += obj.gc_with(bound, || bound);
+                }
+                reclaimed
+            });
+            for _ in 0..4 {
+                s.spawn(|| {
                     for _ in 0..2000 {
-                        // A very fresh snapshot must always see *some* version,
-                        // and the value must be consistent with its timestamp.
-                        let v = obj.read_visible(u64::MAX - 1);
-                        assert!(v.is_some());
+                        // A very fresh snapshot must always see *some*
+                        // version.
+                        assert!(obj.read_visible(u64::MAX - 1).is_some());
                     }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
-        }
+                });
+            }
+            writer.join().unwrap() + collector.join().unwrap()
+        });
         assert_eq!(obj.read_visible(u64::MAX - 1), Some(499));
+        assert_eq!(reclaimed + obj.version_count(), 500);
     }
 }

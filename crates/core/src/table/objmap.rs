@@ -9,10 +9,11 @@
 //!
 //! * **get** — one `Acquire` load of the bucket head plus a short chain
 //!   walk; no latch, no CAS.  It returns `&T` borrowed from the map.
-//! * **insert** — allocate a node and CAS it as the new head; on a race,
-//!   re-walk (dropping the loser's unpublished node if the key appeared).
+//! * **insert** — take a node slot from the map's arena and CAS the node
+//!   in as the new head; on a race, re-walk (dropping the loser's
+//!   unpublished node in place if the key appeared).
 //! * A node's key and link are immutable after publication, and nodes are
-//!   freed only when the map drops, so a `&T` stays valid for as long as
+//!   dropped only when the map drops, so a `&T` stays valid for as long as
 //!   the map is borrowed, across any number of concurrent inserts.  Values
 //!   are only ever shared (`&T`); `T` synchronises its own interior
 //!   mutability.
@@ -20,8 +21,28 @@
 //! Storing the object in the node (rather than an `Arc` to it) saves a
 //! dependent cache miss on every read and keeps refcount read-modify-writes
 //! off validation, apply and garbage collection.  An `MvccObject` keeps its
-//! first two versions inline, so the node is a key's only allocation until
-//! a slow reader makes the object link a level (`mvcc.rs`).
+//! first two versions inline, so the node is all a key needs until a slow
+//! reader makes the object link a level (`mvcc.rs`).
+//!
+//! # One line pair per key
+//!
+//! A node is `#[repr(C)] { key, next, value }`, and an `MvccObject` puts
+//! its seqlock header first, so the chain walk's key compare and link, and
+//! everything a read checks before it clones a value, share the node's
+//! first 48 bytes.  For a `u32` key and a `(u64, u64)` value the node is
+//! exactly 128 bytes.
+//!
+//! Nodes come from an arena the map owns: chunks aligned to 128 bytes, with
+//! nodes packed at `size_of::<Node>()`, so a 128-byte node fills one
+//! aligned pair of cache lines, and a committed read, a First-Committer-Wins
+//! check or an install touches the bucket word and that line pair.  The
+//! first chunk holds 16 nodes and each later one twice as many as the
+//! last, up to 4,096 (512 KiB of 128-byte nodes), so a fresh key costs an
+//! arena slot, not an allocation, and the allocator's own per-block header
+//! and rounding are paid once per chunk.  A short mutex guards the bump
+//! pointer; lookups never take it.  Nodes never move and are dropped only
+//! when the map drops; a node that loses the insert CAS is dropped in place
+//! and its slot stays unused.
 //!
 //! The bucket count is fixed at construction (no resizing — resizing is
 //! what forces latches back in).  Chains degrade gracefully: with the
@@ -31,7 +52,10 @@
 //! larger (or many-small-table) deployments — chain hops are dependent
 //! cache misses, the most expensive step of the whole read path.
 
+use parking_lot::Mutex;
+use std::alloc::Layout;
 use std::hash::Hash;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use tsp_common::fx_hash;
 
@@ -45,10 +69,68 @@ use tsp_common::fx_hash;
 /// should raise it (the index never resizes).
 pub(crate) const DEFAULT_INDEX_BUCKETS: usize = 1 << 16;
 
+/// Nodes in the arena's first chunk.
+const FIRST_CHUNK_NODES: usize = 16;
+
+/// Nodes in the arena's largest chunk.
+const MAX_CHUNK_NODES: usize = 4096;
+
+/// Alignment of every arena chunk: one pair of cache lines.
+const CHUNK_ALIGN: usize = 128;
+
+/// A chain node, key and link first (see the module docs).
+#[repr(C)]
 struct Node<K, T> {
     key: K,
-    value: T,
     next: *mut Node<K, T>,
+    value: T,
+}
+
+/// The chunks nodes are carved from (see the module docs).
+struct Arena<N> {
+    /// Every chunk with its capacity in nodes, oldest first.
+    chunks: Vec<(NonNull<N>, usize)>,
+    /// Nodes handed out from the last chunk.
+    used: usize,
+}
+
+impl<N> Arena<N> {
+    fn layout(nodes: usize) -> Layout {
+        Layout::array::<N>(nodes)
+            .and_then(|l| l.align_to(CHUNK_ALIGN))
+            .expect("a chunk of at most 4,096 nodes fits in memory")
+    }
+
+    /// An uninitialised node slot, which stays allocated until the arena
+    /// drops.
+    fn alloc(&mut self) -> NonNull<N> {
+        let cap = self.chunks.last().map_or(0, |&(_, nodes)| nodes);
+        if self.used == cap {
+            let nodes = (2 * cap).clamp(FIRST_CHUNK_NODES, MAX_CHUNK_NODES);
+            let layout = Self::layout(nodes);
+            // SAFETY: a node holds a link, so the layout is not zero-sized.
+            let chunk = NonNull::new(unsafe { std::alloc::alloc(layout) })
+                .unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
+            self.chunks.push((chunk.cast(), nodes));
+            self.used = 0;
+        }
+        let (chunk, _) = *self.chunks.last().expect("a chunk has room");
+        // SAFETY: `used` is below the last chunk's capacity, so the slot
+        // lies inside that chunk.
+        let node = unsafe { chunk.add(self.used) };
+        self.used += 1;
+        node
+    }
+}
+
+impl<N> Drop for Arena<N> {
+    fn drop(&mut self) {
+        for &(chunk, nodes) in &self.chunks {
+            // SAFETY: allocated in `alloc` with this layout and freed only
+            // here; the map dropped every node in it first.
+            unsafe { std::alloc::dealloc(chunk.as_ptr().cast(), Self::layout(nodes)) };
+        }
+    }
 }
 
 /// Insert-only concurrent hash index with latch-free lookups.
@@ -56,13 +138,15 @@ pub(crate) struct ObjMap<K, T> {
     buckets: Box<[AtomicPtr<Node<K, T>>]>,
     mask: usize,
     len: AtomicUsize,
+    arena: Mutex<Arena<Node<K, T>>>,
 }
 
-// SAFETY: nodes are heap-allocated, published via Release CAS and freed
-// only in `drop(&mut self)`; a published node's `key` and `next` are never
-// written again.  Other threads share `&K` and `&T` through `&self`
-// (`Sync` bounds) and the map drops both wherever it is dropped (`Send`
-// bounds).  The bucket array and `len` are atomics.
+// SAFETY: nodes live in arena chunks the map owns, are published via
+// Release CAS and dropped only in `drop(&mut self)`; a published node's
+// `key` and `next` are never written again.  Other threads share `&K` and
+// `&T` through `&self` (`Sync` bounds) and the map drops both wherever it
+// is dropped (`Send` bounds).  The bucket array and `len` are atomics, and
+// the arena's chunk list is behind its mutex.
 unsafe impl<K: Send + Sync, T: Send + Sync> Send for ObjMap<K, T> {}
 unsafe impl<K: Send + Sync, T: Send + Sync> Sync for ObjMap<K, T> {}
 
@@ -76,6 +160,10 @@ impl<K: Eq + Hash + Clone, T> ObjMap<K, T> {
                 .collect(),
             mask: n - 1,
             len: AtomicUsize::new(0),
+            arena: Mutex::new(Arena {
+                chunks: Vec::new(),
+                used: 0,
+            }),
         }
     }
 
@@ -93,8 +181,8 @@ impl<K: Eq + Hash + Clone, T> ObjMap<K, T> {
         let mut cur = head;
         while cur != stop && !cur.is_null() {
             // SAFETY: nodes are published fully initialised (Release CAS /
-            // Acquire load) and freed only when the map drops, which cannot
-            // happen while `&self` is borrowed.
+            // Acquire load) and dropped only when the map drops, which
+            // cannot happen while `&self` is borrowed.
             let node = unsafe { &*cur };
             if node.key == *key {
                 return Some(&node.value);
@@ -118,11 +206,14 @@ impl<K: Eq + Hash + Clone, T> ObjMap<K, T> {
         if let Some(found) = self.find_in(head, std::ptr::null_mut(), key) {
             return found;
         }
-        let node = Box::into_raw(Box::new(Node {
+        let new = Node {
             key: key.clone(),
-            value: make(),
             next: head,
-        }));
+            value: make(),
+        };
+        let node = self.arena.lock().alloc().as_ptr();
+        // SAFETY: a fresh arena slot, sized and aligned for a node.
+        unsafe { node.write(new) };
         loop {
             match bucket.compare_exchange(head, node, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
@@ -136,8 +227,9 @@ impl<K: Eq + Hash + Clone, T> ObjMap<K, T> {
                     // discard our node and use theirs; otherwise re-link and
                     // retry.  Only the new prefix can contain the key.
                     if let Some(found) = self.find_in(new_head, head, key) {
-                        // SAFETY: our node was never published.
-                        drop(unsafe { Box::from_raw(node) });
+                        // SAFETY: our node was never published; its slot
+                        // stays unused.
+                        unsafe { std::ptr::drop_in_place(node) };
                         return found;
                     }
                     head = new_head;
@@ -173,14 +265,19 @@ impl<K: Eq + Hash + Clone, T> ObjMap<K, T> {
 }
 
 impl<K, T> Drop for ObjMap<K, T> {
+    /// Drops every published node in place; the arena then frees the
+    /// chunks.
     fn drop(&mut self) {
         for bucket in self.buckets.iter_mut() {
             let mut cur = *bucket.get_mut();
             while !cur.is_null() {
-                // SAFETY: exclusive access in drop; each node was allocated
-                // with Box::new and never freed before.
-                let node = unsafe { Box::from_raw(cur) };
-                cur = node.next;
+                // SAFETY: exclusive access in drop; each published node was
+                // written once into its slot and is dropped only here.
+                unsafe {
+                    let next = (*cur).next;
+                    std::ptr::drop_in_place(cur);
+                    cur = next;
+                }
             }
         }
     }
@@ -189,7 +286,24 @@ impl<K, T> Drop for ObjMap<K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::mvcc::MvccObject;
+    use std::mem::{offset_of, size_of};
+
+    /// A value that counts its drops in a shared table, by its `id`.
+    struct Counted<'a> {
+        id: usize,
+        drops: &'a [AtomicUsize],
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn drop_counters(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
 
     #[test]
     fn insert_get_and_iterate() {
@@ -224,26 +338,69 @@ mod tests {
         assert_eq!(map.get(&1000), None);
     }
 
+    /// A meter's node — `u32` key, `MvccObject<(u64, u64)>` — is one
+    /// 128-byte line pair, its header in the first 48 bytes, and every node
+    /// of a map starts on a 128-byte boundary.
+    #[test]
+    fn every_node_is_one_aligned_line_pair() {
+        type MeterNode = Node<u32, MvccObject<(u64, u64)>>;
+        assert_eq!(size_of::<MeterNode>(), 128);
+        assert_eq!(offset_of!(MeterNode, value), 16);
+        let map: ObjMap<u32, MvccObject<(u64, u64)>> = ObjMap::new(1 << 10);
+        for k in 0..10_000u32 {
+            let obj: *const MvccObject<(u64, u64)> = map.get_or_insert_with(&k, MvccObject::new);
+            let node = obj as usize - offset_of!(MeterNode, value);
+            assert_eq!(node % 128, 0, "key {k}");
+        }
+    }
+
+    #[test]
+    fn a_dropped_map_drops_each_value_once() {
+        const N: usize = 10_000;
+        let drops = drop_counters(N);
+        let map = ObjMap::new(64);
+        for id in 0..N {
+            map.get_or_insert_with(&id, || Counted { id, drops: &drops });
+        }
+        assert!(drops.iter().all(|d| d.load(Ordering::Relaxed) == 0));
+        drop(map);
+        assert!(drops.iter().all(|d| d.load(Ordering::Relaxed) == 1));
+    }
+
+    /// Racing inserts of the same keys converge on one value per key; each
+    /// losing value is dropped at once and each winner when the map drops.
     #[test]
     fn concurrent_inserts_converge() {
-        let map: Arc<ObjMap<u64, u64>> = Arc::new(ObjMap::new(64));
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                let map = Arc::clone(&map);
-                std::thread::spawn(move || {
-                    for i in 0..2000u64 {
+        const THREADS: usize = 8;
+        const ROUNDS: u64 = 2000;
+        let drops = drop_counters(THREADS * ROUNDS as usize);
+        let made = AtomicUsize::new(0);
+        let map = ObjMap::new(64);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for i in 0..ROUNDS {
                         let key = i % 97; // heavy same-key racing
-                        let v = map.get_or_insert_with(&key, || key + t);
+                        let v = map.get_or_insert_with(&key, || Counted {
+                            id: made.fetch_add(1, Ordering::Relaxed),
+                            drops: &drops,
+                        });
                         // Whatever value won, every thread sees the same one.
                         assert!(std::ptr::eq(map.get(&key).unwrap(), v));
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         assert_eq!(map.len(), 97);
+        let made = made.into_inner();
+        let mut winners = vec![false; made];
+        map.for_each(|_, v| winners[v.id] = true);
+        for (id, won) in winners.iter().enumerate() {
+            let expected = usize::from(!won);
+            assert_eq!(drops[id].load(Ordering::Relaxed), expected, "value {id}");
+        }
+        drop(map);
+        assert!(drops[..made].iter().all(|d| d.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! > underlying structure making our design extremely versatile." (§4.1)
 //!
 //! Backends operate on raw byte strings; typed access is layered on top via
-//! [`crate::codec::Codec`].  Three backends ship with the workspace:
+//! [`crate::codec::Codec`].  Two backends ship with the workspace:
 //!
 //! * [`crate::memtable::BTreeBackend`] — sharded, ordered, purely in memory,
-//! * [`crate::hash::HashBackend`] — sharded hash map, fastest point access,
 //! * [`crate::lsm::LsmStore`] — persistent WAL + LSM store, the stand-in for
 //!   the RocksDB base table used in the paper's evaluation.
 

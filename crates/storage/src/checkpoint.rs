@@ -175,7 +175,6 @@ pub fn restore_checkpoint<B: StorageBackend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::HashBackend;
     use crate::lsm::{destroy, LsmOptions, LsmStore};
     use crate::memtable::BTreeBackend;
 
@@ -200,8 +199,7 @@ mod tests {
         assert_eq!(info.source, "btree-mem");
         assert_eq!(read_checkpoint_info(&dir).unwrap(), info);
 
-        // Restore into a different backend type.
-        let target = HashBackend::new();
+        let target = BTreeBackend::new();
         assert_eq!(restore_checkpoint(&dir, &target).unwrap(), 500);
         for i in 0..500u32 {
             assert_eq!(
@@ -213,9 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_of_unordered_backend_is_sorted_and_complete() {
-        let dir = tmpdir("hash");
-        let source = HashBackend::new();
+    fn checkpoint_of_reverse_inserted_keys_is_sorted_and_complete() {
+        let dir = tmpdir("reverse");
+        let source = BTreeBackend::new();
         for i in (0..200u32).rev() {
             source.put(&i.to_be_bytes(), b"x").unwrap();
         }

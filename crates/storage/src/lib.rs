@@ -7,7 +7,6 @@
 //! * [`backend::StorageBackend`] — the backend trait (get/put/delete/batch/
 //!   scan/sync over raw bytes),
 //! * [`memtable::BTreeBackend`] — sharded ordered in-memory backend,
-//! * [`hash::HashBackend`] — sharded hash backend for keyed point access,
 //! * [`lsm::LsmStore`] — a persistent, crash-recoverable WAL + LSM store.
 //!   This is the stand-in for the RocksDB base table used in the paper's
 //!   evaluation; its [`backend::SyncPolicy::Always`] mode reproduces the
@@ -37,7 +36,6 @@ pub mod checkpoint;
 pub mod checksum;
 pub mod codec;
 pub mod fault;
-pub mod hash;
 pub mod lsm;
 pub mod manifest;
 pub mod memtable;
@@ -54,7 +52,6 @@ pub use bloom::Bloom;
 pub use checkpoint::{create_checkpoint, read_checkpoint_info, restore_checkpoint, CheckpointInfo};
 pub use codec::Codec;
 pub use fault::{FaultInjectingBackend, FaultPlan};
-pub use hash::HashBackend;
 pub use lsm::{LsmOptions, LsmStore};
 pub use memtable::BTreeBackend;
 pub use range::{collect_range, count_range, scan_prefix, scan_range, KeyRange};
@@ -75,7 +72,6 @@ pub mod prelude {
     };
     pub use crate::codec::Codec;
     pub use crate::fault::{FaultInjectingBackend, FaultPlan};
-    pub use crate::hash::HashBackend;
     pub use crate::lsm::{LsmOptions, LsmStore};
     pub use crate::memtable::BTreeBackend;
     pub use crate::range::{collect_range, count_range, scan_prefix, scan_range, KeyRange};

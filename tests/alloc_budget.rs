@@ -262,10 +262,11 @@ fn write_keys(
         .expect("a writing commit has a timestamp")
 }
 
-/// A key's first versions live inside its version object, so a key costs
-/// one allocation: the index node holding the object.
+/// A key's first versions live inside its version object, and the object
+/// inside its index node, which the index carves from chunks it owns: a
+/// commit of 1,000 fresh keys takes arena slots, not an allocation per key.
 #[test]
-fn a_commit_of_fresh_keys_allocates_one_object_per_key() {
+fn a_commit_of_fresh_keys_takes_arena_slots_not_allocations() {
     const N: u32 = 1_000;
     let (mgr, table) = volatile_mvcc("fresh");
     // Warm the write set with as many keys.
@@ -275,10 +276,30 @@ fn a_commit_of_fresh_keys_allocates_one_object_per_key() {
     let n = allocations(|| {
         write_keys(&mgr, &table, N..2 * N, 0);
     });
+    assert!(n <= 4, "a commit of {N} fresh keys made {n} allocations");
+}
+
+/// With a reader pinned, the round that overflows every key's two inline
+/// slots links one level per key, and each level is one allocation.
+#[test]
+fn linking_a_level_is_one_allocation() {
+    const KEYS: u32 = 10_000;
+    let (mgr, table) = volatile_mvcc("level");
+    write_keys(&mgr, &table, 0..KEYS, 0);
+    let reader = mgr.begin_read_only().unwrap();
+    assert_eq!(table.read(&reader, &0).unwrap(), Some((0, 0)));
+    write_keys(&mgr, &table, 0..KEYS, 1);
+    assert!((0..KEYS).all(|k| table.allocated_slots(&k) == 2));
+    let n = allocations(|| {
+        write_keys(&mgr, &table, 0..KEYS, 2);
+    });
+    assert!((0..KEYS).all(|k| table.allocated_slots(&k) == 4));
     assert!(
-        n <= u64::from(N) + 8,
-        "a commit of {N} fresh keys made {n} allocations"
+        n <= u64::from(KEYS) + 8,
+        "linking a level for each of {KEYS} keys made {n} allocations"
     );
+    assert_eq!(table.read(&reader, &7).unwrap(), Some((0, 7)));
+    assert_eq!(mgr.commit(&reader).unwrap(), None);
 }
 
 /// A read-only transaction pinned while every key takes 1 to 6 more
