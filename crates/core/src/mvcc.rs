@@ -19,9 +19,9 @@
 //!   two slots inside the object, then levels linked on demand — so
 //!   readers may hold references across growth.
 //! * Writers (install / delete-stamp / GC) serialise on a per-object
-//!   one-byte latch and mutate only inside odd `seq` windows.  Every install opens one:
-//!   it ends the previous live version's lifetime, so it is never merely
-//!   additive.
+//!   one-byte latch and mutate only inside odd `seq` windows.  Every
+//!   install opens one: it ends the previous live version's lifetime, so
+//!   it is never merely additive.
 //!
 //! # Memory-ordering protocol
 //!
@@ -259,7 +259,7 @@ struct Loc<'a, V> {
 
 impl<V> Level<V> {
     /// The block of a level of `len` slots, and the offset of its first
-    /// slot.
+    /// slot (the same for every `len`).
     fn layout(len: usize) -> (Layout, usize) {
         let slots = Layout::array::<VersionSlot<V>>(len).expect("a level has at most 64 slots");
         Layout::new::<Level<V>>()
@@ -267,9 +267,18 @@ impl<V> Level<V> {
             .expect("a level of at most 64 slots fits in memory")
     }
 
+    /// The first slot of the level whose block starts at `level`.
+    fn slots(level: *const Level<V>) -> *mut VersionSlot<V> {
+        level
+            .cast::<u8>()
+            .cast_mut()
+            .wrapping_add(Self::layout(0).1)
+            .cast()
+    }
+
     /// Allocates a level of `len` free slots, as one block.
     fn alloc(base: usize, len: usize, next: *mut Level<V>) -> *mut Level<V> {
-        let (layout, offset) = Self::layout(len);
+        let layout = Self::layout(len).0;
         // SAFETY: the layout holds the header, so it is not zero-sized.
         let block = unsafe { std::alloc::alloc(layout) };
         if block.is_null() {
@@ -277,7 +286,7 @@ impl<V> Level<V> {
         }
         let level = block.cast::<Level<V>>();
         // SAFETY: `block` is a fresh allocation of `layout`, which places
-        // the header at offset 0 and `len` aligned slots at `offset`.
+        // the header at offset 0 and `len` aligned slots after it.
         unsafe {
             level.write(Level {
                 base,
@@ -286,7 +295,7 @@ impl<V> Level<V> {
                 next,
                 _slots: PhantomData,
             });
-            let slots = block.add(offset).cast::<VersionSlot<V>>();
+            let slots = Self::slots(level);
             for i in 0..len {
                 slots.add(i).write(VersionSlot::empty());
             }
@@ -306,14 +315,10 @@ impl<V> Level<V> {
         // block's own pointer.
         unsafe {
             let header = &*level;
-            let offset = Self::layout(header.len).1;
             Run {
                 base: header.base,
                 used: &header.used,
-                slots: std::slice::from_raw_parts(
-                    level.cast::<u8>().add(offset).cast::<VersionSlot<V>>(),
-                    header.len,
-                ),
+                slots: std::slice::from_raw_parts(Self::slots(level), header.len),
             }
         }
     }
@@ -326,14 +331,12 @@ impl<V> Level<V> {
     /// `level` was returned by [`alloc`](Self::alloc), is freed only once,
     /// and nothing borrows it any more.
     unsafe fn free(level: *mut Level<V>) -> *mut Level<V> {
-        // SAFETY: the caller's contract; `alloc` initialised `len` slots at
-        // the layout's offset, and the header holds nothing to drop.
+        // SAFETY: the caller's contract; `alloc` initialised `len` slots
+        // after the header, and the header holds nothing to drop.
         unsafe {
             let (next, len) = ((*level).next, (*level).len);
-            let (layout, offset) = Self::layout(len);
-            let slots = level.cast::<u8>().add(offset).cast::<VersionSlot<V>>();
-            std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(slots, len));
-            std::alloc::dealloc(level.cast(), layout);
+            std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(Self::slots(level), len));
+            std::alloc::dealloc(level.cast(), Self::layout(len).0);
             next
         }
     }
@@ -1233,6 +1236,25 @@ mod tests {
         assert!(obj.levels().next().is_none());
         assert_eq!(obj.read_visible(u64::MAX - 1), Some(99));
         assert_eq!(obj.read_visible(197), Some(98));
+    }
+
+    /// A reclaim drops the values it frees, and dropping the object drops
+    /// every value it still holds, inline and in levels, exactly once.
+    #[test]
+    fn dropping_an_object_drops_each_held_value_once() {
+        use std::sync::Arc;
+        let token = Arc::new(());
+        let obj = MvccObject::new();
+        for i in 0..100u64 {
+            obj.install(Arc::clone(&token), 2 + i, 1);
+        }
+        assert_eq!(obj.allocated_slots(), 2 * LEVEL_SLOTS);
+        assert_eq!(Arc::strong_count(&token), 101);
+        // Versions 0..=47 ended at or before 50.
+        assert_eq!(obj.gc(50), 48);
+        assert_eq!(Arc::strong_count(&token), 53);
+        drop(obj);
+        assert_eq!(Arc::strong_count(&token), 1);
     }
 
     #[test]
