@@ -1306,6 +1306,39 @@ mod tests {
         assert_eq!(obj.read_visible(u64::MAX - 1), Some(599));
     }
 
+    /// Threads that bump a plain counter under the writer latch lose no
+    /// update.
+    #[test]
+    fn the_writer_latch_excludes_other_writers() {
+        struct Shared {
+            latch: WriterLatch,
+            count: UnsafeCell<u64>,
+        }
+        // SAFETY: `count` is touched only while `latch` is held.
+        unsafe impl Sync for Shared {}
+        impl Shared {
+            fn bump(&self) {
+                let _g = self.latch.lock();
+                // SAFETY: the latch is held.
+                unsafe { *self.count.get() += 1 };
+            }
+        }
+        let shared = Shared {
+            latch: WriterLatch(AtomicBool::new(false)),
+            count: UnsafeCell::new(0),
+        };
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..20_000 {
+                        shared.bump();
+                    }
+                });
+            }
+        });
+        assert_eq!(shared.count.into_inner(), 80_000);
+    }
+
     /// Readers validate while an installer and a collector take turns on
     /// the writer latch: every read finds a live version, and each version
     /// is reclaimed at most once.

@@ -108,7 +108,7 @@ fn stream_to_two_states_is_atomic_under_all_protocols() {
 /// stream writer continuously moves value between two MVCC states.
 #[test]
 fn concurrent_adhoc_readers_see_consistent_snapshots() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     let ctx = Arc::new(StateContext::new());
     let mgr = TransactionManager::new(Arc::clone(&ctx));
@@ -127,12 +127,15 @@ fn concurrent_adhoc_readers_see_consistent_snapshots() {
     mgr.commit(&init).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
+    // Snapshots the readers have checked so far.
+    let checked = Arc::new(AtomicU64::new(0));
     let readers: Vec<_> = (0..3)
         .map(|_| {
             let mgr = Arc::clone(&mgr);
             let a = Arc::clone(&a);
             let b = Arc::clone(&b);
             let stop = Arc::clone(&stop);
+            let checked = Arc::clone(&checked);
             std::thread::spawn(move || {
                 let mut checks = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -144,14 +147,19 @@ fn concurrent_adhoc_readers_see_consistent_snapshots() {
                     }
                     mgr.commit(&q).unwrap();
                     checks += 1;
+                    checked.fetch_add(1, Ordering::Relaxed);
                 }
                 checks
             })
         })
         .collect();
 
-    // The writer moves amounts so that the per-key sum stays zero.
-    for round in 1..200i64 {
+    // The writer moves amounts so that the per-key sum stays zero.  It
+    // writes 199 rounds, and more until a reader has checked a snapshot, so
+    // the readers overlap its commits however the threads are scheduled.
+    let mut round = 0i64;
+    while round < 199 || (checked.load(Ordering::Relaxed) == 0 && round < 100_000) {
+        round += 1;
         let tx = mgr.begin().unwrap();
         for k in 0..32u32 {
             a.write(&tx, k, round).unwrap();
