@@ -434,10 +434,10 @@ pub struct MvccObject<V> {
 // inside seq windows; readers clone only validated, reclaim-protected
 // versions) is documented in the module header.  The levels behind the raw
 // pointers are owned by the object, published with `Release` before any
-// reader can reach them, immutable in their links, `base`, `len` and slot
-// counts, and freed only in `drop`; the writer latch is an atomic.  Values are dropped by whichever thread runs a
-// reclaim or the drop (`V: Send`) and cloned from shared references by
-// readers (`V: Sync`).
+// reader can reach them, immutable in their links, `base` and `len`, and
+// freed only in `drop`; the writer latch is an atomic.  Values are dropped
+// by whichever thread runs a reclaim or the drop (`V: Send`) and cloned
+// from shared references by readers (`V: Sync`).
 unsafe impl<V: Send> Send for MvccObject<V> {}
 unsafe impl<V: Send + Sync> Sync for MvccObject<V> {}
 
