@@ -1,15 +1,15 @@
 //! `commitpath` — multithreaded write/commit-path throughput sweep.
 //!
-//! The regression bench guarding the two-stage commit pipeline (batched
-//! leader/follower group commit + pipelined persistence): N worker threads
-//! run short read-modify-write transactions against one table through the
-//! protocol-agnostic [`TransactionalTable`] trait, and every commit exercises
-//! the group-commit critical section.  Two mixes are swept:
+//! The regression bench guarding the two-stage commit pipeline (the group
+//! commit locks + pipelined persistence): N worker threads run short
+//! read-modify-write transactions against one table through the
+//! protocol-agnostic [`TransactionalTable`] trait, so every commit contends
+//! for the one group's commit lock.  Two mixes are swept:
 //!
 //! * `write_heavy` — θ = 0.0 (uniform keys), 10 % reads: commits dominated by
 //!   apply + persistence, the shape of an ingest-heavy stream deployment;
-//! * `mixed` — θ = 0.8 (skewed keys), 50 % reads: commit batching under
-//!   hot-key conflict pressure (the config PR 3 left on the table).
+//! * `mixed` — θ = 0.8 (skewed keys), 50 % reads: the commit lock under
+//!   hot-key conflict pressure.
 //!
 //! Each mix runs on a volatile table and on a persistent one (the LSM store
 //! with synchronous fsync — the paper's §5.1 setting); with the pipeline
@@ -30,8 +30,8 @@
 //! microsecond-to-millisecond range, so two clock reads are noise here) and
 //! each cell reports p50/p99/p999.  `--metrics-json PATH` additionally dumps
 //! each cell's [`TelemetrySnapshot`] — stage timings for validate / apply /
-//! durable-handoff, leader drain and follower wait, the persistence queue
-//! histograms and the abort taxonomy (see `docs/ARCHITECTURE.md`).
+//! durable-handoff, the persistence queue histograms and the abort taxonomy
+//! (see `docs/ARCHITECTURE.md`).
 //!
 //! Usage:
 //!   commitpath [--duration-ms N] [--threads 1,4,8] [--table-size N]

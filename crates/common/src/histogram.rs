@@ -16,8 +16,8 @@
 //!
 //! Values are plain `u64`s.  Most histograms in the system record
 //! nanoseconds (hence the [`Duration`] helpers), but dimensionless
-//! quantities — commit batch sizes, coalesced write-batch lengths — use the
-//! same buckets via [`record_value`](Histogram::record_value).
+//! quantities — coalesced write-batch lengths — use the same buckets via
+//! [`record_value`](Histogram::record_value).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

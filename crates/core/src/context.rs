@@ -156,6 +156,10 @@ struct GroupInfo {
     /// LastCTS — the commit timestamp of the last *globally completed*
     /// transaction of this group.  Readers pin their snapshot to this value.
     last_cts: AtomicU64,
+    /// The group's commit lock: the short per-group synchronization of
+    /// §4.2 that orders the group's committers.  An `Arc`, so a committer
+    /// holds it without holding the registry.
+    commit_lock: Arc<Mutex<()>>,
 }
 
 /// One row of [`StateContext::active_transaction_details`]: transaction id,
@@ -241,11 +245,13 @@ struct TxSlot {
     snapshot_floor: AtomicU64,
     /// Per-state access and snapshot cache, indexed by state id.
     snapshot_cache: [SnapshotCacheEntry; SNAPSHOT_CACHE_STATES],
-    /// Slot generation ("epoch"), bumped once by every claim (`begin`) and
-    /// once by every fate decision (owner commit/abort *or* reap).  A `Tx`
-    /// captures the post-claim value; whoever CASes `epoch → epoch + 1`
-    /// first owns the slot's fate — the loser learns it lost and must not
-    /// touch slot-local state (see [`StateContext::claim_fate`]).
+    /// Slot generation ("epoch"), advanced by every claim (`begin`, by
+    /// [`BEGIN_STEP`]) and by every fate decision: the owner's commit or
+    /// abort CASes `e → e + 1`, a reaper `e → e + REAP_STEP`.  A `Tx`
+    /// captures the post-claim value; whoever CASes first owns the slot's
+    /// fate — the loser learns it lost, and from the value it lost on who
+    /// won, and must not touch slot-local state (see
+    /// [`StateContext::claim_fate`]).
     ///
     /// Parity invariant: **odd = active and undecided, even = decided or
     /// free**.  `begin` always claims from an even epoch (`finish` restores
@@ -255,8 +261,9 @@ struct TxSlot {
     /// settled race, so even epochs are never reaped).
     epoch: AtomicU64,
     /// Epoch of the most recent occupant whose fate a *reaper* claimed
-    /// (`u64::MAX` = never reaped).  Lets a reaped owner's late operations
-    /// report `LeaseExpired` instead of the generic `UnknownTxn`.
+    /// (`u64::MAX` = never reaped).  Read only by a late operation that
+    /// finds the slot already reused — the epoch word itself tells the
+    /// others — so it reports `LeaseExpired` instead of `UnknownTxn`.
     last_reaped_epoch: AtomicU64,
     /// Lease deadline on the coarse lease clock, in nanoseconds since the
     /// context's anchor (`u64::MAX` = no lease).  Written on `begin` and
@@ -284,6 +291,15 @@ impl TxSlot {
         }
     }
 }
+
+/// How far `begin` advances a slot's (even) epoch: past both fate
+/// decisions of the previous occupant, so `e + 1` and `e + REAP_STEP` are
+/// only ever the decisions of the occupant that began at `e`.
+const BEGIN_STEP: u64 = 3;
+
+/// How far a reaper's fate claim advances an (odd) epoch: to an even value
+/// the owner's own `e → e + 1` claim never produces.
+const REAP_STEP: u64 = 3;
 
 /// Outcome of [`StateContext::claim_fate`]: who gets to decide (and clean
 /// up after) a transaction.
@@ -863,6 +879,7 @@ impl StateContext {
         groups.push(GroupInfo {
             states: states.to_vec(),
             last_cts: AtomicU64::new(EPOCH_TS),
+            commit_lock: Arc::new(Mutex::new(())),
         });
         Ok(id)
     }
@@ -926,6 +943,28 @@ impl StateContext {
         Ok(())
     }
 
+    /// Runs `f` holding the commit lock of every group `groups` yields, taken
+    /// in the order yielded — callers pass ascending group ids, so
+    /// concurrent committers cannot deadlock.  The guards live on the stack
+    /// of this recursion, and the registry's read lock is released before
+    /// each acquisition, so `f` may publish (see
+    /// [`publish_group_commit`](Self::publish_group_commit)).
+    ///
+    /// # Panics
+    /// If a yielded group was never registered.
+    pub(crate) fn with_commit_locks<R>(
+        &self,
+        mut groups: impl Iterator<Item = GroupId>,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        let Some(group) = groups.next() else {
+            return f();
+        };
+        let lock = Arc::clone(&self.groups.read()[group.index()].commit_lock);
+        let _held = lock.lock();
+        self.with_commit_locks(groups, f)
+    }
+
     /// Restores a group's `LastCTS` (recovery).
     pub fn restore_group_cts(&self, group: GroupId, cts: Timestamp) -> Result<()> {
         let groups = self.groups.read();
@@ -974,7 +1013,7 @@ impl StateContext {
         // slot's epoch is even here (finish restores parity), so the new
         // occupant's epoch is odd — the "active, undecided" parity a reaper
         // is allowed to claim.
-        let epoch = s.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        let epoch = s.epoch.fetch_add(BEGIN_STEP, Ordering::AcqRel) + BEGIN_STEP;
         let id = self.clock.next_txn();
         let begin_ts = id.as_u64();
         s.txn.store(begin_ts, Ordering::Release);
@@ -1303,16 +1342,7 @@ impl StateContext {
     fn check_owner(&self, tx: &Tx) -> Result<()> {
         let s = &self.slots[tx.slot];
         if s.txn.load(Ordering::Acquire) != tx.id.as_u64() {
-            // Distinguish "a reaper killed you" from "you already finished"
-            // so abandoned-then-resumed clients get an actionable error.
-            if s.last_reaped_epoch.load(Ordering::Acquire) == tx.epoch {
-                return Err(TspError::LeaseExpired {
-                    txn: tx.id.as_u64(),
-                });
-            }
-            return Err(TspError::UnknownTxn {
-                txn: tx.id.as_u64(),
-            });
+            return Err(self.fate_error(tx, s.epoch.load(Ordering::Acquire)));
         }
         // Owner confirmed on a slow path — renew the lease from the coarse
         // clock (a relaxed load + store; no timestamp call).
@@ -1345,13 +1375,35 @@ impl StateContext {
             .compare_exchange(tx.epoch, tx.epoch + 1, Ordering::AcqRel, Ordering::Acquire)
         {
             Ok(_) => FateClaim::Won,
-            Err(_) => {
-                if s.last_reaped_epoch.load(Ordering::Acquire) == tx.epoch {
-                    FateClaim::Reaped
-                } else {
-                    FateClaim::Gone
-                }
-            }
+            Err(seen) if self.reaped(tx, seen) => FateClaim::Reaped,
+            Err(_) => FateClaim::Gone,
+        }
+    }
+
+    /// Whether a reaper decided `tx`'s fate, read from `seen`, the slot's
+    /// epoch once it no longer equals `tx.epoch`.  `e + REAP_STEP` is the
+    /// reaper's own claim and `e + 1` the owner's; only a later epoch (the
+    /// slot was reused) consults the `last_reaped_epoch` marker, which the
+    /// reaper stored before it released the slot.
+    fn reaped(&self, tx: &Tx, seen: u64) -> bool {
+        seen == tx.epoch + REAP_STEP
+            || (seen != tx.epoch + 1
+                && self.slots[tx.slot]
+                    .last_reaped_epoch
+                    .load(Ordering::Acquire)
+                    == tx.epoch)
+    }
+
+    /// The error of an operation on `tx` after its fate was decided (the
+    /// slot's epoch reads `seen`): `LeaseExpired` when a reaper won — an
+    /// actionable error for an abandoned-then-resumed client — and
+    /// `UnknownTxn` when the transaction already finished.
+    fn fate_error(&self, tx: &Tx, seen: u64) -> TspError {
+        let txn = tx.id.as_u64();
+        if self.reaped(tx, seen) {
+            TspError::LeaseExpired { txn }
+        } else {
+            TspError::UnknownTxn { txn }
         }
     }
 
@@ -1360,19 +1412,11 @@ impl StateContext {
     /// `SlotLocal::with_mut_checked`).  Errors with `LeaseExpired` when a
     /// reaper won, `UnknownTxn` when the transaction already finished.
     pub(crate) fn check_fate(&self, tx: &Tx) -> Result<()> {
-        let s = &self.slots[tx.slot];
-        if s.epoch.load(Ordering::Acquire) == tx.epoch {
+        let seen = self.slots[tx.slot].epoch.load(Ordering::Acquire);
+        if seen == tx.epoch {
             return Ok(());
         }
-        if s.last_reaped_epoch.load(Ordering::Acquire) == tx.epoch {
-            Err(TspError::LeaseExpired {
-                txn: tx.id.as_u64(),
-            })
-        } else {
-            Err(TspError::UnknownTxn {
-                txn: tx.id.as_u64(),
-            })
-        }
+        Err(self.fate_error(tx, seen))
     }
 
     /// Scans the slot table for transactions whose lease deadline has
@@ -1426,16 +1470,27 @@ impl StateContext {
             return None; // occupant changed since the scan
         }
         if s.epoch
-            .compare_exchange(epoch, epoch + 1, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(
+                epoch,
+                epoch + REAP_STEP,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
             .is_err()
         {
             return None; // the owner (or a newer claim) won the race
         }
-        // Record which epoch was reaped *before* the occupant re-check: if
-        // the CAS hit the right occupant, its late operations must observe
-        // the marker.  (If the occupant changed between the pre-check and
-        // the CAS — only possible when a transaction bypassed fate claiming
-        // via a bare `finish` — the marker is stale but harmless: that
+        #[cfg(test)]
+        AFTER_REAP_CAS.with(|pause| {
+            if let Some(f) = pause.borrow_mut().as_mut() {
+                f();
+            }
+        });
+        // Record which epoch was reaped before the slot can be reused: a
+        // late operation that finds a later occupant's epoch reads this
+        // marker.  (If the occupant changed between the pre-check and the
+        // CAS — only possible when a transaction bypassed fate claiming via
+        // a bare `finish` — the marker is stale but harmless: that
         // transaction is already gone.)
         s.last_reaped_epoch.store(epoch, Ordering::Release);
         if s.txn.load(Ordering::Acquire) != txn.as_u64() {
@@ -1764,6 +1819,14 @@ impl StateContext {
             .iter()
             .any(|(_, st)| *st == StateStatus::Abort))
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only pause point, run by a reaper on this thread between its
+    /// winning fate CAS and its `last_reaped_epoch` store.
+    pub(crate) static AFTER_REAP_CAS: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 #[cfg(test)]

@@ -27,30 +27,18 @@
 //! Readers coordinate purely through `LastCTS`/`ReadCTS` in the
 //! [`StateContext`]; they never take part in the 2PC and never block.
 //!
-//! # The two-stage commit pipeline
+//! # The commit path
 //!
-//! Committing writers no longer each take their group's commit mutex and
-//! persist synchronously inside it.  The write path is a pipeline:
-//!
-//! **Stage 1 — batched group commit (leader/follower).**  A committer whose
-//! transaction touches exactly one commit-lock group enqueues a
-//! `CommitSlot` into that group's commit batch and then takes the group
-//! lock.  Whoever holds the lock is the *leader*: it drains the queue and
-//! runs validation + in-memory apply + durable hand-off for **every**
-//! queued transaction under its single lock acquisition, publishes the
-//! group's `LastCTS` once (a `fetch_max` with the batch's largest commit
-//! timestamp — batch leaders can never regress it), and marks each slot's
-//! outcome.  Followers blocked on the mutex wake, observe their decided
-//! outcome and leave immediately — the per-transaction serial section
-//! shrinks from the full validate+apply+persist to a queue push and a
-//! short lock acquisition.  Processing slots in arrival order under one
-//! lock is observably identical to each committer taking the lock in that
-//! order, so the concurrency-control semantics (FCW, BOCC backward
-//! validation, SSI certification) are unchanged.  Transactions that span
-//! several groups — or that need *read*-group locks for certification
-//! (SSI/BOCC) — take the classic multi-lock path, which acquires the same
-//! mutexes in ascending group order and therefore interleaves correctly
-//! with batch leaders.
+//! **Stage 1 — the group commit locks.**  Every write commit takes one
+//! path: collect the transaction's commit-lock groups (the groups of the
+//! states it wrote, plus the groups of every participant whose validation
+//! certifies reads under the lock — SSI and BOCC), lock them in ascending
+//! group order, run the phases, publish `LastCTS` for the groups it wrote,
+//! unlock.  Each group's one lock lives in the context's group registry
+//! beside its `LastCTS`, so a group has exactly one lock however it was
+//! registered, and the ascending order keeps concurrent committers
+//! deadlock-free.  In the paper's model one stream query writes a group's
+//! states, so a group has one committer and its lock is uncontended.
 //!
 //! **Stage 2 — pipelined persistence.**  [`TxParticipant::apply`] installs
 //! versions in memory only; [`TxParticipant::apply_durable`] hands the
@@ -72,7 +60,7 @@ use crate::context::{CommitVote, FateClaim, StateContext, Tx};
 use crate::table::common::{attach_group_redo, TxParticipant};
 use crate::telemetry::{AbortReason, Counter};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,6 +70,10 @@ use tsp_common::{GroupId, Result, StateId, Timestamp, TspError};
 /// The participants of one commit: those that buffered writes first, then
 /// the ones it only read, each part in state-id order.
 type Participants = Vec<Arc<dyn TxParticipant>>;
+
+/// The commit locks of one commit: each group once, in ascending order,
+/// with whether the commit wrote it.
+type LockSet = Vec<(GroupId, bool)>;
 
 /// Outcome reported to an operator that flagged its state (operator-style
 /// commit protocol, §4.3).
@@ -96,72 +88,16 @@ pub enum FlagOutcome {
     RolledBack,
 }
 
-/// One enqueued commit awaiting (or holding) its group's batch: the
-/// transaction handle, its participants (the first `writers` of them
-/// buffered writes), and the outcome cell the batch leader fills in.
-struct CommitSlot {
-    tx: Tx,
-    participants: Participants,
-    writers: usize,
-    /// `Some` once the leader decided; moved out exactly once by the owner.
-    outcome: Mutex<Option<Result<Timestamp>>>,
-    /// Published *after* the group commit is visible (`Release`); the owner
-    /// spins/blocks until it observes the flag (`Acquire`).
-    decided: AtomicBool,
-}
-
-impl CommitSlot {
-    fn new(tx: Tx, participants: Participants, writers: usize) -> Arc<Self> {
-        Arc::new(CommitSlot {
-            tx,
-            participants,
-            writers,
-            outcome: Mutex::new(None),
-            decided: AtomicBool::new(false),
-        })
-    }
-
-    fn decide(&self, outcome: Result<Timestamp>) {
-        *self.outcome.lock() = Some(outcome);
-        self.decided.store(true, Ordering::Release);
-    }
-
-    fn is_decided(&self) -> bool {
-        self.decided.load(Ordering::Acquire)
-    }
-
-    fn take_outcome(&self) -> Result<Timestamp> {
-        self.outcome
-            .lock()
-            .take()
-            .expect("decided slot carries an outcome")
-    }
-}
-
-/// Per-group commit machinery: the commit mutex (the ordering point shared
-/// with the multi-group path) plus the leader/follower batch queue.
-struct GroupCommit {
-    lock: Mutex<()>,
-    queue: Mutex<Vec<Arc<CommitSlot>>>,
-}
-
-impl GroupCommit {
-    fn new() -> Arc<Self> {
-        Arc::new(GroupCommit {
-            lock: Mutex::new(()),
-            queue: Mutex::new(Vec::new()),
-        })
-    }
-}
-
 /// Coordinates transactions across all registered transactional states.
 pub struct TransactionManager {
     ctx: Arc<StateContext>,
     participants: RwLock<HashMap<StateId, Arc<dyn TxParticipant>>>,
-    group_locks: RwLock<HashMap<GroupId, Arc<GroupCommit>>>,
     /// Per transaction slot, the emptied participant list of the slot's
     /// last commit, refilled by its next one.
     lists: Box<[Mutex<Participants>]>,
+    /// Per transaction slot, the emptied lock set of the slot's last write
+    /// commit, refilled by its next one.
+    lock_sets: Box<[Mutex<LockSet>]>,
 }
 
 impl TransactionManager {
@@ -173,14 +109,12 @@ impl TransactionManager {
     /// configured.  The hook holds only a weak reference — dropping the
     /// manager disarms it.
     pub fn new(ctx: Arc<StateContext>) -> Arc<Self> {
-        let lists = (0..ctx.max_active_txns())
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
+        let slots = ctx.max_active_txns();
         let mgr = Arc::new(TransactionManager {
             ctx,
             participants: RwLock::new(HashMap::new()),
-            group_locks: RwLock::new(HashMap::new()),
-            lists,
+            lists: (0..slots).map(|_| Mutex::new(Vec::new())).collect(),
+            lock_sets: (0..slots).map(|_| Mutex::new(Vec::new())).collect(),
         });
         let weak = Arc::downgrade(&mgr);
         mgr.ctx
@@ -201,11 +135,9 @@ impl TransactionManager {
     }
 
     /// Registers a topology group of states written together atomically and
-    /// returns its id.
+    /// returns its id ([`StateContext::register_group`]).
     pub fn register_group(&self, states: &[StateId]) -> Result<GroupId> {
-        let group = self.ctx.register_group(states)?;
-        self.group_locks.write().insert(group, GroupCommit::new());
-        Ok(group)
+        self.ctx.register_group(states)
     }
 
     /// Begins a read-write transaction.
@@ -350,10 +282,6 @@ impl TransactionManager {
         self.ctx.durability().try_recover_writers()
     }
 
-    fn group_commit(&self, group: GroupId) -> Option<Arc<GroupCommit>> {
-        self.group_locks.read().get(&group).cloned()
-    }
-
     /// Validation + in-memory apply + durable hand-off + participant
     /// publish for one transaction, with the relevant commit locks held by
     /// the caller.  Returns the commit timestamp; the caller publishes the
@@ -398,111 +326,6 @@ impl TransactionManager {
         // Phase 4: participant-managed publish.
         publish_all(tx, cts, writers);
         Ok(cts)
-    }
-
-    /// Drains and processes `group`'s commit batch; caller holds the group
-    /// lock.  One `LastCTS` publish covers the whole batch: `LastCTS` is a
-    /// `fetch_max`, so a leader that raced a larger timestamp can never
-    /// regress it.
-    fn drain_batch(&self, group: GroupId, gc: &GroupCommit) {
-        let batch: Vec<Arc<CommitSlot>> = std::mem::take(&mut *gc.queue.lock());
-        if batch.is_empty() {
-            return;
-        }
-        let telemetry = self.ctx.telemetry();
-        telemetry
-            .commit_batch_size()
-            .record_value(batch.len() as u64);
-        let t_drain = Instant::now();
-        let mut max_cts = 0;
-        let mut outcomes = Vec::with_capacity(batch.len());
-        for s in &batch {
-            // The leader processes *other* transactions: a panic inside one
-            // of them must not unwind past the undecided slots — their
-            // owners would spin on `is_decided` forever.  Convert it to an
-            // abort of that transaction alone.  (Apply-phase panics are
-            // already caught *inside* `commit_one`, which also undoes the
-            // partial apply; this outer net covers validation and
-            // bookkeeping panics, where nothing was installed yet.)
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.commit_one(&s.tx, &s.participants, s.writers)
-            }))
-            .unwrap_or_else(|_| {
-                // `commit_one` records its own taxonomy entries on regular
-                // errors; this net only catches panics, so no double count.
-                self.ctx.telemetry().record_abort(AbortReason::FailedApply);
-                Err(TspError::protocol(
-                    "commit processing panicked in the batch leader",
-                ))
-            });
-            if let Ok(cts) = outcome {
-                max_cts = max_cts.max(cts);
-            }
-            outcomes.push(outcome);
-        }
-        if max_cts > 0 {
-            // The group was registered (its GroupCommit exists), so the
-            // publish cannot fail; unwinding here would leave followers
-            // undecided.
-            self.ctx
-                .publish_group_commit(group, max_cts)
-                .expect("registered group publishes");
-        }
-        // Owners may only observe success after the publish.
-        for (s, outcome) in batch.iter().zip(outcomes) {
-            s.decide(outcome);
-        }
-        telemetry.leader_drain_nanos().record(t_drain.elapsed());
-    }
-
-    /// Stage-1 batched group commit for transactions whose only commit lock
-    /// is `group` (see the module docs).
-    ///
-    /// Uncontended fast path: if the group lock is free, commit directly
-    /// under it — no slot allocation, no queue traffic — and drain anything
-    /// that queued meanwhile on the way out.  Contended path: enqueue a
-    /// [`CommitSlot`], then whoever holds the lock drains and processes the
-    /// whole batch — one lock acquisition and one `LastCTS` publish for the
-    /// entire burst.
-    fn commit_batched(
-        &self,
-        tx: &Tx,
-        group: GroupId,
-        gc: &GroupCommit,
-        participants: &[Arc<dyn TxParticipant>],
-        writers: usize,
-    ) -> Result<Timestamp> {
-        if let Some(guard) = gc.lock.try_lock() {
-            let outcome = self.commit_one(tx, participants, writers);
-            if let Ok(cts) = outcome {
-                self.ctx
-                    .publish_group_commit(group, cts)
-                    .expect("registered group publishes");
-            }
-            // Serve committers that queued while we worked, under the lock
-            // acquisition we already hold.
-            self.drain_batch(group, gc);
-            drop(guard);
-            return outcome;
-        }
-        let slot = CommitSlot::new(tx.clone(), participants.to_vec(), writers);
-        gc.queue.lock().push(Arc::clone(&slot));
-        // Contended path only: the try-lock fast path above pays no
-        // telemetry beyond `commit_one`'s own stage timings.
-        let t_wait = Instant::now();
-        while !slot.is_decided() {
-            let guard = gc.lock.lock();
-            // Our slot was pushed before this acquisition, so after one pass
-            // under the lock it is guaranteed decided (by us or a prior
-            // leader).
-            self.drain_batch(group, gc);
-            drop(guard);
-        }
-        self.ctx
-            .telemetry()
-            .follower_wait_nanos()
-            .record(t_wait.elapsed());
-        slot.take_outcome()
     }
 
     fn commit_internal(&self, tx: &Tx) -> Result<Option<Timestamp>> {
@@ -554,102 +377,66 @@ impl TransactionManager {
             return Ok(None);
         }
 
-        // The hot shape — all commit ordering confined to one group — goes
-        // through the leader/follower batch; everything else (multi-group
-        // writes, cross-group read certification) takes the classic
-        // multi-lock path below.
-        if let Some(group) = self.single_commit_group(tx, participants, writers) {
-            if let Some(gc) = self.group_commit(group) {
-                let outcome = self.commit_batched(tx, group, &gc, participants, writers);
-                self.finish(tx, participants, outcome.is_ok());
-                return outcome.map(Some);
-            }
-        }
-
-        // Groups whose LastCTS will move; their commit locks serialise
-        // concurrent committers of the same group ("only during the commit
-        // time, a short synchronization is required", §4.2).
-        let write_groups: BTreeSet<GroupId> = participants[..writers]
-            .iter()
-            .flat_map(|p| self.ctx.groups_of_state(p.state_id()))
-            .collect();
-        // Locked groups additionally cover participants whose validation
-        // must be serialized against commits of the groups the transaction
-        // *read* (SSI/BOCC read-set certification) — without the lock, a
-        // concurrent writer of a read key could install its version between
-        // this transaction's certification and its publish, re-admitting
-        // write skew across groups.  Only `write_groups` get their LastCTS
-        // published, though: a read-side lock must not advance a group's
-        // commit timestamp.  The common case (no certifying reads) reuses
-        // `write_groups` directly; locks are always acquired in ascending
-        // group order (BTreeSet iteration), so concurrent committers cannot
-        // deadlock.
-        let read_lock_groups: BTreeSet<GroupId> = participants
-            .iter()
-            .filter(|p| p.validation_requires_commit_lock(tx))
-            .flat_map(|p| self.ctx.groups_of_state(p.state_id()))
-            .filter(|g| !write_groups.contains(g))
-            .collect();
-
-        let lock_groups: BTreeSet<GroupId>;
-        let lock_set: &BTreeSet<GroupId> = if read_lock_groups.is_empty() {
-            &write_groups
-        } else {
-            lock_groups = write_groups.union(&read_lock_groups).copied().collect();
-            &lock_groups
-        };
-        let locks: Vec<Arc<GroupCommit>> = {
-            let registry = self.group_locks.read();
-            lock_set
-                .iter()
-                .filter_map(|g| registry.get(g).cloned())
-                .collect()
-        };
-        let _guards: Vec<_> = locks.iter().map(|l| l.lock.lock()).collect();
-
-        match self.commit_one(tx, participants, writers) {
-            Ok(cts) => {
-                for g in &write_groups {
-                    self.ctx.publish_group_commit(*g, cts)?;
+        // Every write commit: lock its groups in ascending order, run the
+        // phases, publish LastCTS for the groups it wrote, unlock.
+        let mut locks = self.lock_set(tx, participants, writers);
+        let outcome = self
+            .ctx
+            .with_commit_locks(locks.iter().map(|&(g, _)| g), || {
+                let cts = self.commit_one(tx, participants, writers)?;
+                for &(g, wrote) in &locks {
+                    if wrote {
+                        self.ctx
+                            .publish_group_commit(g, cts)
+                            .expect("registered group publishes");
+                    }
                 }
-                drop(_guards);
-                self.finish(tx, participants, true);
-                Ok(Some(cts))
-            }
-            Err(e) => {
-                drop(_guards);
-                self.finish(tx, participants, false);
-                Err(e)
-            }
-        }
+                Ok(cts)
+            });
+        recycle_vec(&mut locks, KEEP_ENTRIES);
+        *self.lock_sets[tx.slot()].lock() = locks;
+        self.finish(tx, participants, outcome.is_ok());
+        outcome.map(Some)
     }
 
-    /// The group whose commit lock alone orders `tx`: every state it wrote
-    /// belongs to this one group, and so does every state whose validation
-    /// needs a read-side commit lock.  `None` sends the commit down the
-    /// multi-lock path.  Visits the group registry in place.
-    fn single_commit_group(
+    /// The commit-lock set of `tx`, in ascending group order with one entry
+    /// per group, collected into the lock-set buffer of `tx`'s slot: the
+    /// groups whose LastCTS this commit moves ("only during the commit
+    /// time, a short synchronization is required", §4.2), plus the groups
+    /// of every participant whose validation must be serialised against
+    /// commits of the groups the transaction *read* (SSI/BOCC read-set
+    /// certification — without the lock, a concurrent writer of a read key
+    /// could install its version between this transaction's certification
+    /// and its publish, re-admitting write skew across groups).  Each group
+    /// is flagged with whether the commit wrote it: a read-side lock must
+    /// not advance a group's LastCTS.
+    fn lock_set(
         &self,
         tx: &Tx,
         participants: &[Arc<dyn TxParticipant>],
         writers: usize,
-    ) -> Option<GroupId> {
-        let mut group = None;
-        let mut single = true;
-        let mut see = |g: GroupId, _| match group {
-            None => group = Some(g),
-            Some(h) => single &= h == g,
-        };
+    ) -> LockSet {
+        let mut locks = std::mem::take(&mut *self.lock_sets[tx.slot()].lock());
         for p in &participants[..writers] {
-            self.ctx.for_each_group_of_state(p.state_id(), &mut see);
+            self.ctx
+                .for_each_group_of_state(p.state_id(), |g, _| locks.push((g, true)));
         }
         for p in participants
             .iter()
             .filter(|p| p.validation_requires_commit_lock(tx))
         {
-            self.ctx.for_each_group_of_state(p.state_id(), &mut see);
+            self.ctx
+                .for_each_group_of_state(p.state_id(), |g, _| locks.push((g, false)));
         }
-        group.filter(|_| single)
+        // `false` sorts first, so the entry a group keeps absorbs the
+        // written flag of its duplicates.
+        locks.sort_unstable();
+        locks.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            kept.1 |= same && later.1;
+            same
+        });
+        locks
     }
 
     fn rollback_internal(&self, tx: &Tx) -> Result<()> {
@@ -842,9 +629,8 @@ impl TransactionManager {
 
 /// Runs one participant call with a panic converted into an error, so a
 /// panicking participant (a panicking user codec, say) is undone like a
-/// failing one — crucial when a batch leader is processing another
-/// thread's transaction, where leaking installed versions would spuriously
-/// trip FCW/SSI for everyone else.
+/// failing one — leaking its installed versions would spuriously trip
+/// FCW/SSI for every later committer of the group.
 fn guarded(f: impl FnOnce() -> Result<()>) -> Result<()> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
         .unwrap_or_else(|_| Err(TspError::protocol("participant panicked during commit")))
@@ -1309,6 +1095,47 @@ mod tests {
         let snap = ctx.telemetry_snapshot().stats;
         assert_eq!(snap.lease_expirations, 1);
         assert_eq!(ctx.telemetry_snapshot().lease_reaps, 1);
+    }
+
+    #[test]
+    fn owner_losing_to_a_reaper_before_its_marker_store_sees_lease_expired() {
+        use crate::context::AFTER_REAP_CAS;
+        use std::sync::mpsc;
+        let (mgr, a, _) = mvcc_pair();
+        let ctx = Arc::clone(mgr.context());
+        ctx.set_transaction_lease(Some(Duration::from_millis(1)));
+        let zombie = mgr.begin().unwrap();
+        a.write(&zombie, 1, 1).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        // The reaper pauses between its winning fate CAS and its
+        // `last_reaped_epoch` store.
+        let (won, won_rx) = mpsc::channel();
+        let (resume, resume_rx) = mpsc::channel::<()>();
+        let reaper = {
+            let mgr = Arc::clone(&mgr);
+            std::thread::spawn(move || {
+                AFTER_REAP_CAS.with(|pause| {
+                    *pause.borrow_mut() = Some(Box::new(move || {
+                        won.send(()).unwrap();
+                        resume_rx.recv().unwrap();
+                    }));
+                });
+                mgr.reap_expired()
+            })
+        };
+        won_rx.recv().unwrap();
+        let fenced = ctx.check_fate(&zombie);
+        let committed = mgr.commit(&zombie);
+        resume.send(()).unwrap();
+        assert_eq!(reaper.join().unwrap(), 1);
+        assert!(
+            matches!(fenced, Err(TspError::LeaseExpired { .. })),
+            "{fenced:?}"
+        );
+        assert!(
+            matches!(committed, Err(TspError::LeaseExpired { .. })),
+            "{committed:?}"
+        );
     }
 
     #[test]

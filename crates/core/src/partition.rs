@@ -1,10 +1,10 @@
 //! Key-space partitioned contexts: horizontal scale-out behind the
 //! protocol-agnostic table interface.
 //!
-//! PRs 3 and 5 removed the single-context hotspots (latch-free reads,
-//! batched group commit); what remains shared is the [`StateContext`]
-//! itself — one clock, one slot bitmap, one GC floor, one set of
-//! commit/persistence queues.  This module removes that wall by sharding
+//! Latch-free reads and per-group commit locks removed the single-context
+//! hotspots; what remains shared is the [`StateContext`] itself — one
+//! clock, one slot bitmap, one GC floor, one set of persistence queues.
+//! This module removes that wall by sharding
 //! the *key space* across N independent contexts:
 //!
 //! * [`PartitionedContext`] owns N inner [`StateContext`]s.  Each inner
@@ -29,18 +29,17 @@
 //! outer manager's existing machinery does all coordination:
 //!
 //! * a **single-partition** transaction has exactly one write group — the
-//!   anchor group of its partition — so it takes the PR 5 batched
-//!   leader/follower commit path *on that partition's lock only*.  The
-//!   per-partition anchor locks are therefore per-partition commit
-//!   pipelines: committers of different partitions never contend, and a
-//!   preempted batch leader only stalls its own partition.
-//! * a **cross-partition** transaction writes several anchor groups and
-//!   takes the classic multi-lock path: the manager acquires every
-//!   involved partition's commit lock in ascending group order, validates
-//!   all partitions (phase 1), then applies and publishes each partition
-//!   (phase 2) — a two-phase cross-partition commit over the existing
-//!   group-commit locks.  All-or-nothing validation holds: no partition
-//!   applies until every partition validated.
+//!   anchor group of its partition — so it takes *that partition's lock
+//!   only*.  The per-partition anchor locks are therefore per-partition
+//!   commit pipelines: committers of different partitions never contend,
+//!   and a preempted committer only stalls its own partition.
+//! * a **cross-partition** transaction writes several anchor groups, so
+//!   the same commit path acquires every involved partition's commit lock
+//!   in ascending group order, validates all partitions (phase 1), then
+//!   applies and publishes each partition (phase 2) — a two-phase
+//!   cross-partition commit over the group commit locks.  All-or-nothing
+//!   validation holds: no partition applies until every partition
+//!   validated.
 //!
 //! The `PartitionShard` participant registered for each anchor state
 //! translates the outer commit protocol onto the inner context: inner
@@ -457,8 +456,8 @@ impl PartitionedContext {
     }
 
     /// Registers the per-partition commit machinery with `mgr`: one
-    /// anchor participant and one anchor group (= one commit lock, one
-    /// batched-commit queue) per partition.  Must be called once, before
+    /// anchor participant and one anchor group (= one commit lock) per
+    /// partition.  Must be called once, before
     /// the first partitioned transaction commits; `mgr` must drive the
     /// router context.
     pub fn attach(self: &Arc<Self>, mgr: &TransactionManager) -> Result<()> {

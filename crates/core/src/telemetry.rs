@@ -11,8 +11,7 @@
 //!   the committed-read path's one recording, a relaxed add to its own
 //!   slot's stripe (not a latch, never shared with another transaction).
 //! * **Commit pipeline** (`manager.rs`): validate / apply / durable-handoff
-//!   splits per commit, leader drain time, commit batch-size distribution
-//!   and follower wait time for the stage-1 leader/follower batch.
+//!   splits per write commit.
 //! * **Abort taxonomy** ([`AbortReason`]): every abort classified by *why* —
 //!   First-Committer-Wins conflict, SSI/BOCC certification failure, S2PL
 //!   lock conflict, transaction-slot exhaustion, a failed apply, an expired
@@ -221,12 +220,6 @@ pub struct Telemetry {
     apply_nanos: Histogram,
     /// Durable hand-off phase (synchronous write or queue push) per commit.
     durable_handoff_nanos: Histogram,
-    /// Whole-batch drain time per leader drain (stage-1 group commit).
-    leader_drain_nanos: Histogram,
-    /// Time a follower waits for its enqueued commit to be decided.
-    follower_wait_nanos: Histogram,
-    /// Commits per drained batch.
-    commit_batch_size: Histogram,
     /// Time `begin` spent waiting for a transaction slot under bounded
     /// admission (only begins that actually waited record here).
     admission_wait_nanos: Histogram,
@@ -316,21 +309,6 @@ impl Telemetry {
         &self.durable_handoff_nanos
     }
 
-    /// Leader batch-drain timings (nanoseconds per drain).
-    pub fn leader_drain_nanos(&self) -> &Histogram {
-        &self.leader_drain_nanos
-    }
-
-    /// Follower wait timings (nanoseconds per batched commit that waited).
-    pub fn follower_wait_nanos(&self) -> &Histogram {
-        &self.follower_wait_nanos
-    }
-
-    /// Commit batch-size distribution (commits per leader drain).
-    pub fn commit_batch_size(&self) -> &Histogram {
-        &self.commit_batch_size
-    }
-
     /// Bounded-admission wait timings (nanoseconds per begin that waited).
     pub fn admission_wait_nanos(&self) -> &Histogram {
         &self.admission_wait_nanos
@@ -357,14 +335,11 @@ impl Telemetry {
         self.oldest_active_age_nanos.load(Ordering::Relaxed)
     }
 
-    fn histograms(&self) -> [&Histogram; 7] {
+    fn histograms(&self) -> [&Histogram; 4] {
         [
             &self.validate_nanos,
             &self.apply_nanos,
             &self.durable_handoff_nanos,
-            &self.leader_drain_nanos,
-            &self.follower_wait_nanos,
-            &self.commit_batch_size,
             &self.admission_wait_nanos,
         ]
     }
@@ -440,9 +415,7 @@ impl Telemetry {
             validate_nanos: HistogramSummary::of(&self.validate_nanos),
             apply_nanos: HistogramSummary::of(&self.apply_nanos),
             durable_handoff_nanos: HistogramSummary::of(&self.durable_handoff_nanos),
-            leader_drain_nanos: HistogramSummary::of(&self.leader_drain_nanos),
-            follower_wait_nanos: HistogramSummary::of(&self.follower_wait_nanos),
-            commit_batch_size: HistogramSummary::of(&self.commit_batch_size),
+            commit_batch_size: HistogramSummary::default(),
             admission_wait_nanos: HistogramSummary::of(&self.admission_wait_nanos),
             queue_dwell_nanos: HistogramSummary::of(&writers.queue_dwell),
             coalesced_batch_size: HistogramSummary::of(&writers.coalesced_batch),
@@ -538,11 +511,11 @@ pub struct TelemetrySnapshot {
     pub apply_nanos: HistogramSummary,
     /// Commit durable hand-off phase (ns).
     pub durable_handoff_nanos: HistogramSummary,
-    /// Leader batch drain (ns).
-    pub leader_drain_nanos: HistogramSummary,
-    /// Follower wait for a batched commit decision (ns).
-    pub follower_wait_nanos: HistogramSummary,
-    /// Commits per drained batch.
+    /// Always empty: the engine has no commit batches (every write commit
+    /// takes its groups' locks itself).  The field stays only because the
+    /// end-to-end benchmark (`e2e_bench/src/main.rs:201`) reads it, and
+    /// reports a mean batch size of 1 when it is empty; it goes with the
+    /// next change to that benchmark.  Not exported.
     pub commit_batch_size: HistogramSummary,
     /// Bounded-admission slot waits at `begin` (ns; only begins that
     /// actually waited).
@@ -598,10 +571,7 @@ impl TelemetrySnapshot {
                 "\"commit_pipeline\":{{",
                 "\"validate_nanos\":{},",
                 "\"apply_nanos\":{},",
-                "\"durable_handoff_nanos\":{},",
-                "\"leader_drain_nanos\":{},",
-                "\"follower_wait_nanos\":{},",
-                "\"commit_batch_size\":{}}},",
+                "\"durable_handoff_nanos\":{}}},",
                 "\"admission\":{{\"waits\":{},\"durability_timeouts\":{},",
                 "\"wait_nanos\":{}}},",
                 "\"persistence\":{{\"queue_depth\":{},\"writers\":{},",
@@ -624,9 +594,6 @@ impl TelemetrySnapshot {
             self.validate_nanos.json(),
             self.apply_nanos.json(),
             self.durable_handoff_nanos.json(),
-            self.leader_drain_nanos.json(),
-            self.follower_wait_nanos.json(),
-            self.commit_batch_size.json(),
             s.admission_waits,
             s.durability_timeouts,
             self.admission_wait_nanos.json(),
@@ -736,21 +703,6 @@ impl TelemetrySnapshot {
                 "tsp_commit_durable_handoff_nanos",
                 "Commit durable hand-off phase (ns).",
                 &self.durable_handoff_nanos,
-            ),
-            (
-                "tsp_commit_leader_drain_nanos",
-                "Leader batch drain (ns).",
-                &self.leader_drain_nanos,
-            ),
-            (
-                "tsp_commit_follower_wait_nanos",
-                "Follower wait for a batched commit decision (ns).",
-                &self.follower_wait_nanos,
-            ),
-            (
-                "tsp_commit_batch_size",
-                "Commits per drained batch.",
-                &self.commit_batch_size,
             ),
             (
                 "tsp_admission_wait_nanos",
@@ -882,8 +834,8 @@ mod tests {
         let b = Telemetry::new();
         a.validate_nanos().record(Duration::from_micros(10));
         b.validate_nanos().record(Duration::from_micros(1000));
-        a.commit_batch_size().record_value(4);
-        b.commit_batch_size().record_value(16);
+        a.admission_wait_nanos().record_value(4);
+        b.admission_wait_nanos().record_value(16);
         a.set_gc_floor_lag(5);
         b.set_gc_floor_lag(9);
         a.add(Counter::LeaseReaps, 2);
@@ -895,8 +847,8 @@ mod tests {
         b.set_oldest_active_age_nanos(700);
         a.merge(&b);
         assert_eq!(a.validate_nanos().count(), 2);
-        assert_eq!(a.commit_batch_size().count(), 2);
-        assert_eq!(a.commit_batch_size().max_value(), 16);
+        assert_eq!(a.admission_wait_nanos().count(), 2);
+        assert_eq!(a.admission_wait_nanos().max_value(), 16);
         assert_eq!(a.gc_floor_lag(), 9);
         // Counters add; the age gauge takes the laggiest partition.
         assert_eq!(a.count(Counter::LeaseReaps), 5);
@@ -1018,7 +970,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..10_000u64 {
                         t.validate_nanos().record_nanos(100 + (w * 10 + i % 7));
-                        t.commit_batch_size().record_value(1 + i % 5);
+                        t.apply_nanos().record_value(1 + i % 5);
                     }
                 })
             })
@@ -1050,7 +1002,7 @@ mod tests {
         stop.store(true, Ordering::Relaxed);
         reader.join().unwrap();
         assert_eq!(t.validate_nanos().count(), 40_000);
-        assert_eq!(t.commit_batch_size().count(), 40_000);
+        assert_eq!(t.apply_nanos().count(), 40_000);
     }
 
     /// Golden test of the Prometheus text exposition: the snapshot is built
@@ -1171,27 +1123,6 @@ tsp_commit_durable_handoff_nanos{quantile=\"0.99\"} 0
 tsp_commit_durable_handoff_nanos{quantile=\"0.999\"} 0
 tsp_commit_durable_handoff_nanos_sum 0
 tsp_commit_durable_handoff_nanos_count 0
-# HELP tsp_commit_leader_drain_nanos Leader batch drain (ns).
-# TYPE tsp_commit_leader_drain_nanos summary
-tsp_commit_leader_drain_nanos{quantile=\"0.5\"} 0
-tsp_commit_leader_drain_nanos{quantile=\"0.99\"} 0
-tsp_commit_leader_drain_nanos{quantile=\"0.999\"} 0
-tsp_commit_leader_drain_nanos_sum 0
-tsp_commit_leader_drain_nanos_count 0
-# HELP tsp_commit_follower_wait_nanos Follower wait for a batched commit decision (ns).
-# TYPE tsp_commit_follower_wait_nanos summary
-tsp_commit_follower_wait_nanos{quantile=\"0.5\"} 0
-tsp_commit_follower_wait_nanos{quantile=\"0.99\"} 0
-tsp_commit_follower_wait_nanos{quantile=\"0.999\"} 0
-tsp_commit_follower_wait_nanos_sum 0
-tsp_commit_follower_wait_nanos_count 0
-# HELP tsp_commit_batch_size Commits per drained batch.
-# TYPE tsp_commit_batch_size summary
-tsp_commit_batch_size{quantile=\"0.5\"} 0
-tsp_commit_batch_size{quantile=\"0.99\"} 0
-tsp_commit_batch_size{quantile=\"0.999\"} 0
-tsp_commit_batch_size_sum 0
-tsp_commit_batch_size_count 0
 # HELP tsp_admission_wait_nanos Bounded-admission slot wait at begin (ns).
 # TYPE tsp_admission_wait_nanos summary
 tsp_admission_wait_nanos{quantile=\"0.5\"} 0

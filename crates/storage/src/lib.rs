@@ -39,7 +39,6 @@ pub mod fault;
 pub mod lsm;
 pub mod manifest;
 pub mod memtable;
-pub mod range;
 pub mod redo;
 pub mod retry;
 pub mod sstable;
@@ -54,7 +53,6 @@ pub use codec::Codec;
 pub use fault::{FaultInjectingBackend, FaultPlan};
 pub use lsm::{LsmOptions, LsmStore};
 pub use memtable::BTreeBackend;
-pub use range::{collect_range, count_range, scan_prefix, scan_range, KeyRange};
 pub use redo::{
     parse_redo_key, redo_key, scan_redo, truncate_redo, RedoRecord, RedoSections, SectionWriter,
     StateRedo,
@@ -74,7 +72,6 @@ pub mod prelude {
     pub use crate::fault::{FaultInjectingBackend, FaultPlan};
     pub use crate::lsm::{LsmOptions, LsmStore};
     pub use crate::memtable::BTreeBackend;
-    pub use crate::range::{collect_range, count_range, scan_prefix, scan_range, KeyRange};
     pub use crate::redo::{
         parse_redo_key, redo_key, scan_redo, truncate_redo, RedoRecord, RedoSections,
         SectionWriter, StateRedo,

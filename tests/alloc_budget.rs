@@ -183,9 +183,10 @@ fn a_committed_read_only_query_allocates_nothing() {
 }
 
 /// Allocations of one warm read-modify-write commit of keys `0..writes` in
-/// each of two volatile `protocol` states built by the factory: the largest
+/// each of two volatile `protocol` states built by the factory, registered
+/// as one group or, with `group_per_state`, as one group each: the largest
 /// count over a few commits after as many warm-up ones.
-fn protocol_commit_allocations(protocol: Protocol, writes: u32) -> u64 {
+fn protocol_commit_allocations(protocol: Protocol, writes: u32, group_per_state: bool) -> u64 {
     let ctx = Arc::new(StateContext::new());
     let mgr = TransactionManager::new(Arc::clone(&ctx));
     let tables: Vec<TableHandle<u32, (u64, u64)>> = (0..2)
@@ -196,7 +197,13 @@ fn protocol_commit_allocations(protocol: Protocol, writes: u32) -> u64 {
         })
         .collect();
     let ids: Vec<_> = tables.iter().map(|t| t.id()).collect();
-    mgr.register_group(&ids).unwrap();
+    if group_per_state {
+        for id in ids {
+            mgr.register_group(&[id]).unwrap();
+        }
+    } else {
+        mgr.register_group(&ids).unwrap();
+    }
     let commit = || {
         let tx = mgr.begin().unwrap();
         for table in &tables {
@@ -211,24 +218,41 @@ fn protocol_commit_allocations(protocol: Protocol, writes: u32) -> u64 {
     (0..5).map(|_| allocations(commit)).max().unwrap()
 }
 
-/// MVCC, SSI and S2PL commit without allocating; BOCC allocates only the
-/// one commit-log record per state that backward validation keeps.
+/// The four protocols, each with the allocations a warm volatile commit of
+/// two states may make: MVCC, SSI and S2PL commit without allocating; BOCC
+/// allocates only the one commit-log record per state that backward
+/// validation keeps.
+const VOLATILE_BUDGETS: [(Protocol, u64); 4] = [
+    (Protocol::Mvcc, 0),
+    (Protocol::Ssi, 0),
+    (Protocol::S2pl, 0),
+    (Protocol::Bocc, 2),
+];
+
 #[test]
 fn a_warm_volatile_commit_allocates_only_what_its_protocol_keeps() {
-    for protocol in [
-        Protocol::Mvcc,
-        Protocol::Ssi,
-        Protocol::S2pl,
-        Protocol::Bocc,
-    ] {
-        let budget = if protocol == Protocol::Bocc { 2 } else { 0 };
-        let ten = protocol_commit_allocations(protocol, 10);
-        let thousand = protocol_commit_allocations(protocol, 1_000);
+    for (protocol, budget) in VOLATILE_BUDGETS {
+        let ten = protocol_commit_allocations(protocol, 10, false);
+        let thousand = protocol_commit_allocations(protocol, 1_000, false);
         assert!(
             ten <= budget,
             "{protocol}: a warm two-state commit made {ten} allocations (budget {budget})"
         );
         assert_eq!(ten, thousand, "{protocol}: 10 vs 1,000 writes per state");
+    }
+}
+
+/// A commit across two groups takes both groups' commit locks in ascending
+/// order, and collecting and holding them allocates nothing: the budgets of
+/// the one-group commit hold.
+#[test]
+fn a_warm_commit_across_two_groups_allocates_like_one_group() {
+    for (protocol, budget) in VOLATILE_BUDGETS {
+        let n = protocol_commit_allocations(protocol, 10, true);
+        assert!(
+            n <= budget,
+            "{protocol}: a warm commit over two groups made {n} allocations (budget {budget})"
+        );
     }
 }
 

@@ -1,7 +1,7 @@
-//! Integration tests of the two-stage commit pipeline: batched
-//! leader/follower group commit (stage 1) and pipelined asynchronous
-//! persistence behind the `DurableCTS` watermark (stage 2), plus the
-//! failed-apply uninstall path the pipeline relies on.
+//! Integration tests of the two-stage commit pipeline: the group commit
+//! locks (stage 1) and pipelined asynchronous persistence behind the
+//! `DurableCTS` watermark (stage 2), plus the failed-apply uninstall path
+//! the pipeline relies on.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -291,14 +291,13 @@ fn commit_durable_waits_for_the_watermark() {
     lsm::destroy(dir.join("s")).unwrap();
 }
 
-/// Satellite: concurrency stress on the leader/follower hand-off — 12
-/// committers hammer one group so commit batches form continuously.  Every
-/// thread's last committed value must be visible afterwards, the commit
-/// counters must add up, and the group's `LastCTS` must equal the largest
-/// commit timestamp any thread received (batch leaders publish with
-/// `fetch_max`, so a racing leader can never regress it).
+/// Concurrency stress on one group's commit lock — 12 committers hammer
+/// one group.  Every thread's last committed value must be visible
+/// afterwards, the commit counters must add up, the group's `LastCTS` must
+/// equal the largest commit timestamp any thread received, and no slot may
+/// leak.
 #[test]
-fn leader_follower_handoff_under_many_committers() {
+fn many_committers_of_one_group_keep_counters_last_cts_and_slots_exact() {
     const THREADS: usize = 12;
     const ROUNDS: usize = 150;
     for protocol in [Protocol::Mvcc, Protocol::Ssi] {
@@ -371,6 +370,57 @@ fn leader_follower_handoff_under_many_committers() {
         }
         mgr.commit(&q).unwrap();
         assert_eq!(ctx.active_count(), 0, "{protocol}: no leaked slots");
+    }
+}
+
+/// A group registered on the context alone, not through the manager, still
+/// has a commit lock: 4 threads of read-increment-write commits on one
+/// counter lose no increment, under First-Committer-Wins (MVCC) and under
+/// read-set certification (SSI).  The final value equals the number of
+/// commits that returned `Ok`.
+#[test]
+fn a_group_registered_on_the_context_loses_no_committed_increment() {
+    const THREADS: usize = 4;
+    const ROUNDS: u64 = 2_000;
+    for protocol in [Protocol::Mvcc, Protocol::Ssi] {
+        let ctx = Arc::new(StateContext::with_capacity(2 * THREADS + 4));
+        let mgr = TransactionManager::new(Arc::clone(&ctx));
+        let table = protocol.create_table::<u64, u64>(&ctx, "counter", None);
+        mgr.register(Arc::clone(&table).as_participant());
+        ctx.register_group(&[table.id()]).unwrap();
+
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let mgr = Arc::clone(&mgr);
+                let table = Arc::clone(&table);
+                std::thread::spawn(move || {
+                    let mut committed = 0u64;
+                    for _ in 0..ROUNDS {
+                        let tx = mgr.begin().unwrap();
+                        let n = table.read(&tx, &0).unwrap().unwrap_or(0);
+                        if table.write(&tx, 0, n + 1).is_err() {
+                            let _ = mgr.abort(&tx);
+                            continue;
+                        }
+                        if mgr.commit(&tx).is_ok() {
+                            committed += 1;
+                        }
+                    }
+                    committed
+                })
+            })
+            .collect();
+        let committed: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        let q = mgr.begin_read_only().unwrap();
+        let value = table.read(&q, &0).unwrap().unwrap_or(0);
+        mgr.commit(&q).unwrap();
+        assert!(committed > 0, "{protocol}: some increments must commit");
+        assert_eq!(
+            value,
+            committed,
+            "{protocol}: {} of {committed} committed increments lost",
+            committed.saturating_sub(value)
+        );
     }
 }
 

@@ -1,5 +1,5 @@
 //! Property-based tests (proptest) for the extension modules: Bloom filters,
-//! range scans, posting lists / secondary indexes, the latency
+//! posting lists / secondary indexes, the latency
 //! histogram, session windows and the relaxed isolation levels.  Each test
 //! checks the real implementation against a small, obviously-correct model.
 
@@ -53,63 +53,6 @@ proptest! {
             }
         }
         prop_assert!((fp as f64 / probes as f64) < 0.2, "fp rate {} too high", fp as f64 / probes as f64);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Range scans
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `collect_range` over the ordered backend equals filtering a model map.
-    #[test]
-    fn range_scan_matches_model(
-        entries in proptest::collection::btree_map(any::<u32>(), any::<u8>(), 0..200),
-        lo in any::<u32>(),
-        hi in any::<u32>(),
-    ) {
-        let backend = BTreeBackend::new();
-        for (k, v) in &entries {
-            backend.put(&k.to_be_bytes(), &[*v]).unwrap();
-        }
-        let range = KeyRange::half_open(lo.to_be_bytes().to_vec(), hi.to_be_bytes().to_vec());
-        let got = collect_range(&backend, &range).unwrap();
-        let expected: Vec<(Vec<u8>, Vec<u8>)> = entries
-            .iter()
-            .filter(|(k, _)| **k >= lo && **k < hi)
-            .map(|(k, v)| (k.to_be_bytes().to_vec(), vec![*v]))
-            .collect();
-        prop_assert_eq!(got, expected);
-        prop_assert_eq!(
-            count_range(&backend, &KeyRange::all()).unwrap(),
-            entries.len()
-        );
-    }
-
-    /// Prefix scans return exactly the keys with that prefix, in order.
-    #[test]
-    fn prefix_scan_matches_model(
-        keys in proptest::collection::btree_set(proptest::collection::vec(any::<u8>(), 1..6), 0..100),
-        prefix in proptest::collection::vec(any::<u8>(), 0..3),
-    ) {
-        let backend = BTreeBackend::new();
-        for k in &keys {
-            backend.put(k, b"v").unwrap();
-        }
-        let mut got = Vec::new();
-        scan_prefix(&backend, &prefix, &mut |k, _| {
-            got.push(k.to_vec());
-            true
-        })
-        .unwrap();
-        let expected: Vec<Vec<u8>> = keys
-            .iter()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        prop_assert_eq!(got, expected);
     }
 }
 
