@@ -19,8 +19,8 @@
 //! deferred I/O).
 //!
 //! With `--partitions N1,N2,…` each cell additionally sweeps key-space
-//! partition counts: partitions > 1 shard the table over a
-//! [`PartitionedContext`] by contiguous key ranges — one commit lock, one
+//! partition counts: partitions > 1 shard the table into a
+//! [`PartitionedTable`] by contiguous key ranges — one commit group, one
 //! persistence queue and (for `lsm_sync`) one base table *per partition* —
 //! and the workers draw partition-local keys so every transaction is
 //! single-partition.  This is the scale-out sweep `BENCH_partition.json`
@@ -298,7 +298,7 @@ fn parse_args() -> Options {
 }
 
 /// One benchmark cell: `threads` committers over a fresh table (sharded
-/// over `partitions` contexts when > 1, with one LSM base table per
+/// into `partitions` shards when > 1, with one LSM base table per
 /// partition for the persistent backend).
 fn run_cell(
     protocol: Protocol,
@@ -342,47 +342,35 @@ fn run_cell(
         }
     };
     let capacity = (threads * 2 + 8).max(64);
-    let (mgr, table, pc): (
-        Arc<TransactionManager>,
-        TableHandle<u64, u64>,
-        Option<Arc<PartitionedContext>>,
-    ) = if partitions > 1 {
-        let pc = PartitionedContext::with_capacity(partitions, capacity);
-        if !opts.sync_persist {
-            pc.enable_async_persistence(); // NEW-PIPELINE-API
-        }
-        let mgr = TransactionManager::new(Arc::clone(pc.router_ctx()));
-        pc.attach(&mgr).unwrap();
+    let ctx = Arc::new(StateContext::with_capacity(capacity));
+    if !opts.sync_persist {
+        ctx.enable_async_persistence(); // NEW-PIPELINE-API
+    }
+    let mgr = TransactionManager::new(Arc::clone(&ctx));
+    let table: TableHandle<u64, u64> = if partitions > 1 {
         let chunk = opts.table_size / partitions as u64;
         let bounds: Vec<u64> = (1..partitions).map(|p| p as u64 * chunk).collect();
-        let table: TableHandle<u64, u64> = pc.create_table_with(
+        PartitionedTable::with_partitioner(
+            &mgr,
             protocol,
             "commit",
+            partitions,
             |p| open_backend(cell_dir.join(format!("p{p}"))),
             Arc::new(RangePartitioner::new(bounds)),
-        );
-        (mgr, table, Some(pc))
+        )
     } else {
-        let ctx = Arc::new(StateContext::with_capacity(capacity));
-        if !opts.sync_persist {
-            ctx.enable_async_persistence(); // NEW-PIPELINE-API
-        }
-        let mgr = TransactionManager::new(Arc::clone(&ctx));
         let table =
             protocol.create_table::<u64, u64>(&ctx, "commit", open_backend(cell_dir.clone()));
         mgr.register(Arc::clone(&table).as_participant());
         mgr.register_group(&[table.id()]).unwrap();
-        (mgr, table, None)
+        table
     };
     table
         .preload_iter(&mut (0..opts.table_size).map(|k| (k, k)))
         .unwrap();
     // Preload is durable before faults arm: a sticky failure mid-preload
     // would measure recovery of the load phase, not of the workload.
-    match &pc {
-        Some(pc) => pc.flush().expect("preload flush"),
-        None => mgr.flush().expect("preload flush"),
-    }
+    mgr.flush().expect("preload flush");
     for faulty in fault_backends.borrow().iter() {
         faulty.set_armed(true);
     }
@@ -393,10 +381,7 @@ fn run_cell(
     // reaper collects them, which is exactly the degraded-mode window the
     // cell measures.
     if let Some(lease) = opts.lease {
-        match &pc {
-            Some(pc) => pc.set_transaction_lease(Some(lease)),
-            None => mgr.context().set_transaction_lease(Some(lease)),
-        }
+        ctx.set_transaction_lease(Some(lease));
     }
     let reaper = opts
         .lease
@@ -513,38 +498,26 @@ fn run_cell(
     let flush_ms;
     {
         let flush_started = Instant::now();
-        let flush = || match &pc {
-            // The router persists nothing; drain every partition's hub.
-            Some(pc) => pc.flush(),
-            None => mgr.flush(), // NEW-PIPELINE-API
-        };
-        let recover = || match &pc {
-            Some(pc) => pc.try_recover_writers(),
-            None => mgr.try_recover_writers(),
-        };
-        let mut result = flush();
+        let mut result = mgr.flush(); // NEW-PIPELINE-API
         for _ in 0..100 {
             if result.is_ok() {
                 break;
             }
-            let _ = recover();
-            result = flush();
+            let _ = mgr.try_recover_writers();
+            result = mgr.flush();
         }
         result.expect("durability flush (after recovery sweeps)");
         flush_ms = flush_started.elapsed().as_millis() as u64;
     }
     // Internal view of the same run, captured after the flush so the
     // persistence histograms cover the drained backlog too.
-    let telemetry = match &pc {
-        Some(pc) => pc.telemetry_rollup(),
-        None => mgr.context().telemetry_snapshot(),
-    };
+    let telemetry = ctx.telemetry_snapshot();
     if let Some(reaper) = reaper {
         reaper.stop();
     }
     drop(table);
     drop(mgr);
-    drop(pc);
+    drop(ctx);
     if backend_kind == Backend::LsmSync {
         if partitions > 1 {
             // The cell dir holds one LSM store per partition.

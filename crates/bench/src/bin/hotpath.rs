@@ -17,8 +17,8 @@
 //! keeps a before/after pair for the latch-free read-path rework.
 //!
 //! With `--partitions N1,N2,…` each cell additionally sweeps key-space
-//! partition counts: partitions > 1 shard the table over a
-//! [`PartitionedContext`] by contiguous key ranges and the workers draw
+//! partition counts: partitions > 1 shard the table into a
+//! [`PartitionedTable`] by contiguous key ranges and the workers draw
 //! partition-local keys (a home partition per transaction), so every
 //! transaction is single-partition — the scale-out shape
 //! `BENCH_partition.json` records.
@@ -235,8 +235,8 @@ fn parse_args() -> Options {
     opts
 }
 
-/// One benchmark cell: `threads` workers over a fresh table (sharded over
-/// `partitions` contexts when > 1).
+/// One benchmark cell: `threads` workers over a fresh table (sharded into
+/// `partitions` shards when > 1).
 fn run_cell(
     protocol: Protocol,
     config: MixConfig,
@@ -246,31 +246,24 @@ fn run_cell(
     duration: Duration,
 ) -> CellResult {
     let capacity = (threads * 2 + 8).max(64);
-    type Cell = (
-        Arc<TransactionManager>,
-        TableHandle<u64, u64>,
-        Option<Arc<PartitionedContext>>,
-    );
-    let (mgr, table, pc): Cell = if partitions > 1 {
-        let pc = PartitionedContext::with_capacity(partitions, capacity);
-        let mgr = TransactionManager::new(Arc::clone(pc.router_ctx()));
-        pc.attach(&mgr).unwrap();
+    let ctx = Arc::new(StateContext::with_capacity(capacity));
+    let mgr = TransactionManager::new(Arc::clone(&ctx));
+    let table: TableHandle<u64, u64> = if partitions > 1 {
         let chunk = table_size / partitions as u64;
         let bounds: Vec<u64> = (1..partitions).map(|p| p as u64 * chunk).collect();
-        let table: TableHandle<u64, u64> = pc.create_table_with(
+        PartitionedTable::with_partitioner(
+            &mgr,
             protocol,
             "hot",
+            partitions,
             |_| None,
             Arc::new(RangePartitioner::new(bounds)),
-        );
-        (mgr, table, Some(pc))
+        )
     } else {
-        let ctx = Arc::new(StateContext::with_capacity(capacity));
-        let mgr = TransactionManager::new(Arc::clone(&ctx));
         let table = protocol.create_table::<u64, u64>(&ctx, "hot", None);
         mgr.register(Arc::clone(&table).as_participant());
         mgr.register_group(&[table.id()]).unwrap();
-        (mgr, table, None)
+        table
     };
     table
         .preload_iter(&mut (0..table_size).map(|k| (k, k)))
@@ -371,11 +364,8 @@ fn run_cell(
         aborts += a;
     }
     // Internal view of the same run: commit-pipeline stage timings, abort
-    // taxonomy, persistence gauges — rolled up across partitions when sharded.
-    let telemetry = match &pc {
-        Some(pc) => pc.telemetry_rollup(),
-        None => mgr.context().telemetry_snapshot(),
-    };
+    // taxonomy, persistence gauges.
+    let telemetry = ctx.telemetry_snapshot();
     CellResult {
         protocol,
         config: config.name,

@@ -94,18 +94,6 @@ impl GlobalClock {
         // Relaxed is sufficient: see the module docs.
         self.counter.load(Ordering::Relaxed)
     }
-
-    /// Advances the clock so the next tick is strictly greater than `ts`.
-    /// Never moves the clock backwards.  Used by recovery paths that must
-    /// resume an *existing* clock (e.g. a partition's internal context)
-    /// past every persisted commit timestamp, where
-    /// [`resume_from`](Self::resume_from) — which builds a fresh clock —
-    /// cannot be swapped in.
-    pub fn advance_past(&self, ts: Timestamp) {
-        // fetch_max is an RMW: uniqueness/monotonicity hold at Relaxed for
-        // the same reason as `tick` (see the module docs).
-        self.counter.fetch_max(ts, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -141,16 +129,6 @@ mod tests {
         // Resuming from 0 still respects the epoch.
         let clock = GlobalClock::resume_from(0);
         assert!(clock.tick() > EPOCH_TS);
-    }
-
-    #[test]
-    fn advance_past_never_moves_backwards() {
-        let clock = GlobalClock::resume_from(100);
-        clock.advance_past(50);
-        assert!(clock.tick() > 100, "advance_past must not rewind");
-        let clock = GlobalClock::new();
-        clock.advance_past(500);
-        assert!(clock.tick() > 500);
     }
 
     #[test]

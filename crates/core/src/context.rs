@@ -83,6 +83,35 @@
 //! on the *first* access of a state; the registries of states and groups are
 //! read-mostly, behind an `RwLock`, and consulted only on that same slow
 //! path.
+//!
+//! # Pinning a group
+//!
+//! The first access of a group pins `ReadCTS = LastCTS(group)` (§4.3).
+//! That value can be below the floor `begin` announced, because a commit
+//! that drew its timestamp before `begin` may publish after it.  Between
+//! loading `LastCTS` and announcing it, a writer could publish a newer
+//! version of a key, and the next writer's on-demand GC, whose floor scan
+//! still sees the begin timestamp, could vacate the version visible at the
+//! loaded value.  So a pin announces first and trusts second:
+//!
+//! 1. load `LastCTS` as `L`;
+//! 2. lower the slot's floor to `L` and fence (`lower_snapshot_floor`);
+//! 3. reload `LastCTS` as `L2 >= L` and pin `L2`.
+//!
+//! The floor stays at the lower `L`, which is conservative.  `L2` is safe
+//! against the on-demand GC: a version visible at `L2` is vacated only
+//! after a newer version of its key committed above `L2` and was
+//! published, and the vacating writer of that key took the group's commit
+//! lock after the publishing writer released it, so the publish precedes
+//! the reclaimer's fence.  Either the reclaimer's floor scan sees the
+//! announced floor, or the announcement's fence comes after the
+//! reclaimer's and the reload sees the publish — and then `L2` is not
+//! below it.  The background [`GcDriver`](crate::gc::GcDriver) takes no
+//! commit lock, so for it the publish need not precede its fence, and the
+//! argument does not cover it.  A pin of a state outside every group reads
+//! `clock.now()`, which is at or above the begin timestamp, so it needs no
+//! reload.  The cost is one `Acquire` load per new pin; cache hits do not
+//! change.
 
 use crate::clock::{GlobalClock, EPOCH_TS};
 use crate::table::common::{Recycle, SlotLocal};
@@ -1660,16 +1689,22 @@ impl StateContext {
     fn pin_groups_locked(&self, detail: &mut TxDetail, tx: &Tx, state: StateId) -> Timestamp {
         let mut result = u64::MAX;
         let mut grouped = false;
-        self.for_each_group_of_state(state, |g, last_cts| {
-            grouped = true;
-            if let Some((_, ts)) = detail.read_cts.iter().find(|(pg, _)| *pg == g) {
-                result = result.min(*ts);
-            } else {
-                detail.read_cts.push((g, last_cts));
-                self.lower_snapshot_floor(tx.slot, last_cts);
-                result = result.min(last_cts);
+        for (i, g) in self.groups.read().iter().enumerate() {
+            if !g.states.contains(&state) {
+                continue;
             }
-        });
+            grouped = true;
+            let id = GroupId(i as u32);
+            let ts = match detail.read_cts.iter().find(|(pg, _)| *pg == id) {
+                Some(&(_, ts)) => ts,
+                None => {
+                    let ts = self.pin_last_cts(tx.slot, &g.last_cts);
+                    detail.read_cts.push((id, ts));
+                    ts
+                }
+            };
+            result = result.min(ts);
+        }
         if grouped {
             // Overlap rule: never read newer than a snapshot already pinned
             // by this transaction for another group sharing a state.
@@ -1684,6 +1719,21 @@ impl StateContext {
         detail.read_cts.push((GroupId(u32::MAX), ts));
         self.lower_snapshot_floor(tx.slot, ts);
         ts
+    }
+
+    /// Pins a group's `LastCTS` for the transaction in `slot`: load it,
+    /// announce it as the slot's snapshot floor, then reload it and pin the
+    /// reloaded value (see "Pinning a group" in the module docs).
+    fn pin_last_cts(&self, slot: usize, last_cts: &AtomicU64) -> Timestamp {
+        let loaded = last_cts.load(Ordering::Acquire);
+        #[cfg(test)]
+        BEFORE_PIN_ANNOUNCE.with(|pause| {
+            if let Some(f) = pause.borrow_mut().as_mut() {
+                f();
+            }
+        });
+        self.lower_snapshot_floor(slot, loaded);
+        last_cts.load(Ordering::Acquire)
     }
 
     /// The pinned read snapshots of `tx` (group, ReadCTS).
@@ -1826,6 +1876,11 @@ thread_local! {
     /// Test-only pause point, run by a reaper on this thread between its
     /// winning fate CAS and its `last_reaped_epoch` store.
     pub(crate) static AFTER_REAP_CAS: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+        const { std::cell::RefCell::new(None) };
+
+    /// Test-only pause point, run by a transaction on this thread that pins
+    /// a group, between its `LastCTS` load and the floor announcement.
+    pub(crate) static BEFORE_PIN_ANNOUNCE: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
         const { std::cell::RefCell::new(None) };
 }
 

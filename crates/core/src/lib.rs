@@ -86,10 +86,7 @@ pub use index::{IndexedTable, PostingList};
 pub use isolation::{IsolatedReader, IsolationLevel};
 pub use manager::{FlagOutcome, ReaperHandle, TransactionManager, TxGuard};
 pub use mvcc::{MvccObject, Version, LEVEL_SLOTS};
-pub use partition::{
-    HashPartitioner, PartitionRecovery, PartitionedContext, PartitionedTable, Partitioner,
-    RangePartitioner,
-};
+pub use partition::{HashPartitioner, PartitionedTable, Partitioner, RangePartitioner};
 pub use recovery::{
     recover_table_cts, replay_torn_suffix, restore_group, resume_clock, RecoveryReport,
 };
@@ -111,10 +108,7 @@ pub mod prelude {
     pub use crate::isolation::{IsolatedReader, IsolationLevel};
     pub use crate::manager::{FlagOutcome, ReaperHandle, TransactionManager, TxGuard};
     pub use crate::mvcc::MvccObject;
-    pub use crate::partition::{
-        HashPartitioner, PartitionRecovery, PartitionedContext, PartitionedTable, Partitioner,
-        RangePartitioner,
-    };
+    pub use crate::partition::{HashPartitioner, PartitionedTable, Partitioner, RangePartitioner};
     pub use crate::recovery::{
         recover_table_cts, replay_torn_suffix, restore_group, resume_clock, RecoveryReport,
     };

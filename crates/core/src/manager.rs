@@ -19,10 +19,8 @@
 //!
 //! The phase sequence — validate → apply → durable hand-off → publish →
 //! finish, with the undo rule of each step — is written once, as the
-//! crate-private helpers after [`TransactionManager`]'s impl (`apply_all`,
-//! `hand_off_durable`, `publish_all`, `finish_all`).  The manager's commit
-//! path and the partition anchors ([`crate::partition`]), which run a
-//! partition's inner commit under the outer one, both call them.
+//! helpers after [`TransactionManager`]'s impl (`apply_all`,
+//! `hand_off_durable`, `finish_all`).
 //!
 //! Readers coordinate purely through `LastCTS`/`ReadCTS` in the
 //! [`StateContext`]; they never take part in the 2PC and never block.
@@ -214,8 +212,7 @@ impl TransactionManager {
     /// visible but its persistence was not confirmed within the timeout —
     /// the write is still queued and will normally become durable shortly;
     /// the caller can poll again with [`StateContext::wait_durable_timeout`]
-    /// (on a partitioned deployment, the partition contexts hold the
-    /// writers) or escalate.  Each timeout bumps the `durability_timeouts`
+    /// or escalate.  Each timeout bumps the `durability_timeouts`
     /// counter.
     pub fn commit_durable_timeout(
         &self,
@@ -282,10 +279,10 @@ impl TransactionManager {
         self.ctx.durability().try_recover_writers()
     }
 
-    /// Validation + in-memory apply + durable hand-off + participant
-    /// publish for one transaction, with the relevant commit locks held by
-    /// the caller.  Returns the commit timestamp; the caller publishes the
-    /// group `LastCTS`.  The first `writers` participants buffered writes.
+    /// Validation + in-memory apply + durable hand-off for one transaction,
+    /// with the relevant commit locks held by the caller.  Returns the
+    /// commit timestamp; the caller publishes the group `LastCTS`.  The
+    /// first `writers` participants buffered writes.
     fn commit_one(
         &self,
         tx: &Tx,
@@ -313,7 +310,7 @@ impl TransactionManager {
         telemetry.apply_nanos().record(t_apply.elapsed());
         let handed_off = applied.and_then(|()| {
             let t_durable = Instant::now();
-            let handed_off = hand_off_durable(&self.ctx, tx, cts, writers.clone());
+            let handed_off = hand_off_durable(&self.ctx, tx, cts, writers);
             telemetry
                 .durable_handoff_nanos()
                 .record(t_durable.elapsed());
@@ -323,8 +320,6 @@ impl TransactionManager {
             self.ctx.telemetry().record_abort(AbortReason::FailedApply);
             return Err(e);
         }
-        // Phase 4: participant-managed publish.
-        publish_all(tx, cts, writers);
         Ok(cts)
     }
 
@@ -617,15 +612,13 @@ impl TransactionManager {
 }
 
 // ---------------------------------------------------------------------
-// The commit phases, shared with the partition anchors
+// The commit phases
 // ---------------------------------------------------------------------
 //
 // One commit is validate → apply → durable hand-off → publish → finish.
-// `TransactionManager::commit_one` and `PartitionShard` (which drives a
-// partition's inner context under the outer commit) both run the phases
-// through these helpers, so the order and the undo rules exist once.
-// Callers time the phases into their own context's telemetry, and only the
-// manager records the abort taxonomy.
+// The helpers below hold the order and the undo rule of each step; the
+// publish is the caller's group `LastCTS` store, after every hand-off
+// succeeded, so a durable failure never undoes a version a reader saw.
 
 /// Runs one participant call with a panic converted into an error, so a
 /// panicking participant (a panicking user codec, say) is undone like a
@@ -641,7 +634,7 @@ fn guarded(f: impl FnOnce() -> Result<()>) -> Result<()> {
 /// `writers[..=i]` — the failing one may be partially applied — so no
 /// installed-but-never-published version can spuriously trip
 /// First-Committer-Wins / SSI certification for later transactions.
-pub(crate) fn apply_all<'a>(
+fn apply_all<'a>(
     tx: &Tx,
     cts: Timestamp,
     writers: impl Iterator<Item = &'a Arc<dyn TxParticipant>> + Clone,
@@ -668,7 +661,7 @@ pub(crate) fn apply_all<'a>(
 /// orphan is harmless, because recovery treats any redo record as
 /// presumed-commit and rolls the group forward to it — see
 /// [`crate::recovery::restore_group`].
-pub(crate) fn hand_off_durable<'a>(
+fn hand_off_durable<'a>(
     ctx: &StateContext,
     tx: &Tx,
     cts: Timestamp,
@@ -684,21 +677,6 @@ pub(crate) fn hand_off_durable<'a>(
         }
     }
     Ok(())
-}
-
-/// Phase 4: participant-managed publish, after every durable hand-off
-/// succeeded — so a durable failure can never undo versions a reader
-/// already saw.  Base tables are no-ops here (their visibility is the
-/// caller's group `LastCTS` publish); partition anchors publish their inner
-/// context.  Infallible: the commit is decided once phase 3 completes.
-pub(crate) fn publish_all<'a>(
-    tx: &Tx,
-    cts: Timestamp,
-    writers: impl Iterator<Item = &'a Arc<dyn TxParticipant>>,
-) {
-    for p in writers {
-        p.publish_commit(tx, cts);
-    }
 }
 
 /// Moves the participants that buffered writes for `tx` to the front of
@@ -717,7 +695,7 @@ fn split_writers(tx: &Tx, participants: &mut [Arc<dyn TxParticipant>]) -> usize 
 
 /// Ends `tx` on every participant and on `ctx`, counting it as committed or
 /// aborted.
-pub(crate) fn finish_all<'a>(
+fn finish_all<'a>(
     ctx: &StateContext,
     tx: &Tx,
     participants: impl Iterator<Item = &'a Arc<dyn TxParticipant>>,
@@ -1138,6 +1116,68 @@ mod tests {
         );
     }
 
+    /// A reader parked between its `LastCTS` load and its floor
+    /// announcement must still read a committed version once released.
+    /// Writer 2 drew its commit timestamp before the reader began and
+    /// publishes while the reader is parked, so the loaded `LastCTS` is
+    /// below the reader's begin timestamp; writer 3's install then runs the
+    /// on-demand GC, whose floor scan still sees only that begin timestamp
+    /// and vacates the version visible at the loaded value.  Pinning the
+    /// value reloaded after the announcement reads writer 3's version; a
+    /// pin of the loaded value would find no version at all.
+    #[test]
+    fn a_pin_reloads_last_cts_after_announcing_its_floor() {
+        use crate::context::BEFORE_PIN_ANNOUNCE;
+        use std::sync::mpsc;
+        let ctx = Arc::new(StateContext::new());
+        let mgr = TransactionManager::new(Arc::clone(&ctx));
+        let a = MvccTable::<u32, u64>::volatile(&ctx, "a");
+        mgr.register(a.clone());
+        let group = mgr.register_group(&[a.id()]).unwrap();
+        let w1 = mgr.begin().unwrap();
+        a.write(&w1, 1, 1).unwrap();
+        mgr.commit(&w1).unwrap();
+
+        // Writer 2 applies at a timestamp drawn before the reader begins.
+        let w2 = mgr.begin().unwrap();
+        a.write(&w2, 1, 2).unwrap();
+        a.validate(&w2, true).unwrap();
+        let cts2 = ctx.clock().next_commit_ts();
+        a.apply(&w2, cts2).unwrap();
+
+        let (parked, parked_rx) = mpsc::channel();
+        let (resume, resume_rx) = mpsc::channel::<()>();
+        let reader = {
+            let mgr = Arc::clone(&mgr);
+            let a = Arc::clone(&a);
+            std::thread::spawn(move || {
+                let r = mgr.begin_read_only().unwrap();
+                let begin = r.begin_ts();
+                BEFORE_PIN_ANNOUNCE.with(|pause| {
+                    *pause.borrow_mut() = Some(Box::new(move || {
+                        let _ = parked.send(begin);
+                        let _ = resume_rx.recv();
+                    }));
+                });
+                let seen = a.read(&r, &1).unwrap();
+                mgr.commit(&r).unwrap();
+                seen
+            })
+        };
+        let begin = parked_rx.recv().unwrap();
+        assert!(cts2 < begin, "the reader began after cts2 was drawn");
+        // Writer 2 publishes and ends; writer 3 commits the second version
+        // after it, and its install reclaims the first.
+        ctx.publish_group_commit(group, cts2).unwrap();
+        a.finish(&w2, true);
+        ctx.finish(&w2);
+        let w3 = mgr.begin().unwrap();
+        a.write(&w3, 1, 3).unwrap();
+        mgr.commit(&w3).unwrap();
+        resume.send(()).unwrap();
+        assert_eq!(reader.join().unwrap(), Some(3));
+    }
+
     #[test]
     fn reap_expired_without_a_lease_is_a_noop() {
         let (mgr, a, _) = mvcc_pair();
@@ -1285,9 +1325,6 @@ mod tests {
         fn apply_durable(&self, _tx: &Tx, _cts: Timestamp) -> Result<()> {
             self.outcome("apply_durable", Fail::Durable)
         }
-        fn publish_commit(&self, _tx: &Tx, _cts: Timestamp) {
-            self.note("publish_commit");
-        }
     }
 
     /// Commits one transaction over recorders named by `spec` (one group)
@@ -1340,8 +1377,6 @@ mod tests {
                 "b.apply",
                 "a.apply_durable",
                 "b.apply_durable",
-                "a.publish_commit",
-                "b.publish_commit",
                 "a.finish(true)",
                 "b.finish(true)",
             ])

@@ -67,7 +67,16 @@
 //! reader's floor (and keeps every version that floor can still see), or the
 //! reader observes the GC's odd `seq` (and retries, seeing the slot empty
 //! afterwards).  A reader can therefore never clone a value that is being
-//! dropped.  The plain-`Timestamp` variants ([`gc`](MvccObject::gc),
+//! dropped.
+//!
+//! The pairing needs the announced floor to be at or below the snapshot the
+//! reader scans.  A pinned `ReadCTS` can lie below the begin timestamp, so
+//! the context pins **after** announcing: it loads `LastCTS`, announces it,
+//! fences, reloads `LastCTS` and scans at the reloaded value (see "Pinning
+//! a group" in [`crate::context`]).  A version the reloaded snapshot sees is
+//! vacated only after a newer version of its key was published, and for
+//! the on-demand GC, which runs under the key's group commit lock, a
+//! reload after the fence would have seen that publish.  The plain-`Timestamp` variants ([`gc`](MvccObject::gc),
 //! [`install`](MvccObject::install)) skip the re-read and are only sound
 //! when every concurrent reader's snapshot is at or above the passed bound —
 //! the single-writer unit-test setting; table code always uses the `_with`

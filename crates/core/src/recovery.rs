@@ -137,9 +137,9 @@ pub fn restore_group(
     })
 }
 
-/// The replay core shared by [`restore_group`] and the per-partition
-/// recovery driver ([`crate::partition::PartitionedContext::restore_partition`]):
-/// reads each state's stored commit marker, merges the redo logs of every
+/// The replay core of [`restore_group`], also the recovery of a
+/// partition's shards (see [`crate::partition`]): reads each state's
+/// stored commit marker, merges the redo logs of every
 /// backend, and rolls any lagging state forward through the logged group
 /// commits in `(min, max]`.  A commit's sections are merged across every
 /// intact copy of its record (no copy holds its own state's section).

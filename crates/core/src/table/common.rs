@@ -728,25 +728,6 @@ pub trait TxParticipant: Send + Sync {
         Ok(())
     }
 
-    /// Publishes visibility this participant manages *itself*, outside the
-    /// coordinator's own group publish.  The coordinator calls it as a
-    /// separate phase, still inside the commit critical section, strictly
-    /// after **every** participant's [`apply_durable`](Self::apply_durable)
-    /// succeeded — at that point the commit is decided, so implementations
-    /// must be infallible.
-    ///
-    /// Base tables have nothing to do here (their visibility is the outer
-    /// group `LastCTS` the coordinator publishes), so the default is a
-    /// no-op.  Participants that front *another* visibility domain — the
-    /// partition anchors, whose inner contexts have their own `LastCTS` —
-    /// publish it here and **must not** publish earlier: a publish from
-    /// `apply_durable` would let a later participant's durable failure
-    /// reach [`undo_apply`](Self::undo_apply) on already-visible versions,
-    /// racing concurrent readers and tearing the all-or-nothing commit.
-    fn publish_commit(&self, tx: &Tx, cts: Timestamp) {
-        let _ = (tx, cts);
-    }
-
     /// Waits until the commit at `cts` is durable in this participant's
     /// base table, giving up at `deadline` (`None` waits without bound).
     /// Returns `Ok(true)` once durable, `Ok(false)` if the deadline passed

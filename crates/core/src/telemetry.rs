@@ -25,9 +25,8 @@
 //!   stay on the writers and join a snapshot through the hub's
 //!   [`WriterScan`].
 //!
-//! The registry has one recording API, one [`snapshot`](Telemetry::snapshot),
-//! one [`merge`](Telemetry::merge) (partition roll-ups) and one
-//! [`reset`](Telemetry::reset).  Recording is deliberately boring: relaxed
+//! The registry has one recording API, one [`snapshot`](Telemetry::snapshot)
+//! and one [`reset`](Telemetry::reset).  Recording is deliberately boring: relaxed
 //! atomic bumps into [`Histogram`]s and counters, no locks.  The overhead
 //! budget and the rules for adding a metric live in the "Observability"
 //! section of `docs/ARCHITECTURE.md`.
@@ -348,31 +347,6 @@ impl Telemetry {
         self.counters.iter().chain(&self.aborts).map(|c| &**c)
     }
 
-    /// Merges another registry's recordings into this one — the partition
-    /// roll-up primitive; merge into a fresh registry, never a live one.
-    /// Counters and the queue-depth gauge add (partitions own disjoint
-    /// writer sets), histograms merge bucket-wise, and the floor-lag and
-    /// oldest-age gauges take the maximum (the laggiest partition bounds
-    /// reclaimable garbage).
-    pub fn merge(&self, other: &Telemetry) {
-        for (mine, theirs) in self.words().zip(other.words()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.reads.add(0, other.reads.sum());
-        self.writes.add(0, other.writes.sum());
-        self.persist_queue_depth.fetch_add(
-            other.persist_queue_depth.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        for (mine, theirs) in self.histograms().into_iter().zip(other.histograms()) {
-            mine.merge(theirs);
-        }
-        self.gc_floor_lag
-            .fetch_max(other.gc_floor_lag(), Ordering::Relaxed);
-        self.oldest_active_age_nanos
-            .fetch_max(other.oldest_active_age_nanos(), Ordering::Relaxed);
-    }
-
     /// Clears every counter, histogram and gauge except the live
     /// queue-depth gauge (between benchmark phases).
     pub fn reset(&self) {
@@ -477,8 +451,7 @@ impl HistogramSummary {
 /// Writer-level aggregates the durability hubs' writer scan collects at
 /// snapshot time: the merged queue-dwell and coalesced-batch-size
 /// histograms, attached/failed writer counts and the fault-tolerance
-/// counters every writer carries.  A partition roll-up scans every hub into
-/// one value.
+/// counters every writer carries.
 #[derive(Debug, Default)]
 pub struct WriterScan {
     /// Queue-dwell times merged across the scanned writers (ns).
@@ -495,8 +468,7 @@ pub struct WriterScan {
     pub recoveries: u64,
 }
 
-/// A structured point-in-time copy of every metric a context (or a
-/// partitioned roll-up) exposes — taken by [`Telemetry::snapshot`] from the
+/// A structured point-in-time copy of every metric a context exposes — taken by [`Telemetry::snapshot`] from the
 /// registry plus the durability hub's [`WriterScan`].
 ///
 /// Serialize with [`to_json`](Self::to_json) or
@@ -541,8 +513,7 @@ pub struct TelemetrySnapshot {
     /// Expired transactions force-aborted by the lease reaper.
     pub lease_reaps: u64,
     /// Age of the oldest active transaction in wall nanoseconds (0 when
-    /// idle or when no lease clock is configured; per-partition maximum in
-    /// roll-ups).
+    /// idle or when no lease clock is configured).
     pub oldest_active_age_nanos: u64,
     /// GC floor lag at the last sweep (logical-timestamp units).
     pub gc_floor_lag: u64,
@@ -790,7 +761,6 @@ fn prom_summary(out: &mut String, name: &str, help: &str, s: &HistogramSummary) 
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
     fn abort_reason_classification_covers_the_error_hierarchy() {
@@ -826,45 +796,6 @@ mod tests {
             assert_eq!(r.index(), i);
             assert_eq!(format!("{r}"), r.label());
         }
-    }
-
-    #[test]
-    fn merge_rolls_up_histograms_and_takes_max_floor_lag() {
-        let a = Telemetry::new();
-        let b = Telemetry::new();
-        a.validate_nanos().record(Duration::from_micros(10));
-        b.validate_nanos().record(Duration::from_micros(1000));
-        a.admission_wait_nanos().record_value(4);
-        b.admission_wait_nanos().record_value(16);
-        a.set_gc_floor_lag(5);
-        b.set_gc_floor_lag(9);
-        a.add(Counter::LeaseReaps, 2);
-        b.add(Counter::LeaseReaps, 3);
-        a.bump_read(0);
-        b.bump_read(5);
-        b.record_abort(AbortReason::FcwConflict);
-        a.set_oldest_active_age_nanos(100);
-        b.set_oldest_active_age_nanos(700);
-        a.merge(&b);
-        assert_eq!(a.validate_nanos().count(), 2);
-        assert_eq!(a.admission_wait_nanos().count(), 2);
-        assert_eq!(a.admission_wait_nanos().max_value(), 16);
-        assert_eq!(a.gc_floor_lag(), 9);
-        // Counters add; the age gauge takes the laggiest partition.
-        assert_eq!(a.count(Counter::LeaseReaps), 5);
-        assert_eq!(a.oldest_active_age_nanos(), 700);
-        let snap = a.snapshot(&WriterScan::default());
-        assert_eq!(snap.stats.reads, 2);
-        assert_eq!(snap.abort_count(AbortReason::FcwConflict), 1);
-        a.reset();
-        assert_eq!(a.validate_nanos().count(), 0);
-        assert_eq!(a.gc_floor_lag(), 0);
-        assert_eq!(a.count(Counter::LeaseReaps), 0);
-        assert_eq!(a.oldest_active_age_nanos(), 0);
-        assert_eq!(
-            a.snapshot(&WriterScan::default()),
-            TelemetrySnapshot::default()
-        );
     }
 
     #[test]
@@ -928,8 +859,12 @@ mod tests {
             assert_eq!(snap.abort_count(r), s.abort_reason(r));
         }
         let doubled = Telemetry::new();
-        doubled.merge(&t);
-        doubled.merge(&t);
+        for _ in 0..2 {
+            doubled.record_abort(AbortReason::FcwConflict);
+            for r in AbortReason::ALL {
+                doubled.record_abort(r);
+            }
+        }
         let d = doubled.snapshot(&WriterScan::default()).stats;
         assert_eq!(d.write_conflicts, 4);
         assert_eq!(d.slot_exhaustions, 2);

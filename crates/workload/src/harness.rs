@@ -22,8 +22,8 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use tsp_common::{Histogram, Result, TspError};
 use tsp_core::{
-    HistogramSummary, PartitionedContext, RangePartitioner, StateContext, TableHandle,
-    TelemetrySnapshot, TransactionManager, TransactionalTableExt, TxStatsSnapshot, MAX_ACTIVE_TXNS,
+    HistogramSummary, PartitionedTable, RangePartitioner, StateContext, TableHandle,
+    TransactionManager, TransactionalTableExt, TxStatsSnapshot, MAX_ACTIVE_TXNS,
 };
 use tsp_storage::{LsmOptions, LsmStore, StorageBackend, SyncPolicy};
 
@@ -78,12 +78,12 @@ pub struct WorkloadConfig {
     /// Directory for persistent base tables (a per-run subdirectory is
     /// created and removed); defaults to the system temp directory.
     pub data_dir: Option<PathBuf>,
-    /// Key-space partitions.  `1` (the default) runs a single
-    /// [`StateContext`] exactly as before; `> 1` shards both states over a
-    /// [`PartitionedContext`] with a [`RangePartitioner`] of contiguous
-    /// `table_size / partitions` chunks and per-partition storage
-    /// backends, and switches the workers to partition-local key
-    /// generation (every transaction stays on one partition).
+    /// Key-space partitions.  `1` (the default) puts both states in one
+    /// commit group; `> 1` shards each state into a [`PartitionedTable`]
+    /// with a [`RangePartitioner`] of contiguous `table_size / partitions`
+    /// chunks and per-partition storage backends, and switches the workers
+    /// to partition-local key generation (every transaction stays on one
+    /// partition).
     pub partitions: usize,
     /// Transaction lease (`None` = leases off, the default).  When set, a
     /// background reaper force-aborts transactions that outlive the lease
@@ -177,21 +177,17 @@ pub struct RunResult {
     pub reader_p99: Option<Duration>,
     /// 99.9th-percentile reader-transaction latency.
     pub reader_p999: Option<Duration>,
-    /// Snapshot of the context-wide counters at the end of the run.  For a
-    /// partitioned run this is the *router* context's snapshot (outer
-    /// begins/commits/aborts); per-partition detail is in
-    /// [`partition_stats`](Self::partition_stats).
+    /// Snapshot of the context-wide counters at the end of the run.
     pub stats: TxStatsSnapshot,
-    /// Key-space partitions the run used (1 = single context).
+    /// Key-space partitions the run used (1 = unpartitioned).
     pub partitions: usize,
-    /// Per-partition inner-context snapshots (empty for unpartitioned
-    /// runs); index = partition.  Exposes skew: each inner context counts
-    /// its own sub-transaction commits, reads, writes and GC.
-    pub partition_stats: Vec<TxStatsSnapshot>,
+    /// Committed writer transactions per home partition (empty for
+    /// unpartitioned runs); index = partition.  Exposes skew.
+    pub partition_writer_commits: Vec<u64>,
     /// Per-partition reader-transaction latency (nanoseconds; empty for
     /// unpartitioned runs); index = the transaction's home partition.
-    /// Together with [`partition_stats`](Self::partition_stats) this shows
-    /// whether a hot partition also pays a latency penalty.
+    /// Together with [`partition_writer_commits`](Self::partition_writer_commits)
+    /// this shows whether a hot partition also pays a latency penalty.
     pub partition_reader_latency: Vec<HistogramSummary>,
     /// Degraded-mode persistence: in-place `write_batch` retries of
     /// transient backend failures over the run (0 on a healthy device).
@@ -238,10 +234,8 @@ pub struct BenchEnv {
     pub mgr: Arc<TransactionManager>,
     /// The two states written by the stream and read by ad-hoc queries.
     pub states: [TableHandle<u32, Vec<u8>>; 2],
-    /// The partitioned context behind the states when
-    /// [`WorkloadConfig::partitions`] > 1 (per-partition stats, GC floors,
-    /// persistence queues); `None` for the classic single-context setup.
-    pub partitioned: Option<Arc<PartitionedContext>>,
+    /// Key-space partitions of each state (1 = unpartitioned).
+    pub partitions: usize,
     /// Directory holding the persistent base tables, if any (removed on drop).
     data_dir: Option<PathBuf>,
 }
@@ -258,43 +252,73 @@ static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl BenchEnv {
     /// Builds and preloads the benchmark environment described by `config`.
+    ///
+    /// With [`WorkloadConfig::partitions`] > 1 each state is a
+    /// [`PartitionedTable`] over contiguous `table_size / partitions` key
+    /// ranges, each shard in a commit group of its own and (for persistent
+    /// storage) with its own LSM base table under `state{i}/p{p}`;
+    /// otherwise both states form one commit group.
     pub fn build(config: &WorkloadConfig) -> Result<Self> {
+        let parts = config.partitions.max(1);
+        if config.table_size < parts as u64 {
+            return Err(TspError::config(format!(
+                "table_size {} is smaller than the partition count {parts}",
+                config.table_size
+            )));
+        }
         // Size the transaction-slot table for the configured thread count so
         // high-concurrency sweeps aren't capped by the default of 64.
         let capacity = MAX_ACTIVE_TXNS.max(config.readers + config.writers + 2);
-        if config.partitions > 1 {
-            return Self::build_partitioned(config, capacity);
-        }
         let ctx = Arc::new(StateContext::with_capacity(capacity));
         let mgr = TransactionManager::new(Arc::clone(&ctx));
 
-        let (backends, data_dir): (Vec<Option<Arc<dyn StorageBackend>>>, Option<PathBuf>) =
-            match config.storage {
-                StorageKind::InMemory => (vec![None, None], None),
-                StorageKind::LsmSync | StorageKind::LsmNoSync => {
-                    let base = Self::fresh_data_dir(config);
-                    let opts = Self::lsm_options(config);
-                    let mut backends: Vec<Option<Arc<dyn StorageBackend>>> = Vec::new();
-                    for i in 0..2 {
-                        let store = LsmStore::open(base.join(format!("state{i}")), opts.clone())?;
-                        backends.push(Some(Arc::new(store) as Arc<dyn StorageBackend>));
-                    }
-                    (backends, Some(base))
-                }
+        // Per-state × per-partition backends.
+        let data_dir = match config.storage {
+            StorageKind::InMemory => None,
+            StorageKind::LsmSync | StorageKind::LsmNoSync => Some(Self::fresh_data_dir(config)),
+        };
+        let opts = Self::lsm_options(config);
+        let open = |i: usize, p: usize| -> Result<Option<Arc<dyn StorageBackend>>> {
+            let Some(base) = &data_dir else {
+                return Ok(None);
             };
+            let path = if parts > 1 {
+                base.join(format!("state{i}/p{p}"))
+            } else {
+                base.join(format!("state{i}"))
+            };
+            Ok(Some(Arc::new(LsmStore::open(path, opts.clone())?)))
+        };
 
+        // Contiguous chunks: partition p owns [p·chunk, (p+1)·chunk), the
+        // last partition absorbing the remainder.
+        let chunk = config.table_size / parts as u64;
+        let bounds: Vec<u32> = (1..parts).map(|p| (p as u64 * chunk) as u32).collect();
         let mut states = Vec::with_capacity(2);
-        for (i, backend) in backends.into_iter().enumerate() {
-            let table: TableHandle<u32, Vec<u8>> =
-                config
-                    .protocol
-                    .create_table(&ctx, format!("measurements{}", i + 1), backend);
-            mgr.register(Arc::clone(&table).as_participant());
+        for i in 0..2 {
+            let name = format!("measurements{}", i + 1);
+            let table: TableHandle<u32, Vec<u8>> = if parts > 1 {
+                let mut backends = (0..parts).map(|p| open(i, p)).collect::<Result<Vec<_>>>()?;
+                PartitionedTable::with_partitioner(
+                    &mgr,
+                    config.protocol,
+                    name,
+                    parts,
+                    |p| backends[p].take(),
+                    Arc::new(RangePartitioner::new(bounds.clone())),
+                )
+            } else {
+                let table = config.protocol.create_table(&ctx, name, open(i, 0)?);
+                mgr.register(Arc::clone(&table).as_participant());
+                table
+            };
             states.push(table);
         }
         let states: [TableHandle<u32, Vec<u8>>; 2] =
             [Arc::clone(&states[0]), Arc::clone(&states[1])];
-        mgr.register_group(&[states[0].id(), states[1].id()])?;
+        if parts == 1 {
+            mgr.register_group(&[states[0].id(), states[1].id()])?;
+        }
 
         Self::preload(config, &states)?;
         // Armed after the preload so loading never races a reap sweep.
@@ -303,88 +327,9 @@ impl BenchEnv {
         Ok(BenchEnv {
             mgr,
             states,
-            partitioned: None,
+            partitions: parts,
             data_dir,
         })
-    }
-
-    /// The scale-out variant of [`build`](Self::build): both states are
-    /// sharded over a [`PartitionedContext`] by contiguous
-    /// `table_size / partitions` key ranges, each partition with its own
-    /// clock, commit lock, GC floor and (for persistent storage) its own
-    /// LSM base table under `state{i}/p{p}`.
-    fn build_partitioned(config: &WorkloadConfig, capacity: usize) -> Result<Self> {
-        let parts = config.partitions;
-        if config.table_size < parts as u64 {
-            return Err(TspError::config(format!(
-                "table_size {} is smaller than the partition count {parts}",
-                config.table_size
-            )));
-        }
-        let pc = PartitionedContext::with_capacity(parts, capacity);
-        let mgr = TransactionManager::new(Arc::clone(pc.router_ctx()));
-        pc.attach(&mgr)?;
-
-        // Per-state × per-partition backends.
-        type PartitionBackends = Vec<Vec<Option<Arc<dyn StorageBackend>>>>;
-        let (backends, data_dir): (PartitionBackends, Option<PathBuf>) = match config.storage {
-            StorageKind::InMemory => (vec![vec![None; parts], vec![None; parts]], None),
-            StorageKind::LsmSync | StorageKind::LsmNoSync => {
-                let base = Self::fresh_data_dir(config);
-                let opts = Self::lsm_options(config);
-                let mut per_state = Vec::with_capacity(2);
-                for i in 0..2 {
-                    let mut per_part: Vec<Option<Arc<dyn StorageBackend>>> =
-                        Vec::with_capacity(parts);
-                    for p in 0..parts {
-                        let store =
-                            LsmStore::open(base.join(format!("state{i}/p{p}")), opts.clone())?;
-                        per_part.push(Some(Arc::new(store) as Arc<dyn StorageBackend>));
-                    }
-                    per_state.push(per_part);
-                }
-                (per_state, Some(base))
-            }
-        };
-
-        // Contiguous chunks: partition p owns [p·chunk, (p+1)·chunk), the
-        // last partition absorbing the remainder.
-        let chunk = config.table_size / parts as u64;
-        let bounds: Vec<u32> = (1..parts).map(|p| (p as u64 * chunk) as u32).collect();
-
-        let mut states = Vec::with_capacity(2);
-        for (i, mut per_part) in backends.into_iter().enumerate() {
-            let table: TableHandle<u32, Vec<u8>> = pc.create_table_with(
-                config.protocol,
-                format!("measurements{}", i + 1),
-                |p| per_part[p].take(),
-                Arc::new(RangePartitioner::new(bounds.clone())),
-            );
-            states.push(table);
-        }
-        let states: [TableHandle<u32, Vec<u8>>; 2] =
-            [Arc::clone(&states[0]), Arc::clone(&states[1])];
-
-        Self::preload(config, &states)?;
-        pc.set_transaction_lease(config.lease);
-
-        Ok(BenchEnv {
-            mgr,
-            states,
-            partitioned: Some(pc),
-            data_dir,
-        })
-    }
-
-    /// The deployment-wide telemetry: the partition roll-up for a
-    /// partitioned environment (the writer counters live on the
-    /// per-partition writers, which the router context alone cannot see),
-    /// else the context's own snapshot.
-    pub fn telemetry(&self) -> TelemetrySnapshot {
-        match &self.partitioned {
-            Some(pc) => pc.telemetry_rollup(),
-            None => self.mgr.context().telemetry_snapshot(),
-        }
     }
 
     /// A unique per-run directory for persistent base tables.
@@ -436,12 +381,11 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
             "readers + writers must stay below the context's {capacity} transaction slots",
         )));
     }
-    let env_partitions = env.partitioned.as_ref().map(|pc| pc.partitions());
-    if env_partitions.unwrap_or(1) != config.partitions.max(1) {
+    if env.partitions != config.partitions.max(1) {
         return Err(TspError::config(format!(
             "config wants {} partitions but the environment was built with {}",
             config.partitions.max(1),
-            env_partitions.unwrap_or(1),
+            env.partitions,
         )));
     }
     // Partitioned runs draw Zipf offsets within one chunk; unpartitioned
@@ -454,17 +398,13 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
     let zipf = ZipfTable::new(key_space, config.theta, true);
     let stop = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(config.readers + config.writers + 1));
-    // Each context has one metrics registry, so one reset per context
-    // clears every counter, histogram and gauge a previous run on this
-    // environment recorded.  The writer counters live on the persistence
-    // writers themselves; the run reports their growth past this baseline.
-    env.mgr.context().telemetry().reset();
-    if let Some(pc) = &env.partitioned {
-        for p in 0..pc.partitions() {
-            pc.partition_ctx(p).telemetry().reset();
-        }
-    }
-    let baseline = env.telemetry();
+    // The context has one metrics registry, so one reset clears every
+    // counter, histogram and gauge a previous run on this environment
+    // recorded.  The writer counters live on the persistence writers
+    // themselves; the run reports their growth past this baseline.
+    let ctx = env.mgr.context();
+    ctx.telemetry().reset();
+    let baseline = ctx.telemetry_snapshot();
 
     // With a lease configured, a background reaper collects expired
     // transactions for the whole measured window (interval: a quarter
@@ -474,6 +414,13 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
             .spawn_reaper((lease / 4).max(Duration::from_millis(5)))
     });
 
+    // Per-partition counts only make sense (and only cost anything) for
+    // partitioned runs.
+    let home_parts = if config.partitions > 1 {
+        config.partitions
+    } else {
+        0
+    };
     let mut writer_handles = Vec::new();
     for w in 0..config.writers {
         let mgr = Arc::clone(&env.mgr);
@@ -487,12 +434,13 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
         );
         let tx_ops = config.tx_ops;
         let value = vec![0xCDu8; config.value_size];
-        writer_handles.push(std::thread::spawn(move || -> (u64, u64) {
+        writer_handles.push(std::thread::spawn(move || -> (u64, u64, Vec<u64>) {
             let mut committed = 0u64;
             let mut aborted = 0u64;
+            let mut per_part = vec![0u64; home_parts];
             barrier.wait();
             while !stop.load(Ordering::Relaxed) {
-                sampler.next_txn();
+                let part = sampler.next_txn();
                 let Ok(tx) = mgr.begin() else {
                     aborted += 1;
                     continue;
@@ -512,14 +460,19 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
                     mgr.commit(&tx).map_err(|_| ())
                 };
                 match outcome {
-                    Ok(_) => committed += 1,
+                    Ok(_) => {
+                        committed += 1;
+                        if let Some(c) = per_part.get_mut(part) {
+                            *c += 1;
+                        }
+                    }
                     Err(()) => {
                         let _ = mgr.abort(&tx);
                         aborted += 1;
                     }
                 }
             }
-            (committed, aborted)
+            (committed, aborted, per_part)
         }));
     }
 
@@ -535,20 +488,12 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
             config.seed ^ 0xDEAD_BEEF ^ (r as u64 * 31 + 7),
         );
         let tx_ops = config.tx_ops;
-        // Per-partition latency only makes sense (and only costs anything)
-        // for partitioned runs.
-        let latency_parts = if config.partitions > 1 {
-            config.partitions
-        } else {
-            0
-        };
         reader_handles.push(std::thread::spawn(
             move || -> (u64, u64, Histogram, Vec<Histogram>) {
                 let mut committed = 0u64;
                 let mut aborted = 0u64;
                 let latencies = Histogram::new();
-                let per_part: Vec<Histogram> =
-                    (0..latency_parts).map(|_| Histogram::new()).collect();
+                let per_part: Vec<Histogram> = (0..home_parts).map(|_| Histogram::new()).collect();
                 barrier.wait();
                 while !stop.load(Ordering::Relaxed) {
                     let started = Instant::now();
@@ -600,19 +545,19 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
 
     let mut writer_committed = 0;
     let mut writer_aborted = 0;
+    let mut partition_writer_commits = vec![0u64; home_parts];
     for h in writer_handles {
-        let (c, a) = h.join().expect("writer thread panicked");
+        let (c, a, per_part) = h.join().expect("writer thread panicked");
         writer_committed += c;
         writer_aborted += a;
+        for (acc, n) in partition_writer_commits.iter_mut().zip(per_part) {
+            *acc += n;
+        }
     }
     let mut reader_committed = 0;
     let mut reader_aborted = 0;
     let latencies = Histogram::new();
-    let partition_latencies: Vec<Histogram> = if config.partitions > 1 {
-        (0..config.partitions).map(|_| Histogram::new()).collect()
-    } else {
-        Vec::new()
-    };
+    let partition_latencies: Vec<Histogram> = (0..home_parts).map(|_| Histogram::new()).collect();
     for h in reader_handles {
         let (c, a, l, pl) = h.join().expect("reader thread panicked");
         reader_committed += c;
@@ -624,8 +569,8 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
     }
 
     let total = reader_committed + writer_committed;
-    let stats = env.mgr.context().telemetry_snapshot().stats;
-    let telemetry = env.telemetry();
+    let telemetry = ctx.telemetry_snapshot();
+    let stats = telemetry.stats;
     if let Some(reaper) = reaper {
         reaper.stop();
     }
@@ -655,11 +600,7 @@ pub fn run_in(config: &WorkloadConfig, env: &BenchEnv) -> Result<RunResult> {
         lease_reaps: telemetry.lease_reaps,
         stats,
         partitions: config.partitions.max(1),
-        partition_stats: env
-            .partitioned
-            .as_ref()
-            .map(|pc| pc.partition_telemetry().iter().map(|t| t.stats).collect())
-            .unwrap_or_default(),
+        partition_writer_commits,
         partition_reader_latency: partition_latencies
             .iter()
             .map(HistogramSummary::of)
@@ -802,14 +743,14 @@ mod tests {
                 protocol.name()
             );
             assert_eq!(result.partitions, 2);
-            assert_eq!(result.partition_stats.len(), 2);
+            assert_eq!(result.partition_writer_commits.len(), 2);
             // Partition-local key generation spreads transactions over both
-            // partitions, and each inner context counts its own commits.
+            // partitions, and each partition commits.
             assert!(
-                result.partition_stats.iter().all(|s| s.committed > 0),
+                result.partition_writer_commits.iter().all(|&c| c > 0),
                 "{} left a partition idle: {:?}",
                 protocol.name(),
-                result.partition_stats
+                result.partition_writer_commits
             );
             // Reader latency is resolved per home partition as well.
             assert_eq!(result.partition_reader_latency.len(), 2);

@@ -135,7 +135,7 @@ mod tests {
             reader_p999: Some(Duration::from_micros(1500)),
             stats: TxStatsSnapshot::default(),
             partitions: 1,
-            partition_stats: Vec::new(),
+            partition_writer_commits: Vec::new(),
             partition_reader_latency: Vec::new(),
             persist_retries: 2,
             writer_recoveries: 0,

@@ -676,25 +676,25 @@ fn a_failed_batch_keeps_its_redo_deletions_for_the_next_one() {
     lsm::destroy(dir.join("b")).unwrap();
 }
 
-/// Partition shards truncate their redo records by the same rule: each
-/// partition's `DurableCTS` bounds the records of the commits inside it.
+/// Partition shards truncate their redo records by the same rule: the
+/// `DurableCTS` of every shard holding a copy bounds a record, although
+/// each shard is in a commit group of its own.
 #[test]
 fn partition_shards_truncate_redo_records_below_their_watermark() {
     use tsp::storage::{scan_redo, BTreeBackend};
-    let pc = PartitionedContext::new(2);
-    pc.enable_async_persistence();
-    let mgr = TransactionManager::new(Arc::clone(pc.router_ctx()));
-    pc.attach(&mgr).unwrap();
+    let ctx = Arc::new(StateContext::new());
+    ctx.enable_async_persistence();
+    let mgr = TransactionManager::new(ctx);
     let backends: Vec<Arc<BTreeBackend>> = (0..4).map(|_| Arc::new(BTreeBackend::new())).collect();
     let shard = |t: usize| {
         let backends = backends.clone();
         move |p: usize| Some(Arc::clone(&backends[2 * t + p]) as Arc<dyn StorageBackend>)
     };
-    let t1 = pc.create_table::<u32, u64>(Protocol::Mvcc, "kv1", shard(0));
-    let t2 = pc.create_table::<u32, u64>(Protocol::Mvcc, "kv2", shard(1));
+    let t1 = PartitionedTable::<u32, u64>::new(&mgr, Protocol::Mvcc, "kv1", 2, shard(0));
+    let t2 = PartitionedTable::<u32, u64>::new(&mgr, Protocol::Mvcc, "kv2", 2, shard(1));
     let commit_all = |round: u64| {
         // Keys 0..16 cover both partitions; each commit writes both tables
-        // on every partition, so each partition logs a redo record.
+        // on every partition, so every shard logs a redo record.
         let tx = mgr.begin().unwrap();
         for k in 0..16u32 {
             t1.write(&tx, k, round).unwrap();
@@ -705,9 +705,9 @@ fn partition_shards_truncate_redo_records_below_their_watermark() {
     for round in 0..30 {
         commit_all(round);
     }
-    pc.flush().unwrap();
+    mgr.flush().unwrap();
     commit_all(30);
-    pc.flush().unwrap();
+    mgr.flush().unwrap();
     for b in &backends {
         assert_eq!(scan_redo(&**b).unwrap().len(), 1, "only the newest record");
     }

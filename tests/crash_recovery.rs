@@ -539,24 +539,51 @@ impl SplitMix {
 }
 
 struct PartDeploy {
-    pc: Arc<PartitionedContext>,
     mgr: Arc<TransactionManager>,
     t1: Arc<PartitionedTable<u32, u64>>,
     t2: Arc<PartitionedTable<u32, u64>>,
 }
 
-/// Two partitioned tables over two partitions, each shard persistent —
-/// partition `p` holds the backends at indices `[p]` of each table's slice.
+/// Two partitioned tables over two partitions on `ctx`, each shard
+/// persistent — partition `p` holds the backends at indices `[p]` of each
+/// table's slice.
 fn open_partitioned(
+    ctx: StateContext,
     b1: &[Arc<dyn StorageBackend>; 2],
     b2: &[Arc<dyn StorageBackend>; 2],
 ) -> PartDeploy {
-    let pc = PartitionedContext::new(2);
-    let mgr = TransactionManager::new(Arc::clone(pc.router_ctx()));
-    pc.attach(&mgr).unwrap();
-    let t1 = pc.create_table::<u32, u64>(Protocol::Mvcc, "kv1", |p| Some(Arc::clone(&b1[p])));
-    let t2 = pc.create_table::<u32, u64>(Protocol::Mvcc, "kv2", |p| Some(Arc::clone(&b2[p])));
-    PartDeploy { pc, mgr, t1, t2 }
+    let mgr = TransactionManager::new(Arc::new(ctx));
+    let t1 = PartitionedTable::<u32, u64>::new(&mgr, Protocol::Mvcc, "kv1", 2, |p| {
+        Some(Arc::clone(&b1[p]))
+    });
+    let t2 = PartitionedTable::<u32, u64>::new(&mgr, Protocol::Mvcc, "kv2", 2, |p| {
+        Some(Arc::clone(&b2[p]))
+    });
+    PartDeploy { mgr, t1, t2 }
+}
+
+/// Recovers partition `p`: rolls a torn commit among the partition's
+/// shards forward from their redo records, then resumes each shard's
+/// commit group at the shard's repaired marker.  Returns the markers as
+/// found on disk, the number of replayed commits and the partition's
+/// horizon (the highest restored `LastCTS`).
+fn restore_partition_shards(
+    d: &PartDeploy,
+    p: usize,
+    backends: [&dyn StorageBackend; 2],
+) -> (Vec<Option<u64>>, u64, u64) {
+    let ctx = d.mgr.context();
+    let shards = [d.t1.shard(p).id(), d.t2.shard(p).id()];
+    let (per_state, replayed) = replay_torn_suffix(&shards, &backends).unwrap();
+    let mut horizon = EPOCH_TS;
+    for (shard, backend) in shards.iter().zip(backends) {
+        let marker = recover_table_cts(backend).unwrap().unwrap_or(EPOCH_TS);
+        for g in ctx.groups_of_state(*shard) {
+            ctx.restore_group_cts(g, marker).unwrap();
+            horizon = horizon.max(ctx.last_cts(g).unwrap());
+        }
+    }
+    (per_state, replayed, horizon)
 }
 
 proptest! {
@@ -564,8 +591,9 @@ proptest! {
 
     /// Random multi-partition histories (single-partition and
     /// cross-partition commits, one and two tables per commit) crashed at a
-    /// random per-device depth, then recovered partition by partition via
-    /// `PartitionedContext::restore_partition`.  Invariants: every
+    /// random per-device depth, then recovered partition by partition:
+    /// `replay_torn_suffix` over the partition's shards, then each shard's
+    /// group resumes at its repaired marker.  Invariants: every
     /// acknowledged commit survives byte-identically; within each partition
     /// a commit is all-or-nothing (the per-partition redo log repairs a
     /// tear between the partition's shards); recovery is exact — each
@@ -605,7 +633,7 @@ proptest! {
         // First lifetime: run until the first commit error.  Values are
         // unique per (commit, table, key) so "this exact write survived"
         // is distinguishable from any earlier overwrite.
-        let d = open_partitioned(&wrapped1, &wrapped2);
+        let d = open_partitioned(StateContext::new(), &wrapped1, &wrapped2);
         let mut acked: Vec<Vec<(u8, u32, u64)>> = Vec::new(); // (table, key, value)
         let mut in_flight: Vec<(u8, u32, u64)> = Vec::new();
         for (i, &(key, both, cross)) in ops.iter().enumerate() {
@@ -642,22 +670,26 @@ proptest! {
         }
         drop(d);
 
-        // Second lifetime: rebuild on the raw backends, recover partitions.
-        let d = open_partitioned(&raw1, &raw2);
+        // Second lifetime: rebuild on the raw backends with the clock
+        // resumed past every marker, recover partitions.
+        let all: Vec<&dyn StorageBackend> =
+            raw1.iter().chain(&raw2).map(|b| &**b).collect();
+        let d = open_partitioned(
+            StateContext::with_clock(resume_clock(&all).unwrap()),
+            &raw1,
+            &raw2,
+        );
         let mut horizons = Vec::new();
         for p in 0..2usize {
-            let report = d.pc.restore_partition(p, &[&*raw1[p], &*raw2[p]]).unwrap();
+            let (per_state, replayed, horizon) =
+                restore_partition_shards(&d, p, [&*raw1[p], &*raw2[p]]);
             // Exact horizon: the maximum shard marker, never the minimum.
-            let max_marker = report
-                .per_state
-                .iter()
-                .flatten()
-                .copied()
-                .max()
-                .unwrap_or(EPOCH_TS);
-            prop_assert!(report.last_cts >= max_marker, "partition {} min-fenced", p);
-            prop_assert!(report.torn_group_commit == (report.replayed_commits > 0));
-            horizons.push(report.last_cts);
+            let max_marker = per_state.iter().flatten().copied().max().unwrap_or(EPOCH_TS);
+            prop_assert!(horizon >= max_marker, "partition {} min-fenced", p);
+            // A replay only repairs a partition whose markers disagree.
+            let agree = per_state.iter().all(|m| *m == per_state[0]);
+            prop_assert!(!(agree && replayed > 0), "partition {} replayed in vain", p);
+            horizons.push(horizon);
         }
 
         let q = d.mgr.begin_read_only().unwrap();
@@ -717,8 +749,8 @@ proptest! {
         d.mgr.commit(&tx).unwrap();
         for (p, horizon) in horizons.iter().enumerate() {
             prop_assert!(
-                d.pc.partition_ctx(p).clock().now() > *horizon,
-                "partition {} clock did not resume",
+                d.mgr.context().clock().now() > *horizon,
+                "partition {} horizon is not behind the clock",
                 p
             );
         }

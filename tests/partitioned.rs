@@ -1,20 +1,23 @@
 //! Cross-partition conformance litmus tests.
 //!
-//! `PartitionedContext` shards the key space over independent contexts
-//! and follows Non-Monotonic Snapshot Isolation (NMSI) across partitions
-//! (see the module docs of `tsp_core::partition`).  These tests pin the
+//! A `PartitionedTable` shards the key space into shard tables, each in a
+//! commit group of its own on one context, so reads across partitions
+//! follow the paper's per-group rule: each group's snapshot is pinned at
+//! the transaction's first access of it (see the module docs of
+//! `tsp_core::partition`).  The literature calls the resulting guarantee
+//! Non-Monotonic Snapshot Isolation (NMSI, PAPERS.md).  These tests pin the
 //! promised boundary per protocol:
 //!
 //! | litmus (keys on two partitions) | MVCC-SI  | S2PL      | BOCC      | SSI       |
 //! |---------------------------------|----------|-----------|-----------|-----------|
 //! | write skew                      | admitted | prevented | prevented | prevented |
 //! | lost update                     | prevented everywhere (per-partition FCW)  |
-//! | long fork                       | admitted (NMSI) — prevented within one partition |
+//! | long fork                       | admitted (per-group pins) — prevented within one partition |
 //! | atomic commitment               | all-or-nothing everywhere                 |
 //!
 //! The same schedules confined to *one* partition must behave exactly
-//! like a single context (`tests/isolation_anomalies.rs`), because each
-//! partition is a complete SI domain of its own.
+//! like one table (`tests/isolation_anomalies.rs`), because each partition
+//! is one group with one pinned snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,25 +27,30 @@ use tsp::core::prelude::*;
 /// keys >= 100 on partition 1.
 const SPLIT: u32 = 100;
 
-fn setup(
+/// A two-partition table split at [`SPLIT`] on a fresh context of
+/// `capacity` transaction slots.
+fn table_on(
     protocol: Protocol,
-) -> (
-    Arc<PartitionedContext>,
-    Arc<TransactionManager>,
-    Arc<PartitionedTable<u32, i64>>,
-) {
-    let pc = PartitionedContext::new(2);
-    let mgr = TransactionManager::new(Arc::clone(pc.router_ctx()));
-    pc.attach(&mgr).unwrap();
-    let table = pc.create_table_with(
+    capacity: usize,
+    name: &str,
+    backend_for: impl FnMut(usize) -> Option<Arc<dyn tsp::storage::StorageBackend>>,
+) -> (Arc<TransactionManager>, Arc<PartitionedTable<u32, i64>>) {
+    let mgr = TransactionManager::new(Arc::new(StateContext::with_capacity(capacity)));
+    let table = PartitionedTable::with_partitioner(
+        &mgr,
         protocol,
-        "litmus",
-        |_| None,
+        name,
+        2,
+        backend_for,
         Arc::new(RangePartitioner::new(vec![SPLIT])),
     );
     assert_eq!(table.partition_of(&(SPLIT - 1)), 0);
     assert_eq!(table.partition_of(&SPLIT), 1);
-    (pc, mgr, table)
+    (mgr, table)
+}
+
+fn setup(protocol: Protocol) -> (Arc<TransactionManager>, Arc<PartitionedTable<u32, i64>>) {
+    table_on(protocol, tsp::core::MAX_ACTIVE_TXNS, "litmus", |_| None)
 }
 
 fn seed(mgr: &TransactionManager, t: &PartitionedTable<u32, i64>, rows: &[(u32, i64)]) {
@@ -67,13 +75,13 @@ fn committed(mgr: &TransactionManager, t: &PartitionedTable<u32, i64>, keys: &[u
 /// The on-call write-skew schedule with one duty flag per partition: both
 /// transactions read both flags, then each clears a different one.  The
 /// certifying protocols must reject it even though validation and apply
-/// now span two commit locks — `validation_requires_commit_lock` has to
-/// propagate through the partition anchors for SSI/BOCC to stay sound.
-/// Plain MVCC-SI admits it, exactly as within one context.
+/// span two commit groups — `validation_requires_commit_lock` makes the
+/// commit take the read shard's group lock for SSI/BOCC to stay sound.
+/// Plain MVCC-SI admits it, exactly as within one group.
 #[test]
 fn cross_partition_write_skew_boundary_per_protocol() {
     for protocol in Protocol::ALL {
-        let (_pc, mgr, t) = setup(protocol);
+        let (mgr, t) = setup(protocol);
         let (ka, kb) = (1u32, SPLIT + 1); // partition 0, partition 1
         seed(&mgr, &t, &[(ka, 1), (kb, 1)]);
 
@@ -122,7 +130,7 @@ fn cross_partition_write_skew_boundary_per_protocol() {
 #[test]
 fn cross_partition_lost_update_prevented_under_every_protocol() {
     for protocol in Protocol::ALL {
-        let (_pc, mgr, t) = setup(protocol);
+        let (mgr, t) = setup(protocol);
         let (ka, kb) = (7u32, SPLIT + 7);
         seed(&mgr, &t, &[(ka, 100), (kb, 100)]);
 
@@ -165,20 +173,20 @@ fn cross_partition_lost_update_prevented_under_every_protocol() {
     }
 }
 
-/// The long fork across partitions — the anomaly NMSI *admits*.  R1 pins
-/// partition 0's snapshot before writer A commits there, then first
+/// The long fork across partitions — the anomaly per-group pins *admit*.
+/// R1 pins partition 0's group before writer A commits there, then first
 /// touches partition 1 after writer B committed: R1 observes B's write
-/// but not A's, although A committed first.  Within one clock domain this
-/// is impossible (prefix-closed snapshots, pinned by
-/// `tests/isolation_anomalies.rs`); across independently-clocked
-/// partitions it is the documented relaxation.  Snapshot-based readers
+/// but not A's, although A committed first.  Within one group this is
+/// impossible (prefix-closed snapshots, pinned by
+/// `tests/isolation_anomalies.rs`); across groups pinned at different
+/// times it is the paper's rule.  Snapshot-based readers
 /// (MVCC/BOCC/SSI — read-only transactions never validate) must all show
 /// it; S2PL has no snapshots to relax, so the schedule derails into lock
 /// conflicts instead and only the final state is asserted.
 #[test]
 fn cross_partition_long_fork_admitted_by_nmsi() {
     for protocol in Protocol::ALL {
-        let (_pc, mgr, t) = setup(protocol);
+        let (mgr, t) = setup(protocol);
         let (kx, ky) = (3u32, SPLIT + 3);
         seed(&mgr, &t, &[(kx, 0), (ky, 0)]);
 
@@ -206,7 +214,7 @@ fn cross_partition_long_fork_admitted_by_nmsi() {
             assert_eq!(
                 (r1_x, r1_y),
                 (0, 1),
-                "{protocol}: NMSI pins partition snapshots independently — \
+                "{protocol}: partition groups are pinned independently — \
                  R1 must observe B's write without A's"
             );
         } else {
@@ -223,12 +231,12 @@ fn cross_partition_long_fork_admitted_by_nmsi() {
 }
 
 /// The same long-fork schedule confined to one partition must stay
-/// prevented: each partition is a full SI domain with prefix-closed
-/// snapshots (R1's pinned snapshot predates both commits).
+/// prevented: each partition is one group with one pinned snapshot (R1's
+/// pinned snapshot predates both commits).
 #[test]
 fn same_partition_long_fork_still_prevented() {
     for protocol in Protocol::ALL {
-        let (_pc, mgr, t) = setup(protocol);
+        let (mgr, t) = setup(protocol);
         let (kx, ky) = (3u32, 4u32); // both on partition 0
         seed(&mgr, &t, &[(kx, 0), (ky, 0)]);
 
@@ -260,7 +268,7 @@ fn same_partition_long_fork_still_prevented() {
 #[test]
 fn cross_partition_commit_is_all_or_nothing_per_protocol() {
     for protocol in Protocol::ALL {
-        let (_pc, mgr, t) = setup(protocol);
+        let (mgr, t) = setup(protocol);
         let (ka, kb) = (11u32, SPLIT + 11);
         seed(&mgr, &t, &[(ka, 1), (kb, 1)]);
 
@@ -288,23 +296,28 @@ fn cross_partition_commit_is_all_or_nothing_per_protocol() {
     }
 }
 
-/// Slot-churn stress: far more transactions than the contexts hold slots,
-/// from several threads, mixing single- and cross-partition work.  Outer
-/// slots (and the slot-local sub-transaction storage keyed by them) are
-/// recycled thousands of times; any stale sub-transaction state would
-/// surface as wrong reads, leaked inner slots or a wedged slot bitmap.
+/// The published `LastCTS` of each partition's commit group.
+fn partition_last_cts(mgr: &TransactionManager, t: &PartitionedTable<u32, i64>) -> Vec<u64> {
+    let ctx = mgr.context();
+    (0..t.partitions())
+        .map(|p| {
+            let groups = ctx.groups_of_state(t.shard(p).id());
+            assert_eq!(groups.len(), 1, "a shard is in exactly one group");
+            ctx.last_cts(groups[0]).unwrap()
+        })
+        .collect()
+}
+
+/// Slot-churn stress: far more transactions than the context holds slots,
+/// from several threads, mixing single- and cross-partition work.  Slots
+/// (and the slot-local write sets and snapshot caches keyed by them) are
+/// recycled thousands of times; any stale per-slot state would surface as
+/// wrong reads, leaked slots or a wedged slot bitmap.
 #[test]
 fn slot_churn_reuses_slots_across_partitions() {
-    let pc = PartitionedContext::with_capacity(2, 8); // 8 slots per context
-    let mgr = TransactionManager::new(Arc::clone(pc.router_ctx()));
-    pc.attach(&mgr).unwrap();
-    let table = pc.create_table_with(
-        Protocol::Mvcc,
-        "churn",
-        |_| None,
-        Arc::new(RangePartitioner::new(vec![SPLIT])),
-    );
+    let (mgr, table) = table_on(Protocol::Mvcc, 8, "churn", |_| None); // 8 slots
     seed(&mgr, &table, &[(0, 0), (SPLIT, 0)]);
+    let seeded = partition_last_cts(&mgr, &table);
 
     let committed_txns = Arc::new(AtomicU64::new(0));
     let threads: Vec<_> = (0..4)
@@ -355,17 +368,16 @@ fn slot_churn_reuses_slots_across_partitions() {
         committed_txns.load(Ordering::Relaxed) > 16,
         "churn made no progress beyond one slot generation"
     );
-    // Every slot drained on the router and on both partitions.
-    assert_eq!(pc.router_ctx().active_count(), 0, "router slot leak");
-    for p in 0..2 {
-        assert_eq!(pc.partition_ctx(p).active_count(), 0, "slot leak on p{p}");
-    }
-    // The partitions saw real traffic and their counters are consistent.
-    for (p, telemetry) in pc.partition_telemetry().iter().enumerate() {
-        assert!(
-            telemetry.stats.committed > 0,
-            "partition {p} committed nothing"
-        );
+    // Every slot drained.
+    assert_eq!(mgr.context().active_count(), 0, "slot leak");
+    // The partitions saw real traffic: each group's LastCTS moved past the
+    // seed commit.
+    for (p, (now, seeded)) in partition_last_cts(&mgr, &table)
+        .into_iter()
+        .zip(seeded)
+        .enumerate()
+    {
+        assert!(now > seeded, "partition {p} committed nothing");
     }
     // Reads after the churn still work (no wedged snapshots/GC floors).
     let q = mgr.begin_read_only().unwrap();
@@ -374,12 +386,10 @@ fn slot_churn_reuses_slots_across_partitions() {
     mgr.commit(&q).unwrap();
 }
 
-/// `commit_durable_timeout` on a partitioned manager waits on the
-/// partitions that hold the data, not on the router context (which has no
-/// persistence writers of its own): with a device that takes 300 ms per
-/// batch, a 5 ms bound must report `durable == false` and count the
-/// timeout, while the unbounded `commit_durable` waits until the batch is
-/// on disk.
+/// `commit_durable_timeout` on a partitioned table waits on the shard that
+/// holds the data: with a device that takes 300 ms per batch, a 5 ms bound
+/// must report `durable == false` and count the timeout, while the
+/// unbounded `commit_durable` waits until the batch is on disk.
 #[test]
 fn partitioned_commit_durable_timeout_waits_on_the_partitions() {
     use std::time::{Duration, Instant};
@@ -390,13 +400,14 @@ fn partitioned_commit_durable_timeout_waits_on_the_partitions() {
         latency_spike: Some((1.0, spike)),
         ..FaultPlan::transient(0, 0.0)
     };
-    let pc = PartitionedContext::new(2);
-    pc.enable_async_persistence();
-    let mgr = TransactionManager::new(Arc::clone(pc.router_ctx()));
-    pc.attach(&mgr).unwrap();
-    let table = pc.create_table_with::<u32, i64>(
+    let ctx = Arc::new(StateContext::new());
+    ctx.enable_async_persistence();
+    let mgr = TransactionManager::new(ctx);
+    let table = PartitionedTable::<u32, i64>::with_partitioner(
+        &mgr,
         Protocol::Mvcc,
         "slow",
+        2,
         |_| {
             let inner: Arc<dyn StorageBackend> = Arc::new(BTreeBackend::new());
             Some(FaultInjectingBackend::wrap(inner, slow) as Arc<dyn StorageBackend>)
@@ -414,15 +425,12 @@ fn partitioned_commit_durable_timeout_waits_on_the_partitions() {
     assert!(!durable, "a 300 ms write cannot be durable within 5 ms");
     assert!(started.elapsed() < spike, "the bounded wait overran");
     assert_eq!(
-        pc.router_ctx()
-            .telemetry_snapshot()
-            .stats
-            .durability_timeouts,
+        mgr.context().telemetry_snapshot().stats.durability_timeouts,
         1
     );
     // Visible at once, durable once the slow batch lands.
     assert_eq!(committed(&mgr, &table, &[1]), vec![10]);
-    pc.flush().unwrap();
+    mgr.flush().unwrap();
 
     let tx = mgr.begin().unwrap();
     table.write(&tx, 1, 11).unwrap();
